@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `make check` is the one command CI
 # and contributors run before pushing.
 
-.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos serve-smoke chaos-smoke chaos-shard-smoke loadgen-smoke journal-smoke shard-smoke flow-smoke fmt check clean
+.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos smoke fmt check clean
 
 all: build
 
@@ -21,49 +21,16 @@ bench-smoke:
 	dune exec bench/main.exe -- fig3-K ablation-batch \
 	  --scale 0.05 --reps 2 --jobs 2 --json bench-smoke.json
 
-# Streaming pipeline pin: the cram test test/cli/serve.t pipes an NDJSON
-# arrival stream through `ltc serve`, kills it mid-stream, resumes from
-# the journal and diffs the concatenated decisions against the
-# uninterrupted run.  Runs under `dune runtest` (and thus @check) too.
-serve-smoke:
-	dune build @serve-smoke
-
-chaos-smoke:
-	dune build @chaos-smoke
-
-chaos-shard-smoke:
-	dune build @chaos-shard-smoke
-
-# Load-generation pin: the cram test test/cli/loadgen.t drives `ltc
-# loadgen` over shaped virtual-clock traffic and pins the report, the
-# flight-record schema and the Chrome-trace shape.  Also in @runtest.
-loadgen-smoke:
-	dune build @loadgen-smoke
-
-# Journal tooling pin: the cram test test/cli/journal.t serves the same
-# stream under both codecs, converts the journals both ways, checks the
-# restore fingerprints agree, and runs chaos on a binary group-commit
-# journal.  Also in @runtest.
-journal-smoke:
-	dune build @journal-smoke
-
-# Sharded serving pin: the cram test test/cli/shard.t feeds a clustered
-# shard-local stream through `ltc serve --shards K`, diffs it against
-# the single-session run, and exercises sharded kill/resume via the
-# manifest.  Also in @runtest.
-shard-smoke:
-	dune build @shard-smoke
-
-# Flow-solver pin: the cram test test/cli/flow.t lists the solver
-# registry, checks backend parity of MCF-LTC under --mcf-solver
-# (sspa/spfa/incremental) and exercises the --mcf-budget-rounds anytime
-# cutoff with its degraded telemetry.  Also in @runtest.
-flow-smoke:
-	dune build @flow-smoke
+# CLI pins: every cram test under test/cli — serve kill/resume, chaos
+# (single and sharded), loadgen reports and traces, journal tooling,
+# sharded serving, flow solvers, bench schemas.  Also in @runtest (and
+# thus @check).
+smoke:
+	dune build @test/cli/runtest
 
 # Min-cost-flow hot path: cold per-batch solves vs the reused
-# arena/workspace with DAG-layer and warm-started potentials.  Refreshes
-# the committed BENCH_flow_batch.json snapshot.
+# arena/workspace with DAG-layer potentials and the incremental session.
+# Refreshes the committed BENCH_flow_batch.json snapshot.
 bench-flow:
 	dune exec bench/main.exe -- flow-batch-reuse --json BENCH_flow_batch.json
 

@@ -91,8 +91,6 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
      cold         fresh graph + fresh workspace + Bellman-Ford per batch
                   (the pre-arena behaviour)
      reuse-dag    one arena + one workspace, [`Dag_topo] potentials
-     reuse-warm   as reuse-dag, plus warm-started potentials from the
-                  previous batch's finals
      incremental  one {!Ltc_flow.Solver} session: the task plane, its
                   residuals and potentials stay alive across batches; each
                   batch stacks its workers and links on top, resolves with
@@ -104,8 +102,8 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
    dominates the tiny flow) and a ~100x batch (800 workers/batch, where
    the solve dominates).  All variants solve problem-identical networks;
    the checksum asserts they agree (exactly for reuse-dag, within float
-   tolerance for warm starts and the incremental session, whose different
-   node layouts may resolve sub-epsilon ties differently). *)
+   tolerance for the incremental session, whose different node layout may
+   resolve sub-epsilon ties differently). *)
 let flow_batch_id = "flow-batch-reuse"
 
 type flow_shape_stat = {
@@ -115,7 +113,6 @@ type flow_shape_stat = {
   fb_flow : int;
   fb_cold_s : float;
   fb_dag_s : float;
-  fb_warm_s : float;
   fb_inc_s : float;
   fb_checksum_ok : bool;
 }
@@ -160,31 +157,18 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     done;
     (!flow, !cost)
   in
-  let reused ~init ~after () =
+  let reuse_dag () =
     let g = Ltc_flow.Graph.create ~n:1 in
     let ws = Ltc_flow.Mcmf.create_workspace () in
     let flow = ref 0 and cost = ref 0.0 in
     for b = 0 to batches - 1 do
       Ltc_flow.Graph.clear g ~n:nodes;
       build g b;
-      let r = Ltc_flow.Mcmf.run g ~workspace:ws ~init:(init b) ~source ~sink in
-      after ws;
+      let r = Ltc_flow.Mcmf.run g ~workspace:ws ~init:`Dag_topo ~source ~sink in
       flow := !flow + r.Ltc_flow.Mcmf.flow;
       cost := !cost +. r.Ltc_flow.Mcmf.cost
     done;
     (!flow, !cost)
-  in
-  let reuse_dag =
-    reused ~init:(fun _ -> `Dag_topo) ~after:(fun _ -> ())
-  in
-  let reuse_warm =
-    let warm = Array.make nodes 0.0 in
-    let have = ref false in
-    reused
-      ~init:(fun _ -> if !have then `Warm_start warm else `Dag_topo)
-      ~after:(fun ws ->
-        Array.blit (Ltc_flow.Mcmf.borrow_potentials ws) 0 warm 0 nodes;
-        have := true)
   in
   let incremental () =
     let sol = Ltc_flow.Solver.create ~hint:(n_tasks + 2) "incremental" in
@@ -247,13 +231,10 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
   in
   let (cold_flow, cold_cost), cold_s = time_variant cold in
   let (dag_flow, dag_cost), dag_s = time_variant reuse_dag in
-  let (warm_flow, warm_cost), warm_s = time_variant reuse_warm in
   let (inc_flow, inc_cost), inc_s = time_variant incremental in
   let checksum_ok =
     dag_flow = cold_flow
     && dag_cost = cold_cost (* `Dag_topo is bit-identical to Bellman-Ford *)
-    && warm_flow = cold_flow
-    && Float.abs (warm_cost -. cold_cost) < 1e-6
     && inc_flow = cold_flow
     && Float.abs (inc_cost -. cold_cost) < 1e-6
   in
@@ -275,7 +256,6 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     ~header:[ "variant"; "time/pass (ms)"; "speedup vs cold" ]
     [ row "cold (fresh + Bellman-Ford)" cold_s;
       row "reused arena + `Dag_topo" dag_s;
-      row "reused arena + warm start" warm_s;
       row "incremental session" inc_s ];
   print_newline ();
   {
@@ -285,7 +265,6 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     fb_flow = cold_flow;
     fb_cold_s = cold_s;
     fb_dag_s = dag_s;
-    fb_warm_s = warm_s;
     fb_inc_s = inc_s;
     fb_checksum_ok = checksum_ok;
   }
@@ -311,25 +290,22 @@ let run_flow_batch ~scale () =
   ( "BENCH_flow_batch",
     Printf.sprintf
       "{\"batches\": %d, \"nodes\": %d, \"arcs\": %d, \"flow_units\": %d, \
-       \"cold_bf_s\": %.6f, \"reuse_dag_s\": %.6f, \"reuse_warm_s\": %.6f, \
-       \"incremental_s\": %.6f, \"speedup_dag\": %.3f, \"speedup_warm\": \
-       %.3f, \"speedup_incremental\": %.3f, \"checksum_ok\": %d, \
+       \"cold_bf_s\": %.6f, \"reuse_dag_s\": %.6f, \"incremental_s\": \
+       %.6f, \"speedup_dag\": %.3f, \"speedup_incremental\": %.3f, \
+       \"checksum_ok\": %d, \
        \"x100_batches\": %d, \"x100_nodes\": %d, \"x100_arcs\": %d, \
        \"x100_flow_units\": %d, \"x100_cold_bf_s\": %.6f, \
-       \"x100_reuse_dag_s\": %.6f, \"x100_reuse_warm_s\": %.6f, \
-       \"x100_incremental_s\": %.6f, \"x100_speedup_dag\": %.3f, \
-       \"x100_speedup_warm\": %.3f, \"x100_speedup_incremental\": %.3f, \
+       \"x100_reuse_dag_s\": %.6f, \"x100_incremental_s\": %.6f, \
+       \"x100_speedup_dag\": %.3f, \"x100_speedup_incremental\": %.3f, \
        \"x100_checksum_ok\": %d}"
       small.fb_batches small.fb_nodes small.fb_arcs small.fb_flow
-      small.fb_cold_s small.fb_dag_s small.fb_warm_s small.fb_inc_s
+      small.fb_cold_s small.fb_dag_s small.fb_inc_s
       (speedup small.fb_cold_s small.fb_dag_s)
-      (speedup small.fb_cold_s small.fb_warm_s)
       (speedup small.fb_cold_s small.fb_inc_s)
       (if small.fb_checksum_ok then 1 else 0)
       big.fb_batches big.fb_nodes big.fb_arcs big.fb_flow big.fb_cold_s
-      big.fb_dag_s big.fb_warm_s big.fb_inc_s
+      big.fb_dag_s big.fb_inc_s
       (speedup big.fb_cold_s big.fb_dag_s)
-      (speedup big.fb_cold_s big.fb_warm_s)
       (speedup big.fb_cold_s big.fb_inc_s)
       (if big.fb_checksum_ok then 1 else 0) )
 
@@ -732,13 +708,13 @@ let run_loadgen () =
     }
   in
   let pass () =
-    let session =
-      Ltc_service.Session.create
+    let server =
+      Ltc_service.Shard_server.create
         ~deadline:{ Ltc_service.Session.budget_s = 0.002; fallback }
-        ~algorithm ~seed instance
+        ~shards:1 ~algorithm ~seed instance
     in
-    let report = Ltc_service.Loadgen.run ~session ~workers config in
-    Ltc_service.Session.close session;
+    let report = Ltc_service.Loadgen.run ~server ~workers config in
+    Ltc_service.Shard_server.close server;
     report
   in
   ignore (pass ());
@@ -789,7 +765,8 @@ let run_loadgen () =
 
 (* Sharded serving throughput: the same clustered, shard-local arrival
    stream fed to a single session and to a Shard_server at 1/2/4/8
-   shards in [`Domains] mode.  The identical flag asserts every sharded
+   shards in [`Domains] mode (one shard always runs inline: it is the
+   plain session behind the server's feed).  The identical flag asserts every sharded
    run's merged fingerprint matched the single session byte for byte —
    a 0 here is a correctness regression.  Speedup expectations are
    scaled by the core count so a single-core container records an
@@ -913,7 +890,7 @@ let run_serve_shard () =
     ~header:[ "variant"; "time/pass (ms)"; "arrivals/s"; "speedup" ]
     [
       row "feed single session" single_s;
-      row "feed 1 shard (domains)" shard1_s;
+      row "feed 1 shard (inline)" shard1_s;
       row "feed 2 shards (domains)" shard2_s;
       row "feed 4 shards (domains)" shard4_s;
       row "feed 8 shards (domains)" shard8_s;

@@ -646,81 +646,16 @@ let example_cmd =
 
 (* ---------------------------------------------------------- serve command *)
 
-(* NDJSON arrivals on stdin, one NDJSON decision per processed arrival on
+(* NDJSON arrivals on stdin, one NDJSON decision per released arrival on
    stdout (flushed line by line, so the command composes with pipes and
-   survives kill -9 mid-stream).  Arrivals at or below the session's
-   consumed index are skipped silently, which makes resumption idempotent:
-   re-piping the whole stream after `--resume` emits exactly the decisions
-   the interrupted run still owed. *)
-let serve_stream ~on_bad_input session =
-  let consumed_at_start = Ltc_service.Session.consumed session in
-  let skipped = ref 0 in
-  let bad = ref 0 in
-  let m_bad =
-    Ltc_util.Metrics.counter
-      ~help:"malformed arrival lines dropped by --on-bad-input=skip"
-      ~labels:[ ("algo", Ltc_service.Session.algorithm_name session) ]
-      "ltc_service_bad_input_total"
-  in
-  (* Raw input position (blank lines included), so diagnostics point at
-     the line an operator would find with sed -n '<N>p'. *)
-  let line_no = ref 0 in
-  let rec loop () =
-    match input_line stdin with
-    | exception End_of_file -> ()
-    | line ->
-      incr line_no;
-      if String.trim line = "" then loop ()
-      else begin
-        match Ltc_service.Ndjson.arrival_exn ~line:!line_no line with
-        | exception Ltc_service.Ndjson.Bad_input { line; text; reason }
-          when on_bad_input = `Skip ->
-          incr bad;
-          Ltc_util.Metrics.Counter.incr m_bad;
-          Format.eprintf "serve: dropping bad input at line %d: %s: %S@."
-            line reason text;
-          loop ()
-        | w ->
-          if w.Ltc_core.Worker.index <= Ltc_service.Session.consumed session
-          then begin
-            incr skipped;
-            loop ()
-          end
-          else begin
-            let d = Ltc_service.Session.feed session w in
-            print_string
-              (Ltc_service.Ndjson.decision_to_line
-                 ~degraded:d.Ltc_service.Session.degraded
-                 ~worker:d.Ltc_service.Session.worker
-                 ~assigned:d.Ltc_service.Session.assigned
-                 ~answered:d.Ltc_service.Session.answered
-                 ~completed:d.Ltc_service.Session.completed
-                 ~latency:d.Ltc_service.Session.latency ());
-            print_newline ();
-            flush stdout;
-            (* Stop at completion: the batch loop consumes nothing past
-               it, so acknowledging further arrivals would only differ
-               between an uninterrupted run and a resumed one. *)
-            if not d.Ltc_service.Session.completed then loop ()
-          end
-      end
-  in
-  loop ();
-  Format.eprintf "serve: algorithm=%s consumed=%d (resumed at %d, skipped \
-                  %d, bad %d) latency=%d completed=%b@."
-    (Ltc_service.Session.algorithm_name session)
-    (Ltc_service.Session.consumed session)
-    consumed_at_start !skipped !bad
-    (Ltc_service.Session.latency session)
-    (Ltc_service.Session.completed session)
-
-(* Sharded variant of [serve_stream]: every arrival from index 1 is fed
-   (a resumed server skips already-durable arrivals internally and emits
-   nothing for them), released decisions are printed in global order, and
-   the stream stops once the completing decision has been printed — acks
-   released behind it are dropped so the output matches an un-sharded
-   serve byte for byte. *)
-let serve_stream_sharded ~on_bad_input server =
+   survives kill -9 mid-stream).  A resumed server skips already-durable
+   arrivals internally and emits nothing for them, which makes resumption
+   idempotent: re-piping the whole stream after `--resume` emits exactly
+   the decisions the interrupted run still owed.  The stream stops once
+   the completing decision has been printed — the batch loop consumes
+   nothing past it, so acknowledging further arrivals would only differ
+   between an uninterrupted run and a resumed one. *)
+let serve_stream ~on_bad_input server =
   let module Srv = Ltc_service.Shard_server in
   let bad = ref 0 in
   let m_bad =
@@ -729,6 +664,8 @@ let serve_stream_sharded ~on_bad_input server =
       ~labels:[ ("algo", Srv.algorithm_name server) ]
       "ltc_service_bad_input_total"
   in
+  (* Raw input position (blank lines included), so diagnostics point at
+     the line an operator would find with sed -n '<N>p'. *)
   let line_no = ref 0 in
   let done_ = ref false in
   let emit ds =
@@ -772,12 +709,18 @@ let serve_stream_sharded ~on_bad_input server =
   in
   loop ();
   emit (Srv.flush server);
+  (* One shard prints the plain session's summary. *)
+  let sharded name v =
+    if Srv.shards server = 1 then "" else Printf.sprintf " %s=%d" name v
+  in
   Format.eprintf
-    "serve: algorithm=%s shards=%d consumed=%d (resumed at %d, skipped %d, \
-     bad %d) latency=%d completed=%b stalls=%d@."
-    (Srv.algorithm_name server) (Srv.shards server) (Srv.consumed server)
-    (Srv.resumed_at server) (Srv.replayed server) !bad (Srv.latency server)
-    (Srv.completed server) (Srv.stalls server);
+    "serve: algorithm=%s%s consumed=%d (resumed at %d, skipped %d, bad %d) \
+     latency=%d completed=%b%s@."
+    (Srv.algorithm_name server)
+    (sharded "shards" (Srv.shards server))
+    (Srv.consumed server) (Srv.resumed_at server) (Srv.replayed server) !bad
+    (Srv.latency server) (Srv.completed server)
+    (sharded "stalls" (Srv.stalls server));
   if Srv.supervised server then
     Format.eprintf "serve: supervision: restarts=%d quarantined=%d shed=%d@."
       (Srv.restarts server) (Srv.quarantined server) (Srv.shed server)
@@ -800,8 +743,25 @@ let resolve_deadline deadline_s fallback_name =
     let fallback = resolve_algorithm (Option.value name ~default:"Nearest") in
     Some { Ltc_service.Session.budget_s; fallback }
 
-(* Journal codec / group-commit flags, shared by serve, loadgen and
-   chaos. *)
+(* Session flags shared by serve, loadgen and chaos. *)
+let accept_rate_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "accept-rate" ] ~docv:"Q"
+        ~doc:
+          "Simulate no-shows: each assignment is honoured with probability \
+           $(docv) in (0, 1].")
+
+let journal_arg doc =
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH" ~doc)
+
+let checkpoint_every_arg ~default =
+  Arg.(
+    value & opt int default
+    & info [ "checkpoint-every" ] ~docv:"N"
+        ~doc:"Snapshot (and compact) the journal every $(docv) events.")
+
 let journal_format_arg =
   Arg.(
     value
@@ -828,61 +788,44 @@ let group_commit_arg =
            uncommitted group — those arrivals are simply replayed, like \
            a torn tail.")
 
-(* Sharded-serving flags, shared by serve and loadgen. *)
-let shards_arg =
+let deadline_arg =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"K"
+    & opt (some float) None
+    & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Partition the task universe into $(docv) spatial shards, each \
-           served by its own journaled session on its own domain \
-           (journals land at PATH.shard0..PATH.shard<K-1> with a \
-           manifest at PATH).  Without this flag a single session serves \
-           the whole instance.")
+          "Per-arrival solve budget; an arrival whose decision (injected \
+           delays included) takes longer is re-decided by the fallback \
+           algorithm and marked \"degraded\".")
 
-let mailbox_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "mailbox" ] ~docv:"N"
-        ~doc:
-          "Bound each shard's arrival mailbox at $(docv) entries; a full \
-           mailbox blocks the router (counted as a stall), never drops.")
-
-(* Shard supervision flags (serve and loadgen).  Supervision switches on
-   when either flag departs from "unsupervised" defaults: a restart
-   budget, or shed-on-overload. *)
-let max_restarts_arg =
+let fallback_arg =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "max-restarts" ] ~docv:"N"
+    & opt (some string) None
+    & info [ "fallback" ] ~docv:"NAME"
         ~doc:
-          "Supervise the shard domains (requires --shards): a shard whose \
-           session crashes is restored online from its own journal, up to \
-           $(docv) times per shard with exponential backoff; beyond that \
-           the shard is quarantined and its arrivals are acknowledged as \
-           explicit unassigned decisions.  $(docv) > 0 requires \
-           --journal.")
+          "Algorithm that decides deadline-missing arrivals (default \
+           Nearest).  Requires --deadline.")
 
-let overload_arg =
+(* Loadgen and chaos replay an instance's embedded workers. *)
+let stream_load_arg =
   Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("block", Ltc_service.Supervisor.Block);
-             ("shed", Ltc_service.Supervisor.Shed);
-           ])
-        Ltc_service.Supervisor.Block
-    & info [ "overload" ] ~docv:"block|shed"
+    required
+    & opt (some string) None
+    & info [ "load" ] ~docv:"FILE"
         ~doc:
-          "What a full shard mailbox does to an arrival (requires \
-           --shards): $(b,block) (default) applies backpressure; \
-           $(b,shed) acknowledges it immediately as an unassigned \
-           degraded decision (counted in ltc_shard_shed_total) without \
-           touching the shard.")
+          "Instance file written by $(b,ltc generate); its embedded workers \
+           are the arrival stream, in index order.")
 
+let stream_algorithm_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "algorithm"; "a" ] ~docv:"NAME"
+        ~doc:"Online algorithm the stream drives.")
+
+(* Supervision switches on when either flag departs from "unsupervised"
+   defaults: a restart budget, or shed-on-overload. *)
 let resolve_supervise ~max_restarts ~overload =
   match (max_restarts, overload) with
   | None, Ltc_service.Supervisor.Block -> None
@@ -897,96 +840,154 @@ let resolve_supervise ~max_restarts ~overload =
         overload;
       }
 
-let serve_cmd_impl load algo_name seed accept_rate journal checkpoint_every
-    resume fsync journal_format group_commit shards mailbox max_restarts
-    overload deadline_s fallback_name on_bad_input log_levels metrics
-    metrics_format =
+(* Everything serve and loadgen need to build their Shard_server. *)
+type server_opts = {
+  o_seed : int;
+  o_accept_rate : float option;
+  o_journal : string option;
+  o_checkpoint_every : int;
+  o_format : Ltc_service.Session.codec;
+  o_group_commit : int;
+  o_shards : int option;  (* [None]: --shards absent, one shard *)
+  o_mailbox : int;
+  o_supervise : Ltc_service.Supervisor.config option;
+  o_deadline_s : float option;
+  o_fallback : string option;
+}
+
+let server_opts =
+  let shards =
+    Arg.(
+      value
+      & opt (some ~none:"1" int) None
+      & info [ "shards" ] ~docv:"K"
+          ~doc:
+            "Partition the task universe into $(docv) spatial shards, each \
+             served by its own journaled session on its own domain \
+             (journals land at PATH.shard0..PATH.shard<K-1> with a \
+             manifest at PATH).  One shard is a plain session journaling \
+             to PATH.")
+  in
+  let mailbox =
+    Arg.(
+      value & opt int 64
+      & info [ "mailbox" ] ~docv:"N"
+          ~doc:
+            "Bound each shard's arrival mailbox at $(docv) entries; a full \
+             mailbox blocks the router (counted as a stall), never drops.")
+  in
+  let max_restarts =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-restarts" ] ~docv:"N"
+          ~doc:
+            "Supervise the shards: a shard whose session crashes is \
+             restored online from its own journal, up to $(docv) times per \
+             shard with exponential backoff; beyond that the shard is \
+             quarantined and its arrivals are acknowledged as explicit \
+             unassigned decisions.  $(docv) > 0 requires --journal.")
+  in
+  let overload =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("block", Ltc_service.Supervisor.Block);
+               ("shed", Ltc_service.Supervisor.Shed);
+             ])
+          Ltc_service.Supervisor.Block
+      & info [ "overload" ] ~docv:"block|shed"
+          ~doc:
+            "What a full shard mailbox does to an arrival (needs --shards \
+             of at least 2): $(b,block) (default) applies backpressure; \
+             $(b,shed) acknowledges it immediately as an unassigned \
+             degraded decision (counted in ltc_shard_shed_total) without \
+             touching the shard.")
+  in
+  let make o_seed o_accept_rate o_journal o_checkpoint_every o_format
+      o_group_commit o_shards o_mailbox max_restarts overload o_deadline_s
+      o_fallback =
+    {
+      o_seed;
+      o_accept_rate;
+      o_journal;
+      o_checkpoint_every;
+      o_format;
+      o_group_commit;
+      o_shards;
+      o_mailbox;
+      o_supervise = resolve_supervise ~max_restarts ~overload;
+      o_deadline_s;
+      o_fallback;
+    }
+  in
+  Term.(
+    const make $ seed_arg $ accept_rate_arg
+    $ journal_arg
+        "Journal every arrival and decision to $(docv), with periodic \
+         snapshots, so the run survives a crash."
+    $ checkpoint_every_arg ~default:256
+    $ journal_format_arg $ group_commit_arg $ shards $ mailbox $ max_restarts
+    $ overload $ deadline_arg $ fallback_arg)
+
+let create_server o ~deadline ~fsync ~mode ~algorithm instance =
+  Ltc_service.Shard_server.create ?accept_rate:o.o_accept_rate ?deadline
+    ?journal:o.o_journal ?supervise:o.o_supervise
+    ~checkpoint_every:o.o_checkpoint_every ~fsync ~format:o.o_format
+    ~group_commit:o.o_group_commit ~mailbox:o.o_mailbox ~mode
+    ~shards:(Option.value o.o_shards ~default:1)
+    ~algorithm ~seed:o.o_seed instance
+
+let serve_cmd_impl load algo_name o resume fsync on_bad_input log_levels
+    metrics metrics_format =
   setup_observability ~verbose:false ~log_levels ~metrics;
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt in
-  let supervise = resolve_supervise ~max_restarts ~overload in
-  if supervise <> None && shards = None && resume = None then
-    fail "--max-restarts/--overload supervise shard domains; they need \
-          --shards (or --resume of a sharded journal)";
-  (match supervise with
-  | Some c
-    when c.Ltc_service.Supervisor.max_restarts > 0
-         && journal = None && resume = None ->
-    fail "--max-restarts > 0 restores shards from their journals; add \
-          --journal PATH"
-  | _ -> ());
-  let require_fresh_args () =
+  let fresh o =
     let load =
       match load with
       | Some p -> p
-      | None -> fail "serve needs --load FILE (or --resume PATH)"
+      | None -> die "serve needs --load FILE (or --resume PATH)"
     in
     let algorithm =
       match algo_name with
-      | None -> fail "serve needs --algorithm NAME (or --resume PATH)"
+      | None -> die "serve needs --algorithm NAME (or --resume PATH)"
       | Some name -> resolve_algorithm name
     in
-    let deadline = resolve_deadline deadline_s fallback_name in
-    (Ltc_core.Serialize.load_instance ~path:load, algorithm, deadline)
+    let deadline = resolve_deadline o.o_deadline_s o.o_fallback in
+    create_server o ~deadline ~fsync ~mode:Ltc_service.Shard_server.Domains
+      ~algorithm
+      (Ltc_core.Serialize.load_instance ~path:load)
   in
-  let fresh ~journal () =
-    let instance, algorithm, deadline = require_fresh_args () in
-    Ltc_service.Session.create ?accept_rate ?deadline ?journal
-      ~checkpoint_every ~fsync ~format:journal_format ~group_commit
-      ~algorithm ~seed instance
+  let server =
+    match resume with
+    | None -> fresh o
+    | Some _ when o.o_shards <> None ->
+      die "--resume restores the shard count from the manifest; drop --shards"
+    | Some path when Ltc_service.Session.is_empty_journal path ->
+      (* The journaled run died before its header became durable, so
+         there is nothing to restore — start over into the same file. *)
+      Format.eprintf "serve: journal %s is empty; starting a fresh session@."
+        path;
+      fresh { o with o_journal = Some (Option.value o.o_journal ~default:path) }
+    | Some path ->
+      (* A plain journal or a shard manifest: either names the instance,
+         algorithm and session options. *)
+      if load <> None || algo_name <> None then
+        die "--resume restores the instance and algorithm from the journal; \
+             drop --load/--algorithm";
+      if o.o_deadline_s <> None || o.o_fallback <> None then
+        die "--resume restores the deadline from the journal; drop \
+             --deadline/--fallback";
+      Ltc_service.Shard_server.restore ?journal:o.o_journal
+        ~mailbox:o.o_mailbox ?supervise:o.o_supervise
+        ~mode:Ltc_service.Shard_server.Domains ~fsync
+        ~group_commit:o.o_group_commit ~path ()
   in
-  let fresh_sharded ~shards () =
-    let instance, algorithm, deadline = require_fresh_args () in
-    Ltc_service.Shard_server.create ?accept_rate ?deadline ?journal
-      ?supervise ~checkpoint_every ~fsync ~format:journal_format
-      ~group_commit ~mailbox ~mode:Ltc_service.Shard_server.Domains ~shards
-      ~algorithm ~seed instance
-  in
-  let finish_sharded server =
-    serve_stream_sharded ~on_bad_input server;
-    Ltc_service.Shard_server.close server;
-    write_snapshot ~metrics ~metrics_format;
-    0
-  in
-  let reject_resume_overrides () =
-    if load <> None || algo_name <> None then
-      fail "--resume restores the instance and algorithm from the journal; \
-            drop --load/--algorithm";
-    if deadline_s <> None || fallback_name <> None then
-      fail "--resume restores the deadline from the journal; drop \
-            --deadline/--fallback"
-  in
-  match resume with
-  | Some _ when shards <> None ->
-    fail "--resume restores the shard count from the manifest; drop --shards"
-  | Some path when Ltc_service.Shard_server.is_manifest path ->
-    (* A sharded journal: the manifest at the base path names the shard
-       count, instance and session options. *)
-    reject_resume_overrides ();
-    finish_sharded
-      (Ltc_service.Shard_server.restore ~mailbox ?supervise
-         ~mode:Ltc_service.Shard_server.Domains ~fsync ~group_commit ~path ())
-  | resume -> (
-    match shards with
-    | Some shards -> finish_sharded (fresh_sharded ~shards ())
-    | None ->
-      let session =
-        match resume with
-        | Some path when Ltc_service.Session.is_empty_journal path ->
-          (* The journaled run died before its header became durable, so
-             there is nothing to restore — start over into the same
-             file. *)
-          Format.eprintf
-            "serve: journal %s is empty; starting a fresh session@." path;
-          fresh ~journal:(Some (Option.value journal ~default:path)) ()
-        | Some path ->
-          reject_resume_overrides ();
-          Ltc_service.Session.restore ?journal ~fsync ~group_commit ~path ()
-        | None -> fresh ~journal ()
-      in
-      serve_stream ~on_bad_input session;
-      Ltc_service.Session.close session;
-      write_snapshot ~metrics ~metrics_format;
-      0)
+  serve_stream ~on_bad_input server;
+  Ltc_service.Shard_server.close server;
+  write_snapshot ~metrics ~metrics_format;
+  0
 
 let serve_cmd =
   let load =
@@ -1002,49 +1003,20 @@ let serve_cmd =
                    per-arrival policy: LAF, AAM, Random, LGF-only, \
                    LRF-only, Nearest).")
   in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows: each assignment is honoured with \
-                   probability $(docv) in (0, 1].")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Append every arrival and decision to $(docv), with \
-                   periodic snapshots, so the session survives a crash.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 256
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Compact the journal to a snapshot every $(docv) events.")
-  in
   let resume =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"PATH"
-             ~doc:"Restore the session from a journal before reading \
-                   stdin; arrivals already journaled are skipped.  An \
-                   empty (zero-byte) journal starts a fresh session \
-                   instead — supply --load/--algorithm for that case.")
+             ~doc:"Restore the session (or, from a shard manifest, every \
+                   shard) from a journal before reading stdin; arrivals \
+                   already journaled are skipped.  An empty (zero-byte) \
+                   journal starts a fresh session instead — supply \
+                   --load/--algorithm for that case.")
   in
   let fsync =
     Arg.(value & flag
          & info [ "fsync" ]
              ~doc:"fsync the journal after every event, not only at \
                    checkpoints — survives power loss, not just crashes.")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-arrival solve budget; an arrival whose decision \
-                   takes longer is re-decided by the fallback algorithm \
-                   and marked \"degraded\" on the wire.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Algorithm that decides deadline-missing arrivals \
-                   (default Nearest).  Requires --deadline.")
   in
   let on_bad_input =
     Arg.(value
@@ -1059,37 +1031,22 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"serve an NDJSON arrival stream with a resumable session")
     Term.(
-      const serve_cmd_impl $ load $ algo $ seed_arg $ accept_rate $ journal
-      $ checkpoint_every $ resume $ fsync $ journal_format_arg
-      $ group_commit_arg $ shards_arg $ mailbox_arg $ max_restarts_arg
-      $ overload_arg $ deadline $ fallback $ on_bad_input $ log_arg
-      $ metrics_arg $ metrics_format_arg)
+      const serve_cmd_impl $ load $ algo $ server_opts $ resume $ fsync
+      $ on_bad_input $ log_arg $ metrics_arg $ metrics_format_arg)
 
 (* -------------------------------------------------------- loadgen command *)
 
-(* Open-loop SLO measurement: drive a session with a shaped arrival
+(* Open-loop SLO measurement: drive a server with a shaped arrival
    schedule (Ltc_service.Loadgen), report coordinated-omission-corrected
    latency quantiles, and optionally dump the flight recorder as NDJSON
    and as a Perfetto-loadable Chrome trace.  The default virtual timing
    makes the whole report a pure function of the flags. *)
-let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
-    journal_format group_commit shards mailbox max_restarts overload
-    deadline_s fallback_name shape_spec rate arrivals service_mean
+let loadgen_cmd_impl load algo_name o shape_spec rate arrivals service_mean
     service_dist timing poisson slo flight_out flight_capacity trace_out
     log_levels metrics metrics_format =
   setup_observability ~verbose:false ~log_levels ~metrics;
-  let supervise = resolve_supervise ~max_restarts ~overload in
-  if supervise <> None && shards = None then
-    die "loadgen: --max-restarts/--overload supervise shard domains; they \
-         need --shards";
-  (match supervise with
-  | Some c
-    when c.Ltc_service.Supervisor.max_restarts > 0 && journal = None ->
-    die "loadgen: --max-restarts > 0 restores shards from their journals; \
-         add --journal PATH"
-  | _ -> ());
   let algorithm = resolve_algorithm algo_name in
-  let deadline = resolve_deadline deadline_s fallback_name in
+  let deadline = resolve_deadline o.o_deadline_s o.o_fallback in
   let instance = Ltc_core.Serialize.load_instance ~path:load in
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
@@ -1114,7 +1071,7 @@ let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
         (match service_dist with
         | `Fixed -> Ltc_service.Loadgen.Fixed service_mean
         | `Exp -> Ltc_service.Loadgen.Exponential service_mean);
-      seed;
+      seed = o.o_seed;
       timing =
         (match timing with
         | `Virtual -> Ltc_service.Loadgen.Virtual
@@ -1135,41 +1092,20 @@ let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
           path)
       flight_out
   in
-  let report =
-    match shards with
-    | None ->
-      let session =
-        Ltc_service.Session.create ?accept_rate ?deadline ?journal
-          ~checkpoint_every ~format:journal_format ~group_commit ~algorithm
-          ~seed instance
-      in
-      let report =
-        Ltc_service.Loadgen.run ?on_breach ~session ~workers config
-      in
-      Ltc_service.Session.close session;
-      Format.printf "%a" Ltc_service.Loadgen.pp_report report;
-      report
-    | Some shards ->
-      (* Virtual timing drives the process-global fault clock, so the
-         shard sessions must run inline; wall timing gets the real
-         domain-per-shard runtime. *)
-      let mode =
-        match config.Ltc_service.Loadgen.timing with
-        | Ltc_service.Loadgen.Virtual -> Ltc_service.Shard_server.Inline
-        | Ltc_service.Loadgen.Wall -> Ltc_service.Shard_server.Domains
-      in
-      let server =
-        Ltc_service.Shard_server.create ?accept_rate ?deadline ?journal
-          ?supervise ~checkpoint_every ~format:journal_format ~group_commit
-          ~mailbox ~mode ~shards ~algorithm ~seed instance
-      in
-      let sharded =
-        Ltc_service.Loadgen.run_sharded ?on_breach ~server ~workers config
-      in
-      Ltc_service.Shard_server.close server;
-      Format.printf "%a" Ltc_service.Loadgen.pp_sharded_report sharded;
-      sharded.Ltc_service.Loadgen.sr_report
+  (* Virtual timing drives the process-global fault clock, so the shard
+     sessions must run inline; wall timing gets the real domain-per-shard
+     runtime. *)
+  let mode =
+    match config.Ltc_service.Loadgen.timing with
+    | Ltc_service.Loadgen.Virtual -> Ltc_service.Shard_server.Inline
+    | Ltc_service.Loadgen.Wall -> Ltc_service.Shard_server.Domains
   in
+  let server =
+    create_server o ~deadline ~fsync:false ~mode ~algorithm instance
+  in
+  let report = Ltc_service.Loadgen.run ?on_breach ~server ~workers config in
+  Ltc_service.Shard_server.close server;
+  Format.printf "%a" Ltc_service.Loadgen.pp_report report;
   Option.iter
     (fun path ->
       Ltc_service.Flight_recorder.dump report.Ltc_service.Loadgen.r_recorder
@@ -1188,47 +1124,6 @@ let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
   0
 
 let loadgen_cmd =
-  let load =
-    Arg.(required & opt (some string) None
-         & info [ "load" ] ~docv:"FILE"
-             ~doc:"Instance file written by $(b,ltc generate); its embedded \
-                   workers are the arrival stream, in index order.")
-  in
-  let algo =
-    Arg.(required & opt (some string) None
-         & info [ "algorithm"; "a" ] ~docv:"NAME"
-             ~doc:"Online algorithm under load.")
-  in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows with probability 1-$(docv), exactly as \
-                   $(b,ltc serve).")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Journal the session to $(docv) while under load, so the \
-                   report includes journal I/O and per-arrival journal \
-                   bytes.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 256
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Compact the journal every $(docv) events.")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-arrival solve budget; decisions whose (injected) \
-                   service time overruns it degrade to the fallback.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Deadline fallback algorithm (default Nearest).  \
-                   Requires --deadline.")
-  in
   let shape =
     Arg.(value & opt string "constant"
          & info [ "shape" ] ~docv:"SPEC"
@@ -1309,13 +1204,10 @@ let loadgen_cmd =
        ~doc:"drive a session open-loop with shaped traffic and report SLO \
              latency quantiles")
     Term.(
-      const loadgen_cmd_impl $ load $ algo $ seed_arg $ accept_rate $ journal
-      $ checkpoint_every $ journal_format_arg $ group_commit_arg $ shards_arg
-      $ mailbox_arg $ max_restarts_arg $ overload_arg $ deadline $ fallback
-      $ shape $ rate $ arrivals
-      $ service_mean $ service_dist $ timing $ poisson $ slo $ flight_out
-      $ flight_capacity $ trace_out $ log_arg $ metrics_arg
-      $ metrics_format_arg)
+      const loadgen_cmd_impl $ stream_load_arg $ stream_algorithm_arg
+      $ server_opts $ shape $ rate $ arrivals $ service_mean $ service_dist
+      $ timing $ poisson $ slo $ flight_out $ flight_capacity $ trace_out
+      $ log_arg $ metrics_arg $ metrics_format_arg)
 
 (* ---------------------------------------------------------- chaos command *)
 
@@ -1457,23 +1349,6 @@ let chaos_cmd =
       1
     end
   in
-  let load =
-    Arg.(required & opt (some string) None
-         & info [ "load" ] ~docv:"FILE"
-             ~doc:"Instance file written by $(b,ltc generate); its \
-                   embedded workers are the arrival stream.")
-  in
-  let algo =
-    Arg.(required & opt (some string) None
-         & info [ "algorithm"; "a" ] ~docv:"NAME"
-             ~doc:"Online algorithm under test.")
-  in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows with probability 1-$(docv), exactly \
-                   as $(b,ltc serve).")
-  in
   let fault_seed =
     Arg.(value & opt int 11
          & info [ "fault-seed" ] ~docv:"N"
@@ -1494,30 +1369,6 @@ let chaos_cmd =
   let horizon =
     n_of "horizon" ~default:30
       "Faults fire within the first N visits of their site."
-  in
-  let checkpoint_every =
-    n_of "checkpoint-every" ~default:8
-      "Compact the journal every N events (small values exercise the \
-       compaction fault sites)."
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Journal path for the chaos run (default: a temp file, \
-                   deleted afterwards).")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Enable deadline degradation during the runs.  Injected \
-                   delays then change decisions (in both runs alike), and \
-                   byte-identity is only guaranteed while no crash forces \
-                   an arrival to be re-decided.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Deadline fallback algorithm (default Nearest).")
   in
   let shards =
     Arg.(value & opt (some int) None
@@ -1541,10 +1392,15 @@ let chaos_cmd =
        ~doc:"replay a workload under scripted faults and verify the \
              decision stream survives kill/restore byte-identically")
     Term.(
-      const impl $ load $ algo $ seed_arg $ accept_rate $ fault_seed
+      const impl $ stream_load_arg $ stream_algorithm_arg $ seed_arg
+      $ accept_rate_arg $ fault_seed
       $ crashes $ io_errors $ torn_writes $ delays $ horizon
-      $ checkpoint_every $ journal $ journal_format_arg $ group_commit_arg
-      $ shards $ max_restarts $ deadline $ fallback $ log_arg)
+      $ checkpoint_every_arg ~default:8
+      $ journal_arg
+          "Journal path for the chaos run (default: a temp file, deleted \
+           afterwards)."
+      $ journal_format_arg $ group_commit_arg $ shards $ max_restarts
+      $ deadline_arg $ fallback_arg $ log_arg)
 
 (* -------------------------------------------------------- journal command *)
 

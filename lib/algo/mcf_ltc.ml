@@ -5,7 +5,6 @@ let name = "MCF-LTC"
 type config = {
   first_batch_factor : float;
   batch_factor : float;
-  warm_start : bool;
   solver : string;
   budget : Ltc_flow.Mcmf.budget option;
 }
@@ -14,7 +13,6 @@ let default_config =
   {
     first_batch_factor = 1.5;
     batch_factor = 1.0;
-    warm_start = false;
     solver = "sspa";
     budget = None;
   }
@@ -55,12 +53,6 @@ type scratch = {
   mutable wt_score : float array;
   mutable wt_len : int;
   mutable epoch : int;             (* stamp source for node_stamp / mark *)
-  (* Warm-start state: final potentials of the previous batch, keyed by
-     task id (the only nodes whose identity is stable across batches). *)
-  task_pot : float array;
-  mutable sink_pot : float;
-  mutable have_warm : bool;
-  mutable cand : float array;      (* node-indexed candidate, grown on demand *)
   mutable accounted : int;         (* arena words currently charged *)
   (* Incremental-session bookkeeping: tasks whose progress changed since
      the last [Solver.set_unit] sync, deduplicated by [sync_mark]. *)
@@ -88,10 +80,6 @@ let create_scratch ~name ~solver ~n_tasks =
     wt_score = Array.make 16 0.0;
     wt_len = 0;
     epoch = 0;
-    task_pot = Array.make n 0.0;
-    sink_pot = 0.0;
-    have_warm = false;
-    cand = [||];
     accounted = 0;
     inc_ready = false;
     sync_ids = Array.make n 0;
@@ -129,8 +117,7 @@ let push_wt scratch ~arc ~bi ~task ~score =
    worker capacity is spent on the most reliable unfinished tasks, so the
    batch always yields a feasible assignment.  Returns the updated
    arrangement. *)
-let solve_batch instance tracker progress arrangement ~warm_start ~budget
-    scratch batch =
+let solve_batch instance tracker progress arrangement ~budget scratch batch =
   Ltc_util.Trace.with_span "mcf-ltc.batch" @@ fun () ->
   let t_batch = Ltc_util.Timer.start () in
   let n_workers = Instance.worker_count instance in
@@ -154,7 +141,6 @@ let solve_batch instance tracker progress arrangement ~warm_start ~budget
     scratch.node_of.(task) <- 1 + n_batch + i;
     scratch.node_stamp.(task) <- batch_ep
   done;
-  let use_warm = warm_start && caps.Ltc_flow.Solver.potentials in
   (* Charge the tracker for arena growth only: the high-water mark counts
      the reservation once per run, not once per batch. *)
   let charge now =
@@ -259,37 +245,11 @@ let solve_batch instance tracker progress arrangement ~warm_start ~budget
       done;
       charge
         (Ltc_flow.Graph.memory_words g + (8 * Ltc_flow.Graph.node_count g));
-      let init =
-        if use_warm && scratch.have_warm then begin
-          let nodes = sink + 1 in
-          if Array.length scratch.cand < nodes then
-            scratch.cand <-
-              Array.make (max nodes (2 * Array.length scratch.cand)) 0.0;
-          let cand = scratch.cand in
-          cand.(source) <- 0.0;
-          for bi = 0 to n_batch - 1 do
-            cand.(1 + bi) <- 0.0
-          done;
-          for i = 0 to n_inc - 1 do
-            cand.(1 + n_batch + i) <- scratch.task_pot.(task_ids.(i))
-          done;
-          cand.(sink) <- scratch.sink_pot;
-          `Warm_start cand
-        end
-        else `Dag_topo
-      in
       let r =
         Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
-            Ltc_flow.Solver.solve scratch.sol ~init ?budget g ~source ~sink)
+            Ltc_flow.Solver.solve scratch.sol ~init:`Dag_topo ?budget g
+              ~source ~sink)
       in
-      if use_warm then begin
-        let pot = Ltc_flow.Solver.borrow_potentials scratch.sol in
-        for i = 0 to n_inc - 1 do
-          scratch.task_pot.(task_ids.(i)) <- pot.(1 + n_batch + i)
-        done;
-        scratch.sink_pot <- pot.(sink);
-        scratch.have_warm <- true
-      end;
       (r, fun arc -> Ltc_flow.Graph.flow g arc)
     end
   in
@@ -378,8 +338,7 @@ let solve_batch instance tracker progress arrangement ~warm_start ~budget
   !arrangement
 
 (* Shared batch loop: [batch_size ~first] gives each batch's width. *)
-let run_batches ~name ~batch_size ?(warm_start = false) ?(solver = "sspa")
-    ?budget instance =
+let run_batches ~name ~batch_size ?(solver = "sspa") ?budget instance =
   Ltc_util.Trace.with_span ("engine:" ^ name) @@ fun () ->
   let n_tasks = Instance.task_count instance in
   let workers = instance.Instance.workers in
@@ -404,8 +363,8 @@ let run_batches ~name ~batch_size ?(warm_start = false) ?(solver = "sspa")
       let batch = Array.sub workers !cursor size in
       cursor := !cursor + size;
       arrangement :=
-        solve_batch instance tracker progress !arrangement ~warm_start ~budget
-          scratch batch
+        solve_batch instance tracker progress !arrangement ~budget scratch
+          batch
     done;
     Ltc_util.Mem.Tracker.remove_words tracker scratch.accounted;
     Engine.of_arrangement ~name ~workers_consumed:!cursor ~tracker
@@ -436,8 +395,8 @@ let run ?(config = default_config) instance =
     in
     max 1 (int_of_float (factor *. m))
   in
-  run_batches ~name ~batch_size ~warm_start:config.warm_start
-    ~solver:config.solver ?budget:config.budget instance
+  run_batches ~name ~batch_size ~solver:config.solver ?budget:config.budget
+    instance
 
 let run_buffered ~buffer instance =
   if buffer < 1 then invalid_arg "Mcf_ltc.run_buffered: buffer must be >= 1";

@@ -42,18 +42,6 @@ let m_dag_inits =
     ~labels:[ ("solver", "sspa") ]
     "ltc_flow_mcmf_dag_inits_total"
 
-let m_warm_accepted =
-  Ltc_util.Metrics.counter
-    ~help:"warm-start potential candidates accepted after validation"
-    ~labels:[ ("solver", "sspa") ]
-    "ltc_flow_mcmf_warm_accepted_total"
-
-let m_warm_rejected =
-  Ltc_util.Metrics.counter
-    ~help:"warm-start potential candidates rejected (fell back to fresh init)"
-    ~labels:[ ("solver", "sspa") ]
-    "ltc_flow_mcmf_warm_rejected_total"
-
 (* ------------------------------------------------------ reusable workspace *)
 
 (* Per-solve scratch: potentials, Dijkstra labels and heap, plus the SPFA
@@ -149,8 +137,7 @@ let ws_set_epoch ws e = ws.epoch <- e
 
 (* ---------------------------------------------------- potential initialisers *)
 
-type potential_init =
-  [ `Bellman_ford | `Dag_topo | `Warm_start of float array | `Keep ]
+type potential_init = [ `Bellman_ford | `Dag_topo | `Keep ]
 
 (* Bellman-Ford over residual arcs; fills [pot] with shortest-path distances
    from [source] (unreachable nodes keep 0, which is safe: they can only be
@@ -209,40 +196,11 @@ let dag_topo_init (raw : Graph.raw) ~n ~source pot =
     if pot.(v) = infinity then pot.(v) <- 0.0
   done
 
-(* A candidate potential vector is usable iff every residual arc has
-   non-negative reduced cost (within epsilon) — the invariant Dijkstra on
-   reduced costs needs.  One O(E) scan decides. *)
-let warm_candidate_valid (raw : Graph.raw) cand =
-  let ok = ref true in
-  let a = ref 0 in
-  while !ok && !a < raw.Graph.r_len do
-    let arc = !a in
-    incr a;
-    if raw.Graph.r_caps.(arc) > 0 then begin
-      let u = raw.Graph.r_heads.(arc lxor 1) in
-      let v = raw.Graph.r_heads.(arc) in
-      if raw.Graph.r_costs.(arc) +. cand.(u) -. cand.(v) < -.epsilon then
-        ok := false
-    end
-  done;
-  !ok
-
 let init_potentials (raw : Graph.raw) ~n ~source ~init pot =
   match init with
   | `Keep -> ()
   | `Bellman_ford -> bellman_ford raw ~n ~source pot
   | `Dag_topo -> dag_topo_init raw ~n ~source pot
-  | `Warm_start cand ->
-    if Array.length cand < n then
-      invalid_arg "Mcmf.run: warm-start potentials shorter than node count";
-    if warm_candidate_valid raw cand then begin
-      Ltc_util.Metrics.Counter.incr m_warm_accepted;
-      if cand != pot then Array.blit cand 0 pot 0 n
-    end
-    else begin
-      Ltc_util.Metrics.Counter.incr m_warm_rejected;
-      bellman_ford raw ~n ~source pot
-    end
 
 (* --------------------------------------------------------------------- run *)
 

@@ -66,8 +66,8 @@ val workspace_capacity : workspace -> int
 val borrow_potentials : workspace -> float array
 (** The workspace's {e live} node-potential array — a borrow, not a copy.
     After {!run} returns, entries [0 .. node_count - 1] hold the final
-    potentials of that solve, which the next solve may reuse via
-    [`Warm_start] (or keep alive via [`Keep]).  The borrow is invalidated
+    potentials of that solve, which the next solve may keep alive via
+    [`Keep].  The borrow is invalidated
     by the next solve: the array is overwritten, and {e replaced entirely}
     when the workspace grows — a caller holding the old array would then
     silently read stale values.  Read or copy what you need before solving
@@ -94,16 +94,6 @@ type potential_init =
         cost, same potentials, same flow, same cost.  On a graph violating
         the precondition the potentials are silently non-optimal and the
         min-cost guarantee is lost. *)
-  | `Warm_start of float array
-    (** Candidate potentials (length >= node count), e.g. {!potentials} of
-        a structurally similar previous solve.  Validated in one O(E)
-        reduced-cost scan: accepted when every residual arc keeps
-        non-negative reduced cost (within epsilon), otherwise the solver
-        falls back to [`Bellman_ford].  Results are min-cost either way,
-        but an accepted warm start may resolve sub-epsilon cost ties along
-        a different shortest path than the fresh-init solve would.
-        @raise Invalid_argument when the array is shorter than the node
-        count. *)
   | `Keep
     (** Trust the workspace potentials exactly as the caller maintained
         them — no initialisation, no validation scan.  This is the

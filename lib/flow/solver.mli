@@ -58,7 +58,7 @@ val borrow_potentials : t -> float array
 (** The backend workspace's live potential array, with exactly the
     {!Mcmf.borrow_potentials} caveats (overwritten by the next
     solve/resolve, replaced when the workspace grows).  Meaningful after a
-    solve on a potential-maintaining backend (SSPA warm starts) or on the
+    solve on a potential-maintaining backend (SSPA) or on the
     incremental session (whose potentials are always live). *)
 
 val memory_words : t -> int

@@ -26,6 +26,13 @@ let default_config ~shape =
     recorder_capacity = 4096;
   }
 
+type shard_stats = {
+  s_shard : int;
+  s_arrivals : int;
+  s_p50_s : float;
+  s_p99_s : float;
+}
+
 type report = {
   r_shape : string;
   r_timing : string;
@@ -48,11 +55,16 @@ type report = {
   r_first_breach : int option;
   r_hdr : Metrics.Hdr.t;
   r_recorder : Flight_recorder.t;
+  r_shards : shard_stats array;
+  r_stalls : int;
+  r_restarts : int;
+  r_quarantined : int;
+  r_shed : int;
 }
 
 let exp_draw rng = -.log (1.0 -. Ltc_util.Rng.float rng 1.0)
 
-let validate config ~workers ~session =
+let validate config ~workers ~server =
   (match config.service with
   | Fixed s ->
     if not (Float.is_finite s) || s < 0.0 then
@@ -67,8 +79,12 @@ let validate config ~workers ~session =
   if config.arrivals < 1 then invalid_arg "Loadgen.run: arrivals must be >= 1";
   if Array.length workers = 0 then
     invalid_arg "Loadgen.run: no workers to offer";
-  if Session.consumed session <> 0 then
-    invalid_arg "Loadgen.run: session must be fresh (consumed = 0)"
+  if Shard_server.consumed server <> 0 || Shard_server.resumed_at server <> 0
+  then invalid_arg "Loadgen.run: server must be fresh (consumed = 0)";
+  (* The virtual clock and the Delay plan are process-global and single
+     domain; shard domains probing them concurrently would race. *)
+  if config.timing = Virtual && Shard_server.mode server <> Shard_server.Inline
+  then invalid_arg "Loadgen.run: virtual timing requires an Inline-mode server"
 
 let publish_latency_gauges ~algo report =
   List.iter
@@ -86,8 +102,8 @@ let publish_latency_gauges ~algo report =
       ("max", report.r_max_s);
     ]
 
-let run ?on_breach ~session ~workers config =
-  validate config ~workers ~session;
+let run ?on_breach ~server ~workers config =
+  validate config ~workers ~server;
   let n = min config.arrivals (Array.length workers) in
   let intended = Shape.times config.shape ~seed:config.seed ~n in
   (* Service draws fork off the schedule seed so switching the service
@@ -100,10 +116,12 @@ let run ?on_breach ~session ~workers config =
         | Exponential mean -> mean *. exp_draw rng)
   in
   let virtual_mode = config.timing = Virtual in
-  (* The session probes "session.decide" exactly once per consuming
-     arrival, so hit [i+1] injects arrival [i]'s service time — through
-     the same machinery the deadline measures, which is what makes
-     synthetic degradation honest. *)
+  (* The sessions probe "session.decide" exactly once per consuming
+     arrival, so hit [i+1] injects the [i+1]-th consuming arrival's
+     service time — through the same machinery the deadline measures,
+     which is what makes synthetic degradation honest.  With several
+     shards the hits follow global feed order, which drifts from arrival
+     numbering once a shard completes early. *)
   if virtual_mode then begin
     Fault.Clock.set_virtual 0.0;
     Fault.arm
@@ -119,179 +137,12 @@ let run ?on_breach ~session ~workers config =
     if virtual_mode then Fault.Clock.now_s ()
     else Unix.gettimeofday () -. epoch
   in
-  let hdr = Metrics.Hdr.create () in
-  let recorder = Flight_recorder.create ~capacity:config.recorder_capacity in
-  let degraded0 = Session.degraded_total session in
-  let fed = ref 0 in
-  let completed = ref false in
-  let last_done = ref 0.0 in
-  let breaches = ref 0 in
-  let first_breach = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      if virtual_mode then begin
-        Fault.disarm ();
-        Fault.Clock.clear ()
-      end)
-  @@ fun () ->
-  (try
-     for i = 0 to n - 1 do
-       let t_intended = intended.(i) in
-       let t_now = now () in
-       (* Open loop: never feed ahead of schedule.  When the system is
-          behind (t_now > t_intended) the arrival is fed immediately and
-          its latency carries the queueing delay. *)
-       if t_now < t_intended then
-         if virtual_mode then Fault.Clock.advance (t_intended -. t_now)
-         else Unix.sleepf (t_intended -. t_now);
-       let actual = now () in
-       let d = Session.feed session workers.(i) in
-       let done_t = now () in
-       let latency = Float.max 0.0 (done_t -. t_intended) in
-       Metrics.Hdr.observe hdr latency;
-       Flight_recorder.record recorder
-         {
-           Flight_recorder.seq = d.Session.worker;
-           offered_s = t_intended;
-           actual_s = actual;
-           done_s = done_t;
-           latency_s = latency;
-           assigned = List.length d.Session.assigned;
-           degraded = d.Session.degraded;
-           journal_bytes = Session.journal_bytes session;
-         };
-       incr fed;
-       last_done := done_t;
-       (match config.slo_s with
-       | Some slo when latency > slo ->
-         incr breaches;
-         if !first_breach = None then begin
-           first_breach := Some d.Session.worker;
-           match on_breach with
-           | Some f -> f ~seq:d.Session.worker recorder
-           | None -> ()
-         end
-       | _ -> ());
-       if d.Session.completed then begin
-         completed := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let offered = !fed in
-  let consumed = Session.consumed session in
-  let makespan = !last_done in
-  let offered_span = if offered > 0 then intended.(offered - 1) else 0.0 in
-  let per span count = if span > 0.0 then float_of_int count /. span else 0.0 in
-  let p q = Metrics.Hdr.percentile hdr q in
-  let algo = Session.algorithm_name session in
-  let report =
-    {
-      r_shape = Shape.to_string config.shape;
-      r_timing = (if virtual_mode then "virtual" else "wall");
-      r_algo = algo;
-      r_seed = config.seed;
-      r_offered = offered;
-      r_consumed = consumed;
-      r_completed = !completed;
-      r_degraded = Session.degraded_total session - degraded0;
-      r_offered_per_s = per offered_span offered;
-      r_achieved_per_s = per makespan consumed;
-      r_makespan_s = makespan;
-      r_mean_s = Metrics.Hdr.mean hdr;
-      r_p50_s = p 50.0;
-      r_p99_s = p 99.0;
-      r_p999_s = p 99.9;
-      r_max_s = Metrics.Hdr.max_observed hdr;
-      r_slo_s = config.slo_s;
-      r_breaches = !breaches;
-      r_first_breach = !first_breach;
-      r_hdr = hdr;
-      r_recorder = recorder;
-    }
+  let hdrs =
+    Array.init (Shard_server.shards server) (fun _ -> Metrics.Hdr.create ())
   in
-  publish_latency_gauges ~algo report;
-  report
-
-(* ------------------------------------------------------ sharded serving *)
-
-type shard_stats = {
-  s_shard : int;
-  s_arrivals : int;
-  s_p50_s : float;
-  s_p99_s : float;
-}
-
-type sharded_report = {
-  sr_report : report;
-  sr_shards : shard_stats array;
-  sr_stalls : int;
-  sr_restarts : int;
-  sr_quarantined : int;
-  sr_shed : int;
-}
-
-let validate_sharded config ~workers ~server =
-  (match config.service with
-  | Fixed s ->
-    if not (Float.is_finite s) || s < 0.0 then
-      invalid_arg "Loadgen.run_sharded: fixed service time must be finite and >= 0"
-  | Exponential m ->
-    if not (Float.is_finite m) || m <= 0.0 then
-      invalid_arg "Loadgen.run_sharded: exponential service mean must be > 0");
-  (match config.slo_s with
-  | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
-    invalid_arg "Loadgen.run_sharded: slo_s must be finite and > 0"
-  | _ -> ());
-  if config.arrivals < 1 then
-    invalid_arg "Loadgen.run_sharded: arrivals must be >= 1";
-  if Array.length workers = 0 then
-    invalid_arg "Loadgen.run_sharded: no workers to offer";
-  if Shard_server.consumed server <> 0 || Shard_server.resumed_at server <> 0
-  then invalid_arg "Loadgen.run_sharded: server must be fresh (consumed = 0)";
-  (* The virtual clock and the Delay plan are process-global and single
-     domain; shard domains probing them concurrently would race. *)
-  if config.timing = Virtual && Shard_server.mode server <> Shard_server.Inline
-  then
-    invalid_arg
-      "Loadgen.run_sharded: virtual timing requires an Inline-mode server"
-
-let run_sharded ?on_breach ~server ~workers config =
-  validate_sharded config ~workers ~server;
-  let n = min config.arrivals (Array.length workers) in
-  let intended = Shape.times config.shape ~seed:config.seed ~n in
-  let service_s =
-    let rng = Ltc_util.Rng.split (Ltc_util.Rng.create ~seed:config.seed) in
-    Array.init n (fun _ ->
-        match config.service with
-        | Fixed s -> s
-        | Exponential mean -> mean *. exp_draw rng)
-  in
-  let virtual_mode = config.timing = Virtual in
-  (* Delay hits land on the k-th CONSUMING arrival globally (shards probe
-     "session.decide" in global feed order under Inline), which drifts
-     from the single-session hit numbering once a shard completes early —
-     deterministic within a sharded run, but not comparable arrival-for-
-     arrival with [run]'s injection. *)
-  if virtual_mode then begin
-    Fault.Clock.set_virtual 0.0;
-    Fault.arm
-      (List.init n (fun i ->
-           {
-             Fault.site = "session.decide";
-             hit = i + 1;
-             action = Fault.Delay service_s.(i);
-           }))
-  end;
-  let epoch = if virtual_mode then 0.0 else Unix.gettimeofday () in
-  let now () =
-    if virtual_mode then Fault.Clock.now_s ()
-    else Unix.gettimeofday () -. epoch
-  in
-  let shards = Shard_server.shards server in
-  let hdrs = Array.init shards (fun _ -> Metrics.Hdr.create ()) in
   let recorder = Flight_recorder.create ~capacity:config.recorder_capacity in
   let degraded0 = Shard_server.degraded_total server in
+  let fed_at = Array.make n 0.0 in
   let fed = ref 0 in
   let completed = ref false in
   let last_done = ref 0.0 in
@@ -311,7 +162,7 @@ let run_sharded ?on_breach ~server ~workers config =
       {
         Flight_recorder.seq = g;
         offered_s = intended.(g - 1);
-        actual_s = done_t;
+        actual_s = fed_at.(g - 1);
         done_s = done_t;
         latency_s = latency;
         assigned = List.length d.Session.assigned;
@@ -336,18 +187,21 @@ let run_sharded ?on_breach ~server ~workers config =
         Fault.Clock.clear ()
       end)
   @@ fun () ->
-  let i = ref 0 in
-  while (not !completed) && !i < n do
-    let t_intended = intended.(!i) in
+  while (not !completed) && !fed < n do
+    let i = !fed in
+    let t_intended = intended.(i) in
     let t_now = now () in
+    (* Open loop: never feed ahead of schedule.  When the system is
+       behind (t_now > t_intended) the arrival is fed immediately and its
+       latency carries the queueing delay. *)
     if t_now < t_intended then
       if virtual_mode then Fault.Clock.advance (t_intended -. t_now)
       else Unix.sleepf (t_intended -. t_now);
-    let ds = Shard_server.feed server workers.(!i) in
+    fed_at.(i) <- now ();
+    let ds = Shard_server.feed server workers.(i) in
     incr fed;
     let done_t = now () in
-    List.iter (handle done_t) ds;
-    incr i
+    List.iter (handle done_t) ds
   done;
   let rest = Shard_server.flush server in
   let done_t = now () in
@@ -385,26 +239,24 @@ let run_sharded ?on_breach ~server ~workers config =
       r_first_breach = !first_breach;
       r_hdr = merged;
       r_recorder = recorder;
+      r_shards =
+        Array.mapi
+          (fun k h ->
+            {
+              s_shard = k;
+              s_arrivals = Metrics.Hdr.count h;
+              s_p50_s = Metrics.Hdr.percentile h 50.0;
+              s_p99_s = Metrics.Hdr.percentile h 99.0;
+            })
+          hdrs;
+      r_stalls = Shard_server.stalls server;
+      r_restarts = Shard_server.restarts server;
+      r_quarantined = Shard_server.quarantined server;
+      r_shed = Shard_server.shed server;
     }
   in
   publish_latency_gauges ~algo:report.r_algo report;
-  {
-    sr_report = report;
-    sr_shards =
-      Array.mapi
-        (fun k h ->
-          {
-            s_shard = k;
-            s_arrivals = Metrics.Hdr.count h;
-            s_p50_s = Metrics.Hdr.percentile h 50.0;
-            s_p99_s = Metrics.Hdr.percentile h 99.0;
-          })
-        hdrs;
-    sr_stalls = Shard_server.stalls server;
-    sr_restarts = Shard_server.restarts server;
-    sr_quarantined = Shard_server.quarantined server;
-    sr_shed = Shard_server.shed server;
-  }
+  report
 
 let pp_report fmt r =
   Format.fprintf fmt "loadgen: shape=%s timing=%s algo=%s seed=%d@." r.r_shape
@@ -428,16 +280,15 @@ let pp_report fmt r =
   Format.fprintf fmt "  flight recorder: %d records (capacity %d, dropped %d)@."
     (Flight_recorder.length r.r_recorder)
     (Flight_recorder.capacity r.r_recorder)
-    (Flight_recorder.dropped r.r_recorder)
-
-let pp_sharded_report fmt sr =
-  pp_report fmt sr.sr_report;
-  Format.fprintf fmt
-    "  shards: %d mailbox_stalls=%d restarts=%d quarantined=%d shed=%d@."
-    (Array.length sr.sr_shards) sr.sr_stalls sr.sr_restarts sr.sr_quarantined
-    sr.sr_shed;
-  Array.iter
-    (fun s ->
-      Format.fprintf fmt "    shard %d: arrivals=%d p50=%.6gs p99=%.6gs@."
-        s.s_shard s.s_arrivals s.s_p50_s s.s_p99_s)
-    sr.sr_shards
+    (Flight_recorder.dropped r.r_recorder);
+  if Array.length r.r_shards > 1 then begin
+    Format.fprintf fmt
+      "  shards: %d mailbox_stalls=%d restarts=%d quarantined=%d shed=%d@."
+      (Array.length r.r_shards) r.r_stalls r.r_restarts r.r_quarantined
+      r.r_shed;
+    Array.iter
+      (fun s ->
+        Format.fprintf fmt "    shard %d: arrivals=%d p50=%.6gs p99=%.6gs@."
+          s.s_shard s.s_arrivals s.s_p50_s s.s_p99_s)
+      r.r_shards
+  end

@@ -120,14 +120,21 @@ let num fields key =
 
 let int fields key = int_of_float_field ~key (num fields key)
 
+(* The tokenizer reads 1e999 as infinity; a location or accuracy must be
+   a real number before it reaches the cell hash or the policy. *)
+let finite fields key =
+  let f = num fields key in
+  if not (Float.is_finite f) then malformed "%S must be finite, got %g" key f;
+  f
+
 (* -------------------------------------------------------------- arrivals *)
 
 let arrival_of_line line =
   let fields = parse_object line in
   Ltc_core.Worker.make ~index:(int fields "index")
     ~loc:
-      (Ltc_geo.Point.make ~x:(num fields "x") ~y:(num fields "y"))
-    ~accuracy:(num fields "accuracy")
+      (Ltc_geo.Point.make ~x:(finite fields "x") ~y:(finite fields "y"))
+    ~accuracy:(finite fields "accuracy")
     ~capacity:(int fields "capacity")
 
 (* Truncate the offending bytes for error messages: a malformed "line"

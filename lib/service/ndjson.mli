@@ -22,7 +22,8 @@ exception Bad_input of { line : int; text : string; reason : string }
 
 val arrival_of_line : string -> Ltc_core.Worker.t
 (** Parse one arrival event.  Requires keys [index], [x], [y], [accuracy],
-    [capacity]; integer-valued fields must be whole numbers.
+    [capacity]; integer-valued fields must be whole numbers and [x], [y],
+    [accuracy] finite.
     @raise Malformed on syntax or schema violations, [Invalid_argument]
     when the field values violate {!Ltc_core.Worker.make}'s contract. *)
 

@@ -37,18 +37,20 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* One degenerate cell: every arrival routes to shard 0. *)
+let degenerate ~shards =
+  {
+    p_shards = shards;
+    p_min_x = 0.0;
+    p_min_y = 0.0;
+    p_cell = 1.0;
+    p_cols = 1;
+    p_rows = 1;
+  }
+
 let make_partition ~shards (instance : Instance.t) =
   let tasks = instance.Instance.tasks in
-  if Array.length tasks = 0 then
-    (* No tasks: one degenerate cell; every arrival routes to shard 0. *)
-    {
-      p_shards = shards;
-      p_min_x = 0.0;
-      p_min_y = 0.0;
-      p_cell = 1.0;
-      p_cols = 1;
-      p_rows = 1;
-    }
+  if shards = 1 || Array.length tasks = 0 then degenerate ~shards
   else begin
     let world =
       Ltc_geo.Bbox.of_points
@@ -93,30 +95,31 @@ let cell_of part (p : Ltc_geo.Point.t) =
   (cx, cy)
 
 let shard_of_cell part (cx, cy) =
-  if part.p_shards = 1 then 0
-  else begin
-    let base =
-      mix64
-        (Int64.add
-           (Int64.mul (Int64.of_int cx) 0x9e3779b97f4a7c15L)
-           (Int64.of_int cy))
-    in
-    let best = ref 0 in
-    let best_h = ref Int64.min_int in
-    for k = 0 to part.p_shards - 1 do
-      let h = mix64 (Int64.logxor base (Int64.of_int ((k + 1) * 0x632be5ab))) in
-      if Int64.compare h !best_h > 0 then begin
-        best_h := h;
-        best := k
-      end
-    done;
-    !best
-  end
+  let base =
+    mix64
+      (Int64.add
+         (Int64.mul (Int64.of_int cx) 0x9e3779b97f4a7c15L)
+         (Int64.of_int cy))
+  in
+  let best = ref 0 in
+  let best_h = ref Int64.min_int in
+  for k = 0 to part.p_shards - 1 do
+    let h = mix64 (Int64.logxor base (Int64.of_int ((k + 1) * 0x632be5ab))) in
+    if Int64.compare h !best_h > 0 then begin
+      best_h := h;
+      best := k
+    end
+  done;
+  !best
+
+let shard_of part p =
+  if part.p_shards = 1 then 0 else shard_of_cell part (cell_of part p)
 
 (* --------------------------------------------------------- shard state *)
 
 type shard = {
   mutable sh_session : Session.t;  (* replaced online by the supervisor *)
+  sh_journal : string option;  (* the session's live journal path *)
   sh_tasks : int array;  (* local task id -> global task id *)
   (* Shard-local worker-index bookkeeping.  [sh_globals.(l - 1)] is the
      global arrival index behind the shard's local arrival [l]; grown on
@@ -159,6 +162,9 @@ type t = {
   t_mode : mode;
   t_part : partition;
   t_shards : shard array;
+  t_direct : Session.t option;
+      (* an unsupervised single shard's session: [feed] is its own, with
+         no routing, re-indexing or merge layer in between *)
   t_algorithm : string;
   t_resumed_at : int;
   (* Merge layer.  [t_cmutex] guards [t_pending] (shard domains insert,
@@ -176,7 +182,6 @@ type t = {
   mutable t_closed : bool;
   (* --- supervision --- *)
   t_super : Supervisor.t option;
-  t_journal : string option;  (* manifest/base path *)
   t_fsync : bool;
   t_group_commit : int;
   t_fresh : int -> Session.t;
@@ -187,12 +192,20 @@ type t = {
 let shards t = t.t_part.p_shards
 let mode t = t.t_mode
 let algorithm_name t = t.t_algorithm
-let consumed t = t.t_consumed
+let consumed t =
+  match t.t_direct with Some s -> Session.consumed s | None -> t.t_consumed
+
 let resumed_at t = t.t_resumed_at
 let replayed t = t.t_replayed
-let completed t = t.t_incomplete = 0
-let latency t = t.t_latency
-let shard_of_point t loc = shard_of_cell t.t_part (cell_of t.t_part loc)
+
+let completed t =
+  match t.t_direct with
+  | Some s -> Session.completed s
+  | None -> t.t_incomplete = 0
+
+let latency t =
+  match t.t_direct with Some s -> Session.latency s | None -> t.t_latency
+let shard_of_point t loc = shard_of t.t_part loc
 
 let stalls t =
   match t.t_pool with
@@ -239,26 +252,29 @@ let journal_bytes t =
     0 t.t_shards
 
 let arrangement t =
-  (* Per-shard arrangements carry local worker indices and local task
-     ids; mapping both and stably sorting by global arrival index
-     reconstructs exactly the insertion order an un-sharded session would
-     have used (each arrival lands on one shard, and within an arrival
-     the shard preserved policy order). *)
-  let entries =
-    Array.to_list t.t_shards
-    |> List.concat_map (fun sh ->
-           List.map
-             (fun (a : Arrangement.assignment) ->
-               (sh.sh_globals.(a.Arrangement.worker - 1),
-                sh.sh_tasks.(a.Arrangement.task)))
-             (Arrangement.to_list (Session.arrangement sh.sh_session)))
-  in
-  let entries =
-    List.stable_sort (fun (g1, _) (g2, _) -> compare g1 g2) entries
-  in
-  List.fold_left
-    (fun acc (worker, task) -> Arrangement.add acc ~worker ~task)
-    Arrangement.empty entries
+  match t.t_direct with
+  | Some s -> Session.arrangement s
+  | None ->
+    (* Per-shard arrangements carry local worker indices and local task
+       ids; mapping both and stably sorting by global arrival index
+       reconstructs exactly the insertion order an un-sharded session would
+       have used (each arrival lands on one shard, and within an arrival
+       the shard preserved policy order). *)
+    let entries =
+      Array.to_list t.t_shards
+      |> List.concat_map (fun sh ->
+             List.map
+               (fun (a : Arrangement.assignment) ->
+                 (sh.sh_globals.(a.Arrangement.worker - 1),
+                  sh.sh_tasks.(a.Arrangement.task)))
+               (Arrangement.to_list (Session.arrangement sh.sh_session)))
+    in
+    let entries =
+      List.stable_sort (fun (g1, _) (g2, _) -> compare g1 g2) entries
+    in
+    List.fold_left
+      (fun acc (worker, task) -> Arrangement.add acc ~worker ~task)
+      Arrangement.empty entries
 
 (* ------------------------------------------------------------- manifest *)
 
@@ -437,7 +453,7 @@ let shard_tasks part (instance : Instance.t) k =
   let globals = ref [] in
   Array.iter
     (fun (task : Task.t) ->
-      if shard_of_cell part (cell_of part task.Task.loc) = k then
+      if shard_of part task.Task.loc = k then
         globals := task.Task.id :: !globals)
     instance.Instance.tasks;
   let globals = Array.of_list (List.rev !globals) in
@@ -460,7 +476,8 @@ let shard_seeds ~seed n =
   let rng = Ltc_util.Rng.create ~seed in
   Array.init n (fun _ -> Ltc_util.Rng.split_seed rng)
 
-let make_shard ~session ~tasks_globals ~restored ~supervised ~captured =
+let make_shard ~session ~journal ~tasks_globals ~restored ~supervised
+    ~captured =
   let recruited = Hashtbl.create 16 in
   let skip = if restored then Session.consumed session else 0 in
   if restored then
@@ -470,6 +487,7 @@ let make_shard ~session ~tasks_globals ~restored ~supervised ~captured =
       (Arrangement.to_list (Session.arrangement session));
   {
     sh_session = session;
+    sh_journal = journal;
     sh_tasks = tasks_globals;
     sh_globals = Array.make (max 16 skip) 0;
     sh_local_fed = 0;
@@ -514,8 +532,8 @@ let attach_pool t ~mailbox =
         (Ltc_util.Pool.Workers.create ~lanes:(Array.length t.t_shards)
            ~capacity:mailbox ~handler)
 
-let build ~mode ~mailbox ~part ~algorithm ~super ~journal ~fsync ~group_commit
-    ~fresh shards_arr =
+let build ~mode ~mailbox ~part ~algorithm ~super ~fsync ~group_commit ~fresh
+    shards_arr =
   let resumed =
     Array.fold_left (fun acc sh -> acc + sh.sh_skip) 0 shards_arr
   in
@@ -524,11 +542,16 @@ let build ~mode ~mailbox ~part ~algorithm ~super ~journal ~fsync ~group_commit
       (fun acc sh -> acc + if sh.sh_complete then 0 else 1)
       0 shards_arr
   in
+  (* One shard has nothing to run beside the caller: always inline. *)
+  let solo = Array.length shards_arr = 1 in
   let t =
     {
-      t_mode = mode;
+      t_mode = (if solo then Inline else mode);
       t_part = part;
       t_shards = shards_arr;
+      t_direct =
+        (if solo && super = None then Some shards_arr.(0).sh_session
+         else None);
       t_algorithm = algorithm;
       t_resumed_at = resumed;
       t_cmutex = Mutex.create ();
@@ -542,7 +565,6 @@ let build ~mode ~mailbox ~part ~algorithm ~super ~journal ~fsync ~group_commit
       t_pool = None;
       t_closed = false;
       t_super = super;
-      t_journal = journal;
       t_fsync = fsync;
       t_group_commit = group_commit;
       t_fresh = fresh;
@@ -550,6 +572,69 @@ let build ~mode ~mailbox ~part ~algorithm ~super ~journal ~fsync ~group_commit
   in
   attach_pool t ~mailbox;
   t
+
+(* Shedding refuses arrivals at a full mailbox; an inline single shard
+   has none. *)
+let check_shed fn ~shards = function
+  | Some c when c.Supervisor.overload = Supervisor.Shed && shards = 1 ->
+    invalid_arg (fn ^ ": overload shedding needs shard mailboxes (shards >= 2)")
+  | _ -> ()
+
+(* The [on_decision] capture hooks supervision relies on. *)
+let capture_hooks super shards =
+  let captured = Array.init shards (fun _ -> ref None) in
+  let hook k =
+    match super with
+    | None -> None
+    | Some _ -> Some (fun d -> captured.(k) := Some d)
+  in
+  (captured, hook)
+
+(* Open every shard of [m]'s partition.  Shard [k] restores from
+   [journal_of k] when [resume] finds it durable, else starts fresh from
+   [seeds.(k)] — also the recovery fallback if that journal vanishes. *)
+let start ~mode ~supervise ~resume ~seeds ~journal_of ~algorithm ~deadline
+    (m : manifest) =
+  let shards = m.mf_shards and instance = m.mf_instance in
+  let super = Option.map (fun c -> Supervisor.create ~shards c) supervise in
+  let captured, hook = capture_hooks super shards in
+  let part = make_partition ~shards instance in
+  let fresh k =
+    let shard_instance =
+      if shards = 1 then instance
+      else sub_instance instance (snd (shard_tasks part instance k))
+    in
+    Session.create ?accept_rate:m.mf_accept_rate ?deadline
+      ?on_decision:(hook k) ?journal:(journal_of k)
+      ~checkpoint_every:m.mf_checkpoint_every ~fsync:m.mf_fsync
+      ~format:m.mf_format ~group_commit:m.mf_group_commit ~algorithm
+      ~seed:seeds.(k) shard_instance
+  in
+  let shards_arr =
+    Array.init shards (fun k ->
+        let journal = journal_of k in
+        (* A journal that never became durable (create-time crash or an
+           untouched shard) restarts fresh, with the same seed. *)
+        let restored =
+          match journal with
+          | Some path ->
+            resume && Sys.file_exists path
+            && not (Session.is_empty_journal path)
+          | None -> false
+        in
+        let session =
+          if restored then
+            Session.restore ?on_decision:(hook k) ~fsync:m.mf_fsync
+              ~group_commit:m.mf_group_commit ~path:(Option.get journal) ()
+          else fresh k
+        in
+        make_shard ~session ~journal
+          ~tasks_globals:(fst (shard_tasks part instance k))
+          ~restored ~supervised:(super <> None) ~captured:captured.(k))
+  in
+  build ~mode ~mailbox:m.mf_mailbox ~part
+    ~algorithm:algorithm.Ltc_algo.Algorithm.name ~super ~fsync:m.mf_fsync
+    ~group_commit:m.mf_group_commit ~fresh shards_arr
 
 let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
     ?(fsync = false) ?(format = Session.Text) ?(group_commit = 1)
@@ -566,58 +651,41 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
        (restore needs a shard journal; use max_restarts = 0 to \
        quarantine-on-crash without one)"
   | _ -> ());
-  let super = Option.map (fun c -> Supervisor.create ~shards c) supervise in
-  let captured = Array.init shards (fun _ -> ref None) in
-  let hook k =
-    match super with
-    | None -> None
-    | Some _ -> Some (fun d -> captured.(k) := Some d)
+  check_shed "Shard_server.create" ~shards supervise;
+  let m =
+    {
+      mf_shards = shards;
+      mf_mailbox = mailbox;
+      mf_algorithm = algorithm.Ltc_algo.Algorithm.name;
+      mf_seed = seed;
+      mf_accept_rate = accept_rate;
+      mf_checkpoint_every = checkpoint_every;
+      mf_fsync = fsync;
+      mf_format = format;
+      mf_group_commit = group_commit;
+      mf_deadline =
+        Option.map
+          (fun (dl : Session.deadline) ->
+            (dl.Session.budget_s, dl.Session.fallback.Ltc_algo.Algorithm.name))
+          deadline;
+      mf_instance = instance;
+    }
   in
-  let part = make_partition ~shards instance in
-  let seeds = shard_seeds ~seed shards in
+  (* A single shard is a plain session: the root seed, the whole instance,
+     and its journal at [journal] itself, with no manifest. *)
+  let solo = shards = 1 in
   (match journal with
-  | None -> ()
-  | Some base ->
-    write_manifest ~path:base
-      {
-        mf_shards = shards;
-        mf_mailbox = mailbox;
-        mf_algorithm = algorithm.Ltc_algo.Algorithm.name;
-        mf_seed = seed;
-        mf_accept_rate = accept_rate;
-        mf_checkpoint_every = checkpoint_every;
-        mf_fsync = fsync;
-        mf_format = format;
-        mf_group_commit = group_commit;
-        mf_deadline =
-          Option.map
-            (fun (dl : Session.deadline) ->
-              (dl.Session.budget_s,
-               dl.Session.fallback.Ltc_algo.Algorithm.name))
-            deadline;
-        mf_instance = strip_workers instance;
-      });
-  let fresh k =
-    let _, tasks = shard_tasks part instance k in
-    Session.create ?accept_rate ?deadline ?on_decision:(hook k)
-      ?journal:(Option.map (fun base -> shard_journal base k) journal)
-      ~checkpoint_every ~fsync ~format ~group_commit ~algorithm
-      ~seed:seeds.(k)
-      (sub_instance instance tasks)
-  in
-  let shards_arr =
-    Array.init shards (fun k ->
-        let tasks_globals, _ = shard_tasks part instance k in
-        let session = fresh k in
-        make_shard ~session ~tasks_globals ~restored:false
-          ~supervised:(super <> None) ~captured:captured.(k))
-  in
-  build ~mode ~mailbox ~part
-    ~algorithm:algorithm.Ltc_algo.Algorithm.name ~super ~journal ~fsync
-    ~group_commit ~fresh shards_arr
+  | Some base when not solo ->
+    write_manifest ~path:base { m with mf_instance = strip_workers instance }
+  | _ -> ());
+  start ~mode ~supervise ~resume:false
+    ~seeds:(if solo then [| seed |] else shard_seeds ~seed shards)
+    ~journal_of:(fun k ->
+      Option.map (fun base -> if solo then base else shard_journal base k)
+        journal)
+    ~algorithm ~deadline m
 
-let restore ?mailbox ?(mode = Domains) ?fsync ?group_commit ?supervise ~path
-    () =
+let restore_manifest ?mailbox ~mode ?fsync ?group_commit ?supervise ~path () =
   let m = read_manifest ~path in
   let algorithm =
     match Ltc_algo.Algorithm.find_opt m.mf_algorithm with
@@ -639,52 +707,51 @@ let restore ?mailbox ?(mode = Domains) ?fsync ?group_commit ?supervise ~path
                fallback_name path))
       m.mf_deadline
   in
-  let fsync = Option.value fsync ~default:m.mf_fsync in
-  let group_commit = Option.value group_commit ~default:m.mf_group_commit in
-  let mailbox = Option.value mailbox ~default:m.mf_mailbox in
-  let super =
-    Option.map (fun c -> Supervisor.create ~shards:m.mf_shards c) supervise
-  in
-  let captured = Array.init m.mf_shards (fun _ -> ref None) in
-  let hook k =
-    match super with
-    | None -> None
-    | Some _ -> Some (fun d -> captured.(k) := Some d)
-  in
-  let part = make_partition ~shards:m.mf_shards m.mf_instance in
-  let seeds = shard_seeds ~seed:m.mf_seed m.mf_shards in
-  let fresh k =
-    let _, tasks = shard_tasks part m.mf_instance k in
-    Session.create ?accept_rate:m.mf_accept_rate ?deadline
-      ?on_decision:(hook k) ~journal:(shard_journal path k)
-      ~checkpoint_every:m.mf_checkpoint_every ~fsync ~format:m.mf_format
-      ~group_commit ~algorithm ~seed:seeds.(k)
-      (sub_instance m.mf_instance tasks)
-  in
-  let shards_arr =
-    Array.init m.mf_shards (fun k ->
-        let shard_path = shard_journal path k in
-        let tasks_globals, _ = shard_tasks part m.mf_instance k in
-        if
-          (not (Sys.file_exists shard_path))
-          || Session.is_empty_journal shard_path
-        then
-          (* This shard's journal never became durable (create-time crash
-             or an untouched shard): restart it fresh, same derived seed. *)
-          make_shard ~session:(fresh k) ~tasks_globals ~restored:false
-            ~supervised:(super <> None) ~captured:captured.(k)
-        else begin
-          let session =
-            Session.restore ?on_decision:(hook k) ~fsync ~group_commit
-              ~path:shard_path ()
-          in
-          make_shard ~session ~tasks_globals ~restored:true
-            ~supervised:(super <> None) ~captured:captured.(k)
-        end)
-  in
-  build ~mode ~mailbox ~part
-    ~algorithm:algorithm.Ltc_algo.Algorithm.name ~super ~journal:(Some path)
-    ~fsync ~group_commit ~fresh shards_arr
+  check_shed "Shard_server.restore" ~shards:m.mf_shards supervise;
+  start ~mode ~supervise ~resume:true
+    ~seeds:(shard_seeds ~seed:m.mf_seed m.mf_shards)
+    ~journal_of:(fun k -> Some (shard_journal path k))
+    ~algorithm ~deadline
+    {
+      m with
+      mf_fsync = Option.value fsync ~default:m.mf_fsync;
+      mf_group_commit = Option.value group_commit ~default:m.mf_group_commit;
+      mf_mailbox = Option.value mailbox ~default:m.mf_mailbox;
+    }
+
+let restore ?journal ?mailbox ?(mode = Domains) ?fsync ?group_commit
+    ?supervise ~path () =
+  if is_manifest path then begin
+    if journal <> None then
+      invalid_arg
+        "Shard_server.restore: ~journal redirects a plain session journal; \
+         a shard manifest keeps its shard journals in place";
+    restore_manifest ?mailbox ~mode ?fsync ?group_commit ?supervise ~path ()
+  end
+  else begin
+    (* A plain session journal is a 1-shard server. *)
+    check_shed "Shard_server.restore" ~shards:1 supervise;
+    let super = Option.map (fun c -> Supervisor.create ~shards:1 c) supervise in
+    let captured, hook = capture_hooks super 1 in
+    let tasks = (Session.Journal.inspect ~path).Session.Journal.tasks in
+    let session =
+      Session.restore ?on_decision:(hook 0) ?journal ?fsync ?group_commit
+        ~path ()
+    in
+    let fresh _ =
+      invalid_arg "Shard_server: a restored session journal has vanished"
+    in
+    build ~mode ~mailbox:1 ~part:(degenerate ~shards:1)
+      ~algorithm:(Session.algorithm_name session) ~super
+      ~fsync:(Option.value fsync ~default:false)
+      ~group_commit:(Option.value group_commit ~default:1) ~fresh
+      [|
+        make_shard ~session
+          ~journal:(Some (Option.value journal ~default:path))
+          ~tasks_globals:(Array.init tasks Fun.id) ~restored:true
+          ~supervised:(super <> None) ~captured:captured.(0);
+      |]
+  end
 
 (* ------------------------------------------------------- feeding/merging *)
 
@@ -831,12 +898,11 @@ let rec handle_crash t k =
 
 and revive t k =
   let sh = t.t_shards.(k) in
-  let base =
-    match t.t_journal with
-    | Some base -> base
+  let path =
+    match sh.sh_journal with
+    | Some path -> path
     | None -> invalid_arg "Shard_server: cannot revive without a journal"
   in
-  let path = shard_journal base k in
   let session =
     scoped k (fun () ->
         if (not (Sys.file_exists path)) || Session.is_empty_journal path
@@ -892,8 +958,7 @@ and revive t k =
 
 (* ----------------------------------------------------------------- feed *)
 
-let feed t (w : Worker.t) =
-  if t.t_closed then invalid_arg "Shard_server.feed: server is closed";
+let feed_routed t (w : Worker.t) =
   if w.Worker.index <> t.t_fed + 1 then
     invalid_arg
       (Printf.sprintf "Shard_server.feed: expected arrival %d, got %d"
@@ -969,33 +1034,43 @@ let feed t (w : Worker.t) =
     locked_release t
   end
 
+let feed t (w : Worker.t) =
+  if t.t_closed then invalid_arg "Shard_server.feed: server is closed";
+  match t.t_direct with
+  | Some s ->
+    (* The session's own feed, skipping what it already consumed (the
+       restored prefix included) wherever the re-fed stream starts. *)
+    if w.Worker.index <= Session.consumed s then begin
+      t.t_replayed <- t.t_replayed + 1;
+      []
+    end
+    else [ Session.feed s w ]
+  | None -> feed_routed t w
+
+(* Wait for the lanes to go idle; a supervised server recovers (or
+   quarantines) every lane that died with work in flight, an unsupervised
+   one re-raises the first failure. *)
+let rec drain t pool =
+  Ltc_util.Pool.Workers.quiesce pool;
+  let failed = ref None in
+  for k = Array.length t.t_shards - 1 downto 0 do
+    if Ltc_util.Pool.Workers.failure pool ~lane:k <> None then
+      failed := Some k
+  done;
+  match !failed with
+  | None -> ()
+  | Some k when supervised t ->
+    handle_crash t k;
+    drain t pool
+  | Some _ ->
+    Option.iter
+      (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+      (Ltc_util.Pool.Workers.first_failure pool)
+
 let flush t =
   if t.t_closed then []
   else begin
-    (match t.t_pool with
-    | None -> ()
-    | Some pool ->
-      let rec drain () =
-        Ltc_util.Pool.Workers.quiesce pool;
-        let failed = ref None in
-        for k = Array.length t.t_shards - 1 downto 0 do
-          if Ltc_util.Pool.Workers.failure pool ~lane:k <> None then
-            failed := Some k
-        done;
-        match !failed with
-        | None -> ()
-        | Some k ->
-          if supervised t then begin
-            handle_crash t k;
-            drain ()
-          end
-          else begin
-            match Ltc_util.Pool.Workers.first_failure pool with
-            | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-            | None -> ()
-          end
-      in
-      drain ());
+    Option.iter (drain t) t.t_pool;
     locked_release t
   end
 
@@ -1004,24 +1079,8 @@ let close t =
     (match t.t_pool with
     | None -> ()
     | Some pool ->
-      if supervised t then begin
-        (* Recover (or quarantine) any lane that died with work in
-           flight, so shutdown joins clean domains. *)
-        let rec drain () =
-          Ltc_util.Pool.Workers.quiesce pool;
-          let failed = ref None in
-          for k = Array.length t.t_shards - 1 downto 0 do
-            if Ltc_util.Pool.Workers.failure pool ~lane:k <> None then
-              failed := Some k
-          done;
-          match !failed with
-          | None -> ()
-          | Some k ->
-            handle_crash t k;
-            drain ()
-        in
-        drain ()
-      end
+      (* Supervised: recover dead lanes so shutdown joins clean domains. *)
+      if supervised t then drain t pool
       else Ltc_util.Pool.Workers.quiesce pool;
       Ltc_util.Pool.Workers.shutdown pool);
     t.t_closed <- true;

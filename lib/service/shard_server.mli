@@ -22,17 +22,29 @@
       dropped.  Decisions become available as their global-order
       predecessors complete; {!feed} returns whatever prefix is ready and
       {!flush} blocks for the rest.
-    - [`Inline]: no domains; arrivals are decided synchronously on the
-      calling domain and {!feed} returns each decision immediately.  The
-      decision stream is identical to [`Domains] — this is the mode for
-      anything driven by {!Ltc_util.Fault} (kill/restore tests, virtual
-      loadgen), whose plans must not be probed from concurrent domains.
+    - [`Inline] (always, at one shard): no domains; arrivals are decided
+      synchronously on the calling domain and {!feed} returns each
+      decision immediately.  The decision stream is identical to
+      [`Domains] — this is the mode for anything driven by
+      {!Ltc_util.Fault} (kill/restore tests, virtual loadgen), whose
+      plans must not be probed from concurrent domains.
+
+    {2 One shard}
+
+    [shards = 1] is the plain session: its one {!Session} gets the root
+    [seed] and the whole instance, journals straight to [~journal] as an
+    ordinary session journal (no manifest), and always runs inline.
+    Unsupervised, {!feed} is {!Session.feed} itself, with no routing,
+    re-indexing or merge layer; supervised, it keeps the general inline
+    path and revives from that journal.  {!restore} accepts such a
+    journal as a 1-shard server.
 
     {2 Durability}
 
-    With [~journal:base], shard [k] journals to [base.shard<k>] (codec and
-    group commit as configured, exactly like a single session) and the
-    partition parameters + instance go into a manifest at [base] itself.
+    With [~journal:base] and [shards >= 2], shard [k] journals to
+    [base.shard<k>] (codec and group commit as configured, exactly like a
+    single session) and the partition parameters + instance go into a
+    manifest at [base] itself.
     Each shard owns its durability boundary independently: a crash can
     tear each shard journal at a different arrival, and {!restore}
     recovers every shard to its own last durable record (torn tails
@@ -74,8 +86,9 @@ val create :
   Ltc_core.Instance.t ->
   t
 (** [create ~shards ~algorithm ~seed instance] partitions [instance]'s
-    tasks and starts one session per shard (shard seeds are derived from
-    [seed] with {!Ltc_util.Rng.split_seed}).  Workers embedded in
+    tasks and starts one session per shard (with [shards >= 2], shard
+    seeds are derived from [seed] with {!Ltc_util.Rng.split_seed}; one
+    shard takes [seed] itself).  Workers embedded in
     [instance] are ignored; arrivals come from {!feed}.  [mailbox]
     (default [64]) bounds each shard's queue in [`Domains] mode; the
     session options are applied to every shard session alike.
@@ -96,17 +109,20 @@ val create :
 
     @raise Invalid_argument when [shards < 1], [mailbox < 1], the
     session options are invalid (see {!Session.create}), or [supervise]
-    has [max_restarts > 0] without [~journal]. *)
+    has [max_restarts > 0] without [~journal] or sheds with one shard. *)
 
 val feed : t -> Ltc_core.Worker.t -> Session.decision list
 (** Route the next arrival (indices consecutive from 1, as in
     {!Session.feed}) and return every decision that became releasable in
     global order.  In [`Inline] mode that is exactly this arrival's
     decision — except after a restore, where an arrival its shard already
-    consumed is skipped and the list is empty.  In [`Domains] mode the
-    list holds whatever contiguous prefix of decisions the shard domains
-    have finished (possibly empty, possibly several).  Once the server is
-    globally complete, further arrivals are acknowledged without routing,
+    consumed is skipped and the list is empty.  An unsupervised single
+    shard skips (and counts in {!replayed}) every arrival at or below its
+    session's consumed index, so a re-fed stream may start anywhere up to
+    the next arrival.  In [`Domains] mode the list holds whatever
+    contiguous prefix of decisions the shard domains have finished
+    (possibly empty, possibly several).  Once the server is globally
+    complete, further arrivals are acknowledged without routing,
     mirroring {!Session.feed}.
 
     @raise Invalid_argument on a closed server or a gap in the stream. *)
@@ -120,24 +136,29 @@ val close : t -> unit
     every shard session (journals flushed).  Idempotent. *)
 
 val restore :
-  ?mailbox:int -> ?mode:mode -> ?fsync:bool -> ?group_commit:int ->
-  ?supervise:Supervisor.config -> path:string -> unit -> t
-(** [restore ~path ()] rebuilds a shard server from the manifest written
-    by [create ~journal:path]: the partition is recomputed from the
-    embedded instance, every [path.shard<k>] is restored with
-    per-shard torn-tail tolerance ({!Session.restore}), and shards whose
-    journal is missing or empty are restarted fresh.  [fsync] /
-    [group_commit] / [mailbox] / [mode] override the re-attached
-    configuration (defaults: the manifest's values, [`Domains]).  Feed
-    the arrival stream again from index 1: already-durable arrivals are
-    skipped, the rest are re-decided.
+  ?journal:string -> ?mailbox:int -> ?mode:mode -> ?fsync:bool ->
+  ?group_commit:int -> ?supervise:Supervisor.config -> path:string ->
+  unit -> t
+(** [restore ~path ()] rebuilds a server from what [create ~journal:path]
+    wrote.  A plain session journal comes back as a 1-shard server via
+    {!Session.restore}, which keeps journaling to [journal] when given,
+    else to [path].  A manifest recomputes the partition from the
+    embedded instance, restores every [path.shard<k>] with per-shard
+    torn-tail tolerance, and restarts shards whose journal is missing or
+    empty fresh.  [fsync] / [group_commit] / [mailbox] / [mode] override
+    the re-attached configuration (defaults: the manifest's values, or
+    {!Session.restore}'s, and [`Domains]).  Feed the arrival stream again
+    from index 1: already-durable arrivals are skipped, the rest are
+    re-decided.
 
     @raise Session.Corrupt_journal / [Sys_error] /
-    [Ltc_core.Serialize.Parse_error] as the underlying restores do. *)
+    [Ltc_core.Serialize.Parse_error] as the underlying restores do.
+    @raise Invalid_argument on [journal] with a manifest. *)
 
 val is_manifest : string -> bool
 (** [true] iff the file exists and starts with the shard-manifest magic —
-    how [ltc serve --resume] tells a sharded journal from a plain one. *)
+    how {!restore} and [ltc journal inspect] tell a sharded journal from
+    a plain one. *)
 
 (** The manifest's configuration lines, read without restoring anything —
     what [ltc journal inspect] prints before enumerating the
@@ -171,7 +192,9 @@ val mode : t -> mode
 val algorithm_name : t -> string
 
 val consumed : t -> int
-(** Arrivals consumed globally (live and, after a restore, replayed). *)
+(** Arrivals consumed globally (live and, after a restore, replayed; an
+    unsupervised single shard reports its session's count, restored
+    prefix included). *)
 
 val resumed_at : t -> int
 (** Arrivals recovered from the shard journals by {!restore} ([0] for a
@@ -179,7 +202,7 @@ val resumed_at : t -> int
 
 val replayed : t -> int
 (** Re-fed arrivals that were skipped because their shard had already
-    consumed them in a previous incarnation. *)
+    consumed them (in a previous incarnation, or — single shard — at all). *)
 
 val completed : t -> bool
 (** Every shard complete? *)

@@ -469,15 +469,6 @@ let test_workspace_growth () =
   Alcotest.(check int) "flow stable across reuse" r1.Mcmf.flow r2.Mcmf.flow;
   check_float "cost stable across reuse" r1.Mcmf.cost r2.Mcmf.cost
 
-let test_warm_start_invalid () =
-  let g = Graph.create ~n:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:0.0);
-  Alcotest.check_raises "short candidate"
-    (Invalid_argument "Mcmf.run: warm-start potentials shorter than node count")
-    (fun () ->
-      ignore (Mcmf.run g ~init:(`Warm_start [| 0.0 |]) ~source:0 ~sink:2))
-
 (* One workspace shared across every generated case: reuse itself is under
    test.  Exact (=) float comparisons are deliberate — the reused/DAG path
    must be bit-identical to the cold Bellman-Ford path on batch-shaped
@@ -513,25 +504,6 @@ let prop_dag_init_same_potentials =
         if p1.(v) <> p2.(v) then ok := false
       done;
       !ok)
-
-let prop_warm_start_agrees =
-  QCheck2.Test.make
-    ~name:"warm-started solve = fresh solve (accept or fallback)" ~count:300
-    random_bipartite_gen (fun input ->
-      let g1, source, sink = build_bipartite input in
-      let g2, _, _ = build_bipartite input in
-      let g3, _, _ = build_bipartite input in
-      let n = Graph.node_count g1 in
-      let ws = Mcmf.create_workspace () in
-      (* Final potentials of a completed identical solve: valid on the
-         solved residual, not necessarily on the fresh graph — exercises
-         both the accept and the reject-and-fall-back paths. *)
-      ignore (Mcmf.run g3 ~workspace:ws ~source ~sink);
-      let cand = Array.sub (Mcmf.borrow_potentials ws) 0 n in
-      let r1 = Mcmf.run g1 ~source ~sink in
-      let r2 = Mcmf.run g2 ~workspace:ws ~init:(`Warm_start cand) ~source ~sink in
-      r1.Mcmf.flow = r2.Mcmf.flow
-      && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
 
 let prop_spfa_workspace_reuse =
   let ws = Mcmf.create_workspace () in
@@ -905,11 +877,8 @@ let suite =
         Alcotest.test_case "graph reserve" `Quick test_graph_reserve;
         Alcotest.test_case "node heap growth" `Quick test_node_heap_grow;
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
-        Alcotest.test_case "warm start validation" `Quick
-          test_warm_start_invalid;
         qcheck prop_dag_init_matches_bf;
         qcheck prop_dag_init_same_potentials;
-        qcheck prop_warm_start_agrees;
         qcheck prop_spfa_workspace_reuse;
       ] );
     ( "flow.anytime",

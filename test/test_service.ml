@@ -698,10 +698,13 @@ let test_loadgen_deterministic () =
       slo_s = Some 0.004;
     }
   in
+  let server () =
+    Shard_server.create ~deadline ~shards:1 ~algorithm:algo ~seed:3 instance
+  in
   let pass () =
-    let s = Session.create ~deadline ~algorithm:algo ~seed:3 instance in
-    let r = Loadgen.run ~session:s ~workers config in
-    Session.close s;
+    let srv = server () in
+    let r = Loadgen.run ~server:srv ~workers config in
+    Shard_server.close srv;
     r
   in
   let r1 = pass () in
@@ -720,12 +723,12 @@ let test_loadgen_deterministic () =
   let rendered = Format.asprintf "%a" Loadgen.pp_report r1 in
   Alcotest.(check bool) "report mentions the shape" true
     (Astring.String.is_infix ~affix:r1.Loadgen.r_shape rendered);
-  (* A used session is rejected: the schedule would be misaligned. *)
-  let s = Session.create ~algorithm:algo ~seed:3 instance in
-  ignore (Session.feed s workers.(0));
-  Alcotest.check_raises "non-fresh session rejected"
-    (Invalid_argument "Loadgen.run: session must be fresh (consumed = 0)")
-    (fun () -> ignore (Loadgen.run ~session:s ~workers config))
+  (* A used server is rejected: the schedule would be misaligned. *)
+  let srv = server () in
+  ignore (Shard_server.feed srv workers.(0));
+  Alcotest.check_raises "non-fresh server rejected"
+    (Invalid_argument "Loadgen.run: server must be fresh (consumed = 0)")
+    (fun () -> ignore (Loadgen.run ~server:srv ~workers config))
 
 (* ------------------------------------------------------ sharded serving *)
 
@@ -979,6 +982,82 @@ let test_shard_manifest_roundtrip () =
   Alcotest.(check bool) "fingerprint via manifest restore" true
     (sharded_fp srv' = base_fp);
   Shard_server.close srv'
+
+(* One shard is the plain session, for every online registry entry —
+   Random and no-show draws included, since it keeps the root seed — with
+   or without a binary journal, and across a kill at a random journal
+   append followed by a restore of that (plain, manifest-free) journal
+   and a full re-feed. *)
+let online_registry =
+  List.filter
+    (fun (a : Ltc_algo.Algorithm.t) -> a.Ltc_algo.Algorithm.policy <> None)
+    Ltc_algo.Algorithm.all
+
+let prop_one_shard_is_session =
+  QCheck2.Test.make ~name:"one shard == plain Session, any online policy"
+    ~count:60
+    QCheck2.Gen.(
+      let* iseed = int_range 0 10_000 in
+      let* seed = int_range 0 10_000 in
+      let* algo = int_range 0 (List.length online_registry - 1) in
+      let* noshow = bool in
+      let* journaled = bool in
+      let* group_commit = int_range 1 4 in
+      let* kill = opt (int_range 1 12) in
+      return (iseed, seed, algo, noshow, journaled, group_commit, kill))
+    (fun (iseed, seed, algo, noshow, journaled, group_commit, kill) ->
+      let algorithm = List.nth online_registry algo in
+      let accept_rate = if noshow then Some 0.7 else None in
+      let instance = small_instance ~seed:iseed () in
+      let ws = arrivals instance in
+      let plain = Session.create ?accept_rate ~algorithm ~seed instance in
+      let expected = feed_all plain ws in
+      with_tmp_journal @@ fun path ->
+      let journal = if journaled then Some path else None in
+      let srv =
+        Shard_server.create ?accept_rate ?journal ~format:Session.Binary
+          ~group_commit ~shards:1 ~algorithm ~seed instance
+      in
+      (* Decisions released so far, kept across a crash. *)
+      let fed = ref [] in
+      let feed_server srv =
+        List.iter
+          (fun w -> fed := List.rev_append (Shard_server.feed srv w) !fed)
+          ws
+      in
+      let crashed =
+        match (kill, journal) with
+        | Some hit, Some _ -> (
+          match with_crash_at ~hit (fun () -> feed_server srv) with
+          | () -> false
+          | exception Ltc_util.Fault.Injected_crash _ -> true)
+        | _ ->
+          feed_server srv;
+          false
+      in
+      let live = List.rev !fed in
+      let srv, streams_ok =
+        if not crashed then (srv, live = expected)
+        else begin
+          (* abandoned, not closed: the kill loses the unflushed group *)
+          let srv' = Shard_server.restore ~path () in
+          fed := [];
+          feed_server srv';
+          let resumed = Shard_server.resumed_at srv' in
+          ( srv',
+            live = List.filteri (fun i _ -> i < List.length live) expected
+            && List.rev !fed = List.filteri (fun i _ -> i >= resumed) expected
+          )
+        end
+      in
+      let plain_journal =
+        (not journaled)
+        || ((not (Sys.file_exists (path ^ ".shard0")))
+           && not (Shard_server.is_manifest path))
+      in
+      let same_end = sharded_fp srv = session_fp plain in
+      Shard_server.close srv;
+      streams_ok && plain_journal && same_end)
 
 (* ------------------------------------------------------- chaos property *)
 
@@ -1390,6 +1469,7 @@ let suite =
         qcheck prop_sharded_kill_restore;
         Alcotest.test_case "manifest roundtrip" `Quick
           test_shard_manifest_roundtrip;
+        qcheck prop_one_shard_is_session;
       ] );
     ( "service.supervision",
       [
