@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `make check` is the one command CI
 # and contributors run before pushing.
 
-.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos smoke fmt check clean
+.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos bench-ab smoke fmt check clean
 
 all: build
 
@@ -61,6 +61,18 @@ bench-chaos:
 # Refreshes the committed BENCH_serve_shard.json snapshot.
 bench-shard:
 	dune exec bench/main.exe -- serve-shard --json BENCH_serve_shard.json
+
+# A/B the working tree against a revision on one workload of the
+# repository benchmark (BENCHMARK.json): PAIRS alternating pairs of runs,
+# seeded by pair number, then the suite's median-vs-median --compare.
+# BASE is checked out as a git worktree under .bench_build/ for the run.
+#   make bench-ab WORKLOAD=journal-restore PAIRS=10 BASE=HEAD
+WORKLOAD ?=
+PAIRS ?= 10
+BASE ?= HEAD
+
+bench-ab:
+	sh bench/ab.sh "$(WORKLOAD)" "$(PAIRS)" "$(BASE)"
 
 fmt:
 	dune build @fmt --auto-promote

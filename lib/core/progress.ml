@@ -14,6 +14,9 @@ type t = {
   heap : (float * int * int) Ltc_util.Heap.t;
 }
 
+(* Max-heap order on the [remaining] field of a heap entry. *)
+let heap_leq (a, _, _) (b, _, _) = (a : float) >= b
+
 let create_per_task ~thresholds =
   let n_tasks = Array.length thresholds in
   Array.iter
@@ -21,7 +24,6 @@ let create_per_task ~thresholds =
       if threshold <= 0.0 then
         invalid_arg "Progress.create_per_task: thresholds must be positive")
     thresholds;
-  let heap_leq (a, _, _) (b, _, _) = (a : float) >= b in
   let t =
     {
       thresholds = Array.copy thresholds;
@@ -119,20 +121,73 @@ let snapshot (t : t) =
     sum_remaining = t.sum_remaining;
   }
 
+(* One pass over every entry, then the reasons in a fixed priority, so a
+   payload with several faults names the same one whichever reader checks
+   it.  Negative scores and non-positive thresholds come first, so a
+   payload refused for them keeps that reason; the non-finite checks
+   catch what those comparisons let through, since every comparison with
+   NaN is false. *)
+let check_snapshot ~n ~threshold ~score ~sum_remaining =
+  let negative = ref false and non_positive = ref false in
+  let bad_score = ref false and bad_threshold = ref false in
+  for task = 0 to n - 1 do
+    let th = threshold task and s = score task in
+    if s < 0.0 then negative := true;
+    if th <= 0.0 then non_positive := true;
+    if not (Float.is_finite s) then bad_score := true;
+    if not (Float.is_finite th) then bad_threshold := true
+  done;
+  if !negative then invalid_arg "Progress.of_snapshot: negative score";
+  if !non_positive then
+    invalid_arg "Progress.create_per_task: thresholds must be positive";
+  if !bad_score then invalid_arg "Progress.of_snapshot: non-finite score";
+  if !bad_threshold then
+    invalid_arg "Progress.of_snapshot: non-finite threshold";
+  if not (Float.is_finite sum_remaining) then
+    invalid_arg "Progress.of_snapshot: non-finite sum_remaining"
+
+(* The state [create_per_task] then one [record] per task reaches (a
+   qcheck property compares the two), built in one ascending pass and a
+   linear heapify of the live entries. *)
 let of_snapshot (snap : snapshot) =
   let n = Array.length snap.thresholds in
   if Array.length snap.scores <> n then
     invalid_arg "Progress.of_snapshot: scores/thresholds length mismatch";
-  Array.iter
-    (fun s ->
-      if s < 0.0 then invalid_arg "Progress.of_snapshot: negative score")
-    snap.scores;
-  let t = create_per_task ~thresholds:snap.thresholds in
+  check_snapshot ~n ~threshold:(Array.get snap.thresholds)
+    ~score:(Array.get snap.scores) ~sum_remaining:snap.sum_remaining;
+  let size = max n 1 in
+  (* [0.0 +. score] is the bit pattern [record] leaves on a zero
+     accumulator (it turns -0.0 into 0.0). *)
+  let s =
+    Array.init size (fun task ->
+        if task < n then 0.0 +. snap.scores.(task) else 0.0)
+  in
+  let incomplete = Array.make size 0 in
+  let position = Array.make size (-1) in
+  let live = ref 0 in
   for task = 0 to n - 1 do
-    record t ~task ~score:snap.scores.(task)
+    (* [record]'s test: complete once the remainder is no longer positive. *)
+    if snap.thresholds.(task) -. s.(task) > 0.0 then begin
+      incomplete.(!live) <- task;
+      position.(task) <- !live;
+      incr live
+    end
   done;
-  (* [record] re-derived the running total from a zero base; the live run
-     accumulated it one arrival at a time, and AAM's average is sensitive
-     to that float summation order, so restore the captured value. *)
-  t.sum_remaining <- snap.sum_remaining;
-  t
+  let entries =
+    Array.init !live (fun i ->
+        let task = incomplete.(i) in
+        (snap.thresholds.(task) -. s.(task), task, 0))
+  in
+  {
+    thresholds = Array.copy snap.thresholds;
+    s;
+    version = Array.make size 0;
+    incomplete;
+    position;
+    n_incomplete = !live;
+    (* The captured running total, not one re-derived here: the live run
+       accumulated it one arrival at a time, and AAM's average is
+       sensitive to that float summation order. *)
+    sum_remaining = snap.sum_remaining;
+    heap = Ltc_util.Heap.of_array ~leq:heap_leq entries;
+  }

@@ -121,9 +121,13 @@ let line_offset src = src.line_offset
 
 let fields line = String.split_on_char ' ' line |> List.filter (( <> ) "")
 
+(* Every float in these formats (coordinates, epsilon, dmax, radius,
+   accuracies, thresholds, scores, rates) is finite; [float_of_string]
+   also takes "nan" and "inf", which no later check would catch. *)
 let float_field src s =
   match float_of_string_opt s with
-  | Some f -> f
+  | Some f when Float.is_finite f -> f
+  | Some _ -> parse_error ~line:src.line_no "expected a finite float, got %S" s
   | None -> parse_error ~line:src.line_no "expected a float, got %S" s
 
 let int_field src s =
@@ -428,14 +432,16 @@ module Binary = struct
     c.pos <- c.pos + 1;
     b
 
-  let varint c =
-    let rec go shift acc =
-      if shift > 62 then bin_error "varint overflows the integer range";
-      let b = u8 c in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  (* A top-level loop, not a local closure over [c] (allocated on every
+     call): a snapshot holds two varints per assignment, tens of
+     thousands of them. *)
+  let rec varint_from c shift acc =
+    if shift > 62 then bin_error "varint overflows the integer range";
+    let b = u8 c in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from c (shift + 7) acc
+
+  let varint c = varint_from c 0 0
 
   let i64 c =
     if c.pos + 8 > String.length c.data then
@@ -472,11 +478,24 @@ module Binary = struct
     add_varint buf (List.length l);
     List.iter (add_varint buf) l
 
-  let read_int_list c =
+  let read_int_list ~build c =
     let n = varint c in
     if n > String.length c.data then
       bin_error "list length %d exceeds the payload" n;
-    List.init n (fun _ -> varint c)
+    if build then List.init n (fun _ -> varint c)
+    else begin
+      for _ = 1 to n do
+        ignore (varint c)
+      done;
+      []
+    end
+
+  let skip c len =
+    if c.pos + len > String.length c.data then
+      bin_error "unexpected end of binary payload";
+    c.pos <- c.pos + len
+
+  let f64_at data pos = Int64.float_of_bits (String.get_int64_le data pos)
 
   let emit_record buf = function
     | Event e ->
@@ -511,7 +530,13 @@ module Binary = struct
           add_varint buf a.Arrangement.task)
         assignments
 
-  let record_of_payload payload =
+  (* The one record grammar.  [~build:false] walks the same bytes under
+     the same rules (tag, varints, list bounds, [Worker.make]'s rules,
+     [Progress.check_snapshot], trailing bytes) and fails with the same
+     message at the same byte, but builds no list, [Progress.t] or
+     [Arrangement.t]; it returns [None].  Restore checks the records a
+     later snapshot supersedes this way. *)
+  let decode ~build payload =
     let c = cursor payload in
     let record =
       match u8 c with
@@ -527,8 +552,8 @@ module Binary = struct
           | 1 -> true
           | b -> bin_error "bad degraded flag byte 0x%02x" b
         in
-        let e_assigned = read_int_list c in
-        let e_answered = read_int_list c in
+        let e_assigned = read_int_list ~build c in
+        let e_answered = read_int_list ~build c in
         let e_worker =
           try
             Worker.make ~index
@@ -536,7 +561,9 @@ module Binary = struct
               ~accuracy ~capacity
           with Invalid_argument m -> bin_error "invalid worker: %s" m
         in
-        Event { e_worker; e_degraded; e_assigned; e_answered }
+        if build then
+          Some (Event { e_worker; e_degraded; e_assigned; e_answered })
+        else None
       | tag when tag = tag_snapshot ->
         let s_consumed = varint c in
         let s_policy = i64 c in
@@ -545,15 +572,26 @@ module Binary = struct
         if n > String.length payload then
           bin_error "snapshot task count %d exceeds the payload" n;
         let sum_remaining = f64 c in
-        let thresholds = Array.make n 0.0 in
-        let scores = Array.make n 0.0 in
-        for task = 0 to n - 1 do
-          thresholds.(task) <- f64 c;
-          scores.(task) <- f64 c
-        done;
+        (* The (threshold, score) pairs, read in place: pair [task] sits
+           at [base + 16 task]. *)
+        let base = c.pos in
+        skip c (16 * n);
+        let threshold task = f64_at payload (base + (16 * task)) in
+        let score task = f64_at payload (base + (16 * task) + 8) in
         let s_progress =
           match
-            Progress.of_snapshot { Progress.thresholds; scores; sum_remaining }
+            if build then
+              Some
+                (Progress.of_snapshot
+                   {
+                     Progress.thresholds = Array.init n threshold;
+                     scores = Array.init n score;
+                     sum_remaining;
+                   })
+            else begin
+              Progress.check_snapshot ~n ~threshold ~score ~sum_remaining;
+              None
+            end
           with
           | p -> p
           | exception Invalid_argument m ->
@@ -566,22 +604,35 @@ module Binary = struct
         for _ = 1 to n_assignments do
           let worker = varint c in
           let task = varint c in
-          s_arrangement := Arrangement.add !s_arrangement ~worker ~task
+          if build then
+            s_arrangement := Arrangement.add !s_arrangement ~worker ~task
         done;
-        Snapshot
-          {
-            s_consumed;
-            s_policy;
-            s_noshow;
-            s_progress;
-            s_arrangement = !s_arrangement;
-          }
+        Option.map
+          (fun s_progress ->
+            Snapshot
+              {
+                s_consumed;
+                s_policy;
+                s_noshow;
+                s_progress;
+                s_arrangement = !s_arrangement;
+              })
+          s_progress
       | tag -> bin_error "unknown record tag 0x%02x" tag
     in
     if not (at_end c) then
       bin_error "%d trailing bytes after the record"
         (String.length payload - c.pos);
     record
+
+  let record_of_payload payload = Option.get (decode ~build:true payload)
+
+  type kind = Event_record | Snapshot_record
+
+  let check_payload payload =
+    ignore (decode ~build:false payload);
+    (* [decode] accepted the tag byte, so it is one of the two. *)
+    if Char.code payload.[0] = tag_event then Event_record else Snapshot_record
 
   (* ---------------------------------------------------------- framing *)
 

@@ -90,7 +90,8 @@ val fields : string -> string list
 val float_field : source -> string -> float
 val int_field : source -> string -> int
 (** Parse one field; @raise Parse_error with the source's current line on
-    malformed input. *)
+    malformed input.  [float_field] also refuses NaN and infinities: no
+    float in these formats may be non-finite. *)
 
 val emit_instance : sink -> Instance.t -> unit
 val parse_instance : source -> Instance.t
@@ -173,8 +174,17 @@ module Binary : sig
   val record_of_payload : string -> record
   (** Decode one record payload (as carried by a frame).
       @raise Parse_error on an unknown tag, short payload, implausible
-      count or trailing bytes — on a CRC-verified frame any of these
-      means corruption, not a tear. *)
+      count, a value {!Worker.make} or {!Progress.check_snapshot} refuses,
+      or trailing bytes — on a CRC-verified frame any of these means
+      corruption, not a tear. *)
+
+  type kind = Event_record | Snapshot_record
+
+  val check_payload : string -> kind
+  (** The same grammar and rules as {!record_of_payload}, raising the same
+      [Parse_error] on the same payloads, without building the record:
+      no lists, no [Progress.t], no [Arrangement.t].  For records whose
+      content will be thrown away. *)
 
   (** {3 Framing} *)
 

@@ -8,8 +8,11 @@ type t = {
 let make ~index ~loc ~accuracy ~capacity =
   if index < 1 then invalid_arg "Worker.make: index must be >= 1";
   if capacity < 1 then invalid_arg "Worker.make: capacity must be >= 1";
-  if accuracy < 0.0 || accuracy > 1.0 then
+  (* Written so that NaN fails it too. *)
+  if not (accuracy >= 0.0 && accuracy <= 1.0) then
     invalid_arg "Worker.make: accuracy out of [0, 1]";
+  if not Ltc_geo.Point.(Float.is_finite loc.x && Float.is_finite loc.y) then
+    invalid_arg "Worker.make: location must be finite";
   { index; loc; accuracy; capacity }
 
 let min_trusted_accuracy = 0.66

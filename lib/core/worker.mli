@@ -13,8 +13,9 @@ type t = {
 
 val make :
   index:int -> loc:Ltc_geo.Point.t -> accuracy:float -> capacity:int -> t
-(** @raise Invalid_argument when [index < 1], [capacity < 1] or [accuracy]
-    is outside [\[0, 1\]]. *)
+(** @raise Invalid_argument when [index < 1], [capacity < 1], [accuracy]
+    is outside [\[0, 1\]] (NaN included) or a coordinate of [loc] is not
+    finite. *)
 
 val min_trusted_accuracy : float
 (** The paper's spam threshold: workers with [p_w < 0.66] are ignored by the

@@ -196,9 +196,11 @@ type header = {
   h_instance : Instance.t;
 }
 
+let current_version = function Text -> 2 | Binary -> 3
+
 let header_of t ~codec ~checkpoint_every =
   {
-    h_version = (match codec with Text -> 2 | Binary -> 3);
+    h_version = current_version codec;
     h_codec = codec;
     h_algorithm = t.algorithm.Ltc_algo.Algorithm.name;
     h_seed = t.seed;
@@ -845,9 +847,25 @@ let excerpt_at ~path ~offset =
         | None -> s)
   with Sys_error _ -> "<unreadable>"
 
+(* A complete record the scan found, with the byte offset of its start.
+   [record] is [None] for a binary record a later snapshot supersedes:
+   checked, never built. *)
+type item = { kind : B.kind; offset : int; record : B.record option }
+
+let built record offset =
+  let kind =
+    match record with
+    | B.Event _ -> B.Event_record
+    | B.Snapshot _ -> B.Snapshot_record
+  in
+  { kind; offset; record = Some record }
+
 (* One pass over a text journal body: every complete record in order,
    tagged with the byte offset of its first line.  Stops silently at a
-   torn suffix; raises {!Corrupt_journal} on interior damage. *)
+   torn suffix; raises {!Corrupt_journal} on interior damage.  Every
+   record is built: a text session compacts at every checkpoint, so its
+   journal holds at most one snapshot (only [Journal.convert] from binary
+   writes text journals with more). *)
 let scan_text ~path src =
   let items = ref [] in
   let records = ref 0 in
@@ -864,7 +882,7 @@ let scan_text ~path src =
            match Serialize.fields line with
            | [ "snapshot" ] ->
              let s = parse_snapshot src in
-             items := (B.Snapshot s, offset) :: !items
+             items := built (B.Snapshot s) offset :: !items
            | "w" :: rest -> (
              let w = parse_arrival_fields src rest in
              match Serialize.next_line_opt src with
@@ -874,14 +892,15 @@ let scan_text ~path src =
                  let degraded = String.length dline > 0 && dline.[0] = 'D' in
                  let assigned, answered = parse_decision_fields w drest in
                  items :=
-                   ( B.Event
-                       {
-                         B.e_worker = w;
-                         e_degraded = degraded;
-                         e_assigned = assigned;
-                         e_answered = answered;
-                       },
-                     offset )
+                   built
+                     (B.Event
+                        {
+                          B.e_worker = w;
+                          e_degraded = degraded;
+                          e_assigned = assigned;
+                          e_answered = answered;
+                        })
+                     offset
                    :: !items
                | _ -> raise Torn_tail)
              | None ->
@@ -916,9 +935,16 @@ let scan_text ~path src =
    text scanner gets from its record grammar — an incomplete frame can
    only sit at end of file ([B.Torn]: expected crash damage, dropped),
    while a complete frame with wrong bytes, or a CRC-valid frame that
-   fails to decode, is interior corruption wherever it sits. *)
-let scan_binary ~path ic =
-  let items = ref [] in
+   fails to decode, is interior corruption wherever it sits.
+
+   Every frame is CRC-checked and its payload checked in file order, so
+   damage anywhere is reported where it is met.  Only the latest snapshot
+   and the events after it are then built (every record with [~all]):
+   each earlier snapshot and event is superseded, and building it would
+   be thrown away. *)
+let scan_binary ~path ~all ic =
+  let superseded = ref [] in  (* checked only, newest first *)
+  let live = ref [] in  (* (kind, payload, offset) since the latest snapshot *)
   let records = ref 0 in
   let torn_at = ref None in
   let continue = ref true in
@@ -936,30 +962,49 @@ let scan_binary ~path ic =
         (!records + 1) offset reason
     | B.Frame payload -> (
       incr records;
-      match B.record_of_payload payload with
-      | record -> items := (record, offset) :: !items
+      match B.check_payload payload with
+      | kind ->
+        if kind = B.Snapshot_record && not all then begin
+          superseded :=
+            List.rev_append
+              (List.rev_map
+                 (fun (kind, _, offset) -> { kind; offset; record = None })
+                 !live)
+              !superseded;
+          live := []
+        end;
+        live := (kind, payload, offset) :: !live
       | exception Serialize.Parse_error { message; _ } ->
         corrupt ~path
           "corrupted record %d at byte %d: CRC-valid frame fails to decode \
            (%s)"
           !records offset message)
   done;
-  (List.rev !items, !torn_at)
+  let kept =
+    List.rev_map
+      (fun (kind, payload, offset) ->
+        { kind; offset; record = Some (B.record_of_payload payload) })
+      !live
+  in
+  (List.rev_append !superseded kept, !torn_at)
 
 (* [src] must wrap [ic]: the text scanner consumes lines through it, the
    binary scanner picks up the raw channel exactly where the (always
    line-oriented) header parse left it. *)
-let scan_items ~path ~codec ic src =
-  match codec with Text -> scan_text ~path src | Binary -> scan_binary ~path ic
+let scan_items ~path ~all ~codec ic src =
+  match codec with
+  | Text -> scan_text ~path src
+  | Binary -> scan_binary ~path ~all ic
 
 (* Latest snapshot wins; events after it form the replay tail. *)
 let collapse items =
   let best, tail_rev =
     List.fold_left
-      (fun (best, tail) (record, _offset) ->
-        match record with
-        | B.Snapshot s -> (Some s, [])
-        | B.Event e -> (best, e :: tail))
+      (fun (best, tail) item ->
+        match item.record with
+        | Some (B.Snapshot s) -> (Some s, [])
+        | Some (B.Event e) -> (best, e :: tail)
+        | None -> (best, tail))
       (None, []) items
   in
   (best, List.rev tail_rev)
@@ -972,6 +1017,30 @@ let is_empty_journal path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> in_channel_length ic = 0)
 
+(* The header the compacted journal starts with.  A current header is
+   kept as the file has it (its first [header_end] bytes): %.17g
+   round-trips, so these are the bytes [write_header] would render,
+   without rendering thousands of floats again.  Any other header is
+   rendered: an older version (and so upgraded), a [checkpoint_every]
+   below 1, or one torn inside its last line, which still parses. *)
+let compacted_header ic ~header_end (h : header) =
+  let kept =
+    if h.h_version = current_version h.h_codec && h.h_checkpoint_every >= 1
+    then begin
+      seek_in ic 0;
+      let bytes = really_input_string ic header_end in
+      if String.ends_with ~suffix:"\n" bytes then Some bytes else None
+    end
+    else None
+  in
+  match kept with
+  | Some bytes -> bytes
+  | None ->
+    let buf = Buffer.create 1024 in
+    write_header (Buffer.add_string buf)
+      { h with h_checkpoint_every = max 1 h.h_checkpoint_every };
+    Buffer.contents buf
+
 let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     ?(group_commit = 1) ~path () =
   Ltc_util.Trace.with_span "service:restore" @@ fun () ->
@@ -981,7 +1050,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      confuse the two. *)
   (let tmp = path ^ ".tmp" in
    if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
-  let header, snapshot, tail =
+  let header, header_bytes, snapshot, tail =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -992,9 +1061,12 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
           with Serialize.Parse_error { line; message } ->
             corrupt ~path "line %d: %s" line message
         in
-        let items, _torn_at = scan_items ~path ~codec:header.h_codec ic src in
+        let header_end = pos_in ic in
+        let items, _torn_at =
+          scan_items ~path ~all:false ~codec:header.h_codec ic src
+        in
         let snapshot, tail = collapse items in
-        (header, snapshot, tail))
+        (header, compacted_header ic ~header_end header, snapshot, tail))
   in
   let algorithm =
     match Ltc_algo.Algorithm.find_opt header.h_algorithm with
@@ -1068,12 +1140,6 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      the source) and compact immediately: torn tail bytes vanish and
      recovery stays bounded. *)
   let journal_path = Option.value journal ~default:path in
-  let header_bytes =
-    let buf = Buffer.create 1024 in
-    write_header (Buffer.add_string buf)
-      { header with h_checkpoint_every = max 1 header.h_checkpoint_every };
-    Buffer.contents buf
-  in
   let j =
     {
       path = journal_path;
@@ -1120,10 +1186,11 @@ module Journal = struct
     snapshot_offsets : int list;
   }
 
-  (* Header + every complete record in file order (offsets attached).
+  (* Header + every complete record in file order (offsets attached):
+     all of them built with [~all:true], else only what restore builds.
      Shares the restore scanners, so torn tails are dropped and interior
      corruption raises {!Corrupt_journal} with the same diagnostics. *)
-  let read ~path =
+  let read ~all ~path =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -1134,20 +1201,22 @@ module Journal = struct
           with Serialize.Parse_error { line; message } ->
             corrupt ~path "line %d: %s" line message
         in
-        let items, torn_at = scan_items ~path ~codec:header.h_codec ic src in
+        let items, torn_at =
+          scan_items ~path ~all ~codec:header.h_codec ic src
+        in
         (header, items, torn_at))
 
   let inspect ~path =
-    let header, items, torn_at = read ~path in
+    let header, items, torn_at = read ~all:false ~path in
     let file_bytes =
       In_channel.with_open_bin path (fun ic -> in_channel_length ic)
     in
     let snapshots, events, offsets_rev =
       List.fold_left
-        (fun (s, e, offs) (record, offset) ->
-          match record with
-          | B.Snapshot _ -> (s + 1, e, offset :: offs)
-          | B.Event _ -> (s, e + 1, offs))
+        (fun (s, e, offs) item ->
+          match item.kind with
+          | B.Snapshot_record -> (s + 1, e, item.offset :: offs)
+          | B.Event_record -> (s, e + 1, offs))
         (0, 0, []) items
     in
     let best, tail = collapse items in
@@ -1180,19 +1249,19 @@ module Journal = struct
      not carried over; a v1 text source is upgraded to the current
      header on the way through. *)
   let convert ~src ~dst codec =
-    let header, items, _torn_at = read ~path:src in
+    let header, items, _torn_at = read ~all:true ~path:src in
     let buf = Buffer.create 65536 in
     write_header (Buffer.add_string buf)
       { header with h_codec = codec };
     List.iter
-      (fun (record, _offset) ->
+      (fun record ->
         match codec with
         | Binary -> B.add_record_frame buf record
         | Text -> (
           match record with
           | B.Snapshot s -> emit_snapshot_text (Buffer.add_string buf) s
           | B.Event e -> emit_event_text (Buffer.add_string buf) e))
-      items;
+      (List.filter_map (fun item -> item.record) items);
     Out_channel.with_open_bin dst (fun oc ->
         Out_channel.output_string oc (Buffer.contents buf))
 end

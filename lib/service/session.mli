@@ -18,8 +18,11 @@
     it loads the latest snapshot, replays the event tail by re-running the
     policy (verifying the recomputed decisions against the journaled
     ones), drops any torn record at the end of the file, and compacts.
-    Recovery work is therefore bounded by [checkpoint_every] arrivals no
-    matter how long the session has run.
+    Every record in the file is still read and checked, in file order,
+    but only the latest snapshot and the events after it are built: the
+    snapshots and events it supersedes are checked without being
+    decoded into session state.  Recovery work is therefore bounded by
+    [checkpoint_every] arrivals no matter how long the session has run.
 
     {2 Crash safety}
 
@@ -171,7 +174,10 @@ val restore :
 (** [restore ~path ()] rebuilds a session from a journal file and
     compacts it immediately.  The codec is auto-detected from the
     header, and the restored session keeps journaling in that codec —
-    to [journal] when given, else to [path].  [group_commit] (default
+    to [journal] when given, else to [path].  A header at the current
+    version for its codec (text v2, binary v3) and with a checkpoint
+    period of at least 1 is carried into the compacted journal byte for
+    byte; any other is rewritten at the current version.  [group_commit] (default
     [1]) applies to the re-attached journal.  Replayed tail events do
     {e not} fire [on_decision] visibly different from live ones — the
     hook sees every decision the restored session makes from now on, and

@@ -372,8 +372,8 @@ let read_manifest ~path =
     | "none" -> None
     | v -> (
       match float_of_string_opt v with
-      | Some q -> Some q
-      | None -> manifest_error src (Printf.sprintf "bad accept_rate %S" v))
+      | Some q when Float.is_finite q -> Some q
+      | _ -> manifest_error src (Printf.sprintf "bad accept_rate %S" v))
   in
   let mf_checkpoint_every =
     int_of "checkpoint_every" (one_field src "checkpoint_every")
@@ -390,8 +390,8 @@ let read_manifest ~path =
     | [ "none" ] -> None
     | [ budget; fallback ] -> (
       match float_of_string_opt budget with
-      | Some b -> Some (b, fallback)
-      | None -> manifest_error src (Printf.sprintf "bad deadline %S" budget))
+      | Some b when Float.is_finite b -> Some (b, fallback)
+      | _ -> manifest_error src (Printf.sprintf "bad deadline %S" budget))
     | _ -> manifest_error src "malformed \"deadline\" line"
   in
   let mf_instance = Serialize.parse_instance src in

@@ -93,6 +93,27 @@ let test_worker_validation () =
   Alcotest.check_raises "accuracy 1.5"
     (Invalid_argument "Worker.make: accuracy out of [0, 1]") (fun () ->
       ignore (Worker.make ~index:1 ~loc:(point ~x:0.0 ~y:0.0) ~accuracy:1.5 ~capacity:1));
+  (* Every comparison with NaN is false, so a range check written as
+     "reject when out of range" lets it through. *)
+  Alcotest.check_raises "accuracy NaN"
+    (Invalid_argument "Worker.make: accuracy out of [0, 1]") (fun () ->
+      ignore
+        (Worker.make ~index:1 ~loc:(point ~x:0.0 ~y:0.0) ~accuracy:Float.nan
+           ~capacity:1));
+  List.iter
+    (fun (x, y) ->
+      Alcotest.check_raises
+        (Printf.sprintf "location (%g, %g)" x y)
+        (Invalid_argument "Worker.make: location must be finite") (fun () ->
+          ignore
+            (Worker.make ~index:1 ~loc:(point ~x ~y) ~accuracy:0.9
+               ~capacity:1)))
+    [
+      (Float.nan, 0.0);
+      (0.0, Float.nan);
+      (Float.infinity, 0.0);
+      (0.0, Float.neg_infinity);
+    ];
   Alcotest.(check bool) "trusted" true
     (Worker.is_trusted (worker_at ~x:0.0 ~y:0.0 ~p:0.7));
   Alcotest.(check bool) "spam" false
@@ -322,6 +343,102 @@ let prop_progress_iter_incomplete =
           (List.init n (fun i -> i))
       in
       visited = expected)
+
+(* The reference construction is [create_per_task] then one [record] per
+   task; [of_snapshot] builds the same state in one linear pass.  Both
+   must answer every query bit-identically, right after construction and
+   after the same further records. *)
+let prop_progress_of_snapshot_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 0 40 in
+      let* tasks =
+        list_repeat n
+          (let* threshold = float_range 0.25 4.0 in
+           let* u = float_range 0.0 1.0 in
+           let* shape = int_range 0 3 in
+           (* zero, partial, exactly at the threshold, over it *)
+           let score =
+             match shape with
+             | 0 -> 0.0
+             | 1 -> threshold *. u
+             | 2 -> threshold
+             | _ -> threshold +. u
+           in
+           return (threshold, score))
+      in
+      let* records =
+        if n = 0 then return []
+        else
+          list_size (int_range 0 60)
+            (pair (int_range 0 (n - 1)) (float_range 0.0 1.5))
+      in
+      return (tasks, records))
+  in
+  let observe p =
+    let bits = Int64.bits_of_float in
+    let n = Array.length (Progress.snapshot p).Progress.thresholds in
+    let order = ref [] in
+    Progress.iter_incomplete p (fun task -> order := task :: !order);
+    ( List.init n (fun task ->
+          ( bits (Progress.accumulated p task),
+            bits (Progress.remaining p task),
+            Progress.is_complete p task )),
+      Progress.incomplete_count p,
+      List.rev !order,
+      bits (Progress.max_remaining p) )
+  in
+  QCheck2.Test.make ~name:"of_snapshot = create_per_task + one record per task"
+    ~count:500 gen
+    (fun (tasks, records) ->
+      let thresholds = Array.of_list (List.map fst tasks) in
+      let reference = Progress.create_per_task ~thresholds in
+      List.iteri
+        (fun task (_, score) -> Progress.record reference ~task ~score)
+        tasks;
+      let snap = Progress.snapshot reference in
+      let rebuilt = Progress.of_snapshot snap in
+      let same_snapshot (a : Progress.snapshot) (b : Progress.snapshot) =
+        let bits = Array.map Int64.bits_of_float in
+        bits a.thresholds = bits b.thresholds
+        && bits a.scores = bits b.scores
+        && bits [| a.sum_remaining |] = bits [| b.sum_remaining |]
+      in
+      let agree_now = observe reference = observe rebuilt in
+      let round_trips = same_snapshot (Progress.snapshot rebuilt) snap in
+      List.iter
+        (fun (task, score) ->
+          Progress.record reference ~task ~score;
+          Progress.record rebuilt ~task ~score)
+        records;
+      agree_now && round_trips && observe reference = observe rebuilt)
+
+let test_progress_snapshot_non_finite () =
+  let snap ?(thresholds = [| 1.0; 2.0 |]) ?(scores = [| 0.5; 0.0 |])
+      ?(sum_remaining = 2.5) () =
+    { Progress.thresholds; scores; sum_remaining }
+  in
+  let refused label message s =
+    Alcotest.check_raises label (Invalid_argument message) (fun () ->
+        ignore (Progress.of_snapshot s))
+  in
+  ignore (Progress.of_snapshot (snap ()));
+  refused "NaN score" "Progress.of_snapshot: non-finite score"
+    (snap ~scores:[| Float.nan; 0.0 |] ());
+  refused "infinite score" "Progress.of_snapshot: non-finite score"
+    (snap ~scores:[| 0.0; Float.infinity |] ());
+  refused "NaN threshold" "Progress.of_snapshot: non-finite threshold"
+    (snap ~thresholds:[| 1.0; Float.nan |] ());
+  refused "infinite threshold" "Progress.of_snapshot: non-finite threshold"
+    (snap ~thresholds:[| Float.infinity; 2.0 |] ());
+  refused "NaN sum_remaining" "Progress.of_snapshot: non-finite sum_remaining"
+    (snap ~sum_remaining:Float.nan ());
+  (* The checks made before NaN was caught keep their priority, so a
+     payload they already refused keeps its reason. *)
+  refused "negative before NaN" "Progress.of_snapshot: negative score"
+    (snap ~thresholds:[| Float.nan; 2.0 |] ~scores:[| 0.0; -1.0 |] ());
+  refused "-inf is negative" "Progress.of_snapshot: negative score"
+    (snap ~scores:[| Float.neg_infinity; 0.0 |] ())
 
 (* ----------------------------------------------------------- Truth_infer *)
 
@@ -730,6 +847,49 @@ let test_serialize_parse_errors () =
   Alcotest.(check bool) "bad float" true
     (bad "ltc-instance v1\nepsilon fish\n")
 
+(* [float_of_string] reads "nan" and "inf"; no float in an instance file
+   may be either, and the refusal names the line like any malformed
+   field. *)
+let test_serialize_non_finite () =
+  let text = Serialize.instance_to_string (analysis_fixture ()) in
+  let lines = String.split_on_char '\n' text in
+  let replace prefix field value =
+    String.concat "\n"
+      (List.map
+         (fun l ->
+           if String.starts_with ~prefix l then
+             String.concat " "
+               (List.mapi
+                  (fun i f -> if i = field then value else f)
+                  (String.split_on_char ' ' l))
+           else l)
+         lines)
+  in
+  let line_of prefix =
+    let rec go i = function
+      | [] -> Alcotest.failf "no line starts with %S" prefix
+      | l :: rest -> if String.starts_with ~prefix l then i else go (i + 1) rest
+    in
+    go 1 lines
+  in
+  List.iter
+    (fun (prefix, field, value) ->
+      match Serialize.instance_of_string (replace prefix field value) with
+      | (_ : Instance.t) -> Alcotest.failf "%s%s accepted" prefix value
+      | exception Serialize.Parse_error { line; message } ->
+        Alcotest.(check int) (prefix ^ value ^ ": line") (line_of prefix) line;
+        Alcotest.(check string)
+          (prefix ^ value ^ ": message")
+          (Printf.sprintf "expected a finite float, got %S" value)
+          message)
+    [
+      ("epsilon ", 1, "nan");
+      ("accuracy sigmoid ", 2, "inf");
+      ("radius ", 1, "nan");
+      ("t 0 ", 2, "nan");
+      ("t 1 ", 3, "-inf");
+    ]
+
 let test_serialize_comments_and_blanks () =
   let i = analysis_fixture () in
   let s = Serialize.instance_to_string i in
@@ -1132,6 +1292,125 @@ let prop_snapshot_record_roundtrip =
         | B.Event _ -> false)
       | B.Eof | B.Torn | B.Invalid _ -> false)
 
+(* The decoder's two modes are one grammar: on any payload, intact or
+   damaged, [check_payload] refuses exactly when [record_of_payload] does,
+   with the same message, and otherwise names the record's kind. *)
+let prop_check_payload_agrees =
+  let outcome f payload =
+    match f payload with
+    | v -> Ok v
+    | exception Serialize.Parse_error { message; _ } -> Error message
+  in
+  let kind_of = function
+    | B.Event _ -> B.Event_record
+    | B.Snapshot _ -> B.Snapshot_record
+  in
+  QCheck2.Test.make ~name:"check_payload agrees with record_of_payload"
+    ~count:500
+    QCheck2.Gen.(
+      let* record =
+        oneof
+          [
+            map (fun e -> B.Event e) event_gen;
+            map
+              (fun (spec, consumed, policy, noshow, assignments) ->
+                let thresholds = Array.of_list (List.map fst spec) in
+                let p = Progress.create_per_task ~thresholds in
+                List.iteri
+                  (fun task (_, score) -> Progress.record p ~task ~score)
+                  spec;
+                B.Snapshot
+                  {
+                    B.s_consumed = consumed;
+                    s_policy = policy;
+                    s_noshow = noshow;
+                    s_progress = p;
+                    s_arrangement =
+                      List.fold_left
+                        (fun a (worker, task) ->
+                          Arrangement.add a ~worker ~task)
+                        Arrangement.empty assignments;
+                  })
+              snapshot_gen;
+          ]
+      in
+      let* damage = int_range 0 3 in
+      let* at = nat in
+      let* byte = int_range 0 255 in
+      return (record, damage, at, byte))
+    (fun (record, damage, at, byte) ->
+      let buf = Buffer.create 256 in
+      B.emit_record buf record;
+      let payload = Buffer.contents buf in
+      let len = String.length payload in
+      let payload =
+        match damage with
+        | 0 -> payload
+        | 1 ->
+          String.mapi
+            (fun i c -> if i = at mod len then Char.chr byte else c)
+            payload
+        | 2 -> String.sub payload 0 (at mod len)
+        | _ -> payload ^ String.make 1 (Char.chr byte)
+      in
+      match
+        (outcome B.record_of_payload payload, outcome B.check_payload payload)
+      with
+      | Ok r, Ok kind -> kind_of r = kind
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* NaN and infinities in a CRC-valid record are corruption: every rule
+   that compares them would let them through. *)
+let test_binary_non_finite () =
+  let refused label affix record =
+    let buf = Buffer.create 256 in
+    B.emit_record buf record;
+    let payload = Buffer.contents buf in
+    let message f =
+      match f payload with
+      | _ -> Alcotest.failf "%s: decoded" label
+      | exception Serialize.Parse_error { message; _ } -> message
+    in
+    let built = message (fun p -> ignore (B.record_of_payload p)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S names %S" label built affix)
+      true
+      (Astring.String.is_infix ~affix built);
+    Alcotest.(check string) (label ^ ": checked alike") built
+      (message (fun p -> ignore (B.check_payload p)))
+  in
+  let event ?(x = 1.0) ?(y = 2.0) ?(accuracy = 0.9) () =
+    B.Event
+      {
+        (* a literal: [Worker.make] would refuse these values *)
+        B.e_worker =
+          { Worker.index = 1; loc = point ~x ~y; accuracy; capacity = 2 };
+        e_degraded = false;
+        e_assigned = [];
+        e_answered = [];
+      }
+  in
+  refused "NaN x" "location must be finite" (event ~x:Float.nan ());
+  refused "infinite y" "location must be finite" (event ~y:Float.infinity ());
+  refused "NaN accuracy" "accuracy out of [0, 1]"
+    (event ~accuracy:Float.nan ());
+  let snapshot score =
+    (* [record] takes a NaN score: only its sign is checked. *)
+    let p = Progress.create ~threshold:1.0 ~n_tasks:3 in
+    Progress.record p ~task:1 ~score;
+    B.Snapshot
+      {
+        B.s_consumed = 1;
+        s_policy = 0L;
+        s_noshow = 0L;
+        s_progress = p;
+        s_arrangement = Arrangement.add Arrangement.empty ~worker:1 ~task:1;
+      }
+  in
+  refused "NaN score" "non-finite score" (snapshot Float.nan);
+  refused "infinite score" "non-finite score" (snapshot Float.infinity)
+
 let test_frame_triage () =
   (* Two frames back to back: clean walk, then every damage class. *)
   let buf = Buffer.create 64 in
@@ -1218,6 +1497,9 @@ let suite =
         Alcotest.test_case "zero tasks" `Quick test_progress_zero_tasks;
         qcheck prop_progress_aggregates;
         qcheck prop_progress_iter_incomplete;
+        qcheck prop_progress_of_snapshot_matches_reference;
+        Alcotest.test_case "non-finite snapshot values" `Quick
+          test_progress_snapshot_non_finite;
       ] );
     ( "core.analysis",
       [
@@ -1238,6 +1520,8 @@ let suite =
         Alcotest.test_case "rejects custom model" `Quick
           test_serialize_rejects_custom_model;
         Alcotest.test_case "parse errors" `Quick test_serialize_parse_errors;
+        Alcotest.test_case "non-finite floats refused" `Quick
+          test_serialize_non_finite;
         Alcotest.test_case "comments and blanks" `Quick
           test_serialize_comments_and_blanks;
         qcheck prop_serialize_roundtrip;
@@ -1255,6 +1539,9 @@ let suite =
         qcheck prop_scalar_roundtrip;
         qcheck prop_event_record_roundtrip;
         qcheck prop_snapshot_record_roundtrip;
+        qcheck prop_check_payload_agrees;
+        Alcotest.test_case "non-finite values refused" `Quick
+          test_binary_non_finite;
       ] );
     ( "core.svg",
       [

@@ -491,6 +491,285 @@ let test_interior_corruption_diagnosed () =
     (Session.consumed s');
   Session.close s'
 
+(* Restore builds only the latest snapshot and the events after it, but
+   every record a later snapshot supersedes is still read, CRC-checked and
+   decoded under the same rules: damage there must raise the same
+   diagnosis, naming the record and its byte offset, from both restore
+   and inspect. *)
+
+module B = Ltc_core.Serialize.Binary
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* A closed binary journal holding several appended snapshots ([close]
+   does not compact), as its header bytes plus its frames: (offset,
+   payload) in file order. *)
+let superseded_fixture () =
+  let instance =
+    small_instance ~n_tasks:30 ~n_workers:60 ~capacity:1 ~seed:41 ()
+  in
+  let create journal =
+    Session.create ~journal ~checkpoint_every:8 ~format:Session.Binary
+      ~group_commit:4 ~algorithm:Ltc_algo.Algorithm.laf ~seed:9 instance
+  in
+  (* A journal with no arrivals is exactly its header. *)
+  let header =
+    with_tmp_journal @@ fun path ->
+    Session.close (create path);
+    read_file path
+  in
+  with_tmp_journal @@ fun path ->
+  let s = create path in
+  List.iteri (fun j w -> if j < 44 then ignore (Session.feed s w))
+    (arrivals instance);
+  Session.close s;
+  let info = Session.Journal.inspect ~path in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 3 appended snapshots (%d)"
+       info.Session.Journal.snapshots)
+    true
+    (info.Session.Journal.snapshots >= 3);
+  let bytes = read_file path in
+  Alcotest.(check string) "journal starts with its header" header
+    (String.sub bytes 0 (String.length header));
+  let rec frames pos acc =
+    match B.frame_of_string bytes pos with
+    | B.Frame payload ->
+      frames (pos + 8 + String.length payload) ((pos, payload) :: acc)
+    | B.Eof -> List.rev acc
+    | B.Torn | B.Invalid _ -> Alcotest.fail "fixture frames must be intact"
+  in
+  (header, Array.of_list (frames (String.length header) []))
+
+let is_snapshot payload = payload.[0] = 'S'
+
+(* The snapshot codec spelled out with the primitives, with a hook on each
+   score, so a test can write a CRC-valid snapshot holding a value the
+   encoder would never produce. *)
+let reencode_snapshot ~score payload =
+  match B.record_of_payload payload with
+  | B.Event _ -> Alcotest.fail "expected a snapshot record"
+  | B.Snapshot s ->
+    let p = Ltc_core.Progress.snapshot s.B.s_progress in
+    let buf = Buffer.create (String.length payload) in
+    B.add_u8 buf (Char.code 'S');
+    B.add_varint buf s.B.s_consumed;
+    B.add_i64 buf s.B.s_policy;
+    B.add_i64 buf s.B.s_noshow;
+    B.add_varint buf (Array.length p.Ltc_core.Progress.thresholds);
+    B.add_f64 buf p.Ltc_core.Progress.sum_remaining;
+    Array.iteri
+      (fun task threshold ->
+        B.add_f64 buf threshold;
+        B.add_f64 buf (score task p.Ltc_core.Progress.scores.(task)))
+      p.Ltc_core.Progress.thresholds;
+    let assignments = Ltc_core.Arrangement.to_list s.B.s_arrangement in
+    B.add_varint buf (List.length assignments);
+    List.iter
+      (fun (a : Ltc_core.Arrangement.assignment) ->
+        B.add_varint buf a.Ltc_core.Arrangement.worker;
+        B.add_varint buf a.Ltc_core.Arrangement.task)
+      assignments;
+    Buffer.contents buf
+
+let frame_bytes header frames =
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf header;
+  Array.iter (fun (_, payload) -> B.add_frame buf payload) frames;
+  Buffer.contents buf
+
+(* [bytes] written to a fresh journal must be refused by restore and by
+   inspect, naming record [k] (0-based frame index) at its offset and
+   [reason]. *)
+let check_refused ~what ~k ~offset ~reason bytes =
+  with_tmp_journal @@ fun path ->
+  let check_message label message =
+    let has affix = Astring.String.is_infix ~affix message in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s names record %d at byte %d and %S: %s" what
+         label (k + 1) offset reason message)
+      true
+      (has (Printf.sprintf "corrupted record %d at byte %d:" (k + 1) offset)
+      && has reason)
+  in
+  write_file path bytes;
+  (match Session.Journal.inspect ~path with
+  | (_ : Session.Journal.info) ->
+    Alcotest.failf "%s: inspect must refuse the journal" what
+  | exception Session.Corrupt_journal { message; _ } ->
+    check_message "inspect" message);
+  match Session.restore ~path () with
+  | (_ : Session.t) -> Alcotest.failf "%s: restore must refuse the journal" what
+  | exception Session.Corrupt_journal { path = p; message } ->
+    Alcotest.(check string) "names the file" path p;
+    check_message "restore" message
+
+(* The fixture's first snapshot and its second event: both superseded by
+   the last snapshot. *)
+let superseded_targets frames =
+  let n = Array.length frames in
+  let last_snapshot =
+    let rec go i = if is_snapshot (snd frames.(i)) then i else go (i - 1) in
+    go (n - 1)
+  in
+  let first_snapshot =
+    let rec go i = if is_snapshot (snd frames.(i)) then i else go (i + 1) in
+    go 0
+  in
+  Alcotest.(check bool) "the first snapshot is superseded" true
+    (first_snapshot < last_snapshot);
+  Alcotest.(check bool) "frame 2 is an event" false
+    (is_snapshot (snd frames.(1)));
+  (first_snapshot, 1)
+
+let with_payload frames k payload =
+  let frames = Array.copy frames in
+  frames.(k) <- (fst frames.(k), payload);
+  frames
+
+let test_superseded_records_checked () =
+  let header, frames = superseded_fixture () in
+  let snapshot, event = superseded_targets frames in
+  (* The intact journal restores, and the re-encoder is the codec. *)
+  (with_tmp_journal @@ fun path ->
+   write_file path (frame_bytes header frames);
+   Session.close (Session.restore ~path ()));
+  let snap_offset, snap_payload = frames.(snapshot) in
+  Alcotest.(check string) "re-encoding is the identity" snap_payload
+    (reencode_snapshot ~score:(fun _ s -> s) snap_payload);
+  (* (a) A flipped payload byte: the CRC catches it. *)
+  let flipped =
+    let b = Bytes.of_string (frame_bytes header frames) in
+    let at = snap_offset + 8 + 20 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+    Bytes.to_string b
+  in
+  check_refused ~what:"flipped byte" ~k:snapshot ~offset:snap_offset
+    ~reason:"CRC mismatch" flipped;
+  (* (b) A CRC-valid snapshot with one (positive) score negated. *)
+  let scored =
+    match B.record_of_payload snap_payload with
+    | B.Snapshot s ->
+      let scores = (Ltc_core.Progress.snapshot s.B.s_progress).scores in
+      let rec first_positive t =
+        if scores.(t) > 0.0 then t else first_positive (t + 1)
+      in
+      first_positive 0
+    | B.Event _ -> assert false
+  in
+  let negated =
+    reencode_snapshot
+      ~score:(fun task s -> if task = scored then -.s else s)
+      snap_payload
+  in
+  check_refused ~what:"negated score" ~k:snapshot ~offset:snap_offset
+    ~reason:"negative score"
+    (frame_bytes header (with_payload frames snapshot negated));
+  (* (c) A CRC-valid event with one trailing byte. *)
+  let event_offset, event_payload = frames.(event) in
+  let trailing = with_payload frames event (event_payload ^ "\000") in
+  check_refused ~what:"trailing byte" ~k:event ~offset:event_offset
+    ~reason:"1 trailing bytes" (frame_bytes header trailing);
+  (* Two damaged records: the first in file order is the one reported. *)
+  check_refused ~what:"first damage wins" ~k:event ~offset:event_offset
+    ~reason:"1 trailing bytes"
+    (frame_bytes header (with_payload trailing snapshot negated))
+
+(* NaN fails every comparison, so it needs its own rule; the superseded
+   walk shares it. *)
+let test_superseded_nan_refused () =
+  let header, frames = superseded_fixture () in
+  let snapshot, _ = superseded_targets frames in
+  let offset, payload = frames.(snapshot) in
+  let nan_score =
+    reencode_snapshot
+      ~score:(fun task s -> if task = 0 then Float.nan else s)
+      payload
+  in
+  check_refused ~what:"NaN score" ~k:snapshot ~offset
+    ~reason:"non-finite score"
+    (frame_bytes header (with_payload frames snapshot nan_score))
+
+(* A text journal event with a non-finite coordinate is a damaged record,
+   not an arrival the policy can place. *)
+let test_text_event_nan_refused () =
+  let instance = small_instance ~seed:31 () in
+  with_tmp_journal @@ fun path ->
+  let s =
+    Session.create ~journal:path ~checkpoint_every:100
+      ~algorithm:Ltc_algo.Algorithm.laf ~seed:5 instance
+  in
+  List.iteri (fun j w -> if j < 12 then ignore (Session.feed s w))
+    (arrivals instance);
+  Session.close s;
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  let seen = ref 0 in
+  let mangled =
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "w" :: index :: _ :: rest ->
+          incr seen;
+          if !seen = 4 then String.concat " " ("w" :: index :: "nan" :: rest)
+          else l
+        | _ -> l)
+      lines
+  in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) mangled);
+  match Session.restore ~path () with
+  | (_ : Session.t) -> Alcotest.fail "a NaN coordinate must be refused"
+  | exception Session.Corrupt_journal { message; _ } ->
+    let has affix = Astring.String.is_infix ~affix message in
+    Alcotest.(check bool)
+      (Printf.sprintf "names the damaged record: %s" message)
+      true
+      (has "corrupted record" && has "nan")
+
+(* Restore keeps a current header's bytes instead of rendering it again.
+   That is only sound because parsing a header and rendering it gives
+   back the same bytes: pinned here through [Journal.convert], which
+   renders the parsed header, on both codecs. *)
+let test_header_bytes_round_trip () =
+  let instance = small_instance ~n_tasks:12 ~seed:53 () in
+  List.iter
+    (fun format ->
+      let create journal =
+        Session.create ~journal ~checkpoint_every:5 ~format ~accept_rate:0.7
+          ~deadline:
+            {
+              Session.budget_s = 0.05;
+              fallback = Ltc_algo.Algorithm.nearest_first;
+            }
+          ~algorithm:Ltc_algo.Algorithm.laf ~seed:8 instance
+      in
+      let header =
+        with_tmp_journal @@ fun path ->
+        Session.close (create path);
+        read_file path
+      in
+      let starts_with what bytes =
+        let len = min (String.length header) (String.length bytes) in
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s starts with the header"
+             (Session.codec_name format) what)
+          header (String.sub bytes 0 len)
+      in
+      with_tmp_journal @@ fun path ->
+      let s = create path in
+      List.iteri (fun j w -> if j < 12 then ignore (Session.feed s w))
+        (arrivals instance);
+      Session.close s;
+      with_tmp_journal @@ fun copy ->
+      Session.Journal.convert ~src:path ~dst:copy format;
+      starts_with "a rendered copy" (read_file copy);
+      Session.close (Session.restore ~path ());
+      starts_with "the restored journal" (read_file path))
+    [ Session.Text; Session.Binary ]
+
 (* ------------------------------------------------ deadline degradation *)
 
 let delay_at hits =
@@ -983,6 +1262,52 @@ let test_shard_manifest_roundtrip () =
     (sharded_fp srv' = base_fp);
   Shard_server.close srv'
 
+(* A manifest's own floats (accept rate, deadline budget) and its
+   instance's are refused when not finite, naming the line. *)
+let test_shard_manifest_non_finite () =
+  let instance = clustered_instance ~seed:5 () in
+  with_tmp_shard_base @@ fun base ->
+  Shard_server.close
+    (Shard_server.create ~mode:Shard_server.Inline ~journal:base
+       ~accept_rate:0.8
+       ~deadline:
+         {
+           Session.budget_s = 0.05;
+           fallback = Ltc_algo.Algorithm.nearest_first;
+         }
+       ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:3 instance);
+  let lines = In_channel.with_open_text base In_channel.input_lines in
+  ignore (Shard_server.manifest_info ~path:base);
+  List.iter
+    (fun (prefix, field, value, reason) ->
+      let line = ref 0 in
+      let edited =
+        List.mapi
+          (fun i l ->
+            if !line = 0 && String.starts_with ~prefix l then begin
+              line := i + 1;
+              String.concat " "
+                (List.mapi
+                   (fun j f -> if j = field then value else f)
+                   (String.split_on_char ' ' l))
+            end
+            else l)
+          lines
+      in
+      Out_channel.with_open_text base (fun oc ->
+          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) edited);
+      match Shard_server.manifest_info ~path:base with
+      | (_ : Shard_server.manifest_info) ->
+        Alcotest.failf "%s%s accepted" prefix value
+      | exception Ltc_core.Serialize.Parse_error { line = l; message } ->
+        Alcotest.(check int) (prefix ^ value ^ ": line") !line l;
+        Alcotest.(check string) (prefix ^ value ^ ": message") reason message)
+    [
+      ("accept_rate ", 1, "nan", "bad accept_rate \"nan\"");
+      ("deadline ", 1, "inf", "bad deadline \"inf\"");
+      ("t 0 ", 2, "nan", "expected a finite float, got \"nan\"");
+    ]
+
 (* One shard is the plain session, for every online registry entry —
    Random and no-show draws included, since it keeps the root seed — with
    or without a binary journal, and across a kill at a random journal
@@ -1437,6 +1762,14 @@ let suite =
           test_truncated_journal_recovers;
         Alcotest.test_case "interior corruption diagnosed" `Quick
           test_interior_corruption_diagnosed;
+        Alcotest.test_case "superseded binary records still checked" `Quick
+          test_superseded_records_checked;
+        Alcotest.test_case "NaN score in a superseded snapshot refused"
+          `Quick test_superseded_nan_refused;
+        Alcotest.test_case "text event with a NaN coordinate refused" `Quick
+          test_text_event_nan_refused;
+        Alcotest.test_case "header bytes round-trip (both codecs)" `Quick
+          test_header_bytes_round_trip;
         Alcotest.test_case "compaction bounds the journal" `Quick
           test_compaction_bounds_journal;
       ] );
@@ -1469,6 +1802,8 @@ let suite =
         qcheck prop_sharded_kill_restore;
         Alcotest.test_case "manifest roundtrip" `Quick
           test_shard_manifest_roundtrip;
+        Alcotest.test_case "manifest refuses non-finite floats" `Quick
+          test_shard_manifest_non_finite;
         qcheck prop_one_shard_is_session;
       ] );
     ( "service.supervision",
