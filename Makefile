@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `make check` is the one command CI
 # and contributors run before pushing.
 
-.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos bench-ab smoke fmt check clean
+.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-loadgen bench-shard bench-chaos bench-ab smoke fmt check clean
 
 all: build
 
@@ -38,12 +38,6 @@ bench-flow:
 # Refreshes the committed BENCH_serve_replay.json snapshot.
 bench-serve:
 	dune exec bench/main.exe -- serve-replay --json BENCH_serve_replay.json
-
-# Journal codec comparison: the serve-replay bench times the feed under
-# the text codec, the binary codec with group commit, and no journal at
-# all, and reports the per-codec rates plus journal_speedup.  Alias of
-# bench-serve — both refresh BENCH_serve_replay.json.
-bench-journal: bench-serve
 
 # Open-loop SLO measurement: one deterministic Loadgen flash-crowd pass,
 # timed.  Refreshes the committed BENCH_loadgen.json snapshot.

@@ -311,15 +311,13 @@ let run_flow_batch ~scale () =
 
 (* --------------------------------------------------- serve-replay micro *)
 
-(* Streaming-service costs: plain feed, journaled feed in both codecs
-   (text: line-oriented append + flush per arrival; binary: CRC-framed
-   records with group commit) and per-codec checkpoint/restore — snapshot
-   load plus policy replay of the journal tail.  The identical flag
-   asserts that every journaled run and every session restored from a
-   mid-stream kill finishes with exactly the plain run's arrangement,
-   latency and RNG states — for binary with group commit, the restored
-   session recovers exactly the last committed group boundary (the
-   buffered suffix behaves like a torn tail). *)
+(* Streaming-service costs: plain feed, journaled feed (CRC-framed
+   records with group commit) and checkpoint/restore — snapshot load plus
+   policy replay of the journal tail.  The identical flag asserts that
+   the journaled run and a session restored from a mid-stream kill both
+   finish with exactly the plain run's arrangement, latency and RNG
+   states, and that the restore recovers exactly the last committed group
+   boundary (the buffered suffix behaves like a torn tail). *)
 let serve_replay_id = "serve-replay"
 
 let copy_file ~src ~dst =
@@ -346,13 +344,13 @@ let run_serve_replay () =
   let seed = 42 in
   let checkpoint_every = 256 in
   let group_commit = 64 in
-  (* one full tail pending: restore replays checkpoint_every - 1 events *)
   let kill_at = (2 * checkpoint_every) - 1 in
-  let tail_events = kill_at mod checkpoint_every in
-  (* With group commit, events buffered past the last committed group die
-     with the kill; restore recovers exactly the committed boundary. *)
-  let durable_at = kill_at - (tail_events mod group_commit) in
-  let tail_events_binary = durable_at mod checkpoint_every in
+  (* Events buffered past the last committed group die with the kill;
+     restore recovers exactly the committed boundary. *)
+  let durable_at =
+    kill_at - (kill_at mod checkpoint_every mod group_commit)
+  in
+  let tail_events = durable_at mod checkpoint_every in
   let feed_all s =
     List.iter (fun w -> ignore (Ltc_service.Session.feed s w)) ws
   in
@@ -380,52 +378,44 @@ let run_serve_replay () =
     (!result, !best)
   in
   let journal = Filename.temp_file "ltc_bench_serve" ".journal" in
-  let pristine_text = Filename.temp_file "ltc_bench_serve" ".ptext" in
-  let pristine_binary = Filename.temp_file "ltc_bench_serve" ".pbin" in
+  let pristine = Filename.temp_file "ltc_bench_serve" ".pristine" in
   Fun.protect
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ journal; pristine_text; pristine_binary ])
+        [ journal; pristine ])
   @@ fun () ->
   let plain () =
     let s = Ltc_service.Session.create ~algorithm ~seed instance in
     feed_all s;
     fingerprint s
   in
-  let journaled ~format ~group_commit () =
+  let journaled () =
     let s =
-      Ltc_service.Session.create ~journal ~checkpoint_every ~format
-        ~group_commit ~algorithm ~seed instance
+      Ltc_service.Session.create ~journal ~checkpoint_every ~group_commit
+        ~algorithm ~seed instance
     in
     feed_all s;
     Ltc_service.Session.close s;
     fingerprint s
   in
-  (* Crash fixtures: kill_at events journaled, session abandoned unclosed
-     — for binary with group commit, the last partial group stays
-     buffered and dies with the kill. *)
-  let make_pristine ~format ~group_commit path =
-    let s =
-      Ltc_service.Session.create ~journal:path ~checkpoint_every ~format
-        ~group_commit ~algorithm ~seed instance
-    in
-    List.iteri
-      (fun j w -> if j < kill_at then ignore (Ltc_service.Session.feed s w))
-      ws
-  in
-  make_pristine ~format:Ltc_service.Session.Text ~group_commit:1
-    pristine_text;
-  make_pristine ~format:Ltc_service.Session.Binary ~group_commit
-    pristine_binary;
-  let restore_once pristine () =
+  (* Crash fixture: kill_at events journaled, session abandoned unclosed
+     — the last partial group stays buffered and dies with the kill. *)
+  (let s =
+     Ltc_service.Session.create ~journal:pristine ~checkpoint_every
+       ~group_commit ~algorithm ~seed instance
+   in
+   List.iteri
+     (fun j w -> if j < kill_at then ignore (Ltc_service.Session.feed s w))
+     ws);
+  let restore_once () =
     copy_file ~src:pristine ~dst:journal;
     let s = Ltc_service.Session.restore ~path:journal () in
     Ltc_service.Session.close s;
     Ltc_service.Session.consumed s
   in
   (* Finish one restored session and compare against the plain run. *)
-  let resume pristine =
+  let resume () =
     copy_file ~src:pristine ~dst:journal;
     let s = Ltc_service.Session.restore ~path:journal () in
     let start = Ltc_service.Session.consumed s in
@@ -436,38 +426,16 @@ let run_serve_replay () =
     fingerprint s
   in
   let plain_fp, plain_s = time_variant plain in
-  let text_fp, text_s =
-    time_variant (journaled ~format:Ltc_service.Session.Text ~group_commit:1)
-  in
-  let binary_fp, binary_s =
-    time_variant
-      (journaled ~format:Ltc_service.Session.Binary ~group_commit)
-  in
-  let restored_text, restore_text_s =
-    time_variant (restore_once pristine_text)
-  in
-  let restored_binary, restore_binary_s =
-    time_variant (restore_once pristine_binary)
-  in
-  let resumed_text_fp = resume pristine_text in
-  let resumed_binary_fp = resume pristine_binary in
+  let journal_fp, journal_s = time_variant journaled in
+  let restored, restore_s = time_variant restore_once in
   let identical =
-    text_fp = plain_fp && binary_fp = plain_fp
-    && resumed_text_fp = plain_fp
-    && resumed_binary_fp = plain_fp
-    && restored_text = kill_at
-    && restored_binary = durable_at
+    journal_fp = plain_fp && resume () = plain_fp && restored = durable_at
   in
   let per_s events t = if t > 0.0 then float_of_int events /. t else 0.0 in
-  let journal_speedup =
-    if binary_s > 0.0 then text_s /. binary_s else 0.0
-  in
   Printf.printf
     "%d arrivals, checkpoint every %d, group commit %d, killed at %d; \
-     restored consumed %d (text, %d-event tail) / %d (binary, %d-event \
-     tail)\n"
-    n_events checkpoint_every group_commit kill_at restored_text tail_events
-    restored_binary tail_events_binary;
+     restored consumed %d (%d-event tail)\n"
+    n_events checkpoint_every group_commit kill_at restored tail_events;
   Printf.printf "checksum: %s\n\n"
     (if identical then "journaled and restored runs match the plain run"
      else "RUNS DISAGREE");
@@ -482,32 +450,22 @@ let run_serve_replay () =
     ~header:[ "variant"; "time/pass (ms)"; "events/s" ]
     [
       row "feed (no journal)" n_events plain_s;
-      row "feed + text journal" n_events text_s;
       row
-        (Printf.sprintf "feed + binary journal (group %d)" group_commit)
-        n_events binary_s;
-      row "restore text (snapshot + replay)" tail_events restore_text_s;
-      row "restore binary (snapshot + replay)" tail_events_binary
-        restore_binary_s;
+        (Printf.sprintf "feed + journal (group %d)" group_commit)
+        n_events journal_s;
+      row "restore (snapshot + replay)" tail_events restore_s;
     ];
   print_newline ();
   ( "BENCH_serve_replay",
     Printf.sprintf
-      "{\"events\": %d, \"tail_events\": %d, \"tail_events_binary\": %d, \
-       \"checkpoint_every\": %d, \"group_commit\": %d, \"feed_s\": %.6f, \
-       \"feed_journal_text_s\": %.6f, \"feed_journal_binary_s\": %.6f, \
-       \"restore_text_s\": %.6f, \"restore_binary_s\": %.6f, \
-       \"feed_per_s\": %.1f, \"feed_journal_text_per_s\": %.1f, \
-       \"feed_journal_binary_per_s\": %.1f, \"replay_text_per_s\": %.1f, \
-       \"replay_binary_per_s\": %.1f, \"journal_speedup\": %.3f, \
+      "{\"events\": %d, \"tail_events\": %d, \"checkpoint_every\": %d, \
+       \"group_commit\": %d, \"feed_s\": %.6f, \"feed_journal_s\": %.6f, \
+       \"restore_s\": %.6f, \"feed_per_s\": %.1f, \
+       \"feed_journal_per_s\": %.1f, \"replay_per_s\": %.1f, \
        \"identical\": %d}"
-      n_events tail_events tail_events_binary checkpoint_every group_commit
-      plain_s text_s binary_s restore_text_s restore_binary_s
-      (per_s n_events plain_s) (per_s n_events text_s)
-      (per_s n_events binary_s)
-      (per_s tail_events restore_text_s)
-      (per_s tail_events_binary restore_binary_s)
-      journal_speedup
+      n_events tail_events checkpoint_every group_commit plain_s journal_s
+      restore_s (per_s n_events plain_s) (per_s n_events journal_s)
+      (per_s tail_events restore_s)
       (if identical then 1 else 0) )
 
 (* --------------------------------------------------- chaos-replay micro *)

@@ -760,23 +760,9 @@ let checkpoint_every_arg ~default =
   Arg.(
     value & opt int default
     & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Snapshot (and compact) the journal every $(docv) events.")
-
-let journal_format_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("text", Ltc_service.Session.Text);
-             ("binary", Ltc_service.Session.Binary);
-           ])
-        Ltc_service.Session.Text
-    & info [ "journal-format" ] ~docv:"text|binary"
         ~doc:
-          "On-disk journal codec: $(b,text) (line-oriented, default) or \
-           $(b,binary) (length-prefixed CRC32-framed records — the fast \
-           path).  Restore auto-detects the codec from the header.")
+          "Append a snapshot to the journal every $(docv) events; every \
+           16th one compacts the file to a single snapshot.")
 
 let group_commit_arg =
   Arg.(
@@ -846,7 +832,6 @@ type server_opts = {
   o_accept_rate : float option;
   o_journal : string option;
   o_checkpoint_every : int;
-  o_format : Ltc_service.Session.codec;
   o_group_commit : int;
   o_shards : int option;  (* [None]: --shards absent, one shard *)
   o_mailbox : int;
@@ -906,15 +891,13 @@ let server_opts =
              degraded decision (counted in ltc_shard_shed_total) without \
              touching the shard.")
   in
-  let make o_seed o_accept_rate o_journal o_checkpoint_every o_format
-      o_group_commit o_shards o_mailbox max_restarts overload o_deadline_s
-      o_fallback =
+  let make o_seed o_accept_rate o_journal o_checkpoint_every o_group_commit
+      o_shards o_mailbox max_restarts overload o_deadline_s o_fallback =
     {
       o_seed;
       o_accept_rate;
       o_journal;
       o_checkpoint_every;
-      o_format;
       o_group_commit;
       o_shards;
       o_mailbox;
@@ -929,13 +912,13 @@ let server_opts =
         "Journal every arrival and decision to $(docv), with periodic \
          snapshots, so the run survives a crash."
     $ checkpoint_every_arg ~default:256
-    $ journal_format_arg $ group_commit_arg $ shards $ mailbox $ max_restarts
-    $ overload $ deadline_arg $ fallback_arg)
+    $ group_commit_arg $ shards $ mailbox $ max_restarts $ overload
+    $ deadline_arg $ fallback_arg)
 
 let create_server o ~deadline ~fsync ~mode ~algorithm instance =
   Ltc_service.Shard_server.create ?accept_rate:o.o_accept_rate ?deadline
     ?journal:o.o_journal ?supervise:o.o_supervise
-    ~checkpoint_every:o.o_checkpoint_every ~fsync ~format:o.o_format
+    ~checkpoint_every:o.o_checkpoint_every ~fsync
     ~group_commit:o.o_group_commit ~mailbox:o.o_mailbox ~mode
     ~shards:(Option.value o.o_shards ~default:1)
     ~algorithm ~seed:o.o_seed instance
@@ -1217,8 +1200,8 @@ let loadgen_cmd =
    streams are identical. *)
 let chaos_cmd =
   let impl load algo_name seed accept_rate fault_seed crashes io_errors
-      torn_writes delays horizon checkpoint_every journal journal_format
-      group_commit shards max_restarts deadline_s fallback_name log_levels =
+      torn_writes delays horizon checkpoint_every journal group_commit shards
+      max_restarts deadline_s fallback_name log_levels =
     setup_observability ~verbose:false ~log_levels ~metrics:None;
     let algorithm = resolve_algorithm algo_name in
     let deadline = resolve_deadline deadline_s fallback_name in
@@ -1262,8 +1245,8 @@ let chaos_cmd =
       let r =
         Fun.protect ~finally:cleanup (fun () ->
             Ltc_service.Chaos.run_sharded ?accept_rate ?supervise
-              ~checkpoint_every ~format:journal_format ~group_commit ~plan
-              ~shards ~algorithm ~seed ~journal:journal_path instance)
+              ~checkpoint_every ~group_commit ~plan ~shards ~algorithm ~seed
+              ~journal:journal_path instance)
       in
       let open Ltc_service.Chaos in
       Format.printf
@@ -1320,8 +1303,8 @@ let chaos_cmd =
     let report =
       Fun.protect ~finally:cleanup (fun () ->
           Ltc_service.Chaos.run ?accept_rate ?deadline ~checkpoint_every
-            ~format:journal_format ~group_commit ~plan ~algorithm ~seed
-            ~journal:journal_path instance)
+            ~group_commit ~plan ~algorithm ~seed ~journal:journal_path
+            instance)
     in
     let open Ltc_service.Chaos in
     Format.printf "chaos: algorithm=%s arrivals=%d seed=%d fault-seed=%d@."
@@ -1399,14 +1382,14 @@ let chaos_cmd =
       $ journal_arg
           "Journal path for the chaos run (default: a temp file, deleted \
            afterwards)."
-      $ journal_format_arg $ group_commit_arg $ shards $ max_restarts
-      $ deadline_arg $ fallback_arg $ log_arg)
+      $ group_commit_arg $ shards $ max_restarts $ deadline_arg
+      $ fallback_arg $ log_arg)
 
 (* -------------------------------------------------------- journal command *)
 
 (* Offline journal tooling (Ltc_service.Session.Journal): inspect a
    journal's header and record structure without building a session, or
-   transcode it between the text and binary codecs. *)
+   transcode an old text journal to binary. *)
 let journal_cmd =
   let path_pos =
     Arg.(
@@ -1458,8 +1441,6 @@ let journal_cmd =
       | Some q -> Format.printf "accept_rate: %g@." q);
       Format.printf "checkpoint_every: %d@." mi.S.mi_checkpoint_every;
       Format.printf "fsync: %b@." mi.S.mi_fsync;
-      Format.printf "codec: %s@."
-        (Ltc_service.Session.codec_name mi.S.mi_format);
       Format.printf "group_commit: %d@." mi.S.mi_group_commit;
       (match mi.S.mi_deadline with
       | None -> Format.printf "deadline: none@."
@@ -1547,11 +1528,11 @@ let journal_cmd =
       Term.(const impl $ path_pos $ fingerprint)
   in
   let convert_cmd =
-    let impl src dst format =
+    let impl src dst =
       if src = dst then die "journal convert: SRC and DST must differ";
       require_journal_file ~cmd:"convert" src;
       let module J = Ltc_service.Session.Journal in
-      J.convert ~src ~dst format;
+      J.convert ~src ~dst;
       let info = J.inspect ~path:dst in
       Format.printf "converted %s -> %s (%s, %d bytes, %d snapshots, %d \
                      events)@."
@@ -1573,24 +1554,11 @@ let journal_cmd =
         & info [] ~docv:"DST"
             ~doc:"Output path (truncated if it exists).")
     in
-    let to_format =
-      Arg.(
-        required
-        & opt
-            (some
-               (enum
-                  [
-                    ("text", Ltc_service.Session.Text);
-                    ("binary", Ltc_service.Session.Binary);
-                  ]))
-            None
-        & info [ "to" ] ~docv:"text|binary" ~doc:"Target codec.")
-    in
     Cmd.v
       (Cmd.info "convert"
-         ~doc:"re-encode a journal between the text and binary codecs, \
-               record for record")
-      Term.(const impl $ src $ dst $ to_format)
+         ~doc:"re-encode a journal (an old text one, typically) as a binary \
+               journal, record for record")
+      Term.(const impl $ src $ dst)
   in
   Cmd.group
     (Cmd.info "journal"

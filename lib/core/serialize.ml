@@ -257,23 +257,10 @@ let arrangement_of_string s = parse_arrangement (source_of_string s)
 
 (* ---------------------------------------------------- snapshot payloads *)
 
-(* Progress and Rng state are the mutable halves of a streaming session;
-   the service layer embeds these blocks in its journal snapshots.  Both
-   use the same round-trip float precision as instances, so a restored
-   tracker answers [sum_remaining]/[max_remaining] bit-identically. *)
-
-let emit_progress sink progress =
-  let snap = Progress.snapshot progress in
-  let pf fmt = Printf.ksprintf sink fmt in
-  let n = Array.length snap.Progress.thresholds in
-  pf "ltc-progress v1\n";
-  pf "tasks %d\n" n;
-  pf "sum_remaining %s\n" (fp snap.Progress.sum_remaining);
-  for task = 0 to n - 1 do
-    pf "p %s %s\n"
-      (fp snap.Progress.thresholds.(task))
-      (fp snap.Progress.scores.(task))
-  done
+(* The progress block old text journals embed in each snapshot, read
+   back when the service imports one.  Its floats were written with the
+   same round-trip precision as instances, so a restored tracker answers
+   [sum_remaining]/[max_remaining] bit-identically. *)
 
 let parse_progress src =
   (match next_line src with
@@ -303,24 +290,7 @@ let parse_progress src =
   | exception Invalid_argument message ->
     parse_error ~line:src.line_no "invalid progress snapshot: %s" message
 
-let emit_rng sink rng =
-  Printf.ksprintf sink "ltc-rng v1\nstate %Ld\n" (Ltc_util.Rng.state rng)
-
-let parse_rng src =
-  (match next_line src with
-  | "ltc-rng v1" -> ()
-  | other -> parse_error ~line:src.line_no "bad header %S" other);
-  match fields (next_line src) with
-  | [ "state"; s ] -> (
-    match Int64.of_string_opt s with
-    | Some state -> Ltc_util.Rng.of_state state
-    | None -> parse_error ~line:src.line_no "expected an int64, got %S" s)
-  | _ -> parse_error ~line:src.line_no "expected 'state <int64>'"
-
-let progress_to_string p = to_string_with emit_progress p
 let progress_of_string s = parse_progress (source_of_string s)
-let rng_to_string rng = to_string_with emit_rng rng
-let rng_of_string s = parse_rng (source_of_string s)
 
 (* --------------------------------------------------------- binary codec *)
 

@@ -44,16 +44,14 @@ val arrangement_of_string : string -> Arrangement.t
 
 (** {2 Snapshot payloads}
 
-    The streaming service ({!Ltc_service}) journals session state as
-    embedded blocks in the same line-oriented format: [Progress] snapshots
-    (thresholds, accumulators and the raw running [sum_remaining]) and
-    [Rng] state.  Floats round-trip exactly, so a restored session answers
-    every aggregate query bit-identically. *)
+    Old text journals of the streaming service ({!Ltc_service}) embed
+    [Progress] snapshots (thresholds, accumulators and the raw running
+    [sum_remaining]) in the same line-oriented format, which the service
+    reads when it imports one; nothing writes them any more.  Floats
+    round-trip exactly, so a restored session answers every aggregate
+    query bit-identically. *)
 
-val progress_to_string : Progress.t -> string
 val progress_of_string : string -> Progress.t
-val rng_to_string : Ltc_util.Rng.t -> string
-val rng_of_string : string -> Ltc_util.Rng.t
 
 (** {2 Low-level emit/parse}
 
@@ -97,10 +95,7 @@ val emit_instance : sink -> Instance.t -> unit
 val parse_instance : source -> Instance.t
 val emit_arrangement : sink -> Arrangement.t -> unit
 val parse_arrangement : source -> Arrangement.t
-val emit_progress : sink -> Progress.t -> unit
 val parse_progress : source -> Progress.t
-val emit_rng : sink -> Ltc_util.Rng.t -> unit
-val parse_rng : source -> Ltc_util.Rng.t
 
 (** {2 Binary record codec}
 
@@ -153,9 +148,9 @@ module Binary : sig
     e_assigned : int list;
     e_answered : int list;
   }
-  (** One arrival and its decision, fused into a single record (the text
-      codec's [w]/[d] line pair): a torn append can never journal an
-      arrival without its decision. *)
+  (** One arrival and its decision, fused into a single record (an old
+      text journal's [w]/[d] line pair): a torn append can never journal
+      an arrival without its decision. *)
 
   type snapshot = {
     s_consumed : int;

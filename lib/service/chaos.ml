@@ -75,7 +75,7 @@ let baseline_run ?accept_rate ?deadline ~plan ~algorithm ~seed instance
   feed_all ~record (ref s) workers;
   (Array.map Option.get decisions, fingerprint s)
 
-let chaos_run ?accept_rate ?deadline ?checkpoint_every ?format ?group_commit
+let chaos_run ?accept_rate ?deadline ?checkpoint_every ?group_commit
     ~max_restores ~plan ~algorithm ~seed ~journal instance workers =
   let n = Array.length workers in
   let decisions = Array.make n None in
@@ -104,9 +104,8 @@ let chaos_run ?accept_rate ?deadline ?checkpoint_every ?format ?group_commit
     if (not (Sys.file_exists journal)) || Session.is_empty_journal journal
     then
       match
-        Session.create ?accept_rate ?deadline ?checkpoint_every ?format
-          ?group_commit ~on_decision:record ~journal ~fsync:true ~algorithm
-          ~seed instance
+        Session.create ?accept_rate ?deadline ?checkpoint_every ?group_commit
+          ~on_decision:record ~journal ~fsync:true ~algorithm ~seed instance
       with
       | s -> s
       | exception (Fault.Injected_crash _ | Fault.Injected_io _) ->
@@ -216,8 +215,8 @@ let feed_all_sharded ~record server workers =
     workers;
   List.iter record (Shard_server.flush server)
 
-let run_sharded ?accept_rate ?(checkpoint_every = 64) ?format ?group_commit
-    ?mailbox ?supervise ~plan ~shards ~algorithm ~seed ~journal
+let run_sharded ?accept_rate ?(checkpoint_every = 64) ?group_commit ?mailbox
+    ?supervise ~plan ~shards ~algorithm ~seed ~journal
     (instance : Ltc_core.Instance.t) =
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
@@ -279,8 +278,8 @@ let run_sharded ?accept_rate ?(checkpoint_every = 64) ?format ?group_commit
       Fault.arm plan;
       Fault.Clock.set_virtual 0.0;
       let server =
-        Shard_server.create ?accept_rate ?format ?group_commit ?mailbox
-          ~journal ~checkpoint_every ~fsync:true ~mode:Shard_server.Domains ~supervise
+        Shard_server.create ?accept_rate ?group_commit ?mailbox ~journal
+          ~checkpoint_every ~fsync:true ~mode:Shard_server.Domains ~supervise
           ~shards ~algorithm ~seed instance
       in
       let survived =
@@ -330,8 +329,8 @@ let run_sharded ?accept_rate ?(checkpoint_every = 64) ?format ?group_commit
         s_survived = survived;
       })
 
-let run ?accept_rate ?deadline ?checkpoint_every ?format ?group_commit
-    ?max_restores ~plan ~algorithm ~seed ~journal
+let run ?accept_rate ?deadline ?checkpoint_every ?group_commit ?max_restores
+    ~plan ~algorithm ~seed ~journal
     (instance : Ltc_core.Instance.t) =
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
@@ -351,8 +350,8 @@ let run ?accept_rate ?deadline ?checkpoint_every ?format ?group_commit
           workers
       in
       let survived, fp_chaos, crashes, restores, stats =
-        chaos_run ?accept_rate ?deadline ?checkpoint_every ?format
-          ?group_commit ~max_restores ~plan ~algorithm ~seed ~journal
+        chaos_run ?accept_rate ?deadline ?checkpoint_every ?group_commit
+          ~max_restores ~plan ~algorithm ~seed ~journal
           instance workers
       in
       let divergence = diff_streams baseline survived fp_base fp_chaos in

@@ -45,7 +45,6 @@ val run :
   ?accept_rate:float ->
   ?deadline:Session.deadline ->
   ?checkpoint_every:int ->
-  ?format:Session.codec ->
   ?group_commit:int ->
   ?max_restores:int ->
   plan:Ltc_util.Fault.plan ->
@@ -57,9 +56,10 @@ val run :
 (** [run ~plan ~algorithm ~seed ~journal instance] feeds
     [instance.workers] (which must be non-empty) through both runs and
     reports.  [journal] is the chaos run's journal path (truncated at
-    start); [format] and [group_commit] configure its codec and commit
-    batching exactly as {!Session.create} does — crashes then lose the
-    buffered group, which restore treats as a torn tail.  [max_restores] (default [10 + 4 ×] plan size) bounds the
+    start); [group_commit] configures its commit batching exactly as
+    {!Session.create} does — crashes then lose the buffered group, which
+    restore treats as a torn tail.  [max_restores] (default [10 + 4 ×]
+    plan size) bounds the
     kill/restore loop; exceeding it raises [Failure] — a correctly
     one-shot plan cannot reach it.  Always leaves the fault plan
     disarmed and the virtual clock cleared, even on exceptions.
@@ -119,7 +119,6 @@ val sharded_plan :
 val run_sharded :
   ?accept_rate:float ->
   ?checkpoint_every:int ->
-  ?format:Session.codec ->
   ?group_commit:int ->
   ?mailbox:int ->
   ?supervise:Supervisor.config ->

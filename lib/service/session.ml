@@ -24,19 +24,14 @@ type codec = Text | Binary
 
 let codec_name = function Text -> "text" | Binary -> "binary"
 
-let codec_of_string = function
-  | "text" -> Ok Text
-  | "binary" -> Ok Binary
-  | s -> Error (Printf.sprintf "unknown journal format %S (expected text|binary)" s)
-
 (* Bytes buffered before a forced group commit.  Caps both the window of
    decisions a crash can lose and the size of any single write(2),
    whatever [group_commit] says. *)
 let max_group_bytes = 1 lsl 18
 
-(* Binary journals checkpoint by appending a snapshot record (see
-   [journal_event]); every Nth such checkpoint falls back to a full
-   compaction so the file cannot grow without bound between restores. *)
+(* A periodic checkpoint appends a snapshot record (see [journal_event]);
+   every Nth one falls back to a full compaction so the file cannot grow
+   without bound between restores. *)
 let compact_after_snapshots = 16
 
 type journal = {
@@ -45,12 +40,11 @@ type journal = {
   mutable events_since_snapshot : int;
   checkpoint_every : int;
   fsync_on_commit : bool;
-  codec : codec;
   group_commit : int;  (* records coalesced per write(2)/fsync *)
   group : Buffer.t;  (* encoded but not yet written records *)
   scratch : Buffer.t;
-      (* per-record staging for binary framing, reused across records so
-         the hot append path allocates no fresh buffer per event *)
+      (* per-record staging for framing, reused across records so the hot
+         append path allocates no fresh buffer per event *)
   mutable pending : int;  (* record count sitting in [group] *)
   mutable disk_bytes : int;
       (* exact on-disk size, tracked incrementally: every byte reaches
@@ -109,7 +103,7 @@ let service_metrics name =
 (* The session never reads [instance.workers] (arrivals come from the
    stream), so it holds — and journals — the task side only.  Using the
    stripped instance for the live run too keeps live and restored sessions
-   structurally identical. *)
+   structurally identical.  Shard manifests embed the same task side. *)
 let strip_workers (i : Instance.t) =
   if Array.length i.Instance.workers = 0 then i
   else
@@ -180,11 +174,11 @@ let fsync_dir path =
 
 (* ------------------------------------------------------- journal format *)
 
-(* The parsed/emitted journal header.  Text journals keep writing the v2
-   header byte-for-byte (old files stay byte-identical on restore);
-   binary journals write v3, which inserts a [codec] line right after the
-   magic.  [h_version] records what was actually parsed — the writer
-   derives the version from [h_codec] alone. *)
+(* The parsed/emitted journal header.  Every journal is written with a
+   v3 header: the magic line, a [codec binary] line, then the lines a v2
+   header holds.  A v1/v2 header (or a v3 naming the text codec) marks a
+   text journal, read only, through the import path.  [h_version] and
+   [h_codec] record what was actually parsed. *)
 type header = {
   h_version : int;
   h_codec : codec;
@@ -196,12 +190,10 @@ type header = {
   h_instance : Instance.t;
 }
 
-let current_version = function Text -> 2 | Binary -> 3
-
-let header_of t ~codec ~checkpoint_every =
+let header_of t ~checkpoint_every =
   {
-    h_version = current_version codec;
-    h_codec = codec;
+    h_version = 3;
+    h_codec = Binary;
     h_algorithm = t.algorithm.Ltc_algo.Algorithm.name;
     h_seed = t.seed;
     h_accept_rate = t.accept_rate;
@@ -213,11 +205,11 @@ let header_of t ~codec ~checkpoint_every =
     h_instance = t.instance;
   }
 
+(* Renders a v3 binary header whatever [h] was parsed from: [h_version]
+   and [h_codec] are not written back. *)
 let write_header sink (h : header) =
   let pf fmt = Printf.ksprintf sink fmt in
-  (match h.h_codec with
-  | Text -> pf "ltc-journal v2\n"
-  | Binary -> pf "ltc-journal v3\ncodec binary\n");
+  pf "ltc-journal v3\ncodec binary\n";
   pf "algorithm %s\n" h.h_algorithm;
   pf "seed %d\n" h.h_seed;
   (match h.h_accept_rate with
@@ -237,34 +229,6 @@ let snapshot_of t =
     s_progress = t.progress;
     s_arrangement = t.arrangement;
   }
-
-let emit_snapshot_text sink (s : B.snapshot) =
-  let pf fmt = Printf.ksprintf sink fmt in
-  pf "snapshot\n";
-  pf "consumed %d\n" s.B.s_consumed;
-  pf "rng %Ld %Ld\n" s.B.s_policy s.B.s_noshow;
-  Serialize.emit_progress sink s.B.s_progress;
-  Serialize.emit_arrangement sink s.B.s_arrangement;
-  pf "end-snapshot\n"
-
-(* The trailing "." terminates the record: a torn append never parses as
-   a complete decision, so restore re-feeds the arrival instead of
-   trusting half a line.  Degraded decisions are tagged "D" so replay can
-   force the fallback instead of consulting the (gone) clock. *)
-let emit_event_text sink (e : B.event) =
-  let pf fmt = Printf.ksprintf sink fmt in
-  let w : Worker.t = e.B.e_worker in
-  pf "w %d %s %s %s %d\n" w.index
-    (fp w.loc.Ltc_geo.Point.x)
-    (fp w.loc.Ltc_geo.Point.y)
-    (fp w.accuracy) w.capacity;
-  pf "%s %d %d%s %d%s .\n"
-    (if e.B.e_degraded then "D" else "d")
-    w.index
-    (List.length e.B.e_assigned)
-    (String.concat "" (List.map (Printf.sprintf " %d") e.B.e_assigned))
-    (List.length e.B.e_answered)
-    (String.concat "" (List.map (Printf.sprintf " %d") e.B.e_answered))
 
 (* Group commit: hand the whole buffered group to one write(2), then (if
    durability is on) one fsync for the lot.  The buffer is cleared only
@@ -293,16 +257,54 @@ let commit_group t j =
     Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int j.disk_bytes)
   end
 
-(* Compaction: atomically replace the journal with header + one snapshot
-   of the current state.  Recovery work is thereby bounded by
-   [checkpoint_every] replayed arrivals regardless of session age.
+(* Compaction: atomically replace the journal at [path] with
+   [header_bytes] + one snapshot of the current state, and reopen it for
+   appending.  Recovery work is thereby bounded by [checkpoint_every]
+   replayed arrivals regardless of session age.
 
-   Crash safety: the replacement is rendered into a temp file, fsynced,
-   renamed over the journal, and the directory entry is fsynced.  A crash
-   at any fault site leaves exactly one journal visible — the old one
+   Crash safety: the replacement is rendered into [path.tmp], fsynced,
+   renamed over [path], and the directory entry is fsynced.  A crash at
+   any fault site leaves exactly one journal visible — the old one
    (before the rename) or the compacted one (after) — never both, and a
    torn temp file is invisible to [restore] (it opens [path], and stale
-   [.tmp] debris is deleted on the next restore). *)
+   [.tmp] debris is deleted on the next restore).  Returns the append
+   channel and the new file size. *)
+let compact t ~path ~fsync ~header_bytes =
+  let tmp = path ^ ".tmp" in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf header_bytes;
+  B.add_record_frame buf (B.Snapshot (snapshot_of t));
+  let payload = Buffer.contents buf in
+  Fault.Retry.with_backoff
+    ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
+    (fun () ->
+      (* Each attempt rewrites the temp file from scratch ([open_out_bin]
+         truncates), so a failed try never leaves half an attempt in
+         front of a fresh one. *)
+      let oc = open_out_bin tmp in
+      try
+        guarded_write ~site:"journal.checkpoint.write" ~retries:t.m_retries
+          oc payload;
+        Fault.check "journal.checkpoint.fsync";
+        (* The rename below is atomic whether or not the temp file ever
+           hits the platters, so process-crash safety never needs the
+           fsync — it buys power-loss durability, which is exactly what
+           [fsync] opts in to.  The fault sites stay probed either way so
+           chaos plans keep their meaning. *)
+        if fsync then fsync_channel oc else flush oc;
+        close_out oc
+      with e ->
+        close_out_noerr oc;
+        raise e);
+  Fault.check "journal.checkpoint.rename";
+  Sys.rename tmp path;
+  Fault.check "journal.checkpoint.dir";
+  if fsync then fsync_dir path;
+  Ltc_util.Metrics.Counter.incr t.m_snapshots;
+  Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int (String.length payload));
+  ( open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path,
+    String.length payload )
+
 let checkpoint t =
   match t.journal with
   | None -> ()
@@ -312,52 +314,15 @@ let checkpoint t =
        them replaces the file. *)
     commit_group t j;
     close_out j.oc;
-    let tmp = j.path ^ ".tmp" in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf j.header_bytes;
-    (match j.codec with
-    | Text -> emit_snapshot_text (Buffer.add_string buf) (snapshot_of t)
-    | Binary -> B.add_record_frame buf (B.Snapshot (snapshot_of t)));
-    let payload = Buffer.contents buf in
-    Fault.Retry.with_backoff
-      ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
-      (fun () ->
-        (* Each attempt rewrites the temp file from scratch ([open_out]
-           truncates), so a failed try never leaves half an attempt in
-           front of a fresh one. *)
-        let oc = open_out tmp in
-        try
-          guarded_write ~site:"journal.checkpoint.write"
-            ~retries:t.m_retries oc payload;
-          Fault.check "journal.checkpoint.fsync";
-          (* The rename below is atomic whether or not the temp file ever
-             hits the platters, so process-crash safety never needs the
-             fsync — it buys power-loss durability, which is exactly what
-             [fsync] opts in to.  The fault sites stay probed either way
-             so chaos plans keep their meaning. *)
-          if j.fsync_on_commit then fsync_channel oc else flush oc;
-          close_out oc
-        with e ->
-          close_out_noerr oc;
-          raise e);
-    Fault.check "journal.checkpoint.rename";
-    Sys.rename tmp j.path;
-    Fault.check "journal.checkpoint.dir";
-    if j.fsync_on_commit then fsync_dir j.path;
-    j.oc <- open_out_gen [ Open_wronly; Open_append ] 0o644 j.path;
+    let oc, bytes =
+      compact t ~path:j.path ~fsync:j.fsync_on_commit
+        ~header_bytes:j.header_bytes
+    in
+    j.oc <- oc;
     j.events_since_snapshot <- 0;
     j.snapshots_since_compact <- 0;
-    j.disk_bytes <- String.length payload;
-    Ltc_util.Metrics.Counter.incr t.m_snapshots;
-    Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int j.disk_bytes)
+    j.disk_bytes <- bytes
 
-(* The binary fast path for a periodic checkpoint: the snapshot is just
-   another framed record riding the group buffer — one buffered write
-   through the usual append fault sites instead of a rewrite + rename of
-   the whole file.  The scanners keep only the latest snapshot, so the
-   earlier ones become dead weight that the next compaction (every
-   [compact_after_snapshots]th checkpoint, any explicit {!checkpoint},
-   or {!restore}) sweeps out. *)
 (* Frame [record] into the group buffer via the journal's reusable
    scratch (the hot path appends thousands of records; a fresh staging
    buffer per record is measurable allocator traffic). *)
@@ -366,6 +331,13 @@ let add_framed j record =
   B.emit_record j.scratch record;
   B.add_frame j.group (Buffer.contents j.scratch)
 
+(* The fast path for a periodic checkpoint: the snapshot is just another
+   framed record riding the group buffer — one buffered write through the
+   usual append fault sites instead of a rewrite + rename of the whole
+   file.  The scanner keeps only the latest snapshot, so the earlier ones
+   become dead weight that the next compaction (every
+   [compact_after_snapshots]th checkpoint, any explicit {!checkpoint}, or
+   {!restore}) sweeps out. *)
 let append_snapshot t j =
   add_framed j (B.Snapshot (snapshot_of t));
   j.pending <- j.pending + 1;
@@ -380,28 +352,22 @@ let journal_event t (w : Worker.t) d =
   match t.journal with
   | None -> ()
   | Some j ->
-    let e =
-      {
-        B.e_worker = w;
-        e_degraded = d.degraded;
-        e_assigned = d.assigned;
-        e_answered = d.answered;
-      }
-    in
-    (match j.codec with
-    | Text -> emit_event_text (Buffer.add_string j.group) e
-    | Binary -> add_framed j (B.Event e));
+    add_framed j
+      (B.Event
+         {
+           B.e_worker = w;
+           e_degraded = d.degraded;
+           e_assigned = d.assigned;
+           e_answered = d.answered;
+         });
     j.pending <- j.pending + 1;
     j.events_since_snapshot <- j.events_since_snapshot + 1;
     if j.pending >= j.group_commit || Buffer.length j.group >= max_group_bytes
     then commit_group t j;
     if j.events_since_snapshot >= j.checkpoint_every then
-      match j.codec with
-      | Text -> checkpoint t
-      | Binary ->
-        if j.snapshots_since_compact >= compact_after_snapshots - 1 then
-          checkpoint t
-        else append_snapshot t j
+      if j.snapshots_since_compact >= compact_after_snapshots - 1 then
+        checkpoint t
+      else append_snapshot t j
 
 (* ---------------------------------------------------------- construction *)
 
@@ -483,42 +449,52 @@ let validate_accept_rate = function
     invalid_arg "Session.create: accept_rate must be in (0, 1]"
   | _ -> ()
 
-let attach_journal t ~path ~checkpoint_every ~fsync ~codec ~group_commit =
+(* A journal appending through [oc] to a file of [disk_bytes] bytes that
+   starts with [header_bytes]. *)
+let open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
+    ~header_bytes ~disk_bytes =
+  {
+    path;
+    oc;
+    events_since_snapshot = 0;
+    checkpoint_every;
+    fsync_on_commit = fsync;
+    group_commit;
+    group = Buffer.create 4096;
+    scratch = Buffer.create 256;
+    pending = 0;
+    disk_bytes;
+    snapshots_since_compact = 0;
+    header_bytes;
+  }
+
+let attach_journal t ~path ~checkpoint_every ~fsync ~group_commit =
   let oc = open_out_bin path in
   let buf = Buffer.create 1024 in
-  write_header (Buffer.add_string buf) (header_of t ~codec ~checkpoint_every);
-  let j =
-    {
-      path;
-      oc;
-      events_since_snapshot = 0;
-      checkpoint_every;
-      fsync_on_commit = fsync;
-      codec;
-      group_commit;
-      group = Buffer.create 4096;
-      scratch = Buffer.create 256;
-      pending = 0;
-      disk_bytes = 0;
-      snapshots_since_compact = 0;
-      header_bytes = Buffer.contents buf;
-    }
-  in
-  t.journal <- Some j;
+  write_header (Buffer.add_string buf) (header_of t ~checkpoint_every);
+  let header_bytes = Buffer.contents buf in
   (* A plain (never torn) site: a crash here leaves the freshly-truncated
      file empty, which {!is_empty_journal} classifies as "no session yet"
      — so create-time crashes need no header-recovery logic anywhere. *)
   Fault.Retry.with_backoff
     ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
     (fun () -> Fault.check "journal.header");
-  output_string oc (Buffer.contents buf);
+  output_string oc header_bytes;
   flush oc;
-  j.disk_bytes <- String.length j.header_bytes;
-  Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int j.disk_bytes)
+  let disk_bytes = String.length header_bytes in
+  t.journal <-
+    Some
+      (open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
+         ~header_bytes ~disk_bytes);
+  Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int disk_bytes)
 
 let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
-    ?(checkpoint_every = 256) ?(fsync = false) ?(format = Text)
+    ?(checkpoint_every = 256) ?(fsync = false) ?(format = Binary)
     ?(group_commit = 1) ~algorithm ~seed instance =
+  if format = Text then
+    invalid_arg
+      "Session.create: the text journal codec is read-only (restore or \
+       convert old text journals; new journals are binary)";
   validate_accept_rate accept_rate;
   if checkpoint_every < 1 then
     invalid_arg "Session.create: checkpoint_every must be >= 1";
@@ -537,8 +513,7 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
   (match journal with
   | None -> ()
   | Some path ->
-    attach_journal t ~path ~checkpoint_every ~fsync ~codec:format
-      ~group_commit);
+    attach_journal t ~path ~checkpoint_every ~fsync ~group_commit);
   t
 
 (* ----------------------------------------------------------------- feed *)
@@ -860,12 +835,13 @@ let built record offset =
   in
   { kind; offset; record = Some record }
 
-(* One pass over a text journal body: every complete record in order,
-   tagged with the byte offset of its first line.  Stops silently at a
-   torn suffix; raises {!Corrupt_journal} on interior damage.  Every
-   record is built: a text session compacts at every checkpoint, so its
-   journal holds at most one snapshot (only [Journal.convert] from binary
-   writes text journals with more). *)
+(* One pass over a text journal body (the import path: nothing writes
+   text any more): every complete record in order, tagged with the byte
+   offset of its first line.  Stops silently at a torn suffix; raises
+   {!Corrupt_journal} on interior damage.  Every record is built: a text
+   session compacted at every checkpoint, so its journal holds at most
+   one snapshot (only a conversion from binary wrote text journals with
+   more). *)
 let scan_text ~path src =
   let items = ref [] in
   let records = ref 0 in
@@ -1017,16 +993,16 @@ let is_empty_journal path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> in_channel_length ic = 0)
 
-(* The header the compacted journal starts with.  A current header is
+(* The header the compacted journal starts with.  A v3 binary header is
    kept as the file has it (its first [header_end] bytes): %.17g
    round-trips, so these are the bytes [write_header] would render,
    without rendering thousands of floats again.  Any other header is
-   rendered: an older version (and so upgraded), a [checkpoint_every]
-   below 1, or one torn inside its last line, which still parses. *)
+   rendered as v3 binary: a text journal's (which the compaction thereby
+   upgrades), a [checkpoint_every] below 1, or one torn inside its last
+   line, which still parses. *)
 let compacted_header ic ~header_end (h : header) =
   let kept =
-    if h.h_version = current_version h.h_codec && h.h_checkpoint_every >= 1
-    then begin
+    if h.h_codec = Binary && h.h_checkpoint_every >= 1 then begin
       seek_in ic 0;
       let bytes = really_input_string ic header_end in
       if String.ends_with ~suffix:"\n" bytes then Some bytes else None
@@ -1044,11 +1020,14 @@ let compacted_header ic ~header_end (h : header) =
 let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     ?(group_commit = 1) ~path () =
   Ltc_util.Trace.with_span "service:restore" @@ fun () ->
-  (* Stale compaction debris: a crash between writing [path.tmp] and the
-     rename leaves the temp file next to the journal.  It is dead weight —
-     possibly torn — and deleting it up front guarantees no later step can
-     confuse the two. *)
-  (let tmp = path ^ ".tmp" in
+  (* The restored session journals to [journal_path] and never writes
+     anywhere else: with a redirect, [path] is only read. *)
+  let journal_path = Option.value journal ~default:path in
+  (* Stale compaction debris: a crash between writing [journal_path.tmp]
+     and the rename leaves the temp file next to the journal.  It is dead
+     weight — possibly torn — and deleting it up front guarantees no later
+     step can confuse the two. *)
+  (let tmp = journal_path ^ ".tmp" in
    if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
   let header, header_bytes, snapshot, tail =
     let ic = open_in_bin path in
@@ -1136,34 +1115,18 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
           "replayed decision for arrival %d diverges from the journal"
           w.index)
     tail;
-  (* Re-attach the journal (same file unless redirected, same codec as
-     the source) and compact immediately: torn tail bytes vanish and
-     recovery stays bounded. *)
-  let journal_path = Option.value journal ~default:path in
-  let j =
-    {
-      path = journal_path;
-      oc =
-        open_out_gen
-          [ Open_wronly; Open_append; Open_creat; Open_binary ]
-          0o644 path;
-      events_since_snapshot = 0;
-      checkpoint_every = max 1 header.h_checkpoint_every;
-      fsync_on_commit = fsync;
-      codec = header.h_codec;
-      group_commit = max 1 group_commit;
-      group = Buffer.create 4096;
-      scratch = Buffer.create 256;
-      pending = 0;
-      disk_bytes = 0;
-      snapshots_since_compact = 0;
-      header_bytes;
-    }
+  (* Re-attach the journal (same file unless redirected) by compacting
+     into it immediately: torn tail bytes vanish, recovery stays bounded,
+     and a text source comes out as v3 binary. *)
+  let oc, disk_bytes =
+    Ltc_util.Trace.with_span "service:checkpoint" @@ fun () ->
+    compact t ~path:journal_path ~fsync ~header_bytes
   in
-  t.journal <- Some j;
-  (* [checkpoint] compacts and sets [disk_bytes] from the fresh image, so
-     the zero initialisation above never leaks out. *)
-  checkpoint t;
+  t.journal <-
+    Some
+      (open_journal ~path:journal_path ~oc
+         ~checkpoint_every:(max 1 header.h_checkpoint_every)
+         ~fsync ~group_commit:(max 1 group_commit) ~header_bytes ~disk_bytes);
   t
 
 (* ------------------------------------------------ offline journal tools *)
@@ -1242,26 +1205,18 @@ module Journal = struct
       snapshot_offsets = List.rev offsets_rev;
     }
 
-  (* Record-level transcoding: every complete record re-encoded in the
-     target codec, order and content preserved — so restore from the
-     converted file replays the exact same snapshot + tail and lands on
-     the same fingerprint.  A torn tail (already lost to the crash) is
-     not carried over; a v1 text source is upgraded to the current
-     header on the way through. *)
-  let convert ~src ~dst codec =
+  (* Record-level transcoding to binary: every complete record re-encoded,
+     order and content preserved — so restore from the converted file
+     replays the exact same snapshot + tail and lands on the same
+     fingerprint.  A torn tail (already lost to the crash) is not carried
+     over; the header is rendered at the current version. *)
+  let convert ~src ~dst =
     let header, items, _torn_at = read ~all:true ~path:src in
     let buf = Buffer.create 65536 in
-    write_header (Buffer.add_string buf)
-      { header with h_codec = codec };
+    write_header (Buffer.add_string buf) header;
     List.iter
-      (fun record ->
-        match codec with
-        | Binary -> B.add_record_frame buf record
-        | Text -> (
-          match record with
-          | B.Snapshot s -> emit_snapshot_text (Buffer.add_string buf) s
-          | B.Event e -> emit_event_text (Buffer.add_string buf) e))
-      (List.filter_map (fun item -> item.record) items);
+      (fun item -> Option.iter (B.add_record_frame buf) item.record)
+      items;
     Out_channel.with_open_bin dst (fun oc ->
         Out_channel.output_string oc (Buffer.contents buf))
 end

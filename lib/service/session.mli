@@ -9,11 +9,10 @@
 
     When created with [~journal:path], every processed arrival is appended
     to an on-disk journal together with its decision, and a full snapshot
-    (progress, arrangement, both RNG states) is folded in every
-    [checkpoint_every] events — text journals by atomically compacting
-    the file down to header + snapshot; binary journals by appending the
-    snapshot as an ordinary record (with a full compaction every 16th
-    periodic snapshot to bound file growth).  {!restore} rebuilds a
+    (progress, arrangement, both RNG states) is appended as an ordinary
+    record every [checkpoint_every] events, with a full compaction (the
+    file atomically rewritten as header + one snapshot) every 16th
+    periodic snapshot to bound file growth.  {!restore} rebuilds a
     session from such a journal:
     it loads the latest snapshot, replays the event tail by re-running the
     policy (verifying the recomputed decisions against the journaled
@@ -47,19 +46,22 @@
     before and the directory entry after (power-loss durability; the
     atomic rename alone already survives process crashes) — so a crash
     between any two sites leaves exactly one journal visible, and
-    {!restore} deletes stale [.tmp] debris before reading.  The decision stream of a
+    {!restore} deletes stale [.tmp] debris beside the journal it writes
+    before reading.  The decision stream of a
     crashed-and-restored session is byte-identical to the uninterrupted
     run up to the last durable event.
 
-    {2 Codecs and group commit}
+    {2 Codec and group commit}
 
-    Journals come in two on-disk codecs.  [Text] (header v2) is the
-    line-oriented format of earlier versions — old journals keep
-    restoring byte-identically.  [Binary] (header v3: the same text
-    header plus a [codec binary] line, then length-prefixed CRC32-framed
-    records — see {!Ltc_core.Serialize.Binary}) is the fast path: replay
-    streams frames without line splitting, and the CRC keeps interior
-    corruption distinguishable from a torn tail.
+    Every journal is written in the [Binary] codec (header v3: a text
+    header with a [codec binary] line, then length-prefixed CRC32-framed
+    records — see {!Ltc_core.Serialize.Binary}): replay streams frames
+    without line splitting, and the CRC keeps interior corruption
+    distinguishable from a torn tail.  [Text] (header v1/v2, the
+    line-oriented format of earlier versions) is read-only: {!restore}
+    replays an old text journal exactly as before and its closing
+    compaction rewrites the file as v3 binary; {!Journal.convert}
+    transcodes one record for record.
 
     [group_commit] coalesces up to N encoded records into a single
     write(2) — and, with [~fsync:true], a single fsync — amortizing the
@@ -73,12 +75,16 @@
 type t
 
 type codec = Text | Binary
+(** A journal's on-disk codec.  Only [Binary] is written; [Text] names
+    the read-only format of old journals. *)
 
 val codec_name : codec -> string
 (** ["text"] / ["binary"]. *)
 
-val codec_of_string : string -> (codec, string) result
-(** Inverse of {!codec_name}; [Error] names the offending input. *)
+val strip_workers : Ltc_core.Instance.t -> Ltc_core.Instance.t
+(** The task side of an instance (its workers dropped; the instance
+    itself when it has none) — what a session holds and journals, and
+    what a shard manifest embeds. *)
 
 type decision = {
   worker : int;  (** arrival index the decision answers *)
@@ -143,14 +149,16 @@ val create :
     journal append crashed.  [journal] starts an on-disk journal at that
     path (truncating any existing file); [checkpoint_every] (default
     [256]) sets the compaction period in events; [fsync] (default
-    [false]) additionally fsyncs after every group commit; [format]
-    (default [Text]) picks the on-disk codec; [group_commit] (default
-    [1]) sets how many records are coalesced per write/fsync.
+    [false]) additionally fsyncs after every group commit; [format] must
+    be [Binary] (the default, and the only codec written);
+    [group_commit] (default [1]) sets how many records are coalesced per
+    write/fsync.
 
     @raise Invalid_argument if [algorithm] (or the deadline fallback) has
     no online policy ([policy = None]: Base-off, MCF-LTC, the dynamic
     variants), if [accept_rate] is outside (0, 1], if the deadline budget
-    is [<= 0], if [checkpoint_every < 1], or if [group_commit < 1]. *)
+    is [<= 0], if [checkpoint_every < 1], if [group_commit < 1], or if
+    [format] is [Text]. *)
 
 val feed : t -> Ltc_core.Worker.t -> decision
 (** Process the next arrival.  Arrival indices must be consecutive from 1:
@@ -173,15 +181,18 @@ val restore :
   t
 (** [restore ~path ()] rebuilds a session from a journal file and
     compacts it immediately.  The codec is auto-detected from the
-    header, and the restored session keeps journaling in that codec —
-    to [journal] when given, else to [path].  A header at the current
-    version for its codec (text v2, binary v3) and with a checkpoint
-    period of at least 1 is carried into the compacted journal byte for
-    byte; any other is rewritten at the current version.  [group_commit] (default
-    [1]) applies to the re-attached journal.  Replayed tail events do
-    {e not} fire [on_decision] visibly different from live ones — the
-    hook sees every decision the restored session makes from now on, and
-    replayed decisions are verified against the journal instead.
+    header; the restored session journals in binary to [journal] when
+    given — then [path] is only read, and nothing beside it is touched —
+    else to [path], whose compaction upgrades a text journal to binary.
+    The compaction is temp file + rename, so a crash during it leaves
+    the old file in place.  A v3 binary header with a checkpoint period
+    of at least 1 is carried into the compacted journal byte for byte;
+    any other is rewritten at the current version.  [group_commit]
+    (default [1]) applies to the re-attached journal.  Replayed tail
+    events do {e not} fire [on_decision] visibly different from live
+    ones — the hook sees every decision the restored session makes from
+    now on, and replayed decisions are verified against the journal
+    instead.
 
     @raise Corrupt_journal as documented above.
     @raise Sys_error if [path] cannot be read. *)
@@ -192,8 +203,8 @@ val is_empty_journal : string -> bool
     as starting a fresh session rather than an error. *)
 
 val checkpoint : t -> unit
-(** Force a snapshot + full compaction now, on either codec (no-op
-    without a journal). *)
+(** Force a snapshot + full compaction now (no-op without a
+    journal). *)
 
 val close : t -> unit
 (** Flush and close the journal; further {!feed} calls raise.
@@ -239,8 +250,9 @@ val peak_memory_mb : t -> float
 
 (** {1 Offline journal tools}
 
-    Read-only inspection and record-level transcoding of journal files,
-    without building a session (the [ltc journal] subcommand).  Both
+    Read-only inspection of journal files and record-level transcoding of
+    old text journals to binary, without building a session (the
+    [ltc journal] subcommand).  Both
     share {!restore}'s scanners: a torn tail is silently dropped,
     interior corruption raises {!Corrupt_journal} with the same
     diagnostics. *)
@@ -270,11 +282,11 @@ module Journal : sig
   (** @raise Corrupt_journal on interior damage.
       @raise Sys_error if [path] cannot be read. *)
 
-  val convert : src:string -> dst:string -> codec -> unit
-  (** Re-encode every complete record of [src] into [dst] in the given
-      codec, preserving order and content: restoring [dst] lands on the
-      same session fingerprint as restoring [src].  A torn tail is not
-      carried over; v1 headers are upgraded on the way through.
-      [dst] is truncated if it exists; converting a journal onto itself
-      is not supported. *)
+  val convert : src:string -> dst:string -> unit
+  (** Re-encode every complete record of [src] (either codec) into [dst]
+      as a v3 binary journal, preserving order and content: restoring
+      [dst] lands on the same session fingerprint as restoring [src].  A
+      torn tail is not carried over; the header is rendered at the
+      current version.  [dst] is truncated if it exists; converting a
+      journal onto itself is not supported. *)
 end

@@ -296,18 +296,10 @@ type manifest = {
   mf_accept_rate : float option;
   mf_checkpoint_every : int;
   mf_fsync : bool;
-  mf_format : Session.codec;
   mf_group_commit : int;
   mf_deadline : (float * string) option;
   mf_instance : Instance.t;
 }
-
-let strip_workers (i : Instance.t) =
-  if Array.length i.Instance.workers = 0 then i
-  else
-    Instance.create ~accuracy:i.Instance.accuracy ~scoring:i.Instance.scoring
-      ~candidate_radius:i.Instance.candidate_radius ~tasks:i.Instance.tasks
-      ~workers:[||] ~epsilon:i.Instance.epsilon ()
 
 let write_manifest ~path (m : manifest) =
   let tmp = path ^ ".tmp" in
@@ -324,7 +316,10 @@ let write_manifest ~path (m : manifest) =
       | Some q -> out (Printf.sprintf "accept_rate %.17g\n" q));
       out (Printf.sprintf "checkpoint_every %d\n" m.mf_checkpoint_every);
       out (Printf.sprintf "fsync %d\n" (if m.mf_fsync then 1 else 0));
-      out (Printf.sprintf "codec %s\n" (Session.codec_name m.mf_format));
+      (* Always binary, and read by nothing: every shard journal names its
+         own codec.  The line stays so older readers still parse the
+         manifest. *)
+      out "codec binary\n";
       out (Printf.sprintf "group_commit %d\n" m.mf_group_commit);
       (match m.mf_deadline with
       | None -> out "deadline none\n"
@@ -363,8 +358,17 @@ let read_manifest ~path =
     | Some n -> n
     | None -> manifest_error src (Printf.sprintf "bad %s %S" key v)
   in
-  let mf_shards = int_of "shards" (one_field src "shards") in
-  let mf_mailbox = int_of "mailbox" (one_field src "mailbox") in
+  (* The bounds [create] enforces, refused here as a parse error naming
+     the line rather than deep inside a restore. *)
+  let positive key =
+    let v = one_field src key in
+    let n = int_of key v in
+    if n < 1 then
+      manifest_error src (Printf.sprintf "bad %s %S (must be >= 1)" key v);
+    n
+  in
+  let mf_shards = positive "shards" in
+  let mf_mailbox = positive "mailbox" in
   let mf_algorithm = one_field src "algorithm" in
   let mf_seed = int_of "seed" (one_field src "seed") in
   let mf_accept_rate =
@@ -375,16 +379,14 @@ let read_manifest ~path =
       | Some q when Float.is_finite q -> Some q
       | _ -> manifest_error src (Printf.sprintf "bad accept_rate %S" v))
   in
-  let mf_checkpoint_every =
-    int_of "checkpoint_every" (one_field src "checkpoint_every")
-  in
+  let mf_checkpoint_every = positive "checkpoint_every" in
   let mf_fsync = int_of "fsync" (one_field src "fsync") <> 0 in
-  let mf_format =
-    match Session.codec_of_string (one_field src "codec") with
-    | Ok c -> c
-    | Error msg -> manifest_error src msg
-  in
-  let mf_group_commit = int_of "group_commit" (one_field src "group_commit") in
+  (match one_field src "codec" with
+  | "text" | "binary" -> ()
+  | v ->
+    manifest_error src
+      (Printf.sprintf "unknown journal format %S (expected text|binary)" v));
+  let mf_group_commit = positive "group_commit" in
   let mf_deadline =
     match expect_field src "deadline" with
     | [ "none" ] -> None
@@ -403,7 +405,6 @@ let read_manifest ~path =
     mf_accept_rate;
     mf_checkpoint_every;
     mf_fsync;
-    mf_format;
     mf_group_commit;
     mf_deadline;
     mf_instance;
@@ -419,7 +420,6 @@ type manifest_info = {
   mi_accept_rate : float option;
   mi_checkpoint_every : int;
   mi_fsync : bool;
-  mi_format : Session.codec;
   mi_group_commit : int;
   mi_deadline : (float * string) option;
   mi_tasks : int;
@@ -435,7 +435,6 @@ let manifest_info ~path =
     mi_accept_rate = m.mf_accept_rate;
     mi_checkpoint_every = m.mf_checkpoint_every;
     mi_fsync = m.mf_fsync;
-    mi_format = m.mf_format;
     mi_group_commit = m.mf_group_commit;
     mi_deadline = m.mf_deadline;
     mi_tasks = Instance.task_count m.mf_instance;
@@ -607,7 +606,7 @@ let start ~mode ~supervise ~resume ~seeds ~journal_of ~algorithm ~deadline
     Session.create ?accept_rate:m.mf_accept_rate ?deadline
       ?on_decision:(hook k) ?journal:(journal_of k)
       ~checkpoint_every:m.mf_checkpoint_every ~fsync:m.mf_fsync
-      ~format:m.mf_format ~group_commit:m.mf_group_commit ~algorithm
+      ~group_commit:m.mf_group_commit ~algorithm
       ~seed:seeds.(k) shard_instance
   in
   let shards_arr =
@@ -637,9 +636,8 @@ let start ~mode ~supervise ~resume ~seeds ~journal_of ~algorithm ~deadline
     ~group_commit:m.mf_group_commit ~fresh shards_arr
 
 let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
-    ?(fsync = false) ?(format = Session.Text) ?(group_commit = 1)
-    ?(mailbox = 64) ?(mode = Domains) ?supervise ~shards ~algorithm ~seed
-    instance =
+    ?(fsync = false) ?(group_commit = 1) ?(mailbox = 64) ?(mode = Domains)
+    ?supervise ~shards ~algorithm ~seed instance =
   if shards < 1 then
     invalid_arg "Shard_server.create: shards must be >= 1";
   if mailbox < 1 then
@@ -661,7 +659,6 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
       mf_accept_rate = accept_rate;
       mf_checkpoint_every = checkpoint_every;
       mf_fsync = fsync;
-      mf_format = format;
       mf_group_commit = group_commit;
       mf_deadline =
         Option.map
@@ -676,7 +673,8 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
   let solo = shards = 1 in
   (match journal with
   | Some base when not solo ->
-    write_manifest ~path:base { m with mf_instance = strip_workers instance }
+    write_manifest ~path:base
+      { m with mf_instance = Session.strip_workers instance }
   | _ -> ());
   start ~mode ~supervise ~resume:false
     ~seeds:(if solo then [| seed |] else shard_seeds ~seed shards)

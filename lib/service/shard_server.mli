@@ -42,8 +42,8 @@
     {2 Durability}
 
     With [~journal:base] and [shards >= 2], shard [k] journals to
-    [base.shard<k>] (codec and group commit as configured, exactly like a
-    single session) and the partition parameters + instance go into a
+    [base.shard<k>] (group commit as configured, exactly like a single
+    session) and the partition parameters + instance go into a
     manifest at [base] itself.
     Each shard owns its durability boundary independently: a crash can
     tear each shard journal at a different arrival, and {!restore}
@@ -75,7 +75,6 @@ val create :
   ?journal:string ->
   ?checkpoint_every:int ->
   ?fsync:bool ->
-  ?format:Session.codec ->
   ?group_commit:int ->
   ?mailbox:int ->
   ?mode:mode ->
@@ -171,14 +170,15 @@ type manifest_info = {
   mi_accept_rate : float option;
   mi_checkpoint_every : int;
   mi_fsync : bool;
-  mi_format : Session.codec;
   mi_group_commit : int;
   mi_deadline : (float * string) option;  (** budget (s), fallback name *)
   mi_tasks : int;  (** task count of the embedded instance *)
 }
 
 val manifest_info : path:string -> manifest_info
-(** @raise Ltc_core.Serialize.Parse_error on a malformed manifest.
+(** @raise Ltc_core.Serialize.Parse_error on a malformed manifest,
+    including a [shards], [mailbox], [checkpoint_every] or
+    [group_commit] below 1 (the bounds {!create} enforces).
     @raise Sys_error if [path] cannot be read. *)
 
 val shard_journal_path : base:string -> shard:int -> string

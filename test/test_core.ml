@@ -1011,9 +1011,25 @@ let prop_serialize_roundtrip =
       && i.Instance.candidate_radius = j.Instance.candidate_radius
       && i.Instance.scoring = j.Instance.scoring)
 
-(* State blocks (progress / arrangement / RNG) must round-trip exactly —
-   the service journal's correctness rests on parse being a left inverse
-   of emit for each of them, bit-for-bit on floats. *)
+(* State blocks (progress / arrangement) must round-trip exactly — a
+   restored session's correctness rests on parse being a left inverse of
+   emit for each of them, bit-for-bit on floats. *)
+
+(* The progress block of an old text journal's snapshot, rendered as its
+   writer did: nothing in the library writes one any more, so this is
+   the oracle for the importer's parser. *)
+let progress_block p =
+  let snap = Progress.snapshot p in
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "ltc-progress v1\ntasks %d\nsum_remaining %.17g\n"
+    (Array.length snap.Progress.thresholds)
+    snap.Progress.sum_remaining;
+  Array.iteri
+    (fun task threshold ->
+      Printf.bprintf buf "p %.17g %.17g\n" threshold
+        snap.Progress.scores.(task))
+    snap.Progress.thresholds;
+  Buffer.contents buf
 
 let prop_progress_roundtrip =
   QCheck2.Test.make ~name:"progress state round-trips exactly" ~count:200
@@ -1037,7 +1053,7 @@ let prop_progress_roundtrip =
         for task = 0 to n_tasks - 1 do
           Progress.record p ~task ~score:10.0
         done;
-      let q = Serialize.progress_of_string (Serialize.progress_to_string p) in
+      let q = Serialize.progress_of_string (progress_block p) in
       let sp = Progress.snapshot p and sq = Progress.snapshot q in
       sp.Progress.thresholds = sq.Progress.thresholds
       && sp.Progress.scores = sq.Progress.scores
@@ -1060,19 +1076,6 @@ let prop_arrangement_roundtrip =
       Arrangement.to_list a = Arrangement.to_list b
       && Arrangement.latency a = Arrangement.latency b
       && Arrangement.size a = Arrangement.size b)
-
-let prop_rng_roundtrip =
-  QCheck2.Test.make ~name:"rng state round-trips and streams agree" ~count:200
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 64))
-    (fun (seed, burn) ->
-      let rng = Ltc_util.Rng.create ~seed in
-      for _ = 1 to burn do
-        ignore (Ltc_util.Rng.bits64 rng)
-      done;
-      let copy = Serialize.rng_of_string (Serialize.rng_to_string rng) in
-      Ltc_util.Rng.state copy = Ltc_util.Rng.state rng
-      && Array.init 8 (fun _ -> Ltc_util.Rng.bits64 copy)
-         = Array.init 8 (fun _ -> Ltc_util.Rng.bits64 rng))
 
 let prop_analysis_invariants =
   QCheck2.Test.make ~name:"analysis invariants on random arrangements"
@@ -1528,7 +1531,6 @@ let suite =
         qcheck prop_serialize_rejects_garbage_without_crashing;
         qcheck prop_progress_roundtrip;
         qcheck prop_arrangement_roundtrip;
-        qcheck prop_rng_roundtrip;
       ] );
     ( "core.binary_codec",
       [
