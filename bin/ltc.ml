@@ -137,15 +137,6 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
     mcf_solver mcf_budget validate simulate load report save_arrangement
     screen verbose svg log_levels metrics metrics_format =
   setup_observability ~verbose ~log_levels ~metrics;
-  (match mcf_solver with
-  | Some name
-    when not
-           (List.mem (String.lowercase_ascii name) (Ltc_flow.Solver.names ()))
-    ->
-    Format.eprintf "unknown solver %S (try: %s)@." name
-      (String.concat ", " (Ltc_flow.Solver.names ()));
-    exit 1
-  | _ -> ());
   let instance =
     match load with
     | Some path -> Ltc_core.Serialize.load_instance ~path
@@ -284,11 +275,14 @@ let run_cmd =
              ~doc:"Run a single algorithm (default: all five).")
   in
   let mcf_solver =
-    Arg.(value & opt (some string) None
+    Arg.(value
+         & opt (some (enum [ ("sspa", `Sspa); ("incremental", `Incremental) ]))
+             None
          & info [ "mcf-solver" ] ~docv:"NAME"
-             ~doc:"Flow backend for MCF-LTC's per-batch solves: \
-                   $(b,sspa) (default), $(b,spfa) or $(b,incremental) \
-                   (see $(b,ltc solvers)).  Only affects MCF-LTC.")
+             ~doc:"Flow backend for MCF-LTC's per-batch solves: $(b,sspa) \
+                   (default, a fresh solve per batch) or $(b,incremental) \
+                   (one residual network kept across batches).  Only \
+                   affects MCF-LTC.")
   in
   let mcf_budget =
     Arg.(value & opt (some int) None
@@ -1565,33 +1559,13 @@ let journal_cmd =
        ~doc:"inspect and convert session journal files offline")
     [ inspect_cmd; convert_cmd ]
 
-(* ------------------------------------------------------- solvers command *)
-
-let solvers_cmd =
-  let impl () =
-    Format.printf "%-12s %-12s %-11s %s@." "NAME" "INCREMENTAL"
-      "POTENTIALS" "ANYTIME";
-    List.iter
-      (fun (c : Ltc_flow.Solver.capabilities) ->
-        Format.printf "%-12s %-12b %-11b %b@." c.Ltc_flow.Solver.solver_name
-          c.Ltc_flow.Solver.incremental c.Ltc_flow.Solver.potentials
-          c.Ltc_flow.Solver.anytime)
-      (Ltc_flow.Solver.all_capabilities ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "solvers"
-       ~doc:"list the registered min-cost-flow solver backends and their \
-             capabilities (select one with $(b,ltc run --mcf-solver))")
-    Term.(const impl $ const ())
-
 let main =
   let doc = "latency-oriented task completion via spatial crowdsourcing" in
   Cmd.group
     (Cmd.info "ltc" ~doc ~version:"1.0.0")
     [
       run_cmd; generate_cmd; sweep_cmd; bounds_cmd; infer_cmd; example_cmd;
-      serve_cmd; loadgen_cmd; chaos_cmd; journal_cmd; solvers_cmd;
+      serve_cmd; loadgen_cmd; chaos_cmd; journal_cmd;
     ]
 
 (* Turn expected failures (missing files, corrupt inputs, bad parameters)

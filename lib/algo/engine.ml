@@ -81,6 +81,17 @@ type degrade = {
   fallback : policy;
 }
 
+(* Written so that NaN fails them: a NaN rate or a NaN/infinite budget
+   would otherwise run, and be written into a journal header no restore
+   can read back. *)
+let check_accept_rate fn q =
+  if not (q > 0.0 && q <= 1.0) then
+    invalid_arg (fn ^ ": accept_rate must be in (0, 1]")
+
+let check_budget fn budget_s =
+  if not (budget_s > 0.0 && budget_s < infinity) then
+    invalid_arg (fn ^ ": deadline budget must be finite and > 0")
+
 let degraded_counter name fallback_name =
   Ltc_util.Metrics.counter
     ~help:"arrivals decided by the fallback after a deadline miss"
@@ -111,8 +122,7 @@ let drive ~name ~answered ?tracker ?degrade policy instance =
   let degrade =
     Option.map
       (fun d ->
-        if d.budget_s <= 0.0 then
-          invalid_arg "Engine.run: deadline budget must be > 0";
+        check_budget "Engine.run" d.budget_s;
         (d, d.fallback instance tracker progress,
          degraded_counter name d.fallback_name))
       degrade
@@ -234,8 +244,7 @@ let answered_of ~accept_rate ~rng =
   match accept_rate with
   | None -> fun _ _ -> true
   | Some q ->
-    if q <= 0.0 || q > 1.0 then
-      invalid_arg "Engine.run: accept_rate must be in (0, 1]";
+    check_accept_rate "Engine.run" q;
     (match rng with
     | None -> invalid_arg "Engine.run: accept_rate requires an rng"
     | Some rng -> fun _ _ -> Ltc_util.Rng.bernoulli rng q)

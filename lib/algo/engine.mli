@@ -68,9 +68,10 @@ val check_decisions : Instance.t -> Worker.t -> int list -> unit
 
 type degrade = {
   budget_s : float;
-      (** per-arrival decision budget in seconds (> 0).  Elapsed time is
-          measured with {!Ltc_util.Fault.Clock}, so tests and the chaos
-          harness can virtualise it; production reads the real clock. *)
+      (** per-arrival decision budget in seconds (finite, > 0).  Elapsed
+          time is measured with {!Ltc_util.Fault.Clock}, so tests and the
+          chaos harness can virtualise it; production reads the real
+          clock. *)
   fallback_name : string;  (** for telemetry, metric labels and logs *)
   fallback : policy;
       (** the cheap policy that decides an arrival whose primary decision
@@ -86,6 +87,17 @@ type degrade = {
     decides instead, and the miss is recorded in [telemetry.degraded] and
     the [ltc_engine_degraded_total] metric.  Note the primary still
     consumed its RNG draws — replay/restore paths must preserve that. *)
+
+val check_accept_rate : string -> float -> unit
+(** [check_accept_rate fn q] accepts [0 < q <= 1]; NaN fails.
+    @raise Invalid_argument ["<fn>: accept_rate must be in (0, 1]"]
+    otherwise.  {!run} and the streaming service share it. *)
+
+val check_budget : string -> float -> unit
+(** [check_budget fn budget_s] accepts a finite [budget_s > 0]; NaN and
+    infinity fail.  @raise Invalid_argument ["<fn>: deadline budget must
+    be finite and > 0"] otherwise.  {!run} and the streaming service share
+    it. *)
 
 val degraded_counter : string -> string -> Ltc_util.Metrics.Counter.t
 (** [degraded_counter algo fallback] is the [ltc_engine_degraded_total]
@@ -124,8 +136,9 @@ val run : ?config:config -> name:string -> policy -> Instance.t -> outcome
 (** The single entry point for arrival-stream execution: feeds
     [instance]'s workers to [policy] in arrival order until every task is
     complete or the stream is exhausted.  @raise Invalid_argument when
-    [config.accept_rate] is outside (0, 1] or set without an [rng], or
-    when [config.degrade] carries a non-positive budget.
+    [config.accept_rate] is outside (0, 1] (or NaN) or set without an
+    [rng], or when [config.degrade] carries a budget that is not finite
+    and positive.
 
     (The deprecated [run_policy] / [run_policy_with_noshow] wrappers were
     removed; [run] with a {!config} covers both.) *)

@@ -2,10 +2,12 @@ open Ltc_core
 
 let name = "MCF-LTC"
 
+type solver = [ `Sspa | `Incremental ]
+
 type config = {
   first_batch_factor : float;
   batch_factor : float;
-  solver : string;
+  solver : solver;
   budget : Ltc_flow.Mcmf.budget option;
 }
 
@@ -13,7 +15,7 @@ let default_config =
   {
     first_batch_factor = 1.5;
     batch_factor = 1.0;
-    solver = "sspa";
+    solver = `Sspa;
     budget = None;
   }
 
@@ -34,14 +36,20 @@ let m_batch_seconds =
 let tie_cost ~n_workers (w : Worker.t) =
   5e-8 *. float_of_int w.index /. float_of_int (max 1 n_workers)
 
+(* The per-run flow backend: a from-scratch SSPA solve per batch in an
+   arena ([Graph.clear]ed per batch) with one reused workspace, or one
+   incremental session kept alive across batches. *)
+type backend =
+  | Sspa of Ltc_flow.Graph.t * Ltc_flow.Mcmf.workspace
+  | Incremental of Ltc_flow.Solver.t
+
 (* Per-run scratch shared by every batch of one [run_batches] call: the
-   flow-graph arena, the solver workspace, and the task-indexed maps that
-   replace the per-batch hashtables.  Everything here is allocated once
-   (or grows monotonically); after the first batch the hot path allocates
-   only the per-worker assignment lists. *)
+   flow backend and the task-indexed maps that replace the per-batch
+   hashtables.  Everything here is allocated once (or grows
+   monotonically); after the first batch the hot path allocates only the
+   per-worker assignment lists. *)
 type scratch = {
-  g : Ltc_flow.Graph.t;            (* arena, [Graph.clear]ed per batch *)
-  sol : Ltc_flow.Solver.t;         (* registry-selected backend *)
+  backend : backend;
   node_of : int array;             (* task -> flow node, valid iff stamped *)
   node_stamp : int array;
   mark : int array;                (* task -> epoch of per-worker marks *)
@@ -68,8 +76,13 @@ type scratch = {
 let create_scratch ~name ~solver ~n_tasks =
   let n = max n_tasks 1 in
   {
-    g = Ltc_flow.Graph.create ~n:1;
-    sol = Ltc_flow.Solver.create ~hint:(n + 2) solver;
+    backend =
+      (match solver with
+      | `Sspa ->
+        Sspa
+          (Ltc_flow.Graph.create ~n:1,
+           Ltc_flow.Mcmf.create_workspace ~hint:(n + 2) ())
+      | `Incremental -> Incremental (Ltc_flow.Solver.create ~hint:(n + 2) ()));
     node_of = Array.make n (-1);
     node_stamp = Array.make n 0;
     mark = Array.make n 0;
@@ -107,22 +120,20 @@ let push_wt scratch ~arc ~bi ~task ~score =
   scratch.wt_score.(len) <- score;
   scratch.wt_len <- len + 1
 
-(* Solve one batch through the configured solver backend: build the flow
-   network over incomplete tasks (in the reused arena for scratch
-   backends; as a delta against the live session plane for the incremental
-   one), solve — optionally under an anytime budget — record the resulting
-   assignments, then greedily spend leftover capacity.  When the budget
-   fires mid-solve the partial flow is extracted as-is and the leftover
-   pass below doubles as the greedy completion: every un-routed unit of
-   worker capacity is spent on the most reliable unfinished tasks, so the
-   batch always yields a feasible assignment.  Returns the updated
-   arrangement. *)
+(* Solve one batch through the configured backend: build the flow network
+   over incomplete tasks (in the reused arena for SSPA; as a delta against
+   the live session plane for the incremental one), solve — optionally
+   under an anytime budget — record the resulting assignments, then
+   greedily spend leftover capacity.  When the budget fires mid-solve the
+   partial flow is extracted as-is and the leftover pass below doubles as
+   the greedy completion: every un-routed unit of worker capacity is spent
+   on the most reliable unfinished tasks, so the batch always yields a
+   feasible assignment.  Returns the updated arrangement. *)
 let solve_batch instance tracker progress arrangement ~budget scratch batch =
   Ltc_util.Trace.with_span "mcf-ltc.batch" @@ fun () ->
   let t_batch = Ltc_util.Timer.start () in
   let n_workers = Instance.worker_count instance in
   let n_batch = Array.length batch in
-  let caps = Ltc_flow.Solver.capabilities scratch.sol in
   (* Incomplete tasks get contiguous node ids after the worker nodes.
      [Progress.iter_incomplete] enumerates ascending task ids, so the
      numbering — and with it the arc layout and solver tie-breaking — is
@@ -151,7 +162,8 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
   in
   scratch.wt_len <- 0;
   let flow_result, link_flow =
-    if caps.Ltc_flow.Solver.incremental then begin
+    match scratch.backend with
+    | Incremental sol ->
       (* Incremental path: the session's residual network and potentials
          stay alive across batches; only the delta is declared.  Units are
          created once (first batch), then only tasks whose progress changed
@@ -163,7 +175,7 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
           let cap =
             int_of_float (Float.ceil (Progress.remaining progress task))
           in
-          Ltc_flow.Solver.set_unit scratch.sol ~unit_id:task ~cap:(max cap 1)
+          Ltc_flow.Solver.set_unit sol ~unit_id:task ~cap:(max cap 1)
         done;
         scratch.inc_ready <- true
       end
@@ -178,38 +190,35 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
                 (int_of_float (Float.ceil (Progress.remaining progress task)))
                 1
           in
-          Ltc_flow.Solver.set_unit scratch.sol ~unit_id:task ~cap
+          Ltc_flow.Solver.set_unit sol ~unit_id:task ~cap
         done;
         scratch.n_sync <- 0
       end;
-      Ltc_flow.Solver.begin_batch scratch.sol;
+      Ltc_flow.Solver.begin_batch sol;
       Array.iteri
         (fun bi (w : Worker.t) ->
-          let h = Ltc_flow.Solver.add_worker scratch.sol ~cap:w.capacity in
+          let h = Ltc_flow.Solver.add_worker sol ~cap:w.capacity in
           assert (h = bi);
           Instance.iter_candidates instance w (fun task ->
               if scratch.node_stamp.(task) = batch_ep then begin
                 let score = Instance.score instance w task in
                 let cost = -.score +. tie_cost ~n_workers w in
                 let link =
-                  Ltc_flow.Solver.add_link scratch.sol ~worker:bi
-                    ~unit_id:task ~cost
+                  Ltc_flow.Solver.add_link sol ~worker:bi ~unit_id:task ~cost
                 in
                 push_wt scratch ~arc:link ~bi ~task ~score
               end))
         batch;
-      charge (Ltc_flow.Solver.memory_words scratch.sol);
+      charge (Ltc_flow.Solver.memory_words sol);
       let r =
         Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
-            Ltc_flow.Solver.resolve scratch.sol ?budget ())
+            Ltc_flow.Solver.resolve sol ?budget ())
       in
-      (r, fun arc -> Ltc_flow.Solver.link_flow scratch.sol arc)
-    end
-    else begin
+      (r, fun arc -> Ltc_flow.Solver.link_flow sol arc)
+    | Sspa (g, workspace) ->
       (* Scratch path: build the batch network in the reused arena. *)
       let source = 0 in
       let sink = 1 + n_batch + n_inc in
-      let g = scratch.g in
       Ltc_flow.Graph.clear g ~n:(sink + 1);
       Array.iteri
         (fun bi (w : Worker.t) ->
@@ -247,11 +256,9 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         (Ltc_flow.Graph.memory_words g + (8 * Ltc_flow.Graph.node_count g));
       let r =
         Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
-            Ltc_flow.Solver.solve scratch.sol ~init:`Dag_topo ?budget g
-              ~source ~sink)
+            Ltc_flow.Mcmf.run g ~workspace ?budget ~source ~sink)
       in
       (r, fun arc -> Ltc_flow.Graph.flow g arc)
-    end
   in
   (* A fired anytime budget is a degradation *inside* the solver: the
      partial flow is kept and the greedy pass below completes the batch.
@@ -272,11 +279,11 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         flow_result.Ltc_flow.Mcmf.rounds);
   (* Record which tasks' progress changes, so the incremental session can
      re-dimension exactly the touched units before the next batch. *)
+  let incremental =
+    match scratch.backend with Incremental _ -> true | Sspa _ -> false
+  in
   let touch task =
-    if
-      caps.Ltc_flow.Solver.incremental
-      && Bytes.get scratch.sync_mark task = '\000'
-    then begin
+    if incremental && Bytes.get scratch.sync_mark task = '\000' then begin
       Bytes.set scratch.sync_mark task '\001';
       scratch.sync_ids.(scratch.n_sync) <- task;
       scratch.n_sync <- scratch.n_sync + 1
@@ -293,8 +300,9 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
       assigned.(bi) <- assigned.(bi) + 1
     end
   done;
-  if caps.Ltc_flow.Solver.incremental then
-    Ltc_flow.Solver.end_batch scratch.sol;
+  (match scratch.backend with
+  | Incremental sol -> Ltc_flow.Solver.end_batch sol
+  | Sspa _ -> ());
   let arrangement = ref arrangement in
   Array.iteri
     (fun bi (w : Worker.t) ->
@@ -338,7 +346,7 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
   !arrangement
 
 (* Shared batch loop: [batch_size ~first] gives each batch's width. *)
-let run_batches ~name ~batch_size ?(solver = "sspa") ?budget instance =
+let run_batches ~name ~batch_size ?(solver = `Sspa) ?budget instance =
   Ltc_util.Trace.with_span ("engine:" ^ name) @@ fun () ->
   let n_tasks = Instance.task_count instance in
   let workers = instance.Instance.workers in

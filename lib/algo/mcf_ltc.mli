@@ -7,20 +7,19 @@
     {v st -[cap K, cost 0]-> w -[cap 1, cost -Acc(w,t)^star]-> t
                                  -[cap ceil(delta - S[t]), cost 0]-> ed v}
 
-    solved through the {!Ltc_flow.Solver} backend named by [config.solver]
-    (SSPA by default); leftover worker capacity is then
-    spent greedily on the highest-[Acc*] unfinished tasks (Algorithm 1 lines
-    8-15).  A tie-break perturbation of [5e-8 * index / |W|] on the [w->t]
-    arc costs prefers earlier workers among equally accurate ones — it can
-    only lower the latency objective and pins down Example 2's answer (6).
+    solved by SSPA ({!Ltc_flow.Mcmf}) or, with [config.solver =
+    `Incremental], by an incremental {!Ltc_flow.Solver} session; leftover
+    worker capacity is then spent greedily on the highest-[Acc*]
+    unfinished tasks (Algorithm 1 lines 8-15).  A tie-break perturbation
+    of [5e-8 * index / |W|] on the [w->t] arc costs prefers earlier
+    workers among equally accurate ones — it can only lower the latency
+    objective and pins down Example 2's answer (6).
 
     {b Hot path.}  All per-batch state lives in one per-run scratch: the
     flow graph is an arena ({!Ltc_flow.Graph.clear}ed, never reallocated),
-    the solver reuses one {!Ltc_flow.Mcmf.workspace}, task-id-indexed int
-    arrays replace the old per-batch hashtables, and potentials are seeded
-    by the single-sweep [`Dag_topo] initialiser (bit-identical to
-    Bellman-Ford on these layered networks).  After the first batch the
-    loop is allocation-free up to the per-worker assignment lists.  See
+    the solver reuses one {!Ltc_flow.Mcmf.workspace} and task-id-indexed
+    int arrays replace the old per-batch hashtables.  After the first batch
+    the loop is allocation-free up to the per-worker assignment lists.  See
     DESIGN.md §9.
 
     The batch factors are exposed for the [ablation-batch] bench, which
@@ -29,16 +28,21 @@
 
 val name : string
 
+type solver =
+  [ `Sspa
+    (** build each batch's network afresh and solve it with
+        {!Ltc_flow.Mcmf.run}; the paper's solver and the default *)
+  | `Incremental
+    (** one {!Ltc_flow.Solver} session keeps the residual network and
+        potentials alive across batches and re-dimensions only the tasks
+        whose progress changed.  It routes the same min-cost flow, but may
+        break sub-epsilon cost ties differently, so on rare instances its
+        arrangement differs from [`Sspa]'s. *) ]
+
 type config = {
   first_batch_factor : float;  (** paper: 1.5 *)
   batch_factor : float;        (** paper: 1.0 *)
-  solver : string;
-      (** {!Ltc_flow.Solver} registry name selecting the per-batch flow
-          backend: ["sspa"] (default), ["spfa"], or ["incremental"] — the
-          session solver that keeps the residual network and potentials
-          alive across batches and re-dimensions only the tasks whose
-          progress changed.  All backends produce the same arrangement up
-          to sub-epsilon cost ties. *)
+  solver : solver;             (** the per-batch flow backend *)
   budget : Ltc_flow.Mcmf.budget option;
       (** Anytime cutoff handed to every batch solve.  [None] (default)
           solves each batch exactly.  When the budget fires, the partial
@@ -69,8 +73,7 @@ val tie_cost : n_workers:int -> Ltc_core.Worker.t -> float
     ([test_algo]'s tie-cost suite). *)
 
 val run : ?config:config -> Ltc_core.Instance.t -> Engine.outcome
-(** @raise Invalid_argument when a batch factor is not positive or
-    [config.solver] is not a registered {!Ltc_flow.Solver} name. *)
+(** @raise Invalid_argument when a batch factor is not positive. *)
 
 val run_buffered : buffer:int -> Ltc_core.Instance.t -> Engine.outcome
 (** Buffered-online relaxation: Definition 7 only requires a decision "a

@@ -16,7 +16,7 @@ let default_radius accuracy =
 let create ?(accuracy = Accuracy.Sigmoid { dmax = Accuracy.default_dmax })
     ?(scoring = Quality.Hoeffding) ?candidate_radius ~tasks ~workers ~epsilon
     () =
-  if epsilon <= 0.0 || epsilon >= 1.0 then
+  if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Instance.create: epsilon must lie in (0, 1)";
   Array.iteri
     (fun i (task : Task.t) ->

@@ -3,7 +3,7 @@ type scoring =
   | Sum_accuracy of { threshold : float }
 
 let delta ~epsilon =
-  if epsilon <= 0.0 || epsilon >= 1.0 then
+  if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Quality.delta: epsilon must lie in (0, 1)";
   2.0 *. log (1.0 /. epsilon)
 

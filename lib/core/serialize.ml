@@ -302,32 +302,31 @@ module Binary = struct
      63-bit arithmetic agrees with the 32-bit definition) rather than a
      boxed [Int32].  Snapshot-sized payloads made the naive
      byte-at-a-time version the single hottest spot on the journal
-     commit path. *)
+     commit path.  The tables are built at start-up, not lazily: shard
+     domains compute their first CRCs at the same time, and forcing one
+     lazy value from two domains at once raises
+     [CamlinternalLazy.Undefined]. *)
   let crc_tables =
-    lazy
-      begin
-        let t = Array.make_matrix 8 256 0 in
-        for n = 0 to 255 do
-          let c = ref n in
-          for _ = 0 to 7 do
-            c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1)
-                 else !c lsr 1
-          done;
-          t.(0).(n) <- !c
-        done;
-        (* t.(k) advances a byte through the CRC k extra positions:
-           t.(k).(n) = crc-shift-by-one-byte of t.(k-1).(n). *)
-        for k = 1 to 7 do
-          for n = 0 to 255 do
-            let p = t.(k - 1).(n) in
-            t.(k).(n) <- (p lsr 8) lxor t.(0).(p land 0xff)
-          done
-        done;
-        t
-      end
+    let t = Array.make_matrix 8 256 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(0).(n) <- !c
+    done;
+    (* t.(k) advances a byte through the CRC k extra positions:
+       t.(k).(n) = crc-shift-by-one-byte of t.(k-1).(n). *)
+    for k = 1 to 7 do
+      for n = 0 to 255 do
+        let p = t.(k - 1).(n) in
+        t.(k).(n) <- (p lsr 8) lxor t.(0).(p land 0xff)
+      done
+    done;
+    t
 
   let crc32 s =
-    let t = Lazy.force crc_tables in
+    let t = crc_tables in
     let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3)
     and t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
     let byte k = Char.code (String.unsafe_get s k) in

@@ -6,7 +6,7 @@ type t = {
 
 let make ?epsilon ~id ~loc () =
   (match epsilon with
-  | Some e when e <= 0.0 || e >= 1.0 ->
+  | Some e when not (e > 0.0 && e < 1.0) ->
     invalid_arg "Task.make: epsilon must lie in (0, 1)"
   | Some _ | None -> ());
   { id; loc; epsilon }

@@ -480,89 +480,6 @@ let ablation_index =
         ]);
   }
 
-let ablation_solver =
-  {
-    id = "ablation-solver";
-    panels = "substrate ablation (min-cost-flow solver)";
-    description =
-      "SSPA-with-potentials vs queue-based SPFA on MCF-LTC batch networks";
-    default_scale = 1.0;
-    run =
-      (fun ~jobs ~scale ~reps ~seed ->
-        (* Solver wall-clock comparison: sequential for the same reason as
-           ablation-index. *)
-        ignore jobs;
-        ignore reps;
-        (* Build the exact network MCF-LTC would build for one batch of the
-           default workload, at several batch sizes. *)
-        let build ~n_workers ~n_tasks ~rng =
-          let source = 0 and sink = 1 + n_workers + n_tasks in
-          let g = Ltc_flow.Graph.create ~n:(sink + 1) in
-          for w = 1 to n_workers do
-            ignore (Ltc_flow.Graph.add_arc g ~src:source ~dst:w ~cap:6 ~cost:0.0)
-          done;
-          (* ~9 candidate tasks per worker, as in the default density. *)
-          for w = 1 to n_workers do
-            for _ = 1 to 9 do
-              let t = 1 + n_workers + Ltc_util.Rng.int rng n_tasks in
-              ignore
-                (Ltc_flow.Graph.add_arc g ~src:w ~dst:t ~cap:1
-                   ~cost:(-0.3 -. Ltc_util.Rng.float rng 0.5))
-            done
-          done;
-          for t = 1 + n_workers to n_workers + n_tasks do
-            ignore (Ltc_flow.Graph.add_arc g ~src:t ~dst:sink ~cap:4 ~cost:0.0)
-          done;
-          (g, source, sink)
-        in
-        let rows =
-          List.map
-            (fun base_workers ->
-              let n_workers =
-                max 10 (int_of_float (scale *. float_of_int base_workers))
-              in
-              let n_tasks = max 5 (n_workers * 3 / 2) in
-              let rng1 = Ltc_util.Rng.create ~seed in
-              let rng2 = Ltc_util.Rng.create ~seed in
-              let g1, source, sink = build ~n_workers ~n_tasks ~rng:rng1 in
-              let g2, _, _ = build ~n_workers ~n_tasks ~rng:rng2 in
-              (* Both backends through the registry-selected solver API. *)
-              let sspa = Ltc_flow.Solver.create "sspa" in
-              let spfa = Ltc_flow.Solver.create "spfa" in
-              let r1, t1 =
-                Ltc_util.Timer.time (fun () ->
-                    Ltc_flow.Solver.solve sspa g1 ~source ~sink)
-              in
-              let r2, t2 =
-                Ltc_util.Timer.time (fun () ->
-                    Ltc_flow.Solver.solve spfa g2 ~source ~sink)
-              in
-              [
-                Ltc_util.Table.Int n_workers;
-                Ltc_util.Table.Int r1.Ltc_flow.Mcmf.flow;
-                Ltc_util.Table.Float (t1 *. 1000.0);
-                Ltc_util.Table.Float (t2 *. 1000.0);
-                Ltc_util.Table.Str
-                  (if
-                     r1.Ltc_flow.Mcmf.flow = r2.Ltc_flow.Mcmf.flow
-                     && Float.abs (r1.Ltc_flow.Mcmf.cost -. r2.Ltc_flow.Mcmf.cost)
-                        < 1e-6
-                   then "yes"
-                   else "NO")
-              ])
-            [ 100; 200; 400; 800 ]
-        in
-        [
-          {
-            Runner.title =
-              "ablation-solver: one MCF-LTC batch, SSPA vs SPFA (ms)";
-            header = [ "workers"; "flow"; "SSPA"; "SPFA"; "agree" ];
-            rows;
-            float_digits = 1;
-          };
-        ]);
-  }
-
 let ext_noshow =
   {
     id = "ext-noshow";
@@ -954,7 +871,6 @@ let all =
     ablation_strategy;
     ablation_approx;
     ablation_index;
-    ablation_solver;
     ext_noshow;
     ext_buffer;
     ext_dynamic;

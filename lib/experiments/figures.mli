@@ -19,9 +19,9 @@ type t = {
           {!Runner.sweep}).  Latency/memory/completion outputs are
           bit-identical for every [jobs]; wall-clock runtime columns vary
           run to run, as they do sequentially.  Entries whose measurements
-          are themselves wall-clock micro-benchmarks ([ablation-index],
-          [ablation-solver]) and the sequentially-coupled [ext-inference]
-          ignore [jobs] by design. *)
+          are themselves wall-clock micro-benchmarks ([ablation-index])
+          and the sequentially-coupled [ext-inference] ignore [jobs] by
+          design. *)
 }
 
 val all : t list

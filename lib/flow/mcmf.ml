@@ -12,52 +12,45 @@ type budget =
 (* Tolerance for reduced-cost non-negativity under float arithmetic. *)
 let epsilon = 1e-9
 
-(* Shared solver metrics, one series per solver backend; registered once
-   and free while metrics are disabled. *)
-let solver_metrics solver =
-  let labels = [ ("solver", solver) ] in
-  ( Ltc_util.Metrics.counter ~help:"min-cost-flow solver invocations" ~labels
-      "ltc_flow_mcmf_runs_total",
-    Ltc_util.Metrics.counter ~help:"augmenting rounds (shortest-path solves)"
-      ~labels "ltc_flow_mcmf_rounds_total",
-    Ltc_util.Metrics.counter ~help:"total flow units pushed" ~labels
-      "ltc_flow_mcmf_pushed_flow_total" )
+(* Solver metrics, registered once and free while metrics are disabled.
+   The [solver] label predates the single engine; dashboards and the
+   repository benchmark select on it. *)
+let labels = [ ("solver", "sspa") ]
 
-let m_runs, m_rounds, m_flow = solver_metrics "sspa"
+let m_runs =
+  Ltc_util.Metrics.counter ~help:"min-cost-flow solver invocations" ~labels
+    "ltc_flow_mcmf_runs_total"
+
+let m_rounds =
+  Ltc_util.Metrics.counter ~help:"augmenting rounds (shortest-path solves)"
+    ~labels "ltc_flow_mcmf_rounds_total"
+
+let m_flow =
+  Ltc_util.Metrics.counter ~help:"total flow units pushed" ~labels
+    "ltc_flow_mcmf_pushed_flow_total"
 
 let m_bf_rounds =
   Ltc_util.Metrics.counter
     ~help:"Bellman-Ford relaxation sweeps while initialising potentials"
-    ~labels:[ ("solver", "sspa") ]
-    "ltc_flow_mcmf_bellman_ford_rounds_total"
+    ~labels "ltc_flow_mcmf_bellman_ford_rounds_total"
 
 let m_dijkstra =
   Ltc_util.Metrics.counter ~help:"Dijkstra passes over the reduced graph"
-    ~labels:[ ("solver", "sspa") ]
-    "ltc_flow_mcmf_dijkstra_passes_total"
-
-let m_dag_inits =
-  Ltc_util.Metrics.counter
-    ~help:"single-pass topological potential initialisations"
-    ~labels:[ ("solver", "sspa") ]
-    "ltc_flow_mcmf_dag_inits_total"
+    ~labels "ltc_flow_mcmf_dijkstra_passes_total"
 
 (* ------------------------------------------------------ reusable workspace *)
 
-(* Per-solve scratch: potentials, Dijkstra labels and heap, plus the SPFA
-   ring/counters {!Mcmf_spfa} borrows.  Labels are validated by an epoch
-   stamp instead of O(n) fills, so a shortest-path pass touching few nodes
-   costs what it touches, not the node count. *)
+(* Per-solve scratch: potentials, Dijkstra labels and heap.  Labels are
+   validated by an epoch stamp instead of O(n) fills, so a shortest-path
+   pass touching few nodes costs what it touches, not the node count. *)
 type workspace = {
   mutable pot : float array;
   mutable dist : float array;
   mutable pred : int array;
   mutable stamp : int array;   (* dist/pred/flag valid iff stamp.(v) = epoch *)
-  mutable flag : Bytes.t;      (* Dijkstra: settled; SPFA: in-queue *)
+  mutable flag : Bytes.t;      (* settled by the current pass *)
   mutable epoch : int;
   heap : Node_heap.t;
-  mutable ring : int array;    (* SPFA FIFO ring buffer *)
-  mutable counts : int array;  (* SPFA relaxation counters *)
   (* Nodes stamped by the current Dijkstra pass, recorded only under
      [`Keep] so the potential update can walk the touched set instead of
      all n nodes — the part that makes incremental resolves sub-linear. *)
@@ -75,8 +68,6 @@ let create_workspace ?(hint = 16) () =
     flag = Bytes.make hint '\000';
     epoch = 0;
     heap = Node_heap.create ~n:hint;
-    ring = [||];
-    counts = [||];
     touched = Array.make hint 0;
     n_touched = 0;
   }
@@ -111,37 +102,17 @@ let ensure_workspace ws ~n =
 
 let borrow_potentials ws = ws.pot
 
-let copy_potentials ws ~n =
-  if n < 0 || n > Array.length ws.pot then
-    invalid_arg "Mcmf.copy_potentials: n out of range";
-  Array.sub ws.pot 0 n
-
-(* SPFA-side scratch (ring + relax counters); stale contents are masked by
-   the epoch stamp, so growth can drop old values. *)
-let ensure_spfa_scratch ws ~n =
-  ensure_workspace ws ~n;
-  if Array.length ws.ring < n then begin
-    let cap = Array.length ws.pot in
-    ws.ring <- Array.make cap 0;
-    ws.counts <- Array.make cap 0
-  end
-
-let ws_dist ws = ws.dist
-let ws_pred ws = ws.pred
-let ws_stamp ws = ws.stamp
-let ws_flag ws = ws.flag
-let ws_ring ws = ws.ring
-let ws_counts ws = ws.counts
-let ws_epoch ws = ws.epoch
-let ws_set_epoch ws e = ws.epoch <- e
-
 (* ---------------------------------------------------- potential initialisers *)
 
-type potential_init = [ `Bellman_ford | `Dag_topo | `Keep ]
+type potential_init = [ `Bellman_ford | `Keep ]
 
 (* Bellman-Ford over residual arcs; fills [pot] with shortest-path distances
    from [source] (unreachable nodes keep 0, which is safe: they can only be
-   reached later through reachable nodes, whose potentials are exact). *)
+   reached later through reachable nodes, whose potentials are exact).  On
+   an LTC batch network, whose arcs are appended in topological order of
+   their tails (source -> workers -> tasks -> sink), the first sweep
+   reaches the fixpoint and the second only confirms it: one O(E) sweep
+   per batch beside hundreds of Dijkstra passes. *)
 let bellman_ford (raw : Graph.raw) ~n ~source pot =
   Array.fill pot 0 n infinity;
   pot.(source) <- 0.0;
@@ -171,41 +142,10 @@ let bellman_ford (raw : Graph.raw) ~n ~source pot =
     if pot.(v) = infinity then pot.(v) <- 0.0
   done
 
-(* Single relaxation sweep in arc-insertion order.  When arcs were appended
-   in topological order of their tails — true of every LTC batch network:
-   source -> workers -> tasks -> sink — one sweep reaches the exact
-   Bellman-Ford fixpoint (BF's first round performs this identical
-   relaxation sequence and its second round only verifies convergence), so
-   the potentials are bit-for-bit the Bellman-Ford ones at half the cost
-   and without the convergence re-scan. *)
-let dag_topo_init (raw : Graph.raw) ~n ~source pot =
-  Ltc_util.Metrics.Counter.incr m_dag_inits;
-  Array.fill pot 0 n infinity;
-  pot.(source) <- 0.0;
-  for a = 0 to raw.Graph.r_len - 1 do
-    if raw.Graph.r_caps.(a) > 0 then begin
-      let u = raw.Graph.r_heads.(a lxor 1) in
-      let v = raw.Graph.r_heads.(a) in
-      if pot.(u) < infinity then begin
-        let d = pot.(u) +. raw.Graph.r_costs.(a) in
-        if d < pot.(v) -. epsilon then pot.(v) <- d
-      end
-    end
-  done;
-  for v = 0 to n - 1 do
-    if pot.(v) = infinity then pot.(v) <- 0.0
-  done
-
-let init_potentials (raw : Graph.raw) ~n ~source ~init pot =
-  match init with
-  | `Keep -> ()
-  | `Bellman_ford -> bellman_ford raw ~n ~source pot
-  | `Dag_topo -> dag_topo_init raw ~n ~source pot
-
 (* --------------------------------------------------------------------- run *)
 
-let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
-    ?(init = `Bellman_ford) ?budget g ~source ~sink =
+let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
+    ~source ~sink =
   let n = Graph.node_count g in
   if source < 0 || source >= n || sink < 0 || sink >= n then
     invalid_arg "Mcmf.run: node out of range";
@@ -230,7 +170,9 @@ let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
   and settled = ws.flag
   and touched = ws.touched
   and heap = ws.heap in
-  init_potentials raw ~n ~source ~init pot;
+  (match init with
+  | `Bellman_ford -> bellman_ford raw ~n ~source pot
+  | `Keep -> ());
   (* [`Keep] doubles as the incremental-resolve mode: potentials are
      trusted as-is {e and} the per-round potential update walks only the
      nodes this pass touched.  That sparse update differs from the dense
@@ -239,7 +181,7 @@ let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
      shifts leave every reduced cost — and the [path_cost] difference
      below — unchanged, so flows and costs agree with the dense update in
      exact arithmetic. *)
-  let sparse = match init with `Keep -> true | _ -> false in
+  let sparse = init = `Keep in
   (* Dijkstra on reduced costs, stopping as soon as the sink settles.
      Labels are valid only where [stamp.(v)] equals this pass's epoch —
      unstamped nodes read as dist = infinity, unsettled, which replaces the
@@ -315,7 +257,6 @@ let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
   let total_flow = ref 0 in
   let total_cost = ref 0.0 in
   let rounds = ref 0 in
-  let continue = ref true in
   (* Anytime budget: checked before each shortest-path pass, so a budgeted
      run always returns a flow that is a valid prefix of the exact run's
      augmentation sequence (SSPA's prefix-optimality: the first k routed
@@ -342,7 +283,7 @@ let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
     else true
   in
   while
-    !continue && !total_flow < max_flow
+    !total_flow < max_flow
     && within_budget ()
     &&
     (Ltc_util.Metrics.Counter.incr m_dijkstra;
@@ -351,49 +292,46 @@ let run ?(max_flow = max_int) ?(stop_on_nonnegative = false) ?workspace
     let ep = !epoch in
     (* True (unreduced) cost of the found path. *)
     let path_cost = dist.(sink) +. pot.(sink) -. pot.(source) in
-    if stop_on_nonnegative && path_cost >= -.epsilon then continue := false
-    else begin
-      incr rounds;
-      (* Early-exit potential update: unsettled nodes advance by the sink
-         distance, settled ones by their own distance.  In sparse mode the
-         same update is applied modulo a uniform [-d_sink] shift, visiting
-         only touched nodes (untouched ones advance by 0 instead of
-         [d_sink]); reduced costs are identical either way. *)
-      let d_sink = dist.(sink) in
-      if sparse then
-        for k = 0 to ws.n_touched - 1 do
-          let v = Array.unsafe_get touched k in
-          let dv = Array.unsafe_get dist v in
-          if dv < d_sink then pot.(v) <- pot.(v) +. (dv -. d_sink)
-        done
-      else
-        for v = 0 to n - 1 do
-          let dv =
-            if Array.unsafe_get stamp v = ep then Array.unsafe_get dist v
-            else infinity
-          in
-          pot.(v) <- pot.(v) +. Float.min dv d_sink
-        done;
-      (* Bottleneck along the predecessor chain. *)
-      let rec bottleneck v acc =
-        if v = source then acc
-        else begin
-          let a = pred.(v) in
-          bottleneck heads.(a lxor 1) (min acc caps.(a))
-        end
-      in
-      let amount = min (bottleneck sink max_int) (max_flow - !total_flow) in
-      let rec augment v =
-        if v <> source then begin
-          let a = pred.(v) in
-          Graph.push g a amount;
-          augment heads.(a lxor 1)
-        end
-      in
-      augment sink;
-      total_flow := !total_flow + amount;
-      total_cost := !total_cost +. (float_of_int amount *. path_cost)
-    end
+    incr rounds;
+    (* Early-exit potential update: unsettled nodes advance by the sink
+       distance, settled ones by their own distance.  In sparse mode the
+       same update is applied modulo a uniform [-d_sink] shift, visiting
+       only touched nodes (untouched ones advance by 0 instead of
+       [d_sink]); reduced costs are identical either way. *)
+    let d_sink = dist.(sink) in
+    if sparse then
+      for k = 0 to ws.n_touched - 1 do
+        let v = Array.unsafe_get touched k in
+        let dv = Array.unsafe_get dist v in
+        if dv < d_sink then pot.(v) <- pot.(v) +. (dv -. d_sink)
+      done
+    else
+      for v = 0 to n - 1 do
+        let dv =
+          if Array.unsafe_get stamp v = ep then Array.unsafe_get dist v
+          else infinity
+        in
+        pot.(v) <- pot.(v) +. Float.min dv d_sink
+      done;
+    (* Bottleneck along the predecessor chain. *)
+    let rec bottleneck v acc =
+      if v = source then acc
+      else begin
+        let a = pred.(v) in
+        bottleneck heads.(a lxor 1) (min acc caps.(a))
+      end
+    in
+    let amount = min (bottleneck sink max_int) (max_flow - !total_flow) in
+    let rec augment v =
+      if v <> source then begin
+        let a = pred.(v) in
+        Graph.push g a amount;
+        augment heads.(a lxor 1)
+      end
+    in
+    augment sink;
+    total_flow := !total_flow + amount;
+    total_cost := !total_cost +. (float_of_int amount *. path_cost)
   done;
   ws.epoch <- !epoch;
   Ltc_util.Metrics.Counter.add m_rounds !rounds;

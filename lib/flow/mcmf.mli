@@ -6,10 +6,9 @@
     matching with real-valued arc costs".
 
     Implementation: node potentials initialised by Bellman-Ford (the LTC
-    networks carry negative arc costs [-Acc*]) — or, for layered batch
-    networks, by a single topological relaxation sweep ({!potential_init}) —
-    then repeated Dijkstra on reduced costs with a binary heap, augmenting
-    one shortest path per round.  Dijkstra stops as soon as the sink
+    networks carry negative arc costs [-Acc*]), then repeated Dijkstra on
+    reduced costs with a binary heap, augmenting one shortest path per
+    round.  Dijkstra stops as soon as the sink
     settles; potentials of unsettled nodes advance by the sink distance
     (Goldberg's early-exit variant), preserving reduced-cost
     non-negativity.  A small epsilon absorbs floating-point drift in the
@@ -51,10 +50,9 @@ type budget =
 (** {2 Reusable workspace} *)
 
 type workspace
-(** Solver scratch: potentials, labels, heap, and the queue/counter arrays
-    {!Mcmf_spfa} shares.  One workspace serves any sequence of solves (its
-    arrays grow on demand and never shrink); it must not be shared between
-    concurrently running solves. *)
+(** Solver scratch: potentials, labels and heap.  One workspace serves any
+    sequence of solves (its arrays grow on demand and never shrink); it
+    must not be shared between concurrently running solves. *)
 
 val create_workspace : ?hint:int -> unit -> workspace
 (** An empty workspace, pre-sized for graphs of [hint] nodes (default 16;
@@ -67,33 +65,20 @@ val borrow_potentials : workspace -> float array
 (** The workspace's {e live} node-potential array — a borrow, not a copy.
     After {!run} returns, entries [0 .. node_count - 1] hold the final
     potentials of that solve, which the next solve may keep alive via
-    [`Keep].  The borrow is invalidated
-    by the next solve: the array is overwritten, and {e replaced entirely}
-    when the workspace grows — a caller holding the old array would then
-    silently read stale values.  Read or copy what you need before solving
-    again; use {!copy_potentials} to keep values across solves. *)
-
-val copy_potentials : workspace -> n:int -> float array
-(** [copy_potentials ws ~n] is a fresh copy of the first [n] potentials —
-    safe to hold across later solves, unlike {!borrow_potentials}.
-    @raise Invalid_argument when [n] exceeds {!workspace_capacity}. *)
+    [`Keep].  The borrow is invalidated by the next solve: the array is
+    overwritten, and {e replaced entirely} when the workspace grows — a
+    caller holding the old array would then silently read stale values.
+    Read what you need before solving again. *)
 
 (** {2 Potential initialisation} *)
 
 type potential_init =
   [ `Bellman_ford
     (** Iterated relaxation over all residual arcs; correct on any input
-        without negative cycles.  The default. *)
-  | `Dag_topo
-    (** One relaxation sweep in arc-insertion order.  {b Precondition}:
-        arcs were added in topological order of their source nodes (true of
-        every LTC batch network: source -> workers -> tasks -> sink).  On
-        such graphs the sweep performs exactly Bellman-Ford's first-round
-        relaxation sequence and lands on the same fixpoint bit-for-bit,
-        skipping only the convergence re-scan — half the initialisation
-        cost, same potentials, same flow, same cost.  On a graph violating
-        the precondition the potentials are silently non-optimal and the
-        min-cost guarantee is lost. *)
+        without negative cycles.  The default.  On a layered LTC batch
+        network (source -> workers -> tasks -> sink, arcs added in that
+        order) the first sweep already reaches the fixpoint and the
+        second only verifies it. *)
   | `Keep
     (** Trust the workspace potentials exactly as the caller maintained
         them — no initialisation, no validation scan.  This is the
@@ -111,7 +96,6 @@ type potential_init =
 
 val run :
   ?max_flow:int ->
-  ?stop_on_nonnegative:bool ->
   ?workspace:workspace ->
   ?init:potential_init ->
   ?budget:budget ->
@@ -123,10 +107,7 @@ val run :
     sink is unreachable (a {e maximum} flow of minimum cost), mutating [g]'s
     residual capacities; read per-arc results with {!Graph.flow}.
 
-    [max_flow] caps the total units routed.  [stop_on_nonnegative] (default
-    [false]) additionally stops when the cheapest augmenting path has cost
-    [>= 0], yielding a {e minimum-cost} flow instead (never routes
-    cost-increasing flow).
+    [max_flow] caps the total units routed.
 
     [workspace] supplies the per-solve scratch; without it a fresh one is
     allocated for this call.  [init] selects the potential initialiser
@@ -140,19 +121,9 @@ val run :
 
 (**/**)
 
-(* Solver-internal plumbing: {!Mcmf_spfa} shares this workspace (distance /
-   predecessor / stamp labels, its FIFO ring and relaxation counters).  Not
-   part of the public API. *)
-
+(* Grows the workspace arrays to [n] nodes; {!Solver}'s session calls it
+   before writing potentials of nodes it adds.  Not part of the public
+   API. *)
 val ensure_workspace : workspace -> n:int -> unit
-val ensure_spfa_scratch : workspace -> n:int -> unit
-val ws_dist : workspace -> float array
-val ws_pred : workspace -> int array
-val ws_stamp : workspace -> int array
-val ws_flag : workspace -> Bytes.t
-val ws_ring : workspace -> int array
-val ws_counts : workspace -> int array
-val ws_epoch : workspace -> int
-val ws_set_epoch : workspace -> int -> unit
 
 (**/**)

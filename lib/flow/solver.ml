@@ -1,10 +1,3 @@
-type capabilities = {
-  solver_name : string;
-  incremental : bool;
-  potentials : bool;
-  anytime : bool;
-}
-
 (* The incremental session keeps one residual network alive across batches:
 
      node 0        source
@@ -28,7 +21,7 @@ type capabilities = {
        sink's (its fresh 0-cost sink arc needs [pot(unit) >= pot(sink)];
        raising is safe because between batches a unit node has no residual
        in-arcs).  *)
-type session = {
+type t = {
   sg : Graph.t;
   sws : Mcmf.workspace;
   mutable unit_node : int array;  (* unit id -> node, -1 undeclared *)
@@ -41,34 +34,8 @@ type session = {
   mutable sink_bound : float;     (* pending sink-potential repair *)
 }
 
-type impl =
-  | Scratch_sspa of Mcmf.workspace
-  | Scratch_spfa of Mcmf.workspace
-  | Incremental of session
-
-type t = {
-  caps : capabilities;
-  impl : impl;
-}
-
 let source = 0
 let sink = 1
-
-let caps_sspa =
-  { solver_name = "sspa"; incremental = false; potentials = true;
-    anytime = true }
-
-let caps_spfa =
-  { solver_name = "spfa"; incremental = false; potentials = false;
-    anytime = true }
-
-let caps_incremental =
-  { solver_name = "incremental"; incremental = true; potentials = false;
-    anytime = true }
-
-let registry = [ caps_sspa; caps_spfa; caps_incremental ]
-let names () = List.map (fun c -> c.solver_name) registry
-let all_capabilities () = registry
 
 let m_resolves =
   Ltc_util.Metrics.counter ~help:"incremental batch resolves"
@@ -80,7 +47,7 @@ let m_links =
     ~labels:[ ("solver", "incremental") ]
     "ltc_flow_incremental_links_total"
 
-let create_session ~hint =
+let create ?(hint = 16) () =
   let sws = Mcmf.create_workspace ~hint:(max hint 2) () in
   Mcmf.ensure_workspace sws ~n:2;
   let sg = Graph.create ~n:2 in
@@ -98,57 +65,10 @@ let create_session ~hint =
     sink_bound = infinity;
   }
 
-let create ?(hint = 16) name =
-  match String.lowercase_ascii name with
-  | "sspa" ->
-    { caps = caps_sspa; impl = Scratch_sspa (Mcmf.create_workspace ~hint ()) }
-  | "spfa" ->
-    { caps = caps_spfa; impl = Scratch_spfa (Mcmf.create_workspace ~hint ()) }
-  | "incremental" ->
-    { caps = caps_incremental; impl = Incremental (create_session ~hint) }
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Solver.create: unknown solver %S (try: %s)" other
-         (String.concat ", " (names ())))
-
-let name t = t.caps.solver_name
-let capabilities t = t.caps
-
-let borrow_potentials t =
-  match t.impl with
-  | Scratch_sspa ws | Scratch_spfa ws -> Mcmf.borrow_potentials ws
-  | Incremental s -> Mcmf.borrow_potentials s.sws
-
-let memory_words t =
-  match t.impl with
-  | Scratch_sspa _ | Scratch_spfa _ -> 0
-  | Incremental s ->
-    Graph.memory_words s.sg
-    + (8 * Graph.node_count s.sg)
-    + (2 * Array.length s.unit_node)
-
-let solve t ?max_flow ?stop_on_nonnegative ?init ?budget g ~source ~sink =
-  match t.impl with
-  | Scratch_sspa ws ->
-    Mcmf.run ?max_flow ?stop_on_nonnegative ~workspace:ws ?init ?budget g
-      ~source ~sink
-  | Scratch_spfa ws ->
-    Mcmf_spfa.run ?max_flow ?stop_on_nonnegative ~workspace:ws ?budget g
-      ~source ~sink
-  | Incremental _ ->
-    invalid_arg
-      "Solver.solve: the incremental solver keeps live session state; use \
-       the resolve protocol"
-
-(* ------------------------------------------------- incremental session *)
-
-let session t op =
-  match t.impl with
-  | Incremental s -> s
-  | Scratch_sspa _ | Scratch_spfa _ ->
-    invalid_arg
-      (Printf.sprintf "Solver.%s: %S is not an incremental solver" op
-         t.caps.solver_name)
+let memory_words s =
+  Graph.memory_words s.sg
+  + (8 * Graph.node_count s.sg)
+  + (2 * Array.length s.unit_node)
 
 let ensure_units s u =
   let len = Array.length s.unit_node in
@@ -165,8 +85,7 @@ let ensure_units s u =
 
 type link = Graph.arc
 
-let set_unit t ~unit_id ~cap =
-  let s = session t "set_unit" in
+let set_unit s ~unit_id ~cap =
   if s.stage <> `Idle then
     invalid_arg "Solver.set_unit: batch in progress";
   if unit_id < 0 then invalid_arg "Solver.set_unit: negative unit id";
@@ -195,16 +114,14 @@ let set_unit t ~unit_id ~cap =
     if cap > 0 && pot.(node) < pot.(sink) then pot.(node) <- pot.(sink)
   end
 
-let begin_batch t =
-  let s = session t "begin_batch" in
+let begin_batch s =
   if s.stage <> `Idle then invalid_arg "Solver.begin_batch: batch already open";
   s.stage <- `Open;
   s.worker_base <- 2 + s.n_units;
   s.n_workers <- 0;
   s.sink_bound <- infinity
 
-let add_worker t ~cap =
-  let s = session t "add_worker" in
+let add_worker s ~cap =
   if s.stage <> `Open then invalid_arg "Solver.add_worker: no open batch";
   if cap < 0 then invalid_arg "Solver.add_worker: negative capacity";
   let node = s.worker_base + s.n_workers in
@@ -217,8 +134,7 @@ let add_worker t ~cap =
   pot.(node) <- pot.(source);
   s.n_workers - 1
 
-let add_link t ~worker ~unit_id ~cost =
-  let s = session t "add_link" in
+let add_link s ~worker ~unit_id ~cost =
   if s.stage <> `Open then invalid_arg "Solver.add_link: no open batch";
   if worker < 0 || worker >= s.n_workers then
     invalid_arg "Solver.add_link: unknown worker handle";
@@ -243,8 +159,7 @@ let add_link t ~worker ~unit_id ~cost =
   end;
   arc
 
-let resolve t ?budget () =
-  let s = session t "resolve" in
+let resolve s ?budget () =
   if s.stage <> `Open then invalid_arg "Solver.resolve: no open batch";
   Ltc_util.Metrics.Counter.incr m_resolves;
   let pot = Mcmf.borrow_potentials s.sws in
@@ -256,13 +171,11 @@ let resolve t ?budget () =
   s.stage <- `Solved;
   Mcmf.run s.sg ~workspace:s.sws ~init:`Keep ?budget ~source ~sink
 
-let link_flow t link =
-  let s = session t "link_flow" in
+let link_flow s link =
   if s.stage <> `Solved then invalid_arg "Solver.link_flow: resolve first";
   Graph.flow s.sg link
 
-let end_batch t =
-  let s = session t "end_batch" in
+let end_batch s =
   if s.stage = `Idle then invalid_arg "Solver.end_batch: no open batch";
   Graph.truncate s.sg s.base_len;
   s.stage <- `Idle;

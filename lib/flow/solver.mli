@@ -1,92 +1,31 @@
-(** Pluggable min-cost-flow solver backends behind one first-class
-    interface.
+(** The incremental min-cost-flow session MCF-LTC's [`Incremental]
+    backend runs on.
 
-    Before this module, every caller hard-wired a backend: [Mcmf.run] here,
-    [Mcmf_spfa.run] there, each with its own [potential_init] plumbing.  A
-    {!t} instead bundles a named backend with its reusable workspace, and a
-    name-keyed registry (mirroring [Ltc_algo.Algorithm]) lets callers —
-    MCF-LTC's config, the CLI, benches — select SSPA, SPFA or the
-    incremental session solver without code changes.  Future backends
-    (cost-scaling, bucket-Dijkstra) plug in by adding a registry entry.
-
-    Two protocols, discriminated by {!capabilities}:
-
-    - {b Scratch} ([sspa], [spfa]): the caller builds a {!Graph.t} per
-      problem and calls {!solve}; the instance only carries the reused
-      workspace.
-    - {b Incremental} ([incremental]): the instance owns a persistent
-      residual network and live potentials.  The caller declares demand
-      units once ({!set_unit}), then per batch stacks transient worker
-      nodes on top ({!begin_batch} / {!add_worker} / {!add_link}),
-      {!resolve}s, reads flows ({!link_flow}) and retracts the batch
-      ({!end_batch}).  Between batches only the touched subgraph is
-      repaired, so a resolve costs what the delta touches — not the plane
-      size.  See DESIGN.md §15 for the potential-repair invariants. *)
-
-type capabilities = {
-  solver_name : string;  (** registry key, lowercase *)
-  incremental : bool;
-      (** supports the session protocol ({!set_unit} .. {!end_batch});
-          when [false] those calls raise and {!solve} is the entry point *)
-  potentials : bool;
-      (** honours {!Mcmf.potential_init} hints passed to {!solve} (SSPA);
-          backends without potentials ignore [init] *)
-  anytime : bool;  (** honours an {!Mcmf.budget} cutoff *)
-}
+    A session owns a persistent residual network and live potentials.  The
+    caller declares demand units once ({!set_unit}), then per batch stacks
+    transient worker nodes on top ({!begin_batch} / {!add_worker} /
+    {!add_link}), {!resolve}s, reads flows ({!link_flow}) and retracts the
+    batch ({!end_batch}).  Between batches only the touched subgraph is
+    repaired, so a resolve costs what the delta touches — not the plane
+    size.  A from-scratch solve needs no session: build a {!Graph.t} and
+    call {!Mcmf.run}.  See DESIGN.md §15 for the potential-repair
+    invariants. *)
 
 type t
-(** A solver instance: a backend plus its private reusable state (scratch
-    workspace, or the incremental session).  Not domain-safe; one instance
-    per concurrent run. *)
+(** A session: its residual network, unit maps and the {!Mcmf.workspace}
+    holding its potentials.  Not domain-safe; one session per concurrent
+    run. *)
 
-val names : unit -> string list
-(** Registered backend names, registry order: [["sspa"; "spfa";
-    "incremental"]]. *)
-
-val all_capabilities : unit -> capabilities list
-(** Capability records of every registered backend, registry order. *)
-
-val create : ?hint:int -> string -> t
-(** [create name] instantiates a registered backend (name matched
-    case-insensitively); [hint] pre-sizes its workspace.
-    @raise Invalid_argument on an unknown name, listing the registry. *)
-
-val name : t -> string
-val capabilities : t -> capabilities
-
-val borrow_potentials : t -> float array
-(** The backend workspace's live potential array, with exactly the
-    {!Mcmf.borrow_potentials} caveats (overwritten by the next
-    solve/resolve, replaced when the workspace grows).  Meaningful after a
-    solve on a potential-maintaining backend (SSPA) or on the
-    incremental session (whose potentials are always live). *)
+val create : ?hint:int -> unit -> t
+(** An idle session with no units; [hint] pre-sizes its workspace. *)
 
 val memory_words : t -> int
-(** Approximate footprint of solver-owned persistent state: the
-    incremental session's residual network and unit maps (for memory
-    tracking panels).  0 for scratch backends — their graph is
-    caller-owned and already charged by the caller. *)
+(** Approximate footprint of the session's persistent state: its residual
+    network and unit maps (for memory tracking panels). *)
 
-val solve :
-  t ->
-  ?max_flow:int ->
-  ?stop_on_nonnegative:bool ->
-  ?init:Mcmf.potential_init ->
-  ?budget:Mcmf.budget ->
-  Graph.t ->
-  source:int ->
-  sink:int ->
-  Mcmf.result
-(** One from-scratch solve over a caller-built graph, with the contract of
-    {!Mcmf.run}.  [init] is honoured only when [capabilities.potentials];
-    SPFA ignores it.  @raise Invalid_argument on an incremental instance —
-    a session's potentials must never be clobbered by a scratch solve; use
-    {!resolve}. *)
+(** {2 Session protocol}
 
-(** {2 Incremental session protocol}
-
-    Calls below raise [Invalid_argument] on a non-incremental instance,
-    and enforce the stage discipline [idle -> open -> solved -> idle]:
+    Calls below enforce the stage discipline [idle -> open -> solved -> idle]:
     {!set_unit} only while idle, {!add_worker}/{!add_link} only while
     open, {!link_flow} only after {!resolve}, {!end_batch} closes either
     way.

@@ -371,28 +371,28 @@ let journal_event t (w : Worker.t) d =
 
 (* ---------------------------------------------------------- construction *)
 
+let policy_of (a : Ltc_algo.Algorithm.t) what =
+  match a.Ltc_algo.Algorithm.policy with
+  | Some p -> p
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "Session: %s cannot serve %s (offline or release-scheduled \
+          algorithm)"
+         a.Ltc_algo.Algorithm.name what)
+
+let check_online a what =
+  let (_ : Ltc_util.Rng.t -> Ltc_algo.Engine.policy) = policy_of a what in
+  ()
+
+let check_deadline d =
+  Ltc_algo.Engine.check_budget "Session" d.budget_s;
+  check_online d.fallback "as a deadline fallback"
+
 let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     ~on_decision ~policy_rng ~noshow_rng ~progress ~arrangement ~consumed =
-  let policy_of (a : Ltc_algo.Algorithm.t) what =
-    match a.Ltc_algo.Algorithm.policy with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Session: %s cannot serve %s (offline or release-scheduled \
-            algorithm)"
-           a.Ltc_algo.Algorithm.name what)
-  in
   let policy = policy_of algorithm "an arrival stream" in
-  (match deadline with
-  | None -> ()
-  | Some d ->
-    if d.budget_s <= 0.0 then
-      invalid_arg "Session: deadline budget must be > 0";
-    let (_ : Ltc_util.Rng.t -> Ltc_algo.Engine.policy) =
-      policy_of d.fallback "as a deadline fallback"
-    in
-    ());
+  Option.iter check_deadline deadline;
   let tracker = Ltc_util.Mem.Tracker.create () in
   Ltc_util.Mem.Tracker.set_baseline_words tracker
     (Progress.memory_words progress);
@@ -444,10 +444,15 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     feed_hdr = Ltc_util.Metrics.Hdr.create ();
   }
 
-let validate_accept_rate = function
-  | Some q when q <= 0.0 || q > 1.0 ->
-    invalid_arg "Session.create: accept_rate must be in (0, 1]"
-  | _ -> ()
+let check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
+    algorithm =
+  Option.iter (Ltc_algo.Engine.check_accept_rate "Session.create") accept_rate;
+  if checkpoint_every < 1 then
+    invalid_arg "Session.create: checkpoint_every must be >= 1";
+  if group_commit < 1 then
+    invalid_arg "Session.create: group_commit must be >= 1";
+  check_online algorithm "an arrival stream";
+  Option.iter check_deadline deadline
 
 (* A journal appending through [oc] to a file of [disk_bytes] bytes that
    starts with [header_bytes]. *)
@@ -495,11 +500,8 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
     invalid_arg
       "Session.create: the text journal codec is read-only (restore or \
        convert old text journals; new journals are binary)";
-  validate_accept_rate accept_rate;
-  if checkpoint_every < 1 then
-    invalid_arg "Session.create: checkpoint_every must be >= 1";
-  if group_commit < 1 then
-    invalid_arg "Session.create: group_commit must be >= 1";
+  check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
+    algorithm;
   let instance = strip_workers instance in
   let policy_rng, noshow_rng = derive_rngs ~seed in
   let progress =

@@ -100,7 +100,7 @@ type decision = {
 }
 
 type deadline = {
-  budget_s : float;  (** per-arrival decision budget in seconds (> 0) *)
+  budget_s : float;  (** per-arrival decision budget in seconds (finite, > 0) *)
   fallback : Ltc_algo.Algorithm.t;
       (** cheap online algorithm that decides an arrival whose primary
           decision arrived late *)
@@ -154,11 +154,23 @@ val create :
     [group_commit] (default [1]) sets how many records are coalesced per
     write/fsync.
 
-    @raise Invalid_argument if [algorithm] (or the deadline fallback) has
-    no online policy ([policy = None]: Base-off, MCF-LTC, the dynamic
-    variants), if [accept_rate] is outside (0, 1], if the deadline budget
-    is [<= 0], if [checkpoint_every < 1], if [group_commit < 1], or if
-    [format] is [Text]. *)
+    @raise Invalid_argument if [format] is [Text] or {!check_options}
+    refuses the options. *)
+
+val check_options :
+  ?accept_rate:float ->
+  ?deadline:deadline ->
+  checkpoint_every:int ->
+  group_commit:int ->
+  Ltc_algo.Algorithm.t ->
+  unit
+(** The option checks {!create} runs before it touches a journal file;
+    {!Shard_server.create} runs them before it writes its manifest.
+    @raise Invalid_argument if [accept_rate] is outside (0, 1] or NaN, if
+    [checkpoint_every < 1] or [group_commit < 1], if the algorithm (or the
+    deadline fallback) has no online policy ([policy = None]: Base-off,
+    MCF-LTC, the dynamic variants), or if the deadline budget is not finite
+    and positive. *)
 
 val feed : t -> Ltc_core.Worker.t -> decision
 (** Process the next arrival.  Arrival indices must be consecutive from 1:

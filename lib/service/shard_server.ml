@@ -650,6 +650,9 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
        quarantine-on-crash without one)"
   | _ -> ());
   check_shed "Shard_server.create" ~shards supervise;
+  (* Every shard session's own checks, before the manifest exists. *)
+  Session.check_options ?accept_rate ?deadline ~checkpoint_every
+    ~group_commit algorithm;
   let m =
     {
       mf_shards = shards;

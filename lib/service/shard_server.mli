@@ -107,8 +107,10 @@ val create :
     memory for re-feed — the cost of online recovery.
 
     @raise Invalid_argument when [shards < 1], [mailbox < 1], the
-    session options are invalid (see {!Session.create}), or [supervise]
-    has [max_restarts > 0] without [~journal] or sheds with one shard. *)
+    session options are invalid (see {!Session.check_options}), or
+    [supervise] has [max_restarts > 0] without [~journal] or sheds with
+    one shard.  Every check runs before the manifest is written, so a
+    refused call leaves no file behind. *)
 
 val feed : t -> Ltc_core.Worker.t -> Session.decision list
 (** Route the next arrival (indices consecutive from 1, as in

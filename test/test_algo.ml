@@ -322,54 +322,77 @@ let test_mcf_batch_config () =
            i))
 
 let test_mcf_solver_backends () =
-  (* Every registered flow backend must yield the same arrangement quality:
-     same latency, same assignment count, valid and complete.  The
-     incremental session additionally exercises the cross-batch
-     residual-reuse path end to end. *)
+  (* Both flow backends must yield the same arrangement quality: same
+     latency, same assignment count, valid and complete.  The incremental
+     session additionally exercises the cross-batch residual-reuse path
+     end to end. *)
   List.iter
     (fun seed ->
       let i = Fixtures.small_random ~seed () in
       let run solver =
         Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver } i
       in
-      let base = run "sspa" in
+      let base = run `Sspa in
       Alcotest.(check int) "sspa telemetry clean" 0
         base.Engine.telemetry.Engine.degraded;
+      let o = run `Incremental in
+      (match Arrangement.validate i o.Engine.arrangement with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "incremental produced an invalid arrangement");
+      Alcotest.(check bool) "incremental completes" true o.Engine.completed;
+      Alcotest.(check int)
+        (Printf.sprintf "incremental latency (seed %d)" seed)
+        base.Engine.latency o.Engine.latency;
+      Alcotest.(check int)
+        (Printf.sprintf "incremental assignments (seed %d)" seed)
+        (Arrangement.size base.Engine.arrangement)
+        (Arrangement.size o.Engine.arrangement))
+    [ 8; 21 ]
+
+(* Exact arrangements, not only their latency: an MD5 of every
+   (worker, task) pair in [Arrangement.to_list] order, on two fixtures and
+   batch-mcf's first seed-1 instance (300 tasks, 4000 workers).  Both
+   backends land on the same arrangement on all three.  The digests were
+   recorded before the flow layer lost SPFA, its single-sweep DAG
+   initialiser and the string solver registry; that change kept every
+   decision where it was. *)
+let test_mcf_arrangement_pins () =
+  let digest (o : Engine.outcome) =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun (a : Arrangement.assignment) ->
+        Buffer.add_string b (Printf.sprintf "%d:%d;" a.worker a.task))
+      (Arrangement.to_list o.Engine.arrangement);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let batch_mcf =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      (Ltc_workload.Spec.scale_synthetic 0.1
+         Ltc_workload.Spec.default_synthetic)
+  in
+  List.iter
+    (fun (label, i, want) ->
       List.iter
-        (fun solver ->
-          let o = run solver in
-          (match Arrangement.validate i o.Engine.arrangement with
-          | Ok () -> ()
-          | Error _ ->
-            Alcotest.failf "%s produced an invalid arrangement" solver);
-          Alcotest.(check bool) (solver ^ " completes") true
-            o.Engine.completed;
-          Alcotest.(check int)
-            (Printf.sprintf "%s latency (seed %d)" solver seed)
-            base.Engine.latency o.Engine.latency;
-          Alcotest.(check int)
-            (Printf.sprintf "%s assignments (seed %d)" solver seed)
-            (Arrangement.size base.Engine.arrangement)
-            (Arrangement.size o.Engine.arrangement))
-        [ "spfa"; "incremental" ])
-    [ 8; 21 ];
-  Alcotest.check_raises "unknown solver name surfaces"
-    (Invalid_argument
-       "Solver.create: unknown solver \"simplex\" (try: sspa, spfa, \
-        incremental)") (fun () ->
-      ignore
-        (Mcf_ltc.run
-           ~config:{ Mcf_ltc.default_config with solver = "simplex" }
-           (Fixtures.small_random ~seed:8 ())))
+        (fun (solver, name) ->
+          let o = Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver } i in
+          Alcotest.(check string) (label ^ " " ^ name) want (digest o))
+        [ (`Sspa, "sspa"); (`Incremental, "incremental") ])
+    [
+      ( "seed 8", Fixtures.small_random ~seed:8 (),
+        "b79c485d1d50266cfb4ed15b917fb11b" );
+      ( "seed 21", Fixtures.small_random ~seed:21 (),
+        "dc965cf88bcd88072e2c53c99b5f6291" );
+      ("batch-mcf", batch_mcf, "391e76267ab8d24339628d5cfd4e39b5");
+    ]
 
 let test_mcf_anytime_budget () =
   let i = Fixtures.small_random ~seed:9 () in
   let run ?budget solver =
     Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver; budget } i
   in
-  let exact = run "sspa" in
+  let exact = run `Sspa in
   (* A budget that can never fire changes nothing and reports clean. *)
-  let lavish = run ~budget:(Ltc_flow.Mcmf.Rounds max_int) "sspa" in
+  let lavish = run ~budget:(Ltc_flow.Mcmf.Rounds max_int) `Sspa in
   Alcotest.(check int) "lavish budget = exact latency" exact.Engine.latency
     lavish.Engine.latency;
   Alcotest.(check int) "lavish budget never degrades" 0
@@ -378,20 +401,20 @@ let test_mcf_anytime_budget () =
      still produce a feasible, complete arrangement, and every batch is
      counted as degraded. *)
   List.iter
-    (fun solver ->
+    (fun (solver, name) ->
       let o = run ~budget:(Ltc_flow.Mcmf.Rounds 0) solver in
       (match Arrangement.validate i o.Engine.arrangement with
       | Ok () -> ()
       | Error _ ->
-        Alcotest.failf "%s starved arrangement invalid" solver);
+        Alcotest.failf "%s starved arrangement invalid" name);
       Alcotest.(check bool)
-        (solver ^ " greedy completion still completes")
+        (name ^ " greedy completion still completes")
         true o.Engine.completed;
       Alcotest.(check bool)
-        (solver ^ " degraded batches counted")
+        (name ^ " degraded batches counted")
         true
         (o.Engine.telemetry.Engine.degraded > 0))
-    [ "sspa"; "incremental" ]
+    [ (`Sspa, "sspa"); (`Incremental, "incremental") ]
 
 let test_mcf_empty_instance () =
   let i =
@@ -630,12 +653,17 @@ let test_noshow_validates () =
 
 let test_noshow_invalid_rate () =
   let i = Fixtures.small_random ~seed:94 () in
-  Alcotest.check_raises "rate 0"
-    (Invalid_argument "Engine.run: accept_rate must be in (0, 1]") (fun () ->
-      ignore
-        (Engine.run
-           ~config:(noshow_config ~accept_rate:0.0 ~seed:1)
-           ~name:"x" Laf.policy i));
+  List.iter
+    (fun accept_rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "rate %g" accept_rate)
+        (Invalid_argument "Engine.run: accept_rate must be in (0, 1]")
+        (fun () ->
+          ignore
+            (Engine.run
+               ~config:(noshow_config ~accept_rate ~seed:1)
+               ~name:"x" Laf.policy i)))
+    [ 0.0; 1.5; nan ];
   Alcotest.check_raises "rate without rng"
     (Invalid_argument "Engine.run: accept_rate requires an rng") (fun () ->
       ignore
@@ -648,6 +676,28 @@ let test_noshow_invalid_rate () =
                degrade = None;
              }
            ~name:"x" Laf.policy i))
+
+(* A deadline budget must be finite and positive; NaN fails the check. *)
+let test_engine_deadline_budget () =
+  let i = Fixtures.small_random ~seed:94 () in
+  List.iter
+    (fun budget_s ->
+      Alcotest.check_raises
+        (Printf.sprintf "budget %g" budget_s)
+        (Invalid_argument "Engine.run: deadline budget must be finite and > 0")
+        (fun () ->
+          ignore
+            (Engine.run
+               ~config:
+                 {
+                   Engine.default_config with
+                   degrade =
+                     Some
+                       { Engine.budget_s; fallback_name = "LAF";
+                         fallback = Laf.policy };
+                 }
+               ~name:"x" Laf.policy i)))
+    [ 0.0; nan; infinity ]
 
 (* --------------------------------------------------- qcheck: whole-stack *)
 
@@ -945,11 +995,16 @@ let test_per_task_epsilon_respected_by_algorithms () =
     all_algorithms
 
 let test_task_epsilon_validation () =
-  Alcotest.check_raises "epsilon 1.2"
-    (Invalid_argument "Task.make: epsilon must lie in (0, 1)") (fun () ->
-      ignore
-        (Task.make ~epsilon:1.2 ~id:0 ~loc:(Ltc_geo.Point.make ~x:0.0 ~y:0.0)
-           ()))
+  List.iter
+    (fun epsilon ->
+      Alcotest.check_raises
+        (Printf.sprintf "epsilon %g" epsilon)
+        (Invalid_argument "Task.make: epsilon must lie in (0, 1)")
+        (fun () ->
+          ignore
+            (Task.make ~epsilon ~id:0 ~loc:(Ltc_geo.Point.make ~x:0.0 ~y:0.0)
+               ())))
+    [ 1.2; nan ]
 
 (* Algorithm registry *)
 
@@ -1016,6 +1071,8 @@ let suite =
           test_engine_rejects_duplicates;
         Alcotest.test_case "rejects non-candidates" `Quick
           test_engine_rejects_non_candidates;
+        Alcotest.test_case "deadline budget validated" `Quick
+          test_engine_deadline_budget;
         Alcotest.test_case "incomplete when starved" `Quick
           test_engine_incomplete_when_starved;
       ] );
@@ -1038,6 +1095,8 @@ let suite =
         Alcotest.test_case "MCF batch config" `Quick test_mcf_batch_config;
         Alcotest.test_case "MCF solver backends agree" `Quick
           test_mcf_solver_backends;
+        Alcotest.test_case "MCF arrangement pins" `Quick
+          test_mcf_arrangement_pins;
         Alcotest.test_case "MCF anytime budget" `Quick test_mcf_anytime_budget;
         Alcotest.test_case "MCF empty instance" `Quick test_mcf_empty_instance;
         Alcotest.test_case "tie cost vs solver epsilon" `Quick

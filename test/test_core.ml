@@ -9,9 +9,13 @@ let point ~x ~y = Ltc_geo.Point.make ~x ~y
 let test_delta () =
   check_float "eps 0.2" (2.0 *. log 5.0) (Quality.delta ~epsilon:0.2);
   check_float "eps 0.14" (2.0 *. log (1.0 /. 0.14)) (Quality.delta ~epsilon:0.14);
-  Alcotest.check_raises "eps 0 rejected"
-    (Invalid_argument "Quality.delta: epsilon must lie in (0, 1)") (fun () ->
-      ignore (Quality.delta ~epsilon:0.0))
+  List.iter
+    (fun epsilon ->
+      Alcotest.check_raises
+        (Printf.sprintf "eps %g rejected" epsilon)
+        (Invalid_argument "Quality.delta: epsilon must lie in (0, 1)")
+        (fun () -> ignore (Quality.delta ~epsilon)))
+    [ 0.0; 1.0; nan ]
 
 let test_delta_hoeffding_consistency () =
   (* By construction: accumulating exactly delta makes the Hoeffding bound
@@ -146,7 +150,14 @@ let test_instance_validation () =
     (Invalid_argument
        "Instance.create: workers must be in contiguous 1-based arrival order")
     (fun () ->
-      ignore (Instance.create ~tasks ~workers:bad_workers ~epsilon:0.1 ()))
+      ignore (Instance.create ~tasks ~workers:bad_workers ~epsilon:0.1 ()));
+  List.iter
+    (fun epsilon ->
+      Alcotest.check_raises
+        (Printf.sprintf "epsilon %g" epsilon)
+        (Invalid_argument "Instance.create: epsilon must lie in (0, 1)")
+        (fun () -> ignore (Instance.create ~tasks ~workers:[||] ~epsilon ())))
+    [ 0.0; 1.0; nan ]
 
 let test_instance_candidates_radius () =
   let i = tiny_instance () in

@@ -150,15 +150,6 @@ let test_mcmf_max_flow_cap () =
   Alcotest.(check int) "capped" 4 r.Mcmf.flow;
   check_float "cost" 4.0 r.Mcmf.cost
 
-let test_mcmf_stop_on_nonnegative () =
-  let g = Graph.create ~n:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:(-2.0));
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:3.0);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:2 ~cost:0.0);
-  let r = Mcmf.run ~stop_on_nonnegative:true g ~source:0 ~sink:2 in
-  Alcotest.(check int) "only profitable unit" 1 r.Mcmf.flow;
-  check_float "cost" (-2.0) r.Mcmf.cost
-
 let test_mcmf_disconnected () =
   let g = Graph.create ~n:3 in
   ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:1.0);
@@ -276,7 +267,7 @@ let prop_mcmf_flow_conservation =
       done;
       !ok)
 
-(* ------------------------------------------------------------- Mcmf_spfa *)
+(* ------------------------------------------------- SPFA oracle (test/spfa) *)
 
 let random_bipartite_gen =
   QCheck2.Gen.(
@@ -316,10 +307,9 @@ let prop_spfa_agrees_with_sspa =
     (fun input ->
       let g1, source, sink = build_bipartite input in
       let g2, _, _ = build_bipartite input in
-      let r1 = Mcmf.run g1 ~source ~sink in
-      let r2 = Mcmf_spfa.run g2 ~source ~sink in
-      r1.Mcmf.flow = r2.Mcmf.flow
-      && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
+      let r = Mcmf.run g1 ~source ~sink in
+      let flow, cost = Spfa.run g2 ~source ~sink in
+      r.Mcmf.flow = flow && Float.abs (r.Mcmf.cost -. cost) < 1e-6)
 
 let test_spfa_negative_costs () =
   let g = Graph.create ~n:4 in
@@ -327,9 +317,9 @@ let test_spfa_negative_costs () =
   ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:(-0.9));
   ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:(-0.4));
   ignore (Graph.add_arc g ~src:2 ~dst:3 ~cap:1 ~cost:0.0);
-  let r = Mcmf_spfa.run g ~source:0 ~sink:3 in
-  Alcotest.(check int) "one unit" 1 r.Mcmf.flow;
-  check_float "min cost" (-0.9) r.Mcmf.cost
+  let flow, cost = Spfa.run g ~source:0 ~sink:3 in
+  Alcotest.(check int) "one unit" 1 flow;
+  check_float "min cost" (-0.9) cost
 
 (* ----------------------------------------------------------------- Dinic *)
 
@@ -372,10 +362,9 @@ let prop_spfa_agrees_on_general_graphs =
       let n, _ = input in
       let g1 = build_general input in
       let g2 = build_general input in
-      let r1 = Mcmf.run g1 ~source:0 ~sink:(n - 1) in
-      let r2 = Mcmf_spfa.run g2 ~source:0 ~sink:(n - 1) in
-      r1.Mcmf.flow = r2.Mcmf.flow
-      && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
+      let r = Mcmf.run g1 ~source:0 ~sink:(n - 1) in
+      let flow, cost = Spfa.run g2 ~source:0 ~sink:(n - 1) in
+      r.Mcmf.flow = flow && Float.abs (r.Mcmf.cost -. cost) < 1e-6)
 
 let prop_dinic_on_general_graphs =
   QCheck2.Test.make ~name:"Dinic = SSPA flow value on general graphs"
@@ -470,50 +459,21 @@ let test_workspace_growth () =
   check_float "cost stable across reuse" r1.Mcmf.cost r2.Mcmf.cost
 
 (* One workspace shared across every generated case: reuse itself is under
-   test.  Exact (=) float comparisons are deliberate — the reused/DAG path
-   must be bit-identical to the cold Bellman-Ford path on batch-shaped
-   (layered, arcs-in-topological-order) graphs. *)
-let prop_dag_init_matches_bf =
+   test.  Exact (=) float comparisons are deliberate — stale labels and
+   potentials in a reused workspace must not change a single operation of
+   the solve. *)
+let prop_workspace_reuse_exact =
   let ws = Mcmf.create_workspace () in
   QCheck2.Test.make
-    ~name:"reused workspace + `Dag_topo = fresh Bellman-Ford, exactly"
+    ~name:"workspace reuse = fresh Bellman-Ford solve, exactly"
     ~count:300 random_bipartite_gen (fun input ->
       let g1, source, sink = build_bipartite input in
       let g2, _, _ = build_bipartite input in
       let r1 = Mcmf.run g1 ~source ~sink in
-      let r2 = Mcmf.run g2 ~workspace:ws ~init:`Dag_topo ~source ~sink in
+      let r2 = Mcmf.run g2 ~workspace:ws ~source ~sink in
       r1.Mcmf.flow = r2.Mcmf.flow
       && r1.Mcmf.cost = r2.Mcmf.cost
       && r1.Mcmf.rounds = r2.Mcmf.rounds)
-
-let prop_dag_init_same_potentials =
-  QCheck2.Test.make ~name:"`Dag_topo potentials = Bellman-Ford potentials"
-    ~count:300 random_bipartite_gen (fun input ->
-      let g1, source, sink = build_bipartite input in
-      let g2, _, _ = build_bipartite input in
-      let ws1 = Mcmf.create_workspace () in
-      let ws2 = Mcmf.create_workspace () in
-      (* max_flow:0 runs the initialiser and nothing else, exposing the raw
-         initial potentials through the workspace. *)
-      ignore (Mcmf.run g1 ~workspace:ws1 ~max_flow:0 ~source ~sink);
-      ignore
-        (Mcmf.run g2 ~workspace:ws2 ~max_flow:0 ~init:`Dag_topo ~source ~sink);
-      let p1 = Mcmf.borrow_potentials ws1 and p2 = Mcmf.borrow_potentials ws2 in
-      let ok = ref true in
-      for v = 0 to Graph.node_count g1 - 1 do
-        if p1.(v) <> p2.(v) then ok := false
-      done;
-      !ok)
-
-let prop_spfa_workspace_reuse =
-  let ws = Mcmf.create_workspace () in
-  QCheck2.Test.make ~name:"SPFA with reused workspace = fresh SPFA, exactly"
-    ~count:300 random_bipartite_gen (fun input ->
-      let g1, source, sink = build_bipartite input in
-      let g2, _, _ = build_bipartite input in
-      let r1 = Mcmf_spfa.run g1 ~source ~sink in
-      let r2 = Mcmf_spfa.run g2 ~workspace:ws ~source ~sink in
-      r1.Mcmf.flow = r2.Mcmf.flow && r1.Mcmf.cost = r2.Mcmf.cost)
 
 (* ---------------------------------------------------------------- Solver *)
 
@@ -563,27 +523,6 @@ let test_graph_set_capacity () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Graph.set_capacity: negative capacity") (fun () ->
       Graph.set_capacity g a (-1))
-
-let test_copy_potentials () =
-  let input =
-    (2, 2, 1, 1, [| [| -0.5; -0.2 |]; [| -0.1; -0.8 |] |])
-  in
-  let g, source, sink = build_bipartite input in
-  let ws = Mcmf.create_workspace () in
-  ignore (Mcmf.run g ~workspace:ws ~source ~sink);
-  let n = Graph.node_count g in
-  let copy = Mcmf.copy_potentials ws ~n in
-  let live = Mcmf.borrow_potentials ws in
-  Alcotest.(check int) "length" n (Array.length copy);
-  for v = 0 to n - 1 do
-    Alcotest.(check (float 0.0)) "snapshot matches live" live.(v) copy.(v)
-  done;
-  (* The copy is detached: mutating it leaves the workspace unchanged. *)
-  copy.(0) <- 42.0;
-  Alcotest.(check bool) "detached" true (live.(0) <> 42.0);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Mcmf.copy_potentials: n out of range") (fun () ->
-      ignore (Mcmf.copy_potentials ws ~n:(Array.length live + 1)))
 
 let test_budget_validation () =
   let g = Graph.create ~n:2 in
@@ -646,57 +585,8 @@ let prop_anytime_prefix_optimal =
       budgeted.Mcmf.flow = prefix.Mcmf.flow
       && budgeted.Mcmf.cost = prefix.Mcmf.cost)
 
-let test_solver_registry () =
-  Alcotest.(check (list string))
-    "registry order"
-    [ "sspa"; "spfa"; "incremental" ]
-    (Solver.names ());
-  let caps name = Solver.capabilities (Solver.create name) in
-  Alcotest.(check bool) "sspa potentials" true (caps "sspa").Solver.potentials;
-  Alcotest.(check bool) "sspa scratch" false (caps "sspa").Solver.incremental;
-  Alcotest.(check bool) "spfa no potentials" false
-    (caps "spfa").Solver.potentials;
-  Alcotest.(check bool) "incremental" true
-    (caps "incremental").Solver.incremental;
-  Alcotest.(check string) "case insensitive" "sspa"
-    (Solver.name (Solver.create "SSPA"));
-  Alcotest.(check int) "all_capabilities covers registry"
-    (List.length (Solver.names ()))
-    (List.length (Solver.all_capabilities ()));
-  Alcotest.check_raises "unknown solver"
-    (Invalid_argument
-       "Solver.create: unknown solver \"simplex\" (try: sspa, spfa, \
-        incremental)") (fun () -> ignore (Solver.create "simplex"))
-
-let test_solver_scratch_backends () =
-  let input =
-    (3, 3, 2, 2, [| [| -0.5; -0.2; -0.9 |];
-                    [| -0.1; -0.8; -0.3 |];
-                    [| -0.7; -0.4; -0.6 |] |])
-  in
-  let g1, source, sink = build_bipartite input in
-  let g2, _, _ = build_bipartite input in
-  let sspa = Solver.create "sspa" in
-  let spfa = Solver.create "spfa" in
-  let r1 = Solver.solve sspa g1 ~source ~sink in
-  let r2 = Solver.solve spfa g2 ~source ~sink in
-  Alcotest.(check int) "backends agree on flow" r1.Mcmf.flow r2.Mcmf.flow;
-  check_float "backends agree on cost" r1.Mcmf.cost r2.Mcmf.cost;
-  Alcotest.(check int) "scratch solvers own no graph" 0
-    (Solver.memory_words sspa);
-  let inc = Solver.create "incremental" in
-  Alcotest.check_raises "incremental rejects scratch solves"
-    (Invalid_argument
-       "Solver.solve: the incremental solver keeps live session state; use \
-        the resolve protocol") (fun () ->
-      ignore (Solver.solve inc g1 ~source ~sink))
-
 let test_solver_session_discipline () =
-  let sspa = Solver.create "sspa" in
-  Alcotest.check_raises "session calls need an incremental backend"
-    (Invalid_argument "Solver.set_unit: \"sspa\" is not an incremental solver")
-    (fun () -> Solver.set_unit sspa ~unit_id:0 ~cap:1);
-  let s = Solver.create "incremental" in
+  let s = Solver.create () in
   Alcotest.check_raises "add_worker needs an open batch"
     (Invalid_argument "Solver.add_worker: no open batch") (fun () ->
       ignore (Solver.add_worker s ~cap:1));
@@ -758,7 +648,7 @@ let prop_incremental_matches_scratch =
     ~name:"incremental session = from-scratch SSPA on every delta" ~count:300
     incremental_scenario_gen (fun (unit_caps, batches) ->
       let n_units = Array.length unit_caps in
-      let sol = Solver.create "incremental" in
+      let sol = Solver.create () in
       let rem = Array.copy unit_caps in
       Array.iteri (fun u cap -> Solver.set_unit sol ~unit_id:u ~cap) rem;
       List.for_all
@@ -851,8 +741,6 @@ let suite =
         Alcotest.test_case "rerouting through residuals" `Quick
           test_mcmf_rerouting;
         Alcotest.test_case "max_flow cap" `Quick test_mcmf_max_flow_cap;
-        Alcotest.test_case "stop on nonnegative" `Quick
-          test_mcmf_stop_on_nonnegative;
         Alcotest.test_case "disconnected" `Quick test_mcmf_disconnected;
         Alcotest.test_case "invalid args" `Quick test_mcmf_invalid;
         qcheck prop_mcmf_matches_brute;
@@ -877,24 +765,18 @@ let suite =
         Alcotest.test_case "graph reserve" `Quick test_graph_reserve;
         Alcotest.test_case "node heap growth" `Quick test_node_heap_grow;
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
-        qcheck prop_dag_init_matches_bf;
-        qcheck prop_dag_init_same_potentials;
-        qcheck prop_spfa_workspace_reuse;
+        qcheck prop_workspace_reuse_exact;
       ] );
     ( "flow.anytime",
       [
         Alcotest.test_case "budget validation" `Quick test_budget_validation;
         Alcotest.test_case "round budgets" `Quick test_budget_rounds;
-        Alcotest.test_case "copy potentials" `Quick test_copy_potentials;
         qcheck prop_anytime_prefix_optimal;
       ] );
     ( "flow.solver",
       [
         Alcotest.test_case "graph truncate" `Quick test_graph_truncate;
         Alcotest.test_case "graph set_capacity" `Quick test_graph_set_capacity;
-        Alcotest.test_case "registry" `Quick test_solver_registry;
-        Alcotest.test_case "scratch backends" `Quick
-          test_solver_scratch_backends;
         Alcotest.test_case "session discipline" `Quick
           test_solver_session_discipline;
         qcheck prop_incremental_matches_scratch;

@@ -535,6 +535,45 @@ let test_create_validation () =
       ignore
         (Session.create ~checkpoint_every:0 ~algorithm:Ltc_algo.Algorithm.laf
            ~seed:1 instance));
+  (* NaN fails every check and infinity the deadline's: either would reach
+     a journal header that no restore reads back. *)
+  let deadline budget_s =
+    { Session.budget_s; fallback = Ltc_algo.Algorithm.nearest_first }
+  in
+  List.iter
+    (fun (label, accept_rate, deadline, message) ->
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore
+            (Session.create ?accept_rate ?deadline
+               ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance)))
+    [
+      ("accept_rate nan rejected", Some nan, None,
+       "Session.create: accept_rate must be in (0, 1]");
+      ("deadline 0 rejected", None, Some (deadline 0.0),
+       "Session: deadline budget must be finite and > 0");
+      ("deadline nan rejected", None, Some (deadline nan),
+       "Session: deadline budget must be finite and > 0");
+      ("deadline inf rejected", None, Some (deadline infinity),
+       "Session: deadline budget must be finite and > 0");
+    ];
+  (* A sharded server runs the same checks before it writes its manifest,
+     so a refused create leaves no file behind. *)
+  let base = Filename.temp_file "ltc_service_test" ".manifest" in
+  Sys.remove base;
+  List.iter
+    (fun (label, accept_rate, deadline, message) ->
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore
+            (Shard_server.create ?accept_rate ?deadline ~journal:base
+               ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
+      Alcotest.(check bool) (label ^ ": no manifest") false
+        (Sys.file_exists base))
+    [
+      ("sharded accept_rate 1.5 rejected", Some 1.5, None,
+       "Session.create: accept_rate must be in (0, 1]");
+      ("sharded deadline inf rejected", None, Some (deadline infinity),
+       "Session: deadline budget must be finite and > 0");
+    ];
   Alcotest.check_raises "the text codec is read-only"
     (Invalid_argument
        "Session.create: the text journal codec is read-only (restore or \
