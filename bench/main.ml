@@ -881,7 +881,7 @@ let micro_tests () =
   in
   let progress =
     Ltc_core.Progress.create_per_task
-      ~thresholds:(Ltc_core.Instance.thresholds instance)
+      ~thresholds:(Ltc_core.Instance.thresholds instance) ()
   in
   let tracker = Ltc_util.Mem.Tracker.create () in
   let worker = instance.Ltc_core.Instance.workers.(17) in
@@ -922,10 +922,11 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (random_decide worker)));
     Test.make ~name:"grid-candidates"
       (Staged.stage (fun () ->
-           ignore (Ltc_core.Instance.candidates instance worker)));
+           (* Grid order, as the flow network build reads it. *)
+           Ltc_core.Instance.iter_candidates instance worker (fun _ -> ())));
     Test.make ~name:"grid-candidates-sorted"
       (Staged.stage (fun () ->
-           (* The allocation-free path the policies use (vs. the list above). *)
+           (* Ascending order, as the online policies read it. *)
            Ltc_core.Instance.iter_candidates_sorted instance worker (fun _ ->
                ())));
     Test.make ~name:"progress-aggregates"

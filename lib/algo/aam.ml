@@ -2,31 +2,22 @@ open Ltc_core
 
 let name = "AAM"
 
-let policy instance tracker progress =
-  let heap_budget (w : Worker.t) = 4 * w.capacity in
-  fun (w : Worker.t) ->
-    (* Lines 4-5: both aggregates are maintained incrementally by
-       [Progress], so the per-arrival cost is O(candidates * log K). *)
-    let avg = Progress.sum_remaining progress /. float_of_int w.capacity in
-    let max_remain = Progress.max_remaining progress in
-    let use_lgf = avg >= max_remain in
-    let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
-    Ltc_util.Mem.Tracker.add_words tracker (heap_budget w);
-    List.iter
-      (fun task ->
-        if not (Progress.is_complete progress task) then begin
-          let score =
-            if use_lgf then
-              Float.min
-                (Instance.score instance w task)
-                (Progress.remaining progress task)
-            else Progress.remaining progress task
-          in
-          Ltc_util.Bounded_heap.push heap ~score task
-        end)
-      (Instance.candidates instance w);
-    let chosen = List.map snd (Ltc_util.Bounded_heap.pop_all heap) in
-    Ltc_util.Mem.Tracker.remove_words tracker (heap_budget w);
-    chosen
+let policy instance tracker progress (w : Worker.t) =
+  (* Lines 4-5: both aggregates are maintained incrementally by
+     [Progress], so the per-arrival cost is O(candidates * log K). *)
+  let avg = Progress.sum_remaining progress /. float_of_int w.capacity in
+  let use_lgf = avg >= Progress.max_remaining progress in
+  let heap_words = 4 * w.capacity in
+  Ltc_util.Mem.Tracker.add_words tracker heap_words;
+  let chosen =
+    Engine.top_open instance progress w ~score:(fun task ->
+        if use_lgf then
+          Float.min
+            (Instance.score instance w task)
+            (Progress.remaining progress task)
+        else Progress.remaining progress task)
+  in
+  Ltc_util.Mem.Tracker.remove_words tracker heap_words;
+  chosen
 
 let run instance = Engine.run ~name policy instance

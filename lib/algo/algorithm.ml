@@ -11,95 +11,34 @@ type t = {
    lets one dispatch surface drive both them and the seeded baselines with
    the caller's per-repetition seed (Runner threads it through every
    sweep cell). *)
+let offline name (run : Ltc_core.Instance.t -> Engine.outcome) =
+  { name; kind = Offline; run = (fun ~seed:_ i -> run i); policy = None }
 
-let base_off =
-  {
-    name = Base_off.name;
-    kind = Offline;
-    run = (fun ~seed:_ i -> Base_off.run i);
-    policy = None;
-  }
+let base_off = offline Base_off.name Base_off.run
+let mcf_ltc = offline Mcf_ltc.name Mcf_ltc.run
 
-let mcf_ltc =
-  {
-    name = Mcf_ltc.name;
-    kind = Offline;
-    run = (fun ~seed:_ i -> Mcf_ltc.run i);
-    policy = None;
-  }
-
-let random =
-  {
-    name = Random_assign.name;
-    kind = Online;
-    run = (fun ~seed i -> Random_assign.run ~seed i);
-    policy = Some Random_assign.policy_with_rng;
-  }
-
-let laf =
-  {
-    name = Laf.name;
-    kind = Online;
-    run = (fun ~seed:_ i -> Laf.run i);
-    policy = Some (fun _rng -> Laf.policy);
-  }
-
-let aam =
-  {
-    name = Aam.name;
-    kind = Online;
-    run = (fun ~seed:_ i -> Aam.run i);
-    policy = Some (fun _rng -> Aam.policy);
-  }
-
-let lgf =
-  {
-    name = "LGF-only";
-    kind = Online;
-    run = (fun ~seed:_ i -> Strategies.lgf i);
-    policy = Some (fun _rng -> Strategies.lgf_policy);
-  }
-
-let lrf =
-  {
-    name = "LRF-only";
-    kind = Online;
-    run = (fun ~seed:_ i -> Strategies.lrf i);
-    policy = Some (fun _rng -> Strategies.lrf_policy);
-  }
-
-let nearest_first =
-  {
-    name = "Nearest";
-    kind = Online;
-    run = (fun ~seed:_ i -> Strategies.nearest_first i);
-    policy = Some (fun _rng -> Strategies.nearest_policy);
-  }
-
-(* Dynamic-arrival variants run the online strategies with every task
-   released upfront when invoked through the registry (release vector all
-   zero); their full release-schedule form stays on {!Dynamic.run}.  No
-   [policy]: the service's session protocol has no release events yet. *)
-let dynamic name strategy_of =
+(* An online entry's batch run is the engine over its policy, drawing
+   from a generator seeded per run (Random's stream; the rest draw
+   nothing). *)
+let online name policy =
   {
     name;
     kind = Online;
     run =
-      (fun ~seed i ->
-        let n = Array.length i.Ltc_core.Instance.tasks in
-        (Dynamic.run ~strategy:(strategy_of ~seed) ~release:(Array.make n 0) i)
-          .Dynamic.engine);
-    policy = None;
+      (fun ~seed i -> Engine.run ~name (policy (Ltc_util.Rng.create ~seed)) i);
+    policy = Some policy;
   }
 
-let laf_dyn = dynamic "LAF-dyn" (fun ~seed:_ -> Dynamic.Laf_d)
-let aam_dyn = dynamic "AAM-dyn" (fun ~seed:_ -> Dynamic.Aam_d)
-let random_dyn = dynamic "Random-dyn" (fun ~seed -> Dynamic.Random_d seed)
+let random = online Random_assign.name Random_assign.policy_with_rng
+let laf = online Laf.name (fun _rng -> Laf.policy)
+let aam = online Aam.name (fun _rng -> Aam.policy)
+let lgf = online "LGF-only" (fun _rng -> Strategies.lgf_policy)
+let lrf = online "LRF-only" (fun _rng -> Strategies.lrf_policy)
+let nearest_first = online "Nearest" (fun _rng -> Strategies.nearest_policy)
 
 let paper = [ base_off; mcf_ltc; random; laf; aam ]
 
-let all =
-  paper @ [ lgf; lrf; nearest_first; laf_dyn; aam_dyn; random_dyn ]
+let all = paper @ [ lgf; lrf; nearest_first ]
 
 let names () = List.map (fun t -> t.name) all
 

@@ -14,14 +14,14 @@ type t = {
   kind : kind;
   run : seed:int -> Ltc_core.Instance.t -> Engine.outcome;
       (** One-shot batch run.  Deterministic algorithms ignore [seed];
-          seeded baselines (Random, Random-dyn) derive their stream from
-          it, so a sweep's per-repetition seed reaches them uniformly. *)
+          the seeded baseline (Random) derives its stream from it, so a
+          sweep's per-repetition seed reaches every algorithm uniformly. *)
   policy : (Ltc_util.Rng.t -> Engine.policy) option;
       (** Arrival-at-a-time form for the streaming service: the service
           owns the generator (journaled and restored across crashes) and
-          the policy draws from it.  [None] for algorithms that need the
-          whole arrival sequence upfront (offline ones, dynamic-release
-          wrappers) — those cannot serve a live stream. *)
+          the policy draws from it.  [None] for the offline algorithms,
+          which need the whole arrival sequence upfront and cannot serve
+          a live stream. *)
 }
 
 val base_off : t
@@ -32,9 +32,6 @@ val aam : t
 val lgf : t
 val lrf : t
 val nearest_first : t
-val laf_dyn : t
-val aam_dyn : t
-val random_dyn : t
 
 val paper : t list
 (** The paper's five, in plot order.  Default algorithm set of [ltc run]
@@ -42,8 +39,8 @@ val paper : t list
 
 val all : t list
 (** Every registered algorithm: {!paper} then the strategy ablations
-    (LGF-only, LRF-only, Nearest) and the dynamic-arrival variants
-    (LAF-dyn, AAM-dyn, Random-dyn with an all-zero release vector). *)
+    (LGF-only, LRF-only, Nearest).  Release-scheduled runs of the online
+    policies live in {!Dynamic.run}. *)
 
 val names : unit -> string list
 (** Registry names in {!all} order (for error messages and [--help]). *)

@@ -43,15 +43,8 @@ let policy instance tracker progress =
   let future = build_future instance in
   Ltc_util.Mem.Tracker.add_words tracker (future_words future);
   fun (w : Worker.t) ->
-    let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
-    List.iter
-      (fun task ->
-        if not (Progress.is_complete progress task) then begin
-          let supply = remaining_nearby future ~task ~arrived_index:w.index in
-          (* Scarcest-first: fewer future helpers = higher priority. *)
-          Ltc_util.Bounded_heap.push heap ~score:(-.float_of_int supply) task
-        end)
-      (Instance.candidates instance w);
-    List.map snd (Ltc_util.Bounded_heap.pop_all heap)
+    (* Scarcest-first: fewer future helpers = higher priority. *)
+    Engine.top_open instance progress w ~score:(fun task ->
+        -.float_of_int (remaining_nearby future ~task ~arrived_index:w.index))
 
 let run instance = Engine.run ~name policy instance

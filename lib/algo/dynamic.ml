@@ -12,62 +12,6 @@ type outcome = {
   completed_tasks : int;
 }
 
-(* Mutable state over the released subset of tasks; [Progress] cannot be
-   reused directly because its aggregates range over every task, released
-   or not. *)
-type state = {
-  thresholds : float array;
-  s : float array;
-  released : Bytes.t;
-  completion : int array;   (* completion arrival index, -1 while open *)
-  mutable open_released : int;   (* released and not complete *)
-  mutable unreleased : int;
-  mutable sum_remaining : float; (* over released, incomplete tasks *)
-  mutable max_dirty : bool;
-  mutable max_cache : float;
-}
-
-let remaining st task = Float.max 0.0 (st.thresholds.(task) -. st.s.(task))
-let is_released st task = Bytes.get st.released task = '\001'
-let is_complete st task = st.s.(task) >= st.thresholds.(task)
-
-let max_remaining st =
-  if st.max_dirty then begin
-    (* Recompute lazily; amortised fine because completions and releases
-       are the only invalidators and both are bounded by |T|. *)
-    let mx = ref 0.0 in
-    Array.iteri
-      (fun task _ ->
-        if is_released st task && not (is_complete st task) then
-          mx := Float.max !mx (remaining st task))
-      st.s;
-    st.max_cache <- !mx;
-    st.max_dirty <- false
-  end;
-  st.max_cache
-
-let release st task =
-  if not (is_released st task) then begin
-    Bytes.set st.released task '\001';
-    st.unreleased <- st.unreleased - 1;
-    if not (is_complete st task) then begin
-      st.open_released <- st.open_released + 1;
-      st.sum_remaining <- st.sum_remaining +. remaining st task;
-      st.max_dirty <- true
-    end
-  end
-
-let record st ~task ~score ~arrival =
-  let before = remaining st task in
-  st.s.(task) <- st.s.(task) +. score;
-  let after = remaining st task in
-  st.sum_remaining <- Float.max 0.0 (st.sum_remaining -. (before -. after));
-  st.max_dirty <- true;
-  if after <= 0.0 && st.completion.(task) < 0 then begin
-    st.completion.(task) <- arrival;
-    st.open_released <- st.open_released - 1
-  end
-
 let uniform_releases rng ~n_tasks ~horizon ~upfront_fraction =
   if upfront_fraction < 0.0 || upfront_fraction > 1.0 then
     invalid_arg "Dynamic.uniform_releases: fraction out of [0, 1]";
@@ -82,6 +26,11 @@ let strategy_name = function
   | Aam_d -> "AAM-dyn"
   | Random_d _ -> "Random-dyn"
 
+let policy = function
+  | Laf_d -> Laf.policy
+  | Aam_d -> Aam.policy
+  | Random_d seed -> Random_assign.policy ~seed
+
 let run ~strategy ~release:releases (instance : Instance.t) =
   Ltc_util.Trace.with_span ("dynamic:" ^ strategy_name strategy) @@ fun () ->
   let n_tasks = Instance.task_count instance in
@@ -90,125 +39,58 @@ let run ~strategy ~release:releases (instance : Instance.t) =
   Array.iter
     (fun r -> if r < 0 then invalid_arg "Dynamic.run: negative release")
     releases;
+  let progress =
+    Progress.create_per_task
+      ~held:(fun task -> releases.(task) > 0)
+      ~thresholds:(Instance.thresholds instance) ()
+  in
   let st =
-    {
-      thresholds = Instance.thresholds instance;
-      s = Array.make (max n_tasks 1) 0.0;
-      released = Bytes.make (max n_tasks 1) '\000';
-      completion = Array.make (max n_tasks 1) (-1);
-      open_released = 0;
-      unreleased = n_tasks;
-      sum_remaining = 0.0;
-      max_dirty = true;
-      max_cache = 0.0;
-    }
+    Engine.start ~progress ~name:(strategy_name strategy) (policy strategy)
+      instance
   in
-  Array.iteri (fun task r -> if r = 0 then release st task) releases;
-  let rng =
-    match strategy with
-    | Random_d seed -> Some (Ltc_util.Rng.create ~seed)
-    | Laf_d | Aam_d -> None
+  (* Held tasks in release order, ties by id. *)
+  let pending =
+    Array.of_list
+      (List.filter (fun task -> releases.(task) > 0) (List.init n_tasks Fun.id))
   in
-  let arrangement = ref Arrangement.empty in
-  let consumed = ref 0 in
+  Array.stable_sort
+    (fun a b -> Int.compare releases.(a) releases.(b))
+    pending;
+  let next = ref 0 in
+  let completion = Array.make n_tasks (-1) in
   let workers = instance.Instance.workers in
-  let n_workers = Array.length workers in
-  (* Reusable candidate scratch: refilled per arrival in ascending task-id
-     order ([iter_candidates_sorted]), matching the sorted list
-     [Instance.candidates] used to allocate — same iteration order, same
-     RNG draw sequence for [Random_d], zero per-arrival allocation. *)
-  let cand = Array.make (max n_tasks 1) 0 in
-  let all_done () = st.open_released = 0 && st.unreleased = 0 in
-  let i = ref 0 in
-  while (not (all_done ())) && !i < n_workers do
-    let w = workers.(!i) in
-    incr i;
-    incr consumed;
-    (* Release everything due at this arrival. *)
-    Array.iteri
-      (fun task r -> if r = w.Worker.index then release st task)
-      releases;
-    let n_cand = ref 0 in
-    Instance.iter_candidates_sorted instance w (fun task ->
-        if is_released st task && not (is_complete st task) then begin
-          cand.(!n_cand) <- task;
-          incr n_cand
-        end);
-    let n_cand = !n_cand in
-    let chosen =
-      match strategy with
-      | Laf_d ->
-        let heap = Ltc_util.Bounded_heap.create ~k:w.Worker.capacity () in
-        for c = 0 to n_cand - 1 do
-          let task = cand.(c) in
-          Ltc_util.Bounded_heap.push heap
-            ~score:(Instance.score instance w task)
-            task
-        done;
-        List.map snd (Ltc_util.Bounded_heap.pop_all heap)
-      | Aam_d ->
-        let avg = st.sum_remaining /. float_of_int w.Worker.capacity in
-        let use_lgf = avg >= max_remaining st in
-        let heap = Ltc_util.Bounded_heap.create ~k:w.Worker.capacity () in
-        for c = 0 to n_cand - 1 do
-          let task = cand.(c) in
-          let score =
-            if use_lgf then
-              Float.min (Instance.score instance w task) (remaining st task)
-            else remaining st task
-          in
-          Ltc_util.Bounded_heap.push heap ~score task
-        done;
-        List.map snd (Ltc_util.Bounded_heap.pop_all heap)
-      | Random_d _ ->
-        let rng = Option.get rng in
-        let k = min w.Worker.capacity n_cand in
-        for slot = 0 to k - 1 do
-          let j = slot + Ltc_util.Rng.int rng (n_cand - slot) in
-          let tmp = cand.(slot) in
-          cand.(slot) <- cand.(j);
-          cand.(j) <- tmp
-        done;
-        List.init k (fun slot -> cand.(slot))
-    in
+  while
+    (not (Progress.all_complete progress))
+    && Engine.consumed st < Array.length workers
+  do
+    let w = workers.(Engine.consumed st) in
+    while !next < Array.length pending && releases.(pending.(!next)) <= w.index
+    do
+      Progress.release progress pending.(!next);
+      incr next
+    done;
+    let d = Engine.step st w in
     List.iter
       (fun task ->
-        record st ~task
-          ~score:(Instance.score instance w task)
-          ~arrival:w.Worker.index;
-        arrangement := Arrangement.add !arrangement ~worker:w.Worker.index ~task)
-      chosen
+        if completion.(task) < 0 && Progress.is_complete progress task then
+          completion.(task) <- w.index)
+      d.Engine.answered
   done;
-  let completed_tasks = ref 0 in
-  let response_sum = ref 0 in
-  let response_max = ref 0 in
-  for task = 0 to n_tasks - 1 do
-    if st.completion.(task) >= 0 then begin
-      incr completed_tasks;
-      let response = st.completion.(task) - releases.(task) in
-      response_sum := !response_sum + response;
-      response_max := max !response_max response
-    end
-  done;
+  let responses =
+    List.filter_map
+      (fun task ->
+        if completion.(task) < 0 then None
+        else Some (completion.(task) - releases.(task)))
+      (List.init n_tasks Fun.id)
+  in
+  let completed_tasks = List.length responses in
   {
-    engine =
-      {
-        Engine.name = strategy_name strategy;
-        arrangement = !arrangement;
-        completed = !completed_tasks = n_tasks;
-        latency = Arrangement.latency !arrangement;
-        workers_consumed = !consumed;
-        peak_memory_mb = 0.0;
-        telemetry = Engine.no_telemetry;
-      };
+    engine = Engine.finish st;
     mean_response =
-      (if !completed_tasks = 0 then 0.0
-       else float_of_int !response_sum /. float_of_int !completed_tasks);
-    max_response = !response_max;
-    completed_tasks = !completed_tasks;
+      (if completed_tasks = 0 then 0.0
+       else
+         float_of_int (List.fold_left ( + ) 0 responses)
+         /. float_of_int completed_tasks);
+    max_response = List.fold_left max 0 responses;
+    completed_tasks;
   }
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "%a; response mean %.1f max %d (%d tasks done)"
-    Engine.pp_outcome o.engine o.mean_response o.max_response
-    o.completed_tasks

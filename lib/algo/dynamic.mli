@@ -12,9 +12,11 @@
     reported, which is the latency a late-posted question actually
     experiences.
 
-    Strategies are the online ones of Sec. IV re-derived over the released
-    task set (AAM's [avg]/[maxRemain] aggregates only range over released,
-    unfinished tasks). *)
+    The strategies are the registry's LAF, AAM and Random policies, folded
+    through {!Engine.step} over a {!Ltc_core.Progress.t} that holds each
+    task until its release (so AAM's [avg]/[maxRemain] aggregates range
+    over released, unfinished tasks only).  With every release at 0 a run
+    is the static algorithm's, by construction. *)
 
 type strategy =
   | Laf_d
@@ -42,5 +44,3 @@ val uniform_releases :
   int array
 (** Helper: a [ceil (upfront_fraction * n_tasks)]-sized prefix released at
     0, the rest uniformly over [\[1, horizon\]]. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

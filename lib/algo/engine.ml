@@ -98,135 +98,6 @@ let degraded_counter name fallback_name =
     ~labels:[ ("algo", name); ("fallback", fallback_name) ]
     "ltc_engine_degraded_total"
 
-(* Shared driver: [answered w task] decides whether an assignment actually
-   produces an answer (always true in the paper's model). *)
-let drive ~name ~answered ?tracker ?degrade policy instance =
-  Ltc_util.Trace.with_span ("engine:" ^ name) @@ fun () ->
-  let m_arrivals, m_assignments, m_decision, m_per_arrival =
-    engine_metrics name
-  in
-  let progress =
-    Progress.create_per_task ~thresholds:(Instance.thresholds instance)
-  in
-  let tracker =
-    match tracker with
-    | Some tracker -> tracker
-    | None -> Ltc_util.Mem.Tracker.create ()
-  in
-  Ltc_util.Mem.Tracker.set_baseline_words tracker (Progress.memory_words progress);
-  let decide = policy instance tracker progress in
-  (* The deadline machinery is instantiated once per run: the fallback
-     policy shares the engine-owned progress/tracker, so a degraded
-     arrival sees exactly the state the fallback algorithm would see had
-     it been running standalone up to the same progress. *)
-  let degrade =
-    Option.map
-      (fun d ->
-        check_budget "Engine.run" d.budget_s;
-        (d, d.fallback instance tracker progress,
-         degraded_counter name d.fallback_name))
-      degrade
-  in
-  let arrangement = ref Arrangement.empty in
-  let consumed = ref 0 in
-  let workers = instance.Instance.workers in
-  let n = Array.length workers in
-  (* Clock reads are gated on the registry switch: two gettimeofday calls
-     per arrival would be measurable against sub-microsecond decisions.
-     A configured deadline needs the clock unconditionally — but then the
-     caller opted into per-arrival measurement anyway.  Deadline reads go
-     through Fault.Clock so tests and the chaos harness can virtualise
-     time (and inject solver slowdowns) deterministically. *)
-  let timing = Ltc_util.Metrics.enabled () in
-  let decisions = ref 0 in
-  let dt_total = ref 0.0 in
-  let dt_max = ref 0.0 in
-  let n_degraded = ref 0 in
-  let observe dt =
-    if timing then begin
-      dt_total := !dt_total +. dt;
-      if dt > !dt_max then dt_max := dt;
-      Ltc_util.Metrics.Histogram.observe m_decision dt
-    end
-  in
-  let i = ref 0 in
-  while (not (Progress.all_complete progress)) && !i < n do
-    let w = workers.(!i) in
-    incr i;
-    incr consumed;
-    incr decisions;
-    let tasks =
-      match degrade with
-      | None ->
-        if not timing then decide w
-        else begin
-          let t0 = Ltc_util.Timer.start () in
-          let tasks = decide w in
-          observe (Ltc_util.Timer.elapsed_s t0);
-          tasks
-        end
-      | Some (d, fallback_decide, m_degraded) ->
-        let t0 = Ltc_util.Fault.Clock.now_s () in
-        let tasks = decide w in
-        Ltc_util.Fault.check "engine.decide";
-        let dt = Float.max 0.0 (Ltc_util.Fault.Clock.now_s () -. t0) in
-        observe dt;
-        if dt > d.budget_s then begin
-          (* The primary's answer arrived past the budget: an online
-             platform has already moved on, so the cheap fallback decides
-             this arrival and the stream keeps flowing. *)
-          incr n_degraded;
-          Ltc_util.Metrics.Counter.incr m_degraded;
-          Logs.debug ~src:Ltc_util.Log.algo (fun m ->
-              m "%s: arrival %d blew the %.6fs budget (%.6fs); %s decides"
-                name w.Worker.index d.budget_s dt d.fallback_name);
-          fallback_decide w
-        end
-        else tasks
-    in
-    Ltc_util.Metrics.Counter.incr m_arrivals;
-    check_decisions instance w tasks;
-    let assigned = ref 0 in
-    List.iter
-      (fun task ->
-        if answered w task then begin
-          let score = Instance.score instance w task in
-          Progress.record progress ~task ~score;
-          arrangement := Arrangement.add !arrangement ~worker:w.index ~task;
-          incr assigned
-        end)
-      tasks;
-    Ltc_util.Metrics.Counter.add m_assignments !assigned;
-    Ltc_util.Metrics.Histogram.observe m_per_arrival (float_of_int !assigned)
-  done;
-  let completed = Progress.all_complete progress in
-  Ltc_util.Metrics.Counter.incr
-    (stop_counter name (if completed then "completed" else "exhausted"));
-  Logs.debug ~src:Ltc_util.Log.algo (fun m ->
-      m "%s: %s after %d arrivals (latency %d, %d assignments)" name
-        (if completed then "completed" else "ran out of workers")
-        !consumed
-        (Arrangement.latency !arrangement)
-        (Arrangement.size !arrangement));
-  Logs.debug ~src:Ltc_util.Log.obs (fun m ->
-      m "%s: %d decisions, %.6f s total, %.6f s max" name !decisions !dt_total
-        !dt_max);
-  {
-    name;
-    arrangement = !arrangement;
-    completed;
-    latency = Arrangement.latency !arrangement;
-    workers_consumed = !consumed;
-    peak_memory_mb = Ltc_util.Mem.Tracker.high_water_mb tracker;
-    telemetry =
-      {
-        decisions = !decisions;
-        decision_seconds_total = !dt_total;
-        decision_seconds_max = !dt_max;
-        degraded = !n_degraded;
-      };
-  }
-
 type config = {
   accept_rate : float option;
   rng : Ltc_util.Rng.t option;
@@ -237,27 +108,230 @@ type config = {
 let default_config =
   { accept_rate = None; rng = None; tracker = None; degrade = None }
 
-(* Shared with the streaming service (Ltc_service.Session), which applies
-   the same answer-gating per fed arrival: one bernoulli draw per assigned
-   task, in assignment order. *)
-let answered_of ~accept_rate ~rng =
-  match accept_rate with
-  | None -> fun _ _ -> true
-  | Some q ->
-    check_accept_rate "Engine.run" q;
-    (match rng with
-    | None -> invalid_arg "Engine.run: accept_rate requires an rng"
-    | Some rng -> fun _ _ -> Ltc_util.Rng.bernoulli rng q)
+type decision = {
+  worker : int;
+  assigned : int list;
+  answered : int list;
+  completed : bool;
+  latency : int;
+  degraded : bool;
+}
+
+type state = {
+  instance : Instance.t;
+  name : string;
+  progress : Progress.t;
+  tracker : Ltc_util.Mem.Tracker.t;
+  decide : Worker.t -> int list;
+  fallback :
+    (degrade * (Worker.t -> int list) * Ltc_util.Metrics.Counter.t) option;
+  site : string option;
+  noshow : (Ltc_util.Rng.t * float) option;  (* generator, accept rate *)
+  mutable arrangement : Arrangement.t;
+  mutable consumed : int;
+  mutable degraded : int;
+}
+
+let start ?(config = default_config) ?site ?progress
+    ?(arrangement = Arrangement.empty) ?(consumed = 0) ~name policy instance
+    =
+  let noshow =
+    Option.map
+      (fun q ->
+        check_accept_rate "Engine.run" q;
+        match config.rng with
+        | Some rng -> (rng, q)
+        | None -> invalid_arg "Engine.run: accept_rate requires an rng")
+      config.accept_rate
+  in
+  let progress =
+    match progress with
+    | Some progress -> progress
+    | None ->
+      Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
+  in
+  let tracker =
+    match config.tracker with
+    | Some tracker -> tracker
+    | None -> Ltc_util.Mem.Tracker.create ()
+  in
+  Ltc_util.Mem.Tracker.set_baseline_words tracker (Progress.memory_words progress);
+  let decide = policy instance tracker progress in
+  (* The fallback shares the engine-owned progress/tracker, so a degraded
+     arrival sees exactly the state the fallback algorithm would see had
+     it been running standalone up to the same progress. *)
+  let fallback =
+    Option.map
+      (fun d ->
+        check_budget "Engine.run" d.budget_s;
+        ( d,
+          d.fallback instance tracker progress,
+          degraded_counter name d.fallback_name ))
+      config.degrade
+  in
+  {
+    instance;
+    name;
+    progress;
+    tracker;
+    decide;
+    fallback;
+    site;
+    noshow;
+    arrangement;
+    consumed;
+    degraded = 0;
+  }
+
+let step ?forced st (w : Worker.t) =
+  let probe () = Option.iter Ltc_util.Fault.check st.site in
+  let assigned, degraded =
+    match (st.fallback, forced) with
+    | None, _ ->
+      let tasks = st.decide w in
+      if forced = None then probe ();
+      (tasks, false)
+    | Some (_, fallback, _), Some forced ->
+      (* The primary still runs: it consumed its RNG draws in the
+         original timeline. *)
+      let primary = st.decide w in
+      if forced then (fallback w, true) else (primary, false)
+    | Some (d, fallback, _), None ->
+      (* Deadline reads go through Fault.Clock so tests and the chaos
+         harness can virtualise time (and inject solver slowdowns at the
+         probe) deterministically. *)
+      let c0 = Ltc_util.Fault.Clock.now_s () in
+      let primary = st.decide w in
+      probe ();
+      let dt = Float.max 0.0 (Ltc_util.Fault.Clock.now_s () -. c0) in
+      if dt > d.budget_s then begin
+        (* The primary's answer arrived past the budget: an online
+           platform has already moved on, so the cheap fallback decides
+           this arrival and the stream keeps flowing. *)
+        Logs.debug ~src:Ltc_util.Log.algo (fun m ->
+            m "%s: arrival %d blew the %.6fs budget (%.6fs); %s decides"
+              st.name w.index d.budget_s dt d.fallback_name);
+        (fallback w, true)
+      end
+      else (primary, false)
+  in
+  if degraded then begin
+    st.degraded <- st.degraded + 1;
+    Option.iter
+      (fun (_, _, m) -> Ltc_util.Metrics.Counter.incr m)
+      st.fallback
+  end;
+  check_decisions st.instance w assigned;
+  st.consumed <- st.consumed + 1;
+  let answered_rev = ref [] in
+  List.iter
+    (fun task ->
+      (* One bernoulli draw per assigned task, in assignment order; the
+         paper's model answers every assignment. *)
+      let answered =
+        match st.noshow with
+        | None -> true
+        | Some (rng, q) -> Ltc_util.Rng.bernoulli rng q
+      in
+      if answered then begin
+        Progress.record st.progress ~task
+          ~score:(Instance.score st.instance w task);
+        st.arrangement <- Arrangement.add st.arrangement ~worker:w.index ~task;
+        answered_rev := task :: !answered_rev
+      end)
+    assigned;
+  {
+    worker = w.index;
+    assigned;
+    answered = List.rev !answered_rev;
+    completed = Progress.all_complete st.progress;
+    latency = Arrangement.latency st.arrangement;
+    degraded;
+  }
+
+let top_open ~score instance progress (w : Worker.t) =
+  let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
+  (* Ascending candidates and the heap's stable ties: the lower id wins. *)
+  Instance.iter_candidates_sorted instance w (fun task ->
+      if Progress.is_open progress task then
+        Ltc_util.Bounded_heap.push heap ~score:(score task) task);
+  List.map snd (Ltc_util.Bounded_heap.pop_all heap)
+
+let progress st = st.progress
+let arrangement st = st.arrangement
+let consumed st = st.consumed
+let degraded st = st.degraded
+let peak_memory_mb st = Ltc_util.Mem.Tracker.high_water_mb st.tracker
+
+let finish ?(telemetry = no_telemetry) st =
+  {
+    name = st.name;
+    arrangement = st.arrangement;
+    completed = Progress.all_complete st.progress;
+    latency = Arrangement.latency st.arrangement;
+    workers_consumed = st.consumed;
+    peak_memory_mb = peak_memory_mb st;
+    telemetry;
+  }
 
 let run ?(config = default_config) ~name policy instance =
-  drive ~name
-    ~answered:(answered_of ~accept_rate:config.accept_rate ~rng:config.rng)
-    ?tracker:config.tracker ?degrade:config.degrade policy instance
+  Ltc_util.Trace.with_span ("engine:" ^ name) @@ fun () ->
+  let m_arrivals, m_assignments, m_decision, m_per_arrival =
+    engine_metrics name
+  in
+  let site = Option.map (fun _ -> "engine.decide") config.degrade in
+  let st = start ~config ?site ~name policy instance in
+  let workers = instance.Instance.workers in
+  let n = Array.length workers in
+  (* Clock reads are gated on the registry switch: two gettimeofday calls
+     per arrival would be measurable against sub-microsecond decisions. *)
+  let timing = Ltc_util.Metrics.enabled () in
+  let dt_total = ref 0.0 in
+  let dt_max = ref 0.0 in
+  while (not (Progress.all_complete st.progress)) && st.consumed < n do
+    let w = workers.(st.consumed) in
+    let d =
+      if not timing then step st w
+      else begin
+        let t0 = Ltc_util.Timer.start () in
+        let d = step st w in
+        let dt = Ltc_util.Timer.elapsed_s t0 in
+        dt_total := !dt_total +. dt;
+        if dt > !dt_max then dt_max := dt;
+        Ltc_util.Metrics.Histogram.observe m_decision dt;
+        d
+      end
+    in
+    Ltc_util.Metrics.Counter.incr m_arrivals;
+    let assigned = List.length d.answered in
+    Ltc_util.Metrics.Counter.add m_assignments assigned;
+    Ltc_util.Metrics.Histogram.observe m_per_arrival (float_of_int assigned)
+  done;
+  let completed = Progress.all_complete st.progress in
+  Ltc_util.Metrics.Counter.incr
+    (stop_counter name (if completed then "completed" else "exhausted"));
+  Logs.debug ~src:Ltc_util.Log.algo (fun m ->
+      m "%s: %s after %d arrivals (latency %d, %d assignments)" name
+        (if completed then "completed" else "ran out of workers")
+        st.consumed
+        (Arrangement.latency st.arrangement)
+        (Arrangement.size st.arrangement));
+  Logs.debug ~src:Ltc_util.Log.obs (fun m ->
+      m "%s: %d decisions, %.6f s total, %.6f s max" name st.consumed
+        !dt_total !dt_max);
+  finish st
+    ~telemetry:
+      {
+        decisions = st.consumed;
+        decision_seconds_total = !dt_total;
+        decision_seconds_max = !dt_max;
+        degraded = st.degraded;
+      }
 
 let of_arrangement ~name ?workers_consumed ?tracker
     ?(telemetry = no_telemetry) instance arrangement =
   let progress =
-    Progress.create_per_task ~thresholds:(Instance.thresholds instance)
+    Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
   List.iter
     (fun (a : Arrangement.assignment) ->
@@ -279,7 +353,7 @@ let of_arrangement ~name ?workers_consumed ?tracker
     telemetry;
   }
 
-let pp_outcome fmt o =
+let pp_outcome fmt (o : outcome) =
   Format.fprintf fmt
     "%s: latency=%d assignments=%d completed=%b consumed=%d mem=%.2fMB" o.name
     o.latency

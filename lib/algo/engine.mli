@@ -17,7 +17,7 @@ open Ltc_core
 type telemetry = {
   decisions : int;  (** arrivals the policy decided on *)
   decision_seconds_total : float;
-      (** summed per-arrival decision wall time *)
+      (** summed per-arrival wall time of {!step} *)
   decision_seconds_max : float;  (** slowest single decision *)
   degraded : int;
       (** decisions that degraded: arrivals decided by the fallback
@@ -52,9 +52,15 @@ type policy =
   Instance.t -> Ltc_util.Mem.Tracker.t -> Progress.t -> Worker.t -> int list
 (** [policy instance tracker progress] is partially applied once per run;
     the resulting function maps each arriving worker to the task ids to
-    assign (at most the worker's capacity, candidates only).  [progress] is
-    read-only for the policy: the engine performs all {!Progress.record}
-    calls. *)
+    assign (at most the worker's capacity, candidates only, open tasks
+    only — see {!Progress.is_open}).  [progress] is read-only for the
+    policy: the engine performs all {!Progress.record} calls. *)
+
+val top_open :
+  score:(int -> float) -> Instance.t -> Progress.t -> Worker.t -> int list
+(** The worker's capacity-many open candidates with the largest [score],
+    best first, ties to the lower task id: the skeleton every greedy
+    policy shares. *)
 
 exception Invalid_decision of string
 (** Raised when a policy over-assigns, repeats a task or picks a
@@ -62,9 +68,8 @@ exception Invalid_decision of string
 
 val check_decisions : Instance.t -> Worker.t -> int list -> unit
 (** Validate one arrival's decisions against the capacity / no-repeat /
-    candidate-radius constraints the engine enforces; the streaming service
-    applies the same check per fed arrival.  @raise Invalid_decision on a
-    violation. *)
+    candidate-radius constraints {!step} enforces.  @raise
+    Invalid_decision on a violation. *)
 
 type degrade = {
   budget_s : float;
@@ -133,15 +138,70 @@ type config = {
 val default_config : config
 
 val run : ?config:config -> name:string -> policy -> Instance.t -> outcome
-(** The single entry point for arrival-stream execution: feeds
-    [instance]'s workers to [policy] in arrival order until every task is
-    complete or the stream is exhausted.  @raise Invalid_argument when
-    [config.accept_rate] is outside (0, 1] (or NaN) or set without an
-    [rng], or when [config.degrade] carries a budget that is not finite
-    and positive.
+(** Batch arrival-stream execution: {!start}, then {!step} through
+    [instance]'s workers in arrival order until every task is complete or
+    the stream is exhausted, with the [ltc_engine_*] metrics and
+    telemetry around each step.  Under [config.degrade] each live
+    decision probes the [engine.decide] fault site.  @raise
+    Invalid_argument when [config.accept_rate] is outside (0, 1] (or NaN)
+    or set without an [rng], or when [config.degrade] carries a budget
+    that is not finite and positive. *)
 
-    (The deprecated [run_policy] / [run_policy_with_noshow] wrappers were
-    removed; [run] with a {!config} covers both.) *)
+(** {2 One arrival at a time}
+
+    The step every online driver shares: {!run}, [Session.feed] and
+    {!Dynamic.run} each fold it, with their own metrics, spans and timing
+    around it. *)
+
+type decision = {
+  worker : int;  (** arrival index the decision answers *)
+  assigned : int list;  (** tasks the policy assigned, in policy order *)
+  answered : int list;  (** the subset of [assigned] that showed up *)
+  completed : bool;  (** all tasks complete after this arrival *)
+  latency : int;  (** current latency: largest recruited arrival index *)
+  degraded : bool;  (** the deadline fallback made this decision *)
+}
+
+type state
+(** One run's progress, arrangement, arrival count and policies. *)
+
+val start :
+  ?config:config ->
+  ?site:string ->
+  ?progress:Progress.t ->
+  ?arrangement:Arrangement.t ->
+  ?consumed:int ->
+  name:string ->
+  policy ->
+  Instance.t ->
+  state
+(** A run resuming from [progress] (default: fresh, every task open),
+    [arrangement] (default empty) and [consumed] arrivals (default 0);
+    [site] is the fault site probed after each live primary decision.
+    @raise Invalid_argument as {!run} does. *)
+
+val step : ?forced:bool -> state -> Worker.t -> decision
+(** Decide one arrival and apply it: the policy decides (under a
+    deadline, the fallback replaces a late answer), the decision passes
+    {!check_decisions}, the arrival is consumed, each assigned task draws
+    its no-show, and answered tasks enter the progress and the
+    arrangement.  [forced] replays a journaled arrival: the primary still
+    runs for its RNG draws, the fallback decides iff [forced], and
+    neither the clock nor the fault site is read.  The caller checks
+    completion and arrival order first.
+    @raise Invalid_decision when the decision breaks a constraint. *)
+
+val progress : state -> Progress.t
+val arrangement : state -> Arrangement.t
+val consumed : state -> int
+
+val degraded : state -> int
+(** Decisions the fallback made, forced ones included. *)
+
+val peak_memory_mb : state -> float
+
+val finish : ?telemetry:telemetry -> state -> outcome
+(** The run's outcome so far; [telemetry] defaults to {!no_telemetry}. *)
 
 val of_arrangement :
   name:string ->

@@ -2,21 +2,15 @@ open Ltc_core
 
 let name = "LAF"
 
-let policy instance tracker progress =
+let policy instance tracker progress (w : Worker.t) =
   (* The only structure LAF owns is the K-bounded heap (paper: Q). *)
-  let heap_budget (w : Worker.t) = 4 * w.capacity in
-  fun (w : Worker.t) ->
-    let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
-    Ltc_util.Mem.Tracker.add_words tracker (heap_budget w);
-    (* Candidates arrive in ascending task-id order, so the bounded heap's
-       stable tie-break implements "prefer the lower task index". *)
-    Instance.iter_candidates_sorted instance w (fun task ->
-        if not (Progress.is_complete progress task) then
-          Ltc_util.Bounded_heap.push heap
-            ~score:(Instance.score instance w task)
-            task);
-    let chosen = List.map snd (Ltc_util.Bounded_heap.pop_all heap) in
-    Ltc_util.Mem.Tracker.remove_words tracker (heap_budget w);
-    chosen
+  let heap_words = 4 * w.capacity in
+  Ltc_util.Mem.Tracker.add_words tracker heap_words;
+  let chosen =
+    Engine.top_open instance progress w ~score:(fun task ->
+        Instance.score instance w task)
+  in
+  Ltc_util.Mem.Tracker.remove_words tracker heap_words;
+  chosen
 
 let run instance = Engine.run ~name policy instance

@@ -357,7 +357,7 @@ let run_batches ~name ~batch_size ?(solver = `Sspa) ?budget instance =
       Arrangement.empty
   else begin
     let progress =
-      Progress.create_per_task ~thresholds:(Instance.thresholds instance)
+      Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
     in
     Ltc_util.Mem.Tracker.set_baseline_words tracker
       (Progress.memory_words progress);

@@ -30,7 +30,11 @@ let feasible_with ?(max_nodes = 5_000_000) instance l =
   let l = min l (Array.length workers) in
   let thresholds = Instance.thresholds instance in
   let candidates =
-    Array.init l (fun i -> Instance.candidates instance workers.(i))
+    Array.init l (fun i ->
+        let acc = ref [] in
+        Instance.iter_candidates_sorted instance workers.(i) (fun task ->
+            acc := task :: !acc);
+        List.rev !acc)
   in
   (* suffix.(i).(t): total score workers i.. could still add to task t. *)
   let suffix = Array.make_matrix (l + 1) (max n_tasks 1) 0.0 in

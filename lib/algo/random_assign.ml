@@ -3,14 +3,16 @@ open Ltc_core
 let name = "Random"
 
 let policy_with_rng rng instance _tracker progress =
+  (* Refilled per arrival with the open candidates in ascending id order. *)
+  let pool = Array.make (max 1 (Instance.task_count instance)) 0 in
   fun (w : Worker.t) ->
-    let unfinished =
-      List.filter
-        (fun task -> not (Progress.is_complete progress task))
-        (Instance.candidates instance w)
-    in
-    let pool = Array.of_list unfinished in
-    let n = Array.length pool in
+    let n = ref 0 in
+    Instance.iter_candidates_sorted instance w (fun task ->
+        if Progress.is_open progress task then begin
+          pool.(!n) <- task;
+          incr n
+        end);
+    let n = !n in
     let k = min w.capacity n in
     (* Partial Fisher-Yates: the first [k] slots become the sample. *)
     for i = 0 to k - 1 do
@@ -19,7 +21,7 @@ let policy_with_rng rng instance _tracker progress =
       pool.(i) <- pool.(j);
       pool.(j) <- tmp
     done;
-    Array.to_list (Array.sub pool 0 k)
+    List.init k (fun i -> pool.(i))
 
 (* The generator is created at full application, once per run, so a
    partially-applied [policy ~seed] yields identical runs every time. *)

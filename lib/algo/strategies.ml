@@ -1,35 +1,14 @@
 open Ltc_core
 
-(* Shared skeleton: score unfinished candidates, keep the top K. *)
-let greedy_policy ~score instance _tracker progress (w : Worker.t) =
-  let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
-  List.iter
-    (fun task ->
-      if not (Progress.is_complete progress task) then
-        Ltc_util.Bounded_heap.push heap
-          ~score:(score instance progress w task)
-          task)
-    (Instance.candidates instance w);
-  List.map snd (Ltc_util.Bounded_heap.pop_all heap)
+let lgf_policy instance _tracker progress (w : Worker.t) =
+  Engine.top_open instance progress w ~score:(fun task ->
+      Float.min (Instance.score instance w task) (Progress.remaining progress task))
 
-let lgf_score instance progress w task =
-  Float.min (Instance.score instance w task) (Progress.remaining progress task)
+let lrf_policy instance _tracker progress w =
+  Engine.top_open instance progress w ~score:(fun task ->
+      Progress.remaining progress task)
 
-let lrf_score _instance progress _w task = Progress.remaining progress task
-
-let nearest_score (instance : Instance.t) _progress (w : Worker.t) task =
-  (* Bounded heap keeps the largest scores; negate so nearest wins. *)
-  -.Ltc_geo.Point.distance w.loc instance.Instance.tasks.(task).Task.loc
-
-let lgf_policy instance tracker progress =
-  greedy_policy ~score:lgf_score instance tracker progress
-
-let lrf_policy instance tracker progress =
-  greedy_policy ~score:lrf_score instance tracker progress
-
-let nearest_policy instance tracker progress =
-  greedy_policy ~score:nearest_score instance tracker progress
-
-let lgf instance = Engine.run ~name:"LGF-only" lgf_policy instance
-let lrf instance = Engine.run ~name:"LRF-only" lrf_policy instance
-let nearest_first instance = Engine.run ~name:"Nearest" nearest_policy instance
+let nearest_policy (instance : Instance.t) _tracker progress (w : Worker.t) =
+  (* The heap keeps the largest scores; negate so nearest wins. *)
+  Engine.top_open instance progress w ~score:(fun task ->
+      -.Ltc_geo.Point.distance w.loc instance.Instance.tasks.(task).Task.loc)

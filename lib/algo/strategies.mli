@@ -22,8 +22,4 @@ val nearest_policy : Engine.policy
     extra baseline; under the sigmoid model it behaves like LAF with ties
     broken by distance instead of historical accuracy. *)
 
-val lgf : Ltc_core.Instance.t -> Engine.outcome
-val lrf : Ltc_core.Instance.t -> Engine.outcome
-val nearest_first : Ltc_core.Instance.t -> Engine.outcome
-(** One-shot runs of the corresponding policy.  The registry entries for
-    these strategies live in {!Algorithm}. *)
+(** Their registry entries, with one-shot runs, live in {!Algorithm}. *)

@@ -18,6 +18,11 @@ let create ?(accuracy = Accuracy.Sigmoid { dmax = Accuracy.default_dmax })
     () =
   if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Instance.create: epsilon must lie in (0, 1)";
+  (match scoring with
+  | Quality.Sum_accuracy { threshold }
+    when not (threshold > 0.0 && threshold < infinity) ->
+    invalid_arg "Instance.create: sum_accuracy threshold must be finite and > 0"
+  | Quality.Sum_accuracy _ | Quality.Hoeffding -> ());
   Array.iteri
     (fun i (task : Task.t) ->
       if task.id <> i then
@@ -73,20 +78,41 @@ let iter_candidates t (w : Worker.t) f =
       f i
     done
 
+(* Per-domain scratch for the sorted query, used as a stack: a query fills
+   the slots from [top] up, raises [top] past them while its callback
+   runs — so a callback that queries again fills above them — and lowers
+   it on the way out. *)
+type scratch = { mutable buf : int array; mutable top : int }
+
+let scratch = Domain.DLS.new_key (fun () -> { buf = [||]; top = 0 })
+
 let iter_candidates_sorted t (w : Worker.t) f =
   match (t.candidate_radius, t.task_index) with
   | Some radius, Some index ->
-    Ltc_geo.Grid_index.iter_within_sorted index ~center:w.loc ~radius f
-  | None, _ | _, None ->
-    for i = 0 to Array.length t.tasks - 1 do
-      f i
-    done
-
-let candidates t (w : Worker.t) =
-  match (t.candidate_radius, t.task_index) with
-  | Some radius, Some index ->
-    Ltc_geo.Grid_index.query_within index ~center:w.loc ~radius
-  | None, _ | _, None -> List.init (Array.length t.tasks) (fun i -> i)
+    let s = Domain.DLS.get scratch in
+    let base = s.top in
+    let need = base + Ltc_geo.Grid_index.length index in
+    if Array.length s.buf < need then begin
+      let buf = Array.make (max need (2 * Array.length s.buf)) 0 in
+      Array.blit s.buf 0 buf 0 base;
+      s.buf <- buf
+    end;
+    let n =
+      Ltc_geo.Grid_index.fill_within_sorted index ~center:w.loc ~radius s.buf
+        base
+    in
+    s.top <- base + n;
+    (* [s.buf] is re-read on every step: a nested query may have grown it. *)
+    (match
+       for k = base to base + n - 1 do
+         f s.buf.(k)
+       done
+     with
+    | () -> s.top <- base
+    | exception e ->
+      s.top <- base;
+      raise e)
+  | None, _ | _, None -> iter_candidates t w f
 
 let count_candidates t (w : Worker.t) =
   match (t.candidate_radius, t.task_index) with

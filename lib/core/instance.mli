@@ -37,9 +37,10 @@ val create :
     [candidate_radius = Some dmax] (where [dmax] is taken from the accuracy
     model when it is a sigmoid, otherwise no radius).
 
-    @raise Invalid_argument when [epsilon] is outside (0,1), a task id does
-    not match its position, or workers are not in 1-based contiguous arrival
-    order. *)
+    @raise Invalid_argument when [epsilon] is outside (0,1), a
+    [Sum_accuracy] threshold is not finite and positive, a task id does
+    not match its position, or workers are not in 1-based contiguous
+    arrival order. *)
 
 val task_count : t -> int
 val worker_count : t -> int
@@ -62,18 +63,17 @@ val score : t -> Worker.t -> int -> float
 val acc : t -> Worker.t -> int -> float
 (** Predicted accuracy [Acc(w, task_id)]. *)
 
-val candidates : t -> Worker.t -> int list
-(** Task ids assignable to [w], ascending (all tasks when no radius). *)
-
 val iter_candidates : t -> Worker.t -> (int -> unit) -> unit
-(** Like {!candidates} but without materialising the list; ascending order
-    is NOT guaranteed here (grid cells are visited row-major). *)
+(** The task ids assignable to [w] (all tasks when no radius); ascending
+    order is NOT guaranteed here (grid cells are visited row-major).  The
+    flow network numbers its arcs in this order. *)
 
 val iter_candidates_sorted : t -> Worker.t -> (int -> unit) -> unit
-(** {!candidates} order ({e ascending} task id) without the list: grid cell
-    runs are merged on the fly.  This is the per-arrival path of the online
-    policies — their documented prefer-the-lower-task-index tie-break falls
-    out of the iteration order. *)
+(** The same ids in {e ascending} order: the grid scan inserts each hit
+    into place in a per-domain scratch buffer, then the callback runs over
+    it.  This is the per-arrival path of the online policies — their
+    documented prefer-the-lower-task-index tie-break falls out of the
+    iteration order.  The callback may query again. *)
 
 val count_candidates : t -> Worker.t -> int
 

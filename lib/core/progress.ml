@@ -2,22 +2,52 @@ type t = {
   thresholds : float array;
   s : float array;
   version : int array;  (* bumped on every record; invalidates heap entries *)
-  (* Order-preserving set of incomplete task ids: the live prefix is kept
-     sorted ascending (removal shifts the tail left), which is the
-     ordering guarantee [iter_incomplete] documents — MCF-LTC builds its
-     batch node numbering straight off this iteration. *)
+  (* Order-preserving set of open task ids: the live prefix is kept
+     sorted ascending (removal shifts the tail left, release shifts it
+     right), which is the ordering guarantee [iter_incomplete] documents —
+     MCF-LTC builds its batch node numbering straight off this
+     iteration. *)
   incomplete : int array;      (* first [n_incomplete] entries are live *)
-  position : int array;        (* position.(task) in [incomplete], -1 if done *)
+  position : int array;
+      (* position.(task) in [incomplete]; -1 once complete or while held *)
   mutable n_incomplete : int;
-  mutable sum_remaining : float;
-  (* Lazy max-heap over (remaining, task, version). *)
+  mutable n_held : int;
+  mutable sum_remaining : float;  (* over open tasks *)
+  (* Lazy max-heap over (remaining, task, version) of open tasks. *)
   heap : (float * int * int) Ltc_util.Heap.t;
 }
 
 (* Max-heap order on the [remaining] field of a heap entry. *)
 let heap_leq (a, _, _) (b, _, _) = (a : float) >= b
 
-let create_per_task ~thresholds =
+let threshold_of t task = t.thresholds.(task)
+let n_tasks t = Array.length t.s
+let accumulated t task = t.s.(task)
+let remaining t task = Float.max 0.0 (t.thresholds.(task) -. t.s.(task))
+let is_complete t task = t.s.(task) >= t.thresholds.(task)
+let is_open t task = t.position.(task) >= 0
+let all_complete t = t.n_incomplete = 0 && t.n_held = 0
+let incomplete_count t = t.n_incomplete
+let sum_remaining t = Float.max 0.0 t.sum_remaining
+
+let release t task =
+  if t.position.(task) < 0 && not (is_complete t task) then begin
+    (* Insert into the open prefix at its ascending place. *)
+    let pos = ref t.n_incomplete in
+    while !pos > 0 && t.incomplete.(!pos - 1) > task do
+      t.incomplete.(!pos) <- t.incomplete.(!pos - 1);
+      t.position.(t.incomplete.(!pos)) <- !pos;
+      decr pos
+    done;
+    t.incomplete.(!pos) <- task;
+    t.position.(task) <- !pos;
+    t.n_incomplete <- t.n_incomplete + 1;
+    t.n_held <- t.n_held - 1;
+    t.sum_remaining <- t.sum_remaining +. remaining t task;
+    Ltc_util.Heap.push t.heap (remaining t task, task, t.version.(task))
+  end
+
+let create_per_task ?(held = fun _ -> false) ~thresholds () =
   let n_tasks = Array.length thresholds in
   Array.iter
     (fun threshold ->
@@ -29,31 +59,25 @@ let create_per_task ~thresholds =
       thresholds = Array.copy thresholds;
       s = Array.make (max n_tasks 1) 0.0;
       version = Array.make (max n_tasks 1) 0;
-      incomplete = Array.init (max n_tasks 1) (fun i -> i);
-      position = Array.init (max n_tasks 1) (fun i -> i);
-      n_incomplete = n_tasks;
-      sum_remaining = Array.fold_left ( +. ) 0.0 thresholds;
+      incomplete = Array.make (max n_tasks 1) 0;
+      position = Array.make (max n_tasks 1) (-1);
+      n_incomplete = 0;
+      n_held = n_tasks;
+      sum_remaining = 0.0;
       heap = Ltc_util.Heap.create ~capacity:(2 * max n_tasks 1) ~leq:heap_leq ();
     }
   in
+  (* Every task starts held; releasing the rest in ascending id order adds
+     their thresholds to [sum_remaining] in that order. *)
   for task = 0 to n_tasks - 1 do
-    Ltc_util.Heap.push t.heap (thresholds.(task), task, 0)
+    if not (held task) then release t task
   done;
   t
 
 let create ~threshold ~n_tasks =
   if threshold <= 0.0 then invalid_arg "Progress.create: threshold <= 0";
   if n_tasks < 0 then invalid_arg "Progress.create: negative n_tasks";
-  create_per_task ~thresholds:(Array.make n_tasks threshold)
-
-let threshold_of t task = t.thresholds.(task)
-let n_tasks t = Array.length t.s
-let accumulated t task = t.s.(task)
-let remaining t task = Float.max 0.0 (t.thresholds.(task) -. t.s.(task))
-let is_complete t task = t.s.(task) >= t.thresholds.(task)
-let all_complete t = t.n_incomplete = 0
-let incomplete_count t = t.n_incomplete
-let sum_remaining t = Float.max 0.0 t.sum_remaining
+  create_per_task ~thresholds:(Array.make n_tasks threshold) ()
 
 let remove_incomplete t task =
   let pos = t.position.(task) in
@@ -69,7 +93,7 @@ let remove_incomplete t task =
 
 let record t ~task ~score =
   if score < 0.0 then invalid_arg "Progress.record: negative score";
-  if not (is_complete t task) then begin
+  if is_open t task then begin
     let before = remaining t task in
     t.s.(task) <- t.s.(task) +. score;
     let after = remaining t task in
@@ -78,13 +102,14 @@ let record t ~task ~score =
     if after <= 0.0 then remove_incomplete t task
     else Ltc_util.Heap.push t.heap (after, task, t.version.(task))
   end
-  else t.s.(task) <- t.s.(task) +. score
+  else if is_complete t task then t.s.(task) <- t.s.(task) +. score
+  else invalid_arg "Progress.record: task is held"
 
 let rec max_remaining t =
   match Ltc_util.Heap.peek t.heap with
   | None -> 0.0
   | Some (r, task, version) ->
-    if t.version.(task) = version && not (is_complete t task) then r
+    if t.version.(task) = version && is_open t task then r
     else begin
       ignore (Ltc_util.Heap.pop t.heap);
       max_remaining t
@@ -94,11 +119,6 @@ let iter_incomplete t f =
   for i = 0 to t.n_incomplete - 1 do
     f t.incomplete.(i)
   done
-
-let fold_incomplete t ~init ~f =
-  let acc = ref init in
-  iter_incomplete t (fun task -> acc := f !acc task);
-  !acc
 
 let memory_words t =
   (* thresholds + s (floats) + version + incomplete + position + heap
@@ -112,6 +132,7 @@ type snapshot = {
 }
 
 let snapshot (t : t) =
+  if t.n_held > 0 then invalid_arg "Progress.snapshot: tasks are held";
   (* [t.s] is padded to [max n 1]; the thresholds array carries the true
      task count. *)
   let n = Array.length t.thresholds in
@@ -185,6 +206,7 @@ let of_snapshot (snap : snapshot) =
     incomplete;
     position;
     n_incomplete = !live;
+    n_held = 0;
     (* The captured running total, not one re-derived here: the live run
        accumulated it one arrival at a time, and AAM's average is
        sensitive to that float summation order. *)

@@ -16,10 +16,18 @@ val create : threshold:float -> n_tasks:int -> t
     constant-epsilon platform).  @raise Invalid_argument when
     [threshold <= 0] or [n_tasks < 0]. *)
 
-val create_per_task : thresholds:float array -> t
+val create_per_task : ?held:(int -> bool) -> thresholds:float array -> unit -> t
 (** Per-task thresholds (Definition 1's general [t = <l_t, epsilon>] form);
-    the array is copied.  @raise Invalid_argument on a non-positive
-    threshold. *)
+    the array is copied.  Tasks for which [held] (default: none) holds
+    start held: outside the open set, [sum_remaining] and [max_remaining]
+    until {!release}, yet incomplete, so [all_complete] stays false while
+    any is held.  @raise Invalid_argument on a non-positive threshold. *)
+
+val release : t -> int -> unit
+(** Open a held task, as if it had been open from the start with no
+    score; a no-op on a task that is not held.  Each release adds the
+    task's threshold to the running [sum_remaining], so the order of the
+    releases fixes the float summation order. *)
 
 val threshold_of : t -> int -> float
 (** The given task's completion threshold. *)
@@ -33,29 +41,31 @@ val remaining : t -> int -> float
 (** [max 0 (threshold - S[t])]. *)
 
 val is_complete : t -> int -> bool
+
+val is_open : t -> int -> bool
+(** Released and not yet complete: what an online policy may pick. *)
+
 val all_complete : t -> bool
 
 val incomplete_count : t -> int
+(** Number of open tasks. *)
 
 val record : t -> task:int -> score:float -> unit
-(** Accumulate [score] onto task [task].  [score] must be [>= 0]. *)
+(** Accumulate [score] onto task [task].  [score] must be [>= 0].
+    @raise Invalid_argument on a held task. *)
 
 val sum_remaining : t -> float
-(** Total outstanding score over incomplete tasks. *)
+(** Total outstanding score over open tasks. *)
 
 val max_remaining : t -> float
-(** Largest outstanding score over incomplete tasks; [0] when all are
-    complete. *)
+(** Largest outstanding score over open tasks; [0] when none is open. *)
 
 val iter_incomplete : t -> (int -> unit) -> unit
-(** Every incomplete task id, in {b ascending id order} — a guarantee, not
+(** Every open task id, in {b ascending id order} — a guarantee, not
     an accident: MCF-LTC numbers its batch network's task nodes straight
     off this iteration, so the ordering pins down the arc layout (and with
     it the solver's tie-breaking) deterministically.  The callback must not
     call {!record}. *)
-
-val fold_incomplete : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over {!iter_incomplete}, same ascending-id order. *)
 
 val memory_words : t -> int
 
@@ -74,7 +84,8 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** Immutable copy of the observable state (arrays are fresh). *)
+(** Immutable copy of the observable state (arrays are fresh).
+    @raise Invalid_argument while a task is held. *)
 
 val of_snapshot : snapshot -> t
 (** Rebuild a progress tracker equivalent to the one {!snapshot} captured:

@@ -54,7 +54,7 @@ let render ?(size = 800) ?arrangement ?(show_radius = true)
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* Completion state per task under the given arrangement. *)
   let progress =
-    Progress.create_per_task ~thresholds:(Instance.thresholds instance)
+    Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
   (match arrangement with
   | None -> ()

@@ -17,10 +17,24 @@ let cell_of t (p : Point.t) =
   let cy = clampi (int_of_float ((p.y -. t.world.Bbox.min_y) /. t.cell)) 0 (t.rows - 1) in
   (cx, cy)
 
+(* Cells a build may allocate for [n] points.  Without a cap, a radius
+   tiny against the task spread asks for one cell per radius-sized square
+   (10^12 of them for radius 1e-4 over a 100-wide world).  The floor is
+   above every grid the repository's workloads build (Table IV: 1 156
+   cells for 3 000 tasks), so only such degenerate radii widen. *)
+let cell_budget n = max 4096 (4 * n)
+
 let build ~world ~cell points =
   if cell <= 0.0 then invalid_arg "Grid_index.build: cell must be positive";
-  let cols = max 1 (int_of_float (Float.ceil (Bbox.width world /. cell))) in
-  let rows = max 1 (int_of_float (Float.ceil (Bbox.height world /. cell))) in
+  let side extent cell = Float.max 1.0 (Float.ceil (extent /. cell)) in
+  let width = Bbox.width world and height = Bbox.height world in
+  let budget = float_of_int (cell_budget (Array.length points)) in
+  let cell =
+    if side width cell *. side height cell <= budget then cell
+    else Float.max cell (Float.max width height /. (Float.sqrt budget -. 1.0))
+  in
+  let cols = int_of_float (side width cell) in
+  let rows = int_of_float (side height cell) in
   let t =
     {
       world;
@@ -71,58 +85,34 @@ let iter_within t ~center ~radius f =
     done
   done
 
-let iter_within_sorted t ~center ~radius f =
+let fill_within_sorted t ~center ~radius buf pos =
   let r_sq = radius *. radius in
   let cx, cy = cell_of t center in
   let span = max 1 (int_of_float (Float.ceil (radius /. t.cell))) in
   let x0 = max 0 (cx - span) and x1 = min (t.cols - 1) (cx + span) in
   let y0 = max 0 (cy - span) and y1 = min (t.rows - 1) (cy + span) in
-  (* One cursor per non-empty visited cell run.  [build] fills each cell in
-     point-index order, so every run is already ascending and a repeated
-     head-min merge emits the union globally sorted — no buffering, no
-     allocation beyond the two small cursor arrays (at most (2*span+1)^2
-     runs, typically 9). *)
-  let max_runs = (x1 - x0 + 1) * (y1 - y0 + 1) in
-  let cur = Array.make (max 1 max_runs) 0 in
-  let stop = Array.make (max 1 max_runs) 0 in
-  let m = ref 0 in
+  let stop = ref pos in
   for gy = y0 to y1 do
     for gx = x0 to x1 do
       let c = (gy * t.cols) + gx in
-      if t.starts.(c) < t.starts.(c + 1) then begin
-        cur.(!m) <- t.starts.(c);
-        stop.(!m) <- t.starts.(c + 1);
-        incr m
-      end
+      for k = t.starts.(c) to t.starts.(c + 1) - 1 do
+        let i = t.entries.(k) in
+        if Point.distance_sq t.points.(i) center <= r_sq then begin
+          (* Insertion into the ascending run: each cell is already
+             ascending, so a hit moves past the few larger indices that
+             earlier cells left. *)
+          let j = ref !stop in
+          while !j > pos && buf.(!j - 1) > i do
+            buf.(!j) <- buf.(!j - 1);
+            decr j
+          done;
+          buf.(!j) <- i;
+          incr stop
+        end
+      done
     done
   done;
-  let m = !m in
-  let exhausted = ref false in
-  while not !exhausted do
-    let best = ref (-1) in
-    let best_v = ref max_int in
-    for j = 0 to m - 1 do
-      if cur.(j) < stop.(j) then begin
-        let v = t.entries.(cur.(j)) in
-        if v < !best_v then begin
-          best := j;
-          best_v := v
-        end
-      end
-    done;
-    if !best < 0 then exhausted := true
-    else begin
-      cur.(!best) <- cur.(!best) + 1;
-      if Point.distance_sq t.points.(!best_v) center <= r_sq then f !best_v
-    end
-  done
-
-let query_within t ~center ~radius =
-  let acc = ref [] in
-  iter_within t ~center ~radius (fun i -> acc := i :: !acc);
-  (* Cells are visited row-major but indices within the union are not
-     globally sorted; sort for a deterministic, documented order. *)
-  List.sort compare !acc
+  !stop - pos
 
 let count_within t ~center ~radius =
   let n = ref 0 in

@@ -13,7 +13,9 @@ type t
 val build : world:Bbox.t -> cell:float -> Point.t array -> t
 (** [build ~world ~cell points] indexes [points] (identified by their array
     index).  Points outside [world] are clamped into the boundary cells, so
-    queries remain correct for slightly out-of-range data.
+    queries remain correct for slightly out-of-range data.  A grid of more
+    than [max 4096 (4 * length points)] cells gets wider cells instead, so
+    a tiny [cell] cannot exhaust memory; queries stay exact either way.
     @raise Invalid_argument when [cell <= 0]. *)
 
 val length : t -> int
@@ -25,15 +27,13 @@ val iter_within : t -> center:Point.t -> radius:float -> (int -> unit) -> unit
     order within each visited cell (cells are visited row-major).  [radius]
     may exceed the build-time cell size; the scan widens accordingly. *)
 
-val iter_within_sorted :
-  t -> center:Point.t -> radius:float -> (int -> unit) -> unit
-(** Like {!iter_within} but in globally ascending point-index order: the
-    per-cell runs (each already ascending) are merged head-min on the fly,
-    so the sorted order costs no list materialisation or sort — the policy
-    layer's documented lower-index tie-break comes for free. *)
-
-val query_within : t -> center:Point.t -> radius:float -> int list
-(** Materialised {!iter_within}, ascending point-index order. *)
+val fill_within_sorted :
+  t -> center:Point.t -> radius:float -> int array -> int -> int
+(** [fill_within_sorted t ~center ~radius buf pos] writes the
+    {!iter_within} hits into [buf] from [pos] on, in globally ascending
+    point-index order (each hit is inserted into place during the scan),
+    and returns how many it wrote.  [buf] needs room for {!length}[ t]
+    entries from [pos]. *)
 
 val count_within : t -> center:Point.t -> radius:float -> int
 

@@ -9,7 +9,7 @@ let corrupt ~path fmt =
     (fun message -> raise (Corrupt_journal { path; message }))
     fmt
 
-type decision = {
+type decision = Ltc_algo.Engine.decision = {
   worker : int;
   assigned : int list;
   answered : int list;
@@ -66,21 +66,15 @@ type t = {
   deadline : deadline option;
   policy_rng : Ltc_util.Rng.t;
   noshow_rng : Ltc_util.Rng.t;
-  tracker : Ltc_util.Mem.Tracker.t;
-  progress : Progress.t;
-  decide : Worker.t -> int list;
-  fallback_decide : (Worker.t -> int list) option;
+  engine : Ltc_algo.Engine.state;
+      (* progress, arrangement, arrivals consumed, degraded count *)
   on_decision : decision -> unit;
-  mutable arrangement : Arrangement.t;
-  mutable consumed : int;
-  mutable degraded_total : int;
   mutable journal : journal option;
   mutable closed : bool;
   m_feed : Ltc_util.Metrics.Histogram.t;
   m_bytes : Ltc_util.Metrics.Gauge.t;
   m_snapshots : Ltc_util.Metrics.Counter.t;
   m_retries : Ltc_util.Metrics.Counter.t;
-  m_degraded : Ltc_util.Metrics.Counter.t option;
   (* Always-on decide-latency quantiles on the fault clock: virtual time
      when the clock is virtualised (loadgen), wall time otherwise. *)
   feed_hdr : Ltc_util.Metrics.Hdr.t;
@@ -223,11 +217,11 @@ let write_header sink (h : header) =
 
 let snapshot_of t =
   {
-    B.s_consumed = t.consumed;
+    B.s_consumed = Ltc_algo.Engine.consumed t.engine;
     s_policy = Ltc_util.Rng.state t.policy_rng;
     s_noshow = Ltc_util.Rng.state t.noshow_rng;
-    s_progress = t.progress;
-    s_arrangement = t.arrangement;
+    s_progress = Ltc_algo.Engine.progress t.engine;
+    s_arrangement = Ltc_algo.Engine.arrangement t.engine;
   }
 
 (* Group commit: hand the whole buffered group to one write(2), then (if
@@ -376,9 +370,7 @@ let policy_of (a : Ltc_algo.Algorithm.t) what =
   | Some p -> p
   | None ->
     invalid_arg
-      (Printf.sprintf
-         "Session: %s cannot serve %s (offline or release-scheduled \
-          algorithm)"
+      (Printf.sprintf "Session: %s cannot serve %s (offline algorithm)"
          a.Ltc_algo.Algorithm.name what)
 
 let check_online a what =
@@ -393,30 +385,33 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     ~on_decision ~policy_rng ~noshow_rng ~progress ~arrangement ~consumed =
   let policy = policy_of algorithm "an arrival stream" in
   Option.iter check_deadline deadline;
-  let tracker = Ltc_util.Mem.Tracker.create () in
-  Ltc_util.Mem.Tracker.set_baseline_words tracker
-    (Progress.memory_words progress);
-  let decide = policy policy_rng instance tracker progress in
-  (* The fallback shares progress/tracker and the policy stream, so a
-     degraded decision is exactly what the fallback algorithm would have
-     produced standalone given the same progress state. *)
-  let fallback_decide =
+  (* The fallback draws from the policy stream too, so a degraded
+     decision is exactly what the fallback algorithm would have produced
+     standalone given the same progress state. *)
+  let degrade =
     Option.map
       (fun d ->
-        (policy_of d.fallback "as a deadline fallback") policy_rng instance
-          tracker progress)
+        {
+          Ltc_algo.Engine.budget_s = d.budget_s;
+          fallback_name = d.fallback.Ltc_algo.Algorithm.name;
+          fallback = (policy_of d.fallback "as a deadline fallback") policy_rng;
+        })
       deadline
+  in
+  let engine =
+    Ltc_algo.Engine.start
+      ~config:
+        {
+          Ltc_algo.Engine.accept_rate;
+          rng = Some noshow_rng;
+          tracker = None;
+          degrade;
+        }
+      ~site:"session.decide" ~progress ~arrangement ~consumed
+      ~name:algorithm.Ltc_algo.Algorithm.name (policy policy_rng) instance
   in
   let m_feed, m_bytes, m_snapshots, m_retries =
     service_metrics algorithm.Ltc_algo.Algorithm.name
-  in
-  let m_degraded =
-    Option.map
-      (fun d ->
-        Ltc_algo.Engine.degraded_counter
-          algorithm.Ltc_algo.Algorithm.name
-          d.fallback.Ltc_algo.Algorithm.name)
-      deadline
   in
   {
     instance;
@@ -426,21 +421,14 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     deadline;
     policy_rng;
     noshow_rng;
-    tracker;
-    progress;
-    decide;
-    fallback_decide;
+    engine;
     on_decision;
-    arrangement;
-    consumed;
-    degraded_total = 0;
     journal = None;
     closed = false;
     m_feed;
     m_bytes;
     m_snapshots;
     m_retries;
-    m_degraded;
     feed_hdr = Ltc_util.Metrics.Hdr.create ();
   }
 
@@ -505,7 +493,7 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
   let instance = strip_workers instance in
   let policy_rng, noshow_rng = derive_rngs ~seed in
   let progress =
-    Progress.create_per_task ~thresholds:(Instance.thresholds instance)
+    Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
   let t =
     make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
@@ -520,12 +508,12 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
 
 (* ----------------------------------------------------------------- feed *)
 
-let completed t = Progress.all_complete t.progress
-let consumed t = t.consumed
-let latency t = Arrangement.latency t.arrangement
-let arrangement t = t.arrangement
+let completed t = Progress.all_complete (Ltc_algo.Engine.progress t.engine)
+let consumed t = Ltc_algo.Engine.consumed t.engine
+let arrangement t = Ltc_algo.Engine.arrangement t.engine
+let latency t = Arrangement.latency (arrangement t)
 let algorithm_name t = t.algorithm.Ltc_algo.Algorithm.name
-let degraded_total t = t.degraded_total
+let degraded_total t = Ltc_algo.Engine.degraded t.engine
 
 let rng_states t =
   (Ltc_util.Rng.state t.policy_rng, Ltc_util.Rng.state t.noshow_rng)
@@ -537,12 +525,15 @@ let journal_bytes t =
   | Some j when not t.closed -> j.disk_bytes
   | Some _ | None -> 0
 
-let peak_memory_mb t = Ltc_util.Mem.Tracker.high_water_mb t.tracker
+let peak_memory_mb t = Ltc_algo.Engine.peak_memory_mb t.engine
 
 (* [replay = Some degraded] re-executes a journaled event: the primary
    always runs (it consumed its RNG draws in the original timeline), and
    the journal — not the clock — decides whether the fallback overrode
-   it.  [replay = None] is a live arrival deciding against the clock. *)
+   it.  [replay = None] is a live arrival deciding against the clock and
+   probing the "session.decide" fault site — even without a deadline, so
+   a scripted [Delay] merely advances the virtual clock: the fault is
+   observed (and counted) but cannot change the decision stream. *)
 let feed_mode t ~replay (w : Worker.t) =
   if t.closed then invalid_arg "Session.feed: session is closed";
   if completed t then
@@ -558,80 +549,19 @@ let feed_mode t ~replay (w : Worker.t) =
       degraded = false;
     }
   else begin
-    if w.index <> t.consumed + 1 then
+    if w.index <> consumed t + 1 then
       invalid_arg
         (Printf.sprintf "Session.feed: expected arrival %d, got %d"
-           (t.consumed + 1) w.index);
+           (consumed t + 1) w.index);
     let timing = Ltc_util.Metrics.enabled () in
     let t0 = if timing then Some (Ltc_util.Timer.start ()) else None in
     let clock0 = Fault.Clock.now_s () in
-    let assigned, degraded =
-      match t.deadline with
-      | None ->
-        let tasks = t.decide w in
-        (* Probed even without a deadline so a scripted [Delay] merely
-           advances the virtual clock: the fault is observed (and counted)
-           but cannot change the decision stream. *)
-        if replay = None then Fault.check "session.decide";
-        (tasks, false)
-      | Some dl -> (
-        match replay with
-        | Some forced ->
-          let primary = t.decide w in
-          if forced then ((Option.get t.fallback_decide) w, true)
-          else (primary, false)
-        | None ->
-          let c0 = Fault.Clock.now_s () in
-          let primary = t.decide w in
-          Fault.check "session.decide";
-          let dt = Float.max 0.0 (Fault.Clock.now_s () -. c0) in
-          if dt > dl.budget_s then begin
-            Logs.debug ~src:Ltc_util.Log.obs (fun m ->
-                m "%s: arrival %d blew the %.6fs budget (%.6fs); %s decides"
-                  t.algorithm.Ltc_algo.Algorithm.name w.index dl.budget_s dt
-                  dl.fallback.Ltc_algo.Algorithm.name);
-            ((Option.get t.fallback_decide) w, true)
-          end
-          else (primary, false))
-    in
-    if degraded then begin
-      t.degraded_total <- t.degraded_total + 1;
-      Option.iter Ltc_util.Metrics.Counter.incr t.m_degraded
-    end;
+    let d = Ltc_algo.Engine.step ?forced:replay t.engine w in
     (* Replays re-run decisions outside their original timeline, so only
        live arrivals contribute quantile samples. *)
     if replay = None then
       Ltc_util.Metrics.Hdr.observe t.feed_hdr
         (Float.max 0.0 (Fault.Clock.now_s () -. clock0));
-    Ltc_algo.Engine.check_decisions t.instance w assigned;
-    t.consumed <- t.consumed + 1;
-    let answered_rev = ref [] in
-    (* Same gating as Engine.run: one bernoulli draw per assigned task, in
-       assignment order, whether or not earlier draws failed. *)
-    List.iter
-      (fun task ->
-        let ok =
-          match t.accept_rate with
-          | None -> true
-          | Some q -> Ltc_util.Rng.bernoulli t.noshow_rng q
-        in
-        if ok then begin
-          Progress.record t.progress ~task
-            ~score:(Instance.score t.instance w task);
-          t.arrangement <- Arrangement.add t.arrangement ~worker:w.index ~task;
-          answered_rev := task :: !answered_rev
-        end)
-      assigned;
-    let d =
-      {
-        worker = w.index;
-        assigned;
-        answered = List.rev !answered_rev;
-        completed = completed t;
-        latency = latency t;
-        degraded;
-      }
-    in
     (* The hook fires before the journal write on purpose: a crash inside
        the append then loses the record but not the (deterministically
        reproducible) decision, which is how the chaos harness accounts
@@ -1077,7 +1007,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     | None ->
       let policy_rng, noshow_rng = derive_rngs ~seed:header.h_seed in
       let progress =
-        Progress.create_per_task ~thresholds:(Instance.thresholds instance)
+        Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
       in
       (policy_rng, noshow_rng, progress, Arrangement.empty, 0)
     | Some s ->

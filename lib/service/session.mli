@@ -2,7 +2,8 @@
 
     A session holds the task side of an instance plus one online algorithm
     from {!Ltc_algo.Algorithm} and consumes worker arrivals one at a time
-    via {!feed}, returning the assignment decision for each.  Feeding the
+    via {!feed}, returning the assignment decision for each.  {!feed} is
+    {!Ltc_algo.Engine.step} followed by the journal write, so feeding the
     same arrival stream into a session reproduces {!Ltc_algo.Engine.run}
     byte for byte: the same arrangement, the same latency, the same RNG
     draws — including under [accept_rate < 1] no-show noise.
@@ -86,18 +87,15 @@ val strip_workers : Ltc_core.Instance.t -> Ltc_core.Instance.t
     itself when it has none) — what a session holds and journals, and
     what a shard manifest embeds. *)
 
-type decision = {
-  worker : int;  (** arrival index the decision answers *)
-  assigned : int list;  (** tasks the policy assigned, in policy order *)
+type decision = Ltc_algo.Engine.decision = {
+  worker : int;
+  assigned : int list;
   answered : int list;
-      (** subset of [assigned] that showed up (all of it when
-          [accept_rate] is [None]) *)
-  completed : bool;  (** all tasks complete after this arrival *)
-  latency : int;  (** current latency: largest recruited arrival index *)
+  completed : bool;
+  latency : int;
   degraded : bool;
-      (** the deadline fallback, not the primary policy, made this
-          decision *)
 }
+(** The engine step's decision record. *)
 
 type deadline = {
   budget_s : float;  (** per-arrival decision budget in seconds (finite, > 0) *)
@@ -169,7 +167,7 @@ val check_options :
     @raise Invalid_argument if [accept_rate] is outside (0, 1] or NaN, if
     [checkpoint_every < 1] or [group_commit < 1], if the algorithm (or the
     deadline fallback) has no online policy ([policy = None]: Base-off,
-    MCF-LTC, the dynamic variants), or if the deadline budget is not finite
+    MCF-LTC), or if the deadline budget is not finite
     and positive. *)
 
 val feed : t -> Ltc_core.Worker.t -> decision

@@ -8,8 +8,8 @@ type mode = Inline | Domains
 
 (* ------------------------------------------------------------- partition *)
 
-(* The task plane is cut into grid cells exactly as Grid_index does it
-   (same clamped-floor cell formula, cell side = candidate radius), and
+(* The task plane is cut into grid cells with Grid_index's clamped-floor
+   cell formula (cell side = candidate radius), and
    each cell picks its shard by rendezvous hashing: the shard whose mixed
    (cell, shard) hash is largest wins.  Deterministic, stateless, and
    stable under restore — the partition is a pure function of the

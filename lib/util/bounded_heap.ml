@@ -13,17 +13,19 @@ type 'a t = {
    element, i.e. the first evicted. *)
 let entry_leq a b = a.score < b.score || (a.score = b.score && a.seq > b.seq)
 
+(* The heap starts small and grows with what is pushed: [k] is a worker's
+   capacity, which arrives from outside and may be far larger than any
+   candidate set. *)
 let create ~k () =
   if k <= 0 then invalid_arg "Bounded_heap.create: k must be positive";
-  { k; heap = Heap.create ~capacity:(k + 1) ~leq:entry_leq (); next_seq = 0 }
+  let heap = Heap.create ~capacity:(min k 15 + 1) ~leq:entry_leq () in
+  { k; heap; next_seq = 0 }
 
 let push t ~score value =
   let e = { score; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   Heap.push t.heap e;
   if Heap.length t.heap > t.k then ignore (Heap.pop t.heap)
-
-let length t = Heap.length t.heap
 
 let pop_all t =
   let rec drain acc =
@@ -42,5 +44,3 @@ let pop_all t =
       ascending
   in
   List.map (fun e -> (e.score, e.value)) descending
-
-let clear t = Heap.clear t.heap

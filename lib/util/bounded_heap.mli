@@ -18,10 +18,6 @@ val push : 'a t -> score:float -> 'a -> unit
     element (stable), matching the paper's lowest-task-index tie-break when
     tasks are pushed in index order. *)
 
-val length : 'a t -> int
-
 val pop_all : 'a t -> (float * 'a) list
 (** Remove and return the retained elements sorted by {e descending} score
     (stable for ties).  The heap becomes empty. *)
-
-val clear : 'a t -> unit

@@ -385,6 +385,142 @@ let test_mcf_arrangement_pins () =
       ("batch-mcf", batch_mcf, "391e76267ab8d24339628d5cfd4e39b5");
     ]
 
+(* Every online decision stream pinned by digest: the arrangement in
+   order plus the arrivals consumed, and for release-scheduled runs the
+   response times too.  The digests were recorded before the online
+   drivers were merged into one engine step, so they pin that the merge
+   changed no decision; a change to a tie-break, an RNG draw or the
+   stopping rule moves one. *)
+let decision_digest ?(extra = "") (o : Engine.outcome) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (a : Arrangement.assignment) ->
+      Buffer.add_string b (Printf.sprintf "%d:%d;" a.worker a.task))
+    (Arrangement.to_list o.Engine.arrangement);
+  Buffer.add_string b (Printf.sprintf "consumed=%d%s" o.Engine.workers_consumed
+    extra);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_decision_pins () =
+  let table_iv =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      (Ltc_workload.Spec.scale_synthetic 0.1
+         Ltc_workload.Spec.default_synthetic)
+  in
+  let instances =
+    [
+      ("seed 8", Fixtures.small_random ~seed:8 ());
+      ("seed 21", Fixtures.small_random ~seed:21 ());
+      ("table IV", table_iv);
+    ]
+  in
+  let registry name i = (Algorithm.find name).Algorithm.run ~seed:5 i in
+  let dynamic strategy ~release i =
+    let o = Dynamic.run ~strategy ~release i in
+    decision_digest o.Dynamic.engine
+      ~extra:
+        (Printf.sprintf " resp=%h/%d/%d" o.Dynamic.mean_response
+           o.Dynamic.max_response o.Dynamic.completed_tasks)
+  in
+  let upfront strategy i =
+    Dynamic.run ~strategy ~release:(Array.make (Instance.task_count i) 0) i
+  in
+  let noshow policy i =
+    Engine.run ~name:"noshow"
+      ~config:
+        {
+          Engine.default_config with
+          Engine.accept_rate = Some 0.7;
+          rng = Some (Ltc_util.Rng.create ~seed:11);
+        }
+      policy i
+  in
+  let rows =
+    List.concat_map
+      (fun (label, i) ->
+        List.map
+          (fun name -> (label ^ " " ^ name, decision_digest (registry name i)))
+          [ "Random"; "LAF"; "AAM"; "LGF-only"; "LRF-only"; "Nearest";
+            "Base-off" ]
+        @ [
+            ( label ^ " LAF-dyn",
+              decision_digest (upfront Dynamic.Laf_d i).Dynamic.engine );
+            ( label ^ " AAM-dyn",
+              decision_digest (upfront Dynamic.Aam_d i).Dynamic.engine );
+            ( label ^ " Random-dyn",
+              decision_digest (upfront (Dynamic.Random_d 5) i).Dynamic.engine
+            );
+            (label ^ " LAF q=0.7", decision_digest (noshow Laf.policy i));
+            (label ^ " AAM q=0.7", decision_digest (noshow Aam.policy i));
+          ])
+      instances
+    @ List.concat_map
+        (fun fraction ->
+          let release =
+            Dynamic.uniform_releases (Ltc_util.Rng.create ~seed:6)
+              ~n_tasks:(Instance.task_count table_iv)
+              ~horizon:(Instance.worker_count table_iv / 4)
+              ~upfront_fraction:fraction
+          in
+          List.map
+            (fun (name, strategy) ->
+              ( Printf.sprintf "table IV %s released %.1f" name fraction,
+                dynamic strategy ~release table_iv ))
+            [ ("LAF", Dynamic.Laf_d); ("AAM", Dynamic.Aam_d);
+              ("Random", Dynamic.Random_d 5) ])
+        [ 0.5; 0.0 ]
+  in
+  let want =
+    [
+      ("seed 8 Random", "a7528ca9e397c51d794213efeb8ce008");
+      ("seed 8 LAF", "3f00a0dbbd372b20805152b20b795657");
+      ("seed 8 AAM", "f7cd80ed16dffe318e7c9fa5c88eef8f");
+      ("seed 8 LGF-only", "246dcb1abd6e49bca0f4ccb467cab3b3");
+      ("seed 8 LRF-only", "5912f79f22f760676062e0d0c1b57ef8");
+      ("seed 8 Nearest", "3f00a0dbbd372b20805152b20b795657");
+      ("seed 8 Base-off", "0845d3dabb424f7ae1ccb8b63d8bf203");
+      ("seed 8 LAF-dyn", "3f00a0dbbd372b20805152b20b795657");
+      ("seed 8 AAM-dyn", "f7cd80ed16dffe318e7c9fa5c88eef8f");
+      ("seed 8 Random-dyn", "a7528ca9e397c51d794213efeb8ce008");
+      ("seed 8 LAF q=0.7", "3686c77bb8f7b7c44bf03c231499ec0c");
+      ("seed 8 AAM q=0.7", "d2ab0124ba7f5b45f1256aa8a14eba37");
+      ("seed 21 Random", "ce7e1f4dae641014a58287f39c8cd78f");
+      ("seed 21 LAF", "b077a56067d9806289fc4ad6ae85cdb5");
+      ("seed 21 AAM", "2c5bb7ab8091d2915cb2a002c7619df7");
+      ("seed 21 LGF-only", "6d93300f2f74f3c1a2957b490a8343bf");
+      ("seed 21 LRF-only", "7a852e38e1b2a0cdf930e6de15416580");
+      ("seed 21 Nearest", "b077a56067d9806289fc4ad6ae85cdb5");
+      ("seed 21 Base-off", "ae3ace621b23b7340bc40abd4db1a292");
+      ("seed 21 LAF-dyn", "b077a56067d9806289fc4ad6ae85cdb5");
+      ("seed 21 AAM-dyn", "2c5bb7ab8091d2915cb2a002c7619df7");
+      ("seed 21 Random-dyn", "ce7e1f4dae641014a58287f39c8cd78f");
+      ("seed 21 LAF q=0.7", "1a5b03d5dd2cdce3ec9957e98c2887ba");
+      ("seed 21 AAM q=0.7", "687018741eb90f98fa5d609ca833e08c");
+      ("table IV Random", "c2744f86ad5ca3625a86eb58ec36cfba");
+      ("table IV LAF", "c4b35d7e7a8ee69e22ce20e531170ad8");
+      ("table IV AAM", "41a35e13e8f3e831e0b71cbc03d97659");
+      ("table IV LGF-only", "1015dadf3d559039382a27b2706eae31");
+      ("table IV LRF-only", "0abc803723aaad58c9519faa9ac60d90");
+      ("table IV Nearest", "8f99b18214ab99e30121d5f8d0387c93");
+      ("table IV Base-off", "18070276cdf3f0d810b279fe28ae707b");
+      ("table IV LAF-dyn", "c4b35d7e7a8ee69e22ce20e531170ad8");
+      ("table IV AAM-dyn", "41a35e13e8f3e831e0b71cbc03d97659");
+      ("table IV Random-dyn", "c2744f86ad5ca3625a86eb58ec36cfba");
+      ("table IV LAF q=0.7", "b3c9cf4a7eea5a8d20beddde70707c15");
+      ("table IV AAM q=0.7", "cb63d383f89384336bd9c4c3d4ea3f76");
+      ("table IV LAF released 0.5", "38eef0916dafb3b596d4c963a120a78a");
+      ("table IV AAM released 0.5", "a8e9271fe6db1270c1154fcaade7fb56");
+      ("table IV Random released 0.5", "27fba32b2c4a17b9fb03f712662bb0a5");
+      ("table IV LAF released 0.0", "481a6d72393889fe489ca6ac8bb3fa06");
+      ("table IV AAM released 0.0", "e05d989b7a5e2e2dda9aa8010c4df803");
+      ("table IV Random released 0.0", "d34a692cbe49e747c6e19134996dfd8d");
+    ]
+  in
+  Alcotest.(check int) "every row pinned" (List.length want) (List.length rows);
+  List.iter
+    (fun (label, got) -> Alcotest.(check string) label (List.assoc label want) got)
+    rows
+
 let test_mcf_anytime_budget () =
   let i = Fixtures.small_random ~seed:9 () in
   let run ?budget solver =
@@ -518,7 +654,7 @@ let test_aam_equals_lgf_before_switch () =
      running example both pick the same tasks for w1 and w2. *)
   let i = Fixtures.example2 () in
   let aam = (Aam.run i).Engine.arrangement in
-  let lgf = (Strategies.lgf i).Engine.arrangement in
+  let lgf = (Algorithm.lgf.Algorithm.run ~seed:0 i).Engine.arrangement in
   List.iter
     (fun w ->
       Alcotest.(check (list int))
@@ -1015,8 +1151,10 @@ let test_registry () =
     (List.map (fun (a : Algorithm.t) -> a.name) Algorithm.paper);
   Alcotest.(check (list string)) "full registry"
     [ "Base-off"; "MCF-LTC"; "Random"; "LAF"; "AAM"; "LGF-only"; "LRF-only";
-      "Nearest"; "LAF-dyn"; "AAM-dyn"; "Random-dyn" ]
+      "Nearest" ]
     (Algorithm.names ());
+  Alcotest.(check bool) "release-scheduled runs are not registered" true
+    (Algorithm.find_opt "LAF-dyn" = None);
   Alcotest.(check bool) "find is case-insensitive" true
     (match Algorithm.find_opt "aam" with
     | Some a -> a.Algorithm.name = "AAM"
@@ -1030,7 +1168,7 @@ let test_registry () =
        && msg.[String.length msg - 1] = ')'
        && Astring.String.is_infix ~affix:"Nearest" msg);
   (* Online strategies expose a policy for the streaming service; offline
-     and dynamic-release entries do not. *)
+     entries do not. *)
   List.iter
     (fun (name, streamable) ->
       Alcotest.(check bool)
@@ -1040,7 +1178,7 @@ let test_registry () =
     [
       ("Base-off", false); ("MCF-LTC", false); ("Random", true);
       ("LAF", true); ("AAM", true); ("LGF-only", true); ("LRF-only", true);
-      ("Nearest", true); ("LAF-dyn", false);
+      ("Nearest", true);
     ]
 
 let suite =
@@ -1097,6 +1235,7 @@ let suite =
           test_mcf_solver_backends;
         Alcotest.test_case "MCF arrangement pins" `Quick
           test_mcf_arrangement_pins;
+        Alcotest.test_case "online decision pins" `Quick test_decision_pins;
         Alcotest.test_case "MCF anytime budget" `Quick test_mcf_anytime_budget;
         Alcotest.test_case "MCF empty instance" `Quick test_mcf_empty_instance;
         Alcotest.test_case "tie cost vs solver epsilon" `Quick

@@ -125,6 +125,12 @@ let test_worker_validation () =
 
 (* -------------------------------------------------------------- Instance *)
 
+(* The sorted candidate query, read back as a list. *)
+let sorted_candidates i w =
+  let acc = ref [] in
+  Instance.iter_candidates_sorted i w (fun task -> acc := task :: !acc);
+  List.rev !acc
+
 let tiny_instance ?(epsilon = 0.2) ?candidate_radius () =
   let tasks =
     [| Task.make ~id:0 ~loc:(point ~x:0.0 ~y:0.0) ();
@@ -157,20 +163,32 @@ let test_instance_validation () =
         (Printf.sprintf "epsilon %g" epsilon)
         (Invalid_argument "Instance.create: epsilon must lie in (0, 1)")
         (fun () -> ignore (Instance.create ~tasks ~workers:[||] ~epsilon ())))
-    [ 0.0; 1.0; nan ]
+    [ 0.0; 1.0; nan ];
+  List.iter
+    (fun threshold ->
+      Alcotest.check_raises
+        (Printf.sprintf "sum_accuracy threshold %g" threshold)
+        (Invalid_argument
+           "Instance.create: sum_accuracy threshold must be finite and > 0")
+        (fun () ->
+          ignore
+            (Instance.create
+               ~scoring:(Quality.Sum_accuracy { threshold })
+               ~tasks ~workers:[||] ~epsilon:0.1 ())))
+    [ 0.0; -1.0; nan; infinity ]
 
 let test_instance_candidates_radius () =
   let i = tiny_instance () in
   (* Default radius = dmax = 30: each worker sees only its nearby task. *)
   Alcotest.(check (list int)) "worker 1 near task 0" [ 0 ]
-    (Instance.candidates i i.Instance.workers.(0));
+    (sorted_candidates i i.Instance.workers.(0));
   Alcotest.(check (list int)) "worker 2 near task 1" [ 1 ]
-    (Instance.candidates i i.Instance.workers.(1))
+    (sorted_candidates i i.Instance.workers.(1))
 
 let test_instance_candidates_unrestricted () =
   let i = tiny_instance ~candidate_radius:None () in
   Alcotest.(check (list int)) "all tasks" [ 0; 1 ]
-    (Instance.candidates i i.Instance.workers.(0));
+    (sorted_candidates i i.Instance.workers.(0));
   Alcotest.(check int) "count" 2
     (Instance.count_candidates i i.Instance.workers.(0))
 
@@ -329,6 +347,98 @@ let prop_progress_aggregates =
       && Progress.incomplete_count p = !inc
       && Progress.all_complete p = (!inc = 0))
 
+(* Held tasks against a model: random holds, then records on open tasks
+   interleaved with releases.  A held task is outside the open set and
+   both aggregates, keeps [all_complete] false, and refuses a record. *)
+let prop_progress_held =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 8 in
+      let* held = list_repeat n bool in
+      let* ops =
+        list_size (int_range 0 60)
+          (pair (int_range 0 (n - 1)) (opt (float_range 0.0 1.5)))
+      in
+      return (n, Array.of_list held, ops))
+  in
+  QCheck2.Test.make ~name:"held tasks stay out until released" ~count:300 gen
+    (fun (n, held, ops) ->
+      let threshold = 2.0 in
+      let p =
+        Progress.create_per_task
+          ~held:(Array.get held)
+          ~thresholds:(Array.make n threshold) ()
+      in
+      let model = Array.make n 0.0 in
+      let ok = ref true in
+      let check () =
+        let open_tasks =
+          List.filter
+            (fun i -> (not held.(i)) && model.(i) < threshold)
+            (List.init n Fun.id)
+        in
+        let rem i = threshold -. model.(i) in
+        let visited = ref [] in
+        Progress.iter_incomplete p (fun i -> visited := i :: !visited);
+        ok :=
+          !ok
+          && List.rev !visited = open_tasks
+          && List.for_all (fun i -> Progress.is_open p i = List.mem i open_tasks)
+               (List.init n Fun.id)
+          && Float.abs
+               (Progress.sum_remaining p
+               -. List.fold_left (fun a i -> a +. rem i) 0.0 open_tasks)
+             < 1e-6
+          && Float.abs
+               (Progress.max_remaining p
+               -. List.fold_left (fun a i -> Float.max a (rem i)) 0.0 open_tasks)
+             < 1e-6
+          && Progress.all_complete p
+             = (open_tasks = [] && Array.for_all not held)
+      in
+      List.iter
+        (fun (task, op) ->
+          (match op with
+          | None ->
+            Progress.release p task;
+            held.(task) <- false
+          | Some score when held.(task) ->
+            ok :=
+              !ok
+              && (try
+                    Progress.record p ~task ~score;
+                    false
+                  with Invalid_argument _ -> true)
+          | Some score ->
+            Progress.record p ~task ~score;
+            model.(task) <- model.(task) +. score);
+          check ())
+        ops;
+      check ();
+      !ok)
+
+(* Holding every task and releasing them in id order before any record
+   rebuilds the fresh state bit for bit: the decision pins rely on it. *)
+let test_progress_release_all () =
+  let thresholds = [| 1.7; 0.3; 2.9; 1.1 |] in
+  let fresh = Progress.create_per_task ~thresholds () in
+  let held = Progress.create_per_task ~held:(fun _ -> true) ~thresholds () in
+  Alcotest.(check bool) "held: not complete" false (Progress.all_complete held);
+  Alcotest.(check (float 0.0)) "held: nothing outstanding" 0.0
+    (Progress.sum_remaining held);
+  Array.iteri (fun task _ -> Progress.release held task) thresholds;
+  Alcotest.(check bool) "same sum, bit for bit" true
+    (Int64.equal
+       (Int64.bits_of_float (Progress.sum_remaining fresh))
+       (Int64.bits_of_float (Progress.sum_remaining held)));
+  Alcotest.(check (float 0.0)) "same max" (Progress.max_remaining fresh)
+    (Progress.max_remaining held);
+  Alcotest.check_raises "a snapshot refuses held tasks"
+    (Invalid_argument "Progress.snapshot: tasks are held") (fun () ->
+      ignore
+        (Progress.snapshot
+           (Progress.create_per_task ~held:(fun t -> t = 2) ~thresholds ())))
+
 let prop_progress_iter_incomplete =
   let gen =
     QCheck2.Gen.(
@@ -403,7 +513,7 @@ let prop_progress_of_snapshot_matches_reference =
     ~count:500 gen
     (fun (tasks, records) ->
       let thresholds = Array.of_list (List.map fst tasks) in
-      let reference = Progress.create_per_task ~thresholds in
+      let reference = Progress.create_per_task ~thresholds () in
       List.iteri
         (fun task (_, score) -> Progress.record reference ~task ~score)
         tasks;
@@ -1053,7 +1163,7 @@ let prop_progress_roundtrip =
       let thresholds =
         Array.init n_tasks (fun t -> 1.0 +. (float_of_int t /. 7.0))
       in
-      let p = Progress.create_per_task ~thresholds in
+      let p = Progress.create_per_task ~thresholds () in
       List.iter
         (fun (task, centi) ->
           Progress.record p ~task:(task mod n_tasks)
@@ -1106,7 +1216,7 @@ let prop_analysis_invariants =
                 (fun k task ->
                   if k < w.capacity && Ltc_util.Rng.bool rng then
                     arrangement := Arrangement.add !arrangement ~worker:w.index ~task)
-                (Instance.candidates i w))
+                (sorted_candidates i w))
           i.Instance.workers;
         let r = Analysis.of_arrangement i !arrangement in
         let n_assign = Arrangement.size !arrangement in
@@ -1120,25 +1230,83 @@ let prop_analysis_invariants =
         && (n_assign = 0 || r.Analysis.travel_max <= 30.0 +. 1e-9)
       end)
 
-let prop_candidates_consistent =
-  QCheck2.Test.make ~name:"candidates = iter_candidates = count_candidates"
-    ~count:100 small_instance_gen
-    (fun params ->
-      let i = generate_small params in
+(* Tasks anywhere in a 100 x 100 square, workers either anywhere or on a
+   task, and a radius that is absent, tiny (far more radius-sized cells
+   than the grid's cell budget allows), ordinary, or wider than the
+   world. *)
+let sorted_query_gen =
+  QCheck2.Gen.(
+    let point = pair (float_range 0.0 100.0) (float_range 0.0 100.0) in
+    let* tasks = list_size (int_range 0 40) point in
+    let* workers =
+      list_size (int_range 1 6)
+        (oneof [ map (fun p -> `At p) point; map (fun k -> `On k) nat ])
+    in
+    let* radius =
+      oneof
+        [
+          return None;
+          return (Some 1e-4);
+          map Option.some (float_range 0.5 50.0);
+          return (Some 500.0);
+        ]
+    in
+    return (tasks, workers, radius))
+
+let prop_sorted_candidates =
+  QCheck2.Test.make ~name:"sorted candidates = brute-force filter" ~count:300
+    sorted_query_gen
+    (fun (points, picks, radius) ->
+      let loc (x, y) = Ltc_geo.Point.make ~x ~y in
+      let tasks =
+        Array.of_list
+          (List.mapi (fun id p -> Task.make ~id ~loc:(loc p) ()) points)
+      in
+      let n = Array.length tasks in
+      let workers =
+        Array.of_list
+          (List.mapi
+             (fun k pick ->
+               let at =
+                 match pick with
+                 | `On j when n > 0 -> tasks.(j mod n).Task.loc
+                 | `On _ -> loc (0.0, 0.0)
+                 | `At p -> loc p
+               in
+               Worker.make ~index:(k + 1) ~loc:at ~accuracy:0.9 ~capacity:2)
+             picks)
+      in
+      let i =
+        Instance.create ~candidate_radius:radius ~tasks ~workers ~epsilon:0.1
+          ()
+      in
+      let brute (w : Worker.t) =
+        List.filter
+          (fun task ->
+            match radius with
+            | None -> true
+            | Some r ->
+              Ltc_geo.Point.distance_sq w.loc tasks.(task).Task.loc <= r *. r)
+          (List.init n Fun.id)
+      in
       Array.for_all
         (fun w ->
-          let listed = Instance.candidates i w in
-          let iterated = ref [] in
-          Instance.iter_candidates i w (fun t -> iterated := t :: !iterated);
-          List.sort compare !iterated = listed
-          && Instance.count_candidates i w = List.length listed
-          && List.for_all
-               (fun t ->
-                 Ltc_geo.Point.distance w.Worker.loc
-                   i.Instance.tasks.(t).Task.loc
-                 <= 30.0 +. 1e-9)
-               listed)
-        i.Instance.workers)
+          let want = brute w in
+          (* Every hit queries every worker again, so the outer run must
+             survive nested fills of the same scratch. *)
+          let outer = ref [] and nested_ok = ref true in
+          Instance.iter_candidates_sorted i w (fun task ->
+              outer := task :: !outer;
+              Array.iter
+                (fun w' ->
+                  if sorted_candidates i w' <> brute w' then nested_ok := false)
+                workers);
+          let unsorted = ref [] in
+          Instance.iter_candidates i w (fun task -> unsorted := task :: !unsorted);
+          List.rev !outer = want && !nested_ok
+          && List.sort compare !unsorted = want
+          && Instance.count_candidates i w = List.length want)
+        workers)
 
 let prop_progress_threshold_per_task =
   QCheck2.Test.make ~name:"per-task thresholds drive completion" ~count:100
@@ -1146,7 +1314,7 @@ let prop_progress_threshold_per_task =
       list_size (int_range 1 6) (pair (float_range 0.5 3.0) (float_range 0.0 4.0)))
     (fun spec ->
       let thresholds = Array.of_list (List.map fst spec) in
-      let p = Progress.create_per_task ~thresholds in
+      let p = Progress.create_per_task ~thresholds () in
       List.iteri
         (fun task (_, score) -> Progress.record p ~task ~score)
         spec;
@@ -1275,7 +1443,7 @@ let prop_snapshot_record_roundtrip =
     ~count:200 snapshot_gen
     (fun (spec, consumed, policy, noshow, assignments) ->
       let thresholds = Array.of_list (List.map fst spec) in
-      let p = Progress.create_per_task ~thresholds in
+      let p = Progress.create_per_task ~thresholds () in
       List.iteri (fun task (_, score) -> Progress.record p ~task ~score) spec;
       let arrangement =
         List.fold_left
@@ -1329,7 +1497,7 @@ let prop_check_payload_agrees =
             map
               (fun (spec, consumed, policy, noshow, assignments) ->
                 let thresholds = Array.of_list (List.map fst spec) in
-                let p = Progress.create_per_task ~thresholds in
+                let p = Progress.create_per_task ~thresholds () in
                 List.iteri
                   (fun task (_, score) -> Progress.record p ~task ~score)
                   spec;
@@ -1511,6 +1679,9 @@ let suite =
         Alcotest.test_case "zero tasks" `Quick test_progress_zero_tasks;
         qcheck prop_progress_aggregates;
         qcheck prop_progress_iter_incomplete;
+        qcheck prop_progress_held;
+        Alcotest.test_case "release all = fresh" `Quick
+          test_progress_release_all;
         qcheck prop_progress_of_snapshot_matches_reference;
         Alcotest.test_case "non-finite snapshot values" `Quick
           test_progress_snapshot_non_finite;
@@ -1568,7 +1739,7 @@ let suite =
       [
         qcheck prop_analysis_invariants;
         qcheck prop_progress_threshold_per_task;
-        qcheck prop_candidates_consistent;
+        qcheck prop_sorted_candidates;
       ] );
     ( "core.truth_infer",
       [

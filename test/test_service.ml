@@ -519,8 +519,8 @@ let test_create_validation () =
   let instance = small_instance ~seed:2 () in
   Alcotest.check_raises "offline algorithm rejected"
     (Invalid_argument
-       "Session: MCF-LTC cannot serve an arrival stream (offline or \
-        release-scheduled algorithm)") (fun () ->
+       "Session: MCF-LTC cannot serve an arrival stream (offline \
+        algorithm)") (fun () ->
       ignore
         (Session.create ~algorithm:Ltc_algo.Algorithm.mcf_ltc ~seed:1 instance));
   Alcotest.check_raises "accept_rate 0 rejected"

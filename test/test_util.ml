@@ -190,7 +190,13 @@ let test_bounded_heap_underfill () =
   Bounded_heap.push bh ~score:1.0 "a";
   Bounded_heap.push bh ~score:2.0 "b";
   Alcotest.(check (list string)) "all kept" [ "b"; "a" ]
-    (List.map snd (Bounded_heap.pop_all bh))
+    (List.map snd (Bounded_heap.pop_all bh));
+  (* A capacity far beyond any candidate set allocates only what it holds. *)
+  let huge = Bounded_heap.create ~k:(1 lsl 40) () in
+  List.iter (fun i -> Bounded_heap.push huge ~score:1.0 i) (List.init 40 Fun.id);
+  Alcotest.(check (list int)) "k = 2^40 keeps all, ties in push order"
+    (List.init 40 Fun.id)
+    (List.map snd (Bounded_heap.pop_all huge))
 
 let test_bounded_heap_invalid_k () =
   Alcotest.check_raises "k = 0 rejected"
@@ -200,7 +206,7 @@ let test_bounded_heap_invalid_k () =
 let prop_bounded_heap_matches_sort =
   QCheck2.Test.make ~name:"bounded heap keeps the k largest (stable)"
     ~count:300
-    QCheck2.Gen.(pair (int_range 1 8) (list (float_range 0.0 1.0)))
+    QCheck2.Gen.(pair (int_range 1 40) (list (float_range 0.0 1.0)))
     (fun (k, scores) ->
       let bh = Bounded_heap.create ~k () in
       List.iteri (fun i s -> Bounded_heap.push bh ~score:s i) scores;
