@@ -59,7 +59,7 @@ bench-shard:
 # A/B the working tree against a revision on one workload of the
 # repository benchmark (BENCHMARK.json): PAIRS alternating pairs of runs,
 # seeded by pair number, then the suite's median-vs-median --compare.
-# BASE is checked out as a git worktree under .bench_build/ for the run.
+# BASE is exported with git archive into .bench_build/ab-base for the run.
 #   make bench-ab WORKLOAD=journal-restore PAIRS=10 BASE=HEAD
 WORKLOAD ?=
 PAIRS ?= 10

@@ -4,8 +4,9 @@
 #
 #   bench/ab.sh WORKLOAD [PAIRS] [BASE]        (make bench-ab wraps it)
 #
-# BASE (default HEAD) is checked out as a git worktree under .bench_build/
-# and removed on exit.  Pair i (1..PAIRS, default 10) runs the
+# BASE (default HEAD) is exported with git archive into
+# .bench_build/ab-base (a plain copy of its files, no worktree) and
+# removed on exit.  Pair i (1..PAIRS, default 10) runs the
 # BENCHMARK.json command once in each tree with --seed i, end to end, for
 # run_seconds; odd pairs run BASE first, even pairs the working tree first,
 # so a drift in host speed does not favour either side.  The result lines
@@ -37,10 +38,10 @@ mkdir -p "$out"
 : > "$out/work.jsonl"
 : > "$out/runs.log"
 
-if [ -e "$tree" ]; then git worktree remove --force "$tree"; fi
-git worktree add --detach "$tree" "$base" > /dev/null
-cleanup() { git worktree remove --force "$tree"; git worktree prune; }
-trap cleanup EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$base" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 trap 'exit 130' INT TERM
 
 # A run whose correctness check fails still appends its result line; the

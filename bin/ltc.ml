@@ -1422,26 +1422,32 @@ let journal_cmd =
           (if info.J.torn_bytes = 0 then "clean"
            else Printf.sprintf "torn-tail=%dB" info.J.torn_bytes)
     in
-    let inspect_manifest path =
-      let module S = Ltc_service.Shard_server in
-      let mi = S.manifest_info ~path in
-      Format.printf "manifest: %s@." path;
-      Format.printf "shards: %d@." mi.S.mi_shards;
-      Format.printf "mailbox: %d@." mi.S.mi_mailbox;
-      Format.printf "algorithm: %s@." mi.S.mi_algorithm;
-      Format.printf "seed: %d@." mi.S.mi_seed;
-      (match mi.S.mi_accept_rate with
+    (* The header both file kinds carry; a manifest's fsync and
+       group-commit lines print before the deadline, as the file has them. *)
+    let print_header ?(mid = ignore) (h : Ltc_service.Session.header) =
+      Format.printf "algorithm: %s@." h.algorithm.Ltc_algo.Algorithm.name;
+      Format.printf "seed: %d@." h.seed;
+      (match h.accept_rate with
       | None -> Format.printf "accept_rate: none@."
       | Some q -> Format.printf "accept_rate: %g@." q);
-      Format.printf "checkpoint_every: %d@." mi.S.mi_checkpoint_every;
-      Format.printf "fsync: %b@." mi.S.mi_fsync;
-      Format.printf "group_commit: %d@." mi.S.mi_group_commit;
-      (match mi.S.mi_deadline with
+      Format.printf "checkpoint_every: %d@." h.checkpoint_every;
+      mid ();
+      (match h.deadline with
       | None -> Format.printf "deadline: none@."
-      | Some (budget_s, fallback) ->
-        Format.printf "deadline: %g %s@." budget_s fallback);
-      Format.printf "tasks: %d@." mi.S.mi_tasks;
-      for k = 0 to mi.S.mi_shards - 1 do
+      | Some d ->
+        Format.printf "deadline: %g %s@." d.budget_s
+          d.fallback.Ltc_algo.Algorithm.name);
+      Format.printf "tasks: %d@." (Ltc_core.Instance.task_count h.instance)
+    in
+    let inspect_manifest path =
+      let m = Ltc_service.Shard_server.read_manifest ~path in
+      Format.printf "manifest: %s@." path;
+      Format.printf "shards: %d@." m.shards;
+      Format.printf "mailbox: %d@." m.mailbox;
+      print_header m.header ~mid:(fun () ->
+          Format.printf "fsync: %b@." m.fsync;
+          Format.printf "group_commit: %d@." m.group_commit);
+      for k = 0 to m.shards - 1 do
         inspect_shard ~base:path k
       done;
       0
@@ -1461,17 +1467,7 @@ let journal_cmd =
       Format.printf "version: v%d@." info.J.version;
       Format.printf "codec: %s@."
         (Ltc_service.Session.codec_name info.J.codec);
-      Format.printf "algorithm: %s@." info.J.algorithm;
-      Format.printf "seed: %d@." info.J.seed;
-      (match info.J.accept_rate with
-      | None -> Format.printf "accept_rate: none@."
-      | Some q -> Format.printf "accept_rate: %g@." q);
-      Format.printf "checkpoint_every: %d@." info.J.checkpoint_every;
-      (match info.J.deadline with
-      | None -> Format.printf "deadline: none@."
-      | Some (budget_s, fallback) ->
-        Format.printf "deadline: %g %s@." budget_s fallback);
-      Format.printf "tasks: %d@." info.J.tasks;
+      print_header info.J.header;
       Format.printf "file_bytes: %d@." info.J.file_bytes;
       Format.printf "torn_bytes: %d@." info.J.torn_bytes;
       Format.printf "snapshots: %d@." info.J.snapshots;

@@ -23,6 +23,9 @@
 
 exception Parse_error of { line : int; message : string }
 
+val parse_error : line:int -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Parse_error} at [line] with a formatted message. *)
+
 val write_instance : out_channel -> Instance.t -> unit
 (** @raise Invalid_argument on a [Custom] accuracy model. *)
 

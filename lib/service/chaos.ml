@@ -272,7 +272,7 @@ let run_sharded ?accept_rate ?(checkpoint_every = 64) ?group_commit ?mailbox
       (* Chaos: the supervised concurrent runtime under the full plan. *)
       (try Sys.remove journal with Sys_error _ -> ());
       for k = 0 to shards - 1 do
-        try Sys.remove (Printf.sprintf "%s.shard%d" journal k)
+        try Sys.remove (Shard_server.shard_journal_path ~base:journal ~shard:k)
         with Sys_error _ -> ()
       done;
       Fault.arm plan;

@@ -58,12 +58,17 @@ type journal = {
          keeps compaction off the printf hot path *)
 }
 
-type t = {
-  instance : Instance.t;  (* task side only: workers stripped *)
+type header = {
   algorithm : Ltc_algo.Algorithm.t;
   seed : int;
   accept_rate : float option;
+  checkpoint_every : int;
   deadline : deadline option;
+  instance : Instance.t;  (* task side only: workers stripped *)
+}
+
+type t = {
+  header : header;  (* what the journal header records *)
   policy_rng : Ltc_util.Rng.t;
   noshow_rng : Ltc_util.Rng.t;
   engine : Ltc_algo.Engine.state;
@@ -75,9 +80,6 @@ type t = {
   m_bytes : Ltc_util.Metrics.Gauge.t;
   m_snapshots : Ltc_util.Metrics.Counter.t;
   m_retries : Ltc_util.Metrics.Counter.t;
-  (* Always-on decide-latency quantiles on the fault clock: virtual time
-     when the clock is virtualised (loadgen), wall time otherwise. *)
-  feed_hdr : Ltc_util.Metrics.Hdr.t;
 }
 
 let fp = Printf.sprintf "%.17g"
@@ -168,52 +170,153 @@ let fsync_dir path =
 
 (* ------------------------------------------------------- journal format *)
 
-(* The parsed/emitted journal header.  Every journal is written with a
-   v3 header: the magic line, a [codec binary] line, then the lines a v2
-   header holds.  A v1/v2 header (or a v3 naming the text codec) marks a
-   text journal, read only, through the import path.  [h_version] and
-   [h_codec] record what was actually parsed. *)
-type header = {
-  h_version : int;
-  h_codec : codec;
-  h_algorithm : string;
-  h_seed : int;
-  h_accept_rate : float option;
-  h_checkpoint_every : int;
-  h_deadline : (float * string) option;
-  h_instance : Instance.t;
-}
+(* A journal header and a shard manifest are the same grammar: a magic
+   line, one [key value...] line per key of the file's key list, then the
+   task-side instance.  The keys a [header] holds are rendered by
+   [header_lines] and read back by [parse_header], which also runs the
+   one check on what it reads; each file kind adds its own keys. *)
 
-let header_of t ~checkpoint_every =
-  {
-    h_version = 3;
-    h_codec = Binary;
-    h_algorithm = t.algorithm.Ltc_algo.Algorithm.name;
-    h_seed = t.seed;
-    h_accept_rate = t.accept_rate;
-    h_checkpoint_every = checkpoint_every;
-    h_deadline =
-      Option.map
-        (fun d -> (d.budget_s, d.fallback.Ltc_algo.Algorithm.name))
-        t.deadline;
-    h_instance = t.instance;
-  }
+(* [h]'s own lines, in file order, each value spelled as the file has it.
+   An old journal's checkpoint period below 1 is written as 1. *)
+let header_lines h =
+  [
+    ("algorithm", h.algorithm.Ltc_algo.Algorithm.name);
+    ("seed", string_of_int h.seed);
+    ("accept_rate", match h.accept_rate with None -> "none" | Some q -> fp q);
+    ("checkpoint_every", string_of_int (max 1 h.checkpoint_every));
+    ( "deadline",
+      match h.deadline with
+      | None -> "none"
+      | Some d -> fp d.budget_s ^ " " ^ d.fallback.Ltc_algo.Algorithm.name );
+  ]
 
-(* Renders a v3 binary header whatever [h] was parsed from: [h_version]
-   and [h_codec] are not written back. *)
-let write_header sink (h : header) =
-  let pf fmt = Printf.ksprintf sink fmt in
-  pf "ltc-journal v3\ncodec binary\n";
-  pf "algorithm %s\n" h.h_algorithm;
-  pf "seed %d\n" h.h_seed;
-  (match h.h_accept_rate with
-  | None -> pf "accept_rate none\n"
-  | Some q -> pf "accept_rate %s\n" (fp q));
-  pf "checkpoint_every %d\n" h.h_checkpoint_every;
-  (match h.h_deadline with
-  | None -> pf "deadline none\n"
-  | Some (budget_s, fallback) -> pf "deadline %s %s\n" (fp budget_s) fallback);
-  Serialize.emit_instance sink h.h_instance
+let emit_header sink ~keys ~extra h =
+  let lines = header_lines h @ extra in
+  List.iter (fun key -> sink (key ^ " " ^ List.assoc key lines ^ "\n")) keys;
+  Serialize.emit_instance sink h.instance
+
+(* A name read from a file, resolved to an online registry entry. *)
+let resolve_online ~line what name =
+  match Ltc_algo.Algorithm.find_opt name with
+  | Some a when a.Ltc_algo.Algorithm.policy <> None -> a
+  | Some _ -> Serialize.parse_error ~line "%s %S has no online policy" what name
+  | None -> Serialize.parse_error ~line "unknown %s %S" what name
+
+(* A finite float within [ok] (the bound [create] enforces). *)
+let float_within ~line key v ~ok ~bound =
+  match float_of_string_opt v with
+  | Some x when Float.is_finite x ->
+    if ok x then x
+    else Serialize.parse_error ~line "bad %s %S (must be %s)" key v bound
+  | Some _ | None -> Serialize.parse_error ~line "bad %s %S" key v
+
+(* The integer on line [key] of a read header, at least [min]. *)
+let key_int value ?(min = min_int) key =
+  let line, v = value key in
+  match int_of_string_opt v with
+  | Some n when n >= min -> n
+  | Some _ -> Serialize.parse_error ~line "bad %s %S (must be >= %d)" key v min
+  | None -> Serialize.parse_error ~line "bad %s %S" key v
+
+(* [parse_header], except that an old journal ([~old_journal]) may have
+   a checkpoint period below 1. *)
+let read_keyed ~old_journal src ~keys =
+  let lines =
+    List.map
+      (fun key ->
+        match Serialize.fields (Serialize.next_line src) with
+        | k :: values when k = key -> (key, (Serialize.line_number src, values))
+        | _ ->
+          Serialize.parse_error ~line:(Serialize.line_number src)
+            "expected %S line" key)
+      keys
+  in
+  let value key =
+    match List.assoc key lines with
+    | line, [ v ] -> (line, v)
+    | line, _ -> Serialize.parse_error ~line "malformed %S line" key
+  in
+  let int = key_int value in
+  (* Both file kinds have a codec line: a journal's names its record
+     codec, a manifest's is read by nothing. *)
+  (match List.assoc_opt "codec" lines with
+  | None | Some (_, [ ("text" | "binary") ]) -> ()
+  | Some (line, _) ->
+    Serialize.parse_error ~line "expected 'codec text|binary'");
+  let algorithm =
+    let line, name = value "algorithm" in
+    resolve_online ~line "algorithm" name
+  in
+  let seed = int "seed" in
+  let accept_rate =
+    match value "accept_rate" with
+    | _, "none" -> None
+    | line, v ->
+      Some
+        (float_within ~line "accept_rate" v
+           ~ok:(fun q -> q <= 1.0 && q > 0.0)
+           ~bound:"in (0, 1]")
+  in
+  let checkpoint_every =
+    int ~min:(if old_journal then min_int else 1) "checkpoint_every"
+  in
+  let deadline =
+    (* A v1 journal has no deadline line: it never degrades. *)
+    match List.assoc_opt "deadline" lines with
+    | None | Some (_, [ "none" ]) -> None
+    | Some (line, [ budget; fallback ]) ->
+      Some
+        {
+          budget_s =
+            float_within ~line "deadline" budget
+              ~ok:(fun b -> b > 0.0)
+              ~bound:"> 0";
+          fallback = resolve_online ~line "fallback" fallback;
+        }
+    | Some (line, _) ->
+      Serialize.parse_error ~line "malformed \"deadline\" line"
+  in
+  let instance = Serialize.parse_instance src in
+  let header =
+    { algorithm; seed; accept_rate; checkpoint_every; deadline; instance }
+  in
+  (header, value)
+
+let parse_header src ~keys =
+  let header, value = read_keyed ~old_journal:false src ~keys in
+  (header, key_int value)
+
+(* Every journal is written with a v3 header: the magic line, a [codec
+   binary] line, then the lines a v2 header holds.  A v1/v2 header (or a
+   v3 naming the text codec) marks a text journal, read only, through the
+   import path. *)
+let journal_keys version =
+  (if version >= 3 then [ "codec" ] else [])
+  @ [ "algorithm"; "seed"; "accept_rate"; "checkpoint_every" ]
+  @ if version >= 2 then [ "deadline" ] else []
+
+let write_header sink h =
+  sink "ltc-journal v3\n";
+  emit_header sink ~keys:(journal_keys 3) ~extra:[ ("codec", "binary") ] h
+
+(* The version, codec and header of the journal [src] reads. *)
+let read_header src =
+  let version =
+    match Serialize.next_line src with
+    | "ltc-journal v1" -> 1
+    | "ltc-journal v2" -> 2
+    | "ltc-journal v3" -> 3
+    | other ->
+      Serialize.parse_error ~line:(Serialize.line_number src)
+        "bad journal header %S" other
+  in
+  let header, value =
+    read_keyed ~old_journal:true src ~keys:(journal_keys version)
+  in
+  let codec =
+    if version < 3 || snd (value "codec") = "text" then Text else Binary
+  in
+  (version, codec, header)
 
 let snapshot_of t =
   {
@@ -377,14 +480,10 @@ let check_online a what =
   let (_ : Ltc_util.Rng.t -> Ltc_algo.Engine.policy) = policy_of a what in
   ()
 
-let check_deadline d =
-  Ltc_algo.Engine.check_budget "Session" d.budget_s;
-  check_online d.fallback "as a deadline fallback"
-
-let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
-    ~on_decision ~policy_rng ~noshow_rng ~progress ~arrangement ~consumed =
+let make_session ~header ~on_decision ~policy_rng ~noshow_rng ~progress
+    ~arrangement ~consumed =
+  let { algorithm; accept_rate; deadline; instance; _ } = header in
   let policy = policy_of algorithm "an arrival stream" in
-  Option.iter check_deadline deadline;
   (* The fallback draws from the policy stream too, so a degraded
      decision is exactly what the fallback algorithm would have produced
      standalone given the same progress state. *)
@@ -414,11 +513,7 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     service_metrics algorithm.Ltc_algo.Algorithm.name
   in
   {
-    instance;
-    algorithm;
-    seed;
-    accept_rate;
-    deadline;
+    header;
     policy_rng;
     noshow_rng;
     engine;
@@ -429,7 +524,6 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     m_bytes;
     m_snapshots;
     m_retries;
-    feed_hdr = Ltc_util.Metrics.Hdr.create ();
   }
 
 let check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
@@ -440,7 +534,11 @@ let check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
   if group_commit < 1 then
     invalid_arg "Session.create: group_commit must be >= 1";
   check_online algorithm "an arrival stream";
-  Option.iter check_deadline deadline
+  Option.iter
+    (fun d ->
+      Ltc_algo.Engine.check_budget "Session" d.budget_s;
+      check_online d.fallback "as a deadline fallback")
+    deadline
 
 (* A journal appending through [oc] to a file of [disk_bytes] bytes that
    starts with [header_bytes]. *)
@@ -461,10 +559,10 @@ let open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
     header_bytes;
   }
 
-let attach_journal t ~path ~checkpoint_every ~fsync ~group_commit =
+let attach_journal t ~path ~fsync ~group_commit =
   let oc = open_out_bin path in
   let buf = Buffer.create 1024 in
-  write_header (Buffer.add_string buf) (header_of t ~checkpoint_every);
+  write_header (Buffer.add_string buf) t.header;
   let header_bytes = Buffer.contents buf in
   (* A plain (never torn) site: a crash here leaves the freshly-truncated
      file empty, which {!is_empty_journal} classifies as "no session yet"
@@ -477,8 +575,8 @@ let attach_journal t ~path ~checkpoint_every ~fsync ~group_commit =
   let disk_bytes = String.length header_bytes in
   t.journal <-
     Some
-      (open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
-         ~header_bytes ~disk_bytes);
+      (open_journal ~path ~oc ~checkpoint_every:t.header.checkpoint_every
+         ~fsync ~group_commit ~header_bytes ~disk_bytes);
   Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int disk_bytes)
 
 let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
@@ -496,14 +594,13 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
     Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
   let t =
-    make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
+    make_session
+      ~header:
+        { algorithm; seed; accept_rate; checkpoint_every; deadline; instance }
       ~on_decision ~policy_rng ~noshow_rng ~progress
       ~arrangement:Arrangement.empty ~consumed:0
   in
-  (match journal with
-  | None -> ()
-  | Some path ->
-    attach_journal t ~path ~checkpoint_every ~fsync ~group_commit);
+  Option.iter (fun path -> attach_journal t ~path ~fsync ~group_commit) journal;
   t
 
 (* ----------------------------------------------------------------- feed *)
@@ -512,13 +609,11 @@ let completed t = Progress.all_complete (Ltc_algo.Engine.progress t.engine)
 let consumed t = Ltc_algo.Engine.consumed t.engine
 let arrangement t = Ltc_algo.Engine.arrangement t.engine
 let latency t = Arrangement.latency (arrangement t)
-let algorithm_name t = t.algorithm.Ltc_algo.Algorithm.name
+let algorithm_name t = t.header.algorithm.Ltc_algo.Algorithm.name
 let degraded_total t = Ltc_algo.Engine.degraded t.engine
 
 let rng_states t =
   (Ltc_util.Rng.state t.policy_rng, Ltc_util.Rng.state t.noshow_rng)
-
-let feed_hdr t = t.feed_hdr
 
 let journal_bytes t =
   match t.journal with
@@ -555,13 +650,7 @@ let feed_mode t ~replay (w : Worker.t) =
            (consumed t + 1) w.index);
     let timing = Ltc_util.Metrics.enabled () in
     let t0 = if timing then Some (Ltc_util.Timer.start ()) else None in
-    let clock0 = Fault.Clock.now_s () in
     let d = Ltc_algo.Engine.step ?forced:replay t.engine w in
-    (* Replays re-run decisions outside their original timeline, so only
-       live arrivals contribute quantile samples. *)
-    if replay = None then
-      Ltc_util.Metrics.Hdr.observe t.feed_hdr
-        (Float.max 0.0 (Fault.Clock.now_s () -. clock0));
     (* The hook fires before the journal write on purpose: a crash inside
        the append then loses the record but not the (deterministically
        reproducible) decision, which is how the chaos harness accounts
@@ -589,78 +678,6 @@ let close t =
   end
 
 (* -------------------------------------------------------------- restore *)
-
-let parse_header ~path src =
-  let line_no () = Serialize.line_number src in
-  let expect what =
-    match Serialize.next_line_opt src with
-    | Some line -> line
-    | None -> corrupt ~path "truncated header: expected %s" what
-  in
-  let version =
-    match expect "the journal magic" with
-    | "ltc-journal v1" -> 1
-    | "ltc-journal v2" -> 2
-    | "ltc-journal v3" -> 3
-    | other -> corrupt ~path "bad journal header %S" other
-  in
-  let h_codec =
-    (* v1/v2 predate the codec line and are implicitly text; v3 names
-       its codec right after the magic. *)
-    if version < 3 then Text
-    else
-      match Serialize.fields (expect "a codec line") with
-      | [ "codec"; "text" ] -> Text
-      | [ "codec"; "binary" ] -> Binary
-      | _ ->
-        corrupt ~path "line %d: expected 'codec text|binary'" (line_no ())
-  in
-  let h_algorithm =
-    match Serialize.fields (expect "an algorithm line") with
-    | [ "algorithm"; name ] -> name
-    | _ -> corrupt ~path "line %d: expected 'algorithm <name>'" (line_no ())
-  in
-  let h_seed =
-    match Serialize.fields (expect "a seed line") with
-    | [ "seed"; s ] -> Serialize.int_field src s
-    | _ -> corrupt ~path "line %d: expected 'seed <int>'" (line_no ())
-  in
-  let h_accept_rate =
-    match Serialize.fields (expect "an accept_rate line") with
-    | [ "accept_rate"; "none" ] -> None
-    | [ "accept_rate"; q ] -> Some (Serialize.float_field src q)
-    | _ ->
-      corrupt ~path "line %d: expected 'accept_rate none|<float>'" (line_no ())
-  in
-  let h_checkpoint_every =
-    match Serialize.fields (expect "a checkpoint_every line") with
-    | [ "checkpoint_every"; n ] -> Serialize.int_field src n
-    | _ ->
-      corrupt ~path "line %d: expected 'checkpoint_every <int>'" (line_no ())
-  in
-  let h_deadline =
-    (* v1 journals predate deadlines; their sessions never degrade. *)
-    if version < 2 then None
-    else
-      match Serialize.fields (expect "a deadline line") with
-      | [ "deadline"; "none" ] -> None
-      | [ "deadline"; budget; fallback ] ->
-        Some (Serialize.float_field src budget, fallback)
-      | _ ->
-        corrupt ~path "line %d: expected 'deadline none|<float> <name>'"
-          (line_no ())
-  in
-  let h_instance = Serialize.parse_instance src in
-  {
-    h_version = version;
-    h_codec;
-    h_algorithm;
-    h_seed;
-    h_accept_rate;
-    h_checkpoint_every;
-    h_deadline;
-    h_instance;
-  }
 
 (* Scan the event tail.  Anything after the last complete record —
    a torn arrival or decision line, a half-written snapshot — is treated
@@ -932,9 +949,9 @@ let is_empty_journal path =
    rendered as v3 binary: a text journal's (which the compaction thereby
    upgrades), a [checkpoint_every] below 1, or one torn inside its last
    line, which still parses. *)
-let compacted_header ic ~header_end (h : header) =
+let compacted_header ic ~header_end ~codec h =
   let kept =
-    if h.h_codec = Binary && h.h_checkpoint_every >= 1 then begin
+    if codec = Binary && h.checkpoint_every >= 1 then begin
       seek_in ic 0;
       let bytes = really_input_string ic header_end in
       if String.ends_with ~suffix:"\n" bytes then Some bytes else None
@@ -945,9 +962,24 @@ let compacted_header ic ~header_end (h : header) =
   | Some bytes -> bytes
   | None ->
     let buf = Buffer.create 1024 in
-    write_header (Buffer.add_string buf)
-      { h with h_checkpoint_every = max 1 h.h_checkpoint_every };
+    write_header (Buffer.add_string buf) h;
     Buffer.contents buf
+
+(* Open the journal at [path], read its header (refusing a malformed one
+   as {!Corrupt_journal} naming the line) and hand the channel, positioned
+   just past it, to [f]. *)
+let with_journal ~path f =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let src = Serialize.source_of_channel ic in
+      let version, codec, header =
+        try read_header src
+        with Serialize.Parse_error { line; message } ->
+          corrupt ~path "line %d: %s" line message
+      in
+      f ic src ~version ~codec header)
 
 let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     ?(group_commit = 1) ~path () =
@@ -962,37 +994,13 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
   (let tmp = journal_path ^ ".tmp" in
    if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
   let header, header_bytes, snapshot, tail =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let src = Serialize.source_of_channel ic in
-        let header =
-          try parse_header ~path src
-          with Serialize.Parse_error { line; message } ->
-            corrupt ~path "line %d: %s" line message
-        in
-        let header_end = pos_in ic in
-        let items, _torn_at =
-          scan_items ~path ~all:false ~codec:header.h_codec ic src
-        in
-        let snapshot, tail = collapse items in
-        (header, compacted_header ic ~header_end header, snapshot, tail))
+    with_journal ~path @@ fun ic src ~version:_ ~codec header ->
+    let header_end = pos_in ic in
+    let items, _torn_at = scan_items ~path ~all:false ~codec ic src in
+    let snapshot, tail = collapse items in
+    (header, compacted_header ic ~header_end ~codec header, snapshot, tail)
   in
-  let algorithm =
-    match Ltc_algo.Algorithm.find_opt header.h_algorithm with
-    | Some a -> a
-    | None -> corrupt ~path "unknown algorithm %S" header.h_algorithm
-  in
-  let deadline =
-    Option.map
-      (fun (budget_s, name) ->
-        match Ltc_algo.Algorithm.find_opt name with
-        | Some fallback -> { budget_s; fallback }
-        | None -> corrupt ~path "unknown fallback algorithm %S" name)
-      header.h_deadline
-  in
-  (if deadline = None then
+  (if header.deadline = None then
      match List.find_opt (fun (e : B.event) -> e.B.e_degraded) tail with
      | Some e ->
        let w : Worker.t = e.B.e_worker in
@@ -1001,11 +1009,11 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
           configures no deadline"
          w.index
      | None -> ());
-  let instance = header.h_instance in
+  let instance = header.instance in
   let policy_rng, noshow_rng, progress, arrangement, consumed =
     match snapshot with
     | None ->
-      let policy_rng, noshow_rng = derive_rngs ~seed:header.h_seed in
+      let policy_rng, noshow_rng = derive_rngs ~seed:header.seed in
       let progress =
         Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
       in
@@ -1020,11 +1028,8 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
         s.B.s_consumed )
   in
   let t =
-    try
-      make_session ~instance ~algorithm ~seed:header.h_seed
-        ~accept_rate:header.h_accept_rate ~deadline ~on_decision ~policy_rng
-        ~noshow_rng ~progress ~arrangement ~consumed
-    with Invalid_argument m -> corrupt ~path "%s" m
+    make_session ~header ~on_decision ~policy_rng ~noshow_rng ~progress
+      ~arrangement ~consumed
   in
   (* Replay the tail by re-running the policy — required to advance the
      policy/no-show streams exactly as the original run did — and verify
@@ -1057,7 +1062,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
   t.journal <-
     Some
       (open_journal ~path:journal_path ~oc
-         ~checkpoint_every:(max 1 header.h_checkpoint_every)
+         ~checkpoint_every:(max 1 header.checkpoint_every)
          ~fsync ~group_commit:(max 1 group_commit) ~header_bytes ~disk_bytes);
   t
 
@@ -1067,12 +1072,7 @@ module Journal = struct
   type info = {
     version : int;
     codec : codec;
-    algorithm : string;
-    seed : int;
-    accept_rate : float option;
-    checkpoint_every : int;
-    deadline : (float * string) option;
-    tasks : int;
+    header : header;
     file_bytes : int;
     torn_bytes : int;
     snapshots : int;
@@ -1081,28 +1081,19 @@ module Journal = struct
     snapshot_offsets : int list;
   }
 
+  let header ~path = with_journal ~path (fun _ _ ~version:_ ~codec:_ h -> h)
+
   (* Header + every complete record in file order (offsets attached):
      all of them built with [~all:true], else only what restore builds.
      Shares the restore scanners, so torn tails are dropped and interior
      corruption raises {!Corrupt_journal} with the same diagnostics. *)
   let read ~all ~path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let src = Serialize.source_of_channel ic in
-        let header =
-          try parse_header ~path src
-          with Serialize.Parse_error { line; message } ->
-            corrupt ~path "line %d: %s" line message
-        in
-        let items, torn_at =
-          scan_items ~path ~all ~codec:header.h_codec ic src
-        in
-        (header, items, torn_at))
+    with_journal ~path @@ fun ic src ~version ~codec header ->
+    let items, torn_at = scan_items ~path ~all ~codec ic src in
+    (version, codec, header, items, torn_at)
 
   let inspect ~path =
-    let header, items, torn_at = read ~all:false ~path in
+    let version, codec, header, items, torn_at = read ~all:false ~path in
     let file_bytes =
       In_channel.with_open_bin path (fun ic -> in_channel_length ic)
     in
@@ -1120,14 +1111,9 @@ module Journal = struct
       + List.length tail
     in
     {
-      version = header.h_version;
-      codec = header.h_codec;
-      algorithm = header.h_algorithm;
-      seed = header.h_seed;
-      accept_rate = header.h_accept_rate;
-      checkpoint_every = header.h_checkpoint_every;
-      deadline = header.h_deadline;
-      tasks = Instance.task_count header.h_instance;
+      version;
+      codec;
+      header;
       file_bytes;
       torn_bytes =
         (match torn_at with None -> 0 | Some off -> file_bytes - off);
@@ -1143,7 +1129,7 @@ module Journal = struct
      fingerprint.  A torn tail (already lost to the crash) is not carried
      over; the header is rendered at the current version. *)
   let convert ~src ~dst =
-    let header, items, _torn_at = read ~all:true ~path:src in
+    let _, _, header, items, _torn_at = read ~all:true ~path:src in
     let buf = Buffer.create 65536 in
     write_header (Buffer.add_string buf) header;
     List.iter

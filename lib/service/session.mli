@@ -112,6 +112,49 @@ type deadline = {
     {!restore} reproduce them from the journal without consulting any
     clock. *)
 
+type header = {
+  algorithm : Ltc_algo.Algorithm.t;  (** an online one *)
+  seed : int;
+  accept_rate : float option;
+  checkpoint_every : int;  (** below 1 only in an old journal *)
+  deadline : deadline option;
+  instance : Ltc_core.Instance.t;  (** the task side: no workers *)
+}
+(** The configuration a journal header records and a shard manifest
+    carries: what a restore needs to rebuild the session(s) that wrote
+    the file.
+
+    Both files share one grammar: a magic line, one [key value...] line
+    per key of the file kind's key list, in order, then the instance.
+    The keys [algorithm], [seed], [accept_rate], [checkpoint_every] and
+    [deadline] are the header's; the file kind defines the rest. *)
+
+val header_lines : header -> (string * string) list
+(** The header's own keys in file order, each value as the file spells
+    it ([%.17g] floats; a checkpoint period below 1 as [1]). *)
+
+val emit_header :
+  Ltc_core.Serialize.sink ->
+  keys:string list ->
+  extra:(string * string) list ->
+  header ->
+  unit
+(** A line per key of [keys], from {!header_lines} or else [extra], then
+    the instance. *)
+
+val parse_header :
+  Ltc_core.Serialize.source ->
+  keys:string list ->
+  header * (?min:int -> string -> int)
+(** Read what {!emit_header} wrote with the same [keys] (no [deadline]
+    key: no deadline) and check it against {!check_options}' bounds:
+    online algorithm and fallback, accept rate in (0, 1], checkpoint
+    period at least 1 (a journal's own reader lets an old header's be
+    lower), finite positive budget; a [codec] key says [text] or
+    [binary].  Also returns a reader of another key's integer value, at
+    least [min].
+    @raise Ltc_core.Serialize.Parse_error naming the offending line. *)
+
 exception Corrupt_journal of { path : string; message : string }
 (** Raised by {!restore} when the journal's prefix is unreadable, an
     {e interior} record is damaged (intact records follow it), or the
@@ -244,12 +287,6 @@ val rng_states : t -> int64 * int64
 (** [(policy, no-show)] generator states — the determinism fingerprint
     used by the kill/restore tests. *)
 
-val feed_hdr : t -> Ltc_util.Metrics.Hdr.t
-(** Always-on decide-latency quantiles for this session's live arrivals,
-    measured on {!Ltc_util.Fault.Clock} — virtual seconds when the clock
-    is virtualised (the load generator's mode), wall seconds otherwise.
-    Replayed (restore) arrivals contribute no samples. *)
-
 val journal_bytes : t -> int
 (** Current journal file size in bytes ([0] without a journal, or after
     {!close}). *)
@@ -271,12 +308,7 @@ module Journal : sig
   type info = {
     version : int;  (** header version as parsed (1, 2 or 3) *)
     codec : codec;
-    algorithm : string;
-    seed : int;
-    accept_rate : float option;
-    checkpoint_every : int;
-    deadline : (float * string) option;  (** budget (s), fallback name *)
-    tasks : int;  (** task count of the embedded instance *)
+    header : header;
     file_bytes : int;  (** on-disk size, torn tail included *)
     torn_bytes : int;
         (** bytes of torn tail a restore would drop ([0] when every
@@ -288,8 +320,14 @@ module Journal : sig
         (** byte offset of each snapshot record, in file order *)
   }
 
+  val header : path:string -> header
+  (** The journal's header alone: no record is read.
+      @raise Corrupt_journal on a header {!inspect} refuses.
+      @raise Sys_error if [path] cannot be read. *)
+
   val inspect : path:string -> info
-  (** @raise Corrupt_journal on interior damage.
+  (** @raise Corrupt_journal on a header {!header} refuses (naming its
+      line) or on interior damage.
       @raise Sys_error if [path] cannot be read. *)
 
   val convert : src:string -> dst:string -> unit

@@ -158,6 +158,16 @@ type msg = { mg : int; mq : bool; mw : Worker.t }
    already merged; the session must re-consume it (to advance its state
    deterministically) but no merge entry is inserted. *)
 
+(* What every shard runs, and how its journal is written: a manifest's
+   content (a plain journal's header stands in for one). *)
+type manifest = {
+  shards : int;
+  mailbox : int;
+  fsync : bool;
+  group_commit : int;
+  header : Session.header;
+}
+
 type t = {
   t_mode : mode;
   t_part : partition;
@@ -165,7 +175,7 @@ type t = {
   t_direct : Session.t option;
       (* an unsupervised single shard's session: [feed] is its own, with
          no routing, re-indexing or merge layer in between *)
-  t_algorithm : string;
+  t_config : manifest;  (* as restore re-attached it *)
   t_resumed_at : int;
   (* Merge layer.  [t_cmutex] guards [t_pending] (shard domains insert,
      the caller releases); every other mutable field is owned by the
@@ -182,8 +192,6 @@ type t = {
   mutable t_closed : bool;
   (* --- supervision --- *)
   t_super : Supervisor.t option;
-  t_fsync : bool;
-  t_group_commit : int;
   t_fresh : int -> Session.t;
       (* fresh supervised session for shard [k] — the recovery fallback
          when a shard journal vanished or never became durable *)
@@ -191,7 +199,8 @@ type t = {
 
 let shards t = t.t_part.p_shards
 let mode t = t.t_mode
-let algorithm_name t = t.t_algorithm
+let algorithm_name t =
+  t.t_config.header.Session.algorithm.Ltc_algo.Algorithm.name
 let consumed t =
   match t.t_direct with Some s -> Session.consumed s | None -> t.t_consumed
 
@@ -236,16 +245,6 @@ let shard_consumed t =
 let shard_task_counts t =
   Array.map (fun sh -> Array.length sh.sh_tasks) t.t_shards
 
-let per_shard_hdr t =
-  Array.map (fun sh -> Session.feed_hdr sh.sh_session) t.t_shards
-
-let merged_hdr t =
-  let into = Ltc_util.Metrics.Hdr.create () in
-  Array.iter
-    (fun sh -> Ltc_util.Metrics.Hdr.merge ~into (Session.feed_hdr sh.sh_session))
-    t.t_shards;
-  into
-
 let journal_bytes t =
   Array.fold_left
     (fun acc sh -> acc + Session.journal_bytes sh.sh_session)
@@ -288,61 +287,32 @@ let is_manifest path =
   | Some line -> String.trim line = manifest_magic
   | None -> false
 
-type manifest = {
-  mf_shards : int;
-  mf_mailbox : int;
-  mf_algorithm : string;
-  mf_seed : int;
-  mf_accept_rate : float option;
-  mf_checkpoint_every : int;
-  mf_fsync : bool;
-  mf_group_commit : int;
-  mf_deadline : (float * string) option;
-  mf_instance : Instance.t;
-}
+(* A manifest is the journal header's lines (Session.emit_header) with
+   the server's own around them, in the order manifests have always had.
+   Its codec line is always binary and read by nothing — every shard
+   journal names its own codec — but older readers expect it. *)
+let manifest_keys =
+  [
+    "shards"; "mailbox"; "algorithm"; "seed"; "accept_rate";
+    "checkpoint_every"; "fsync"; "codec"; "group_commit"; "deadline";
+  ]
 
-let write_manifest ~path (m : manifest) =
+let write_manifest ~path m =
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_text tmp (fun oc ->
-      let out s = Out_channel.output_string oc s in
-      out manifest_magic;
-      out "\n";
-      out (Printf.sprintf "shards %d\n" m.mf_shards);
-      out (Printf.sprintf "mailbox %d\n" m.mf_mailbox);
-      out (Printf.sprintf "algorithm %s\n" m.mf_algorithm);
-      out (Printf.sprintf "seed %d\n" m.mf_seed);
-      (match m.mf_accept_rate with
-      | None -> out "accept_rate none\n"
-      | Some q -> out (Printf.sprintf "accept_rate %.17g\n" q));
-      out (Printf.sprintf "checkpoint_every %d\n" m.mf_checkpoint_every);
-      out (Printf.sprintf "fsync %d\n" (if m.mf_fsync then 1 else 0));
-      (* Always binary, and read by nothing: every shard journal names its
-         own codec.  The line stays so older readers still parse the
-         manifest. *)
-      out "codec binary\n";
-      out (Printf.sprintf "group_commit %d\n" m.mf_group_commit);
-      (match m.mf_deadline with
-      | None -> out "deadline none\n"
-      | Some (budget_s, fallback) ->
-        out (Printf.sprintf "deadline %.17g %s\n" budget_s fallback));
-      Serialize.emit_instance out m.mf_instance);
+      let sink = Out_channel.output_string oc in
+      sink (manifest_magic ^ "\n");
+      Session.emit_header sink ~keys:manifest_keys
+        ~extra:
+          [
+            ("shards", string_of_int m.shards);
+            ("mailbox", string_of_int m.mailbox);
+            ("fsync", if m.fsync then "1" else "0");
+            ("codec", "binary");
+            ("group_commit", string_of_int m.group_commit);
+          ]
+        m.header);
   Sys.rename tmp path
-
-let manifest_error src msg =
-  raise
-    (Serialize.Parse_error
-       { line = Serialize.line_number src; message = msg })
-
-let expect_field src key =
-  let line = Serialize.next_line src in
-  match Serialize.fields line with
-  | k :: rest when k = key -> rest
-  | _ -> manifest_error src (Printf.sprintf "expected %S line" key)
-
-let one_field src key =
-  match expect_field src key with
-  | [ v ] -> v
-  | _ -> manifest_error src (Printf.sprintf "malformed %S line" key)
 
 let read_manifest ~path =
   In_channel.with_open_text path @@ fun ic ->
@@ -350,100 +320,20 @@ let read_manifest ~path =
   (match Serialize.next_line_opt src with
   | Some line when String.trim line = manifest_magic -> ()
   | Some _ | None ->
-    manifest_error src
-      (Printf.sprintf "%s is not a shard manifest (missing %S)" path
-         manifest_magic));
-  let int_of key v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None -> manifest_error src (Printf.sprintf "bad %s %S" key v)
-  in
-  (* The bounds [create] enforces, refused here as a parse error naming
-     the line rather than deep inside a restore. *)
-  let positive key =
-    let v = one_field src key in
-    let n = int_of key v in
-    if n < 1 then
-      manifest_error src (Printf.sprintf "bad %s %S (must be >= 1)" key v);
-    n
-  in
-  let mf_shards = positive "shards" in
-  let mf_mailbox = positive "mailbox" in
-  let mf_algorithm = one_field src "algorithm" in
-  let mf_seed = int_of "seed" (one_field src "seed") in
-  let mf_accept_rate =
-    match one_field src "accept_rate" with
-    | "none" -> None
-    | v -> (
-      match float_of_string_opt v with
-      | Some q when Float.is_finite q -> Some q
-      | _ -> manifest_error src (Printf.sprintf "bad accept_rate %S" v))
-  in
-  let mf_checkpoint_every = positive "checkpoint_every" in
-  let mf_fsync = int_of "fsync" (one_field src "fsync") <> 0 in
-  (match one_field src "codec" with
-  | "text" | "binary" -> ()
-  | v ->
-    manifest_error src
-      (Printf.sprintf "unknown journal format %S (expected text|binary)" v));
-  let mf_group_commit = positive "group_commit" in
-  let mf_deadline =
-    match expect_field src "deadline" with
-    | [ "none" ] -> None
-    | [ budget; fallback ] -> (
-      match float_of_string_opt budget with
-      | Some b when Float.is_finite b -> Some (b, fallback)
-      | _ -> manifest_error src (Printf.sprintf "bad deadline %S" budget))
-    | _ -> manifest_error src "malformed \"deadline\" line"
-  in
-  let mf_instance = Serialize.parse_instance src in
-  {
-    mf_shards;
-    mf_mailbox;
-    mf_algorithm;
-    mf_seed;
-    mf_accept_rate;
-    mf_checkpoint_every;
-    mf_fsync;
-    mf_group_commit;
-    mf_deadline;
-    mf_instance;
-  }
-
-(* Offline manifest summary for [ltc journal inspect]: the configuration
-   lines without the embedded instance. *)
-type manifest_info = {
-  mi_shards : int;
-  mi_mailbox : int;
-  mi_algorithm : string;
-  mi_seed : int;
-  mi_accept_rate : float option;
-  mi_checkpoint_every : int;
-  mi_fsync : bool;
-  mi_group_commit : int;
-  mi_deadline : (float * string) option;
-  mi_tasks : int;
-}
-
-let manifest_info ~path =
-  let m = read_manifest ~path in
-  {
-    mi_shards = m.mf_shards;
-    mi_mailbox = m.mf_mailbox;
-    mi_algorithm = m.mf_algorithm;
-    mi_seed = m.mf_seed;
-    mi_accept_rate = m.mf_accept_rate;
-    mi_checkpoint_every = m.mf_checkpoint_every;
-    mi_fsync = m.mf_fsync;
-    mi_group_commit = m.mf_group_commit;
-    mi_deadline = m.mf_deadline;
-    mi_tasks = Instance.task_count m.mf_instance;
-  }
+    Serialize.parse_error ~line:(Serialize.line_number src)
+      "%s is not a shard manifest (missing %S)" path manifest_magic);
+  let header, int = Session.parse_header src ~keys:manifest_keys in
+  (* The bounds [create] enforces, refused as a parse error naming the
+     line rather than deep inside a restore. *)
+  let shards = int ~min:1 "shards" in
+  let mailbox = int ~min:1 "mailbox" in
+  let fsync = int "fsync" <> 0 in
+  let group_commit = int ~min:1 "group_commit" in
+  { shards; mailbox; fsync; group_commit; header }
 
 (* -------------------------------------------------------------- building *)
 
-let shard_journal base k = Printf.sprintf "%s.shard%d" base k
-let shard_journal_path ~base ~shard = shard_journal base shard
+let shard_journal_path ~base ~shard = Printf.sprintf "%s.shard%d" base shard
 
 (* Tasks of shard [k], in ascending global id order, renumbered to local
    ids 0.. — order-preserving, so ascending-id tie-breaks inside the
@@ -531,47 +421,6 @@ let attach_pool t ~mailbox =
         (Ltc_util.Pool.Workers.create ~lanes:(Array.length t.t_shards)
            ~capacity:mailbox ~handler)
 
-let build ~mode ~mailbox ~part ~algorithm ~super ~fsync ~group_commit ~fresh
-    shards_arr =
-  let resumed =
-    Array.fold_left (fun acc sh -> acc + sh.sh_skip) 0 shards_arr
-  in
-  let incomplete =
-    Array.fold_left
-      (fun acc sh -> acc + if sh.sh_complete then 0 else 1)
-      0 shards_arr
-  in
-  (* One shard has nothing to run beside the caller: always inline. *)
-  let solo = Array.length shards_arr = 1 in
-  let t =
-    {
-      t_mode = (if solo then Inline else mode);
-      t_part = part;
-      t_shards = shards_arr;
-      t_direct =
-        (if solo && super = None then Some shards_arr.(0).sh_session
-         else None);
-      t_algorithm = algorithm;
-      t_resumed_at = resumed;
-      t_cmutex = Mutex.create ();
-      t_pending = Hashtbl.create 64;
-      t_next_emit = 1;
-      t_fed = 0;
-      t_consumed = 0;
-      t_replayed = 0;
-      t_latency = 0;
-      t_incomplete = incomplete;
-      t_pool = None;
-      t_closed = false;
-      t_super = super;
-      t_fsync = fsync;
-      t_group_commit = group_commit;
-      t_fresh = fresh;
-    }
-  in
-  attach_pool t ~mailbox;
-  t
-
 (* Shedding refuses arrivals at a full mailbox; an inline single shard
    has none. *)
 let check_shed fn ~shards = function
@@ -589,12 +438,18 @@ let capture_hooks super shards =
   in
   (captured, hook)
 
-(* Open every shard of [m]'s partition.  Shard [k] restores from
-   [journal_of k] when [resume] finds it durable, else starts fresh from
-   [seeds.(k)] — also the recovery fallback if that journal vanishes. *)
-let start ~mode ~supervise ~resume ~seeds ~journal_of ~algorithm ~deadline
-    (m : manifest) =
-  let shards = m.mf_shards and instance = m.mf_instance in
+(* A journal that never became durable (a create-time crash or an
+   untouched shard) is missing or empty: its shard starts fresh, with the
+   same seed. *)
+let durable path = Sys.file_exists path && not (Session.is_empty_journal path)
+
+(* Open every shard of [m]'s partition.  With [~resume:source], shard [k]
+   restores from [source k] when that file is durable, journaling on to
+   [journal_of k]; otherwise it starts fresh from [seeds.(k)] — also the
+   recovery fallback if its journal vanishes. *)
+let start ~mode ~supervise ?resume ~seeds ~journal_of m =
+  let shards = m.shards and h = m.header in
+  let instance = h.Session.instance in
   let super = Option.map (fun c -> Supervisor.create ~shards c) supervise in
   let captured, hook = capture_hooks super shards in
   let part = make_partition ~shards instance in
@@ -603,37 +458,61 @@ let start ~mode ~supervise ~resume ~seeds ~journal_of ~algorithm ~deadline
       if shards = 1 then instance
       else sub_instance instance (snd (shard_tasks part instance k))
     in
-    Session.create ?accept_rate:m.mf_accept_rate ?deadline
-      ?on_decision:(hook k) ?journal:(journal_of k)
-      ~checkpoint_every:m.mf_checkpoint_every ~fsync:m.mf_fsync
-      ~group_commit:m.mf_group_commit ~algorithm
-      ~seed:seeds.(k) shard_instance
+    Session.create ?accept_rate:h.Session.accept_rate
+      ?deadline:h.Session.deadline ?on_decision:(hook k)
+      ?journal:(journal_of k) ~checkpoint_every:h.Session.checkpoint_every
+      ~fsync:m.fsync ~group_commit:m.group_commit
+      ~algorithm:h.Session.algorithm ~seed:seeds.(k) shard_instance
   in
   let shards_arr =
     Array.init shards (fun k ->
-        let journal = journal_of k in
-        (* A journal that never became durable (create-time crash or an
-           untouched shard) restarts fresh, with the same seed. *)
-        let restored =
-          match journal with
-          | Some path ->
-            resume && Sys.file_exists path
-            && not (Session.is_empty_journal path)
-          | None -> false
+        let source =
+          Option.bind resume (fun source ->
+              if durable (source k) then Some (source k) else None)
         in
         let session =
-          if restored then
-            Session.restore ?on_decision:(hook k) ~fsync:m.mf_fsync
-              ~group_commit:m.mf_group_commit ~path:(Option.get journal) ()
-          else fresh k
+          match source with
+          | Some path ->
+            Session.restore ?on_decision:(hook k) ?journal:(journal_of k)
+              ~fsync:m.fsync ~group_commit:m.group_commit ~path ()
+          | None -> fresh k
         in
-        make_shard ~session ~journal
+        make_shard ~session ~journal:(journal_of k)
           ~tasks_globals:(fst (shard_tasks part instance k))
-          ~restored ~supervised:(super <> None) ~captured:captured.(k))
+          ~restored:(source <> None) ~supervised:(super <> None)
+          ~captured:captured.(k))
   in
-  build ~mode ~mailbox:m.mf_mailbox ~part
-    ~algorithm:algorithm.Ltc_algo.Algorithm.name ~super ~fsync:m.mf_fsync
-    ~group_commit:m.mf_group_commit ~fresh shards_arr
+  let t =
+    {
+      (* One shard has nothing to run beside the caller: always inline. *)
+      t_mode = (if shards = 1 then Inline else mode);
+      t_part = part;
+      t_shards = shards_arr;
+      t_direct =
+        (if shards = 1 && super = None then Some shards_arr.(0).sh_session
+         else None);
+      t_config = m;
+      t_resumed_at =
+        Array.fold_left (fun acc sh -> acc + sh.sh_skip) 0 shards_arr;
+      t_cmutex = Mutex.create ();
+      t_pending = Hashtbl.create 64;
+      t_next_emit = 1;
+      t_fed = 0;
+      t_consumed = 0;
+      t_replayed = 0;
+      t_latency = 0;
+      t_incomplete =
+        Array.fold_left
+          (fun acc sh -> acc + if sh.sh_complete then 0 else 1)
+          0 shards_arr;
+      t_pool = None;
+      t_closed = false;
+      t_super = super;
+      t_fresh = fresh;
+    }
+  in
+  attach_pool t ~mailbox:m.mailbox;
+  t
 
 let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
     ?(fsync = false) ?(group_commit = 1) ?(mailbox = 64) ?(mode = Domains)
@@ -655,104 +534,90 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
     ~group_commit algorithm;
   let m =
     {
-      mf_shards = shards;
-      mf_mailbox = mailbox;
-      mf_algorithm = algorithm.Ltc_algo.Algorithm.name;
-      mf_seed = seed;
-      mf_accept_rate = accept_rate;
-      mf_checkpoint_every = checkpoint_every;
-      mf_fsync = fsync;
-      mf_group_commit = group_commit;
-      mf_deadline =
-        Option.map
-          (fun (dl : Session.deadline) ->
-            (dl.Session.budget_s, dl.Session.fallback.Ltc_algo.Algorithm.name))
+      shards;
+      mailbox;
+      fsync;
+      group_commit;
+      header =
+        {
+          Session.algorithm;
+          seed;
+          accept_rate;
+          checkpoint_every;
           deadline;
-      mf_instance = instance;
+          instance = Session.strip_workers instance;
+        };
     }
   in
   (* A single shard is a plain session: the root seed, the whole instance,
      and its journal at [journal] itself, with no manifest. *)
   let solo = shards = 1 in
   (match journal with
-  | Some base when not solo ->
-    write_manifest ~path:base
-      { m with mf_instance = Session.strip_workers instance }
+  | Some path when not solo -> write_manifest ~path m
   | _ -> ());
-  start ~mode ~supervise ~resume:false
+  start ~mode ~supervise
     ~seeds:(if solo then [| seed |] else shard_seeds ~seed shards)
     ~journal_of:(fun k ->
-      Option.map (fun base -> if solo then base else shard_journal base k)
+      Option.map
+        (fun base -> if solo then base else shard_journal_path ~base ~shard:k)
         journal)
-    ~algorithm ~deadline m
+    m
 
-let restore_manifest ?mailbox ~mode ?fsync ?group_commit ?supervise ~path () =
-  let m = read_manifest ~path in
-  let algorithm =
-    match Ltc_algo.Algorithm.find_opt m.mf_algorithm with
-    | Some a -> a
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Shard_server.restore: unknown algorithm %S in %s"
-           m.mf_algorithm path)
-  in
-  let deadline =
-    Option.map
-      (fun (budget_s, fallback_name) ->
-        match Ltc_algo.Algorithm.find_opt fallback_name with
-        | Some fallback -> { Session.budget_s; fallback }
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Shard_server.restore: unknown fallback %S in %s"
-               fallback_name path))
-      m.mf_deadline
-  in
-  check_shed "Shard_server.restore" ~shards:m.mf_shards supervise;
-  start ~mode ~supervise ~resume:true
-    ~seeds:(shard_seeds ~seed:m.mf_seed m.mf_shards)
-    ~journal_of:(fun k -> Some (shard_journal path k))
-    ~algorithm ~deadline
-    {
-      m with
-      mf_fsync = Option.value fsync ~default:m.mf_fsync;
-      mf_group_commit = Option.value group_commit ~default:m.mf_group_commit;
-      mf_mailbox = Option.value mailbox ~default:m.mf_mailbox;
-    }
+(* A shard journal must have been written by the configuration its
+   manifest names, with the seed the manifest splits off for it: checked
+   on every durable one before any is restored. *)
+let check_shard_headers ~source ~seeds m =
+  for k = 0 to m.shards - 1 do
+    let path = source k in
+    if durable path then
+      List.iter2
+        (fun (key, want) (_, got) ->
+          if want <> got then
+            raise
+              (Session.Corrupt_journal
+                 {
+                   path;
+                   message =
+                     Printf.sprintf
+                       "shard journal has %s %s where the manifest gives %s"
+                       key got want;
+                 }))
+        (Session.header_lines { m.header with Session.seed = seeds.(k) })
+        (Session.header_lines (Session.Journal.header ~path))
+  done
 
 let restore ?journal ?mailbox ?(mode = Domains) ?fsync ?group_commit
     ?supervise ~path () =
-  if is_manifest path then begin
-    if journal <> None then
-      invalid_arg
-        "Shard_server.restore: ~journal redirects a plain session journal; \
-         a shard manifest keeps its shard journals in place";
-    restore_manifest ?mailbox ~mode ?fsync ?group_commit ?supervise ~path ()
-  end
-  else begin
-    (* A plain session journal is a 1-shard server. *)
-    check_shed "Shard_server.restore" ~shards:1 supervise;
-    let super = Option.map (fun c -> Supervisor.create ~shards:1 c) supervise in
-    let captured, hook = capture_hooks super 1 in
-    let tasks = (Session.Journal.inspect ~path).Session.Journal.tasks in
-    let session =
-      Session.restore ?on_decision:(hook 0) ?journal ?fsync ?group_commit
-        ~path ()
-    in
-    let fresh _ =
-      invalid_arg "Shard_server: a restored session journal has vanished"
-    in
-    build ~mode ~mailbox:1 ~part:(degenerate ~shards:1)
-      ~algorithm:(Session.algorithm_name session) ~super
-      ~fsync:(Option.value fsync ~default:false)
-      ~group_commit:(Option.value group_commit ~default:1) ~fresh
-      [|
-        make_shard ~session
-          ~journal:(Some (Option.value journal ~default:path))
-          ~tasks_globals:(Array.init tasks Fun.id) ~restored:true
-          ~supervised:(super <> None) ~captured:captured.(0);
-      |]
-  end
+  let m, seeds, source, journal_of =
+    if is_manifest path then begin
+      if journal <> None then
+        invalid_arg
+          "Shard_server.restore: ~journal redirects a plain session journal; \
+           a shard manifest keeps its shard journals in place";
+      let m = read_manifest ~path in
+      let seeds = shard_seeds ~seed:m.header.Session.seed m.shards in
+      let source k = shard_journal_path ~base:path ~shard:k in
+      check_shard_headers ~source ~seeds m;
+      (m, seeds, source, fun k -> Some (source k))
+    end
+    else begin
+      (* A plain session journal is a 1-shard server, with
+         {!Session.restore}'s defaults. *)
+      let header = Session.Journal.header ~path in
+      ( { shards = 1; mailbox = 1; fsync = false; group_commit = 1; header },
+        [| header.Session.seed |],
+        (fun _ -> path),
+        fun _ -> Some (Option.value journal ~default:path) )
+    end
+  in
+  check_shed "Shard_server.restore" ~shards:m.shards supervise;
+  start ~mode ~supervise ~resume:source ~seeds ~journal_of
+    {
+      m with
+      fsync = Option.value fsync ~default:m.fsync;
+      group_commit = Option.value group_commit ~default:m.group_commit;
+      mailbox = Option.value mailbox ~default:m.mailbox;
+    }
 
 (* ------------------------------------------------------- feeding/merging *)
 
@@ -906,12 +771,12 @@ and revive t k =
   in
   let session =
     scoped k (fun () ->
-        if (not (Sys.file_exists path)) || Session.is_empty_journal path
-        then t.t_fresh k
+        if not (durable path) then t.t_fresh k
         else
           Session.restore
             ~on_decision:(fun d -> sh.sh_captured := Some d)
-            ~fsync:t.t_fsync ~group_commit:t.t_group_commit ~path ())
+            ~fsync:t.t_config.fsync ~group_commit:t.t_config.group_commit
+            ~path ())
   in
   sh.sh_session <- session;
   let m = Session.consumed session in

@@ -141,10 +141,10 @@ val restore :
   ?group_commit:int -> ?supervise:Supervisor.config -> path:string ->
   unit -> t
 (** [restore ~path ()] rebuilds a server from what [create ~journal:path]
-    wrote.  A plain session journal comes back as a 1-shard server via
-    {!Session.restore}, which keeps journaling to [journal] when given,
-    else to [path].  A manifest recomputes the partition from the
-    embedded instance, restores every [path.shard<k>] with per-shard
+    wrote.  A plain session journal is a 1-shard server, its header
+    standing in for a manifest; its session keeps journaling to [journal]
+    when given, else to [path].  A manifest recomputes the partition from
+    the embedded instance, restores every [path.shard<k>] with per-shard
     torn-tail tolerance, and restarts shards whose journal is missing or
     empty fresh.  [fsync] / [group_commit] / [mailbox] / [mode] override
     the re-attached configuration (defaults: the manifest's values, or
@@ -152,8 +152,12 @@ val restore :
     from index 1: already-durable arrivals are skipped, the rest are
     re-decided.
 
-    @raise Session.Corrupt_journal / [Sys_error] /
-    [Ltc_core.Serialize.Parse_error] as the underlying restores do.
+    @raise Session.Corrupt_journal on a shard journal whose header
+    differs from the manifest in algorithm, accept rate, checkpoint
+    period, deadline or the seed split off for it (checked before any is
+    restored), and as {!Session.restore} does.
+    @raise Ltc_core.Serialize.Parse_error / [Sys_error] as
+    {!read_manifest} does.
     @raise Invalid_argument on [journal] with a manifest. *)
 
 val is_manifest : string -> bool
@@ -161,26 +165,21 @@ val is_manifest : string -> bool
     how {!restore} and [ltc journal inspect] tell a sharded journal from
     a plain one. *)
 
-(** The manifest's configuration lines, read without restoring anything —
-    what [ltc journal inspect] prints before enumerating the
-    [path.shard<k>] journals. *)
-type manifest_info = {
-  mi_shards : int;
-  mi_mailbox : int;
-  mi_algorithm : string;
-  mi_seed : int;
-  mi_accept_rate : float option;
-  mi_checkpoint_every : int;
-  mi_fsync : bool;
-  mi_group_commit : int;
-  mi_deadline : (float * string) option;  (** budget (s), fallback name *)
-  mi_tasks : int;  (** task count of the embedded instance *)
+type manifest = {
+  shards : int;
+  mailbox : int;
+  fsync : bool;
+  group_commit : int;
+  header : Session.header;  (** every shard's, bar the split seed *)
 }
+(** A shard manifest: the header lines ({!Session.emit_header}) with the
+    server's own around them (and a codec line nothing reads). *)
 
-val manifest_info : path:string -> manifest_info
-(** @raise Ltc_core.Serialize.Parse_error on a malformed manifest,
-    including a [shards], [mailbox], [checkpoint_every] or
-    [group_commit] below 1 (the bounds {!create} enforces).
+val read_manifest : path:string -> manifest
+(** Read without restoring anything, as [ltc journal inspect] does.
+    @raise Ltc_core.Serialize.Parse_error naming the line on a malformed
+    manifest, a value {!Session.parse_header} refuses, or a [shards],
+    [mailbox] or [group_commit] below 1 (the bounds {!create} enforces).
     @raise Sys_error if [path] cannot be read. *)
 
 val shard_journal_path : base:string -> shard:int -> string
@@ -247,15 +246,6 @@ val shard_consumed : t -> int array
 
 val shard_task_counts : t -> int array
 (** Tasks owned by each shard. *)
-
-val per_shard_hdr : t -> Ltc_util.Metrics.Hdr.t array
-(** Each shard session's decide-latency histogram
-    ({!Session.feed_hdr}).  Quiesce ({!flush}) before reading in
-    [`Domains] mode. *)
-
-val merged_hdr : t -> Ltc_util.Metrics.Hdr.t
-(** A fresh histogram holding every shard's samples, built with
-    {!Ltc_util.Metrics.Hdr.merge} (the config-checked merge path). *)
 
 val journal_bytes : t -> int
 (** Total bytes across all shard journals (manifest excluded). *)

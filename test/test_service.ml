@@ -1348,11 +1348,6 @@ let check_shard_parity ~mode ~shards algo =
     (label "shards own every task")
     (Ltc_core.Instance.task_count instance)
     (Array.fold_left ( + ) 0 (Shard_server.shard_task_counts srv));
-  let merged = Shard_server.merged_hdr srv in
-  Alcotest.(check int)
-    (label "merged hdr holds every shard sample")
-    (Array.fold_left ( + ) 0 (Shard_server.shard_consumed srv))
-    (Ltc_util.Metrics.Hdr.count merged);
   Shard_server.close srv
 
 let test_shard_parity_inline () =
@@ -1511,6 +1506,29 @@ let test_shard_manifest_roundtrip () =
     (sharded_fp srv' = base_fp);
   Shard_server.close srv'
 
+(* [lines] with field [field] of the first line starting with [prefix]
+   replaced by [value], and the (1-based) number of that line. *)
+let mangle_field lines (prefix, field, value) =
+  let line = ref 0 in
+  let edited =
+    List.mapi
+      (fun i l ->
+        if !line = 0 && String.starts_with ~prefix l then begin
+          line := i + 1;
+          String.concat " "
+            (List.mapi
+               (fun j f -> if j = field then value else f)
+               (String.split_on_char ' ' l))
+        end
+        else l)
+      lines
+  in
+  (!line, edited)
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines)
+
 (* A manifest's own floats (accept rate, deadline budget) and its
    instance's are refused when not finite, and its counts below the bounds
    [create] enforces, naming the line. *)
@@ -1527,30 +1545,16 @@ let test_shard_manifest_non_finite () =
          }
        ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:3 instance);
   let lines = In_channel.with_open_text base In_channel.input_lines in
-  ignore (Shard_server.manifest_info ~path:base);
+  ignore (Shard_server.read_manifest ~path:base);
   List.iter
     (fun (prefix, field, value, reason) ->
-      let line = ref 0 in
-      let edited =
-        List.mapi
-          (fun i l ->
-            if !line = 0 && String.starts_with ~prefix l then begin
-              line := i + 1;
-              String.concat " "
-                (List.mapi
-                   (fun j f -> if j = field then value else f)
-                   (String.split_on_char ' ' l))
-            end
-            else l)
-          lines
-      in
-      Out_channel.with_open_text base (fun oc ->
-          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) edited);
-      match Shard_server.manifest_info ~path:base with
-      | (_ : Shard_server.manifest_info) ->
+      let line, edited = mangle_field lines (prefix, field, value) in
+      write_lines base edited;
+      match Shard_server.read_manifest ~path:base with
+      | (_ : Shard_server.manifest) ->
         Alcotest.failf "%s%s accepted" prefix value
       | exception Ltc_core.Serialize.Parse_error { line = l; message } ->
-        Alcotest.(check int) (prefix ^ value ^ ": line") !line l;
+        Alcotest.(check int) (prefix ^ value ^ ": line") line l;
         Alcotest.(check string) (prefix ^ value ^ ": message") reason message)
     [
       ("accept_rate ", 1, "nan", "bad accept_rate \"nan\"");
@@ -1642,6 +1646,174 @@ let prop_one_shard_is_session =
       let same_end = sharded_fp srv = session_fp plain in
       Shard_server.close srv;
       streams_ok && plain_journal && same_end)
+
+(* ------------------------------------------------------- header codec *)
+
+(* A header's configuration, comparable with [=]: algorithms by name, the
+   instance by what its file lines hold. *)
+let header_view (h : Session.header) =
+  let i = h.Session.instance in
+  ( ( h.Session.algorithm.Ltc_algo.Algorithm.name,
+      h.Session.seed,
+      h.Session.accept_rate,
+      h.Session.checkpoint_every,
+      Option.map
+        (fun (d : Session.deadline) ->
+          (d.Session.budget_s, d.Session.fallback.Ltc_algo.Algorithm.name))
+        h.Session.deadline ),
+    ( i.Ltc_core.Instance.tasks,
+      i.Ltc_core.Instance.epsilon,
+      i.Ltc_core.Instance.accuracy,
+      i.Ltc_core.Instance.candidate_radius ) )
+
+let gen_header =
+  QCheck2.Gen.(
+    let online = int_range 0 (List.length online_registry - 1) in
+    let* algorithm = online in
+    let* seed = oneof [ int_range min_int (-1); int_range (1 lsl 61) max_int ] in
+    let* accept_rate =
+      opt (map (fun x -> 1.0 -. x) (float_bound_exclusive 1.0))
+    in
+    let* checkpoint_every = int_range 1 1_000_000 in
+    let* deadline = opt (pair (float_range 1e-6 1e3) online) in
+    let* n_tasks = int_range 1 6 in
+    let* tasks =
+      list_repeat n_tasks
+        (triple (float_range (-500.0) 500.0) (float_range (-500.0) 500.0)
+           (opt (float_range 0.01 0.49)))
+    in
+    let* radius = opt (float_range 1.0 60.0) in
+    let* epsilon = float_range 0.01 0.49 in
+    return
+      {
+        Session.algorithm = List.nth online_registry algorithm;
+        seed;
+        accept_rate;
+        checkpoint_every;
+        deadline =
+          Option.map
+            (fun (budget_s, k) ->
+              { Session.budget_s; fallback = List.nth online_registry k })
+            deadline;
+        instance =
+          Ltc_core.Instance.create ~candidate_radius:radius
+            ~tasks:
+              (Array.of_list
+                 (List.mapi
+                    (fun id (x, y, epsilon) ->
+                      Ltc_core.Task.make ?epsilon ~id
+                        ~loc:(Ltc_geo.Point.make ~x ~y) ())
+                    tasks))
+            ~workers:[||] ~epsilon ();
+      })
+
+(* Render, read, render: one header codec under both file kinds.  Each
+   render goes through the writer a run uses ([Session.create],
+   [Shard_server.create]), the second from what the first read back. *)
+let prop_header_round_trip =
+  QCheck2.Test.make ~name:"journal header and manifest: render, read, render"
+    ~count:40
+    QCheck2.Gen.(
+      pair gen_header
+        (quad (int_range 2 4) (int_range 1 256) (int_range 1 64) bool))
+    (fun (h, (shards, mailbox, group_commit, fsync)) ->
+      let journal path (h : Session.header) =
+        Session.close
+          (Session.create ?accept_rate:h.Session.accept_rate
+             ?deadline:h.Session.deadline ~journal:path
+             ~checkpoint_every:h.Session.checkpoint_every
+             ~algorithm:h.Session.algorithm ~seed:h.Session.seed
+             h.Session.instance)
+      in
+      let manifest base (m : Shard_server.manifest) =
+        let h = m.Shard_server.header in
+        Shard_server.close
+          (Shard_server.create ?accept_rate:h.Session.accept_rate
+             ?deadline:h.Session.deadline ~journal:base
+             ~checkpoint_every:h.Session.checkpoint_every
+             ~fsync:m.Shard_server.fsync
+             ~group_commit:m.Shard_server.group_commit
+             ~mailbox:m.Shard_server.mailbox ~mode:Shard_server.Inline
+             ~shards:m.Shard_server.shards ~algorithm:h.Session.algorithm
+             ~seed:h.Session.seed h.Session.instance)
+      in
+      let journal_ok =
+        with_tmp_journal @@ fun a ->
+        with_tmp_journal @@ fun b ->
+        journal a h;
+        let h' = Session.Journal.header ~path:a in
+        journal b h';
+        read_file a = read_file b && header_view h' = header_view h
+      in
+      let m = { Shard_server.shards; mailbox; fsync; group_commit; header = h } in
+      let manifest_ok =
+        with_tmp_shard_base @@ fun a ->
+        with_tmp_shard_base @@ fun b ->
+        manifest a m;
+        let m' = Shard_server.read_manifest ~path:a in
+        manifest b m';
+        read_file a = read_file b
+        && header_view m'.Shard_server.header = header_view h
+        && Shard_server.(m'.shards, m'.mailbox, m'.fsync, m'.group_commit)
+           = (shards, mailbox, fsync, group_commit)
+      in
+      journal_ok && manifest_ok)
+
+(* The journal header's table of "manifest refuses non-finite floats":
+   each header value mangled in turn is refused by both [Journal.inspect]
+   and [restore], naming its line.  A checkpoint period below 1 is the
+   exception an old journal may hold: it restores, and its compacted
+   header says 1. *)
+let test_journal_header_refused () =
+  let instance = small_instance ~n_tasks:4 ~seed:61 () in
+  with_tmp_journal @@ fun path ->
+  Session.close
+    (Session.create ~journal:path ~accept_rate:0.8 ~deadline:nearest_deadline
+       ~algorithm:Ltc_algo.Algorithm.laf ~seed:5 instance);
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  List.iter
+    (fun (prefix, field, value, reason) ->
+      let line, edited = mangle_field lines (prefix, field, value) in
+      let refused what f =
+        write_lines path edited;
+        match f () with
+        | () -> Alcotest.failf "%s: %s%s accepted" what prefix value
+        | exception Session.Corrupt_journal { message; _ } ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s%s" what prefix value)
+            (Printf.sprintf "line %d: %s" line reason)
+            message
+      in
+      refused "inspect" (fun () -> ignore (Session.Journal.inspect ~path));
+      refused "restore" (fun () -> ignore (Session.restore ~path ())))
+    [
+      ("algorithm ", 1, "Astar", "unknown algorithm \"Astar\"");
+      ( "algorithm ", 1, "MCF-LTC",
+        "algorithm \"MCF-LTC\" has no online policy" );
+      ("seed ", 1, "2.5", "bad seed \"2.5\"");
+      ("seed ", 1, "nan", "bad seed \"nan\"");
+      ("accept_rate ", 1, "nan", "bad accept_rate \"nan\"");
+      ("accept_rate ", 1, "inf", "bad accept_rate \"inf\"");
+      ("accept_rate ", 1, "0", "bad accept_rate \"0\" (must be in (0, 1])");
+      ( "accept_rate ", 1, "1.5",
+        "bad accept_rate \"1.5\" (must be in (0, 1])" );
+      ("checkpoint_every ", 1, "2.5", "bad checkpoint_every \"2.5\"");
+      ("deadline ", 1, "nan", "bad deadline \"nan\"");
+      ("deadline ", 1, "inf", "bad deadline \"inf\"");
+      ("deadline ", 1, "0", "bad deadline \"0\" (must be > 0)");
+      ("deadline ", 2, "Astar", "unknown fallback \"Astar\"");
+      ( "deadline ", 2, "Base-off",
+        "fallback \"Base-off\" has no online policy" );
+      ("t 0 ", 2, "inf", "expected a finite float, got \"inf\"");
+    ];
+  let _, edited = mangle_field lines ("checkpoint_every ", 1, "0") in
+  write_lines path edited;
+  Alcotest.(check int) "an old checkpoint period below 1 is read as it is" 0
+    (Session.Journal.inspect ~path).Session.Journal.header
+      .Session.checkpoint_every;
+  Session.close (Session.restore ~path ());
+  Alcotest.(check int) "and restored as 1" 1
+    (Session.Journal.header ~path).Session.checkpoint_every
 
 (* ------------------------------------------------------- chaos property *)
 
@@ -2036,6 +2208,9 @@ let suite =
           test_header_bytes_round_trip;
         Alcotest.test_case "redirect restore leaves the source untouched"
           `Quick test_redirect_restore_leaves_source;
+        Alcotest.test_case "journal header refuses bad values" `Quick
+          test_journal_header_refused;
+        qcheck prop_header_round_trip;
         Alcotest.test_case "a crash during the text upgrade keeps the text"
           `Quick test_text_upgrade_crash_safe;
         Alcotest.test_case "compaction bounds the journal" `Quick
