@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `make check` is the one command CI
 # and contributors run before pushing.
 
-.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-loadgen bench-shard bench-chaos bench-ab smoke fmt check clean
+.PHONY: all build test bench bench-smoke bench-flow bench-shard bench-ab smoke fmt check clean
 
 all: build
 
@@ -33,22 +33,6 @@ smoke:
 # Refreshes the committed BENCH_flow_batch.json snapshot.
 bench-flow:
 	dune exec bench/main.exe -- flow-batch-reuse --json BENCH_flow_batch.json
-
-# Streaming service: plain feed vs journaled feed vs checkpoint/restore.
-# Refreshes the committed BENCH_serve_replay.json snapshot.
-bench-serve:
-	dune exec bench/main.exe -- serve-replay --json BENCH_serve_replay.json
-
-# Open-loop SLO measurement: one deterministic Loadgen flash-crowd pass,
-# timed.  Refreshes the committed BENCH_loadgen.json snapshot.
-bench-loadgen:
-	dune exec bench/main.exe -- loadgen --json BENCH_loadgen.json
-
-# Chaos survival cost: one Chaos.run kill/restore pass plus the
-# supervised sharded scenario (per-shard scoped faults, online shard
-# restores).  Refreshes the committed BENCH_chaos_replay.json snapshot.
-bench-chaos:
-	dune exec bench/main.exe -- chaos-replay --json BENCH_chaos_replay.json
 
 # Sharded serving: single session vs 1/2/4/8 spatial shards on a
 # clustered shard-local stream, with a core-scaled speedup bar.

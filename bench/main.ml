@@ -310,416 +310,6 @@ let run_flow_batch ~scale () =
       (speedup big.fb_cold_s big.fb_inc_s)
       (if big.fb_checksum_ok then 1 else 0) )
 
-(* --------------------------------------------------- serve-replay micro *)
-
-(* Streaming-service costs: plain feed, journaled feed (CRC-framed
-   records with group commit) and checkpoint/restore — snapshot load plus
-   policy replay of the journal tail.  The identical flag asserts that
-   the journaled run and a session restored from a mid-stream kill both
-   finish with exactly the plain run's arrangement, latency and RNG
-   states, and that the restore recovers exactly the last committed group
-   boundary (the buffered suffix behaves like a torn tail). *)
-let serve_replay_id = "serve-replay"
-
-let copy_file ~src ~dst =
-  let body = In_channel.with_open_bin src In_channel.input_all in
-  Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc body)
-
-let run_serve_replay () =
-  print_endline
-    "### serve-replay — journaled feed and checkpoint/restore costs\n";
-  let spec =
-    {
-      Ltc_workload.Spec.default_synthetic with
-      Ltc_workload.Spec.n_tasks = 2000;
-      n_workers = 3000;
-      capacity = 2;
-    }
-  in
-  let instance =
-    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:11) spec
-  in
-  let ws = Array.to_list instance.Ltc_core.Instance.workers in
-  let n_events = List.length ws in
-  let algorithm = Ltc_algo.Algorithm.laf in
-  let seed = 42 in
-  let checkpoint_every = 256 in
-  let group_commit = 64 in
-  let kill_at = (2 * checkpoint_every) - 1 in
-  (* Events buffered past the last committed group die with the kill;
-     restore recovers exactly the committed boundary. *)
-  let durable_at =
-    kill_at - (kill_at mod checkpoint_every mod group_commit)
-  in
-  let tail_events = durable_at mod checkpoint_every in
-  let feed_all s =
-    List.iter (fun w -> ignore (Ltc_service.Session.feed s w)) ws
-  in
-  let fingerprint s =
-    ( Ltc_core.Arrangement.to_list (Ltc_service.Session.arrangement s),
-      Ltc_service.Session.latency s,
-      Ltc_service.Session.consumed s,
-      Ltc_service.Session.rng_states s )
-  in
-  (* Each pass is deterministic, so inter-pass spread is pure measurement
-     noise (shared-host I/O stalls hit single passes with multi-ms
-     hiccups).  Best-of-N is the low-noise estimator for that regime —
-     a mean would charge one stalled pass to every variant unevenly. *)
-  let time_variant f =
-    ignore (f ());
-    (* warmup *)
-    let reps = 7 in
-    let result = ref (f ()) in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let r, dt = Ltc_util.Timer.time f in
-      result := r;
-      if dt < !best then best := dt
-    done;
-    (!result, !best)
-  in
-  let journal = Filename.temp_file "ltc_bench_serve" ".journal" in
-  let pristine = Filename.temp_file "ltc_bench_serve" ".pristine" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ journal; pristine ])
-  @@ fun () ->
-  let plain () =
-    let s = Ltc_service.Session.create ~algorithm ~seed instance in
-    feed_all s;
-    fingerprint s
-  in
-  let journaled () =
-    let s =
-      Ltc_service.Session.create ~journal ~checkpoint_every ~group_commit
-        ~algorithm ~seed instance
-    in
-    feed_all s;
-    Ltc_service.Session.close s;
-    fingerprint s
-  in
-  (* Crash fixture: kill_at events journaled, session abandoned unclosed
-     — the last partial group stays buffered and dies with the kill. *)
-  (let s =
-     Ltc_service.Session.create ~journal:pristine ~checkpoint_every
-       ~group_commit ~algorithm ~seed instance
-   in
-   List.iteri
-     (fun j w -> if j < kill_at then ignore (Ltc_service.Session.feed s w))
-     ws);
-  let restore_once () =
-    copy_file ~src:pristine ~dst:journal;
-    let s = Ltc_service.Session.restore ~path:journal () in
-    Ltc_service.Session.close s;
-    Ltc_service.Session.consumed s
-  in
-  (* Finish one restored session and compare against the plain run. *)
-  let resume () =
-    copy_file ~src:pristine ~dst:journal;
-    let s = Ltc_service.Session.restore ~path:journal () in
-    let start = Ltc_service.Session.consumed s in
-    List.iteri
-      (fun j w -> if j >= start then ignore (Ltc_service.Session.feed s w))
-      ws;
-    Ltc_service.Session.close s;
-    fingerprint s
-  in
-  let plain_fp, plain_s = time_variant plain in
-  let journal_fp, journal_s = time_variant journaled in
-  let restored, restore_s = time_variant restore_once in
-  let identical =
-    journal_fp = plain_fp && resume () = plain_fp && restored = durable_at
-  in
-  let per_s events t = if t > 0.0 then float_of_int events /. t else 0.0 in
-  Printf.printf
-    "%d arrivals, checkpoint every %d, group commit %d, killed at %d; \
-     restored consumed %d (%d-event tail)\n"
-    n_events checkpoint_every group_commit kill_at restored tail_events;
-  Printf.printf "checksum: %s\n\n"
-    (if identical then "journaled and restored runs match the plain run"
-     else "RUNS DISAGREE");
-  let row name events t =
-    [
-      Ltc_util.Table.Str name;
-      Ltc_util.Table.Float (1000.0 *. t);
-      Ltc_util.Table.Float (per_s events t);
-    ]
-  in
-  Ltc_util.Table.print ~float_digits:2
-    ~header:[ "variant"; "time/pass (ms)"; "events/s" ]
-    [
-      row "feed (no journal)" n_events plain_s;
-      row
-        (Printf.sprintf "feed + journal (group %d)" group_commit)
-        n_events journal_s;
-      row "restore (snapshot + replay)" tail_events restore_s;
-    ];
-  print_newline ();
-  ( "BENCH_serve_replay",
-    Printf.sprintf
-      "{\"events\": %d, \"tail_events\": %d, \"checkpoint_every\": %d, \
-       \"group_commit\": %d, \"feed_s\": %.6f, \"feed_journal_s\": %.6f, \
-       \"restore_s\": %.6f, \"feed_per_s\": %.1f, \
-       \"feed_journal_per_s\": %.1f, \"replay_per_s\": %.1f, \
-       \"identical\": %d}"
-      n_events tail_events checkpoint_every group_commit plain_s journal_s
-      restore_s (per_s n_events plain_s) (per_s n_events journal_s)
-      (per_s tail_events restore_s)
-      (if identical then 1 else 0) )
-
-(* --------------------------------------------------- chaos-replay micro *)
-
-(* Fault-tolerance overhead: one full Chaos.run pass — baseline, then the
-   same stream under a scripted fault plan with kill/restore at every
-   injected crash — timed end to end.  The identical flag asserts the
-   surviving stream matched the baseline; a 0 here is a correctness
-   regression, not a performance one.
-
-   A second scenario runs the same instance through Chaos.run_sharded: a
-   supervised domain-per-shard server under per-shard scoped fault plans,
-   where every crash is an online shard restore (siblings keep serving)
-   rather than a whole-process kill.  sharded_identical pins the same
-   survival guarantee for the supervised path. *)
-let chaos_replay_id = "chaos-replay"
-
-let run_chaos_replay () =
-  print_endline "### chaos-replay — kill/restore survival cost\n";
-  let spec =
-    {
-      Ltc_workload.Spec.default_synthetic with
-      Ltc_workload.Spec.n_tasks = 500;
-      n_workers = 1500;
-      capacity = 2;
-    }
-  in
-  let instance =
-    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:11) spec
-  in
-  let n_events = Array.length instance.Ltc_core.Instance.workers in
-  let algorithm = Ltc_algo.Algorithm.laf in
-  let seed = 42 in
-  let checkpoint_every = 64 in
-  let plan =
-    Ltc_util.Fault.plan ~crashes:6 ~io_errors:4 ~torn_writes:4 ~delays:4
-      ~horizon:300 ~seed:29
-      ~sites:
-        [
-          "journal.header"; "journal.append.fsync";
-          "journal.checkpoint.fsync"; "journal.checkpoint.rename";
-          "journal.checkpoint.dir";
-        ]
-      ~write_sites:[ "journal.append"; "journal.checkpoint.write" ]
-      ~delay_sites:[ "session.decide" ] ()
-  in
-  let journal = Filename.temp_file "ltc_bench_chaos" ".journal" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
-  @@ fun () ->
-  let pass () =
-    Ltc_service.Chaos.run ~checkpoint_every ~plan ~algorithm ~seed ~journal
-      instance
-  in
-  ignore (pass ());
-  (* warmup *)
-  let reps = 3 in
-  let report = ref (pass ()) in
-  let (), dt =
-    Ltc_util.Timer.time (fun () ->
-        for _ = 1 to reps do
-          report := pass ()
-        done)
-  in
-  let chaos_s = dt /. float_of_int reps in
-  let r = !report in
-  let per_s = if chaos_s > 0.0 then float_of_int n_events /. chaos_s else 0.0 in
-  Printf.printf
-    "%d arrivals, checkpoint every %d, %d scripted faults; kills %d, \
-     restores %d\n"
-    n_events checkpoint_every (List.length plan) r.Ltc_service.Chaos.crashes
-    r.Ltc_service.Chaos.restores;
-  Printf.printf "checksum: %s\n\n"
-    (if r.Ltc_service.Chaos.identical then
-       "surviving stream identical to fault-free baseline"
-     else "STREAMS DIVERGED");
-  let shards = 4 in
-  let s_plan =
-    Ltc_service.Chaos.sharded_plan ~crashes:2 ~io_errors:2 ~torn_writes:2
-      ~horizon:120 ~seed:29 ~shards ()
-  in
-  let sharded_base = Filename.temp_file "ltc_bench_chaos_shard" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (sharded_base
-        :: List.init shards (fun k ->
-               Ltc_service.Shard_server.shard_journal_path ~base:sharded_base
-                 ~shard:k)))
-  @@ fun () ->
-  let sharded_pass () =
-    Ltc_service.Chaos.run_sharded ~checkpoint_every ~plan:s_plan ~shards
-      ~algorithm ~seed ~journal:sharded_base instance
-  in
-  ignore (sharded_pass ());
-  (* warmup *)
-  let sreport = ref (sharded_pass ()) in
-  let (), sdt =
-    Ltc_util.Timer.time (fun () ->
-        for _ = 1 to reps do
-          sreport := sharded_pass ()
-        done)
-  in
-  let sharded_s = sdt /. float_of_int reps in
-  let sr = !sreport in
-  let sharded_per_s =
-    if sharded_s > 0.0 then float_of_int n_events /. sharded_s else 0.0
-  in
-  Printf.printf
-    "sharded: %d shards, %d scripted faults; shard restarts %d (%s), \
-     quarantined %d\n"
-    shards (List.length s_plan) sr.Ltc_service.Chaos.s_restarts
-    (String.concat ","
-       (Array.to_list
-          (Array.map string_of_int sr.Ltc_service.Chaos.s_shard_restarts)))
-    sr.Ltc_service.Chaos.s_quarantined;
-  Printf.printf "sharded checksum: %s\n\n"
-    (if sr.Ltc_service.Chaos.s_identical then
-       "merged stream identical to fault-free baseline"
-     else "STREAMS DIVERGED");
-  Ltc_util.Table.print ~float_digits:2
-    ~header:[ "variant"; "time/pass (ms)"; "arrivals/s" ]
-    [
-      [
-        Ltc_util.Table.Str "chaos (baseline + faulted + restores)";
-        Ltc_util.Table.Float (1000.0 *. chaos_s);
-        Ltc_util.Table.Float per_s;
-      ];
-      [
-        Ltc_util.Table.Str
-          (Printf.sprintf "sharded chaos (%d shards, online restores)"
-             shards);
-        Ltc_util.Table.Float (1000.0 *. sharded_s);
-        Ltc_util.Table.Float sharded_per_s;
-      ];
-    ];
-  print_newline ();
-  ( "BENCH_chaos_replay",
-    Printf.sprintf
-      "{\"arrivals\": %d, \"checkpoint_every\": %d, \"plan_faults\": %d, \
-       \"kills\": %d, \"restores\": %d, \"degraded\": %d, \"chaos_s\": \
-       %.6f, \"arrivals_per_s\": %.1f, \"identical\": %d, \"shards\": %d, \
-       \"sharded_plan_faults\": %d, \"shard_restarts\": %d, \
-       \"shard_quarantined\": %d, \"shard_shed\": %d, \"sharded_chaos_s\": \
-       %.6f, \"sharded_arrivals_per_s\": %.1f, \"sharded_identical\": %d}"
-      n_events checkpoint_every (List.length plan)
-      r.Ltc_service.Chaos.crashes r.Ltc_service.Chaos.restores
-      r.Ltc_service.Chaos.degraded chaos_s per_s
-      (if r.Ltc_service.Chaos.identical then 1 else 0)
-      shards (List.length s_plan) sr.Ltc_service.Chaos.s_restarts
-      sr.Ltc_service.Chaos.s_quarantined sr.Ltc_service.Chaos.s_shed
-      sharded_s sharded_per_s
-      (if sr.Ltc_service.Chaos.s_identical then 1 else 0) )
-
-(* ------------------------------------------------------ loadgen micro *)
-
-(* Open-loop SLO measurement cost and output: one Loadgen pass — flash
-   crowd over a deadline session with exponential service times — timed
-   end to end.  The latency stats run on the virtual clock, so every pass
-   reproduces them exactly; the identical flag asserts that (a 0 is a
-   determinism regression).  Only loadgen_s/arrivals_per_s are
-   machine-dependent. *)
-let loadgen_id = "loadgen"
-
-let run_loadgen () =
-  print_endline "### loadgen — open-loop SLO latency under a flash crowd\n";
-  let spec =
-    {
-      Ltc_workload.Spec.default_synthetic with
-      Ltc_workload.Spec.n_tasks = 500;
-      n_workers = 1500;
-      capacity = 2;
-    }
-  in
-  let instance =
-    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:11) spec
-  in
-  let workers = instance.Ltc_core.Instance.workers in
-  let algorithm = Ltc_algo.Algorithm.laf in
-  let fallback =
-    match Ltc_algo.Algorithm.find_opt "Nearest" with
-    | Some a -> a
-    | None -> assert false
-  in
-  let seed = 42 in
-  let shape =
-    Ltc_workload.Shape.make ~rate:2000.0
-      (Ltc_workload.Shape.Burst { factor = 8.0; at_s = 0.25; dur_s = 0.25 })
-  in
-  let config =
-    {
-      (Ltc_service.Loadgen.default_config ~shape) with
-      Ltc_service.Loadgen.arrivals = Array.length workers;
-      service = Ltc_service.Loadgen.Exponential 4e-4;
-      seed;
-      slo_s = Some 0.002;
-    }
-  in
-  let pass () =
-    let server =
-      Ltc_service.Shard_server.create
-        ~deadline:{ Ltc_service.Session.budget_s = 0.002; fallback }
-        ~shards:1 ~algorithm ~seed instance
-    in
-    let report = Ltc_service.Loadgen.run ~server ~workers config in
-    Ltc_service.Shard_server.close server;
-    report
-  in
-  ignore (pass ());
-  (* warmup *)
-  let reps = 3 in
-  let report = ref (pass ()) in
-  let (), dt =
-    Ltc_util.Timer.time (fun () ->
-        for _ = 1 to reps do
-          report := pass ()
-        done)
-  in
-  let loadgen_s = dt /. float_of_int reps in
-  let r = !report in
-  let open Ltc_service.Loadgen in
-  let fingerprint (r : report) =
-    ( r.r_offered, r.r_consumed, r.r_degraded, r.r_breaches, r.r_makespan_s,
-      r.r_p50_s, r.r_p99_s, r.r_p999_s, r.r_max_s )
-  in
-  let identical = fingerprint (pass ()) = fingerprint r in
-  let per_s = if loadgen_s > 0.0 then float_of_int r.r_offered /. loadgen_s else 0.0 in
-  Format.printf "%a" pp_report r;
-  Printf.printf "checksum: %s\n\n"
-    (if identical then "virtual-clock stats identical across passes"
-     else "PASSES DISAGREE");
-  Ltc_util.Table.print ~float_digits:2
-    ~header:[ "variant"; "time/pass (ms)"; "arrivals/s" ]
-    [
-      [
-        Ltc_util.Table.Str "loadgen (flash crowd, exp service)";
-        Ltc_util.Table.Float (1000.0 *. loadgen_s);
-        Ltc_util.Table.Float per_s;
-      ];
-    ];
-  print_newline ();
-  ( "BENCH_loadgen",
-    Printf.sprintf
-      "{\"arrivals\": %d, \"consumed\": %d, \"degraded\": %d, \"breaches\": \
-       %d, \"offered_per_s\": %.1f, \"achieved_per_s\": %.1f, \"p50_s\": \
-       %.6f, \"p99_s\": %.6f, \"p999_s\": %.6f, \"max_s\": %.6f, \
-       \"loadgen_s\": %.6f, \"arrivals_per_s\": %.1f, \"identical\": %d}"
-      r.r_offered r.r_consumed r.r_degraded r.r_breaches r.r_offered_per_s
-      r.r_achieved_per_s r.r_p50_s r.r_p99_s r.r_p999_s r.r_max_s loadgen_s
-      per_s
-      (if identical then 1 else 0) )
-
 (* --------------------------------------------------- serve-shard micro *)
 
 (* Sharded serving throughput: the same clustered, shard-local arrival
@@ -768,8 +358,8 @@ let run_serve_shard () =
   let n_tasks = Array.length tasks in
   let algorithm = Ltc_algo.Algorithm.laf in
   let seed = 42 in
-  (* Best-of-N, as in serve-replay: each pass is deterministic, so
-     inter-pass spread is scheduler/host noise. *)
+  (* Best-of-N: each pass is deterministic, so inter-pass spread is
+     scheduler/host noise. *)
   let time_variant f =
     ignore (f ());
     (* warmup *)
@@ -1015,21 +605,6 @@ let list_experiments () =
           Ltc_util.Table.Float 1.0;
         ];
         [
-          Ltc_util.Table.Str serve_replay_id;
-          Ltc_util.Table.Str "journaled feed and checkpoint/restore costs";
-          Ltc_util.Table.Float 1.0;
-        ];
-        [
-          Ltc_util.Table.Str chaos_replay_id;
-          Ltc_util.Table.Str "kill/restore survival under scripted faults";
-          Ltc_util.Table.Float 1.0;
-        ];
-        [
-          Ltc_util.Table.Str loadgen_id;
-          Ltc_util.Table.Str "open-loop SLO latency under a flash crowd";
-          Ltc_util.Table.Float 1.0;
-        ];
-        [
           Ltc_util.Table.Str serve_shard_id;
           Ltc_util.Table.Str "sharded serving vs a single session";
           Ltc_util.Table.Float 1.0;
@@ -1057,24 +632,23 @@ let main ids scale reps seed jobs full list csv plot verbose metrics
     Printf.eprintf "--jobs must be at least 1 (got %d)\n" jobs;
     1
   end
-  else begin
+  else
+  match scale with
+  | Some s when not (s > 0.0 && s < infinity) ->
+    Printf.eprintf "--scale must be finite and > 0 (got %g)\n" s;
+    1
+  | _ ->
     let scale = if full then Some 1.0 else scale in
     let reps = if full && reps = 3 then 30 else reps in
     let ids =
       if ids = [] then
-        Figures.ids ()
-        @ [
-            "micro"; flow_batch_id; serve_replay_id; chaos_replay_id;
-            loadgen_id; serve_shard_id;
-          ]
+        Figures.ids () @ [ "micro"; flow_batch_id; serve_shard_id ]
       else ids
     in
     let unknown =
       List.filter
         (fun id ->
-          id <> "micro" && id <> flow_batch_id && id <> serve_replay_id
-          && id <> chaos_replay_id && id <> loadgen_id
-          && id <> serve_shard_id
+          id <> "micro" && id <> flow_batch_id && id <> serve_shard_id
           && Figures.find id = None)
         ids
     in
@@ -1096,9 +670,6 @@ let main ids scale reps seed jobs full list csv plot verbose metrics
             end
             else if id = flow_batch_id then
               Some (run_flow_batch ~scale:(Option.value scale ~default:1.0) ())
-            else if id = serve_replay_id then Some (run_serve_replay ())
-            else if id = chaos_replay_id then Some (run_chaos_replay ())
-            else if id = loadgen_id then Some (run_loadgen ())
             else if id = serve_shard_id then Some (run_serve_shard ())
             else
               match Figures.find id with
@@ -1118,7 +689,6 @@ let main ids scale reps seed jobs full list csv plot verbose metrics
         (fun path -> Ltc_util.Snapshot.write ~path metrics_format)
         metrics;
       0
-  end
 
 open Cmdliner
 

@@ -392,12 +392,15 @@ let sweep_cmd_impl id scale reps seed jobs csv plot log_levels metrics
     1
   end
   else
-  match Ltc_experiments.Figures.find id with
-  | None ->
+  match (Ltc_experiments.Figures.find id, scale) with
+  | _, Some s when not (s > 0.0 && s < infinity) ->
+    Format.eprintf "--scale must be finite and > 0 (got %g)@." s;
+    1
+  | None, _ ->
     Format.eprintf "unknown experiment %S; available: %s@." id
       (String.concat ", " (Ltc_experiments.Figures.ids ()));
     1
-  | Some e ->
+  | Some e, _ ->
     let scale = Option.value scale ~default:e.Ltc_experiments.Figures.default_scale in
     Format.printf "%s (%s), scale=%g reps=%d seed=%d jobs=%d@.@."
       e.Ltc_experiments.Figures.id e.Ltc_experiments.Figures.panels scale reps

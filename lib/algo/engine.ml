@@ -1,19 +1,8 @@
 open Ltc_core
 
-type telemetry = {
-  decisions : int;
-  decision_seconds_total : float;
-  decision_seconds_max : float;
-  degraded : int;
-}
+type telemetry = { degraded : int }
 
-let no_telemetry =
-  {
-    decisions = 0;
-    decision_seconds_total = 0.0;
-    decision_seconds_max = 0.0;
-    degraded = 0;
-  }
+let no_telemetry = { degraded = 0 }
 
 type outcome = {
   name : string;
@@ -286,8 +275,6 @@ let run ?(config = default_config) ~name policy instance =
   (* Clock reads are gated on the registry switch: two gettimeofday calls
      per arrival would be measurable against sub-microsecond decisions. *)
   let timing = Ltc_util.Metrics.enabled () in
-  let dt_total = ref 0.0 in
-  let dt_max = ref 0.0 in
   while (not (Progress.all_complete st.progress)) && st.consumed < n do
     let w = workers.(st.consumed) in
     let d =
@@ -295,10 +282,8 @@ let run ?(config = default_config) ~name policy instance =
       else begin
         let t0 = Ltc_util.Timer.start () in
         let d = step st w in
-        let dt = Ltc_util.Timer.elapsed_s t0 in
-        dt_total := !dt_total +. dt;
-        if dt > !dt_max then dt_max := dt;
-        Ltc_util.Metrics.Histogram.observe m_decision dt;
+        Ltc_util.Metrics.Histogram.observe m_decision
+          (Ltc_util.Timer.elapsed_s t0);
         d
       end
     in
@@ -316,17 +301,7 @@ let run ?(config = default_config) ~name policy instance =
         st.consumed
         (Arrangement.latency st.arrangement)
         (Arrangement.size st.arrangement));
-  Logs.debug ~src:Ltc_util.Log.obs (fun m ->
-      m "%s: %d decisions, %.6f s total, %.6f s max" name st.consumed
-        !dt_total !dt_max);
-  finish st
-    ~telemetry:
-      {
-        decisions = st.consumed;
-        decision_seconds_total = !dt_total;
-        decision_seconds_max = !dt_max;
-        degraded = st.degraded;
-      }
+  finish st ~telemetry:{ degraded = st.degraded }
 
 let of_arrangement ~name ?workers_consumed ?tracker
     ?(telemetry = no_telemetry) instance arrangement =

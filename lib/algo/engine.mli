@@ -15,22 +15,15 @@
 open Ltc_core
 
 type telemetry = {
-  decisions : int;  (** arrivals the policy decided on *)
-  decision_seconds_total : float;
-      (** summed per-arrival wall time of {!step} *)
-  decision_seconds_max : float;  (** slowest single decision *)
   degraded : int;
       (** decisions that degraded: arrivals decided by the fallback
           because the primary blew its deadline, or — for offline MCF-LTC
           via {!of_arrangement} — batches whose anytime solver budget
           fired (0 without a [degrade] config / solver budget) *)
 }
-(** Per-run decision-cost summary from {!run}.  [decisions] is always
-    counted; the two
-    timing fields require the {!Ltc_util.Metrics} registry to be enabled
-    when the run starts (per-arrival clock reads are skipped otherwise and
-    both stay [0.]).  The same observations also feed the [ltc_engine_*]
-    metric series. *)
+(** Per-run degradation summary.  Per-arrival decision times go to the
+    [ltc_engine_decision_seconds] metric series while the
+    {!Ltc_util.Metrics} registry is enabled. *)
 
 val no_telemetry : telemetry
 (** All-zero telemetry, used by {!of_arrangement} (offline algorithms have

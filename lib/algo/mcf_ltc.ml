@@ -376,8 +376,7 @@ let run_batches ~name ~batch_size ?(solver = `Sspa) ?budget instance =
     done;
     Ltc_util.Mem.Tracker.remove_words tracker scratch.accounted;
     Engine.of_arrangement ~name ~workers_consumed:!cursor ~tracker
-      ~telemetry:
-        { Engine.no_telemetry with degraded = scratch.degraded_batches }
+      ~telemetry:{ Engine.degraded = scratch.degraded_batches }
       instance !arrangement
   end
 

@@ -74,7 +74,8 @@ let tokenize line =
 (* --------------------------------------------------------------- parser *)
 
 (* A flat object: string keys, values that are numbers, booleans or arrays
-   of numbers.  Exactly what arrivals and decisions need. *)
+   of numbers.  Arrivals use numbers only; the other two parse so that a
+   wrong-typed field is refused by name. *)
 type value = Num of float | Bool of bool | Nums of float list
 
 let parse_object line =
@@ -150,11 +151,6 @@ let arrival_exn ~line:line_no text =
   | Invalid_argument reason ->
     raise (Bad_input { line = line_no; text = excerpt text; reason })
 
-let arrival_to_line (w : Ltc_core.Worker.t) =
-  Printf.sprintf
-    "{\"index\":%d,\"x\":%.17g,\"y\":%.17g,\"accuracy\":%.17g,\"capacity\":%d}"
-    w.index w.loc.Ltc_geo.Point.x w.loc.Ltc_geo.Point.y w.accuracy w.capacity
-
 (* ------------------------------------------------------------- decisions *)
 
 let int_list_to_json tasks =
@@ -169,24 +165,3 @@ let decision_to_line ?(degraded = false) ~worker ~assigned ~answered
     worker (int_list_to_json assigned) (int_list_to_json answered) completed
     latency
     (if degraded then ",\"degraded\":true" else "")
-
-let decision_of_line line =
-  let fields = parse_object line in
-  let int_list key =
-    match get fields key with
-    | Nums fs -> List.map (int_of_float_field ~key) fs
-    | Num _ | Bool _ -> malformed "%S must be an array of integers" key
-  in
-  let bool ?default key =
-    match (List.assoc_opt key fields, default) with
-    | Some (Bool b), _ -> b
-    | Some (Num _ | Nums _), _ -> malformed "%S must be a boolean" key
-    | None, Some d -> d
-    | None, None -> malformed "missing key %S" key
-  in
-  ( int fields "index",
-    int_list "assigned",
-    int_list "answered",
-    bool "completed",
-    int fields "latency",
-    bool ~default:false "degraded" )

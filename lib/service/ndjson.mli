@@ -33,9 +33,6 @@ val arrival_exn : line:int -> string -> Ltc_core.Worker.t
     and the offending bytes.  Probes the ["ndjson.parse"]
     {!Ltc_util.Fault} site first.  @raise Bad_input as described. *)
 
-val arrival_to_line : Ltc_core.Worker.t -> string
-(** Inverse of {!arrival_of_line} (no trailing newline). *)
-
 val decision_to_line :
   ?degraded:bool ->
   worker:int ->
@@ -48,10 +45,3 @@ val decision_to_line :
 (** One decision line (no trailing newline).  [degraded] (default
     [false]) marks a deadline-degraded decision and is emitted only when
     true, keeping the fault-free wire format unchanged. *)
-
-val decision_of_line :
-  string -> int * int list * int list * bool * int * bool
-(** Parse a decision line back into
-    [(index, assigned, answered, completed, latency, degraded)] — the
-    cram/test side of the codec; [degraded] defaults to [false] when
-    absent.  @raise Malformed on syntax or schema violations. *)

@@ -1,205 +1,47 @@
-(* A batch is one map/iter call: lanes claim indices from [next] until it
-   passes [n] or a body raises ([cancelled] stops further claims; indices
-   already claimed still finish). *)
-type batch = {
-  body : int -> unit;  (* wrapped by [map]/[iter]; never raises *)
-  n : int;
-  next : int Atomic.t;
-  cancelled : bool Atomic.t;
-}
-
-type t = {
-  lanes : int;
-  mutex : Mutex.t;
-  work_ready : Condition.t;
-  work_done : Condition.t;
-  (* All fields below are protected by [mutex]. *)
-  mutable current : batch option;
-  mutable generation : int;  (* bumped once per batch; workers run each once *)
-  mutable finished : int;    (* workers done with the current generation *)
-  mutable poison : (exn * Printexc.raw_backtrace) option;
-      (* an exception that escaped a batch body on some lane; [submit]
-         re-raises it after the batch quiesces, so a misbehaving body can
-         kill its batch but never strand the other lanes *)
-  mutable stop : bool;
-  mutable domains : unit Domain.t array;
-}
-
 let default_jobs () = Domain.recommended_domain_count ()
 
-let drain batch =
-  let rec claim () =
-    let i = Atomic.fetch_and_add batch.next 1 in
-    if i < batch.n && not (Atomic.get batch.cancelled) then begin
-      batch.body i;
-      claim ()
-    end
-  in
-  claim ()
-
-(* Drain a batch, trapping any exception that escapes a body.  [map]/[iter]
-   wrap bodies in [guarded] so nothing should ever get here — but if
-   something does (a rogue body handed to a future entry point, an
-   asynchronous exception), the batch is cancelled, the exception is
-   parked in [t.poison], and the lane still counts itself finished.
-   Without this, one raising lane would skip its finished-increment and
-   leave every other domain (and the caller) blocked on an empty queue. *)
-let drain_trapped t batch =
-  match drain batch with
-  | () -> ()
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Atomic.set batch.cancelled true;
-    Mutex.lock t.mutex;
-    if t.poison = None then t.poison <- Some (e, bt);
-    Mutex.unlock t.mutex
-
-(* Worker domains process every generation exactly once (possibly claiming
-   zero indices) so the caller can join on a plain finished-count. *)
-let worker_loop t =
-  let seen = ref 0 in
-  Mutex.lock t.mutex;
-  let rec loop () =
-    if t.stop then Mutex.unlock t.mutex
-    else if t.generation = !seen then begin
-      Condition.wait t.work_ready t.mutex;
-      loop ()
-    end
-    else begin
-      seen := t.generation;
-      let batch = Option.get t.current in
-      Mutex.unlock t.mutex;
-      drain_trapped t batch;
-      Mutex.lock t.mutex;
-      t.finished <- t.finished + 1;
-      if t.finished = Array.length t.domains then Condition.signal t.work_done;
-      loop ()
-    end
-  in
-  loop ()
-
-let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let t =
-    {
-      lanes = jobs;
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      work_done = Condition.create ();
-      current = None;
-      generation = 0;
-      finished = 0;
-      poison = None;
-      stop = false;
-      domains = [||];
-    }
-  in
-  t.domains <-
-    Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let jobs t = t.lanes
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.work_ready;
-  Mutex.unlock t.mutex;
-  Array.iter Domain.join t.domains;
-  t.domains <- [||]
-
-(* Hand [batch] to the workers, drain it on the calling domain too, and
-   return once every lane is done with it. *)
-let submit t batch =
-  Mutex.lock t.mutex;
-  if t.stop then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool: used after shutdown"
-  end;
-  t.current <- Some batch;
-  t.finished <- 0;
-  t.generation <- t.generation + 1;
-  Condition.broadcast t.work_ready;
-  Mutex.unlock t.mutex;
-  drain_trapped t batch;
-  Mutex.lock t.mutex;
-  while t.finished < Array.length t.domains do
-    Condition.wait t.work_done t.mutex
-  done;
-  t.current <- None;
-  let poison = t.poison in
-  t.poison <- None;
-  Mutex.unlock t.mutex;
-  match poison with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-(* Wraps [f] so bodies never raise across domains: the first failure by
-   *index* (not completion order) is kept, so the exception [map] re-raises
-   is deterministic whenever the failing body is. *)
-let guarded f cancelled =
-  let failure = ref None in
-  let failure_mutex = Mutex.create () in
-  let body i =
-    match f i with
-    | () -> ()
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Atomic.set cancelled true;
-      Mutex.lock failure_mutex;
-      (match !failure with
-      | Some (j, _, _) when j < i -> ()
-      | _ -> failure := Some (i, e, bt));
-      Mutex.unlock failure_mutex
-  in
-  (body, failure)
-
-let parallel_iter t n f =
-  let cancelled = Atomic.make false in
-  let body, failure = guarded f cancelled in
-  submit t { body; n; next = Atomic.make 0; cancelled };
-  match !failure with
-  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let map t n f =
-  if n < 0 then invalid_arg "Pool.map: negative range";
-  if n = 0 then [||]
-  else if t.lanes = 1 || n = 1 then Array.init n f
+(* The calling domain and [min jobs n - 1] spawned ones claim indices from
+   one cursor.  A claimed index above a recorded failure is abandoned and
+   its domain stops claiming; one below it still runs.  The lowest failing
+   index is therefore always claimed and run, so the exception re-raised
+   does not depend on how the indices were interleaved. *)
+let run ~jobs n f =
+  if n < 0 then invalid_arg "Pool.run: negative range";
+  if jobs <= 1 || n <= 1 then Array.init n f
   else begin
     let results = Array.make n None in
-    parallel_iter t n (fun i -> results.(i) <- Some (f i));
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false (* every index ran: no failure was raised *))
-      results
+    let next = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let rec record i e bt =
+      match Atomic.get failure with
+      | Some (j, _, _) when j < i -> ()
+      | seen ->
+        if not (Atomic.compare_and_set failure seen (Some (i, e, bt))) then
+          record i e bt
+    in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then
+        match Atomic.get failure with
+        | Some (j, _, _) when j < i -> ()
+        | _ ->
+          (match f i with
+          | v -> results.(i) <- Some v
+          | exception e -> record i e (Printexc.get_raw_backtrace ()));
+          claim ()
+    in
+    let domains = Array.init (min jobs n - 1) (fun _ -> Domain.spawn claim) in
+    claim ();
+    Array.iter Domain.join domains;
+    match Atomic.get failure with
+    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Array.map Option.get results
   end
-
-let iter t n f =
-  if n < 0 then invalid_arg "Pool.iter: negative range";
-  if n = 0 then ()
-  else if t.lanes = 1 || n = 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else parallel_iter t n f
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let run ~jobs n f =
-  if jobs <= 1 || n <= 1 then begin
-    if n < 0 then invalid_arg "Pool.run: negative range";
-    Array.init n f
-  end
-  else with_pool ~jobs (fun t -> map t n f)
 
 (* ------------------------------------------------------ persistent lanes *)
 
-(* Unlike the batch pool above — where every lane claims indices from one
-   shared cursor — a [Workers.t] pins work to lanes: each lane owns a
+(* Unlike [run] above — where every domain claims indices from one shared
+   cursor — a [Workers.t] pins work to lanes: each lane owns a
    bounded FIFO mailbox and a long-lived domain draining it through one
    handler.  This is the shape the sharded service runtime needs (a shard's
    session must only ever be touched by its own domain), so the service

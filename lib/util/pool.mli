@@ -1,69 +1,37 @@
-(** Fixed-size domain pool for embarrassingly parallel index ranges.
+(** Domain parallelism.
 
-    The experiment harness fans independent (figure cell x repetition)
-    runs over OCaml 5 domains; this module owns the domains.  A pool of
-    [jobs] lanes runs {!map}/{!iter} bodies on [jobs - 1] long-lived
-    worker domains plus the calling domain, claiming indices from a
-    shared atomic cursor.  Results are delivered {e in input-index
-    order}, so callers see exactly the sequential semantics regardless
-    of how indices were interleaved across domains.
-
-    A [jobs = 1] pool spawns no domains at all: {!map} and {!iter}
-    degenerate to a plain sequential [for] loop on the calling domain,
-    which is both the fallback on single-core machines and the
-    reference behaviour the parallel path must reproduce bit-for-bit
-    (see DESIGN.md, "Parallelism").
-
-    Pools are not re-entrant: a {!map}/{!iter} body must not submit
-    work to the pool that is running it.  Task bodies run on worker
-    domains, so anything they touch must be domain-safe (the
-    observability layer — {!Metrics}, {!Trace}, {!Mem.Tracker} — is). *)
-
-type t
+    {!run} fans an embarrassingly parallel index range — the experiment
+    harness's independent (figure cell x repetition) runs — over OCaml 5
+    domains spawned for the call.  {!Workers} keeps long-lived lanes with
+    bounded mailboxes for the sharded service runtime. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the CLI default for
     [--jobs]. *)
 
-val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains that sleep until
-    work arrives.  @raise Invalid_argument when [jobs < 1]. *)
-
-val jobs : t -> int
-(** Number of lanes (worker domains + the caller). *)
-
-val map : t -> int -> (int -> 'a) -> 'a array
-(** [map pool n f] computes [[| f 0; ...; f (n-1) |]].  Indices are
-    claimed dynamically by the pool's lanes; the result array is ordered
-    by index, not by completion.  If one or more bodies raise, the
-    remaining unclaimed indices are abandoned, every in-flight body
-    finishes, and the exception of the lowest-indexed failing body is
-    re-raised on the calling domain.
-
-    An exception can never strand the pool: even one that escapes the
-    per-body guard (e.g. an asynchronous exception) cancels the batch,
-    every lane still checks in, and the exception is re-raised on the
-    calling domain once the batch has quiesced — no domain is ever left
-    blocked on an empty queue. *)
-
-val iter : t -> int -> (int -> unit) -> unit
-(** [iter pool n f] is [map] without the result array. *)
-
-val shutdown : t -> unit
-(** Joins the worker domains.  The pool must not be used afterwards;
-    idempotent. *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on
-    the way out, also when [f] raises. *)
-
 val run : jobs:int -> int -> (int -> 'a) -> 'a array
-(** One-shot [with_pool ~jobs (fun p -> map p n f)]. *)
+(** [run ~jobs n f] computes [[| f 0; ...; f (n-1) |]].  It spawns
+    [min jobs n - 1] domains, which claim indices from one atomic cursor
+    together with the calling domain, and joins every one of them before
+    it returns.  Results are ordered by index, not by completion, so
+    callers see the sequential semantics however the indices were
+    interleaved.  With [jobs <= 1] or [n <= 1] it is [Array.init n f] on
+    the calling domain: the fallback on single-core machines and the
+    reference the parallel path reproduces bit for bit (DESIGN.md,
+    "Parallelism").
+
+    When a body raises, unclaimed indices above it are abandoned; every
+    claimed body finishes, every domain is joined, and then the exception
+    of the lowest failing index is re-raised on the calling domain.
+    Bodies run on other domains, so anything they touch must be
+    domain-safe (the observability layer — {!Metrics}, {!Trace},
+    {!Mem.Tracker} — is).
+    @raise Invalid_argument when [n < 0]. *)
 
 (** Persistent worker lanes with bounded mailboxes.
 
-    Where the batch pool above spreads one index range over whatever lane
-    is free, a {!Workers.t} {e pins} work to lanes: lane [k] is one
+    Where {!run} spreads one index range over whatever domain is free, a
+    {!Workers.t} {e pins} work to lanes: lane [k] is one
     long-lived domain draining its own bounded FIFO mailbox through the
     shared handler.  Items pushed to the same lane are handled in push
     order, on the same domain, for the lifetime of the pool — which is

@@ -83,8 +83,13 @@ let tokyo =
 
 let scale_count factor n = max 1 (int_of_float (Float.round (factor *. float_of_int n)))
 
+(* NaN fails both comparisons, so it is refused with the infinities. *)
+let check_factor fn factor =
+  if not (factor > 0.0 && factor < infinity) then
+    invalid_arg (fn ^ ": factor must be finite and > 0")
+
 let scale_synthetic factor spec =
-  if factor <= 0.0 then invalid_arg "Spec.scale_synthetic: factor <= 0";
+  check_factor "Spec.scale_synthetic" factor;
   {
     spec with
     n_tasks = scale_count factor spec.n_tasks;
@@ -93,7 +98,7 @@ let scale_synthetic factor spec =
   }
 
 let scale_city factor spec =
-  if factor <= 0.0 then invalid_arg "Spec.scale_city: factor <= 0";
+  check_factor "Spec.scale_city" factor;
   {
     spec with
     c_n_tasks = scale_count factor spec.c_n_tasks;

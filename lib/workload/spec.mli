@@ -64,11 +64,13 @@ val tokyo : city
 val scale_synthetic : float -> synthetic -> synthetic
 (** Shrink (or grow) a synthetic spec by a factor while preserving task and
     worker {e densities}: cardinalities scale linearly, the world side by
-    [sqrt factor].  Identity at factor 1. *)
+    [sqrt factor].  Identity at factor 1.
+    @raise Invalid_argument unless [factor] is finite and > 0. *)
 
 val scale_city : float -> city -> city
 (** Same density-preserving scaling for city specs (cluster count scales
-    linearly too). *)
+    linearly too).
+    @raise Invalid_argument unless [factor] is finite and > 0. *)
 
 val pp_synthetic : Format.formatter -> synthetic -> unit
 val pp_city : Format.formatter -> city -> unit

@@ -1,4 +1,4 @@
-(* Observability layer: Metrics registry, Trace spans, engine telemetry and
+(* Observability layer: Metrics registry, Trace spans, engine metrics and
    the pinned pp_outcome format.
 
    The registry and the trace ring are process-global, so every test that
@@ -194,7 +194,7 @@ let test_trace_ring_overwrite () =
         "newest spans survive" [ "s3"; "s4"; "s5"; "s6" ]
         (List.map (fun s -> s.Trace.name) (Trace.spans ())))
 
-(* ------------------------------------------------- engine telemetry + pp *)
+(* ---------------------------------------------------- engine metrics + pp *)
 
 let test_engine_records_metrics () =
   let instance = Fixtures.example2 () in
@@ -209,13 +209,12 @@ let test_engine_records_metrics () =
   Alcotest.(check int) "arrivals counter = workers consumed"
     outcome.Ltc_algo.Engine.workers_consumed
     (Metrics.Counter.value arrivals);
-  let t = outcome.Ltc_algo.Engine.telemetry in
-  Alcotest.(check int) "telemetry decisions = workers consumed"
-    outcome.Ltc_algo.Engine.workers_consumed t.Ltc_algo.Engine.decisions;
-  Alcotest.(check bool) "decision time accumulated" true
-    (t.Ltc_algo.Engine.decision_seconds_total >= 0.0
-    && t.Ltc_algo.Engine.decision_seconds_max
-       <= t.Ltc_algo.Engine.decision_seconds_total +. 1e-12);
+  let decision =
+    Metrics.histogram ~labels:[ ("algo", "LAF") ] "ltc_engine_decision_seconds"
+  in
+  Alcotest.(check int) "one decision time per worker consumed"
+    outcome.Ltc_algo.Engine.workers_consumed
+    (Metrics.Histogram.count decision);
   Alcotest.(check bool) "engine span recorded" true
     (List.exists
        (fun s -> s.Trace.name = "engine:LAF")

@@ -23,23 +23,19 @@ let test_pool_map_order () =
         result)
     [ 1; 2; 4 ]
 
-let test_pool_empty_and_reuse () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check int) "jobs" 3 (Pool.jobs pool);
-      Alcotest.(check int) "empty map" 0
-        (Array.length (Pool.map pool 0 Fun.id));
-      (* One pool serves many batches; each stays input-ordered. *)
-      for n = 1 to 5 do
-        let r = Pool.map pool n (fun i -> i + n) in
-        Alcotest.(check int) "first slot" n r.(0);
-        Alcotest.(check int) "last slot" (2 * n - 1) r.(n - 1)
-      done)
+let test_pool_empty_range () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int) "empty range" 0
+        (Array.length (Pool.run ~jobs 0 (fun _ -> Alcotest.fail "ran"))))
+    [ 1; 3 ]
 
 exception Boom of int
 
 let test_pool_exception_lowest_index () =
-  (* 3 is the first failing index in claim order for every jobs value, so
-     the exception surfaced to the caller is deterministic. *)
+  (* 3 is the lowest failing index, and a claimed index below a recorded
+     failure always runs, so the exception surfaced to the caller is
+     deterministic. *)
   List.iter
     (fun jobs ->
       match Pool.run ~jobs 32 (fun i -> if i mod 7 = 3 then raise (Boom i)) with
@@ -47,46 +43,49 @@ let test_pool_exception_lowest_index () =
       | exception Boom i -> Alcotest.(check int) "lowest failing index" 3 i)
     [ 1; 2; 4 ]
 
-let test_pool_survives_failed_batch () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      (match Pool.iter pool 8 (fun i -> if i = 5 then failwith "boom") with
-      | () -> Alcotest.fail "expected failure"
-      | exception Failure _ -> ());
-      let r = Pool.map pool 16 Fun.id in
-      Alcotest.(check int) "pool reusable after failure" 15 r.(15))
-
 let test_pool_invalid_args () =
-  Alcotest.check_raises "jobs 0"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0));
-  Alcotest.check_raises "negative range"
-    (Invalid_argument "Pool.run: negative range") (fun () ->
-      ignore (Pool.run ~jobs:1 (-1) Fun.id))
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises "negative range"
+        (Invalid_argument "Pool.run: negative range") (fun () ->
+          ignore (Pool.run ~jobs (-1) Fun.id)))
+    [ 1; 4 ]
 
-let test_pool_shutdown_idempotent () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  Alcotest.check_raises "use after shutdown"
-    (Invalid_argument "Pool: used after shutdown") (fun () ->
-      ignore (Pool.map pool 8 Fun.id))
-
-(* A worker dying mid-batch (its body raises) must not strand the other
-   lanes: the batch quiesces, the exception reaches the caller, and every
-   lane answers the next batch. *)
+(* A body dying mid-run (it raises) must not strand the others: body 1 is
+   still running when body 7 raises, and the exception reaches the caller
+   only once body 1 and every other claimed body have finished and every
+   domain is joined.  The next run then works as usual. *)
 let test_pool_kill_worker_mid_batch () =
-  let completed = Atomic.make 0 in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      (match
-         Pool.iter pool 64 (fun i ->
-             if i = 7 then raise (Boom i) else Atomic.incr completed)
-       with
-      | () -> Alcotest.fail "expected Boom"
-      | exception Boom _ -> ());
-      Alcotest.(check bool) "other bodies still ran" true
-        (Atomic.get completed > 0);
-      let r = Pool.map pool 32 Fun.id in
-      Alcotest.(check int) "every lane answers the next batch" 31 r.(31))
+  let raised = Atomic.make false in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let slow_done = Atomic.make false in
+  (match
+     Pool.run ~jobs:4 64 (fun i ->
+         Atomic.incr started;
+         if i = 7 then begin
+           Atomic.set raised true;
+           raise (Boom i)
+         end;
+         if i = 1 then begin
+           while not (Atomic.get raised) do
+             Domain.cpu_relax ()
+           done;
+           let t0 = Ltc_util.Timer.start () in
+           while Ltc_util.Timer.elapsed_s t0 < 0.02 do
+             Domain.cpu_relax ()
+           done;
+           Atomic.set slow_done true
+         end;
+         Atomic.incr finished)
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> Alcotest.(check int) "failing index" 7 i);
+  Alcotest.(check bool) "in-flight body finished first" true
+    (Atomic.get slow_done);
+  Alcotest.(check int) "every started body finished"
+    (Atomic.get started - 1) (Atomic.get finished);
+  let r = Pool.run ~jobs:4 32 Fun.id in
+  Alcotest.(check int) "the next run answers" 31 r.(31)
 
 (* ------------------------------------------------------ persistent lanes *)
 
@@ -386,14 +385,10 @@ let suite =
     ( "parallel.pool",
       [
         Alcotest.test_case "map ordering" `Quick test_pool_map_order;
-        Alcotest.test_case "empty + reuse" `Quick test_pool_empty_and_reuse;
+        Alcotest.test_case "empty range" `Quick test_pool_empty_range;
         Alcotest.test_case "exception of lowest index" `Quick
           test_pool_exception_lowest_index;
-        Alcotest.test_case "survives failed batch" `Quick
-          test_pool_survives_failed_batch;
         Alcotest.test_case "invalid args" `Quick test_pool_invalid_args;
-        Alcotest.test_case "shutdown idempotent" `Quick
-          test_pool_shutdown_idempotent;
         Alcotest.test_case "kill one worker mid-batch" `Quick
           test_pool_kill_worker_mid_batch;
       ] );

@@ -43,9 +43,15 @@ let test_scaling_preserves_density () =
     (Spec.scale_synthetic 1.0 Spec.default_synthetic).Spec.n_tasks
 
 let test_scaling_invalid () =
-  Alcotest.check_raises "zero factor"
-    (Invalid_argument "Spec.scale_synthetic: factor <= 0") (fun () ->
-      ignore (Spec.scale_synthetic 0.0 Spec.default_synthetic))
+  List.iter
+    (fun (label, factor) ->
+      Alcotest.check_raises (label ^ " synthetic")
+        (Invalid_argument "Spec.scale_synthetic: factor must be finite and > 0")
+        (fun () -> ignore (Spec.scale_synthetic factor Spec.default_synthetic));
+      Alcotest.check_raises (label ^ " city")
+        (Invalid_argument "Spec.scale_city: factor must be finite and > 0")
+        (fun () -> ignore (Spec.scale_city factor Spec.new_york)))
+    [ ("zero", 0.0); ("negative", -1.0); ("nan", nan); ("inf", infinity) ]
 
 (* -------------------------------------------------------------- Synthetic *)
 
