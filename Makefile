@@ -29,7 +29,7 @@ smoke:
 	dune build @test/cli/runtest
 
 # Min-cost-flow hot path: cold per-batch solves vs the reused
-# arena/workspace and the incremental session.
+# arena/workspace, on a trickle and a ~100x-wider batch shape.
 # Refreshes the committed BENCH_flow_batch.json snapshot.
 bench-flow:
 	dune exec bench/main.exe -- flow-batch-reuse --json BENCH_flow_batch.json

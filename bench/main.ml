@@ -88,23 +88,16 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
    sequence (the buffered-MCF shape: arriving workers against thousands of
    open tasks):
 
-     cold         fresh graph + fresh workspace + Bellman-Ford per batch
-                  (the pre-arena behaviour)
-     reuse        one arena + one workspace, Bellman-Ford per batch (what
-                  MCF-LTC's default backend does)
-     incremental  one {!Ltc_flow.Solver} session: the task plane, its
-                  residuals and potentials stay alive across batches; each
-                  batch stacks its workers and links on top, resolves with
-                  kept potentials and retracts — consumed task units are
-                  re-armed through [set_unit], so every variant faces the
-                  identical problem sequence
+     cold   fresh graph + fresh workspace + Bellman-Ford per batch (the
+            pre-arena behaviour)
+     reuse  one arena + one workspace, Bellman-Ford per batch (what
+            MCF-LTC does)
 
-   Two shapes: the PR-5 trickle (8 workers/batch, where per-batch setup
-   dominates the tiny flow) and a ~100x batch (800 workers/batch, where
-   the solve dominates).  All variants solve problem-identical networks;
-   the checksum asserts they agree (exactly for reuse, within float
-   tolerance for the incremental session, whose different node layout may
-   resolve sub-epsilon ties differently). *)
+   Two shapes: a trickle (8 workers/batch, where per-batch setup dominates
+   the tiny flow) and a ~100x batch (800 workers/batch, where the solve
+   dominates).  Both variants solve identical networks; the checksum
+   asserts they agree exactly, since a reused workspace changes no
+   arithmetic. *)
 let flow_batch_id = "flow-batch-reuse"
 
 type flow_shape_stat = {
@@ -114,7 +107,6 @@ type flow_shape_stat = {
   fb_flow : int;
   fb_cold_s : float;
   fb_reuse_s : float;
-  fb_inc_s : float;
   fb_checksum_ok : bool;
 }
 
@@ -171,53 +163,6 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     done;
     (!flow, !cost)
   in
-  let incremental () =
-    let sol = Ltc_flow.Solver.create ~hint:(n_tasks + 2) () in
-    for t = 0 to n_tasks - 1 do
-      Ltc_flow.Solver.set_unit sol ~unit_id:t ~cap:1
-    done;
-    let touched = Array.make n_tasks false in
-    let max_links = batch_workers * degree in
-    let links = Array.make max_links 0 in
-    let ltask = Array.make max_links 0 in
-    let flow = ref 0 and cost = ref 0.0 in
-    for b = 0 to batches - 1 do
-      (* Same RNG stream as [build]: identical link targets and costs. *)
-      let rng = Ltc_util.Rng.create ~seed:(1000 + b) in
-      Ltc_flow.Solver.begin_batch sol;
-      for _ = 1 to batch_workers do
-        ignore (Ltc_flow.Solver.add_worker sol ~cap:capacity : int)
-      done;
-      let nl = ref 0 in
-      for w = 0 to batch_workers - 1 do
-        for _ = 1 to degree do
-          let t = Ltc_util.Rng.int rng n_tasks in
-          let c = -.Ltc_util.Rng.float rng 1.0 in
-          links.(!nl) <-
-            Ltc_flow.Solver.add_link sol ~worker:w ~unit_id:t ~cost:c;
-          ltask.(!nl) <- t;
-          incr nl
-        done
-      done;
-      let r = Ltc_flow.Solver.resolve sol () in
-      flow := !flow + r.Ltc_flow.Mcmf.flow;
-      cost := !cost +. r.Ltc_flow.Mcmf.cost;
-      for k = 0 to !nl - 1 do
-        if Ltc_flow.Solver.link_flow sol links.(k) = 1 then
-          touched.(ltask.(k)) <- true
-      done;
-      Ltc_flow.Solver.end_batch sol;
-      (* Re-arm consumed units so every batch faces the same cap-1 plane
-         the scratch variants rebuild from scratch. *)
-      for t = 0 to n_tasks - 1 do
-        if touched.(t) then begin
-          touched.(t) <- false;
-          Ltc_flow.Solver.set_unit sol ~unit_id:t ~cap:1
-        end
-      done
-    done;
-    (!flow, !cost)
-  in
   let time_variant f =
     ignore (f ());
     (* warmup: page faults, arena growth *)
@@ -232,13 +177,7 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
   in
   let (cold_flow, cold_cost), cold_s = time_variant cold in
   let (reuse_flow, reuse_cost), reuse_s = time_variant reuse in
-  let (inc_flow, inc_cost), inc_s = time_variant incremental in
-  let checksum_ok =
-    reuse_flow = cold_flow
-    && reuse_cost = cold_cost (* a reused workspace changes no arithmetic *)
-    && inc_flow = cold_flow
-    && Float.abs (inc_cost -. cold_cost) < 1e-6
-  in
+  let checksum_ok = reuse_flow = cold_flow && reuse_cost = cold_cost in
   let speedup t = if t > 0.0 then cold_s /. t else 0.0 in
   let row name t =
     [
@@ -252,12 +191,11 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
      cost %.3f\n"
     label batches batch_workers nodes arcs cold_flow cold_cost;
   Printf.printf "checksum: %s\n\n"
-    (if checksum_ok then "all variants agree" else "VARIANTS DISAGREE");
+    (if checksum_ok then "variants agree" else "VARIANTS DISAGREE");
   Ltc_util.Table.print ~float_digits:2
     ~header:[ "variant"; "time/pass (ms)"; "speedup vs cold" ]
     [ row "cold (fresh + Bellman-Ford)" cold_s;
-      row "reused arena + workspace" reuse_s;
-      row "incremental session" inc_s ];
+      row "reused arena + workspace" reuse_s ];
   print_newline ();
   {
     fb_batches = batches;
@@ -266,14 +204,12 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     fb_flow = cold_flow;
     fb_cold_s = cold_s;
     fb_reuse_s = reuse_s;
-    fb_inc_s = inc_s;
     fb_checksum_ok = checksum_ok;
   }
 
 let run_flow_batch ~scale () =
   print_endline
-    "### flow-batch-reuse — arena, workspace and residual reuse on the MCF \
-     hot path\n";
+    "### flow-batch-reuse — arena and workspace reuse on the MCF hot path\n";
   let sc x = max 1 (int_of_float (Float.round (scale *. float_of_int x))) in
   let n_tasks = sc 6000 in
   let degree = min 64 n_tasks in
@@ -281,8 +217,8 @@ let run_flow_batch ~scale () =
     flow_batch_shape ~label:"trickle" ~n_tasks ~batch_workers:8 ~degree
       ~batches:48 ~reps:3
   in
-  (* ~100x the trickle's batch width: the solve dominates, so the win is
-     the kept potentials, not the skipped rebuild. *)
+  (* ~100x the trickle's batch width: the solve dominates, so the skipped
+     rebuild is noise. *)
   let big =
     flow_batch_shape ~label:"100x" ~n_tasks ~batch_workers:(sc 800) ~degree
       ~batches:6 ~reps:1
@@ -291,23 +227,19 @@ let run_flow_batch ~scale () =
   ( "BENCH_flow_batch",
     Printf.sprintf
       "{\"batches\": %d, \"nodes\": %d, \"arcs\": %d, \"flow_units\": %d, \
-       \"cold_bf_s\": %.6f, \"reuse_s\": %.6f, \"incremental_s\": \
-       %.6f, \"speedup_reuse\": %.3f, \"speedup_incremental\": %.3f, \
+       \"cold_bf_s\": %.6f, \"reuse_s\": %.6f, \"speedup_reuse\": %.3f, \
        \"checksum_ok\": %d, \
        \"x100_batches\": %d, \"x100_nodes\": %d, \"x100_arcs\": %d, \
        \"x100_flow_units\": %d, \"x100_cold_bf_s\": %.6f, \
-       \"x100_reuse_s\": %.6f, \"x100_incremental_s\": %.6f, \
-       \"x100_speedup_reuse\": %.3f, \"x100_speedup_incremental\": %.3f, \
+       \"x100_reuse_s\": %.6f, \"x100_speedup_reuse\": %.3f, \
        \"x100_checksum_ok\": %d}"
       small.fb_batches small.fb_nodes small.fb_arcs small.fb_flow
-      small.fb_cold_s small.fb_reuse_s small.fb_inc_s
+      small.fb_cold_s small.fb_reuse_s
       (speedup small.fb_cold_s small.fb_reuse_s)
-      (speedup small.fb_cold_s small.fb_inc_s)
       (if small.fb_checksum_ok then 1 else 0)
       big.fb_batches big.fb_nodes big.fb_arcs big.fb_flow big.fb_cold_s
-      big.fb_reuse_s big.fb_inc_s
+      big.fb_reuse_s
       (speedup big.fb_cold_s big.fb_reuse_s)
-      (speedup big.fb_cold_s big.fb_inc_s)
       (if big.fb_checksum_ok then 1 else 0) )
 
 (* --------------------------------------------------- serve-shard micro *)

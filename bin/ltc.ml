@@ -134,8 +134,23 @@ let build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed =
     Ltc_workload.City.generate rng (Ltc_workload.Spec.scale_city scale base)
 
 let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
-    mcf_solver mcf_budget validate simulate load report save_arrangement
-    screen verbose svg log_levels metrics metrics_format =
+    mcf_budget validate simulate load report save_arrangement screen verbose
+    svg log_levels metrics metrics_format =
+  (* --mcf-budget-rounds reconfigures only the MCF-LTC registry entry (the
+     other algorithms never touch the flow solver); a negative budget is
+     refused before any instance is built. *)
+  let mcf_config =
+    Option.map
+      (fun r ->
+        if r < 0 then
+          invalid_arg
+            (Printf.sprintf "--mcf-budget-rounds must be >= 0 (got %d)" r);
+        {
+          Ltc_algo.Mcf_ltc.default_config with
+          Ltc_algo.Mcf_ltc.budget = Some (Ltc_flow.Mcmf.Rounds r);
+        })
+      mcf_budget
+  in
   setup_observability ~verbose ~log_levels ~metrics;
   let instance =
     match load with
@@ -164,20 +179,9 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
         exit 1)
   in
   let algorithms =
-    (* --mcf-solver / --mcf-budget-rounds reconfigure only the MCF-LTC
-       registry entry; the other algorithms never touch the flow solver. *)
-    if mcf_solver = None && mcf_budget = None then algorithms
-    else begin
-      let config =
-        {
-          Ltc_algo.Mcf_ltc.default_config with
-          Ltc_algo.Mcf_ltc.solver =
-            Option.value mcf_solver
-              ~default:Ltc_algo.Mcf_ltc.default_config.Ltc_algo.Mcf_ltc.solver;
-          budget =
-            Option.map (fun r -> Ltc_flow.Mcmf.Rounds r) mcf_budget;
-        }
-      in
+    match mcf_config with
+    | None -> algorithms
+    | Some config ->
       List.map
         (fun (a : Ltc_algo.Algorithm.t) ->
           if a.Ltc_algo.Algorithm.name = Ltc_algo.Mcf_ltc.name then
@@ -188,7 +192,6 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
             }
           else a)
         algorithms
-    end
   in
   List.iter
     (fun (a : Ltc_algo.Algorithm.t) ->
@@ -274,16 +277,6 @@ let run_cmd =
          & info [ "algo"; "a" ] ~docv:"NAME"
              ~doc:"Run a single algorithm (default: all five).")
   in
-  let mcf_solver =
-    Arg.(value
-         & opt (some (enum [ ("sspa", `Sspa); ("incremental", `Incremental) ]))
-             None
-         & info [ "mcf-solver" ] ~docv:"NAME"
-             ~doc:"Flow backend for MCF-LTC's per-batch solves: $(b,sspa) \
-                   (default, a fresh solve per batch) or $(b,incremental) \
-                   (one residual network kept across batches).  Only \
-                   affects MCF-LTC.")
-  in
   let mcf_budget =
     Arg.(value & opt (some int) None
          & info [ "mcf-budget-rounds" ] ~docv:"N"
@@ -336,7 +329,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"generate a workload and run LTC algorithms on it")
     Term.(
       const run_cmd_impl $ workload $ scale_arg $ tasks $ workers $ capacity
-      $ epsilon $ seed_arg $ algo $ mcf_solver $ mcf_budget $ validate
+      $ epsilon $ seed_arg $ algo $ mcf_budget $ validate
       $ simulate $ load $ report $ save_arrangement $ screen $ verbose $ svg
       $ log_arg $ metrics_arg $ metrics_format_arg)
 

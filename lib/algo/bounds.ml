@@ -1,11 +1,21 @@
-let lower ~n_tasks ~delta ~k = float_of_int n_tasks *. delta /. float_of_int k
+(* Theorem 2 assumes at least one task and a positive capacity; below
+   that the bounds divide by zero or turn negative. *)
+let check fn ~n_tasks ~k =
+  if n_tasks < 1 then invalid_arg (fn ^ ": n_tasks must be >= 1");
+  if k < 1 then invalid_arg (fn ^ ": k must be >= 1")
+
+let lower ~n_tasks ~delta ~k =
+  check "Bounds.lower" ~n_tasks ~k;
+  float_of_int n_tasks *. delta /. float_of_int k
 
 let upper ~n_tasks ~delta ~k =
+  check "Bounds.upper" ~n_tasks ~k;
   (10.0 *. float_of_int n_tasks *. delta /. float_of_int k)
   +. (float_of_int n_tasks /. float_of_int k)
   +. 1.0
 
 let mcnaughton ~n_tasks ~delta ~k ~r =
+  check "Bounds.mcnaughton" ~n_tasks ~k;
   if r <= 0.0 then invalid_arg "Bounds.mcnaughton: r must be positive";
   let per_task = int_of_float (Float.ceil (delta /. r)) in
   let spread =

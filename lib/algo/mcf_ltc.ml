@@ -2,22 +2,14 @@ open Ltc_core
 
 let name = "MCF-LTC"
 
-type solver = [ `Sspa | `Incremental ]
-
 type config = {
   first_batch_factor : float;
   batch_factor : float;
-  solver : solver;
   budget : Ltc_flow.Mcmf.budget option;
 }
 
 let default_config =
-  {
-    first_batch_factor = 1.5;
-    batch_factor = 1.0;
-    solver = `Sspa;
-    budget = None;
-  }
+  { first_batch_factor = 1.5; batch_factor = 1.0; budget = None }
 
 let m_batches =
   Ltc_util.Metrics.counter ~help:"MCF-LTC batches solved"
@@ -36,20 +28,15 @@ let m_batch_seconds =
 let tie_cost ~n_workers (w : Worker.t) =
   5e-8 *. float_of_int w.index /. float_of_int (max 1 n_workers)
 
-(* The per-run flow backend: a from-scratch SSPA solve per batch in an
-   arena ([Graph.clear]ed per batch) with one reused workspace, or one
-   incremental session kept alive across batches. *)
-type backend =
-  | Sspa of Ltc_flow.Graph.t * Ltc_flow.Mcmf.workspace
-  | Incremental of Ltc_flow.Solver.t
-
 (* Per-run scratch shared by every batch of one [run_batches] call: the
-   flow backend and the task-indexed maps that replace the per-batch
-   hashtables.  Everything here is allocated once (or grows
-   monotonically); after the first batch the hot path allocates only the
-   per-worker assignment lists. *)
+   flow arena ([Graph.clear]ed per batch), one reused solver workspace and
+   the task-indexed maps that replace the per-batch hashtables.
+   Everything here is allocated once (or grows monotonically); after the
+   first batch the hot path allocates only the per-worker assignment
+   lists. *)
 type scratch = {
-  backend : backend;
+  graph : Ltc_flow.Graph.t;
+  workspace : Ltc_flow.Mcmf.workspace;
   node_of : int array;             (* task -> flow node, valid iff stamped *)
   node_stamp : int array;
   mark : int array;                (* task -> epoch of per-worker marks *)
@@ -62,27 +49,16 @@ type scratch = {
   mutable wt_len : int;
   mutable epoch : int;             (* stamp source for node_stamp / mark *)
   mutable accounted : int;         (* arena words currently charged *)
-  (* Incremental-session bookkeeping: tasks whose progress changed since
-     the last [Solver.set_unit] sync, deduplicated by [sync_mark]. *)
-  mutable inc_ready : bool;        (* units declared on the session plane *)
-  sync_ids : int array;
-  mutable n_sync : int;
-  sync_mark : Bytes.t;
   (* Anytime accounting: batches whose solver budget fired. *)
   m_degraded : Ltc_util.Metrics.Counter.t;
   mutable degraded_batches : int;
 }
 
-let create_scratch ~name ~solver ~n_tasks =
+let create_scratch ~name ~n_tasks =
   let n = max n_tasks 1 in
   {
-    backend =
-      (match solver with
-      | `Sspa ->
-        Sspa
-          (Ltc_flow.Graph.create ~n:1,
-           Ltc_flow.Mcmf.create_workspace ~hint:(n + 2) ())
-      | `Incremental -> Incremental (Ltc_flow.Solver.create ~hint:(n + 2) ()));
+    graph = Ltc_flow.Graph.create ~n:1;
+    workspace = Ltc_flow.Mcmf.create_workspace ~hint:(n + 2) ();
     node_of = Array.make n (-1);
     node_stamp = Array.make n 0;
     mark = Array.make n 0;
@@ -94,10 +70,6 @@ let create_scratch ~name ~solver ~n_tasks =
     wt_len = 0;
     epoch = 0;
     accounted = 0;
-    inc_ready = false;
-    sync_ids = Array.make n 0;
-    n_sync = 0;
-    sync_mark = Bytes.make n '\000';
     m_degraded = Engine.degraded_counter name "solver-anytime";
     degraded_batches = 0;
   }
@@ -120,15 +92,14 @@ let push_wt scratch ~arc ~bi ~task ~score =
   scratch.wt_score.(len) <- score;
   scratch.wt_len <- len + 1
 
-(* Solve one batch through the configured backend: build the flow network
-   over incomplete tasks (in the reused arena for SSPA; as a delta against
-   the live session plane for the incremental one), solve — optionally
-   under an anytime budget — record the resulting assignments, then
-   greedily spend leftover capacity.  When the budget fires mid-solve the
-   partial flow is extracted as-is and the leftover pass below doubles as
-   the greedy completion: every un-routed unit of worker capacity is spent
-   on the most reliable unfinished tasks, so the batch always yields a
-   feasible assignment.  Returns the updated arrangement. *)
+(* Solve one batch: build the flow network over incomplete tasks in the
+   reused arena, solve it — optionally under an anytime budget — record the
+   resulting assignments, then greedily spend leftover capacity.  When the
+   budget fires mid-solve the partial flow is extracted as-is and the
+   leftover pass below doubles as the greedy completion: every un-routed
+   unit of worker capacity is spent on the most reliable unfinished tasks,
+   so the batch always yields a feasible assignment.  Returns the updated
+   arrangement. *)
 let solve_batch instance tracker progress arrangement ~budget scratch batch =
   Ltc_util.Trace.with_span "mcf-ltc.batch" @@ fun () ->
   let t_batch = Ltc_util.Timer.start () in
@@ -152,113 +123,53 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
     scratch.node_of.(task) <- 1 + n_batch + i;
     scratch.node_stamp.(task) <- batch_ep
   done;
+  let g = scratch.graph in
+  let source = 0 in
+  let sink = 1 + n_batch + n_inc in
+  Ltc_flow.Graph.clear g ~n:(sink + 1);
+  Array.iteri
+    (fun bi (w : Worker.t) ->
+      ignore
+        (Ltc_flow.Graph.add_arc g ~src:source ~dst:(1 + bi) ~cap:w.capacity
+           ~cost:0.0))
+    batch;
+  (* Worker->task arcs; each entry remembers (batch slot, task, score) per
+     arc so the extraction below never recomputes Instance.score — each
+     (worker, task) score is evaluated exactly once per batch. *)
+  scratch.wt_len <- 0;
+  Array.iteri
+    (fun bi (w : Worker.t) ->
+      Instance.iter_candidates instance w (fun task ->
+          if scratch.node_stamp.(task) = batch_ep then begin
+            let node = scratch.node_of.(task) in
+            let score = Instance.score instance w task in
+            let cost = -.score +. tie_cost ~n_workers w in
+            let arc =
+              Ltc_flow.Graph.add_arc g ~src:(1 + bi) ~dst:node ~cap:1 ~cost
+            in
+            push_wt scratch ~arc ~bi ~task ~score
+          end))
+    batch;
+  for i = 0 to n_inc - 1 do
+    let task = task_ids.(i) in
+    let cap = int_of_float (Float.ceil (Progress.remaining progress task)) in
+    ignore
+      (Ltc_flow.Graph.add_arc g ~src:(1 + n_batch + i) ~dst:sink
+         ~cap:(max cap 1) ~cost:0.0)
+  done;
   (* Charge the tracker for arena growth only: the high-water mark counts
      the reservation once per run, not once per batch. *)
-  let charge now =
-    if now > scratch.accounted then begin
-      Ltc_util.Mem.Tracker.add_words tracker (now - scratch.accounted);
-      scratch.accounted <- now
-    end
+  let now =
+    Ltc_flow.Graph.memory_words g + (8 * Ltc_flow.Graph.node_count g)
   in
-  scratch.wt_len <- 0;
-  let flow_result, link_flow =
-    match scratch.backend with
-    | Incremental sol ->
-      (* Incremental path: the session's residual network and potentials
-         stay alive across batches; only the delta is declared.  Units are
-         created once (first batch), then only tasks whose progress changed
-         since the last batch — recorded in [sync_ids] by the extraction
-         and greedy passes below — are re-dimensioned. *)
-      if not scratch.inc_ready then begin
-        for i = 0 to n_inc - 1 do
-          let task = task_ids.(i) in
-          let cap =
-            int_of_float (Float.ceil (Progress.remaining progress task))
-          in
-          Ltc_flow.Solver.set_unit sol ~unit_id:task ~cap:(max cap 1)
-        done;
-        scratch.inc_ready <- true
-      end
-      else begin
-        for j = 0 to scratch.n_sync - 1 do
-          let task = scratch.sync_ids.(j) in
-          Bytes.set scratch.sync_mark task '\000';
-          let cap =
-            if Progress.is_complete progress task then 0
-            else
-              max
-                (int_of_float (Float.ceil (Progress.remaining progress task)))
-                1
-          in
-          Ltc_flow.Solver.set_unit sol ~unit_id:task ~cap
-        done;
-        scratch.n_sync <- 0
-      end;
-      Ltc_flow.Solver.begin_batch sol;
-      Array.iteri
-        (fun bi (w : Worker.t) ->
-          let h = Ltc_flow.Solver.add_worker sol ~cap:w.capacity in
-          assert (h = bi);
-          Instance.iter_candidates instance w (fun task ->
-              if scratch.node_stamp.(task) = batch_ep then begin
-                let score = Instance.score instance w task in
-                let cost = -.score +. tie_cost ~n_workers w in
-                let link =
-                  Ltc_flow.Solver.add_link sol ~worker:bi ~unit_id:task ~cost
-                in
-                push_wt scratch ~arc:link ~bi ~task ~score
-              end))
-        batch;
-      charge (Ltc_flow.Solver.memory_words sol);
-      let r =
-        Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
-            Ltc_flow.Solver.resolve sol ?budget ())
-      in
-      (r, fun arc -> Ltc_flow.Solver.link_flow sol arc)
-    | Sspa (g, workspace) ->
-      (* Scratch path: build the batch network in the reused arena. *)
-      let source = 0 in
-      let sink = 1 + n_batch + n_inc in
-      Ltc_flow.Graph.clear g ~n:(sink + 1);
-      Array.iteri
-        (fun bi (w : Worker.t) ->
-          ignore
-            (Ltc_flow.Graph.add_arc g ~src:source ~dst:(1 + bi)
-               ~cap:w.capacity ~cost:0.0))
-        batch;
-      (* Worker->task arcs; each entry remembers (batch slot, task, score)
-         per arc so the extraction below never recomputes Instance.score —
-         each (worker, task) score is evaluated exactly once per batch. *)
-      Array.iteri
-        (fun bi (w : Worker.t) ->
-          Instance.iter_candidates instance w (fun task ->
-              if scratch.node_stamp.(task) = batch_ep then begin
-                let node = scratch.node_of.(task) in
-                let score = Instance.score instance w task in
-                let cost = -.score +. tie_cost ~n_workers w in
-                let arc =
-                  Ltc_flow.Graph.add_arc g ~src:(1 + bi) ~dst:node ~cap:1
-                    ~cost
-                in
-                push_wt scratch ~arc ~bi ~task ~score
-              end))
-        batch;
-      for i = 0 to n_inc - 1 do
-        let task = task_ids.(i) in
-        let cap =
-          int_of_float (Float.ceil (Progress.remaining progress task))
-        in
-        ignore
-          (Ltc_flow.Graph.add_arc g ~src:(1 + n_batch + i) ~dst:sink
-             ~cap:(max cap 1) ~cost:0.0)
-      done;
-      charge
-        (Ltc_flow.Graph.memory_words g + (8 * Ltc_flow.Graph.node_count g));
-      let r =
-        Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
-            Ltc_flow.Mcmf.run g ~workspace ?budget ~source ~sink)
-      in
-      (r, fun arc -> Ltc_flow.Graph.flow g arc)
+  if now > scratch.accounted then begin
+    Ltc_util.Mem.Tracker.add_words tracker (now - scratch.accounted);
+    scratch.accounted <- now
+  end;
+  let flow_result =
+    Ltc_util.Trace.with_span "mcmf.solve" (fun () ->
+        Ltc_flow.Mcmf.run g ~workspace:scratch.workspace ?budget ~source
+          ~sink)
   in
   (* A fired anytime budget is a degradation *inside* the solver: the
      partial flow is kept and the greedy pass below completes the batch.
@@ -277,39 +188,23 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         n_batch n_inc scratch.wt_len
         flow_result.Ltc_flow.Mcmf.flow flow_result.Ltc_flow.Mcmf.cost
         flow_result.Ltc_flow.Mcmf.rounds);
-  (* Record which tasks' progress changes, so the incremental session can
-     re-dimension exactly the touched units before the next batch. *)
-  let incremental =
-    match scratch.backend with Incremental _ -> true | Sspa _ -> false
-  in
-  let touch task =
-    if incremental && Bytes.get scratch.sync_mark task = '\000' then begin
-      Bytes.set scratch.sync_mark task '\001';
-      scratch.sync_ids.(scratch.n_sync) <- task;
-      scratch.n_sync <- scratch.n_sync + 1
-    end
-  in
   (* Extract the arrangement M' of this batch, per worker. *)
   let assigned = Array.make n_batch 0 in
   let per_worker = Array.make n_batch [] in
   for k = 0 to scratch.wt_len - 1 do
-    if link_flow scratch.wt_arc.(k) = 1 then begin
+    if Ltc_flow.Graph.flow g scratch.wt_arc.(k) = 1 then begin
       let bi = scratch.wt_bi.(k) in
       per_worker.(bi) <-
         (scratch.wt_task.(k), scratch.wt_score.(k)) :: per_worker.(bi);
       assigned.(bi) <- assigned.(bi) + 1
     end
   done;
-  (match scratch.backend with
-  | Incremental sol -> Ltc_flow.Solver.end_batch sol
-  | Sspa _ -> ());
   let arrangement = ref arrangement in
   Array.iteri
     (fun bi (w : Worker.t) ->
       List.iter
         (fun (task, score) ->
           Progress.record progress ~task ~score;
-          touch task;
           arrangement := Arrangement.add !arrangement ~worker:w.index ~task)
         (List.sort compare per_worker.(bi)))
     batch;
@@ -334,7 +229,6 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         List.iter
           (fun (score, task) ->
             Progress.record progress ~task ~score;
-            touch task;
             arrangement := Arrangement.add !arrangement ~worker:w.index ~task)
           (Ltc_util.Bounded_heap.pop_all heap)
       end)
@@ -346,7 +240,7 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
   !arrangement
 
 (* Shared batch loop: [batch_size ~first] gives each batch's width. *)
-let run_batches ~name ~batch_size ?(solver = `Sspa) ?budget instance =
+let run_batches ~name ~batch_size ?budget instance =
   Ltc_util.Trace.with_span ("engine:" ^ name) @@ fun () ->
   let n_tasks = Instance.task_count instance in
   let workers = instance.Instance.workers in
@@ -361,7 +255,7 @@ let run_batches ~name ~batch_size ?(solver = `Sspa) ?budget instance =
     in
     Ltc_util.Mem.Tracker.set_baseline_words tracker
       (Progress.memory_words progress);
-    let scratch = create_scratch ~name ~solver ~n_tasks in
+    let scratch = create_scratch ~name ~n_tasks in
     let arrangement = ref Arrangement.empty in
     let cursor = ref 0 in
     let first = ref true in
@@ -402,8 +296,7 @@ let run ?(config = default_config) instance =
     in
     max 1 (int_of_float (factor *. m))
   in
-  run_batches ~name ~batch_size ~solver:config.solver ?budget:config.budget
-    instance
+  run_batches ~name ~batch_size ?budget:config.budget instance
 
 let run_buffered ~buffer instance =
   if buffer < 1 then invalid_arg "Mcf_ltc.run_buffered: buffer must be >= 1";

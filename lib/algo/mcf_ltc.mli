@@ -7,10 +7,9 @@
     {v st -[cap K, cost 0]-> w -[cap 1, cost -Acc(w,t)^star]-> t
                                  -[cap ceil(delta - S[t]), cost 0]-> ed v}
 
-    solved by SSPA ({!Ltc_flow.Mcmf}) or, with [config.solver =
-    `Incremental], by an incremental {!Ltc_flow.Solver} session; leftover
-    worker capacity is then spent greedily on the highest-[Acc*]
-    unfinished tasks (Algorithm 1 lines 8-15).  A tie-break perturbation
+    solved by SSPA ({!Ltc_flow.Mcmf}); leftover worker capacity is then
+    spent greedily on the highest-[Acc*] unfinished tasks (Algorithm 1
+    lines 8-15).  A tie-break perturbation
     of [5e-8 * index / |W|] on the [w->t] arc costs prefers earlier
     workers among equally accurate ones — it can only lower the latency
     objective and pins down Example 2's answer (6).
@@ -28,21 +27,9 @@
 
 val name : string
 
-type solver =
-  [ `Sspa
-    (** build each batch's network afresh and solve it with
-        {!Ltc_flow.Mcmf.run}; the paper's solver and the default *)
-  | `Incremental
-    (** one {!Ltc_flow.Solver} session keeps the residual network and
-        potentials alive across batches and re-dimensions only the tasks
-        whose progress changed.  It routes the same min-cost flow, but may
-        break sub-epsilon cost ties differently, so on rare instances its
-        arrangement differs from [`Sspa]'s. *) ]
-
 type config = {
   first_batch_factor : float;  (** paper: 1.5 *)
   batch_factor : float;        (** paper: 1.0 *)
-  solver : solver;             (** the per-batch flow backend *)
   budget : Ltc_flow.Mcmf.budget option;
       (** Anytime cutoff handed to every batch solve.  [None] (default)
           solves each batch exactly.  When the budget fires, the partial

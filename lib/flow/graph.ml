@@ -27,55 +27,29 @@ let create ~n =
 let node_count t = t.n
 let arc_count t = t.len / 2
 
-let ensure_arc_slots t cap =
-  if cap > Array.length t.heads then begin
-    let extend a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 t.len;
-      b
-    in
-    t.heads <- extend t.heads 0;
-    t.tails <- extend t.tails 0;
-    t.caps <- extend t.caps 0;
-    t.next <- extend t.next (-1);
-    let costs = Array.make cap 0.0 in
-    Array.blit t.costs 0 costs 0 t.len;
-    t.costs <- costs
-  end
-
-let ensure_nodes t nodes =
-  if nodes > Array.length t.first then begin
-    let first = Array.make nodes (-1) in
-    Array.blit t.first 0 first 0 (Array.length t.first);
-    t.first <- first
-  end
-
-let grow t = ensure_arc_slots t (2 * Array.length t.heads)
-
-let reserve t ~nodes ~arcs =
-  if nodes < 0 || arcs < 0 then invalid_arg "Graph.reserve: negative size";
-  ensure_nodes t nodes;
-  ensure_arc_slots t (2 * arcs)
+(* Doubles the arc arrays, keeping the live prefix. *)
+let grow t =
+  let cap = 2 * Array.length t.heads in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.heads <- extend t.heads 0;
+  t.tails <- extend t.tails 0;
+  t.caps <- extend t.caps 0;
+  t.next <- extend t.next (-1);
+  let costs = Array.make cap 0.0 in
+  Array.blit t.costs 0 costs 0 t.len;
+  t.costs <- costs
 
 let clear t ~n =
   if n <= 0 then invalid_arg "Graph.clear: n must be positive";
   (* Only nodes < t.n can hold stale adjacency heads. *)
   Array.fill t.first 0 t.n (-1);
-  ensure_nodes t n;
+  if n > Array.length t.first then t.first <- Array.make n (-1);
   t.n <- n;
   t.len <- 0
-
-let grow_nodes t ~n =
-  if n <= 0 then invalid_arg "Graph.grow_nodes: n must be positive";
-  if n > t.n then begin
-    (* Callers grow one node at a time (incremental sessions), so over-
-       allocate geometrically — [ensure_nodes] sizes exactly. *)
-    if n > Array.length t.first then
-      ensure_nodes t (max n (2 * Array.length t.first));
-    t.n <- n
-  end
-
-let arc_slots t = t.len
 
 let append t ~src ~dst ~cap ~cost =
   if t.len = Array.length t.heads then grow t;
@@ -97,26 +71,8 @@ let add_arc t ~src ~dst ~cap ~cost =
   let (_ : arc) = append t ~src:dst ~dst:src ~cap:0 ~cost:(-.cost) in
   a
 
-let truncate t len =
-  if len < 0 || len > t.len || len land 1 = 1 then
-    invalid_arg "Graph.truncate: bad arc-slot checkpoint";
-  (* Arcs are appended LIFO per node, so the globally last arc is always
-     the head of its tail's adjacency chain: popping from the end restores
-     each chain to exactly its pre-append state. *)
-  for a = t.len - 1 downto len do
-    t.first.(t.tails.(a)) <- t.next.(a)
-  done;
-  t.len <- len
-
 let check_arc t a =
   if a < 0 || a >= t.len then invalid_arg "Graph: arc out of range"
-
-let set_capacity t a cap =
-  check_arc t a;
-  if a land 1 = 1 then invalid_arg "Graph.set_capacity: backward arc";
-  if cap < 0 then invalid_arg "Graph.set_capacity: negative capacity";
-  t.caps.(a) <- cap;
-  t.caps.(a lxor 1) <- 0
 
 let src t a =
   check_arc t a;

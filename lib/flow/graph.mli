@@ -24,38 +24,10 @@ val clear : t -> n:int -> unit
     arena.  Arc ids restart at 0.  Previously returned arc ids and {!raw}
     views are invalidated.  @raise Invalid_argument when [n <= 0]. *)
 
-val reserve : t -> nodes:int -> arcs:int -> unit
-(** Pre-sizes the arena for at least [nodes] nodes and [arcs] {e forward}
-    arcs (2 slots each), so subsequent {!add_arc}/{!clear} calls within
-    those bounds never reallocate.  Never shrinks.  Invalidates {!raw}
-    views.  @raise Invalid_argument on negative sizes. *)
-
-val grow_nodes : t -> n:int -> unit
-(** [grow_nodes t ~n] extends the node range to [0 .. n-1] {e without}
-    touching existing arcs (unlike {!clear}); new nodes start with empty
-    adjacency.  Never shrinks.  Invalidates {!raw} views.  The incremental
-    solver session uses this to stack transient per-batch worker nodes on
-    top of a persistent task plane.  @raise Invalid_argument when
-    [n <= 0]. *)
-
 val node_count : t -> int
 
 val arc_count : t -> int
 (** Number of {e forward} arcs added with {!add_arc}. *)
-
-val arc_slots : t -> int
-(** Number of arc {e slots} in use (2 per forward arc) — a checkpoint
-    token for {!truncate}. *)
-
-val truncate : t -> int -> unit
-(** [truncate t len] retracts every arc appended after the {!arc_slots}
-    checkpoint [len], restoring each touched node's adjacency chain to its
-    pre-append state (arcs are appended LIFO per node, so popping from the
-    end is exact).  Retracted arc ids become invalid; {!raw} views are
-    invalidated.  Any flow routed through a retracted arc pair is
-    discarded with it — push back first if the residual state of surviving
-    arcs must stay consistent.  @raise Invalid_argument when [len] is
-    negative, odd, or beyond the current slot count. *)
 
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:float -> arc
 (** Adds a forward arc and its zero-capacity reverse.  Returns the forward
@@ -77,14 +49,6 @@ val push : t -> arc -> int -> unit
 (** [push t a x] routes [x] more units through [a] (and removes them from its
     reverse).  @raise Invalid_argument when [x] exceeds the residual. *)
 
-val set_capacity : t -> arc -> int -> unit
-(** [set_capacity t a cap] re-dimensions forward arc [a] to capacity [cap]
-    and zeroes its reverse residual — i.e. discards any flow currently
-    routed through the pair and makes the arc fresh again.  The incremental
-    solver session uses this to re-capacitate persistent task->sink arcs
-    between batches.  @raise Invalid_argument on a backward (odd) arc id or
-    negative capacity. *)
-
 val iter_arcs_from : t -> int -> (arc -> unit) -> unit
 (** All arcs (forward and backward) leaving a node, most recent first. *)
 
@@ -94,7 +58,7 @@ val iter_forward_arcs : t -> (arc -> unit) -> unit
 val memory_words : t -> int
 (** Approximate heap footprint, for the memory panels of Figs. 3-4.
     Reports the {e reserved} arena (array capacities, which {!clear} keeps
-    and {!reserve} grows), not merely the live arc prefix — that is what
+    and {!add_arc} grows), not merely the live arc prefix — that is what
     the process actually holds when the graph is reused across batches. *)
 
 (** {2 Solver access}
@@ -103,9 +67,8 @@ val memory_words : t -> int
     ({!Mcmf}'s inner loops run millions of arc inspections; going through
     the checked accessors above costs ~4x).  Slots [0 .. r_len - 1] are
     valid; even slots are forward arcs, [a lxor 1] is the reverse of [a].
-    The view is invalidated by the next {!add_arc}, {!clear} or {!reserve}
-    (the arrays may be reallocated); capacities must only be mutated
-    through {!push}. *)
+    The view is invalidated by the next {!add_arc} or {!clear} (the arrays
+    may be reallocated); capacities must only be mutated through {!push}. *)
 
 type raw = private {
   r_heads : int array;  (** destination node per arc *)

@@ -51,11 +51,6 @@ type workspace = {
   mutable flag : Bytes.t;      (* settled by the current pass *)
   mutable epoch : int;
   heap : Node_heap.t;
-  (* Nodes stamped by the current Dijkstra pass, recorded only under
-     [`Keep] so the potential update can walk the touched set instead of
-     all n nodes — the part that makes incremental resolves sub-linear. *)
-  mutable touched : int array;
-  mutable n_touched : int;
 }
 
 let create_workspace ?(hint = 16) () =
@@ -68,43 +63,26 @@ let create_workspace ?(hint = 16) () =
     flag = Bytes.make hint '\000';
     epoch = 0;
     heap = Node_heap.create ~n:hint;
-    touched = Array.make hint 0;
-    n_touched = 0;
   }
 
 let workspace_capacity ws = Array.length ws.pot
 
+(* Grows the arrays to [n] nodes.  Nothing needs carrying over: Bellman-Ford
+   rewrites every potential a solve reads, and a fresh stamp of 0 is below
+   every epoch a pass will use, so grown labels read as unvisited. *)
 let ensure_workspace ws ~n =
   let old = Array.length ws.pot in
   if n > old then begin
     let cap = max n (2 * old) in
-    let pot = Array.make cap 0.0 in
-    Array.blit ws.pot 0 pot 0 old;
-    ws.pot <- pot;
-    let dist = Array.make cap infinity in
-    Array.blit ws.dist 0 dist 0 old;
-    ws.dist <- dist;
-    let pred = Array.make cap (-1) in
-    Array.blit ws.pred 0 pred 0 old;
-    ws.pred <- pred;
-    (* Fresh stamps are 0 and the epoch only grows from 0, so grown slots
-       can never masquerade as currently-valid labels. *)
-    let stamp = Array.make cap 0 in
-    Array.blit ws.stamp 0 stamp 0 old;
-    ws.stamp <- stamp;
-    let flag = Bytes.make cap '\000' in
-    Bytes.blit ws.flag 0 flag 0 old;
-    ws.flag <- flag;
-    (* The touched list is reset per pass; stale contents never survive. *)
-    ws.touched <- Array.make cap 0;
+    ws.pot <- Array.make cap 0.0;
+    ws.dist <- Array.make cap infinity;
+    ws.pred <- Array.make cap (-1);
+    ws.stamp <- Array.make cap 0;
+    ws.flag <- Bytes.make cap '\000';
     Node_heap.ensure_capacity ws.heap ~n:cap
   end
 
-let borrow_potentials ws = ws.pot
-
-(* ---------------------------------------------------- potential initialisers *)
-
-type potential_init = [ `Bellman_ford | `Keep ]
+(* ------------------------------------------------- potential initialiser *)
 
 (* Bellman-Ford over residual arcs; fills [pot] with shortest-path distances
    from [source] (unreachable nodes keep 0, which is safe: they can only be
@@ -144,8 +122,7 @@ let bellman_ford (raw : Graph.raw) ~n ~source pot =
 
 (* --------------------------------------------------------------------- run *)
 
-let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
-    ~source ~sink =
+let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
   let n = Graph.node_count g in
   if source < 0 || source >= n || sink < 0 || sink >= n then
     invalid_arg "Mcmf.run: node out of range";
@@ -168,20 +145,8 @@ let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
   and pred = ws.pred
   and stamp = ws.stamp
   and settled = ws.flag
-  and touched = ws.touched
   and heap = ws.heap in
-  (match init with
-  | `Bellman_ford -> bellman_ford raw ~n ~source pot
-  | `Keep -> ());
-  (* [`Keep] doubles as the incremental-resolve mode: potentials are
-     trusted as-is {e and} the per-round potential update walks only the
-     nodes this pass touched.  That sparse update differs from the dense
-     one by a uniform [-d_sink] shift across all nodes (untouched nodes
-     advance by [d_sink] in the dense form, by [0] here), and uniform
-     shifts leave every reduced cost — and the [path_cost] difference
-     below — unchanged, so flows and costs agree with the dense update in
-     exact arithmetic. *)
-  let sparse = init = `Keep in
+  bellman_ford raw ~n ~source pot;
   (* Dijkstra on reduced costs, stopping as soon as the sink settles.
      Labels are valid only where [stamp.(v)] equals this pass's epoch —
      unstamped nodes read as dist = infinity, unsettled, which replaces the
@@ -195,10 +160,6 @@ let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
     Array.unsafe_set dist source 0.0;
     Array.unsafe_set stamp source ep;
     Bytes.unsafe_set settled source '\000';
-    if sparse then begin
-      Array.unsafe_set touched 0 source;
-      ws.n_touched <- 1
-    end;
     Node_heap.push_or_decrease heap source 0.0;
     let reached_sink = ref false in
     let continue = ref true in
@@ -238,11 +199,7 @@ let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
                   Array.unsafe_set pred v arc;
                   if not stamped then begin
                     Array.unsafe_set stamp v ep;
-                    Bytes.unsafe_set settled v '\000';
-                    if sparse then begin
-                      Array.unsafe_set touched ws.n_touched v;
-                      ws.n_touched <- ws.n_touched + 1
-                    end
+                    Bytes.unsafe_set settled v '\000'
                   end;
                   Node_heap.push_or_decrease heap v nd
                 end
@@ -294,25 +251,15 @@ let run ?(max_flow = max_int) ?workspace ?(init = `Bellman_ford) ?budget g
     let path_cost = dist.(sink) +. pot.(sink) -. pot.(source) in
     incr rounds;
     (* Early-exit potential update: unsettled nodes advance by the sink
-       distance, settled ones by their own distance.  In sparse mode the
-       same update is applied modulo a uniform [-d_sink] shift, visiting
-       only touched nodes (untouched ones advance by 0 instead of
-       [d_sink]); reduced costs are identical either way. *)
+       distance, settled ones by their own distance. *)
     let d_sink = dist.(sink) in
-    if sparse then
-      for k = 0 to ws.n_touched - 1 do
-        let v = Array.unsafe_get touched k in
-        let dv = Array.unsafe_get dist v in
-        if dv < d_sink then pot.(v) <- pot.(v) +. (dv -. d_sink)
-      done
-    else
-      for v = 0 to n - 1 do
-        let dv =
-          if Array.unsafe_get stamp v = ep then Array.unsafe_get dist v
-          else infinity
-        in
-        pot.(v) <- pot.(v) +. Float.min dv d_sink
-      done;
+    for v = 0 to n - 1 do
+      let dv =
+        if Array.unsafe_get stamp v = ep then Array.unsafe_get dist v
+        else infinity
+      in
+      pot.(v) <- pot.(v) +. Float.min dv d_sink
+    done;
     (* Bottleneck along the predecessor chain. *)
     let rec bottleneck v acc =
       if v = source then acc

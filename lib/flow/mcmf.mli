@@ -61,43 +61,11 @@ val create_workspace : ?hint:int -> unit -> workspace
 val workspace_capacity : workspace -> int
 (** Current node capacity of the workspace arrays. *)
 
-val borrow_potentials : workspace -> float array
-(** The workspace's {e live} node-potential array — a borrow, not a copy.
-    After {!run} returns, entries [0 .. node_count - 1] hold the final
-    potentials of that solve, which the next solve may keep alive via
-    [`Keep].  The borrow is invalidated by the next solve: the array is
-    overwritten, and {e replaced entirely} when the workspace grows — a
-    caller holding the old array would then silently read stale values.
-    Read what you need before solving again. *)
-
-(** {2 Potential initialisation} *)
-
-type potential_init =
-  [ `Bellman_ford
-    (** Iterated relaxation over all residual arcs; correct on any input
-        without negative cycles.  The default.  On a layered LTC batch
-        network (source -> workers -> tasks -> sink, arcs added in that
-        order) the first sweep already reaches the fixpoint and the
-        second only verifies it. *)
-  | `Keep
-    (** Trust the workspace potentials exactly as the caller maintained
-        them — no initialisation, no validation scan.  This is the
-        incremental-resolve mode ({!Solver}'s session protocol): the
-        caller keeps the residual network and potentials alive across
-        solves and repairs reduced-cost feasibility itself when inserting
-        arcs.  [`Keep] also switches the per-round potential update to a
-        sparse walk of the nodes the shortest-path pass touched (the dense
-        update is O(V) per round and would defeat sub-linear resolves);
-        the sparse form differs from the dense one only by a uniform
-        per-round shift, which no reduced cost or path cost can observe.
-        {b Precondition}: every residual arc has non-negative reduced cost
-        (within epsilon) under the current workspace potentials; violating
-        it silently loses the min-cost guarantee. *) ]
+(** {2 Solving} *)
 
 val run :
   ?max_flow:int ->
   ?workspace:workspace ->
-  ?init:potential_init ->
   ?budget:budget ->
   Graph.t ->
   source:int ->
@@ -110,20 +78,9 @@ val run :
     [max_flow] caps the total units routed.
 
     [workspace] supplies the per-solve scratch; without it a fresh one is
-    allocated for this call.  [init] selects the potential initialiser
-    (default [`Bellman_ford]); see {!potential_init}.  [budget] bounds the
-    search ({!budget}); when it fires, the result carries
-    [exhausted = true] and the routed units are a minimum-cost flow of
-    their own value.
+    allocated for this call.  [budget] bounds the search ({!budget}); when
+    it fires, the result carries [exhausted = true] and the routed units
+    are a minimum-cost flow of their own value.
 
     @raise Invalid_argument when [source = sink], nodes are out of range,
     or the budget is negative. *)
-
-(**/**)
-
-(* Grows the workspace arrays to [n] nodes; {!Solver}'s session calls it
-   before writing potentials of nodes it adds.  Not part of the public
-   API. *)
-val ensure_workspace : workspace -> n:int -> unit
-
-(**/**)

@@ -88,8 +88,15 @@ let check_factor fn factor =
   if not (factor > 0.0 && factor < infinity) then
     invalid_arg (fn ^ ": factor must be finite and > 0")
 
+(* A count below 1 would otherwise be clamped to one task or worker. *)
+let check_count fn field n =
+  if n < 1 then
+    invalid_arg (Printf.sprintf "%s: %s must be >= 1 (got %d)" fn field n)
+
 let scale_synthetic factor spec =
   check_factor "Spec.scale_synthetic" factor;
+  check_count "Spec.scale_synthetic" "n_tasks" spec.n_tasks;
+  check_count "Spec.scale_synthetic" "n_workers" spec.n_workers;
   {
     spec with
     n_tasks = scale_count factor spec.n_tasks;
@@ -99,6 +106,8 @@ let scale_synthetic factor spec =
 
 let scale_city factor spec =
   check_factor "Spec.scale_city" factor;
+  check_count "Spec.scale_city" "c_n_tasks" spec.c_n_tasks;
+  check_count "Spec.scale_city" "c_n_workers" spec.c_n_workers;
   {
     spec with
     c_n_tasks = scale_count factor spec.c_n_tasks;

@@ -64,13 +64,16 @@ val tokyo : city
 val scale_synthetic : float -> synthetic -> synthetic
 (** Shrink (or grow) a synthetic spec by a factor while preserving task and
     worker {e densities}: cardinalities scale linearly, the world side by
-    [sqrt factor].  Identity at factor 1.
-    @raise Invalid_argument unless [factor] is finite and > 0. *)
+    [sqrt factor].  Identity at factor 1.  A scaled count is rounded and
+    kept at least 1.
+    @raise Invalid_argument unless [factor] is finite and > 0, or when
+    [n_tasks] or [n_workers] is below 1. *)
 
 val scale_city : float -> city -> city
 (** Same density-preserving scaling for city specs (cluster count scales
     linearly too).
-    @raise Invalid_argument unless [factor] is finite and > 0. *)
+    @raise Invalid_argument unless [factor] is finite and > 0, or when
+    [c_n_tasks] or [c_n_workers] is below 1. *)
 
 val pp_synthetic : Format.formatter -> synthetic -> unit
 val pp_city : Format.formatter -> city -> unit

@@ -274,7 +274,23 @@ let test_mcnaughton () =
     (Bounds.mcnaughton ~n_tasks:4 ~delta:3.0 ~k:2 ~r:1.0);
   (* 1 task, delta 3, K=8: the per-task chain dominates. *)
   Alcotest.(check int) "per-task bound" 3
-    (Bounds.mcnaughton ~n_tasks:1 ~delta:3.0 ~k:8 ~r:1.0)
+    (Bounds.mcnaughton ~n_tasks:1 ~delta:3.0 ~k:8 ~r:1.0);
+  (* No capacity or no task: every bound refuses instead of dividing by
+     zero or turning negative. *)
+  List.iter
+    (fun (n_tasks, k, field) ->
+      let refuse name f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s |T|=%d K=%d" name n_tasks k)
+          (Invalid_argument
+             (Printf.sprintf "Bounds.%s: %s must be >= 1" name field))
+          (fun () -> ignore (f ()))
+      in
+      refuse "lower" (fun () -> Bounds.lower ~n_tasks ~delta:3.0 ~k);
+      refuse "upper" (fun () -> Bounds.upper ~n_tasks ~delta:3.0 ~k);
+      refuse "mcnaughton" (fun () ->
+          float_of_int (Bounds.mcnaughton ~n_tasks ~delta:3.0 ~k ~r:1.0)))
+    [ (4, 0, "k"); (4, -2, "k"); (0, 6, "n_tasks"); (-5, 6, "n_tasks") ]
 
 let test_bounds_order () =
   let i = Fixtures.small_random ~seed:5 () in
@@ -321,41 +337,13 @@ let test_mcf_batch_config () =
              { Mcf_ltc.default_config with first_batch_factor = 0.0 }
            i))
 
-let test_mcf_solver_backends () =
-  (* Both flow backends must yield the same arrangement quality: same
-     latency, same assignment count, valid and complete.  The incremental
-     session additionally exercises the cross-batch residual-reuse path
-     end to end. *)
-  List.iter
-    (fun seed ->
-      let i = Fixtures.small_random ~seed () in
-      let run solver =
-        Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver } i
-      in
-      let base = run `Sspa in
-      Alcotest.(check int) "sspa telemetry clean" 0
-        base.Engine.telemetry.Engine.degraded;
-      let o = run `Incremental in
-      (match Arrangement.validate i o.Engine.arrangement with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "incremental produced an invalid arrangement");
-      Alcotest.(check bool) "incremental completes" true o.Engine.completed;
-      Alcotest.(check int)
-        (Printf.sprintf "incremental latency (seed %d)" seed)
-        base.Engine.latency o.Engine.latency;
-      Alcotest.(check int)
-        (Printf.sprintf "incremental assignments (seed %d)" seed)
-        (Arrangement.size base.Engine.arrangement)
-        (Arrangement.size o.Engine.arrangement))
-    [ 8; 21 ]
-
 (* Exact arrangements, not only their latency: an MD5 of every
    (worker, task) pair in [Arrangement.to_list] order, on two fixtures and
-   batch-mcf's first seed-1 instance (300 tasks, 4000 workers).  Both
-   backends land on the same arrangement on all three.  The digests were
+   batch-mcf's first seed-1 instance (300 tasks, 4000 workers), for
+   Theorem-2 batches and for buffered runs.  The Theorem-2 digests were
    recorded before the flow layer lost SPFA, its single-sweep DAG
-   initialiser and the string solver registry; that change kept every
-   decision where it was. *)
+   initialiser and the string solver registry; the buffered ones before it
+   lost the incremental session.  Neither change moved a decision. *)
 let test_mcf_arrangement_pins () =
   let digest (o : Engine.outcome) =
     let b = Buffer.create 4096 in
@@ -370,19 +358,24 @@ let test_mcf_arrangement_pins () =
       (Ltc_workload.Spec.scale_synthetic 0.1
          Ltc_workload.Spec.default_synthetic)
   in
+  let seed_95 = Fixtures.small_random ~seed:95 () in
+  let buffered buffer i = Mcf_ltc.run_buffered ~buffer i in
   List.iter
-    (fun (label, i, want) ->
-      List.iter
-        (fun (solver, name) ->
-          let o = Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver } i in
-          Alcotest.(check string) (label ^ " " ^ name) want (digest o))
-        [ (`Sspa, "sspa"); (`Incremental, "incremental") ])
+    (fun (label, o, want) -> Alcotest.(check string) label want (digest o))
     [
-      ( "seed 8", Fixtures.small_random ~seed:8 (),
+      ( "seed 8", Mcf_ltc.run (Fixtures.small_random ~seed:8 ()),
         "b79c485d1d50266cfb4ed15b917fb11b" );
-      ( "seed 21", Fixtures.small_random ~seed:21 (),
+      ( "seed 21", Mcf_ltc.run (Fixtures.small_random ~seed:21 ()),
         "dc965cf88bcd88072e2c53c99b5f6291" );
-      ("batch-mcf", batch_mcf, "391e76267ab8d24339628d5cfd4e39b5");
+      ("batch-mcf", Mcf_ltc.run batch_mcf, "391e76267ab8d24339628d5cfd4e39b5");
+      ( "seed 95 buffer 1", buffered 1 seed_95,
+        "b7bdf00a2f56424be78d8fd265fc3cdc" );
+      ( "seed 95 buffer 7", buffered 7 seed_95,
+        "b0c3b4f7f72860151f4ad9783c53f8c1" );
+      ( "seed 95 buffer 40", buffered 40 seed_95,
+        "1dcac5b5d3e724b05d77507c7e4d9230" );
+      ( "batch-mcf buffer 8", buffered 8 batch_mcf,
+        "400cb463c6eff97b5aa97b88a1e7a8db" );
     ]
 
 (* Every online decision stream pinned by digest: the arrangement in
@@ -523,12 +516,12 @@ let test_decision_pins () =
 
 let test_mcf_anytime_budget () =
   let i = Fixtures.small_random ~seed:9 () in
-  let run ?budget solver =
-    Mcf_ltc.run ~config:{ Mcf_ltc.default_config with solver; budget } i
+  let run ?budget () =
+    Mcf_ltc.run ~config:{ Mcf_ltc.default_config with budget } i
   in
-  let exact = run `Sspa in
+  let exact = run () in
   (* A budget that can never fire changes nothing and reports clean. *)
-  let lavish = run ~budget:(Ltc_flow.Mcmf.Rounds max_int) `Sspa in
+  let lavish = run ~budget:(Ltc_flow.Mcmf.Rounds max_int) () in
   Alcotest.(check int) "lavish budget = exact latency" exact.Engine.latency
     lavish.Engine.latency;
   Alcotest.(check int) "lavish budget never degrades" 0
@@ -536,21 +529,14 @@ let test_mcf_anytime_budget () =
   (* A zero budget starves every batch solve; the greedy completion must
      still produce a feasible, complete arrangement, and every batch is
      counted as degraded. *)
-  List.iter
-    (fun (solver, name) ->
-      let o = run ~budget:(Ltc_flow.Mcmf.Rounds 0) solver in
-      (match Arrangement.validate i o.Engine.arrangement with
-      | Ok () -> ()
-      | Error _ ->
-        Alcotest.failf "%s starved arrangement invalid" name);
-      Alcotest.(check bool)
-        (name ^ " greedy completion still completes")
-        true o.Engine.completed;
-      Alcotest.(check bool)
-        (name ^ " degraded batches counted")
-        true
-        (o.Engine.telemetry.Engine.degraded > 0))
-    [ (`Sspa, "sspa"); (`Incremental, "incremental") ]
+  let o = run ~budget:(Ltc_flow.Mcmf.Rounds 0) () in
+  (match Arrangement.validate i o.Engine.arrangement with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "starved arrangement invalid");
+  Alcotest.(check bool) "greedy completion still completes" true
+    o.Engine.completed;
+  Alcotest.(check bool) "degraded batches counted" true
+    (o.Engine.telemetry.Engine.degraded > 0)
 
 let test_mcf_empty_instance () =
   let i =
@@ -1231,8 +1217,6 @@ let suite =
         Alcotest.test_case "Random baseline seed-sensitive" `Quick
           test_random_seed_changes_runs;
         Alcotest.test_case "MCF batch config" `Quick test_mcf_batch_config;
-        Alcotest.test_case "MCF solver backends agree" `Quick
-          test_mcf_solver_backends;
         Alcotest.test_case "MCF arrangement pins" `Quick
           test_mcf_arrangement_pins;
         Alcotest.test_case "online decision pins" `Quick test_decision_pins;

@@ -411,24 +411,6 @@ let test_graph_clear_reuse () =
     (Invalid_argument "Graph.clear: n must be positive") (fun () ->
       Graph.clear g ~n:0)
 
-let test_graph_reserve () =
-  let g = Graph.create ~n:2 in
-  let before = Graph.memory_words g in
-  Graph.reserve g ~nodes:64 ~arcs:100;
-  let after = Graph.memory_words g in
-  Alcotest.(check bool) "memory_words reports the reservation" true
-    (after > before);
-  Graph.clear g ~n:64;
-  let words = Graph.memory_words g in
-  for i = 0 to 99 do
-    ignore (Graph.add_arc g ~src:(i mod 63) ~dst:63 ~cap:1 ~cost:0.0)
-  done;
-  Alcotest.(check int) "no growth within the reservation" words
-    (Graph.memory_words g);
-  Alcotest.check_raises "negative size"
-    (Invalid_argument "Graph.reserve: negative size") (fun () ->
-      Graph.reserve g ~nodes:(-1) ~arcs:0)
-
 let test_node_heap_grow () =
   let h = Node_heap.create ~n:2 in
   Node_heap.push_or_decrease h 1 3.0;
@@ -475,54 +457,7 @@ let prop_workspace_reuse_exact =
       && r1.Mcmf.cost = r2.Mcmf.cost
       && r1.Mcmf.rounds = r2.Mcmf.rounds)
 
-(* ---------------------------------------------------------------- Solver *)
-
-let test_graph_truncate () =
-  let g = Graph.create ~n:4 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~cap:2 ~cost:0.5 in
-  let mark = Graph.arc_slots g in
-  let b = Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:0.0 in
-  let c = Graph.add_arc g ~src:1 ~dst:3 ~cap:1 ~cost:0.0 in
-  Graph.push g a 1;
-  Graph.push g b 1;
-  Alcotest.(check int) "arcs before" 3 (Graph.arc_count g);
-  Graph.truncate g mark;
-  Alcotest.(check int) "arcs after" 1 (Graph.arc_count g);
-  Alcotest.(check int) "persistent flow survives" 1 (Graph.flow g a);
-  let seen = ref [] in
-  Graph.iter_arcs_from g 1 (fun arc -> seen := arc :: !seen);
-  (* Only [a]'s backward slot remains in node 1's chain; the retracted
-     forward arcs [b]/[c] are gone. *)
-  Alcotest.(check (list int)) "adjacency restored" [ a lxor 1 ] !seen;
-  (* Re-appending reuses the retracted slots with fresh state. *)
-  let b' = Graph.add_arc g ~src:1 ~dst:2 ~cap:3 ~cost:0.0 in
-  Alcotest.(check int) "slot reused" b b';
-  Alcotest.(check int) "fresh flow" 0 (Graph.flow g b');
-  Alcotest.(check int) "fresh residual" 3 (Graph.residual g b');
-  ignore c;
-  Alcotest.check_raises "odd checkpoint"
-    (Invalid_argument "Graph.truncate: bad arc-slot checkpoint") (fun () ->
-      Graph.truncate g 1);
-  Alcotest.check_raises "checkpoint past end"
-    (Invalid_argument "Graph.truncate: bad arc-slot checkpoint") (fun () ->
-      Graph.truncate g (Graph.arc_slots g + 2))
-
-let test_graph_set_capacity () =
-  let g = Graph.create ~n:2 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~cap:3 ~cost:0.0 in
-  Graph.push g a 2;
-  Alcotest.(check int) "flow routed" 2 (Graph.flow g a);
-  Graph.set_capacity g a 5;
-  Alcotest.(check int) "residual re-dimensioned" 5 (Graph.residual g a);
-  Alcotest.(check int) "flow discarded" 0 (Graph.flow g a);
-  Graph.set_capacity g a 0;
-  Alcotest.(check int) "retired" 0 (Graph.residual g a);
-  Alcotest.check_raises "backward arc"
-    (Invalid_argument "Graph.set_capacity: backward arc") (fun () ->
-      Graph.set_capacity g (a lxor 1) 1);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Graph.set_capacity: negative capacity") (fun () ->
-      Graph.set_capacity g a (-1))
+(* --------------------------------------------------------------- Anytime *)
 
 let test_budget_validation () =
   let g = Graph.create ~n:2 in
@@ -585,136 +520,6 @@ let prop_anytime_prefix_optimal =
       budgeted.Mcmf.flow = prefix.Mcmf.flow
       && budgeted.Mcmf.cost = prefix.Mcmf.cost)
 
-let test_solver_session_discipline () =
-  let s = Solver.create () in
-  Alcotest.check_raises "add_worker needs an open batch"
-    (Invalid_argument "Solver.add_worker: no open batch") (fun () ->
-      ignore (Solver.add_worker s ~cap:1));
-  Alcotest.check_raises "end_batch needs an open batch"
-    (Invalid_argument "Solver.end_batch: no open batch") (fun () ->
-      Solver.end_batch s);
-  Solver.set_unit s ~unit_id:0 ~cap:1;
-  Solver.begin_batch s;
-  Alcotest.check_raises "set_unit locked while open"
-    (Invalid_argument "Solver.set_unit: batch in progress") (fun () ->
-      Solver.set_unit s ~unit_id:1 ~cap:1);
-  Alcotest.check_raises "no nested batches"
-    (Invalid_argument "Solver.begin_batch: batch already open") (fun () ->
-      Solver.begin_batch s);
-  let w = Solver.add_worker s ~cap:1 in
-  Alcotest.check_raises "links need declared units"
-    (Invalid_argument "Solver.add_link: undeclared unit") (fun () ->
-      ignore (Solver.add_link s ~worker:w ~unit_id:7 ~cost:0.0));
-  let link = Solver.add_link s ~worker:w ~unit_id:0 ~cost:(-0.5) in
-  Alcotest.check_raises "flows only after resolve"
-    (Invalid_argument "Solver.link_flow: resolve first") (fun () ->
-      ignore (Solver.link_flow s link));
-  let r = Solver.resolve s () in
-  Alcotest.(check int) "unit routed" 1 r.Mcmf.flow;
-  check_float "link cost" (-0.5) r.Mcmf.cost;
-  Alcotest.(check int) "link carries the unit" 1 (Solver.link_flow s link);
-  Solver.end_batch s;
-  Alcotest.(check bool) "session owns persistent state" true
-    (Solver.memory_words s > 0)
-
-(* The tentpole cross-check: a long-lived incremental session, fed randomized
-   batches of worker arrivals and task completions, must match a from-scratch
-   SSPA solve of every intermediate state.  The scratch mirror rebuilds the
-   bipartite network from the tracked remaining capacities each batch; the
-   session only hears about the delta (new workers, units whose demand
-   changed).  Flow must agree exactly, cost within float tolerance. *)
-let incremental_scenario_gen =
-  QCheck2.Gen.(
-    let* n_units = int_range 1 4 in
-    let* unit_caps = array_size (return n_units) (int_range 1 3) in
-    let* batches =
-      list_size (int_range 1 5)
-        (let* n_w = int_range 1 3 in
-         let* wcaps = array_size (return n_w) (int_range 1 2) in
-         let* links =
-           array_size (return n_w)
-             (array_size (return n_units)
-                (pair bool (float_range (-1.0) 0.0)))
-         in
-         (* External completions applied after the batch: tasks answered
-            outside this solver's assignments. *)
-         let* completions = array_size (return n_units) bool in
-         return (wcaps, links, completions))
-    in
-    return (unit_caps, batches))
-
-let prop_incremental_matches_scratch =
-  QCheck2.Test.make
-    ~name:"incremental session = from-scratch SSPA on every delta" ~count:300
-    incremental_scenario_gen (fun (unit_caps, batches) ->
-      let n_units = Array.length unit_caps in
-      let sol = Solver.create () in
-      let rem = Array.copy unit_caps in
-      Array.iteri (fun u cap -> Solver.set_unit sol ~unit_id:u ~cap) rem;
-      List.for_all
-        (fun (wcaps, links, completions) ->
-          let n_w = Array.length wcaps in
-          (* From-scratch mirror of the current remaining demand. *)
-          let n = 2 + n_w + n_units in
-          let g = Graph.create ~n in
-          let src = 0 and snk = n - 1 in
-          Array.iteri
-            (fun i cap ->
-              ignore (Graph.add_arc g ~src ~dst:(1 + i) ~cap ~cost:0.0))
-            wcaps;
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun u (present, cost) ->
-                  if present then
-                    ignore
-                      (Graph.add_arc g ~src:(1 + i) ~dst:(1 + n_w + u) ~cap:1
-                         ~cost))
-                row)
-            links;
-          Array.iteri
-            (fun u cap ->
-              ignore
-                (Graph.add_arc g ~src:(1 + n_w + u) ~dst:snk ~cap ~cost:0.0))
-            rem;
-          let rs = Mcmf.run g ~source:src ~sink:snk in
-          (* The same batch against the live session. *)
-          Solver.begin_batch sol;
-          Array.iteri
-            (fun i cap -> ignore (Solver.add_worker sol ~cap : int); ignore i)
-            wcaps;
-          let batch_links = ref [] in
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun u (present, cost) ->
-                  if present then
-                    batch_links :=
-                      (u, Solver.add_link sol ~worker:i ~unit_id:u ~cost)
-                      :: !batch_links)
-                row)
-            links;
-          let ri = Solver.resolve sol () in
-          let routed = Array.make n_units 0 in
-          List.iter
-            (fun (u, link) ->
-              routed.(u) <- routed.(u) + Solver.link_flow sol link)
-            !batch_links;
-          Solver.end_batch sol;
-          (* Sync the delta: units that received flow, then external
-             completions — exactly the caller obligation MCF-LTC honours. *)
-          for u = 0 to n_units - 1 do
-            let before = rem.(u) in
-            rem.(u) <- rem.(u) - routed.(u);
-            if completions.(u) && rem.(u) > 0 then rem.(u) <- rem.(u) - 1;
-            if rem.(u) <> before || routed.(u) > 0 then
-              Solver.set_unit sol ~unit_id:u ~cap:rem.(u)
-          done;
-          ri.Mcmf.flow = rs.Mcmf.flow
-          && Float.abs (ri.Mcmf.cost -. rs.Mcmf.cost) < 1e-6
-          && (not ri.Mcmf.exhausted))
-        batches)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -762,7 +567,6 @@ let suite =
     ( "flow.reuse",
       [
         Alcotest.test_case "graph clear" `Quick test_graph_clear_reuse;
-        Alcotest.test_case "graph reserve" `Quick test_graph_reserve;
         Alcotest.test_case "node heap growth" `Quick test_node_heap_grow;
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
         qcheck prop_workspace_reuse_exact;
@@ -772,13 +576,5 @@ let suite =
         Alcotest.test_case "budget validation" `Quick test_budget_validation;
         Alcotest.test_case "round budgets" `Quick test_budget_rounds;
         qcheck prop_anytime_prefix_optimal;
-      ] );
-    ( "flow.solver",
-      [
-        Alcotest.test_case "graph truncate" `Quick test_graph_truncate;
-        Alcotest.test_case "graph set_capacity" `Quick test_graph_set_capacity;
-        Alcotest.test_case "session discipline" `Quick
-          test_solver_session_discipline;
-        qcheck prop_incremental_matches_scratch;
       ] );
   ]

@@ -51,7 +51,23 @@ let test_scaling_invalid () =
       Alcotest.check_raises (label ^ " city")
         (Invalid_argument "Spec.scale_city: factor must be finite and > 0")
         (fun () -> ignore (Spec.scale_city factor Spec.new_york)))
-    [ ("zero", 0.0); ("negative", -1.0); ("nan", nan); ("inf", infinity) ]
+    [ ("zero", 0.0); ("negative", -1.0); ("nan", nan); ("inf", infinity) ];
+  (* Counts below 1 are refused, not clamped to one task or worker. *)
+  let refuses msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  refuses "Spec.scale_synthetic: n_tasks must be >= 1 (got -3)" (fun () ->
+      Spec.scale_synthetic 1.0 { Spec.default_synthetic with n_tasks = -3 });
+  refuses "Spec.scale_synthetic: n_workers must be >= 1 (got 0)" (fun () ->
+      Spec.scale_synthetic 0.1 { Spec.default_synthetic with n_workers = 0 });
+  refuses "Spec.scale_city: c_n_tasks must be >= 1 (got 0)" (fun () ->
+      Spec.scale_city 1.0 { Spec.tokyo with c_n_tasks = 0 });
+  refuses "Spec.scale_city: c_n_workers must be >= 1 (got -2)" (fun () ->
+      Spec.scale_city 0.01 { Spec.tokyo with c_n_workers = -2 });
+  (* A count of 1 still scales, and a tiny factor still keeps one. *)
+  Alcotest.(check int) "one task kept" 1
+    (Spec.scale_synthetic 0.001 { Spec.default_synthetic with n_tasks = 1 })
+      .Spec.n_tasks
 
 (* -------------------------------------------------------------- Synthetic *)
 
