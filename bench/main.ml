@@ -564,6 +564,10 @@ let main ids scale reps seed jobs full list csv plot verbose metrics
     Printf.eprintf "--jobs must be at least 1 (got %d)\n" jobs;
     1
   end
+  else if reps < 1 then begin
+    Printf.eprintf "--reps must be at least 1 (got %d)\n" reps;
+    1
+  end
   else
   match scale with
   | Some s when not (s > 0.0 && s < infinity) ->

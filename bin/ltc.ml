@@ -384,6 +384,10 @@ let sweep_cmd_impl id scale reps seed jobs csv plot log_levels metrics
     Format.eprintf "--jobs must be at least 1 (got %d)@." jobs;
     1
   end
+  else if reps < 1 then begin
+    Format.eprintf "--reps must be at least 1 (got %d)@." reps;
+    1
+  end
   else
   match (Ltc_experiments.Figures.find id, scale) with
   | _, Some s when not (s > 0.0 && s < infinity) ->
@@ -484,7 +488,9 @@ let bounds_cmd =
 
 (* ---------------------------------------------------------- infer command *)
 
-(* Answer files: one observation per line, `worker task Y|N`, '#' comments. *)
+(* Answer files: one observation per line, `worker task Y|N`, '#' comments.
+   Workers are numbered from 1 and tasks from 0.  Every line is checked
+   before anything is printed, and a file with no observation is refused. *)
 let read_observations path =
   let ic = open_in path in
   Fun.protect
@@ -492,6 +498,14 @@ let read_observations path =
     (fun () ->
       let observations = ref [] in
       let line_no = ref 0 in
+      let bad what field =
+        failwith (Printf.sprintf "line %d: bad %s %S" !line_no what field)
+      in
+      let index what ~min field =
+        match int_of_string_opt field with
+        | Some i when i >= min -> i
+        | _ -> bad what field
+      in
       (try
          while true do
            let line = input_line ic in
@@ -507,24 +521,21 @@ let read_observations path =
            with
            | [] -> ()
            | [ worker; task; answer ] ->
+             let worker = index "worker" ~min:1 worker in
+             let task = index "task" ~min:0 task in
              let answer =
                match String.uppercase_ascii answer with
                | "Y" | "YES" | "+1" -> Ltc_core.Task.Yes
                | "N" | "NO" | "-1" -> Ltc_core.Task.No
-               | other ->
-                 failwith
-                   (Printf.sprintf "line %d: bad answer %S" !line_no other)
+               | other -> bad "answer" other
              in
              observations :=
-               {
-                 Ltc_core.Truth_infer.worker = int_of_string worker;
-                 task = int_of_string task;
-                 answer;
-               }
-               :: !observations
+               { Ltc_core.Truth_infer.worker; task; answer } :: !observations
            | _ -> failwith (Printf.sprintf "line %d: expected 3 fields" !line_no)
          done
        with End_of_file -> ());
+      if !observations = [] then
+        failwith (Printf.sprintf "%s: no observations" path);
       List.rev !observations)
 
 let infer_cmd =

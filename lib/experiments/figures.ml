@@ -385,101 +385,6 @@ let ablation_approx =
         ]);
   }
 
-let ablation_index =
-  {
-    id = "ablation-index";
-    panels = "substrate ablation (candidate lookup)";
-    description =
-      "candidate-task lookup: uniform grid vs kd-tree vs linear scan";
-    default_scale = 1.0;
-    run =
-      (fun ~jobs ~scale ~reps ~seed ->
-        (* The measurement IS wall-clock time per index structure; running
-           the structures concurrently would skew the very numbers the
-           table reports, so this entry stays sequential. *)
-        ignore jobs;
-        ignore reps;
-        let queries = 20_000 in
-        let radius = Spec.default_synthetic.Spec.dmax in
-        let side = Spec.default_synthetic.Spec.world_side in
-        let rows =
-          List.map
-            (fun n_tasks_paper ->
-              let n_tasks =
-                max 10
-                  (int_of_float (scale *. float_of_int n_tasks_paper))
-              in
-              let rng = Ltc_util.Rng.create ~seed in
-              let points =
-                Array.init n_tasks (fun _ ->
-                    Ltc_geo.Point.make
-                      ~x:(Ltc_util.Rng.float rng side)
-                      ~y:(Ltc_util.Rng.float rng side))
-              in
-              let centers =
-                Array.init queries (fun _ ->
-                    Ltc_geo.Point.make
-                      ~x:(Ltc_util.Rng.float rng side)
-                      ~y:(Ltc_util.Rng.float rng side))
-              in
-              let count = ref 0 in
-              let time_structure build query =
-                let s, build_t = Ltc_util.Timer.time build in
-                let (), query_t =
-                  Ltc_util.Timer.time (fun () ->
-                      Array.iter (fun c -> query s c) centers)
-                in
-                build_t +. query_t
-              in
-              let grid_t =
-                time_structure
-                  (fun () ->
-                    Ltc_geo.Grid_index.build
-                      ~world:(Ltc_geo.Bbox.square ~side)
-                      ~cell:radius points)
-                  (fun g c ->
-                    Ltc_geo.Grid_index.iter_within g ~center:c ~radius
-                      (fun _ -> incr count))
-              in
-              let kd_t =
-                time_structure
-                  (fun () -> Ltc_geo.Kd_tree.build points)
-                  (fun t c ->
-                    Ltc_geo.Kd_tree.iter_within t ~center:c ~radius (fun _ ->
-                        incr count))
-              in
-              let linear_t =
-                time_structure
-                  (fun () -> points)
-                  (fun pts c ->
-                    let r_sq = radius *. radius in
-                    Array.iter
-                      (fun p ->
-                        if Ltc_geo.Point.distance_sq p c <= r_sq then
-                          incr count)
-                      pts)
-              in
-              [
-                Ltc_util.Table.Int n_tasks;
-                Ltc_util.Table.Float (grid_t *. 1000.0);
-                Ltc_util.Table.Float (kd_t *. 1000.0);
-                Ltc_util.Table.Float (linear_t *. 1000.0);
-              ])
-            Spec.n_tasks_sweep
-        in
-        [
-          {
-            Runner.title =
-              Printf.sprintf
-                "ablation-index: %d range queries, build+query time (ms)"
-                queries;
-            header = [ "|T|"; "grid"; "kd-tree"; "linear" ];
-            rows;
-            float_digits = 1;
-          };
-        ]);
-  }
-
 let ext_noshow =
   {
     id = "ext-noshow";
@@ -870,7 +775,6 @@ let all =
     ablation_batch;
     ablation_strategy;
     ablation_approx;
-    ablation_index;
     ext_noshow;
     ext_buffer;
     ext_dynamic;

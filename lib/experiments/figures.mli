@@ -18,10 +18,8 @@ type t = {
           measurement cells over that many domains (see
           {!Runner.sweep}).  Latency/memory/completion outputs are
           bit-identical for every [jobs]; wall-clock runtime columns vary
-          run to run, as they do sequentially.  Entries whose measurements
-          are themselves wall-clock micro-benchmarks ([ablation-index])
-          and the sequentially-coupled [ext-inference] ignore [jobs] by
-          design. *)
+          run to run, as they do sequentially.  The sequentially-coupled
+          [ext-inference] ignores [jobs] by design. *)
 }
 
 val all : t list

@@ -9,9 +9,6 @@ let square ~side = make ~min_x:0.0 ~min_y:0.0 ~max_x:side ~max_y:side
 let width t = t.max_x -. t.min_x
 let height t = t.max_y -. t.min_y
 
-let contains t (p : Point.t) =
-  p.x >= t.min_x && p.x <= t.max_x && p.y >= t.min_y && p.y <= t.max_y
-
 let of_points = function
   | [] -> invalid_arg "Bbox.of_points: empty list"
   | (p : Point.t) :: rest ->
@@ -25,13 +22,3 @@ let of_points = function
         })
       { min_x = p.x; min_y = p.y; max_x = p.x; max_y = p.y }
       rest
-
-let clamp t (p : Point.t) =
-  Point.make
-    ~x:(Float.max t.min_x (Float.min t.max_x p.x))
-    ~y:(Float.max t.min_y (Float.min t.max_y p.y))
-
-let distance_sq_to_point t p = Point.distance_sq (clamp t p) p
-
-let pp fmt t =
-  Format.fprintf fmt "[%g, %g]x[%g, %g]" t.min_x t.max_x t.min_y t.max_y

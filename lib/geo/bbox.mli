@@ -1,7 +1,8 @@
 (** Axis-aligned bounding boxes.
 
-    Used to describe worlds (the synthetic 1000x1000 grid, city extents) and
-    to prune kd-tree traversals. *)
+    Used to describe worlds (the synthetic 1000x1000 grid, city extents):
+    the extent a {!Grid_index} covers and the one a sharded server cuts
+    into cells. *)
 
 type t = { min_x : float; min_y : float; max_x : float; max_y : float }
 
@@ -13,17 +14,7 @@ val square : side:float -> t
 
 val width : t -> float
 val height : t -> float
-val contains : t -> Point.t -> bool
 
 val of_points : Point.t list -> t
 (** Smallest box containing all points.
     @raise Invalid_argument on an empty list. *)
-
-val distance_sq_to_point : t -> Point.t -> float
-(** Squared distance from a point to the box (0 when inside); the kd-tree
-    range-query pruning bound. *)
-
-val clamp : t -> Point.t -> Point.t
-(** Nearest point of the box. *)
-
-val pp : Format.formatter -> t -> unit

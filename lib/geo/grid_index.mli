@@ -5,8 +5,8 @@
     times per experiment.  A uniform grid with cell side [dmax] answers the
     query by scanning at most nine cells, which is the natural fit for the
     paper's world model (task density is bounded and the radius is fixed per
-    experiment).  See {!Kd_tree} for the tree-based alternative compared in
-    the [ablation-index] bench. *)
+    experiment).  It is the only spatial index; the tests check it against
+    a brute-force filter. *)
 
 type t
 

@@ -183,14 +183,13 @@ type sharded_report = {
    counters) and independent of its siblings.  ["journal.header"] is
    excluded: the initial create is not supervised. *)
 let sharded_plan ?(crashes = 1) ?(io_errors = 0) ?(torn_writes = 0)
-    ?(delays = 0) ?(horizon = 40) ?delay_s ~seed ~shards () =
+    ?(delays = 0) ?(horizon = 40) ~seed ~shards () =
   let rng = Ltc_util.Rng.create ~seed in
   List.concat
     (List.init shards (fun k ->
          let scope = Supervisor.scope ~shard:k in
          let s site = Fault.scope_site ~scope site in
          Fault.plan ~crashes ~io_errors ~torn_writes ~delays ~horizon
-           ?delay_s
            ~seed:(Ltc_util.Rng.split_seed rng)
            ~sites:
              [
@@ -329,17 +328,12 @@ let run_sharded ?accept_rate ?(checkpoint_every = 64) ?group_commit ?mailbox
         s_survived = survived;
       })
 
-let run ?accept_rate ?deadline ?checkpoint_every ?group_commit ?max_restores
-    ~plan ~algorithm ~seed ~journal
-    (instance : Ltc_core.Instance.t) =
+let run ?accept_rate ?deadline ?checkpoint_every ?group_commit ~plan
+    ~algorithm ~seed ~journal (instance : Ltc_core.Instance.t) =
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
     invalid_arg "Chaos.run: the instance has no workers to stream";
-  let max_restores =
-    match max_restores with
-    | Some m -> m
-    | None -> 10 + (4 * List.length plan)
-  in
+  let max_restores = 10 + (4 * List.length plan) in
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();

@@ -46,7 +46,6 @@ val run :
   ?deadline:Session.deadline ->
   ?checkpoint_every:int ->
   ?group_commit:int ->
-  ?max_restores:int ->
   plan:Ltc_util.Fault.plan ->
   algorithm:Ltc_algo.Algorithm.t ->
   seed:int ->
@@ -58,10 +57,9 @@ val run :
     reports.  [journal] is the chaos run's journal path (truncated at
     start); [group_commit] configures its commit batching exactly as
     {!Session.create} does — crashes then lose the buffered group, which
-    restore treats as a torn tail.  [max_restores] (default [10 + 4 ×]
-    plan size) bounds the
-    kill/restore loop; exceeding it raises [Failure] — a correctly
-    one-shot plan cannot reach it.  Always leaves the fault plan
+    restore treats as a torn tail.  The kill/restore loop is bounded at
+    [10 + 4 ×] plan size kills; exceeding it raises [Failure] — a
+    correctly one-shot plan cannot reach it.  Always leaves the fault plan
     disarmed and the virtual clock cleared, even on exceptions.
 
     @raise Invalid_argument on an empty worker array or an offline
@@ -105,7 +103,6 @@ val sharded_plan :
   ?torn_writes:int ->
   ?delays:int ->
   ?horizon:int ->
-  ?delay_s:float ->
   seed:int ->
   shards:int ->
   unit ->

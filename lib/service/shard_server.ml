@@ -739,7 +739,7 @@ let quarantine_now t k =
   if not sh.sh_quarantined then begin
     sh.sh_quarantined <- true;
     (match t.t_pool with
-    | Some pool -> ignore (Ltc_util.Pool.Workers.restart pool ~lane:k)
+    | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
     | None -> ());
     Mutex.lock t.t_cmutex;
     for local = sh.sh_decided + 1 to sh.sh_local_fed do
@@ -791,10 +791,10 @@ and revive t k =
       (P_dec (k, d))
   | _ -> ());
   (* The lane parked on its failure; clearing it lets the same domain
-     consume again.  Its lost mailbox items are superseded by the
-     retained-arrival re-feed below. *)
+     consume again.  What the crash took from its mailbox is among the
+     retained arrivals the re-feed below sends again. *)
   (match t.t_pool with
-  | Some pool -> ignore (Ltc_util.Pool.Workers.restart pool ~lane:k)
+  | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
   | None -> ());
   (* Re-feed, in order, everything routed past the durable prefix: quiet
      for arrivals whose decision is already merged (the session must

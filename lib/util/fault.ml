@@ -236,9 +236,19 @@ let pp_fault fmt f =
   Format.fprintf fmt "%s@%d %a" f.site f.hit pp_action f.action
 
 let plan ?(crashes = 0) ?(io_errors = 0) ?(torn_writes = 0) ?(delays = 0)
-    ?(horizon = 100) ?(delay_s = 0.25) ~seed ~sites ~write_sites ~delay_sites
-    () =
+    ?(horizon = 100) ~seed ~sites ~write_sites ~delay_sites () =
   if horizon < 1 then invalid_arg "Fault.plan: horizon must be >= 1";
+  List.iter
+    (fun (name, n) ->
+      if n < 0 then
+        invalid_arg
+          (Printf.sprintf "Fault.plan: %s must be >= 0 (got %d)" name n))
+    [
+      ("crashes", crashes);
+      ("io_errors", io_errors);
+      ("torn_writes", torn_writes);
+      ("delays", delays);
+    ];
   let rng = Rng.create ~seed in
   let taken = Hashtbl.create 16 in
   let pick_slot pool =
@@ -266,7 +276,7 @@ let plan ?(crashes = 0) ?(io_errors = 0) ?(torn_writes = 0) ?(delays = 0)
     gen crashes (sites @ write_sites) (fun () -> Crash)
     @ gen io_errors (sites @ write_sites) (fun () -> Io_error)
     @ gen torn_writes write_sites (fun () -> Torn_write (Rng.int rng 80))
-    @ gen delays delay_sites (fun () -> Delay delay_s)
+    @ gen delays delay_sites (fun () -> Delay 0.25)
   in
   List.sort
     (fun a b ->
@@ -288,14 +298,12 @@ module Retry = struct
     | Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK | ENOSPC), _, _) -> true
     | _ -> false
 
-  let with_backoff ?(spec = default) ?(on_retry = fun ~attempt:_ _ -> ()) f =
-    if spec.attempts < 1 then
-      invalid_arg "Fault.Retry.with_backoff: attempts must be >= 1";
+  let with_backoff ?(on_retry = fun ~attempt:_ _ -> ()) f =
     let rec go attempt =
       try f ()
-      with e when is_transient e && attempt < spec.attempts ->
+      with e when is_transient e && attempt < default.attempts ->
         on_retry ~attempt e;
-        sleep (backoff_s spec attempt);
+        sleep (backoff_s default attempt);
         go (attempt + 1)
     in
     go 1

@@ -139,7 +139,6 @@ val plan :
   ?torn_writes:int ->
   ?delays:int ->
   ?horizon:int ->
-  ?delay_s:float ->
   seed:int ->
   sites:string list ->
   write_sites:string list ->
@@ -148,11 +147,13 @@ val plan :
   plan
 (** Generate a seeded scenario: [crashes]+[io_errors] faults over
     [sites @ write_sites], [torn_writes] over [write_sites] (torn length
-    uniform in 0..79 bytes) and [delays] of [delay_s] seconds (default
-    [0.25]) over [delay_sites], each at a distinct [(site, hit)] pair
-    with hits uniform in [1..horizon] (default [100]).  Equal seeds yield
-    equal plans; faults are returned sorted by site then hit.  Classes
-    whose site list is empty generate nothing. *)
+    uniform in 0..79 bytes) and [delays] of 0.25 s over [delay_sites],
+    each at a distinct [(site, hit)] pair with hits uniform in
+    [1..horizon] (default [100]).  Equal seeds yield equal plans; faults
+    are returned sorted by site then hit.  Classes whose site list is
+    empty generate nothing.
+    @raise Invalid_argument naming the count when a count is negative, or
+    when [horizon < 1]. *)
 
 val pp_fault : Format.formatter -> fault -> unit
 (** [site@hit action], e.g. [journal.append@17 torn-write(23)]. *)
@@ -207,10 +208,11 @@ module Retry : sig
       [EWOULDBLOCK] or [ENOSPC] (a filling disk may drain). *)
 
   val with_backoff :
-    ?spec:spec -> ?on_retry:(attempt:int -> exn -> unit) -> (unit -> 'a) -> 'a
-  (** Run the thunk, retrying transient failures up to
-      [spec.attempts - 1] times with {!backoff_s} sleeps between tries;
-      [on_retry ~attempt exn] fires before each sleep ([attempt] is the
-      1-based try that just failed).  Non-transient exceptions and the
-      final transient failure propagate unchanged. *)
+    ?on_retry:(attempt:int -> exn -> unit) -> (unit -> 'a) -> 'a
+  (** Run the thunk, retrying transient failures on the {!default}
+      schedule: up to [default.attempts - 1] retries, with
+      [backoff_s default] sleeps between tries.  [on_retry ~attempt exn]
+      fires before each sleep ([attempt] is the 1-based try that just
+      failed).  Non-transient exceptions and the final transient failure
+      propagate unchanged. *)
 end

@@ -95,13 +95,16 @@ module Hdr = struct
      {!Histogram} this is a standalone instrument — it is not registered
      and not gated on the enable flag, so a load generator can always
      rely on it. *)
+  let rel_error = 0.01
+  let min_value = 1e-9
+  let max_value = 1e5
+  let gamma = (1.0 +. rel_error) *. (1.0 +. rel_error)
+  let inv_log_gamma = 1.0 /. log gamma
+  let buckets =
+    1 + int_of_float (ceil (log (max_value /. min_value) /. log gamma))
+
   type t = {
     mutex : Mutex.t;
-    rel_error : float;
-    min_value : float;
-    max_value : float;
-    gamma : float;
-    inv_log_gamma : float;
     counts : int array;
     mutable total : int;
     mutable vsum : float;
@@ -110,24 +113,9 @@ module Hdr = struct
     mutable hi : float;  (* exact observed max, -Inf while empty *)
   }
 
-  let create ?(rel_error = 0.01) ?(min_value = 1e-9) ?(max_value = 1e5) () =
-    if not (Float.is_finite rel_error) || rel_error <= 0.0 || rel_error >= 1.0
-    then invalid_arg "Metrics.Hdr.create: rel_error must be in (0, 1)";
-    if not (Float.is_finite min_value) || min_value <= 0.0 then
-      invalid_arg "Metrics.Hdr.create: min_value must be finite and > 0";
-    if not (Float.is_finite max_value) || max_value <= min_value then
-      invalid_arg "Metrics.Hdr.create: max_value must be > min_value";
-    let gamma = (1.0 +. rel_error) *. (1.0 +. rel_error) in
-    let buckets =
-      1 + int_of_float (ceil (log (max_value /. min_value) /. log gamma))
-    in
+  let create () =
     {
       mutex = Mutex.create ();
-      rel_error;
-      min_value;
-      max_value;
-      gamma;
-      inv_log_gamma = 1.0 /. log gamma;
       counts = Array.make buckets 0;
       total = 0;
       vsum = 0.0;
@@ -136,17 +124,13 @@ module Hdr = struct
       hi = Float.neg_infinity;
     }
 
-  let rel_error t = t.rel_error
-
   (* Smallest [i] with [v <= min_value * gamma^(i+1)]; values outside
      [[min_value, max_value]] clamp into the edge buckets (the exact
      [lo]/[hi] bounds recover the true extremes at read time). *)
-  let bucket_of t v =
-    let v = Float.min t.max_value (Float.max t.min_value v) in
-    let i = int_of_float (ceil (log (v /. t.min_value) *. t.inv_log_gamma)) - 1 in
-    if i < 0 then 0
-    else if i >= Array.length t.counts then Array.length t.counts - 1
-    else i
+  let bucket_of v =
+    let v = Float.min max_value (Float.max min_value v) in
+    let i = int_of_float (ceil (log (v /. min_value) *. inv_log_gamma)) - 1 in
+    if i < 0 then 0 else if i >= buckets then buckets - 1 else i
 
   let observe t v =
     if not (Float.is_finite v) then begin
@@ -156,7 +140,7 @@ module Hdr = struct
       !note_dropped ()
     end
     else begin
-      let i = bucket_of t v in
+      let i = bucket_of v in
       Mutex.lock t.mutex;
       t.counts.(i) <- t.counts.(i) + 1;
       t.total <- t.total + 1;
@@ -197,7 +181,7 @@ module Hdr = struct
             seen := !seen + t.counts.(!i)
           done;
           let est =
-            t.min_value *. (t.gamma ** float_of_int !i) *. (1.0 +. t.rel_error)
+            min_value *. (gamma ** float_of_int !i) *. (1.0 +. rel_error)
           in
           (* The true value lies in [[lo, hi]], so clamping only helps. *)
           Float.min t.hi (Float.max t.lo est)
@@ -205,11 +189,6 @@ module Hdr = struct
 
   let merge ~into src =
     if into == src then invalid_arg "Metrics.Hdr.merge: into == src";
-    if
-      into.rel_error <> src.rel_error
-      || into.min_value <> src.min_value
-      || into.max_value <> src.max_value
-    then invalid_arg "Metrics.Hdr.merge: incompatible configurations";
     let counts, total, vsum, n_dropped, lo, hi =
       locked src (fun () ->
           ( Array.copy src.counts,

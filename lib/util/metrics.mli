@@ -82,15 +82,11 @@ end
 module Hdr : sig
   type t
 
-  val create :
-    ?rel_error:float -> ?min_value:float -> ?max_value:float -> unit -> t
-  (** [create ()] tracks values in [[min_value, max_value]] (defaults
-      [1e-9 .. 1e5] seconds) with relative error [rel_error] (default
-      [0.01], i.e. 1%).  Values outside the range clamp into the edge
+  val create : unit -> t
+  (** [create ()] tracks values in [[1e-9, 1e5]] seconds with relative
+      error {!rel_error}.  Values outside the range clamp into the edge
       buckets; the exact extremes still come back through
-      {!min_observed}/{!max_observed}.
-      @raise Invalid_argument when [rel_error] is outside [(0, 1)],
-      [min_value <= 0] or [max_value <= min_value]. *)
+      {!min_observed}/{!max_observed}. *)
 
   val observe : t -> float -> unit
   (** Records a value.  Non-finite values are dropped (counted by
@@ -125,10 +121,10 @@ module Hdr : sig
   (** [merge ~into src] adds [src]'s recorded state into [into]
       (bucket-exact: equivalent to having observed the concatenation).
       [src] is unchanged.
-      @raise Invalid_argument when the two instruments were created with
-      different [rel_error]/[min_value]/[max_value], or [into == src]. *)
+      @raise Invalid_argument when [into == src]. *)
 
-  val rel_error : t -> float
+  val rel_error : float
+  (** [0.01]: every instrument's relative error bound, 1%. *)
 end
 
 val default_buckets : float array

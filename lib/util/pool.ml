@@ -54,7 +54,6 @@ module Workers = struct
     mutable pushed : int;    (* total accepted by [push] *)
     mutable done_ : int;     (* total handled or discarded *)
     mutable failure : (exn * Printexc.raw_backtrace) option;
-    mutable lost : 'a list;  (* items discarded by a failure, newest first *)
     mutable domain : unit Domain.t option;
   }
 
@@ -74,19 +73,13 @@ module Workers = struct
   let lanes t = Array.length t.lanes
 
   (* Called with [t.mutex] held.  Discards everything still queued on a
-     failed lane — retaining the items in [lane.lost] so a supervisor can
-     [restart] the lane and re-feed them — counting the items handled so
-     [quiesce] terminates and blocked pushers wake up instead of waiting
-     on a dead consumer. *)
+     failed lane, counting the items handled so [quiesce] terminates and
+     blocked pushers wake up instead of waiting on a dead consumer. *)
   let discard_queue t lane =
     if lane.len > 0 then begin
       let cap = Array.length lane.ring in
       for i = 0 to lane.len - 1 do
-        let slot = (lane.head + i) mod cap in
-        (match lane.ring.(slot) with
-        | Some item -> lane.lost <- item :: lane.lost
-        | None -> ());
-        lane.ring.(slot) <- None
+        lane.ring.((lane.head + i) mod cap) <- None
       done;
       lane.done_ <- lane.done_ + lane.len;
       lane.head <- (lane.head + lane.len) mod cap;
@@ -120,9 +113,6 @@ module Workers = struct
           let bt = Printexc.get_raw_backtrace () in
           Mutex.lock t.mutex;
           if lane.failure = None then lane.failure <- Some (e, bt);
-          (* The item that killed the handler heads the lost list: a
-             restart re-feeds it first. *)
-          lane.lost <- item :: lane.lost;
           discard_queue t lane);
         lane.done_ <- lane.done_ + 1;
         if lane.done_ = lane.pushed then Condition.broadcast t.idle;
@@ -153,7 +143,6 @@ module Workers = struct
                 pushed = 0;
                 done_ = 0;
                 failure = None;
-                lost = [];
                 domain = None;
               });
         mutex = Mutex.create ();
@@ -238,15 +227,12 @@ module Workers = struct
       Mutex.unlock t.mutex;
       invalid_arg "Pool.Workers: used after shutdown"
     end;
-    let lost = List.rev l.lost in
-    l.lost <- [];
     l.failure <- None;
     (* The lane domain is parked on [not_empty]; wake it so it resumes
        consuming as soon as new items arrive (or immediately, if a racing
        push already queued some). *)
     Condition.broadcast t.not_empty;
-    Mutex.unlock t.mutex;
-    lost
+    Mutex.unlock t.mutex
 
   let quiesce t =
     Mutex.lock t.mutex;

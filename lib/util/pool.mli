@@ -43,20 +43,20 @@ val run : jobs:int -> int -> (int -> 'a) -> 'a array
     lane catches up (counted in {!stalls}) — items are never silently
     dropped.
 
-    Failure isolation: a handler exception marks its lane failed, moves
-    that lane's queued items (the one that raised first) to a retained
-    lost list, and wakes any blocked pusher — the remaining lanes keep
-    running, so one dying worker can never leave the others (or the
-    producer) blocked.  A later {!push} to the failed lane re-raises the
+    Failure isolation: a handler exception marks its lane failed, discards
+    that lane's queued items, and wakes any blocked pusher — the remaining
+    lanes keep running, so one dying worker can never leave the others (or
+    the producer) blocked.  A later {!push} to the failed lane re-raises the
     handler's exception on the pushing domain; {!shutdown} re-raises the
     first still-standing failure (by lane index) after joining every
     domain.
 
-    Recovery: {!restart} clears a lane's failure and returns the lost
-    items in push order, after which the lane consumes again on its
-    original domain — the hook the shard supervisor
-    ({!Ltc_service.Supervisor}) builds crash isolation and online
-    restore on. *)
+    Recovery: {!restart} clears a lane's failure, after which the lane
+    consumes again on its original domain — the hook the shard supervisor
+    ({!Ltc_service.Supervisor}) builds crash isolation and online restore
+    on.  The pool keeps nothing of what a failure discarded: the producer
+    re-feeds from its own record of what it pushed (the sharded server
+    re-feeds a revived shard from that shard's retained arrivals). *)
 module Workers : sig
   type 'a t
 
@@ -88,13 +88,12 @@ module Workers : sig
   val failure : 'a t -> lane:int -> (exn * Printexc.raw_backtrace) option
   (** The lane's standing handler failure, if any. *)
 
-  val restart : 'a t -> lane:int -> 'a list
-  (** Clear the lane's failure and return the items it lost — the item
-      whose handling raised, then everything discarded from its mailbox,
-      in push order ([[]] when the lane never failed).  The lane's
-      domain (which parks, it never exits, on failure) resumes consuming
-      subsequent pushes.  Call between {!quiesce} points, from the
-      producer side. *)
+  val restart : 'a t -> lane:int -> unit
+  (** Clear the lane's failure (a no-op when the lane never failed).  The
+      lane's domain (which parks, it never exits, on failure) resumes
+      consuming subsequent pushes; the item whose handling raised and
+      everything discarded from its mailbox are gone.  Call between
+      {!quiesce} points, from the producer side. *)
 
   val stalls : 'a t -> int
   (** Pushes that found their mailbox full and had to block. *)

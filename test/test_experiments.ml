@@ -126,7 +126,7 @@ let test_registry_covers_every_panel () =
     [
       "fig3-T"; "fig3-K"; "fig3-accN"; "fig3-accU"; "fig4-eps"; "fig4-scal";
       "fig4-ny"; "fig4-tokyo"; "ablation-batch"; "ablation-strategy";
-      "ablation-approx"; "ablation-index"; "ext-noshow"; "ext-buffer";
+      "ablation-approx"; "ext-noshow"; "ext-buffer";
       "ext-dynamic"; "ext-inference"; "hoeffding";
     ];
   Alcotest.(check bool) "find works" true (Figures.find "fig3-T" <> None);

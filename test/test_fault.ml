@@ -215,6 +215,23 @@ let test_plan_empty_pools () =
       Alcotest.(check bool) "all crashes" true (f.Fault.action = Fault.Crash))
     p
 
+(* A negative count is refused by name instead of failing inside
+   [List.init]; zero stays a valid "none of this class". *)
+let test_plan_negative_counts () =
+  let refuses name plan =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "Fault.plan: %s must be >= 0 (got -1)" name))
+      (fun () -> ignore (plan ()))
+  in
+  let plan = Fault.plan ~seed:5 ~sites ~write_sites ~delay_sites in
+  refuses "crashes" (plan ~crashes:(-1));
+  refuses "io_errors" (plan ~io_errors:(-1));
+  refuses "torn_writes" (plan ~torn_writes:(-1));
+  refuses "delays" (plan ~delays:(-1));
+  Alcotest.(check int) "zero counts give an empty plan" 0
+    (List.length (plan ~crashes:0 ~io_errors:0 ~torn_writes:0 ~delays:0 ()))
+
 (* -------------------------------------------------------------- scopes *)
 
 let test_scope_resolution () =
@@ -356,5 +373,7 @@ let suite =
         Alcotest.test_case "deterministic" `Quick (isolated test_plan_deterministic);
         Alcotest.test_case "shape and bounds" `Quick (isolated test_plan_shape);
         Alcotest.test_case "empty pools" `Quick (isolated test_plan_empty_pools);
+        Alcotest.test_case "negative counts refused" `Quick
+          (isolated test_plan_negative_counts);
       ] );
   ]

@@ -33,14 +33,6 @@ let test_point_equal () =
 
 (* ------------------------------------------------------------------ Bbox *)
 
-let test_bbox_contains () =
-  let b = Bbox.square ~side:10.0 in
-  Alcotest.(check bool) "inside" true (Bbox.contains b (Point.make ~x:5.0 ~y:5.0));
-  Alcotest.(check bool) "boundary" true
-    (Bbox.contains b (Point.make ~x:0.0 ~y:10.0));
-  Alcotest.(check bool) "outside" false
-    (Bbox.contains b (Point.make ~x:(-0.1) ~y:5.0))
-
 let test_bbox_inverted () =
   Alcotest.check_raises "inverted" (Invalid_argument "Bbox.make: inverted box")
     (fun () ->
@@ -53,13 +45,6 @@ let test_bbox_of_points () =
   in
   check_float "min_x" (-1.0) b.Bbox.min_x;
   check_float "max_y" 9.0 b.Bbox.max_y
-
-let test_bbox_distance () =
-  let b = Bbox.square ~side:2.0 in
-  check_float "inside is 0" 0.0
-    (Bbox.distance_sq_to_point b (Point.make ~x:1.0 ~y:1.0));
-  check_float "corner distance" 2.0
-    (Bbox.distance_sq_to_point b (Point.make ~x:3.0 ~y:3.0))
 
 (* ------------------------------------------------------------ Grid_index *)
 
@@ -134,57 +119,6 @@ let prop_grid_count =
       Grid_index.count_within g ~center ~radius:8.0
       = List.length (grid_within g ~center ~radius:8.0))
 
-(* --------------------------------------------------------------- Kd_tree *)
-
-let test_kd_empty () =
-  let t = Kd_tree.build [||] in
-  Alcotest.(check int) "length" 0 (Kd_tree.length t);
-  Alcotest.(check (option int)) "nearest none" None
-    (Kd_tree.nearest t (Point.make ~x:0.0 ~y:0.0));
-  Alcotest.(check (list int)) "query empty" []
-    (Kd_tree.query_within t ~center:(Point.make ~x:0.0 ~y:0.0) ~radius:5.0)
-
-let test_kd_single () =
-  let t = Kd_tree.build [| Point.make ~x:3.0 ~y:4.0 |] in
-  Alcotest.(check (option int)) "nearest" (Some 0)
-    (Kd_tree.nearest t (Point.make ~x:0.0 ~y:0.0));
-  Alcotest.(check (list int)) "within 5" [ 0 ]
-    (Kd_tree.query_within t ~center:(Point.make ~x:0.0 ~y:0.0) ~radius:5.0)
-
-let prop_kd_matches_brute =
-  QCheck2.Test.make ~name:"kd query = brute force" ~count:200
-    QCheck2.Gen.(
-      triple (points_gen ~side:100.0) (point_gen ~side:100.0)
-        (float_range 0.1 40.0))
-    (fun (points, center, radius) ->
-      let t = Kd_tree.build (Array.of_list points) in
-      Kd_tree.query_within t ~center ~radius
-      = brute_within points ~center ~radius)
-
-let prop_kd_nearest_matches_brute =
-  QCheck2.Test.make ~name:"kd nearest = brute force distance" ~count:200
-    QCheck2.Gen.(pair (points_gen ~side:100.0) (point_gen ~side:100.0))
-    (fun (points, query) ->
-      let t = Kd_tree.build (Array.of_list points) in
-      match (Kd_tree.nearest t query, points) with
-      | None, [] -> true
-      | None, _ :: _ | Some _, [] -> false
-      | Some i, _ :: _ ->
-        let best =
-          List.fold_left
-            (fun acc p -> Float.min acc (Point.distance_sq p query))
-            infinity points
-        in
-        Float.abs (Point.distance_sq (List.nth points i) query -. best) < 1e-9)
-
-let prop_kd_duplicates =
-  QCheck2.Test.make ~name:"kd handles duplicate points" ~count:50
-    QCheck2.Gen.(int_range 1 64)
-    (fun n ->
-      let p = Point.make ~x:1.0 ~y:1.0 in
-      let t = Kd_tree.build (Array.make n p) in
-      List.length (Kd_tree.query_within t ~center:p ~radius:0.1) = n)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -196,10 +130,8 @@ let suite =
       ] );
     ( "geo.bbox",
       [
-        Alcotest.test_case "contains" `Quick test_bbox_contains;
         Alcotest.test_case "inverted raises" `Quick test_bbox_inverted;
         Alcotest.test_case "of_points" `Quick test_bbox_of_points;
-        Alcotest.test_case "distance to point" `Quick test_bbox_distance;
       ] );
     ( "geo.grid_index",
       [
@@ -210,13 +142,5 @@ let suite =
           test_grid_out_of_world_points;
         qcheck prop_grid_matches_brute;
         qcheck prop_grid_count;
-      ] );
-    ( "geo.kd_tree",
-      [
-        Alcotest.test_case "empty" `Quick test_kd_empty;
-        Alcotest.test_case "single point" `Quick test_kd_single;
-        qcheck prop_kd_matches_brute;
-        qcheck prop_kd_nearest_matches_brute;
-        qcheck prop_kd_duplicates;
       ] );
   ]

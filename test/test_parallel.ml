@@ -180,10 +180,10 @@ let test_workers_mid_batch_kill () =
   (* idempotent once the failure has been delivered *)
   Pool.Workers.shutdown w
 
-(* A failed lane retains everything it lost — the failing item first,
-   then the queued items in push order — and [restart] hands them back,
-   clears the failure and resumes the lane in place, without the
-   siblings ever noticing. *)
+(* [restart] clears a failed lane's failure and resumes it in place,
+   without the siblings ever noticing.  The pool keeps nothing of what the
+   failure discarded (the failing item, then the queue), so the producer
+   re-feeds those items itself. *)
 let test_workers_restart_recovers_lost () =
   let handled = ref [] in
   let m = Mutex.create () in
@@ -215,14 +215,11 @@ let test_workers_restart_recovers_lost () =
     | Some (Lane_down, _) -> true
     | _ -> false);
   Atomic.set armed false;
-  let lost = Pool.Workers.restart w ~lane:0 in
-  Alcotest.(check (list int))
-    "lost = failing item, then the queue in push order" [ 2; 3; 4; 5; 6 ]
-    lost;
+  Pool.Workers.restart w ~lane:0;
   Alcotest.(check bool) "failure cleared" true
     (Pool.Workers.failure w ~lane:0 = None);
   (* the lane is live again: re-feed what it lost *)
-  List.iter (fun i -> Pool.Workers.push w ~lane:0 i) lost;
+  List.iter (fun i -> Pool.Workers.push w ~lane:0 i) [ 2; 3; 4; 5; 6 ];
   Pool.Workers.quiesce w;
   let lane n =
     List.rev (List.filter_map (fun (l, i) -> if l = n then Some i else None)
