@@ -762,8 +762,9 @@ let checkpoint_every_arg ~default =
     value & opt int default
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
-          "Append a snapshot to the journal every $(docv) events; every \
-           16th one compacts the file to a single snapshot.")
+          "Append a partial snapshot (no arrangement) to the journal every \
+           $(docv) events; every 16th one compacts the file to a single \
+           full snapshot.")
 
 let group_commit_arg =
   Arg.(
@@ -1421,11 +1422,12 @@ let journal_cmd =
       else
         let info = J.inspect ~path in
         Format.printf
-          "shard %d: %s: codec=%s snapshots=%d events=%d consumed=%d \
-           bytes=%d %s@."
+          "shard %d: %s: codec=%s snapshots=%d partial=%d events=%d \
+           consumed=%d bytes=%d %s@."
           k path
           (Ltc_service.Session.codec_name info.J.codec)
-          info.J.snapshots info.J.events info.J.consumed info.J.file_bytes
+          info.J.snapshots info.J.partial_snapshots info.J.events
+          info.J.consumed info.J.file_bytes
           (if info.J.torn_bytes = 0 then "clean"
            else Printf.sprintf "torn-tail=%dB" info.J.torn_bytes)
     in
@@ -1478,6 +1480,7 @@ let journal_cmd =
       Format.printf "file_bytes: %d@." info.J.file_bytes;
       Format.printf "torn_bytes: %d@." info.J.torn_bytes;
       Format.printf "snapshots: %d@." info.J.snapshots;
+      Format.printf "partial_snapshots: %d@." info.J.partial_snapshots;
       Format.printf "events: %d@." info.J.events;
       Format.printf "consumed: %d@." info.J.consumed;
       (match info.J.snapshot_offsets with

@@ -435,13 +435,14 @@ module Binary = struct
     s_policy : int64;
     s_noshow : int64;
     s_progress : Progress.t;
-    s_arrangement : Arrangement.t;
+    s_arrangement : Arrangement.t option;
   }
 
   type record = Event of event | Snapshot of snapshot
 
   let tag_event = Char.code 'E'
   let tag_snapshot = Char.code 'S'
+  let tag_partial = Char.code 'P'
 
   let add_int_list buf l =
     add_varint buf (List.length l);
@@ -479,7 +480,8 @@ module Binary = struct
       add_int_list buf e.e_assigned;
       add_int_list buf e.e_answered
     | Snapshot s ->
-      add_u8 buf tag_snapshot;
+      add_u8 buf
+        (if Option.is_some s.s_arrangement then tag_snapshot else tag_partial);
       add_varint buf s.s_consumed;
       add_i64 buf s.s_policy;
       add_i64 buf s.s_noshow;
@@ -491,20 +493,23 @@ module Binary = struct
         add_f64 buf snap.Progress.thresholds.(task);
         add_f64 buf snap.Progress.scores.(task)
       done;
-      let assignments = Arrangement.to_list s.s_arrangement in
-      add_varint buf (List.length assignments);
-      List.iter
-        (fun (a : Arrangement.assignment) ->
-          add_varint buf a.Arrangement.worker;
-          add_varint buf a.Arrangement.task)
-        assignments
+      Option.iter
+        (fun arrangement ->
+          add_varint buf (Arrangement.size arrangement);
+          List.iter
+            (fun (a : Arrangement.assignment) ->
+              add_varint buf a.Arrangement.worker;
+              add_varint buf a.Arrangement.task)
+            (Arrangement.to_list arrangement))
+        s.s_arrangement
 
-  (* The one record grammar.  [~build:false] walks the same bytes under
-     the same rules (tag, varints, list bounds, [Worker.make]'s rules,
-     [Progress.check_snapshot], trailing bytes) and fails with the same
-     message at the same byte, but builds no list, [Progress.t] or
-     [Arrangement.t]; it returns [None].  Restore checks the records a
-     later snapshot supersedes this way. *)
+  (* The one record grammar.  A partial snapshot ('P') is a full one
+     ('S') without the arrangement section.  [~build:false] walks the
+     same bytes under the same rules (tag, varints, list bounds,
+     [Worker.make]'s rules, [Progress.check_snapshot], trailing bytes)
+     and fails with the same message at the same byte, but builds no
+     list, [Progress.t] or [Arrangement.t]; it returns [None].  Restore
+     checks the records a later snapshot supersedes this way. *)
   let decode ~build payload =
     let c = cursor payload in
     let record =
@@ -533,7 +538,7 @@ module Binary = struct
         if build then
           Some (Event { e_worker; e_degraded; e_assigned; e_answered })
         else None
-      | tag when tag = tag_snapshot ->
+      | tag when tag = tag_snapshot || tag = tag_partial ->
         let s_consumed = varint c in
         let s_policy = i64 c in
         let s_noshow = i64 c in
@@ -566,26 +571,27 @@ module Binary = struct
           | exception Invalid_argument m ->
             bin_error "invalid progress snapshot: %s" m
         in
-        let n_assignments = varint c in
-        if n_assignments > String.length payload then
-          bin_error "assignment count %d exceeds the payload" n_assignments;
-        let s_arrangement = ref Arrangement.empty in
-        for _ = 1 to n_assignments do
-          let worker = varint c in
-          let task = varint c in
-          if build then
-            s_arrangement := Arrangement.add !s_arrangement ~worker ~task
-        done;
+        let s_arrangement =
+          if tag = tag_partial then None
+          else begin
+            let n_assignments = varint c in
+            if n_assignments > String.length payload then
+              bin_error "assignment count %d exceeds the payload"
+                n_assignments;
+            let arrangement = ref Arrangement.empty in
+            for _ = 1 to n_assignments do
+              let worker = varint c in
+              let task = varint c in
+              if build then
+                arrangement := Arrangement.add !arrangement ~worker ~task
+            done;
+            Some !arrangement
+          end
+        in
         Option.map
           (fun s_progress ->
             Snapshot
-              {
-                s_consumed;
-                s_policy;
-                s_noshow;
-                s_progress;
-                s_arrangement = !s_arrangement;
-              })
+              { s_consumed; s_policy; s_noshow; s_progress; s_arrangement })
           s_progress
       | tag -> bin_error "unknown record tag 0x%02x" tag
     in
@@ -596,12 +602,15 @@ module Binary = struct
 
   let record_of_payload payload = Option.get (decode ~build:true payload)
 
-  type kind = Event_record | Snapshot_record
+  type kind = Event_record | Snapshot_record | Partial_record
 
   let check_payload payload =
     ignore (decode ~build:false payload);
-    (* [decode] accepted the tag byte, so it is one of the two. *)
-    if Char.code payload.[0] = tag_event then Event_record else Snapshot_record
+    (* [decode] accepted the tag byte, so it is one of the three. *)
+    match Char.code payload.[0] with
+    | tag when tag = tag_event -> Event_record
+    | tag when tag = tag_snapshot -> Snapshot_record
+    | _ -> Partial_record
 
   (* ---------------------------------------------------------- framing *)
 

@@ -160,9 +160,12 @@ module Binary : sig
     s_policy : int64;
     s_noshow : int64;
     s_progress : Progress.t;
-    s_arrangement : Arrangement.t;
+    s_arrangement : Arrangement.t option;
   }
-  (** Full session state at a checkpoint. *)
+  (** Session state at a checkpoint.  A full snapshot (tag ['S']) carries
+      the arrangement; a partial one (tag ['P'], [s_arrangement = None])
+      leaves it out, because the events journaled since the last full
+      snapshot hold every assignment made since. *)
 
   type record = Event of event | Snapshot of snapshot
 
@@ -176,7 +179,8 @@ module Binary : sig
       or trailing bytes — on a CRC-verified frame any of these means
       corruption, not a tear. *)
 
-  type kind = Event_record | Snapshot_record
+  type kind = Event_record | Snapshot_record | Partial_record
+  (** A record's tag: ['E'], ['S'] or ['P']. *)
 
   val check_payload : string -> kind
   (** The same grammar and rules as {!record_of_payload}, raising the same

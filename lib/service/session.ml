@@ -29,9 +29,9 @@ let codec_name = function Text -> "text" | Binary -> "binary"
    whatever [group_commit] says. *)
 let max_group_bytes = 1 lsl 18
 
-(* A periodic checkpoint appends a snapshot record (see [journal_event]);
-   every Nth one falls back to a full compaction so the file cannot grow
-   without bound between restores. *)
+(* A periodic checkpoint appends a partial snapshot record (see
+   [journal_event]); every Nth one falls back to a full compaction so the
+   file cannot grow without bound between restores. *)
 let compact_after_snapshots = 16
 
 type journal = {
@@ -286,18 +286,22 @@ let parse_header src ~keys =
   let header, value = read_keyed ~old_journal:false src ~keys in
   (header, key_int value)
 
-(* Every journal is written with a v3 header: the magic line, a [codec
-   binary] line, then the lines a v2 header holds.  A v1/v2 header (or a
-   v3 naming the text codec) marks a text journal, read only, through the
-   import path. *)
+(* Every journal is written with a v4 header: the magic line, a [codec
+   binary] line, then the lines a v2 header holds.  v4 has v3's keys; it
+   marks a journal whose appended checkpoints may be partial snapshots,
+   which a v3 journal never holds.  A v1/v2 header (or a v3 naming the
+   text codec) marks a text journal, read only, through the import
+   path. *)
 let journal_keys version =
   (if version >= 3 then [ "codec" ] else [])
   @ [ "algorithm"; "seed"; "accept_rate"; "checkpoint_every" ]
   @ if version >= 2 then [ "deadline" ] else []
 
+let magic_v4 = "ltc-journal v4\n"
+
 let write_header sink h =
-  sink "ltc-journal v3\n";
-  emit_header sink ~keys:(journal_keys 3) ~extra:[ ("codec", "binary") ] h
+  sink magic_v4;
+  emit_header sink ~keys:(journal_keys 4) ~extra:[ ("codec", "binary") ] h
 
 (* The version, codec and header of the journal [src] reads. *)
 let read_header src =
@@ -306,6 +310,7 @@ let read_header src =
     | "ltc-journal v1" -> 1
     | "ltc-journal v2" -> 2
     | "ltc-journal v3" -> 3
+    | "ltc-journal v4" -> 4
     | other ->
       Serialize.parse_error ~line:(Serialize.line_number src)
         "bad journal header %S" other
@@ -318,13 +323,16 @@ let read_header src =
   in
   (version, codec, header)
 
-let snapshot_of t =
+(* The session's state as a checkpoint record: a full snapshot, or with
+   [~full:false] a partial one, without the arrangement. *)
+let snapshot_of ~full t =
   {
     B.s_consumed = Ltc_algo.Engine.consumed t.engine;
     s_policy = Ltc_util.Rng.state t.policy_rng;
     s_noshow = Ltc_util.Rng.state t.noshow_rng;
     s_progress = Ltc_algo.Engine.progress t.engine;
-    s_arrangement = Ltc_algo.Engine.arrangement t.engine;
+    s_arrangement =
+      (if full then Some (Ltc_algo.Engine.arrangement t.engine) else None);
   }
 
 (* Group commit: hand the whole buffered group to one write(2), then (if
@@ -370,7 +378,7 @@ let compact t ~path ~fsync ~header_bytes =
   let tmp = path ^ ".tmp" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf header_bytes;
-  B.add_record_frame buf (B.Snapshot (snapshot_of t));
+  B.add_record_frame buf (B.Snapshot (snapshot_of ~full:true t));
   let payload = Buffer.contents buf in
   Fault.Retry.with_backoff
     ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
@@ -403,6 +411,7 @@ let compact t ~path ~fsync ~header_bytes =
     String.length payload )
 
 let checkpoint t =
+  if t.closed then invalid_arg "Session.checkpoint: session is closed";
   match t.journal with
   | None -> ()
   | Some j ->
@@ -428,15 +437,20 @@ let add_framed j record =
   B.emit_record j.scratch record;
   B.add_frame j.group (Buffer.contents j.scratch)
 
-(* The fast path for a periodic checkpoint: the snapshot is just another
-   framed record riding the group buffer — one buffered write through the
-   usual append fault sites instead of a rewrite + rename of the whole
-   file.  The scanner keeps only the latest snapshot, so the earlier ones
+(* The fast path for a periodic checkpoint: a partial snapshot (progress,
+   RNG states, arrivals consumed — no arrangement) is just another framed
+   record riding the group buffer — one buffered write through the usual
+   append fault sites instead of a rewrite + rename of the whole file.
+   Its size does not grow with the session: the assignments made since
+   the last full snapshot are the [answered] lists of the events the file
+   already holds, and restore rebuilds the arrangement from them.  The
+   scanner builds only the latest partial snapshot, so the earlier ones
    become dead weight that the next compaction (every
    [compact_after_snapshots]th checkpoint, any explicit {!checkpoint}, or
    {!restore}) sweeps out. *)
 let append_snapshot t j =
-  add_framed j (B.Snapshot (snapshot_of t));
+  Ltc_util.Trace.with_span "service:checkpoint" @@ fun () ->
+  add_framed j (B.Snapshot (snapshot_of ~full:false t));
   j.pending <- j.pending + 1;
   j.events_since_snapshot <- 0;
   j.snapshots_since_compact <- j.snapshots_since_compact + 1;
@@ -719,7 +733,13 @@ let parse_snapshot src =
   (match Serialize.next_line_opt src with
   | Some "end-snapshot" -> ()
   | Some _ | None -> fail ());
-  { B.s_consumed; s_policy; s_noshow; s_progress; s_arrangement }
+  {
+    B.s_consumed;
+    s_policy;
+    s_noshow;
+    s_progress;
+    s_arrangement = Some s_arrangement;
+  }
 
 let parse_arrival_fields src rest =
   match rest with
@@ -771,18 +791,24 @@ let excerpt_at ~path ~offset =
         | None -> s)
   with Sys_error _ -> "<unreadable>"
 
-(* A complete record the scan found, with the byte offset of its start.
-   [record] is [None] for a binary record a later snapshot supersedes:
-   checked, never built. *)
-type item = { kind : B.kind; offset : int; record : B.record option }
+(* A complete record the scan found: its number in the file (from 1) and
+   the byte offset of its start.  [record] is [None] for a binary record a
+   later snapshot supersedes: checked, never built. *)
+type item = {
+  kind : B.kind;
+  index : int;
+  offset : int;
+  record : B.record option;
+}
 
-let built record offset =
+(* A text journal holds full snapshots only. *)
+let built record ~index ~offset =
   let kind =
     match record with
     | B.Event _ -> B.Event_record
     | B.Snapshot _ -> B.Snapshot_record
   in
-  { kind; offset; record = Some record }
+  { kind; index; offset; record = Some record }
 
 (* One pass over a text journal body (the import path: nothing writes
    text any more): every complete record in order, tagged with the byte
@@ -807,7 +833,8 @@ let scan_text ~path src =
            match Serialize.fields line with
            | [ "snapshot" ] ->
              let s = parse_snapshot src in
-             items := built (B.Snapshot s) offset :: !items
+             items :=
+               built (B.Snapshot s) ~index:!records ~offset :: !items
            | "w" :: rest -> (
              let w = parse_arrival_fields src rest in
              match Serialize.next_line_opt src with
@@ -825,7 +852,7 @@ let scan_text ~path src =
                           e_assigned = assigned;
                           e_answered = answered;
                         })
-                     offset
+                     ~index:!records ~offset
                    :: !items
                | _ -> raise Torn_tail)
              | None ->
@@ -860,16 +887,24 @@ let scan_text ~path src =
    text scanner gets from its record grammar — an incomplete frame can
    only sit at end of file ([B.Torn]: expected crash damage, dropped),
    while a complete frame with wrong bytes, or a CRC-valid frame that
-   fails to decode, is interior corruption wherever it sits.
+   fails to decode, is interior corruption wherever it sits.  So is a
+   partial snapshot in a journal older than v4, which never wrote one.
 
    Every frame is CRC-checked and its payload checked in file order, so
-   damage anywhere is reported where it is met.  Only the latest snapshot
-   and the events after it are then built (every record with [~all]):
-   each earlier snapshot and event is superseded, and building it would
-   be thrown away. *)
-let scan_binary ~path ~all ic =
-  let superseded = ref [] in  (* checked only, newest first *)
-  let live = ref [] in  (* (kind, payload, offset) since the latest snapshot *)
+   damage anywhere is reported where it is met.  Only what a restore
+   needs is then built (every record with [~all]): the latest full
+   snapshot, the latest partial snapshot after it, and every event after
+   the full one — those before the partial rebuild the arrangement, the
+   rest replay.  A full snapshot supersedes every record before it, a
+   partial one only the partial before it, and building a superseded
+   record would be thrown away.  Each payload is dropped as soon as it is
+   superseded. *)
+let scan_binary ~path ~version ~all ic =
+  (* (kind, index, offset, payload) of every record, newest first; the
+     payload cell is emptied once the record is superseded. *)
+  let scanned = ref [] in
+  let since_base = ref [] in  (* payload cells since the latest full one *)
+  let partial = ref None in  (* the latest partial's cell since then *)
   let records = ref 0 in
   let torn_at = ref None in
   let continue = ref true in
@@ -889,50 +924,111 @@ let scan_binary ~path ~all ic =
       incr records;
       match B.check_payload payload with
       | kind ->
-        if kind = B.Snapshot_record && not all then begin
-          superseded :=
-            List.rev_append
-              (List.rev_map
-                 (fun (kind, _, offset) -> { kind; offset; record = None })
-                 !live)
-              !superseded;
-          live := []
+        if kind = B.Partial_record && version < 4 then
+          corrupt ~path
+            "corrupted record %d at byte %d: a partial snapshot in a v%d \
+             journal"
+            !records offset version;
+        let cell = ref (Some payload) in
+        if not all then begin
+          (match kind with
+          | B.Snapshot_record ->
+            List.iter (fun c -> c := None) !since_base;
+            since_base := [];
+            partial := None
+          | B.Partial_record ->
+            Option.iter (fun c -> c := None) !partial;
+            partial := Some cell
+          | B.Event_record -> ());
+          since_base := cell :: !since_base
         end;
-        live := (kind, payload, offset) :: !live
+        scanned := (kind, !records, offset, cell) :: !scanned
       | exception Serialize.Parse_error { message; _ } ->
         corrupt ~path
           "corrupted record %d at byte %d: CRC-valid frame fails to decode \
            (%s)"
           !records offset message)
   done;
-  let kept =
+  let items =
     List.rev_map
-      (fun (kind, payload, offset) ->
-        { kind; offset; record = Some (B.record_of_payload payload) })
-      !live
+      (fun (kind, index, offset, cell) ->
+        { kind; index; offset; record = Option.map B.record_of_payload !cell })
+      !scanned
   in
-  (List.rev_append !superseded kept, !torn_at)
+  (items, !torn_at)
 
 (* [src] must wrap [ic]: the text scanner consumes lines through it, the
    binary scanner picks up the raw channel exactly where the (always
    line-oriented) header parse left it. *)
-let scan_items ~path ~all ~codec ic src =
+let scan_items ~path ~version ~all ~codec ic src =
   match codec with
   | Text -> scan_text ~path src
-  | Binary -> scan_binary ~path ~all ic
+  | Binary -> scan_binary ~path ~version ~all ic
 
-(* Latest snapshot wins; events after it form the replay tail. *)
-let collapse items =
-  let best, tail_rev =
+(* What a restore resumes from: the session state at the latest
+   checkpoint — progress, RNG states, arrivals consumed and the
+   arrangement — and the events after it, to replay.
+
+   A full snapshot is that state by itself.  A partial one has all of it
+   but the arrangement, which is the one before it (the latest full
+   snapshot's, or empty) plus, in file order, every answer of the events
+   between them.  Those events are not replayed, so what they build is
+   checked first: their arrivals run on from the count before them, the
+   partial's count is where they end, and each answer is one of its
+   event's assigned tasks and a task of the instance.  A failed check
+   names the record. *)
+type resume = {
+  checkpoint : (B.snapshot * Arrangement.t) option;
+  tail : B.event list;
+}
+
+let collapse ~path ~n_tasks items =
+  let refuse item fmt =
+    corrupt ~path
+      ("corrupted record %d at byte %d: " ^^ fmt)
+      item.index item.offset
+  in
+  let rebuild (consumed, arrangement) (item, (e : B.event)) =
+    let worker = e.B.e_worker.Worker.index in
+    if worker <> consumed + 1 then
+      refuse item "arrival %d follows arrival %d" worker consumed;
+    let add arrangement task =
+      if not (List.mem task e.B.e_assigned) then
+        refuse item "arrival %d answered task %d, which it was not assigned"
+          worker task;
+      if task >= n_tasks then
+        refuse item "arrival %d answered task %d of an instance with %d tasks"
+          worker task n_tasks;
+      Arrangement.add arrangement ~worker ~task
+    in
+    (worker, List.fold_left add arrangement e.B.e_answered)
+  in
+  let checkpoint, events_rev =
     List.fold_left
-      (fun (best, tail) item ->
+      (fun (checkpoint, events) item ->
         match item.record with
-        | Some (B.Snapshot s) -> (Some s, [])
-        | Some (B.Event e) -> (best, e :: tail)
-        | None -> (best, tail))
+        | Some (B.Snapshot ({ B.s_arrangement = Some a; _ } as s)) ->
+          (Some (s, a), [])
+        | Some (B.Snapshot s) ->
+          let before =
+            match checkpoint with
+            | Some ((b : B.snapshot), a) -> (b.B.s_consumed, a)
+            | None -> (0, Arrangement.empty)
+          in
+          let consumed, a =
+            List.fold_left rebuild before (List.rev events)
+          in
+          if s.B.s_consumed <> consumed then
+            refuse item
+              "a partial snapshot at arrival %d where the events before it \
+               end at arrival %d"
+              s.B.s_consumed consumed;
+          (Some (s, a), [])
+        | Some (B.Event e) -> (checkpoint, (item, e) :: events)
+        | None -> (checkpoint, events))
       (None, []) items
   in
-  (best, List.rev tail_rev)
+  { checkpoint; tail = List.rev_map snd events_rev }
 
 let is_empty_journal path =
   match open_in_bin path with
@@ -942,19 +1038,26 @@ let is_empty_journal path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> in_channel_length ic = 0)
 
-(* The header the compacted journal starts with.  A v3 binary header is
-   kept as the file has it (its first [header_end] bytes): %.17g
-   round-trips, so these are the bytes [write_header] would render,
-   without rendering thousands of floats again.  Any other header is
-   rendered as v3 binary: a text journal's (which the compaction thereby
-   upgrades), a [checkpoint_every] below 1, or one torn inside its last
-   line, which still parses. *)
+(* The header the compacted journal starts with.  A v3 or v4 binary
+   header is kept as the file has it (its first [header_end] bytes), with
+   the magic line rewritten to v4 (same length): %.17g round-trips, so
+   these are the bytes [write_header] would render, without rendering
+   thousands of floats again.  Any other header is rendered as v4 binary:
+   a text journal's (which the compaction thereby upgrades), a
+   [checkpoint_every] below 1, or one torn inside its last line, which
+   still parses. *)
 let compacted_header ic ~header_end ~codec h =
   let kept =
     if codec = Binary && h.checkpoint_every >= 1 then begin
       seek_in ic 0;
       let bytes = really_input_string ic header_end in
-      if String.ends_with ~suffix:"\n" bytes then Some bytes else None
+      let magic = String.length magic_v4 in
+      if
+        String.ends_with ~suffix:"\n" bytes
+        && List.mem (String.sub bytes 0 (min magic header_end))
+             [ "ltc-journal v3\n"; magic_v4 ]
+      then Some (magic_v4 ^ String.sub bytes magic (header_end - magic))
+      else None
     end
     else None
   in
@@ -983,6 +1086,8 @@ let with_journal ~path f =
 
 let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     ?(group_commit = 1) ~path () =
+  if group_commit < 1 then
+    invalid_arg "Session.restore: group_commit must be >= 1";
   Ltc_util.Trace.with_span "service:restore" @@ fun () ->
   (* The restored session journals to [journal_path] and never writes
      anywhere else: with a redirect, [path] is only read. *)
@@ -993,12 +1098,16 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      step can confuse the two. *)
   (let tmp = journal_path ^ ".tmp" in
    if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
-  let header, header_bytes, snapshot, tail =
-    with_journal ~path @@ fun ic src ~version:_ ~codec header ->
+  let header, header_bytes, { checkpoint; tail } =
+    with_journal ~path @@ fun ic src ~version ~codec header ->
     let header_end = pos_in ic in
-    let items, _torn_at = scan_items ~path ~all:false ~codec ic src in
-    let snapshot, tail = collapse items in
-    (header, compacted_header ic ~header_end ~codec header, snapshot, tail)
+    let items, _torn_at =
+      scan_items ~path ~version ~all:false ~codec ic src
+    in
+    let n_tasks = Instance.task_count header.instance in
+    ( header,
+      compacted_header ic ~header_end ~codec header,
+      collapse ~path ~n_tasks items )
   in
   (if header.deadline = None then
      match List.find_opt (fun (e : B.event) -> e.B.e_degraded) tail with
@@ -1011,20 +1120,20 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      | None -> ());
   let instance = header.instance in
   let policy_rng, noshow_rng, progress, arrangement, consumed =
-    match snapshot with
+    match checkpoint with
     | None ->
       let policy_rng, noshow_rng = derive_rngs ~seed:header.seed in
       let progress =
         Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
       in
       (policy_rng, noshow_rng, progress, Arrangement.empty, 0)
-    | Some s ->
+    | Some (s, arrangement) ->
       if Progress.n_tasks s.B.s_progress <> Instance.task_count instance then
         corrupt ~path "snapshot progress does not match the instance";
       ( Ltc_util.Rng.of_state s.B.s_policy,
         Ltc_util.Rng.of_state s.B.s_noshow,
         s.B.s_progress,
-        s.B.s_arrangement,
+        arrangement,
         s.B.s_consumed )
   in
   let t =
@@ -1054,7 +1163,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     tail;
   (* Re-attach the journal (same file unless redirected) by compacting
      into it immediately: torn tail bytes vanish, recovery stays bounded,
-     and a text source comes out as v3 binary. *)
+     and a text or v3 source comes out as v4 binary. *)
   let oc, disk_bytes =
     Ltc_util.Trace.with_span "service:checkpoint" @@ fun () ->
     compact t ~path:journal_path ~fsync ~header_bytes
@@ -1063,7 +1172,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
     Some
       (open_journal ~path:journal_path ~oc
          ~checkpoint_every:(max 1 header.checkpoint_every)
-         ~fsync ~group_commit:(max 1 group_commit) ~header_bytes ~disk_bytes);
+         ~fsync ~group_commit ~header_bytes ~disk_bytes);
   t
 
 (* ------------------------------------------------ offline journal tools *)
@@ -1076,6 +1185,7 @@ module Journal = struct
     file_bytes : int;
     torn_bytes : int;
     snapshots : int;
+    partial_snapshots : int;
     events : int;
     consumed : int;
     snapshot_offsets : int list;
@@ -1089,7 +1199,7 @@ module Journal = struct
      corruption raises {!Corrupt_journal} with the same diagnostics. *)
   let read ~all ~path =
     with_journal ~path @@ fun ic src ~version ~codec header ->
-    let items, torn_at = scan_items ~path ~all ~codec ic src in
+    let items, torn_at = scan_items ~path ~version ~all ~codec ic src in
     (version, codec, header, items, torn_at)
 
   let inspect ~path =
@@ -1097,17 +1207,20 @@ module Journal = struct
     let file_bytes =
       In_channel.with_open_bin path (fun ic -> in_channel_length ic)
     in
-    let snapshots, events, offsets_rev =
+    let snapshots, partial_snapshots, events, offsets_rev =
       List.fold_left
-        (fun (s, e, offs) item ->
+        (fun (s, p, e, offs) item ->
           match item.kind with
-          | B.Snapshot_record -> (s + 1, e, item.offset :: offs)
-          | B.Event_record -> (s, e + 1, offs))
-        (0, 0, []) items
+          | B.Snapshot_record -> (s + 1, p, e, item.offset :: offs)
+          | B.Partial_record -> (s + 1, p + 1, e, item.offset :: offs)
+          | B.Event_record -> (s, p, e + 1, offs))
+        (0, 0, 0, []) items
     in
-    let best, tail = collapse items in
+    let { checkpoint; tail } =
+      collapse ~path ~n_tasks:(Instance.task_count header.instance) items
+    in
     let consumed =
-      (match best with Some s -> s.B.s_consumed | None -> 0)
+      (match checkpoint with Some (s, _) -> s.B.s_consumed | None -> 0)
       + List.length tail
     in
     {
@@ -1118,6 +1231,7 @@ module Journal = struct
       torn_bytes =
         (match torn_at with None -> 0 | Some off -> file_bytes - off);
       snapshots;
+      partial_snapshots;
       events;
       consumed;
       snapshot_offsets = List.rev offsets_rev;

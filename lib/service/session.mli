@@ -9,19 +9,24 @@
     draws — including under [accept_rate < 1] no-show noise.
 
     When created with [~journal:path], every processed arrival is appended
-    to an on-disk journal together with its decision, and a full snapshot
-    (progress, arrangement, both RNG states) is appended as an ordinary
-    record every [checkpoint_every] events, with a full compaction (the
-    file atomically rewritten as header + one snapshot) every 16th
-    periodic snapshot to bound file growth.  {!restore} rebuilds a
-    session from such a journal:
-    it loads the latest snapshot, replays the event tail by re-running the
-    policy (verifying the recomputed decisions against the journaled
-    ones), drops any torn record at the end of the file, and compacts.
-    Every record in the file is still read and checked, in file order,
-    but only the latest snapshot and the events after it are built: the
-    snapshots and events it supersedes are checked without being
-    decoded into session state.  Recovery work is therefore bounded by
+    to an on-disk journal together with its decision, and a partial
+    snapshot (progress, both RNG states, arrivals consumed) is appended
+    as an ordinary record every [checkpoint_every] events, with a full
+    compaction (the file atomically rewritten as header + one full
+    snapshot, which adds the arrangement) every 16th periodic snapshot to
+    bound file growth.  A partial snapshot leaves the arrangement out
+    because the events since the full one already hold every assignment
+    made since.  {!restore} rebuilds a session from such a journal: it
+    takes the latest full snapshot as its base, and from the latest
+    partial snapshot after it the progress, RNG states and count, with
+    the arrangement rebuilt from the base's and the [answered] lists of
+    the events between the two; it then replays the event tail by
+    re-running the policy (verifying the recomputed decisions against the
+    journaled ones), drops any torn record at the end of the file, and
+    compacts.  Every record in the file is still read and checked, in
+    file order, but only those two snapshots and the events after the
+    base are built: the records they supersede are checked without being
+    decoded into session state.  Recovery replays at most
     [checkpoint_every] arrivals no matter how long the session has run.
 
     {2 Crash safety}
@@ -54,14 +59,17 @@
 
     {2 Codec and group commit}
 
-    Every journal is written in the [Binary] codec (header v3: a text
+    Every journal is written in the [Binary] codec (header v4: a text
     header with a [codec binary] line, then length-prefixed CRC32-framed
     records — see {!Ltc_core.Serialize.Binary}): replay streams frames
     without line splitting, and the CRC keeps interior corruption
-    distinguishable from a torn tail.  [Text] (header v1/v2, the
+    distinguishable from a torn tail.  A v3 binary journal (whose
+    appended checkpoints are full snapshots, each a base) still restores,
+    and its closing compaction rewrites it as v4; a partial snapshot in a
+    v1–v3 journal is corruption.  [Text] (header v1/v2, the
     line-oriented format of earlier versions) is read-only: {!restore}
     replays an old text journal exactly as before and its closing
-    compaction rewrites the file as v3 binary; {!Journal.convert}
+    compaction rewrites the file as v4 binary; {!Journal.convert}
     transcodes one record for record.
 
     [group_commit] coalesces up to N encoded records into a single
@@ -157,8 +165,12 @@ val parse_header :
 
 exception Corrupt_journal of { path : string; message : string }
 (** Raised by {!restore} when the journal's prefix is unreadable, an
-    {e interior} record is damaged (intact records follow it), or the
-    replayed decisions diverge from the journaled ones.  Interior damage
+    {e interior} record is damaged (intact records follow it), the events
+    a partial snapshot's arrangement is rebuilt from do not add up (an
+    arrival out of sequence, a count the partial snapshot does not match,
+    an answered task that was not assigned or is not a task of the
+    instance), or the replayed decisions diverge from the journaled
+    ones.  Interior damage
     is reported with the byte offset, line and record index of the broken
     record plus an excerpt of the offending bytes.  (A torn {e suffix} —
     an interrupted append — is expected crash damage and is silently
@@ -238,10 +250,12 @@ val restore :
     given — then [path] is only read, and nothing beside it is touched —
     else to [path], whose compaction upgrades a text journal to binary.
     The compaction is temp file + rename, so a crash during it leaves
-    the old file in place.  A v3 binary header with a checkpoint period
-    of at least 1 is carried into the compacted journal byte for byte;
-    any other is rewritten at the current version.  [group_commit]
-    (default [1]) applies to the re-attached journal.  Replayed tail
+    the old file in place.  A v3 or v4 binary header with a checkpoint
+    period of at least 1 is carried into the compacted journal byte for
+    byte but for its magic line, which becomes v4 (the same length); any
+    other is rewritten at the current version.  [group_commit]
+    (default [1]) applies to the re-attached journal; below 1 it raises
+    [Invalid_argument] before the journal is read.  Replayed tail
     events do {e not} fire [on_decision] visibly different from live
     ones — the hook sees every decision the restored session makes from
     now on, and replayed decisions are verified against the journal
@@ -257,7 +271,7 @@ val is_empty_journal : string -> bool
 
 val checkpoint : t -> unit
 (** Force a snapshot + full compaction now (no-op without a
-    journal). *)
+    journal).  @raise Invalid_argument on a closed session. *)
 
 val close : t -> unit
 (** Flush and close the journal; further {!feed} calls raise.
@@ -306,14 +320,16 @@ val peak_memory_mb : t -> float
 
 module Journal : sig
   type info = {
-    version : int;  (** header version as parsed (1, 2 or 3) *)
+    version : int;  (** header version as parsed (1 to 4) *)
     codec : codec;
     header : header;
     file_bytes : int;  (** on-disk size, torn tail included *)
     torn_bytes : int;
         (** bytes of torn tail a restore would drop ([0] when every
             record is complete) *)
-    snapshots : int;  (** complete snapshot records in the file *)
+    snapshots : int;
+        (** complete snapshot records in the file, full and partial *)
+    partial_snapshots : int;  (** of which partial ones (tag ['P']) *)
     events : int;  (** complete event records in the file *)
     consumed : int;  (** arrivals a restore would recover *)
     snapshot_offsets : int list;
@@ -327,12 +343,13 @@ module Journal : sig
 
   val inspect : path:string -> info
   (** @raise Corrupt_journal on a header {!header} refuses (naming its
-      line) or on interior damage.
+      line), on interior damage, or on events that do not add up to the
+      latest partial snapshot, as {!restore} does.
       @raise Sys_error if [path] cannot be read. *)
 
   val convert : src:string -> dst:string -> unit
   (** Re-encode every complete record of [src] (either codec) into [dst]
-      as a v3 binary journal, preserving order and content: restoring
+      as a v4 binary journal, preserving order and content: restoring
       [dst] lands on the same session fingerprint as restoring [src].  A
       torn tail is not carried over; the header is rendered at the
       current version.  [dst] is truncated if it exists; converting a

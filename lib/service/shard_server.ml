@@ -588,6 +588,15 @@ let check_shard_headers ~source ~seeds m =
 
 let restore ?journal ?mailbox ?(mode = Domains) ?fsync ?group_commit
     ?supervise ~path () =
+  (* Refused before any file is read or rewritten, as [create] refuses
+     them before it writes one. *)
+  (match group_commit with
+  | Some g when g < 1 ->
+    invalid_arg "Shard_server.restore: group_commit must be >= 1"
+  | _ -> ());
+  (match mailbox with
+  | Some b when b < 1 -> invalid_arg "Shard_server.restore: mailbox must be >= 1"
+  | _ -> ());
   let m, seeds, source, journal_of =
     if is_manifest path then begin
       if journal <> None then

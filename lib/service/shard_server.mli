@@ -158,7 +158,8 @@ val restore :
     restored), and as {!Session.restore} does.
     @raise Ltc_core.Serialize.Parse_error / [Sys_error] as
     {!read_manifest} does.
-    @raise Invalid_argument on [journal] with a manifest. *)
+    @raise Invalid_argument on [journal] with a manifest, or on
+    [group_commit] or [mailbox] below 1 (before any file is read). *)
 
 val is_manifest : string -> bool
 (** [true] iff the file exists and starts with the shard-manifest magic —

@@ -1433,10 +1433,17 @@ let snapshot_gen =
     let* consumed = int_range 0 10_000 in
     let* policy = map Int64.of_int int in
     let* noshow = map Int64.of_int int in
+    (* [None]: a partial snapshot, without the arrangement section. *)
     let* assignments =
-      list_size (int_range 0 40) (pair (int_range 1 60) (int_range 0 19))
+      opt (list_size (int_range 0 40) (pair (int_range 1 60) (int_range 0 19)))
     in
     return (spec, consumed, policy, noshow, assignments))
+
+let arrangement_of =
+  Option.map
+    (List.fold_left
+       (fun a (worker, task) -> Arrangement.add a ~worker ~task)
+       Arrangement.empty)
 
 let prop_snapshot_record_roundtrip =
   QCheck2.Test.make ~name:"snapshot record round-trips through the frame"
@@ -1445,11 +1452,7 @@ let prop_snapshot_record_roundtrip =
       let thresholds = Array.of_list (List.map fst spec) in
       let p = Progress.create_per_task ~thresholds () in
       List.iteri (fun task (_, score) -> Progress.record p ~task ~score) spec;
-      let arrangement =
-        List.fold_left
-          (fun a (worker, task) -> Arrangement.add a ~worker ~task)
-          Arrangement.empty assignments
-      in
+      let arrangement = arrangement_of assignments in
       let s =
         {
           B.s_consumed = consumed;
@@ -1469,8 +1472,9 @@ let prop_snapshot_record_roundtrip =
           && s'.B.s_policy = policy
           && s'.B.s_noshow = noshow
           && Progress.snapshot s'.B.s_progress = Progress.snapshot p
-          && Arrangement.to_list s'.B.s_arrangement
-             = Arrangement.to_list arrangement
+          && Option.map Arrangement.to_list s'.B.s_arrangement
+             = Option.map Arrangement.to_list arrangement
+          && (payload.[0] = 'S') = Option.is_some arrangement
         | B.Event _ -> false)
       | B.Eof | B.Torn | B.Invalid _ -> false)
 
@@ -1485,7 +1489,8 @@ let prop_check_payload_agrees =
   in
   let kind_of = function
     | B.Event _ -> B.Event_record
-    | B.Snapshot _ -> B.Snapshot_record
+    | B.Snapshot { B.s_arrangement = Some _; _ } -> B.Snapshot_record
+    | B.Snapshot _ -> B.Partial_record
   in
   QCheck2.Test.make ~name:"check_payload agrees with record_of_payload"
     ~count:500
@@ -1507,11 +1512,7 @@ let prop_check_payload_agrees =
                     s_policy = policy;
                     s_noshow = noshow;
                     s_progress = p;
-                    s_arrangement =
-                      List.fold_left
-                        (fun a (worker, task) ->
-                          Arrangement.add a ~worker ~task)
-                        Arrangement.empty assignments;
+                    s_arrangement = arrangement_of assignments;
                   })
               snapshot_gen;
           ]
@@ -1587,7 +1588,8 @@ let test_binary_non_finite () =
         s_policy = 0L;
         s_noshow = 0L;
         s_progress = p;
-        s_arrangement = Arrangement.add Arrangement.empty ~worker:1 ~task:1;
+        s_arrangement =
+          Some (Arrangement.add Arrangement.empty ~worker:1 ~task:1);
       }
   in
   refused "NaN score" "non-finite score" (snapshot Float.nan);

@@ -338,8 +338,8 @@ let test_cross_codec_parity () =
       Session.Journal.convert ~src:text ~dst:converted;
       let info = Session.Journal.inspect ~path:converted in
       let label what = Printf.sprintf "%s: %s" fx.file what in
-      Alcotest.(check (pair int string)) (label "converted to v3 binary")
-        (3, "binary")
+      Alcotest.(check (pair int string)) (label "converted to v4 binary")
+        (4, "binary")
         ( info.Session.Journal.version,
           Session.codec_name info.Session.Journal.codec );
       Alcotest.(check (list int)) (label "record for record")
@@ -580,7 +580,13 @@ let test_create_validation () =
         convert old text journals; new journals are binary)") (fun () ->
       ignore
         (Session.create ~format:Session.Text
-           ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance))
+           ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
+  (* Restore refuses a group commit below 1 before it reads the journal
+     (here, a path that does not exist). *)
+  Alcotest.check_raises "restore group_commit 0 rejected"
+    (Invalid_argument "Session.restore: group_commit must be >= 1")
+    (fun () ->
+      ignore (Session.restore ~group_commit:0 ~path:base ()))
 
 let test_feed_contracts () =
   let instance = small_instance ~seed:2 () in
@@ -613,7 +619,23 @@ let test_feed_contracts () =
   Session.close s;
   Alcotest.check_raises "feed after close"
     (Invalid_argument "Session.feed: session is closed") (fun () ->
-      ignore (Session.feed s extra))
+      ignore (Session.feed s extra));
+  (* A closed session's journal is final: [checkpoint] refuses instead of
+     compacting the file and reopening it. *)
+  with_tmp_journal @@ fun path ->
+  let s =
+    Session.create ~journal:path ~checkpoint_every:4
+      ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance
+  in
+  List.iteri (fun j w -> if j < 10 then ignore (Session.feed s w))
+    (arrivals instance);
+  Session.close s;
+  let closed = read_file path in
+  Alcotest.check_raises "checkpoint after close"
+    (Invalid_argument "Session.checkpoint: session is closed") (fun () ->
+      Session.checkpoint s);
+  Alcotest.(check string) "the closed journal is untouched" closed
+    (read_file path)
 
 (* --------------------------------------------------- corruption triage *)
 
@@ -674,9 +696,11 @@ let test_interior_corruption_diagnosed () =
 
 module B = Ltc_core.Serialize.Binary
 
-(* A closed binary journal holding several appended snapshots ([close]
-   does not compact), as its header bytes plus its frames: (offset,
-   payload) in file order. *)
+(* A closed binary journal holding several appended (partial) snapshots
+   ([close] does not compact), as its header bytes plus its frames:
+   (offset, payload) in file order.  With a checkpoint every 8 arrivals,
+   frame [9k + 8] is the partial snapshot at arrival [8 (k + 1)] and
+   every other frame is an event. *)
 let superseded_fixture () =
   let instance =
     small_instance ~n_tasks:30 ~n_workers:60 ~capacity:1 ~seed:41 ()
@@ -714,18 +738,19 @@ let superseded_fixture () =
   in
   (header, Array.of_list (frames (String.length header) []))
 
-let is_snapshot payload = payload.[0] = 'S'
+let is_partial payload = payload.[0] = 'P'
 
-(* The snapshot codec spelled out with the primitives, with a hook on each
-   score, so a test can write a CRC-valid snapshot holding a value the
-   encoder would never produce. *)
-let reencode_snapshot ~score payload =
+(* The partial snapshot codec spelled out with the primitives, with a hook
+   on each score, so a test can write a CRC-valid partial snapshot holding
+   a value the encoder would never produce. *)
+let reencode_partial ~score payload =
   match B.record_of_payload payload with
-  | B.Event _ -> Alcotest.fail "expected a snapshot record"
+  | B.Event _ | B.Snapshot { B.s_arrangement = Some _; _ } ->
+    Alcotest.fail "expected a partial snapshot record"
   | B.Snapshot s ->
     let p = Ltc_core.Progress.snapshot s.B.s_progress in
     let buf = Buffer.create (String.length payload) in
-    B.add_u8 buf (Char.code 'S');
+    B.add_u8 buf (Char.code 'P');
     B.add_varint buf s.B.s_consumed;
     B.add_i64 buf s.B.s_policy;
     B.add_i64 buf s.B.s_noshow;
@@ -736,13 +761,6 @@ let reencode_snapshot ~score payload =
         B.add_f64 buf threshold;
         B.add_f64 buf (score task p.Ltc_core.Progress.scores.(task)))
       p.Ltc_core.Progress.thresholds;
-    let assignments = Ltc_core.Arrangement.to_list s.B.s_arrangement in
-    B.add_varint buf (List.length assignments);
-    List.iter
-      (fun (a : Ltc_core.Arrangement.assignment) ->
-        B.add_varint buf a.Ltc_core.Arrangement.worker;
-        B.add_varint buf a.Ltc_core.Arrangement.task)
-      assignments;
     Buffer.contents buf
 
 let frame_bytes header frames =
@@ -777,23 +795,23 @@ let check_refused ~what ~k ~offset ~reason bytes =
     Alcotest.(check string) "names the file" path p;
     check_message "restore" message
 
-(* The fixture's first snapshot and its second event: both superseded by
-   the last snapshot. *)
+(* The fixture's first partial snapshot, superseded by the last one, and
+   its second event, which only rebuilds the arrangement. *)
 let superseded_targets frames =
   let n = Array.length frames in
-  let last_snapshot =
-    let rec go i = if is_snapshot (snd frames.(i)) then i else go (i - 1) in
+  let last_partial =
+    let rec go i = if is_partial (snd frames.(i)) then i else go (i - 1) in
     go (n - 1)
   in
-  let first_snapshot =
-    let rec go i = if is_snapshot (snd frames.(i)) then i else go (i + 1) in
+  let first_partial =
+    let rec go i = if is_partial (snd frames.(i)) then i else go (i + 1) in
     go 0
   in
-  Alcotest.(check bool) "the first snapshot is superseded" true
-    (first_snapshot < last_snapshot);
+  Alcotest.(check bool) "the first partial snapshot is superseded" true
+    (first_partial < last_partial);
   Alcotest.(check bool) "frame 2 is an event" false
-    (is_snapshot (snd frames.(1)));
-  (first_snapshot, 1)
+    (is_partial (snd frames.(1)));
+  (first_partial, 1)
 
 let with_payload frames k payload =
   let frames = Array.copy frames in
@@ -809,7 +827,7 @@ let test_superseded_records_checked () =
    Session.close (Session.restore ~path ()));
   let snap_offset, snap_payload = frames.(snapshot) in
   Alcotest.(check string) "re-encoding is the identity" snap_payload
-    (reencode_snapshot ~score:(fun _ s -> s) snap_payload);
+    (reencode_partial ~score:(fun _ s -> s) snap_payload);
   (* (a) A flipped payload byte: the CRC catches it. *)
   let flipped =
     let b = Bytes.of_string (frame_bytes header frames) in
@@ -819,7 +837,8 @@ let test_superseded_records_checked () =
   in
   check_refused ~what:"flipped byte" ~k:snapshot ~offset:snap_offset
     ~reason:"CRC mismatch" flipped;
-  (* (b) A CRC-valid snapshot with one (positive) score negated. *)
+  (* (b) A CRC-valid partial snapshot with one (positive) score
+     negated. *)
   let scored =
     match B.record_of_payload snap_payload with
     | B.Snapshot s ->
@@ -831,7 +850,7 @@ let test_superseded_records_checked () =
     | B.Event _ -> assert false
   in
   let negated =
-    reencode_snapshot
+    reencode_partial
       ~score:(fun task s -> if task = scored then -.s else s)
       snap_payload
   in
@@ -855,13 +874,80 @@ let test_superseded_nan_refused () =
   let snapshot, _ = superseded_targets frames in
   let offset, payload = frames.(snapshot) in
   let nan_score =
-    reencode_snapshot
+    reencode_partial
       ~score:(fun task s -> if task = 0 then Float.nan else s)
       payload
   in
   check_refused ~what:"NaN score" ~k:snapshot ~offset
     ~reason:"non-finite score"
     (frame_bytes header (with_payload frames snapshot nan_score))
+
+(* The events before the latest partial snapshot are not replayed, so
+   what they rebuild is checked: each check refuses a CRC-valid record
+   that breaks it, naming the record, from restore and inspect alike. *)
+let test_partial_rebuild_checked () =
+  let header, frames = superseded_fixture () in
+  let last_partial = Array.length frames - 5 in
+  Alcotest.(check bool) "the last partial snapshot is frame 45" true
+    (last_partial = 44 && is_partial (snd frames.(last_partial)));
+  let reencode k f =
+    let buf = Buffer.create 256 in
+    B.emit_record buf (f (B.record_of_payload (snd frames.(k))));
+    frame_bytes header (with_payload frames k (Buffer.contents buf))
+  in
+  let event f = function
+    | B.Event e -> B.Event (f e)
+    | B.Snapshot _ -> Alcotest.fail "expected an event"
+  in
+  let refused ~what ~k ~reason f =
+    check_refused ~what ~k ~offset:(fst frames.(k)) ~reason (reencode k f)
+  in
+  (* Arrival 2 journaled as arrival 5. *)
+  refused ~what:"arrival out of sequence" ~k:1
+    ~reason:"arrival 5 follows arrival 1"
+    (event (fun e ->
+         let w = { e.B.e_worker with Ltc_core.Worker.index = 5 } in
+         { e with B.e_worker = w }));
+  (* The last partial snapshot claims one arrival more than its events. *)
+  refused ~what:"partial count" ~k:last_partial
+    ~reason:"a partial snapshot at arrival 41 where the events before it \
+             end at arrival 40"
+    (function
+      | B.Snapshot s -> B.Snapshot { s with B.s_consumed = 41 }
+      | B.Event _ -> Alcotest.fail "expected a snapshot");
+  (* The first event that answered a task answers one more, unassigned,
+     or its answer is moved past the instance's 30 tasks. *)
+  let k, w =
+    let rec go k =
+      match B.record_of_payload (snd frames.(k)) with
+      | B.Event { B.e_answered = _ :: _; e_worker; _ } ->
+        (k, e_worker.Ltc_core.Worker.index)
+      | _ -> go (k + 1)
+    in
+    go 0
+  in
+  refused ~what:"unassigned answer" ~k
+    ~reason:(Printf.sprintf "arrival %d answered task 29, which it was not \
+                             assigned" w)
+    (event (fun e ->
+         if List.mem 29 e.B.e_assigned then
+           Alcotest.fail "the probe task must be unassigned";
+         { e with B.e_answered = e.B.e_answered @ [ 29 ] }));
+  refused ~what:"answer beyond the tasks" ~k
+    ~reason:(Printf.sprintf "arrival %d answered task 30 of an instance with \
+                             30 tasks" w)
+    (event (fun e -> { e with B.e_assigned = [ 30 ]; e_answered = [ 30 ] }));
+  (* A v3 journal never held a partial snapshot. *)
+  let v4 = "ltc-journal v4\n" and v3 = "ltc-journal v3\n" in
+  Alcotest.(check string) "the fixture is a v4 journal" v4
+    (String.sub header 0 (String.length v4));
+  let first_partial = fst (superseded_targets frames) in
+  let bytes = frame_bytes header frames in
+  let magic = String.length v4 in
+  check_refused ~what:"partial snapshot in a v3 journal" ~k:first_partial
+    ~offset:(fst frames.(first_partial))
+    ~reason:"a partial snapshot in a v3 journal"
+    (v3 ^ String.sub bytes magic (String.length bytes - magic))
 
 (* A text journal event with a non-finite coordinate is a damaged record,
    not an arrival the policy can place. *)
@@ -894,12 +980,13 @@ let test_text_event_nan_refused () =
       true
       (has "corrupted record" && has "nan")
 
-(* Restore keeps a v3 binary header's bytes instead of rendering it again.
-   That is only sound because parsing a header and rendering it gives back
-   the same bytes: pinned here through [Journal.convert], which renders
-   the parsed header.  An old text journal's header is rendered instead,
-   and must come out as exactly the header a fresh binary session with the
-   same configuration writes. *)
+(* Restore keeps a binary header's bytes instead of rendering it again,
+   with a v3 magic line rewritten to v4.  That is only sound because
+   parsing a header and rendering it gives back the same bytes: pinned
+   here through [Journal.convert], which renders the parsed header.  An
+   old text journal's header is rendered instead; either way the result
+   must be exactly the header a fresh binary session with the same
+   configuration writes. *)
 let test_header_bytes_round_trip () =
   let header_of create =
     with_tmp_journal @@ fun path ->
@@ -929,6 +1016,21 @@ let test_header_bytes_round_trip () =
    starts_with header "a rendered copy" (read_file copy);
    Session.close (Session.restore ~path ());
    starts_with header "the restored journal" (read_file path));
+  (* Fewer arrivals than a checkpoint period: no partial snapshot, so the
+     same bytes under a v3 magic line are a valid v3 journal. *)
+  (with_tmp_journal @@ fun path ->
+   let s = create path in
+   List.iteri (fun j w -> if j < 4 then ignore (Session.feed s w))
+     (arrivals instance);
+   Session.close s;
+   let v4 = read_file path in
+   let magic = String.length "ltc-journal v3\n" in
+   write_file path
+     ("ltc-journal v3\n" ^ String.sub v4 magic (String.length v4 - magic));
+   Alcotest.(check int) "read as v3" 3
+     (Session.Journal.inspect ~path).Session.Journal.version;
+   Session.close (Session.restore ~path ());
+   starts_with header "the restored v3 journal" (read_file path));
   List.iter
     (fun fx ->
       let header =
@@ -974,7 +1076,7 @@ let test_text_upgrade_crash_safe () =
         (upgraded = fixture_reference fx);
       let info = Session.Journal.inspect ~path in
       Alcotest.(check (pair int string)) (site ^ ": and upgrades it")
-        (3, "binary")
+        (4, "binary")
         ( info.Session.Journal.version,
           Session.codec_name info.Session.Journal.codec ))
     [
@@ -1000,7 +1102,7 @@ let test_redirect_restore_leaves_source () =
   Alcotest.(check string) "source debris untouched" "debris"
     (read_file (source ^ ".tmp"));
   let info = Session.Journal.inspect ~path:target in
-  Alcotest.(check (pair int int)) "target is a compacted v3 journal" (3, 1)
+  Alcotest.(check (pair int int)) "target is a compacted v4 journal" (4, 1)
     (info.Session.Journal.version, info.Session.Journal.snapshots);
   Alcotest.(check bool) "target restores to the source's state" true
     (restored_fp target = restored_fp source)
@@ -2202,6 +2304,8 @@ let suite =
           test_superseded_records_checked;
         Alcotest.test_case "NaN score in a superseded snapshot refused"
           `Quick test_superseded_nan_refused;
+        Alcotest.test_case "partial snapshot rebuild checks refuse" `Quick
+          test_partial_rebuild_checked;
         Alcotest.test_case "text event with a NaN coordinate refused" `Quick
           test_text_event_nan_refused;
         Alcotest.test_case "header bytes round-trip (both codecs)" `Quick
