@@ -2,7 +2,6 @@
 
    Subcommands:
      ltc run      generate a workload and run one or all algorithms
-     ltc sweep    run a registered experiment (same registry as bench/)
      ltc bounds   print the Theorem-2 latency bounds for a configuration
      ltc example  replay the paper's running example (Tables I-II)           *)
 
@@ -375,86 +374,6 @@ let generate_cmd =
       const impl $ workload $ scale_arg $ tasks $ workers $ capacity
       $ epsilon $ seed_arg $ out)
 
-(* ---------------------------------------------------------- sweep command *)
-
-let sweep_cmd_impl id scale reps seed jobs csv plot log_levels metrics
-    metrics_format =
-  setup_observability ~verbose:false ~log_levels ~metrics;
-  if jobs < 1 then begin
-    Format.eprintf "--jobs must be at least 1 (got %d)@." jobs;
-    1
-  end
-  else if reps < 1 then begin
-    Format.eprintf "--reps must be at least 1 (got %d)@." reps;
-    1
-  end
-  else
-  match (Ltc_experiments.Figures.find id, scale) with
-  | _, Some s when not (s > 0.0 && s < infinity) ->
-    Format.eprintf "--scale must be finite and > 0 (got %g)@." s;
-    1
-  | None, _ ->
-    Format.eprintf "unknown experiment %S; available: %s@." id
-      (String.concat ", " (Ltc_experiments.Figures.ids ()));
-    1
-  | Some e, _ ->
-    let scale = Option.value scale ~default:e.Ltc_experiments.Figures.default_scale in
-    Format.printf "%s (%s), scale=%g reps=%d seed=%d jobs=%d@.@."
-      e.Ltc_experiments.Figures.id e.Ltc_experiments.Figures.panels scale reps
-      seed jobs;
-    List.iter
-      (fun o ->
-        Ltc_experiments.Runner.print o;
-        if plot then
-          Option.iter
-            (fun p ->
-              print_newline ();
-              print_string p)
-            (Ltc_experiments.Runner.to_plot o);
-        (match csv with
-        | None -> ()
-        | Some dir ->
-          Format.printf "(csv: %s)@."
-            (Ltc_experiments.Runner.write_csv ~dir o));
-        print_newline ())
-      (e.Ltc_experiments.Figures.run ~jobs ~scale ~reps ~seed);
-    write_snapshot ~metrics ~metrics_format;
-    0
-
-let sweep_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see bench --list).")
-  in
-  let scale =
-    Arg.(value & opt (some float) None
-         & info [ "scale" ] ~docv:"S" ~doc:"Workload scale override.")
-  in
-  let reps =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"N" ~doc:"Repetitions.")
-  in
-  let jobs =
-    Arg.(value & opt int (Ltc_util.Pool.default_jobs ())
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domains used for the independent experiment cells \
-                   (default: the machine's recommended domain count). \
-                   Everything except wall-clock runtime tables is identical \
-                   for every value.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"DIR" ~doc:"Also write tables as CSV files.")
-  in
-  let plot =
-    Arg.(value & flag
-         & info [ "plot" ] ~doc:"Render an ASCII chart under every table.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"run one registered experiment")
-    Term.(
-      const sweep_cmd_impl $ id $ scale $ reps $ seed_arg $ jobs $ csv $ plot
-      $ log_arg $ metrics_arg $ metrics_format_arg)
-
 (* --------------------------------------------------------- bounds command *)
 
 let bounds_cmd_impl n_tasks epsilon capacity =
@@ -673,14 +592,7 @@ let serve_stream ~on_bad_input server =
     List.iter
       (fun (d : Ltc_service.Session.decision) ->
         if not !done_ then begin
-          print_string
-            (Ltc_service.Ndjson.decision_to_line
-               ~degraded:d.Ltc_service.Session.degraded
-               ~worker:d.Ltc_service.Session.worker
-               ~assigned:d.Ltc_service.Session.assigned
-               ~answered:d.Ltc_service.Session.answered
-               ~completed:d.Ltc_service.Session.completed
-               ~latency:d.Ltc_service.Session.latency ());
+          print_string (Ltc_service.Ndjson.decision_to_line d);
           print_newline ();
           flush stdout;
           if d.Ltc_service.Session.completed then done_ := true
@@ -1027,7 +939,7 @@ let serve_cmd =
    and as a Perfetto-loadable Chrome trace.  The default virtual timing
    makes the whole report a pure function of the flags. *)
 let loadgen_cmd_impl load algo_name o shape_spec rate arrivals service_mean
-    service_dist timing poisson slo flight_out flight_capacity trace_out
+    service_dist timing slo flight_out flight_capacity trace_out
     log_levels metrics metrics_format =
   setup_observability ~verbose:false ~log_levels ~metrics;
   let algorithm = resolve_algorithm algo_name in
@@ -1036,13 +948,6 @@ let loadgen_cmd_impl load algo_name o shape_spec rate arrivals service_mean
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
     die "loadgen: instance %s embeds no workers to offer" load;
-  let shape_spec =
-    if not poisson then shape_spec
-    else
-      shape_spec
-      ^ (if String.contains shape_spec ':' then "," else ":")
-      ^ "poisson=true"
-  in
   let shape =
     match Ltc_workload.Shape.of_string ~rate shape_spec with
     | Ok s -> s
@@ -1151,12 +1056,6 @@ let loadgen_cmd =
                    real time and measures actual policy latency \
                    (non-deterministic).")
   in
-  let poisson =
-    Arg.(value & flag
-         & info [ "poisson" ]
-             ~doc:"Jitter the schedule into a non-homogeneous Poisson \
-                   process (same as $(b,poisson=true) in --shape).")
-  in
   let slo =
     Arg.(value & opt (some float) None
          & info [ "slo" ] ~docv:"SECONDS"
@@ -1191,7 +1090,7 @@ let loadgen_cmd =
     Term.(
       const loadgen_cmd_impl $ stream_load_arg $ stream_algorithm_arg
       $ server_opts $ shape $ rate $ arrivals $ service_mean $ service_dist
-      $ timing $ poisson $ slo $ flight_out $ flight_capacity $ trace_out
+      $ timing $ slo $ flight_out $ flight_capacity $ trace_out
       $ log_arg $ metrics_arg $ metrics_format_arg)
 
 (* ---------------------------------------------------------- chaos command *)
@@ -1570,7 +1469,7 @@ let main =
   Cmd.group
     (Cmd.info "ltc" ~doc ~version:"1.0.0")
     [
-      run_cmd; generate_cmd; sweep_cmd; bounds_cmd; infer_cmd; example_cmd;
+      run_cmd; generate_cmd; bounds_cmd; infer_cmd; example_cmd;
       serve_cmd; loadgen_cmd; chaos_cmd; journal_cmd;
     ]
 
@@ -1584,9 +1483,6 @@ let () =
     exit 2
   | exception Ltc_core.Serialize.Parse_error { line; message } ->
     Format.eprintf "ltc: parse error at line %d: %s@." line message;
-    exit 2
-  | exception Ltc_service.Ndjson.Malformed message ->
-    Format.eprintf "ltc: bad NDJSON event: %s@." message;
     exit 2
   | exception Ltc_service.Ndjson.Bad_input { line; text; reason } ->
     Format.eprintf "ltc: bad input at line %d: %s: %S@." line reason text;

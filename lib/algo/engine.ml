@@ -1,9 +1,5 @@
 open Ltc_core
 
-type telemetry = { degraded : int }
-
-let no_telemetry = { degraded = 0 }
-
 type outcome = {
   name : string;
   arrangement : Arrangement.t;
@@ -11,7 +7,7 @@ type outcome = {
   latency : int;
   workers_consumed : int;
   peak_memory_mb : float;
-  telemetry : telemetry;
+  degraded : int;
 }
 
 type policy =
@@ -252,7 +248,7 @@ let consumed st = st.consumed
 let degraded st = st.degraded
 let peak_memory_mb st = Ltc_util.Mem.Tracker.high_water_mb st.tracker
 
-let finish ?(telemetry = no_telemetry) st =
+let finish st =
   {
     name = st.name;
     arrangement = st.arrangement;
@@ -260,7 +256,7 @@ let finish ?(telemetry = no_telemetry) st =
     latency = Arrangement.latency st.arrangement;
     workers_consumed = st.consumed;
     peak_memory_mb = peak_memory_mb st;
-    telemetry;
+    degraded = st.degraded;
   }
 
 let run ?(config = default_config) ~name policy instance =
@@ -301,10 +297,9 @@ let run ?(config = default_config) ~name policy instance =
         st.consumed
         (Arrangement.latency st.arrangement)
         (Arrangement.size st.arrangement));
-  finish st ~telemetry:{ degraded = st.degraded }
+  finish st
 
-let of_arrangement ~name ?workers_consumed ?tracker
-    ?(telemetry = no_telemetry) instance arrangement =
+let of_arrangement ~name ?workers_consumed ?tracker instance arrangement =
   let progress =
     Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
@@ -325,7 +320,7 @@ let of_arrangement ~name ?workers_consumed ?tracker
       (match tracker with
       | None -> 0.0
       | Some tr -> Ltc_util.Mem.Tracker.high_water_mb tr);
-    telemetry;
+    degraded = 0;
   }
 
 let pp_outcome fmt (o : outcome) =
@@ -336,5 +331,4 @@ let pp_outcome fmt (o : outcome) =
     o.completed o.workers_consumed o.peak_memory_mb;
   (* Only shown when something actually degraded, so the common-case line
      stays stable for scripts and cram pins. *)
-  if o.telemetry.degraded > 0 then
-    Format.fprintf fmt " degraded=%d" o.telemetry.degraded
+  if o.degraded > 0 then Format.fprintf fmt " degraded=%d" o.degraded

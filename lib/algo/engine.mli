@@ -14,21 +14,6 @@
 
 open Ltc_core
 
-type telemetry = {
-  degraded : int;
-      (** decisions that degraded: arrivals decided by the fallback
-          because the primary blew its deadline, or — for offline MCF-LTC
-          via {!of_arrangement} — batches whose anytime solver budget
-          fired (0 without a [degrade] config / solver budget) *)
-}
-(** Per-run degradation summary.  Per-arrival decision times go to the
-    [ltc_engine_decision_seconds] metric series while the
-    {!Ltc_util.Metrics} registry is enabled. *)
-
-val no_telemetry : telemetry
-(** All-zero telemetry, used by {!of_arrangement} (offline algorithms have
-    no per-arrival decisions). *)
-
 type outcome = {
   name : string;
   arrangement : Arrangement.t;
@@ -38,7 +23,13 @@ type outcome = {
       (** arrivals processed before stopping (>= latency for online runs) *)
   peak_memory_mb : float;
       (** high-water footprint of algorithm-owned structures *)
-  telemetry : telemetry;
+  degraded : int;
+      (** decisions that degraded: arrivals decided by the fallback
+          because the primary blew its deadline, or — for offline MCF-LTC
+          — batches whose anytime solver budget fired (0 without a
+          [degrade] config or solver budget).  Per-arrival decision times
+          go to the [ltc_engine_decision_seconds] metric series while the
+          {!Ltc_util.Metrics} registry is enabled. *)
 }
 
 type policy =
@@ -82,7 +73,7 @@ type degrade = {
 (** Graceful degradation under a per-arrival solve deadline.  The primary
     policy always runs (it cannot be interrupted mid-decision); when its
     answer arrives past [budget_s], the answer is discarded, the fallback
-    decides instead, and the miss is recorded in [telemetry.degraded] and
+    decides instead, and the miss is counted in the outcome's [degraded] and
     the [ltc_engine_degraded_total] metric.  Note the primary still
     consumed its RNG draws — replay/restore paths must preserve that. *)
 
@@ -193,22 +184,19 @@ val degraded : state -> int
 
 val peak_memory_mb : state -> float
 
-val finish : ?telemetry:telemetry -> state -> outcome
-(** The run's outcome so far; [telemetry] defaults to {!no_telemetry}. *)
+val finish : state -> outcome
+(** The run's outcome so far. *)
 
 val of_arrangement :
   name:string ->
   ?workers_consumed:int ->
   ?tracker:Ltc_util.Mem.Tracker.t ->
-  ?telemetry:telemetry ->
   Instance.t ->
   Arrangement.t ->
   outcome
 (** Wraps an arrangement produced by an offline algorithm, recomputing
     completion and latency.  [workers_consumed] defaults to the
-    arrangement's latency.  [telemetry] (default {!no_telemetry}) lets an
-    offline algorithm report solver-side degradations — MCF-LTC counts
-    batches whose anytime budget fired in [telemetry.degraded]. *)
+    arrangement's latency; [degraded] is 0. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One line with every scalar field:

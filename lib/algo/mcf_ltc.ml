@@ -269,9 +269,12 @@ let run_batches ~name ~batch_size ?budget instance =
           batch
     done;
     Ltc_util.Mem.Tracker.remove_words tracker scratch.accounted;
-    Engine.of_arrangement ~name ~workers_consumed:!cursor ~tracker
-      ~telemetry:{ Engine.degraded = scratch.degraded_batches }
-      instance !arrangement
+    {
+      (Engine.of_arrangement ~name ~workers_consumed:!cursor ~tracker instance
+         !arrangement)
+      with
+      Engine.degraded = scratch.degraded_batches;
+    }
   end
 
 (* Theorem-2 batch width m = |T| ceil(delta) / K, using the strictest

@@ -36,7 +36,7 @@ type config = {
           flow is kept — it is an optimal routing of the units it did
           route — and the greedy leftover pass (Algorithm 1 lines 8-15)
           completes the batch into a feasible assignment; the batch is
-          counted in [telemetry.degraded] and the
+          counted in the outcome's [degraded] and the
           [ltc_engine_degraded_total{fallback="solver-anytime"}] metric,
           separate from the engine's fallback-policy degradations. *)
 }

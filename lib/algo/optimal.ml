@@ -24,7 +24,10 @@ let exists_subset items size f =
   in
   if size = 0 then f [] else go 0 0
 
-let feasible_with ?(max_nodes = 5_000_000) instance l =
+(* DFS nodes one feasibility test may visit. *)
+let max_nodes = 5_000_000
+
+let feasible_with instance l =
   let n_tasks = Instance.task_count instance in
   let workers = instance.Instance.workers in
   let l = min l (Array.length workers) in
@@ -105,11 +108,11 @@ let feasible_with ?(max_nodes = 5_000_000) instance l =
   end
   else None
 
-let solve ?max_nodes instance =
+let solve instance =
   let n = Instance.worker_count instance in
-  match feasible_with ?max_nodes instance n with
+  match feasible_with instance n with
   | None -> None
-  | Some _ ->
+  | Some witness ->
     (* Binary search the minimal feasible latency (feasibility is monotone
        in the prefix length). *)
     let rec search lo hi best =
@@ -117,15 +120,10 @@ let solve ?max_nodes instance =
       if lo >= hi then (hi, best)
       else begin
         let mid = (lo + hi) / 2 in
-        match feasible_with ?max_nodes instance mid with
+        match feasible_with instance mid with
         | Some a -> search lo mid a
         | None -> search (mid + 1) hi best
       end
-    in
-    let witness =
-      match feasible_with ?max_nodes instance n with
-      | Some a -> a
-      | None -> assert false
     in
     let latency, arrangement = search 1 n witness in
     (* The witness may finish earlier than the searched bound. *)

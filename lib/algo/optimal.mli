@@ -14,16 +14,14 @@
     score every future worker could still contribute). *)
 
 exception Budget_exceeded
-(** Raised when the node budget is exhausted; enlarge [max_nodes] or shrink
-    the instance. *)
+(** Raised when one feasibility test visits more than 5 000 000 DFS
+    nodes; shrink the instance. *)
 
-val feasible_with : ?max_nodes:int -> Ltc_core.Instance.t -> int ->
-  Ltc_core.Arrangement.t option
+val feasible_with : Ltc_core.Instance.t -> int -> Ltc_core.Arrangement.t option
 (** [feasible_with instance l] completes all tasks using only workers
-    [1..l], or returns [None].  [max_nodes] (default [5_000_000]) bounds the
-    DFS. *)
+    [1..l], or returns [None]. *)
 
-val solve : ?max_nodes:int -> Ltc_core.Instance.t ->
+val solve : Ltc_core.Instance.t ->
   (int * Ltc_core.Arrangement.t) option
 (** Minimum latency and a witnessing arrangement; [None] when even the full
     worker set cannot complete the tasks. *)

@@ -17,8 +17,6 @@ let score scoring model w t =
   | Hoeffding -> Accuracy.acc_star model w t
   | Sum_accuracy _ -> Accuracy.acc model w t
 
-let vote_weight model w t = (2.0 *. Accuracy.acc model w t) -. 1.0
-
 let majority votes =
   match votes with
   | [] -> None

@@ -25,9 +25,6 @@ val threshold : scoring -> epsilon:float -> float
 val score : scoring -> Accuracy.t -> Worker.t -> Task.t -> float
 (** Contribution of one assignment towards the task's threshold. *)
 
-val vote_weight : Accuracy.t -> Worker.t -> Task.t -> float
-(** The voting weight [2 Acc(w,t) - 1] of Definition 4. *)
-
 val majority :
   (float * Task.answer) list -> Task.answer option
 (** [majority votes] is the weighted majority decision over

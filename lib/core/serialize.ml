@@ -612,6 +612,11 @@ module Binary = struct
     | tag when tag = tag_snapshot -> Snapshot_record
     | _ -> Partial_record
 
+  let scan_payload payload =
+    if String.length payload > 0 && Char.code payload.[0] = tag_event then
+      (Event_record, Some (record_of_payload payload))
+    else (check_payload payload, None)
+
   (* ---------------------------------------------------------- framing *)
 
   (* Frame layout: [u32le payload length][u32le crc32(payload)][payload].

@@ -26,17 +26,12 @@ exception Parse_error of { line : int; message : string }
 val parse_error : line:int -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Parse_error} at [line] with a formatted message. *)
 
-val write_instance : out_channel -> Instance.t -> unit
+val save_instance : path:string -> Instance.t -> unit
 (** @raise Invalid_argument on a [Custom] accuracy model. *)
 
-val read_instance : in_channel -> Instance.t
+val load_instance : path:string -> Instance.t
 (** @raise Parse_error on malformed input. *)
 
-val save_instance : path:string -> Instance.t -> unit
-val load_instance : path:string -> Instance.t
-
-val write_arrangement : out_channel -> Arrangement.t -> unit
-val read_arrangement : in_channel -> Arrangement.t
 val save_arrangement : path:string -> Arrangement.t -> unit
 val load_arrangement : path:string -> Arrangement.t
 
@@ -187,6 +182,12 @@ module Binary : sig
       [Parse_error] on the same payloads, without building the record:
       no lists, no [Progress.t], no [Arrangement.t].  For records whose
       content will be thrown away. *)
+
+  val scan_payload : string -> kind * record option
+  (** Restore's one decode per record: an event payload is built into its
+      record straight away, a snapshot's is only checked, as by
+      {!check_payload}, and left for {!record_of_payload} ([None]).
+      Raises what {!record_of_payload} raises on the same payload. *)
 
   (** {3 Framing} *)
 

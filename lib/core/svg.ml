@@ -17,7 +17,10 @@ type view = {
 
 let margin = 20.0
 
-let make_view ~size (instance : Instance.t) =
+(* The image's larger dimension in pixels. *)
+let size = 800
+
+let make_view (instance : Instance.t) =
   let points =
     Array.to_list (Array.map (fun (t : Task.t) -> t.loc) instance.tasks)
     @ Array.to_list
@@ -46,9 +49,8 @@ let px view (p : Ltc_geo.Point.t) =
   in
   (x, y)
 
-let render ?(size = 800) ?arrangement ?(show_radius = true)
-    (instance : Instance.t) =
-  let view, width, height = make_view ~size instance in
+let render ?arrangement (instance : Instance.t) =
+  let view, width, height = make_view instance in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf (header ~width ~height);
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -66,8 +68,8 @@ let render ?(size = 800) ?arrangement ?(show_radius = true)
           ~score:(Instance.score instance w asgn.task))
       (Arrangement.to_list a));
   (* Layer 1: candidate-radius halos. *)
-  (match (show_radius, instance.candidate_radius) with
-  | true, Some radius ->
+  (match instance.candidate_radius with
+  | Some radius ->
     Array.iter
       (fun (t : Task.t) ->
         let x, y = px view t.loc in
@@ -77,7 +79,7 @@ let render ?(size = 800) ?arrangement ?(show_radius = true)
            stroke-width=\"0.5\"/>\n"
           x y (radius *. view.scale))
       instance.tasks
-  | true, None | false, _ -> ());
+  | None -> ());
   (* Layer 2: workers (under the assignment lines). *)
   Array.iter
     (fun (w : Worker.t) ->
@@ -120,9 +122,8 @@ let render ?(size = 800) ?arrangement ?(show_radius = true)
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let save ~path ?size ?arrangement ?show_radius instance =
+let save ~path ?arrangement instance =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (render ?size ?arrangement ?show_radius instance))
+    (fun () -> output_string oc (render ?arrangement instance))

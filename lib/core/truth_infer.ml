@@ -14,6 +14,12 @@ type result = {
 
 let clamp_accuracy p = Float.max 0.51 (Float.min 0.99 p)
 
+(* EM stops after [max_iterations] rounds, or once no parameter moved by
+   [tolerance] or more; every worker starts at [prior_accuracy]. *)
+let max_iterations = 100
+let tolerance = 1e-6
+let prior_accuracy = 0.75
+
 let validate ~n_workers ~n_tasks observations =
   List.iter
     (fun o ->
@@ -65,12 +71,10 @@ let posterior_yes accuracies votes =
     let yes = exp (!log_yes -. m) and no = exp (!log_no -. m) in
     yes /. (yes +. no)
 
-let run ?(max_iterations = 100) ?(tolerance = 1e-6) ?(prior_accuracy = 0.75)
-    ~n_workers ~n_tasks observations =
-  if max_iterations < 1 then invalid_arg "Truth_infer.run: max_iterations < 1";
+let run ~n_workers ~n_tasks observations =
   validate ~n_workers ~n_tasks observations;
   let per_task = by_task ~n_tasks observations in
-  let accuracies = Array.make (max n_workers 1) (clamp_accuracy prior_accuracy) in
+  let accuracies = Array.make (max n_workers 1) prior_accuracy in
   let posteriors = Array.make (max n_tasks 1) 0.5 in
   (* Per-worker accumulators for the M-step. *)
   let agreement = Array.make (max n_workers 1) 0.0 in
@@ -128,15 +132,11 @@ type two_coin_result = {
   prevalence : float;
 }
 
-let run_two_coin ?(max_iterations = 100) ?(tolerance = 1e-6)
-    ?(prior_accuracy = 0.75) ~n_workers ~n_tasks observations =
-  if max_iterations < 1 then
-    invalid_arg "Truth_infer.run_two_coin: max_iterations < 1";
+let run_two_coin ~n_workers ~n_tasks observations =
   validate ~n_workers ~n_tasks observations;
   let per_task = by_task ~n_tasks observations in
-  let p0 = clamp_accuracy prior_accuracy in
-  let alpha = Array.make (max n_workers 1) p0 in
-  let beta = Array.make (max n_workers 1) p0 in
+  let alpha = Array.make (max n_workers 1) prior_accuracy in
+  let beta = Array.make (max n_workers 1) prior_accuracy in
   let posteriors = Array.make (max n_tasks 1) 0.5 in
   let prevalence = ref 0.5 in
   (* M-step accumulators. *)

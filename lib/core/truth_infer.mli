@@ -39,17 +39,11 @@ type result = {
   converged : bool;
 }
 
-val run :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  ?prior_accuracy:float ->
-  n_workers:int ->
-  n_tasks:int ->
-  observation list ->
-  result
-(** Defaults: 100 iterations max, tolerance 1e-6 (max absolute accuracy
-    change), prior accuracy 0.75.  @raise Invalid_argument on out-of-range
-    observations or non-positive dimensions with observations present. *)
+val run : n_workers:int -> n_tasks:int -> observation list -> result
+(** At most 100 EM iterations, converged once no accuracy moves by 1e-6
+    or more; every worker starts at accuracy 0.75.  @raise
+    Invalid_argument on out-of-range observations or non-positive
+    dimensions with observations present. *)
 
 val majority_baseline :
   n_workers:int -> n_tasks:int -> observation list -> result
@@ -77,13 +71,7 @@ type two_coin_result = {
 }
 
 val run_two_coin :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  ?prior_accuracy:float ->
-  n_workers:int ->
-  n_tasks:int ->
-  observation list ->
-  two_coin_result
+  n_workers:int -> n_tasks:int -> observation list -> two_coin_result
 (** Same contract as {!run}; parameters are clamped into [\[0.51, 0.99\]]
     (the identifiability anchor — flipping all labels swaps
     [alpha <-> 1 - beta]). *)

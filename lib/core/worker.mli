@@ -17,10 +17,8 @@ val make :
     is outside [\[0, 1\]] (NaN included) or a coordinate of [loc] is not
     finite. *)
 
-val min_trusted_accuracy : float
-(** The paper's spam threshold: workers with [p_w < 0.66] are ignored by the
-    platform. *)
-
 val is_trusted : t -> bool
+(** [p_w >= 0.66]: the paper's spam threshold, below which the platform
+    ignores a worker. *)
 
 val pp : Format.formatter -> t -> unit

@@ -36,11 +36,10 @@ let run_metrics algo =
     Ltc_util.Metrics.histogram ~help:"wall time per sweep run (s)" ~labels
       "ltc_runner_runtime_seconds" )
 
-(* Total algorithm executions since [reset_runs]; feeds the bench harness's
+(* Total algorithm executions in this process; feeds the bench harness's
    throughput report (--json). *)
 let runs_total = Atomic.make 0
 let runs_executed () = Atomic.get runs_total
-let reset_runs () = Atomic.set runs_total 0
 let count_run () = ignore (Atomic.fetch_and_add runs_total 1)
 
 (* One measurement: algorithm name, latency, wall time, memory, completed. *)

@@ -57,10 +57,8 @@ val sweep :
     seed, as all registered workloads are). *)
 
 val runs_executed : unit -> int
-(** Algorithm executions {!sweep} performed since {!reset_runs} (process
-    total, all sweeps); the bench harness's throughput denominator. *)
-
-val reset_runs : unit -> unit
+(** Algorithm executions {!sweep} performed in this process (all sweeps);
+    the bench harness's throughput denominator. *)
 
 val latency_table : title:string -> x_header:string -> point list -> output
 (** Latencies; cells of runs that did not always complete are suffixed

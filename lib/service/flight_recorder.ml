@@ -70,29 +70,23 @@ let dump t ~path =
       output_string oc (to_ndjson t))
 
 let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_char buf '[';
-  let first = ref true in
-  let emit ev =
-    if not !first then Buffer.add_string buf ",\n ";
-    first := false;
-    Buffer.add_string buf ev
+  let events = ref [] in
+  let add ev_name ev_start_s ev_duration_s ev_args =
+    events :=
+      { Ltc_util.Trace.ev_name; ev_start_s; ev_duration_s; ev_args }
+      :: !events
   in
   iter
     (fun r ->
+      let seq = ("seq", string_of_int r.seq) in
       if r.actual_s > r.offered_s then
-        emit
-          (Printf.sprintf
-             "{\"name\":\"queued\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"seq\":%d}}"
-             (r.offered_s *. 1e6)
-             ((r.actual_s -. r.offered_s) *. 1e6)
-             r.seq);
-      emit
-        (Printf.sprintf
-           "{\"name\":\"decide\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"seq\":%d,\"assigned\":%d,\"degraded\":%b}}"
-           (r.actual_s *. 1e6)
-           (Float.max 0.0 (r.done_s -. r.actual_s) *. 1e6)
-           r.seq r.assigned r.degraded))
+        add "queued" r.offered_s (r.actual_s -. r.offered_s) [ seq ];
+      add "decide" r.actual_s
+        (Float.max 0.0 (r.done_s -. r.actual_s))
+        [
+          seq;
+          ("assigned", string_of_int r.assigned);
+          ("degraded", string_of_bool r.degraded);
+        ])
     t;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
+  Ltc_util.Trace.chrome_json (List.rev !events)

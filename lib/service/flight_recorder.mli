@@ -54,5 +54,6 @@ val to_chrome_json : t -> string
 (** Chrome trace-event JSON array: per arrival one ["X"] slice [decide]
     from [actual_s] to [done_s] (annotated with seq/assigned/degraded),
     preceded by a [queued] slice from [offered_s] to [actual_s] when the
-    arrival was fed late.  Timestamps in microseconds; loadable in
-    [chrome://tracing] or Perfetto. *)
+    arrival was fed late.  Rendered by {!Ltc_util.Trace.chrome_json}:
+    timestamps in microseconds, loadable in [chrome://tracing] or
+    Perfetto. *)

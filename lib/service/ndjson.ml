@@ -158,10 +158,9 @@ let int_list_to_json tasks =
 
 (* [degraded] is emitted only when true, so the common fault-free wire
    format is unchanged. *)
-let decision_to_line ?(degraded = false) ~worker ~assigned ~answered
-    ~completed ~latency () =
+let decision_to_line (d : Ltc_algo.Engine.decision) =
   Printf.sprintf
     "{\"index\":%d,\"assigned\":%s,\"answered\":%s,\"completed\":%b,\"latency\":%d%s}"
-    worker (int_list_to_json assigned) (int_list_to_json answered) completed
-    latency
-    (if degraded then ",\"degraded\":true" else "")
+    d.worker (int_list_to_json d.assigned) (int_list_to_json d.answered)
+    d.completed d.latency
+    (if d.degraded then ",\"degraded\":true" else "")

@@ -12,36 +12,22 @@
     deliberately minimal — flat objects of numbers, booleans and integer
     arrays; no nesting, no string escapes. *)
 
-exception Malformed of string
-
 exception Bad_input of { line : int; text : string; reason : string }
 (** One arrival line the stream could not use, with its 1-based position
     in the input and the offending bytes (truncated to an excerpt).
     Raised by {!arrival_exn}; [ltc serve --on-bad-input] decides whether
     it kills the stream or skips the line. *)
 
-val arrival_of_line : string -> Ltc_core.Worker.t
-(** Parse one arrival event.  Requires keys [index], [x], [y], [accuracy],
-    [capacity]; integer-valued fields must be whole numbers and [x], [y],
-    [accuracy] finite.
-    @raise Malformed on syntax or schema violations, [Invalid_argument]
-    when the field values violate {!Ltc_core.Worker.make}'s contract. *)
-
 val arrival_exn : line:int -> string -> Ltc_core.Worker.t
-(** {!arrival_of_line} with structured errors: syntax, schema and
-    field-contract violations all surface as {!Bad_input} carrying [line]
-    and the offending bytes.  Probes the ["ndjson.parse"]
+(** Parse one arrival event.  Requires keys [index], [x], [y],
+    [accuracy], [capacity]; integer-valued fields must be whole numbers
+    and [x], [y], [accuracy] finite, and the values must meet
+    {!Ltc_core.Worker.make}'s contract.  Syntax, schema and
+    field-contract violations all surface as {!Bad_input} carrying
+    [line] and the offending bytes.  Probes the ["ndjson.parse"]
     {!Ltc_util.Fault} site first.  @raise Bad_input as described. *)
 
-val decision_to_line :
-  ?degraded:bool ->
-  worker:int ->
-  assigned:int list ->
-  answered:int list ->
-  completed:bool ->
-  latency:int ->
-  unit ->
-  string
-(** One decision line (no trailing newline).  [degraded] (default
-    [false]) marks a deadline-degraded decision and is emitted only when
-    true, keeping the fault-free wire format unchanged. *)
+val decision_to_line : Ltc_algo.Engine.decision -> string
+(** One decision line (no trailing newline).  A deadline-degraded
+    decision carries ["degraded":true]; the field is left out otherwise,
+    keeping the fault-free wire format unchanged. *)

@@ -793,7 +793,7 @@ let excerpt_at ~path ~offset =
 
 (* A complete record the scan found: its number in the file (from 1) and
    the byte offset of its start.  [record] is [None] for a binary record a
-   later snapshot supersedes: checked, never built. *)
+   later snapshot supersedes: dropped, and never built if a snapshot. *)
 type item = {
   kind : B.kind;
   index : int;
@@ -890,20 +890,21 @@ let scan_text ~path src =
    fails to decode, is interior corruption wherever it sits.  So is a
    partial snapshot in a journal older than v4, which never wrote one.
 
-   Every frame is CRC-checked and its payload checked in file order, so
-   damage anywhere is reported where it is met.  Only what a restore
-   needs is then built (every record with [~all]): the latest full
-   snapshot, the latest partial snapshot after it, and every event after
-   the full one — those before the partial rebuild the arrangement, the
-   rest replay.  A full snapshot supersedes every record before it, a
-   partial one only the partial before it, and building a superseded
-   record would be thrown away.  Each payload is dropped as soon as it is
-   superseded. *)
+   Every frame is CRC-checked and decoded once, in file order, so damage
+   anywhere is reported where it is met.  An event is built as it is
+   decoded: a restore keeps every event after the latest full snapshot —
+   those before the latest partial one rebuild the arrangement, the rest
+   replay — and in a v4 journal, whose only full snapshot compaction
+   writes first, no event comes before it.  A snapshot is only checked, and built at the end if a restore
+   needs it (every one with [~all]): the latest full snapshot and the
+   latest partial one after it.  A full snapshot supersedes every record
+   before it, a partial one only the partial before it; each record is
+   dropped as soon as it is superseded. *)
 let scan_binary ~path ~version ~all ic =
-  (* (kind, index, offset, payload) of every record, newest first; the
-     payload cell is emptied once the record is superseded. *)
+  (* (kind, index, offset, record) of every record, newest first; the
+     record cell is emptied once the record is superseded. *)
   let scanned = ref [] in
-  let since_base = ref [] in  (* payload cells since the latest full one *)
+  let since_base = ref [] in  (* record cells since the latest full one *)
   let partial = ref None in  (* the latest partial's cell since then *)
   let records = ref 0 in
   let torn_at = ref None in
@@ -922,14 +923,20 @@ let scan_binary ~path ~version ~all ic =
         (!records + 1) offset reason
     | B.Frame payload -> (
       incr records;
-      match B.check_payload payload with
-      | kind ->
+      match B.scan_payload payload with
+      | kind, built ->
         if kind = B.Partial_record && version < 4 then
           corrupt ~path
             "corrupted record %d at byte %d: a partial snapshot in a v%d \
              journal"
             !records offset version;
-        let cell = ref (Some payload) in
+        let cell =
+          ref
+            (Some
+               (match built with
+               | Some record -> Lazy.from_val record
+               | None -> lazy (B.record_of_payload payload)))
+        in
         if not all then begin
           (match kind with
           | B.Snapshot_record ->
@@ -952,7 +959,7 @@ let scan_binary ~path ~version ~all ic =
   let items =
     List.rev_map
       (fun (kind, index, offset, cell) ->
-        { kind; index; offset; record = Option.map B.record_of_payload !cell })
+        { kind; index; offset; record = Option.map Lazy.force !cell })
       !scanned
   in
   (items, !torn_at)

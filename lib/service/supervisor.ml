@@ -12,13 +12,6 @@ type config = {
 let default =
   { max_restarts = 3; backoff = Fault.Retry.default; overload = Block }
 
-let overload_name = function Block -> "block" | Shed -> "shed"
-
-let overload_of_string = function
-  | "block" -> Ok Block
-  | "shed" -> Ok Shed
-  | s -> Error (Printf.sprintf "unknown overload policy %S (block|shed)" s)
-
 (* Fleet-wide health counters; registration is idempotent, so every
    supervised server shares one series per name. *)
 let restarts_total =

@@ -27,11 +27,6 @@ type overload =
           with an unassigned degraded decision and never touches the
           shard *)
 
-val overload_name : overload -> string
-(** ["block"] / ["shed"]. *)
-
-val overload_of_string : string -> (overload, string) result
-
 type config = {
   max_restarts : int;
       (** per-shard online restores before quarantine (>= 0; [0] means

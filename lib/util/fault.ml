@@ -226,15 +226,6 @@ let crash site =
 
 (* ------------------------------------------------------ plan generation *)
 
-let pp_action fmt = function
-  | Crash -> Format.fprintf fmt "crash"
-  | Io_error -> Format.fprintf fmt "io-error"
-  | Torn_write n -> Format.fprintf fmt "torn-write(%d)" n
-  | Delay s -> Format.fprintf fmt "delay(%gs)" s
-
-let pp_fault fmt f =
-  Format.fprintf fmt "%s@%d %a" f.site f.hit pp_action f.action
-
 let plan ?(crashes = 0) ?(io_errors = 0) ?(torn_writes = 0) ?(delays = 0)
     ?(horizon = 100) ~seed ~sites ~write_sites ~delay_sites () =
   if horizon < 1 then invalid_arg "Fault.plan: horizon must be >= 1";

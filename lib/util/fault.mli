@@ -131,7 +131,6 @@ type stats = {
     than the workload reaches). *)
 
 val stats : unit -> stats
-val no_stats : stats
 
 val plan :
   ?crashes:int ->
@@ -154,9 +153,6 @@ val plan :
     empty generate nothing.
     @raise Invalid_argument naming the count when a count is negative, or
     when [horizon < 1]. *)
-
-val pp_fault : Format.formatter -> fault -> unit
-(** [site@hit action], e.g. [journal.append@17 torn-write(23)]. *)
 
 (** {1 Deterministic time} *)
 

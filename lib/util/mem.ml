@@ -2,10 +2,6 @@ let bytes_per_word = Sys.word_size / 8
 
 let words_to_mb words = float_of_int (words * bytes_per_word) /. (1024.0 *. 1024.0)
 
-let live_mb () =
-  let stat = Gc.quick_stat () in
-  words_to_mb stat.Gc.heap_words
-
 module Tracker = struct
   (* One accounting cell per domain that touched the tracker.  All cell
      fields are protected by the tracker mutex: the operations are a few

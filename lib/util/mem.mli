@@ -2,19 +2,12 @@
 
     The paper reports the memory cost of each algorithm (measured on their C++
     implementation).  We reproduce the semantics — {e how much memory the
-    algorithm's own data structures occupy at their peak} — with two
-    complementary estimators:
-
-    - {!live_mb}: GC-reported live heap words, a whole-process measurement
-      used to sanity-check the structural estimates;
-    - {!Tracker}: an explicit high-water accounting object that algorithms
-      feed with the sizes of the structures they allocate (flow networks,
-      heaps, score arrays).  This isolates the algorithm from the workload
-      (tasks/workers are inputs and identical across algorithms, exactly as
-      in the paper where all algorithms load the same dataset). *)
-
-val live_mb : unit -> float
-(** Current live heap size in MB ([Gc.quick_stat] based; cheap). *)
+    algorithm's own data structures occupy at their peak} — with
+    {!Tracker}, an explicit high-water accounting object that algorithms
+    feed with the sizes of the structures they allocate (flow networks,
+    heaps, score arrays).  This isolates the algorithm from the workload
+    (tasks/workers are inputs and identical across algorithms, exactly as
+    in the paper where all algorithms load the same dataset). *)
 
 val words_to_mb : int -> float
 (** Convert a word count to MB on this platform. *)

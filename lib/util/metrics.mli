@@ -127,18 +127,15 @@ module Hdr : sig
   (** [0.01]: every instrument's relative error bound, 1%. *)
 end
 
-val default_buckets : float array
-(** Log-spaced seconds buckets [1e-6 .. 10.0], suitable for decision and
-    solve latencies. *)
-
 val counter : ?help:string -> ?labels:labels -> string -> Counter.t
 val gauge : ?help:string -> ?labels:labels -> string -> Gauge.t
 
 val histogram :
   ?help:string -> ?labels:labels -> ?buckets:float array -> string ->
   Histogram.t
-(** [buckets] must be strictly increasing and non-empty (defaults to
-    {!default_buckets}); an implicit [+Inf] bucket is always appended.
+(** [buckets] must be strictly increasing and non-empty (default:
+    log-spaced seconds buckets [1e-6 .. 10.0], suitable for decision and
+    solve latencies); an implicit [+Inf] bucket is always appended.
 
     All three registration functions raise [Invalid_argument] when [name]
     is already registered with a different instrument kind, or — for

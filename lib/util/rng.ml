@@ -8,7 +8,6 @@ let copy t = { state = t.state }
 
 let state t = t.state
 let of_state state = { state }
-let set_state t state = t.state <- state
 
 (* Finalizer of splitmix64: two xor-shift-multiply rounds. *)
 let mix z =

@@ -25,9 +25,6 @@ val state : t -> int64
 val of_state : int64 -> t
 (** A generator resuming exactly at [state] (inverse of {!state}). *)
 
-val set_state : t -> int64 -> unit
-(** Rewind/advance an existing generator to a captured [state]. *)
-
 val split : t -> t
 (** [split rng] advances [rng] and returns a generator whose stream is
     statistically independent from the remainder of [rng]'s stream.  Use it to

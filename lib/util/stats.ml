@@ -44,7 +44,3 @@ let summarize xs =
     min = Array.fold_left Float.min xs.(0) xs;
     max = Array.fold_left Float.max xs.(0) xs;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n s.mean
-    s.stddev s.min s.max

@@ -20,5 +20,3 @@ val percentile : float array -> float -> float
 
 val summarize : float array -> summary
 (** @raise Invalid_argument on an empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -96,14 +96,6 @@ let spans () =
   Mutex.unlock ring_mutex;
   List.sort (fun a b -> compare a.id b.id) !out
 
-let pp_tree fmt () =
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "%s%s %.6fs@."
-        (String.make (2 * s.depth) ' ')
-        s.name s.duration_s)
-    (spans ())
-
 let to_json () =
   let span_json s =
     Printf.sprintf
@@ -112,17 +104,42 @@ let to_json () =
   in
   "[" ^ String.concat "," (List.map span_json (spans ())) ^ "]"
 
-(* Chrome trace-event JSON array: one complete ("X") event per span with
+type event = {
+  ev_name : string;
+  ev_start_s : float;
+  ev_duration_s : float;
+  ev_args : (string * string) list;
+}
+
+(* Chrome trace-event JSON array: one complete ("X") event per entry with
    microsecond timestamps, loadable as-is in chrome://tracing and
-   Perfetto.  All spans share one pid/tid; the viewer reconstructs the
+   Perfetto.  Every event shares one pid/tid; the viewer reconstructs the
    nesting from ts/dur containment. *)
-let to_chrome_json () =
-  let ev s =
+let chrome_json events =
+  let ev e =
     Printf.sprintf
-      "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"id\":%d,\"parent\":%d,\"depth\":%d}}"
-      (String.escaped s.name)
-      (s.start_s *. 1e6)
-      (s.duration_s *. 1e6)
-      s.id s.parent s.depth
+      "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
+      (String.escaped e.ev_name)
+      (e.ev_start_s *. 1e6)
+      (e.ev_duration_s *. 1e6)
+      (String.concat ","
+         (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) e.ev_args))
   in
-  "[" ^ String.concat ",\n " (List.map ev (spans ())) ^ "]\n"
+  "[" ^ String.concat ",\n " (List.map ev events) ^ "]\n"
+
+let to_chrome_json () =
+  chrome_json
+    (List.map
+       (fun s ->
+         {
+           ev_name = s.name;
+           ev_start_s = s.start_s;
+           ev_duration_s = s.duration_s;
+           ev_args =
+             [
+               ("id", string_of_int s.id);
+               ("parent", string_of_int s.parent);
+               ("depth", string_of_int s.depth);
+             ];
+         })
+       (spans ()))

@@ -50,15 +50,27 @@ val spans : unit -> span list
 val dropped : unit -> int
 (** Completed spans lost to ring overwrite since the last {!clear}. *)
 
-val pp_tree : Format.formatter -> unit -> unit
-(** Indented per-span rendering of {!spans}, one line per span. *)
-
 val to_json : unit -> string
 (** JSON array of span objects
     [{"id":..,"parent":..,"depth":..,"name":..,"start_s":..,"duration_s":..}]
     in {!spans} order. *)
 
+type event = {
+  ev_name : string;
+  ev_start_s : float;
+  ev_duration_s : float;
+  ev_args : (string * string) list;
+      (** keys and their values, already rendered as JSON *)
+}
+(** One Chrome-trace complete (["ph":"X"]) event. *)
+
+val chrome_json : event list -> string
+(** The Chrome trace-event JSON array of [events], in list order, with
+    timestamps and durations in microseconds and every event on one
+    pid/tid — loadable directly in [chrome://tracing] or Perfetto.  The
+    one trace writer: {!to_chrome_json} and the service's flight recorder
+    both render through it. *)
+
 val to_chrome_json : unit -> string
-(** Chrome trace-event JSON array (one ["ph":"X"] complete event per span,
-    timestamps and durations in microseconds) in {!spans} order — loadable
-    directly in [chrome://tracing] or Perfetto. *)
+(** {!chrome_json} of {!spans}, each annotated with its id, parent and
+    depth. *)

@@ -116,16 +116,6 @@ let scale_city factor spec =
     c_clusters = scale_count factor spec.c_clusters;
   }
 
-let pp_accuracy fmt = function
-  | Normal_acc mu -> Format.fprintf fmt "Normal(%.2f, 0.05)" mu
-  | Uniform_acc mean -> Format.fprintf fmt "Uniform(mean=%.2f)" mean
-
-let pp_synthetic fmt s =
-  Format.fprintf fmt
-    "synthetic{|T|=%d, |W|=%d, K=%d, eps=%.2f, acc=%a, side=%g, dmax=%g}"
-    s.n_tasks s.n_workers s.capacity s.epsilon pp_accuracy s.accuracy
-    s.world_side s.dmax
-
 let pp_city fmt c =
   Format.fprintf fmt
     "city{%s, |T|=%d, |W|=%d, K=%d, eps=%.2f, mu=%.2f, side=%g, clusters=%d}"

@@ -75,5 +75,4 @@ val scale_city : float -> city -> city
     @raise Invalid_argument unless [factor] is finite and > 0, or when
     [c_n_tasks] or [c_n_workers] is below 1. *)
 
-val pp_synthetic : Format.formatter -> synthetic -> unit
 val pp_city : Format.formatter -> city -> unit

@@ -525,7 +525,7 @@ let test_mcf_anytime_budget () =
   Alcotest.(check int) "lavish budget = exact latency" exact.Engine.latency
     lavish.Engine.latency;
   Alcotest.(check int) "lavish budget never degrades" 0
-    lavish.Engine.telemetry.Engine.degraded;
+    lavish.Engine.degraded;
   (* A zero budget starves every batch solve; the greedy completion must
      still produce a feasible, complete arrangement, and every batch is
      counted as degraded. *)
@@ -536,7 +536,7 @@ let test_mcf_anytime_budget () =
   Alcotest.(check bool) "greedy completion still completes" true
     o.Engine.completed;
   Alcotest.(check bool) "degraded batches counted" true
-    (o.Engine.telemetry.Engine.degraded > 0)
+    (o.Engine.degraded > 0)
 
 let test_mcf_empty_instance () =
   let i =

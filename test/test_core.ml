@@ -1054,9 +1054,9 @@ let test_svg_renders_elements () =
 
 let test_svg_without_arrangement () =
   let i = analysis_fixture () in
-  let svg = Svg.render ~show_radius:false i in
+  let svg = Svg.render i in
   Alcotest.(check bool) "neutral task colour" true
-    (Astring.String.is_infix ~affix:"#4a90d9" svg);
+    (Astring.String.is_infix ~affix:"r=\"4\" fill=\"#4a90d9\"" svg);
   Alcotest.(check bool) "no lines" false
     (Astring.String.is_infix ~affix:"<line" svg)
 

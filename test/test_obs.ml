@@ -231,7 +231,7 @@ let test_pp_outcome_format () =
       latency = 3;
       workers_consumed = 5;
       peak_memory_mb = 1.25;
-      telemetry = Ltc_algo.Engine.no_telemetry;
+      degraded = 0;
     }
   in
   Alcotest.(check string) "pinned format"

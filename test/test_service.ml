@@ -2145,6 +2145,86 @@ let prop_shard_crash_isolation =
            ~hit instance);
       true)
 
+(* Online recovery in [`Inline] mode: shard [kill_shard] crashes once, at
+   its [hit]-th scoped visit of [site], and the supervisor restores it from
+   its journal on the calling domain and re-feeds what the crash lost.  The
+   merged stream must equal the unsupervised inline server's, decision for
+   decision, with one restart per fired fault and nothing quarantined.
+   Returns the faults fired. *)
+let inline_recovery ~shards ~kill_shard ~site ~hit instance =
+  let algorithm = Ltc_algo.Algorithm.laf in
+  let stream srv =
+    let fed = List.concat_map (Shard_server.feed srv) (arrivals instance) in
+    fed @ Shard_server.flush srv
+  in
+  let base =
+    Shard_server.create ~mode:Shard_server.Inline ~shards ~algorithm ~seed:99
+      instance
+  in
+  let baseline = stream base in
+  Shard_server.close base;
+  with_tmp_shard_base @@ fun journal ->
+  let srv =
+    Shard_server.create ~mode:Shard_server.Inline ~journal ~checkpoint_every:1
+      ~supervise:{ Supervisor.default with Supervisor.max_restarts = 1 }
+      ~shards ~algorithm ~seed:99 instance
+  in
+  let label what =
+    Printf.sprintf "K=%d shard %d %s@%d: %s" shards kill_shard site hit what
+  in
+  let scoped =
+    Ltc_util.Fault.scope_site ~scope:(Supervisor.scope ~shard:kill_shard) site
+  in
+  let got, fired =
+    with_faults
+      [ { Ltc_util.Fault.site = scoped; hit; action = Ltc_util.Fault.Crash } ]
+      (fun () ->
+        let got = stream srv in
+        (got, (Ltc_util.Fault.stats ()).Ltc_util.Fault.crashes))
+  in
+  Alcotest.(check int) (label "one decision per arrival")
+    (List.length baseline) (List.length got);
+  if got <> baseline then Alcotest.fail (label "merged stream diverged");
+  Alcotest.(check int) (label "one restart per fired fault") fired
+    (Shard_server.restarts srv);
+  Alcotest.(check int) (label "nothing quarantined") 0
+    (Shard_server.quarantined srv);
+  Shard_server.close srv;
+  fired
+
+let prop_inline_recovery =
+  QCheck2.Test.make
+    ~name:"inline online recovery: one crash leaves the stream unchanged"
+    ~count:25
+    QCheck2.Gen.(
+      let* iseed = int_range 0 10_000 in
+      let* shards = int_range 1 3 in
+      let* kill_shard = int_range 0 (shards - 1) in
+      let* site, hit =
+        oneofl
+          [
+            ("journal.append", 1);
+            ("journal.append", 5);
+            ("journal.append", 40);
+            ("journal.checkpoint.rename", 1);
+          ]
+      in
+      return (iseed, shards, kill_shard, site, hit))
+    (fun (iseed, shards, kill_shard, site, hit) ->
+      (* Eight tasks a cluster at capacity 1 keep every shard journaling
+         for over 30 arrivals: past its 40th append (an event and a
+         partial snapshot per arrival at checkpoint_every 1) and its first
+         compaction (the 16th checkpoint). *)
+      let instance =
+        clustered_instance ~tasks_per:8 ~n_arrivals:320 ~capacity:1
+          ~seed:iseed ()
+      in
+      match inline_recovery ~shards ~kill_shard ~site ~hit instance with
+      | 1 -> true
+      | fired ->
+        QCheck2.Test.fail_reportf "K=%d shard %d %s@%d fired %d faults"
+          shards kill_shard site hit fired)
+
 (* Online recovery end-to-end: a plan that provably kills every shard
    (scoped journal.append crashes at small hits, twice per shard) must
    leave the supervised [`Domains] merged stream byte-identical to the
@@ -2360,6 +2440,7 @@ let suite =
         Alcotest.test_case "quarantine isolates the killed shard" `Quick
           test_shard_quarantine_isolation;
         qcheck prop_shard_crash_isolation;
+        qcheck prop_inline_recovery;
         Alcotest.test_case "online recovery: every shard killed twice" `Quick
           test_sharded_chaos_acceptance;
         qcheck prop_sharded_chaos_identical;
