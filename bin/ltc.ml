@@ -1,9 +1,8 @@
-(* ltc — command-line interface to the LTC library.
-
-   Subcommands:
-     ltc run      generate a workload and run one or all algorithms
-     ltc bounds   print the Theorem-2 latency bounds for a configuration
-     ltc example  replay the paper's running example (Tables I-II)           *)
+(* ltc — command-line interface to the LTC library: run the algorithms on
+   a workload (run, generate, bounds, infer), serve and load a journaled
+   session (serve, loadgen), verify crash recovery (chaos) and read
+   journals offline (journal).  The paper's running example is
+   examples/facebook_editor.ml; its experiments run through ltc-bench. *)
 
 open Cmdliner
 
@@ -68,6 +67,16 @@ let write_snapshot ~metrics ~metrics_format =
     (fun path -> Ltc_util.Snapshot.write ~path metrics_format)
     metrics
 
+let die fmt =
+  Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
+
+let resolve_algorithm name =
+  match Ltc_algo.Algorithm.find_opt name with
+  | Some a -> a
+  | None ->
+    die "unknown algorithm %S (try: %s)" name
+      (String.concat ", " (Ltc_algo.Algorithm.names ()))
+
 (* ------------------------------------------------------------ run command *)
 
 type workload_kind = Synthetic | New_york | Tokyo
@@ -86,7 +95,8 @@ let workload_conv =
   in
   Arg.conv (parse, print)
 
-let build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed =
+(* The instance the workload flags run and generate share describe. *)
+let build_instance workload scale tasks workers capacity epsilon ~seed =
   let rng = Ltc_util.Rng.create ~seed in
   match workload with
   | Synthetic ->
@@ -132,9 +142,40 @@ let build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed =
     in
     Ltc_workload.City.generate rng (Ltc_workload.Spec.scale_city scale base)
 
-let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
-    mcf_budget validate simulate load report save_arrangement screen verbose
-    svg log_levels metrics metrics_format =
+(* The workload flags, as a function of the seed. *)
+let workload_term =
+  let workload =
+    Arg.(value & opt workload_conv Synthetic
+         & info [ "workload"; "w" ] ~docv:"KIND"
+             ~doc:"Workload: $(b,synthetic), $(b,ny) or $(b,tokyo).")
+  in
+  let scale =
+    Arg.(value & opt float 0.1
+         & info [ "scale" ] ~docv:"S"
+             ~doc:"Density-preserving workload scale (1.0 = paper size).")
+  in
+  let tasks =
+    Arg.(value & opt (some int) None
+         & info [ "tasks"; "T" ] ~docv:"N" ~doc:"Task count (pre-scaling).")
+  in
+  let workers =
+    Arg.(value & opt (some int) None
+         & info [ "workers"; "W" ] ~docv:"N" ~doc:"Worker count (pre-scaling).")
+  in
+  let capacity =
+    Arg.(value & opt (some int) None
+         & info [ "capacity"; "K" ] ~docv:"K" ~doc:"Per-worker capacity.")
+  in
+  let epsilon =
+    Arg.(value & opt (some float) None
+         & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Tolerable error rate.")
+  in
+  Term.(
+    const build_instance $ workload $ scale $ tasks $ workers $ capacity
+    $ epsilon)
+
+let run_cmd_impl generate seed algo mcf_budget validate simulate load report
+    save_arrangement screen verbose svg log_levels metrics metrics_format =
   (* --mcf-budget-rounds reconfigures only the MCF-LTC registry entry (the
      other algorithms never touch the flow solver); a negative budget is
      refused before any instance is built. *)
@@ -154,8 +195,7 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
   let instance =
     match load with
     | Some path -> Ltc_core.Serialize.load_instance ~path
-    | None ->
-      build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed
+    | None -> generate ~seed
   in
   Format.printf "%a@.@." Ltc_core.Instance.pp instance;
   if screen then begin
@@ -169,13 +209,7 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
   let algorithms =
     match algo with
     | None -> Ltc_algo.Algorithm.paper
-    | Some name -> (
-      match Ltc_algo.Algorithm.find_opt name with
-      | Some a -> [ a ]
-      | None ->
-        Format.eprintf "unknown algorithm %S (try: %s)@." name
-          (String.concat ", " (Ltc_algo.Algorithm.names ()));
-        exit 1)
+    | Some name -> [ resolve_algorithm name ]
   in
   let algorithms =
     match mcf_config with
@@ -241,36 +275,10 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
   write_snapshot ~metrics ~metrics_format;
   0
 
-let scale_arg =
-  Arg.(value & opt float 0.1
-       & info [ "scale" ] ~docv:"S"
-           ~doc:"Density-preserving workload scale (1.0 = paper size).")
-
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
 let run_cmd =
-  let workload =
-    Arg.(value & opt workload_conv Synthetic
-         & info [ "workload"; "w" ] ~docv:"KIND"
-             ~doc:"Workload: $(b,synthetic), $(b,ny) or $(b,tokyo).")
-  in
-  let tasks =
-    Arg.(value & opt (some int) None
-         & info [ "tasks"; "T" ] ~docv:"N" ~doc:"Task count (pre-scaling).")
-  in
-  let workers =
-    Arg.(value & opt (some int) None
-         & info [ "workers"; "W" ] ~docv:"N" ~doc:"Worker count (pre-scaling).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity"; "K" ] ~docv:"K" ~doc:"Per-worker capacity.")
-  in
-  let epsilon =
-    Arg.(value & opt (some float) None
-         & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Tolerable error rate.")
-  in
   let algo =
     Arg.(value & opt (some string) None
          & info [ "algo"; "a" ] ~docv:"NAME"
@@ -327,42 +335,18 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"generate a workload and run LTC algorithms on it")
     Term.(
-      const run_cmd_impl $ workload $ scale_arg $ tasks $ workers $ capacity
-      $ epsilon $ seed_arg $ algo $ mcf_budget $ validate
-      $ simulate $ load $ report $ save_arrangement $ screen $ verbose $ svg
-      $ log_arg $ metrics_arg $ metrics_format_arg)
+      const run_cmd_impl $ workload_term $ seed_arg $ algo $ mcf_budget
+      $ validate $ simulate $ load $ report $ save_arrangement $ screen
+      $ verbose $ svg $ log_arg $ metrics_arg $ metrics_format_arg)
 
 (* ------------------------------------------------------- generate command *)
 
 let generate_cmd =
-  let impl workload scale tasks workers capacity epsilon seed out =
-    let instance =
-      build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed
-    in
+  let impl generate seed out =
+    let instance = generate ~seed in
     Ltc_core.Serialize.save_instance ~path:out instance;
     Format.printf "%a@.saved to %s@." Ltc_core.Instance.pp instance out;
     0
-  in
-  let workload =
-    Arg.(value & opt workload_conv Synthetic
-         & info [ "workload"; "w" ] ~docv:"KIND"
-             ~doc:"Workload: $(b,synthetic), $(b,ny) or $(b,tokyo).")
-  in
-  let tasks =
-    Arg.(value & opt (some int) None
-         & info [ "tasks"; "T" ] ~docv:"N" ~doc:"Task count (pre-scaling).")
-  in
-  let workers =
-    Arg.(value & opt (some int) None
-         & info [ "workers"; "W" ] ~docv:"N" ~doc:"Worker count (pre-scaling).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity"; "K" ] ~docv:"K" ~doc:"Per-worker capacity.")
-  in
-  let epsilon =
-    Arg.(value & opt (some float) None
-         & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Tolerable error rate.")
   in
   let out =
     Arg.(required & opt (some string) None
@@ -370,9 +354,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"generate a workload and save it to a file")
-    Term.(
-      const impl $ workload $ scale_arg $ tasks $ workers $ capacity
-      $ epsilon $ seed_arg $ out)
+    Term.(const impl $ workload_term $ seed_arg $ out)
 
 (* --------------------------------------------------------- bounds command *)
 
@@ -514,56 +496,6 @@ let infer_cmd =
        ~doc:"estimate worker accuracies from raw answers (truth inference)")
     Term.(const impl $ path $ two_coin)
 
-(* -------------------------------------------------------- example command *)
-
-let example_cmd =
-  let impl () =
-    (* The example binary contains the full walkthrough; point there. *)
-    Format.printf
-      "The paper's running example lives in examples/facebook_editor.ml:@.@.  \
-       dune exec examples/facebook_editor.exe@.@.Quick summary on this \
-       build:@.";
-    let fixture scoring epsilon =
-      let table1 =
-        [|
-          [| 0.96; 0.98; 0.98; 0.98; 0.96; 0.96; 0.94; 0.94 |];
-          [| 0.98; 0.96; 0.96; 0.98; 0.94; 0.96; 0.96; 0.94 |];
-          [| 0.96; 0.96; 0.96; 0.98; 0.94; 0.94; 0.96; 0.96 |];
-        |]
-      in
-      let tasks =
-        Array.init 3 (fun id ->
-            Ltc_core.Task.make ~id
-              ~loc:(Ltc_geo.Point.make ~x:(float_of_int id) ~y:0.0)
-              ())
-      in
-      let workers =
-        Array.init 8 (fun i ->
-            Ltc_core.Worker.make ~index:(i + 1)
-              ~loc:(Ltc_geo.Point.make ~x:(float_of_int i) ~y:1.0)
-              ~accuracy:table1.(0).(i) ~capacity:2)
-      in
-      Ltc_core.Instance.create
-        ~accuracy:
-          (Ltc_core.Accuracy.Custom
-             {
-               name = "table1";
-               f = (fun w t -> table1.(t.Ltc_core.Task.id).(w.Ltc_core.Worker.index - 1));
-             })
-        ~scoring ~tasks ~workers ~epsilon ()
-    in
-    let i = fixture Ltc_core.Quality.Hoeffding 0.2 in
-    List.iter
-      (fun (a : Ltc_algo.Algorithm.t) ->
-        let o = a.run ~seed:1 i in
-        Format.printf "  %-8s latency = %d@." a.name o.Ltc_algo.Engine.latency)
-      Ltc_algo.Algorithm.paper;
-    0
-  in
-  Cmd.v
-    (Cmd.info "example" ~doc:"replay the paper's running example")
-    Term.(const impl $ const ())
-
 (* ---------------------------------------------------------- serve command *)
 
 (* NDJSON arrivals on stdin, one NDJSON decision per released arrival on
@@ -637,16 +569,6 @@ let serve_stream ~on_bad_input server =
   if Srv.supervised server then
     Format.eprintf "serve: supervision: restarts=%d quarantined=%d shed=%d@."
       (Srv.restarts server) (Srv.quarantined server) (Srv.shed server)
-
-let die fmt =
-  Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
-
-let resolve_algorithm name =
-  match Ltc_algo.Algorithm.find_opt name with
-  | Some a -> a
-  | None ->
-    die "unknown algorithm %S (try: %s)" name
-      (String.concat ", " (Ltc_algo.Algorithm.names ()))
 
 let resolve_deadline deadline_s fallback_name =
   match (deadline_s, fallback_name) with
@@ -736,7 +658,6 @@ let resolve_supervise ~max_restarts ~overload =
       {
         Ltc_service.Supervisor.max_restarts =
           Option.value max_restarts ~default:0;
-        backoff = Ltc_service.Supervisor.default.Ltc_service.Supervisor.backoff;
         overload;
       }
 
@@ -1107,129 +1028,89 @@ let chaos_cmd =
     let algorithm = resolve_algorithm algo_name in
     let deadline = resolve_deadline deadline_s fallback_name in
     let instance = Ltc_core.Serialize.load_instance ~path:load in
-    match shards with
-    | Some shards ->
-      (* Sharded chaos: a supervised [`Domains] server under per-shard
-         scoped faults, diffed against the inline unsupervised baseline.
-         Runs deadline-free — see Chaos.run_sharded. *)
-      if deadline_s <> None || fallback_name <> None then
-        die "chaos --shards runs deadline-free; drop --deadline/--fallback";
-      let plan =
-        Ltc_service.Chaos.sharded_plan ~crashes ~io_errors ~torn_writes
-          ~delays ~horizon ~seed:fault_seed ~shards ()
-      in
-      let supervise =
-        Option.map
-          (fun n ->
-            { Ltc_service.Supervisor.default with
-              Ltc_service.Supervisor.max_restarts = n })
-          max_restarts
-      in
-      let journal_path, cleanup_base =
-        match journal with
-        | Some p -> (p, fun () -> ())
-        | None ->
-          let p = Filename.temp_file "ltc-chaos" ".journal" in
-          (p, fun () -> try Sys.remove p with Sys_error _ -> ())
-      in
-      let cleanup () =
-        cleanup_base ();
-        if journal = None then
-          for k = 0 to shards - 1 do
-            try
-              Sys.remove
-                (Ltc_service.Shard_server.shard_journal_path
-                   ~base:journal_path ~shard:k)
-            with Sys_error _ -> ()
-          done
-      in
-      let r =
-        Fun.protect ~finally:cleanup (fun () ->
-            Ltc_service.Chaos.run_sharded ?accept_rate ?supervise
-              ~checkpoint_every ~group_commit ~plan ~shards ~algorithm ~seed
-              ~journal:journal_path instance)
-      in
-      let open Ltc_service.Chaos in
-      Format.printf
-        "chaos: algorithm=%s shards=%d arrivals=%d seed=%d fault-seed=%d@."
-        algorithm.Ltc_algo.Algorithm.name r.s_shards r.s_arrivals seed
-        fault_seed;
-      Format.printf
-        "chaos: plan: %d crashes, %d io-errors, %d torn-writes, %d delays \
-         per shard (horizon %d)@."
-        crashes io_errors torn_writes delays horizon;
-      Format.printf
-        "chaos: fired: crashes=%d io-errors=%d torn-writes=%d delays=%d@."
-        r.s_stats.Ltc_util.Fault.crashes r.s_stats.Ltc_util.Fault.io_errors
-        r.s_stats.Ltc_util.Fault.torn_writes
-        r.s_stats.Ltc_util.Fault.delays;
-      Format.printf
-        "chaos: restarts=%d (%s) quarantined=%d shed=%d degraded=%d@."
-        r.s_restarts
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int r.s_shard_restarts)))
-        r.s_quarantined r.s_shed r.s_degraded;
-      if r.s_identical then begin
-        Format.printf
-          "chaos: merged decision stream identical to fault-free baseline@.";
-        0
-      end
-      else begin
-        Format.printf "chaos: DIVERGED: %s@."
-          (Option.value r.s_divergence ~default:"(no detail)");
-        1
-      end
-    | None ->
-    if max_restarts <> None then
-      die "chaos: --max-restarts only applies to --shards runs";
-    let plan =
-      Ltc_util.Fault.plan ~crashes ~io_errors ~torn_writes ~delays ~horizon
-        ~seed:fault_seed
-        ~sites:
-          [
-            "journal.header"; "journal.append.fsync";
-            "journal.checkpoint.fsync"; "journal.checkpoint.rename";
-            "journal.checkpoint.dir";
-          ]
-        ~write_sites:[ "journal.append"; "journal.checkpoint.write" ]
-        ~delay_sites:[ "session.decide" ] ()
-    in
-    let journal_path, cleanup =
+    (match shards with
+    | Some _ when deadline_s <> None || fallback_name <> None ->
+      die "chaos --shards runs deadline-free; drop --deadline/--fallback"
+    | None when max_restarts <> None ->
+      die "chaos: --max-restarts only applies to --shards runs"
+    | _ -> ());
+    let journal_path =
       match journal with
-      | Some p -> (p, fun () -> ())
-      | None ->
-        let p = Filename.temp_file "ltc-chaos" ".journal" in
-        (p, fun () -> try Sys.remove p with Sys_error _ -> ())
+      | Some p -> p
+      | None -> Filename.temp_file "ltc-chaos" ".journal"
     in
-    let report =
+    let cleanup () =
+      if journal = None then
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          (journal_path
+          :: List.init (Option.value shards ~default:0) (fun shard ->
+                 Ltc_service.Shard_server.shard_journal_path
+                   ~base:journal_path ~shard))
+    in
+    let module C = Ltc_service.Chaos in
+    let r =
       Fun.protect ~finally:cleanup (fun () ->
-          Ltc_service.Chaos.run ?accept_rate ?deadline ~checkpoint_every
-            ~group_commit ~plan ~algorithm ~seed ~journal:journal_path
-            instance)
+          match shards with
+          | Some shards ->
+            (* A supervised [`Domains] server under per-shard scoped
+               faults, diffed against the inline unsupervised baseline. *)
+            let plan =
+              C.sharded_plan ~crashes ~io_errors ~torn_writes ~delays
+                ~horizon ~seed:fault_seed ~shards ()
+            in
+            let supervise =
+              Option.map
+                (fun max_restarts ->
+                  { Ltc_service.Supervisor.default with max_restarts })
+                max_restarts
+            in
+            C.run_sharded ?accept_rate ?supervise ~checkpoint_every
+              ~group_commit ~plan ~shards ~algorithm ~seed
+              ~journal:journal_path instance
+          | None ->
+            let plan =
+              C.plan ~crashes ~io_errors ~torn_writes ~delays ~horizon
+                ~seed:fault_seed ()
+            in
+            C.run ?accept_rate ?deadline ~checkpoint_every ~group_commit
+              ~plan ~algorithm ~seed ~journal:journal_path instance)
     in
-    let open Ltc_service.Chaos in
-    Format.printf "chaos: algorithm=%s arrivals=%d seed=%d fault-seed=%d@."
-      algorithm.Ltc_algo.Algorithm.name report.arrivals seed fault_seed;
+    let sharded = shards <> None in
+    Format.printf "chaos: algorithm=%s%s arrivals=%d seed=%d fault-seed=%d@."
+      algorithm.Ltc_algo.Algorithm.name
+      (match shards with Some k -> Printf.sprintf " shards=%d" k | None -> "")
+      r.C.arrivals seed fault_seed;
     Format.printf
-      "chaos: plan: %d crashes, %d io-errors, %d torn-writes, %d delays \
+      "chaos: plan: %d crashes, %d io-errors, %d torn-writes, %d delays%s \
        (horizon %d)@."
-      crashes io_errors torn_writes delays horizon;
+      crashes io_errors torn_writes delays
+      (if sharded then " per shard" else "")
+      horizon;
     Format.printf
       "chaos: fired: crashes=%d io-errors=%d torn-writes=%d delays=%d@."
-      report.stats.Ltc_util.Fault.crashes
-      report.stats.Ltc_util.Fault.io_errors
-      report.stats.Ltc_util.Fault.torn_writes
-      report.stats.Ltc_util.Fault.delays;
-    Format.printf "chaos: kills=%d restores=%d degraded=%d@." report.crashes
-      report.restores report.degraded;
-    if report.identical then begin
-      Format.printf "chaos: decision stream identical to fault-free \
-                     baseline@.";
+      r.C.stats.Ltc_util.Fault.crashes r.C.stats.Ltc_util.Fault.io_errors
+      r.C.stats.Ltc_util.Fault.torn_writes r.C.stats.Ltc_util.Fault.delays;
+    (match r.C.recovery with
+    | C.Kill_restore { kills; restores } ->
+      Format.printf "chaos: kills=%d restores=%d degraded=%d@." kills restores
+        r.C.degraded
+    | C.Supervised { restarts; shard_restarts; quarantined; shed } ->
+      Format.printf
+        "chaos: restarts=%d (%s) quarantined=%d shed=%d degraded=%d@."
+        restarts
+        (String.concat ","
+           (Array.to_list (Array.map string_of_int shard_restarts)))
+        quarantined shed r.C.degraded);
+    if r.C.identical then begin
+      Format.printf "chaos: %sdecision stream identical to fault-free \
+                     baseline@."
+        (if sharded then "merged " else "");
       0
     end
     else begin
       Format.printf "chaos: DIVERGED: %s@."
-        (Option.value report.divergence ~default:"(no detail)");
+        (Option.value r.C.divergence ~default:"(no detail)");
       1
     end
   in
@@ -1289,8 +1170,9 @@ let chaos_cmd =
 (* -------------------------------------------------------- journal command *)
 
 (* Offline journal tooling (Ltc_service.Session.Journal): inspect a
-   journal's header and record structure without building a session, or
-   transcode an old text journal to binary. *)
+   journal's header and record structure without building a session.  An
+   old text or v3 journal is upgraded by restoring it (ltc serve --resume
+   OLD --journal NEW writes the v4 binary copy and leaves OLD alone). *)
 let journal_cmd =
   let path_pos =
     Arg.(
@@ -1300,11 +1182,11 @@ let journal_cmd =
   in
   (* A missing or directory path would otherwise surface as a raw
      Sys_error; name the problem in one structured line instead. *)
-  let require_journal_file ~cmd path =
+  let require_journal_file path =
     if not (Sys.file_exists path) then
-      die "journal %s: %s: no such file" cmd path;
+      die "journal inspect: %s: no such file" path;
     if Sys.is_directory path then
-      die "journal %s: %s is a directory, not a journal file" cmd path
+      die "journal inspect: %s is a directory, not a journal file" path
   in
   let inspect_cmd =
     (* One shard journal, summarized on a single line: codec, record
@@ -1361,7 +1243,7 @@ let journal_cmd =
       0
     in
     let impl path fingerprint =
-      require_journal_file ~cmd:"inspect" path;
+      require_journal_file path;
       if Ltc_service.Shard_server.is_manifest path then begin
         if fingerprint then
           die "journal inspect: --fingerprint applies to plain session \
@@ -1426,51 +1308,17 @@ let journal_cmd =
                summarize every shard journal")
       Term.(const impl $ path_pos $ fingerprint)
   in
-  let convert_cmd =
-    let impl src dst =
-      if src = dst then die "journal convert: SRC and DST must differ";
-      require_journal_file ~cmd:"convert" src;
-      let module J = Ltc_service.Session.Journal in
-      J.convert ~src ~dst;
-      let info = J.inspect ~path:dst in
-      Format.printf "converted %s -> %s (%s, %d bytes, %d snapshots, %d \
-                     events)@."
-        src dst
-        (Ltc_service.Session.codec_name info.J.codec)
-        info.J.file_bytes info.J.snapshots info.J.events;
-      0
-    in
-    let src =
-      Arg.(
-        required
-        & pos 0 (some string) None
-        & info [] ~docv:"SRC" ~doc:"Journal file to convert.")
-    in
-    let dst =
-      Arg.(
-        required
-        & pos 1 (some string) None
-        & info [] ~docv:"DST"
-            ~doc:"Output path (truncated if it exists).")
-    in
-    Cmd.v
-      (Cmd.info "convert"
-         ~doc:"re-encode a journal (an old text one, typically) as a binary \
-               journal, record for record")
-      Term.(const impl $ src $ dst)
-  in
   Cmd.group
-    (Cmd.info "journal"
-       ~doc:"inspect and convert session journal files offline")
-    [ inspect_cmd; convert_cmd ]
+    (Cmd.info "journal" ~doc:"inspect session journal files offline")
+    [ inspect_cmd ]
 
 let main =
   let doc = "latency-oriented task completion via spatial crowdsourcing" in
   Cmd.group
     (Cmd.info "ltc" ~doc ~version:"1.0.0")
     [
-      run_cmd; generate_cmd; bounds_cmd; infer_cmd; example_cmd;
-      serve_cmd; loadgen_cmd; chaos_cmd; journal_cmd;
+      run_cmd; generate_cmd; bounds_cmd; infer_cmd; serve_cmd; loadgen_cmd;
+      chaos_cmd; journal_cmd;
     ]
 
 (* Turn expected failures (missing files, corrupt inputs, bad parameters)

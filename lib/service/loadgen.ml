@@ -82,9 +82,17 @@ let validate config ~workers ~server =
   if Shard_server.consumed server <> 0 || Shard_server.resumed_at server <> 0
   then invalid_arg "Loadgen.run: server must be fresh (consumed = 0)";
   (* The virtual clock and the Delay plan are process-global and single
-     domain; shard domains probing them concurrently would race. *)
-  if config.timing = Virtual && Shard_server.mode server <> Shard_server.Inline
-  then invalid_arg "Loadgen.run: virtual timing requires an Inline-mode server"
+     domain; shard domains probing them concurrently would race.  A
+     supervised server probes under each shard's fault scope, where the
+     unscoped service-time delays never fire. *)
+  if
+    config.timing = Virtual
+    && (Shard_server.mode server <> Shard_server.Inline
+       || Shard_server.supervised server)
+  then
+    invalid_arg
+      "Loadgen.run: virtual timing requires an unsupervised Inline-mode \
+       server"
 
 let publish_latency_gauges ~algo report =
   List.iter

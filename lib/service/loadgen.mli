@@ -103,15 +103,17 @@ val run :
     arrival's feed time.  [on_breach] fires once, at the first SLO
     breach, with the recorder as it stood at the breach.
 
-    [Virtual] timing requires an [`Inline]-mode server (the fault clock
-    and Delay plan are process-global and single-domain).  Latency
+    [Virtual] timing requires an unsupervised [`Inline]-mode server: the
+    fault clock and Delay plan are process-global and single-domain, and
+    a supervised server probes under shard scopes the service-time
+    delays do not reach.  Latency
     quantiles are also published to the registry as
     [ltc_service_loadgen_latency_seconds{quantile=..}] gauges (visible
     when {!Ltc_util.Metrics} is enabled).
 
     @raise Invalid_argument when [config.arrivals < 1], the server is not
     fresh, [workers] is empty, or on a [Virtual]-timing run over a
-    [`Domains]-mode server. *)
+    [`Domains]-mode or supervised server. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The stable multi-line rendering the CLI prints (and the cram tests

@@ -598,8 +598,8 @@ let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
     ?(group_commit = 1) ~algorithm ~seed instance =
   if format = Text then
     invalid_arg
-      "Session.create: the text journal codec is read-only (restore or \
-       convert old text journals; new journals are binary)";
+      "Session.create: the text journal codec is read-only (old text \
+       journals restore; new journals are binary)";
   check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
     algorithm;
   let instance = strip_workers instance in
@@ -895,12 +895,12 @@ let scan_text ~path src =
    decoded: a restore keeps every event after the latest full snapshot —
    those before the latest partial one rebuild the arrangement, the rest
    replay — and in a v4 journal, whose only full snapshot compaction
-   writes first, no event comes before it.  A snapshot is only checked, and built at the end if a restore
-   needs it (every one with [~all]): the latest full snapshot and the
-   latest partial one after it.  A full snapshot supersedes every record
-   before it, a partial one only the partial before it; each record is
-   dropped as soon as it is superseded. *)
-let scan_binary ~path ~version ~all ic =
+   writes first, no event comes before it.  A snapshot is only checked,
+   and built at the end if a restore needs it: the latest full snapshot
+   and the latest partial one after it.  A full snapshot supersedes every
+   record before it, a partial one only the partial before it; each
+   record is dropped as soon as it is superseded. *)
+let scan_binary ~path ~version ic =
   (* (kind, index, offset, record) of every record, newest first; the
      record cell is emptied once the record is superseded. *)
   let scanned = ref [] in
@@ -937,18 +937,16 @@ let scan_binary ~path ~version ~all ic =
                | Some record -> Lazy.from_val record
                | None -> lazy (B.record_of_payload payload)))
         in
-        if not all then begin
-          (match kind with
-          | B.Snapshot_record ->
-            List.iter (fun c -> c := None) !since_base;
-            since_base := [];
-            partial := None
-          | B.Partial_record ->
-            Option.iter (fun c -> c := None) !partial;
-            partial := Some cell
-          | B.Event_record -> ());
-          since_base := cell :: !since_base
-        end;
+        (match kind with
+        | B.Snapshot_record ->
+          List.iter (fun c -> c := None) !since_base;
+          since_base := [];
+          partial := None
+        | B.Partial_record ->
+          Option.iter (fun c -> c := None) !partial;
+          partial := Some cell
+        | B.Event_record -> ());
+        since_base := cell :: !since_base;
         scanned := (kind, !records, offset, cell) :: !scanned
       | exception Serialize.Parse_error { message; _ } ->
         corrupt ~path
@@ -967,10 +965,10 @@ let scan_binary ~path ~version ~all ic =
 (* [src] must wrap [ic]: the text scanner consumes lines through it, the
    binary scanner picks up the raw channel exactly where the (always
    line-oriented) header parse left it. *)
-let scan_items ~path ~version ~all ~codec ic src =
+let scan_items ~path ~version ~codec ic src =
   match codec with
   | Text -> scan_text ~path src
-  | Binary -> scan_binary ~path ~version ~all ic
+  | Binary -> scan_binary ~path ~version ic
 
 (* What a restore resumes from: the session state at the latest
    checkpoint — progress, RNG states, arrivals consumed and the
@@ -1108,9 +1106,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
   let header, header_bytes, { checkpoint; tail } =
     with_journal ~path @@ fun ic src ~version ~codec header ->
     let header_end = pos_in ic in
-    let items, _torn_at =
-      scan_items ~path ~version ~all:false ~codec ic src
-    in
+    let items, _torn_at = scan_items ~path ~version ~codec ic src in
     let n_tasks = Instance.task_count header.instance in
     ( header,
       compacted_header ic ~header_end ~codec header,
@@ -1200,17 +1196,16 @@ module Journal = struct
 
   let header ~path = with_journal ~path (fun _ _ ~version:_ ~codec:_ h -> h)
 
-  (* Header + every complete record in file order (offsets attached):
-     all of them built with [~all:true], else only what restore builds.
-     Shares the restore scanners, so torn tails are dropped and interior
-     corruption raises {!Corrupt_journal} with the same diagnostics. *)
-  let read ~all ~path =
-    with_journal ~path @@ fun ic src ~version ~codec header ->
-    let items, torn_at = scan_items ~path ~version ~all ~codec ic src in
-    (version, codec, header, items, torn_at)
-
+  (* Every complete record in file order (offsets attached), built only
+     where a restore would build it, through the restore scanners: torn
+     tails are dropped and interior corruption raises {!Corrupt_journal}
+     with the same diagnostics. *)
   let inspect ~path =
-    let version, codec, header, items, torn_at = read ~all:false ~path in
+    let version, codec, header, items, torn_at =
+      with_journal ~path @@ fun ic src ~version ~codec header ->
+      let items, torn_at = scan_items ~path ~version ~codec ic src in
+      (version, codec, header, items, torn_at)
+    in
     let file_bytes =
       In_channel.with_open_bin path (fun ic -> in_channel_length ic)
     in
@@ -1243,19 +1238,4 @@ module Journal = struct
       consumed;
       snapshot_offsets = List.rev offsets_rev;
     }
-
-  (* Record-level transcoding to binary: every complete record re-encoded,
-     order and content preserved — so restore from the converted file
-     replays the exact same snapshot + tail and lands on the same
-     fingerprint.  A torn tail (already lost to the crash) is not carried
-     over; the header is rendered at the current version. *)
-  let convert ~src ~dst =
-    let _, _, header, items, _torn_at = read ~all:true ~path:src in
-    let buf = Buffer.create 65536 in
-    write_header (Buffer.add_string buf) header;
-    List.iter
-      (fun item -> Option.iter (B.add_record_frame buf) item.record)
-      items;
-    Out_channel.with_open_bin dst (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf))
 end

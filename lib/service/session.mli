@@ -69,8 +69,8 @@
     v1–v3 journal is corruption.  [Text] (header v1/v2, the
     line-oriented format of earlier versions) is read-only: {!restore}
     replays an old text journal exactly as before and its closing
-    compaction rewrites the file as v4 binary; {!Journal.convert}
-    transcodes one record for record.
+    compaction rewrites the file as v4 binary (with [~journal], into a
+    new file, leaving the old one as it was).
 
     [group_commit] coalesces up to N encoded records into a single
     write(2) — and, with [~fsync:true], a single fsync — amortizing the
@@ -311,12 +311,10 @@ val peak_memory_mb : t -> float
 
 (** {1 Offline journal tools}
 
-    Read-only inspection of journal files and record-level transcoding of
-    old text journals to binary, without building a session (the
-    [ltc journal] subcommand).  Both
-    share {!restore}'s scanners: a torn tail is silently dropped,
-    interior corruption raises {!Corrupt_journal} with the same
-    diagnostics. *)
+    Read-only inspection of journal files without building a session
+    (the [ltc journal] subcommand), through {!restore}'s scanners: a torn
+    tail is silently dropped, interior corruption raises
+    {!Corrupt_journal} with the same diagnostics. *)
 
 module Journal : sig
   type info = {
@@ -346,12 +344,4 @@ module Journal : sig
       line), on interior damage, or on events that do not add up to the
       latest partial snapshot, as {!restore} does.
       @raise Sys_error if [path] cannot be read. *)
-
-  val convert : src:string -> dst:string -> unit
-  (** Re-encode every complete record of [src] (either codec) into [dst]
-      as a v4 binary journal, preserving order and content: restoring
-      [dst] lands on the same session fingerprint as restoring [src].  A
-      torn tail is not carried over; the header is rendered at the
-      current version.  [dst] is truncated if it exists; converting a
-      journal onto itself is not supported. *)
 end

@@ -242,6 +242,9 @@ let degraded_total t =
 let shard_consumed t =
   Array.map (fun sh -> Session.consumed sh.sh_session) t.t_shards
 
+let rng_states t =
+  Array.map (fun sh -> Session.rng_states sh.sh_session) t.t_shards
+
 let shard_task_counts t =
   Array.map (fun sh -> Array.length sh.sh_tasks) t.t_shards
 
@@ -421,11 +424,14 @@ let attach_pool t ~mailbox =
         (Ltc_util.Pool.Workers.create ~lanes:(Array.length t.t_shards)
            ~capacity:mailbox ~handler)
 
-(* Shedding refuses arrivals at a full mailbox; an inline single shard
-   has none. *)
-let check_shed fn ~shards = function
-  | Some c when c.Supervisor.overload = Supervisor.Shed && shards = 1 ->
-    invalid_arg (fn ^ ": overload shedding needs shard mailboxes (shards >= 2)")
+(* Shedding refuses arrivals at a full mailbox; an inline server (one
+   shard always is) has none, so it would never shed. *)
+let check_shed fn ~shards ~mode = function
+  | Some c
+    when c.Supervisor.overload = Supervisor.Shed
+         && (shards = 1 || mode = Inline) ->
+    invalid_arg
+      (fn ^ ": overload shedding needs shard mailboxes (Domains, shards >= 2)")
   | _ -> ()
 
 (* The [on_decision] capture hooks supervision relies on. *)
@@ -528,7 +534,7 @@ let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
        (restore needs a shard journal; use max_restarts = 0 to \
        quarantine-on-crash without one)"
   | _ -> ());
-  check_shed "Shard_server.create" ~shards supervise;
+  check_shed "Shard_server.create" ~shards ~mode supervise;
   (* Every shard session's own checks, before the manifest exists. *)
   Session.check_options ?accept_rate ?deadline ~checkpoint_every
     ~group_commit algorithm;
@@ -619,7 +625,7 @@ let restore ?journal ?mailbox ?(mode = Domains) ?fsync ?group_commit
         fun _ -> Some (Option.value journal ~default:path) )
     end
   in
-  check_shed "Shard_server.restore" ~shards:m.shards supervise;
+  check_shed "Shard_server.restore" ~shards:m.shards ~mode supervise;
   start ~mode ~supervise ~resume:source ~seeds ~journal_of
     {
       m with

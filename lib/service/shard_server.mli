@@ -95,7 +95,7 @@ val create :
     [supervise] turns on the sharded failure model (DESIGN.md §16): a
     shard whose session raises is captured without touching its
     siblings, restored online from its own journal with
-    {!Supervisor.config}[.backoff] between attempts, and re-fed the
+    {!Ltc_util.Fault.Retry.backoff_s} between attempts, and re-fed the
     arrivals its mailbox lost; a shard that exhausts
     [config.max_restarts] is quarantined — its arrivals (pending and
     future) are released as explicit unassigned degraded acks.  With
@@ -108,9 +108,10 @@ val create :
 
     @raise Invalid_argument when [shards < 1], [mailbox < 1], the
     session options are invalid (see {!Session.check_options}), or
-    [supervise] has [max_restarts > 0] without [~journal] or sheds with
-    one shard.  Every check runs before the manifest is written, so a
-    refused call leaves no file behind. *)
+    [supervise] has [max_restarts > 0] without [~journal] or sheds
+    without mailboxes (one shard, or [`Inline]).  Every check runs
+    before the manifest is written, so a refused call leaves no file
+    behind. *)
 
 val feed : t -> Ltc_core.Worker.t -> Session.decision list
 (** Route the next arrival (indices consecutive from 1, as in
@@ -158,8 +159,9 @@ val restore :
     restored), and as {!Session.restore} does.
     @raise Ltc_core.Serialize.Parse_error / [Sys_error] as
     {!read_manifest} does.
-    @raise Invalid_argument on [journal] with a manifest, or on
-    [group_commit] or [mailbox] below 1 (before any file is read). *)
+    @raise Invalid_argument on [journal] with a manifest, on
+    [group_commit] or [mailbox] below 1 (before any file is read), or on
+    a [supervise] that sheds without mailboxes, as {!create} does. *)
 
 val is_manifest : string -> bool
 (** [true] iff the file exists and starts with the shard-manifest magic —
@@ -244,6 +246,11 @@ val shard_of_point : t -> Ltc_geo.Point.t -> int
 
 val shard_consumed : t -> int array
 (** Per-shard consumed counters (shard-local arrival indices). *)
+
+val rng_states : t -> (int64 * int64) array
+(** Per-shard {!Session.rng_states}: the generator states a kill/restore
+    or an online restart must leave exactly as an uninterrupted run
+    would. *)
 
 val shard_task_counts : t -> int array
 (** Tasks owned by each shard. *)

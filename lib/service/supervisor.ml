@@ -3,14 +3,9 @@ module Metrics = Ltc_util.Metrics
 
 type overload = Block | Shed
 
-type config = {
-  max_restarts : int;
-  backoff : Fault.Retry.spec;
-  overload : overload;
-}
+type config = { max_restarts : int; overload : overload }
 
-let default =
-  { max_restarts = 3; backoff = Fault.Retry.default; overload = Block }
+let default = { max_restarts = 3; overload = Block }
 
 (* Fleet-wide health counters; registration is idempotent, so every
    supervised server shares one series per name. *)
@@ -73,5 +68,5 @@ let on_crash t ~shard =
   else begin
     t.restarts.(shard) <- t.restarts.(shard) + 1;
     Metrics.Counter.incr restarts_total;
-    `Restart (Fault.Retry.backoff_s t.config.backoff t.restarts.(shard))
+    `Restart (Fault.Retry.backoff_s t.restarts.(shard))
   end

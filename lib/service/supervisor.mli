@@ -31,16 +31,11 @@ type config = {
   max_restarts : int;
       (** per-shard online restores before quarantine (>= 0; [0] means
           quarantine on the first crash) *)
-  backoff : Ltc_util.Fault.Retry.spec;
-      (** restart backoff schedule; sleeps go through
-          {!Ltc_util.Fault.sleep}, so they are instantaneous under a
-          virtual clock *)
   overload : overload;
 }
 
 val default : config
-(** 3 restarts per shard, {!Ltc_util.Fault.Retry.default} backoff,
-    [Block]. *)
+(** 3 restarts per shard, [Block]. *)
 
 type t
 

@@ -277,12 +277,9 @@ let plan ?(crashes = 0) ?(io_errors = 0) ?(torn_writes = 0) ?(delays = 0)
 (* ---------------------------------------------------------------- retry *)
 
 module Retry = struct
-  type spec = { attempts : int; base_s : float; factor : float; max_s : float }
+  let attempts = 5
 
-  let default = { attempts = 5; base_s = 0.001; factor = 2.0; max_s = 0.016 }
-
-  let backoff_s spec k =
-    Float.min spec.max_s (spec.base_s *. (spec.factor ** float_of_int (k - 1)))
+  let backoff_s k = Float.min 0.016 (0.001 *. (2.0 ** float_of_int (k - 1)))
 
   let is_transient = function
     | Injected_io _ -> true
@@ -292,9 +289,9 @@ module Retry = struct
   let with_backoff ?(on_retry = fun ~attempt:_ _ -> ()) f =
     let rec go attempt =
       try f ()
-      with e when is_transient e && attempt < default.attempts ->
+      with e when is_transient e && attempt < attempts ->
         on_retry ~attempt e;
-        sleep (backoff_s default attempt);
+        sleep (backoff_s attempt);
         go (attempt + 1)
     in
     go 1

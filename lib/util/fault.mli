@@ -183,21 +183,15 @@ val sleep : float -> unit
 (** {1 Bounded-backoff retries} *)
 
 module Retry : sig
-  type spec = {
-    attempts : int;  (** total tries, including the first (>= 1) *)
-    base_s : float;  (** delay before the first retry *)
-    factor : float;  (** exponential growth per retry *)
-    max_s : float;  (** per-retry delay cap *)
-  }
+  val attempts : int
+  (** Total tries, including the first: 5.  With {!backoff_s} that adds
+      at most 15 ms of (virtual or real) sleep to one journal
+      operation. *)
 
-  val default : spec
-  (** 5 attempts, 1 ms base, doubling, 16 ms cap: worst case adds 15 ms
-      of (virtual or real) sleep to one journal operation. *)
-
-  val backoff_s : spec -> int -> float
-  (** Delay before retry [k] (1-based):
-      [min max_s (base_s *. factor ^ (k-1))].  Pure — the schedule is a
-      function of the spec alone, which the determinism test pins. *)
+  val backoff_s : int -> float
+  (** Delay before retry [k] (1-based): 1 ms, doubling, capped at
+      16 ms — [min 0.016 (0.001 *. 2 ^ (k-1))].  The one schedule:
+      journal retries and supervised shard restarts both sleep it. *)
 
   val is_transient : exn -> bool
   (** [Injected_io], and real [Unix.Unix_error] with [EINTR], [EAGAIN],
@@ -205,10 +199,9 @@ module Retry : sig
 
   val with_backoff :
     ?on_retry:(attempt:int -> exn -> unit) -> (unit -> 'a) -> 'a
-  (** Run the thunk, retrying transient failures on the {!default}
-      schedule: up to [default.attempts - 1] retries, with
-      [backoff_s default] sleeps between tries.  [on_retry ~attempt exn]
-      fires before each sleep ([attempt] is the 1-based try that just
-      failed).  Non-transient exceptions and the final transient failure
-      propagate unchanged. *)
+  (** Run the thunk, retrying transient failures: up to
+      [attempts - 1] retries, with {!backoff_s} sleeps between tries.
+      [on_retry ~attempt exn] fires before each sleep ([attempt] is the
+      1-based try that just failed).  Non-transient exceptions and the
+      final transient failure propagate unchanged. *)
 end

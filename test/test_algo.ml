@@ -79,6 +79,18 @@ let test_example3_laf_trace () =
         [ 2 ] (Arrangement.tasks_of_worker a w))
     [ 5; 6; 7; 8 ]
 
+(* The paper's five algorithms on Examples 2-4, through their registry
+   entries (Random at seed 1): Base-off and Random are pinned nowhere
+   else. *)
+let test_example_registry () =
+  let i = Fixtures.example2 () in
+  Alcotest.(check (list (pair string int)))
+    "latency per algorithm"
+    [ ("Base-off", 8); ("MCF-LTC", 7); ("Random", 6); ("LAF", 8); ("AAM", 6) ]
+    (List.map
+       (fun (a : Algorithm.t) -> (a.name, (a.run ~seed:1 i).Engine.latency))
+       Algorithm.paper)
+
 (* Theorem 4: the adversarial instance on which every deterministic online
    algorithm is at least 5.5-competitive.  delta = 1 (eps = e^-0.5), K = 1,
    two tasks; w1 has Acc* = 1 on both; every later worker has Acc* = 1 on
@@ -1182,6 +1194,8 @@ let suite =
           test_example4_aam_trace;
         Alcotest.test_case "Theorem 4 adversarial ratio 5.5" `Quick
           test_theorem4_adversary;
+        Alcotest.test_case "Examples 2-4 through the registry" `Quick
+          test_example_registry;
       ] );
     ( "algo.engine",
       [

@@ -98,14 +98,13 @@ let test_clock_virtual_semantics () =
 (* --------------------------------------------------------------- retry *)
 
 let test_backoff_schedule_pinned () =
-  let s = Fault.Retry.default in
-  Alcotest.(check int) "attempts" 5 s.Fault.Retry.attempts;
+  Alcotest.(check int) "attempts" 5 Fault.Retry.attempts;
   List.iteri
     (fun i expected ->
       check_float
         (Printf.sprintf "backoff before retry %d" (i + 1))
         expected
-        (Fault.Retry.backoff_s s (i + 1)))
+        (Fault.Retry.backoff_s (i + 1)))
     [ 0.001; 0.002; 0.004; 0.008; 0.016; 0.016; 0.016 ]
 
 let test_with_backoff_retries_then_succeeds () =

@@ -307,8 +307,8 @@ let restored_fp path =
 
 (* The binary journal and an old text journal of the same run are two
    encodings of one state: each restores to the fingerprint of the
-   uninterrupted run, and Journal.convert carries the text file to
-   binary, record for record, without moving it. *)
+   uninterrupted run, and a redirect restore carries the text file to a
+   v4 binary copy that recovers every arrival and the same state. *)
 let test_cross_codec_parity () =
   let stream_parity fx =
     let label what = Printf.sprintf "%s: %s" fx.file what in
@@ -333,20 +333,17 @@ let test_cross_codec_parity () =
   List.iter
     (fun fx ->
       let text = fixture_path fx.file in
-      let source = Session.Journal.inspect ~path:text in
       with_tmp_journal @@ fun converted ->
-      Session.Journal.convert ~src:text ~dst:converted;
+      Session.close (Session.restore ~journal:converted ~path:text ());
       let info = Session.Journal.inspect ~path:converted in
       let label what = Printf.sprintf "%s: %s" fx.file what in
       Alcotest.(check (pair int string)) (label "converted to v4 binary")
         (4, "binary")
         ( info.Session.Journal.version,
           Session.codec_name info.Session.Journal.codec );
-      Alcotest.(check (list int)) (label "record for record")
-        [ source.Session.Journal.snapshots; source.Session.Journal.events;
-          source.Session.Journal.consumed ]
-        [ info.Session.Journal.snapshots; info.Session.Journal.events;
-          info.Session.Journal.consumed ];
+      Alcotest.(check int) (label "every arrival kept")
+        (Session.Journal.inspect ~path:text).Session.Journal.consumed
+        info.Session.Journal.consumed;
       Alcotest.(check bool) (label "conversion preserves state") true
         (restored_fp converted = restored_fp text))
     (loadgen_fixture :: refeedable_fixtures)
@@ -576,8 +573,8 @@ let test_create_validation () =
     ];
   Alcotest.check_raises "the text codec is read-only"
     (Invalid_argument
-       "Session.create: the text journal codec is read-only (restore or \
-        convert old text journals; new journals are binary)") (fun () ->
+       "Session.create: the text journal codec is read-only (old text \
+        journals restore; new journals are binary)") (fun () ->
       ignore
         (Session.create ~format:Session.Text
            ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
@@ -983,7 +980,7 @@ let test_text_event_nan_refused () =
 (* Restore keeps a binary header's bytes instead of rendering it again,
    with a v3 magic line rewritten to v4.  That is only sound because
    parsing a header and rendering it gives back the same bytes: pinned
-   here through [Journal.convert], which renders the parsed header.  An
+   here by rendering [Journal.header] with [Session.emit_header].  An
    old text journal's header is rendered instead; either way the result
    must be exactly the header a fresh binary session with the same
    configuration writes. *)
@@ -1011,9 +1008,17 @@ let test_header_bytes_round_trip () =
    List.iteri (fun j w -> if j < 12 then ignore (Session.feed s w))
      (arrivals instance);
    Session.close s;
-   with_tmp_journal @@ fun copy ->
-   Session.Journal.convert ~src:path ~dst:copy;
-   starts_with header "a rendered copy" (read_file copy);
+   let rendered = Buffer.create 256 in
+   Buffer.add_string rendered "ltc-journal v4\n";
+   Session.emit_header
+     (Buffer.add_string rendered)
+     ~keys:
+       [ "codec"; "algorithm"; "seed"; "accept_rate"; "checkpoint_every";
+         "deadline" ]
+     ~extra:[ ("codec", "binary") ]
+     (Session.Journal.header ~path);
+   Alcotest.(check string) "the parsed header renders to the same bytes"
+     header (Buffer.contents rendered);
    Session.close (Session.restore ~path ());
    starts_with header "the restored journal" (read_file path));
   (* Fewer arrivals than a checkpoint period: no partial snapshot, so the
@@ -1362,6 +1367,27 @@ let test_loadgen_deterministic () =
   Alcotest.check_raises "non-fresh server rejected"
     (Invalid_argument "Loadgen.run: server must be fresh (consumed = 0)")
     (fun () -> ignore (Loadgen.run ~server:srv ~workers config))
+
+(* A supervised server probes each shard's faults under its scope, where
+   the virtual run's unscoped service-time delays would never fire: the
+   run is refused rather than reporting zero latency. *)
+let test_loadgen_virtual_refuses_supervised () =
+  let instance = small_instance ~n_workers:40 ~seed:11 () in
+  let srv =
+    Shard_server.create ~mode:Shard_server.Inline
+      ~supervise:{ Supervisor.default with Supervisor.max_restarts = 0 }
+      ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:3 instance
+  in
+  Fun.protect ~finally:(fun () -> Shard_server.close srv) @@ fun () ->
+  Alcotest.check_raises "supervised server refused"
+    (Invalid_argument
+       "Loadgen.run: virtual timing requires an unsupervised Inline-mode \
+        server") (fun () ->
+      ignore
+        (Loadgen.run ~server:srv ~workers:instance.Ltc_core.Instance.workers
+           (Loadgen.default_config
+              ~shape:
+                (Ltc_workload.Shape.make ~rate:200.0 Ltc_workload.Shape.Constant))))
 
 (* ------------------------------------------------------ sharded serving *)
 
@@ -1919,17 +1945,6 @@ let test_journal_header_refused () =
 
 (* ------------------------------------------------------- chaos property *)
 
-let chaos_sites =
-  [
-    "journal.header";
-    "journal.append.fsync";
-    "journal.checkpoint.fsync";
-    "journal.checkpoint.rename";
-    "journal.checkpoint.dir";
-  ]
-
-let chaos_write_sites = [ "journal.append"; "journal.checkpoint.write" ]
-
 (* Crash-everywhere, seeded: whatever mix of crashes, torn writes,
    transient I/O errors and delays a random plan scripts, the surviving
    decision stream equals the fault-free baseline.  A binary journal
@@ -1960,9 +1975,8 @@ let prop_chaos_identical =
     ->
       let instance = small_instance ~seed:iseed () in
       let plan =
-        Ltc_util.Fault.plan ~crashes ~io_errors ~torn_writes ~delays
-          ~horizon:30 ~seed:fault_seed ~sites:chaos_sites
-          ~write_sites:chaos_write_sites ~delay_sites:[ "session.decide" ] ()
+        Chaos.plan ~crashes ~io_errors ~torn_writes ~delays ~horizon:30
+          ~seed:fault_seed ()
       in
       with_tmp_journal @@ fun journal ->
       let r =
@@ -1987,14 +2001,14 @@ let test_supervisor_budget () =
   | `Restart d ->
     Alcotest.(check (float 1e-9))
       "first restart backs off per schedule"
-      (Ltc_util.Fault.Retry.backoff_s cfg.Supervisor.backoff 1)
+      (Ltc_util.Fault.Retry.backoff_s 1)
       d
   | `Quarantine -> Alcotest.fail "first crash must restart");
   (match crash 1 with
   | `Restart d ->
     Alcotest.(check (float 1e-9))
       "second restart backs off further"
-      (Ltc_util.Fault.Retry.backoff_s cfg.Supervisor.backoff 2)
+      (Ltc_util.Fault.Retry.backoff_s 2)
       d
   | `Quarantine -> Alcotest.fail "second crash must restart");
   (match crash 1 with
@@ -2252,26 +2266,29 @@ let test_sharded_chaos_acceptance () =
     Chaos.run_sharded ~plan ~shards ~algorithm:Ltc_algo.Algorithm.laf ~seed:77
       ~journal instance
   in
-  if not r.Chaos.s_identical then
+  if not r.Chaos.identical then
     Alcotest.fail
       (Printf.sprintf "diverged: %s"
-         (Option.value r.Chaos.s_divergence ~default:"?"));
-  Alcotest.(check int) "every crash recovered online" (2 * shards)
-    r.Chaos.s_restarts;
-  Array.iteri
-    (fun k c ->
-      if c < 1 then
-        Alcotest.fail (Printf.sprintf "shard %d never crashed" k))
-    r.Chaos.s_shard_restarts;
-  Alcotest.(check int) "no quarantine" 0 r.Chaos.s_quarantined;
-  Alcotest.(check int) "nothing shed" 0 r.Chaos.s_shed;
+         (Option.value r.Chaos.divergence ~default:"?"));
+  (match r.Chaos.recovery with
+  | Chaos.Supervised { restarts; shard_restarts; quarantined; shed } ->
+    Alcotest.(check int) "every crash recovered online" (2 * shards) restarts;
+    Array.iteri
+      (fun k c ->
+        if c < 1 then
+          Alcotest.fail (Printf.sprintf "shard %d never crashed" k))
+      shard_restarts;
+    Alcotest.(check int) "no quarantine" 0 quarantined;
+    Alcotest.(check int) "nothing shed" 0 shed
+  | Chaos.Kill_restore _ -> Alcotest.fail "a sharded run restarts shards");
   Alcotest.(check int) "one ack per arrival"
     (Array.length instance.Ltc_core.Instance.workers)
-    (Array.length r.Chaos.s_survived)
+    (Array.length r.Chaos.survived)
 
 (* Seeded random scoped plans (crashes, torn writes, transient I/O
    errors, delays) against the concurrent supervised runtime: the merged
-   stream survives whatever fires. *)
+   stream survives whatever fires.  No-shows make every shard draw from
+   its RNG, so the final per-shard RNG states are a real check. *)
 let prop_sharded_chaos_identical =
   QCheck2.Test.make
     ~name:"sharded chaos: survived stream == baseline under random plans"
@@ -2283,8 +2300,13 @@ let prop_sharded_chaos_identical =
       let* crashes = int_range 0 2 in
       let* io_errors = int_range 0 2 in
       let* torn_writes = int_range 0 2 in
-      return (iseed, fault_seed, shards, crashes, io_errors, torn_writes))
-    (fun (iseed, fault_seed, shards, crashes, io_errors, torn_writes) ->
+      let* accept_rate = float_range 0.4 0.9 in
+      return
+        (iseed, fault_seed, shards, crashes, io_errors, torn_writes,
+         accept_rate))
+    (fun
+      (iseed, fault_seed, shards, crashes, io_errors, torn_writes, accept_rate)
+    ->
       let instance = clustered_instance ~seed:iseed () in
       let plan =
         Chaos.sharded_plan ~crashes ~io_errors ~torn_writes ~horizon:10
@@ -2292,12 +2314,12 @@ let prop_sharded_chaos_identical =
       in
       with_tmp_shard_base @@ fun journal ->
       let r =
-        Chaos.run_sharded ~checkpoint_every:8 ~plan ~shards
+        Chaos.run_sharded ~accept_rate ~checkpoint_every:8 ~plan ~shards
           ~algorithm:Ltc_algo.Algorithm.laf ~seed:77 ~journal instance
       in
-      if not r.Chaos.s_identical then
+      if not r.Chaos.identical then
         QCheck2.Test.fail_reportf "diverged: %s"
-          (Option.value r.Chaos.s_divergence ~default:"?");
+          (Option.value r.Chaos.divergence ~default:"?");
       true)
 
 (* Overload shedding: pin shard 0's domain with a scoped decide delay
@@ -2310,9 +2332,7 @@ let test_shard_shed () =
   let srv =
     Shard_server.create ~mode:Shard_server.Domains ~mailbox:1
       ~supervise:
-        { Supervisor.default with
-          Supervisor.max_restarts = 0;
-          overload = Supervisor.Shed }
+        { Supervisor.max_restarts = 0; overload = Supervisor.Shed }
       ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:99 instance
   in
   let site =
@@ -2353,7 +2373,27 @@ let test_supervise_validation () =
         quarantine-on-crash without one)") (fun () ->
       ignore
         (Shard_server.create ~supervise:Supervisor.default ~shards:2
-           ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance))
+           ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
+  (* An inline server has no mailbox to fill, so it could never shed. *)
+  let shed = { Supervisor.max_restarts = 0; overload = Supervisor.Shed } in
+  let refused fn =
+    Invalid_argument
+      (fn ^ ": overload shedding needs shard mailboxes (Domains, shards >= 2)")
+  in
+  Alcotest.check_raises "inline shedding refused at create"
+    (refused "Shard_server.create") (fun () ->
+      ignore
+        (Shard_server.create ~mode:Shard_server.Inline ~supervise:shed
+           ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
+  with_tmp_shard_base @@ fun path ->
+  Shard_server.close
+    (Shard_server.create ~journal:path ~shards:2
+       ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance);
+  Alcotest.check_raises "inline shedding refused at restore"
+    (refused "Shard_server.restore") (fun () ->
+      ignore
+        (Shard_server.restore ~mode:Shard_server.Inline ~supervise:shed ~path
+           ()))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -2415,6 +2455,8 @@ let suite =
           test_flight_recorder_ring;
         Alcotest.test_case "virtual loadgen is deterministic" `Quick
           test_loadgen_deterministic;
+        Alcotest.test_case "virtual timing refuses a supervised server"
+          `Quick test_loadgen_virtual_refuses_supervised;
       ] );
     ( "service.chaos",
       [ qcheck prop_chaos_identical ] );
