@@ -911,6 +911,9 @@ let loadgen_cmd_impl load algo_name o shape_spec rate arrivals service_mean
     | Ltc_service.Loadgen.Virtual -> Ltc_service.Shard_server.Inline
     | Ltc_service.Loadgen.Wall -> Ltc_service.Shard_server.Domains
   in
+  (* Refuse a bad run before the server opens its journal. *)
+  Ltc_service.Loadgen.check_config ~mode
+    ~supervised:(Option.is_some o.o_supervise) config;
   let server =
     create_server o ~deadline ~fsync:false ~mode ~algorithm instance
   in

@@ -67,6 +67,8 @@ let add_arc t ~src ~dst ~cap ~cost =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Graph.add_arc: node out of range";
   if cap < 0 then invalid_arg "Graph.add_arc: negative capacity";
+  if not (Float.is_finite cost) then
+    invalid_arg "Graph.add_arc: cost must be finite";
   let a = append t ~src ~dst ~cap ~cost in
   let (_ : arc) = append t ~src:dst ~dst:src ~cap:0 ~cost:(-.cost) in
   a

@@ -31,8 +31,9 @@ val arc_count : t -> int
 
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:float -> arc
 (** Adds a forward arc and its zero-capacity reverse.  Returns the forward
-    arc id.  @raise Invalid_argument on out-of-range nodes or negative
-    capacity. *)
+    arc id.  @raise Invalid_argument on out-of-range nodes, a negative
+    capacity or a non-finite cost (a NaN label would break the order of
+    {!Mcmf}'s Dijkstra heap). *)
 
 val src : t -> arc -> int
 val dst : t -> arc -> int

@@ -38,6 +38,16 @@ let m_dijkstra =
   Ltc_util.Metrics.counter ~help:"Dijkstra passes over the reduced graph"
     ~labels "ltc_flow_mcmf_dijkstra_passes_total"
 
+let m_arcs =
+  Ltc_util.Metrics.counter
+    ~help:"arcs scanned out of settled nodes by Dijkstra passes" ~labels
+    "ltc_flow_mcmf_arcs_scanned_total"
+
+let m_relax =
+  Ltc_util.Metrics.counter
+    ~help:"labels lowered through an arc (heap inserts and decrease-keys)"
+    ~labels "ltc_flow_mcmf_relaxations_total"
+
 (* ------------------------------------------------------ reusable workspace *)
 
 (* Per-solve scratch: potentials, Dijkstra labels and heap.  Labels are
@@ -150,9 +160,12 @@ let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
   (* Dijkstra on reduced costs, stopping as soon as the sink settles.
      Labels are valid only where [stamp.(v)] equals this pass's epoch —
      unstamped nodes read as dist = infinity, unsettled, which replaces the
-     three O(n) fills the allocation-per-run solver paid per pass.
+     three O(n) fills the allocation-per-run solver paid per pass.  The
+     heap is keyed on [dist] itself, so a pass allocates nothing; its work
+     is counted in registers and added to the run's totals once.
      Returns true when the sink is reachable. *)
   let epoch = ref ws.epoch in
+  let arcs_scanned = ref 0 and relaxations = ref 0 in
   let dijkstra () =
     incr epoch;
     let ep = !epoch in
@@ -160,24 +173,27 @@ let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
     Array.unsafe_set dist source 0.0;
     Array.unsafe_set stamp source ep;
     Bytes.unsafe_set settled source '\000';
-    Node_heap.push_or_decrease heap source 0.0;
+    Node_heap.push heap ~keys:dist source;
+    let scanned = ref 0 and relaxed = ref 0 in
     let reached_sink = ref false in
     let continue = ref true in
     while !continue do
-      match Node_heap.pop_min heap with
-      | None -> continue := false
-      | Some (u, d) ->
+      let u = Node_heap.pop heap in
+      if u < 0 then continue := false
+      else begin
         Bytes.unsafe_set settled u '\001';
         if u = sink then begin
           reached_sink := true;
           continue := false
         end
         else begin
+          let d = Array.unsafe_get dist u in
           let pot_u = Array.unsafe_get pot u in
           let a = ref (Array.unsafe_get first u) in
           while !a <> -1 do
             let arc = !a in
             a := Array.unsafe_get next arc;
+            incr scanned;
             if Array.unsafe_get caps arc > 0 then begin
               let v = Array.unsafe_get heads arc in
               let stamped = Array.unsafe_get stamp v = ep in
@@ -201,13 +217,17 @@ let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
                     Array.unsafe_set stamp v ep;
                     Bytes.unsafe_set settled v '\000'
                   end;
-                  Node_heap.push_or_decrease heap v nd
+                  incr relaxed;
+                  Node_heap.push heap ~keys:dist v
                 end
               end
             end
           done
         end
+      end
     done;
+    arcs_scanned := !arcs_scanned + !scanned;
+    relaxations := !relaxations + !relaxed;
     !reached_sink
   in
   Ltc_util.Metrics.Counter.incr m_runs;
@@ -283,5 +303,7 @@ let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
   ws.epoch <- !epoch;
   Ltc_util.Metrics.Counter.add m_rounds !rounds;
   Ltc_util.Metrics.Counter.add m_flow !total_flow;
+  Ltc_util.Metrics.Counter.add m_arcs !arcs_scanned;
+  Ltc_util.Metrics.Counter.add m_relax !relaxations;
   { flow = !total_flow; cost = !total_cost; rounds = !rounds;
     exhausted = !exhausted }

@@ -19,7 +19,12 @@
     be reused across solves, and distance labels are validated by an epoch
     stamp rather than O(V) fills per shortest-path pass — a caller that
     solves one batch after another (MCF-LTC's [run_batches]) allocates
-    nothing after the first batch.  See DESIGN.md §9. *)
+    nothing after the first batch.  The heap is keyed on the distance
+    labels themselves ({!Node_heap}), so a shortest-path pass allocates
+    nothing either, and its pops follow the tie order the arrangement
+    digests pin.  Each run adds the arcs its passes scanned and the
+    labels they lowered to [ltc_flow_mcmf_arcs_scanned_total] and
+    [ltc_flow_mcmf_relaxations_total].  See DESIGN.md §9. *)
 
 type result = {
   flow : int;      (** total units routed from source to sink *)

@@ -1,9 +1,19 @@
-(** Indexed binary min-heap over node ids with float keys.
+(** Indexed binary min-heap over node ids, keyed on the caller's labels.
 
     Purpose-built priority queue for Dijkstra inside {!Mcmf}: nodes are small
-    integers, keys are distances, and [decrease] updates a node's priority in
-    place — no stale entries, no per-push tuple allocation.  All storage is
-    three flat arrays sized by the node count. *)
+    integers and their keys are the caller's distance labels.  {!push} reads
+    a node's key from the label array itself and {!pop} returns a bare node
+    id, so neither boxes a float and a Dijkstra pass allocates nothing.
+    The heap keeps its own copy of each queued key in slot order, so a
+    sift compares adjacent slots.  All storage is three flat arrays sized
+    by the node count.
+
+    {b Tie order.}  Equal keys leave the heap in exactly the order of the
+    classic swap-based heap (sift-up over strictly larger keys, sift-down
+    to the smaller child with the left one on a tie): Dijkstra's
+    predecessors, and with them every min-cost-flow arrangement, depend on
+    it, since most labels on an LTC batch network tie at [0.0]
+    (DESIGN.md §9).  Keys must not be NaN. *)
 
 type t
 
@@ -27,10 +37,14 @@ val size : t -> int
 val mem : t -> int -> bool
 (** Is the node currently queued? *)
 
-val push_or_decrease : t -> int -> float -> unit
-(** Insert the node with the given key, or lower its key if already queued
-    with a larger one.  Raising a queued node's key is a no-op (Dijkstra
-    never needs it).  @raise Invalid_argument on an out-of-range node. *)
+val push : t -> keys:float array -> int -> unit
+(** [push t ~keys v] inserts [v] at key [keys.(v)], or, when [v] is
+    already queued with a larger key, lowers it to [keys.(v)].  A key at
+    or above the queued one is a no-op (Dijkstra never raises one).  The
+    heap copies the key, so later writes to [keys.(v)] do not move [v]
+    until it is pushed again.
+    @raise Invalid_argument on an out-of-range node. *)
 
-val pop_min : t -> (int * float) option
-(** Remove and return the minimum-key node. *)
+val pop : t -> int
+(** Removes and returns the minimum-key node, or [-1] when the heap is
+    empty. *)

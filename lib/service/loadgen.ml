@@ -64,7 +64,7 @@ type report = {
 
 let exp_draw rng = -.log (1.0 -. Ltc_util.Rng.float rng 1.0)
 
-let validate config ~workers ~server =
+let check_config ~mode ~supervised config =
   (match config.service with
   | Fixed s ->
     if not (Float.is_finite s) || s < 0.0 then
@@ -77,22 +77,23 @@ let validate config ~workers ~server =
     invalid_arg "Loadgen.run: slo_s must be finite and > 0"
   | _ -> ());
   if config.arrivals < 1 then invalid_arg "Loadgen.run: arrivals must be >= 1";
-  if Array.length workers = 0 then
-    invalid_arg "Loadgen.run: no workers to offer";
-  if Shard_server.consumed server <> 0 || Shard_server.resumed_at server <> 0
-  then invalid_arg "Loadgen.run: server must be fresh (consumed = 0)";
   (* The virtual clock and the Delay plan are process-global and single
      domain; shard domains probing them concurrently would race.  A
      supervised server probes under each shard's fault scope, where the
      unscoped service-time delays never fire. *)
-  if
-    config.timing = Virtual
-    && (Shard_server.mode server <> Shard_server.Inline
-       || Shard_server.supervised server)
+  if config.timing = Virtual && (mode <> Shard_server.Inline || supervised)
   then
     invalid_arg
       "Loadgen.run: virtual timing requires an unsupervised Inline-mode \
        server"
+
+let validate config ~workers ~server =
+  check_config ~mode:(Shard_server.mode server)
+    ~supervised:(Shard_server.supervised server) config;
+  if Array.length workers = 0 then
+    invalid_arg "Loadgen.run: no workers to offer";
+  if Shard_server.consumed server <> 0 || Shard_server.resumed_at server <> 0
+  then invalid_arg "Loadgen.run: server must be fresh (consumed = 0)"
 
 let publish_latency_gauges ~algo report =
   List.iter

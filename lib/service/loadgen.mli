@@ -86,6 +86,15 @@ type report = {
   r_shed : int;  (** arrivals shed by [Shed] admission control *)
 }
 
+val check_config :
+  mode:Shard_server.mode -> supervised:bool -> config -> unit
+(** The checks {!run} makes of [config] that need no server: a finite,
+    non-negative fixed service time (a positive exponential mean), a
+    finite positive SLO, [arrivals >= 1], and [Virtual] timing only over
+    an unsupervised [Inline] server of the given [mode].  Call it before
+    creating the server, so that a refused run leaves no journal behind.
+    @raise Invalid_argument with the message {!run} would raise. *)
+
 val run :
   ?on_breach:(seq:int -> Flight_recorder.t -> unit) ->
   server:Shard_server.t ->
@@ -111,9 +120,9 @@ val run :
     [ltc_service_loadgen_latency_seconds{quantile=..}] gauges (visible
     when {!Ltc_util.Metrics} is enabled).
 
-    @raise Invalid_argument when [config.arrivals < 1], the server is not
-    fresh, [workers] is empty, or on a [Virtual]-timing run over a
-    [`Domains]-mode or supervised server. *)
+    @raise Invalid_argument when {!check_config} refuses [config] for the
+    server's mode and supervision, the server is not fresh, or [workers]
+    is empty. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The stable multi-line rendering the CLI prints (and the cram tests

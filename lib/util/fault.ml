@@ -26,14 +26,12 @@ type state = {
   index : (string * int, armed_fault) Hashtbl.t;
   counters : (string, int ref) Hashtbl.t;
   mutable stats : stats;
-  (* [None]: real time.  [Some t]: virtual time, advanced explicitly. *)
-  mutable vnow : float option;
 }
 
-(* All of [state] is guarded by [lock]: probes may run concurrently from
-   shard domains once a plan is armed.  Exceptions are raised and the
-   virtual clock advanced only *outside* the critical section, so a fired
-   Crash can never leak the lock. *)
+(* All of [state] and every write of [vnow] are guarded by [lock]: probes
+   may run concurrently from shard domains once a plan is armed.
+   Exceptions are raised and the virtual clock advanced only *outside* the
+   critical section, so a fired Crash can never leak the lock. *)
 let lock = Mutex.create ()
 
 let locked f =
@@ -51,8 +49,13 @@ let state =
     index = Hashtbl.create 64;
     counters = Hashtbl.create 16;
     stats = no_stats;
-    vnow = None;
   }
+
+(* [None]: real time.  [Some t]: virtual time, advanced explicitly.
+   Written under [lock], so an advance never loses a concurrent one, and
+   read without it: a deadline check reads the clock once or twice per
+   arrival or solver pass and takes no lock. *)
+let vnow : float option Atomic.t = Atomic.make None
 
 (* The hot-path switch: a single atomic load + branch while disarmed. *)
 let is_armed = Atomic.make false
@@ -131,21 +134,21 @@ let pending site hit =
 
 module Clock = struct
   let now_s () =
-    match locked (fun () -> state.vnow) with
+    match Atomic.get vnow with
     | Some t -> t
     | None -> Unix.gettimeofday ()
 
-  let set_virtual t = locked (fun () -> state.vnow <- Some t)
+  let set_virtual t = locked (fun () -> Atomic.set vnow (Some t))
 
   let advance dt =
     if dt < 0.0 then invalid_arg "Fault.Clock.advance: negative amount";
     locked (fun () ->
-        match state.vnow with
+        match Atomic.get vnow with
         | None -> ()
-        | Some t -> state.vnow <- Some (t +. dt))
+        | Some t -> Atomic.set vnow (Some (t +. dt)))
 
-  let clear () = locked (fun () -> state.vnow <- None)
-  let is_virtual () = locked (fun () -> state.vnow <> None)
+  let clear () = locked (fun () -> Atomic.set vnow None)
+  let is_virtual () = Option.is_some (Atomic.get vnow)
 end
 
 let sleep dt = if Clock.is_virtual () then Clock.advance dt else Unix.sleepf dt

@@ -23,7 +23,8 @@
     State is process-global and mutex-guarded: arm a plan from one
     domain, then probe it from as many domains as the scenario runs —
     hit counting, firing and the virtual clock are all atomic with
-    respect to concurrent probes.  Arm/disarm themselves are setup
+    respect to concurrent probes.  Reading the clock ({!Clock.now_s},
+    {!Clock.is_virtual}) takes no lock.  Arm/disarm themselves are setup
     steps; call them from a single coordinating domain.
 
     Concurrent probing of one {e shared} site interleaves the domains'
@@ -159,7 +160,8 @@ val plan :
 (** The clock behind per-arrival solve deadlines.  Real mode reads
     [Unix.gettimeofday]; virtual mode reads a counter advanced only by
     {!Clock.advance}, [Delay] faults and virtual {!sleep}s, making
-    deadline tests and chaos runs time-independent. *)
+    deadline tests and chaos runs time-independent.  Writes are
+    serialised; reads are one atomic load, with no lock. *)
 module Clock : sig
   val now_s : unit -> float
 

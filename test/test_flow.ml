@@ -33,6 +33,14 @@ let test_graph_invalid () =
   Alcotest.check_raises "bad node"
     (Invalid_argument "Graph.add_arc: node out of range") (fun () ->
       ignore (Graph.add_arc g ~src:0 ~dst:2 ~cap:1 ~cost:0.0));
+  (* A NaN label would poison Dijkstra's heap order. *)
+  List.iter
+    (fun cost ->
+      Alcotest.check_raises "non-finite cost"
+        (Invalid_argument "Graph.add_arc: cost must be finite") (fun () ->
+          ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost)))
+    [ Float.nan; infinity; neg_infinity ];
+  Alcotest.(check int) "refused arcs not added" 0 (Graph.arc_count g);
   let a = Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0 in
   Alcotest.check_raises "over-push"
     (Invalid_argument "Graph.push: exceeds residual") (fun () ->
@@ -52,39 +60,49 @@ let test_graph_iter_from () =
 
 (* ------------------------------------------------------------- Node_heap *)
 
+(* The heap reads each key from the caller's label array, as Dijkstra's
+   [dist]; [push_key] writes the label, then pushes. *)
+let push_key h keys v k =
+  keys.(v) <- k;
+  Node_heap.push h ~keys v
+
 let test_node_heap_basic () =
-  let h = Node_heap.create ~n:5 in
+  let h = Node_heap.create ~n:5 and keys = Array.make 5 infinity in
   Alcotest.(check bool) "empty" true (Node_heap.is_empty h);
-  Node_heap.push_or_decrease h 3 2.5;
-  Node_heap.push_or_decrease h 1 1.0;
-  Node_heap.push_or_decrease h 4 4.0;
+  push_key h keys 3 2.5;
+  push_key h keys 1 1.0;
+  push_key h keys 4 4.0;
   Alcotest.(check bool) "mem" true (Node_heap.mem h 3);
   Alcotest.(check bool) "not mem" false (Node_heap.mem h 0);
   Alcotest.(check int) "size" 3 (Node_heap.size h);
-  Alcotest.(check bool) "min first" true (Node_heap.pop_min h = Some (1, 1.0));
-  Alcotest.(check bool) "then 3" true (Node_heap.pop_min h = Some (3, 2.5));
-  Alcotest.(check bool) "then 4" true (Node_heap.pop_min h = Some (4, 4.0));
-  Alcotest.(check bool) "exhausted" true (Node_heap.pop_min h = None)
+  Alcotest.(check int) "min first" 1 (Node_heap.pop h);
+  Alcotest.(check int) "then 3" 3 (Node_heap.pop h);
+  Alcotest.(check int) "then 4" 4 (Node_heap.pop h);
+  Alcotest.(check int) "exhausted" (-1) (Node_heap.pop h);
+  Alcotest.check_raises "bad node"
+    (Invalid_argument "Node_heap: node out of range") (fun () ->
+      Node_heap.push h ~keys 5)
 
 let test_node_heap_decrease () =
-  let h = Node_heap.create ~n:4 in
-  Node_heap.push_or_decrease h 0 5.0;
-  Node_heap.push_or_decrease h 1 3.0;
-  Node_heap.push_or_decrease h 0 1.0;  (* decrease-key *)
-  Node_heap.push_or_decrease h 1 9.0;  (* increase: must be ignored *)
-  Alcotest.(check bool) "decreased node wins" true
-    (Node_heap.pop_min h = Some (0, 1.0));
-  Alcotest.(check bool) "increase ignored" true
-    (Node_heap.pop_min h = Some (1, 3.0))
+  let h = Node_heap.create ~n:4 and keys = Array.make 4 infinity in
+  push_key h keys 0 5.0;
+  push_key h keys 1 3.0;
+  push_key h keys 2 4.0;
+  push_key h keys 0 1.0;  (* decrease-key *)
+  push_key h keys 1 9.0;  (* increase: must be ignored *)
+  Alcotest.(check int) "decreased node wins" 0 (Node_heap.pop h);
+  Alcotest.(check int) "increase ignored" 1 (Node_heap.pop h);
+  Alcotest.(check int) "then the untouched node" 2 (Node_heap.pop h)
 
 let test_node_heap_clear_reuse () =
-  let h = Node_heap.create ~n:3 in
-  Node_heap.push_or_decrease h 2 1.0;
+  let h = Node_heap.create ~n:3 and keys = Array.make 3 infinity in
+  push_key h keys 2 1.0;
   Node_heap.clear h;
   Alcotest.(check bool) "cleared" true (Node_heap.is_empty h);
   Alcotest.(check bool) "mem reset" false (Node_heap.mem h 2);
-  Node_heap.push_or_decrease h 2 7.0;
-  Alcotest.(check bool) "reusable" true (Node_heap.pop_min h = Some (2, 7.0))
+  push_key h keys 2 7.0;
+  Alcotest.(check int) "reusable" 2 (Node_heap.pop h);
+  Alcotest.(check int) "then empty" (-1) (Node_heap.pop h)
 
 let prop_node_heap_sorts =
   QCheck2.Test.make ~name:"node heap pops keys in ascending order" ~count:200
@@ -94,13 +112,74 @@ let prop_node_heap_sorts =
       return (n, keys))
     (fun (n, keys) ->
       let h = Node_heap.create ~n in
-      Array.iteri (fun v k -> Node_heap.push_or_decrease h v k) keys;
+      Array.iteri (fun v _ -> Node_heap.push h ~keys v) keys;
       let rec drain last =
-        match Node_heap.pop_min h with
-        | None -> true
-        | Some (_, k) -> k >= last && drain k
+        match Node_heap.pop h with
+        | -1 -> true
+        | v -> keys.(v) >= last && drain keys.(v)
       in
       drain neg_infinity)
+
+(* Tie order: Dijkstra's predecessors, and so every MCF arrangement, hang
+   on which of several equal-key nodes pops first, and most labels on an
+   LTC batch network tie at 0.0.  One random script drives the keyed heap
+   and the swap-based oracle it replaced; the popped nodes must agree one
+   for one.  Keys come from a handful of values, mostly 0.0. *)
+type heap_op = Push of int * float | Pop | Clear
+
+let heap_script_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 40 in
+    let key =
+      frequency
+        [
+          (8, return 0.0);
+          (2, return 0.5);
+          (1, return 1.0);
+          (1, return 2.5);
+          (1, float_range 0.0 3.0);
+        ]
+    in
+    let op =
+      frequency
+        [
+          (6, map2 (fun v k -> Push (v, k)) (int_range 0 (n - 1)) key);
+          (3, return Pop);
+          (1, return Clear);
+        ]
+    in
+    let* ops = list_size (int_range 0 300) op in
+    return (n, ops))
+
+let prop_node_heap_matches_oracle =
+  QCheck2.Test.make ~name:"node heap pops in the oracle's order, ties included"
+    ~count:500 heap_script_gen (fun (n, ops) ->
+      let h = Node_heap.create ~n and keys = Array.make n infinity in
+      let o = Heap_oracle.create ~n in
+      let pops = ref 0 in
+      let step = function
+        | Push (v, k) ->
+          push_key h keys v k;
+          Heap_oracle.push_or_decrease o v k;
+          true
+        | Clear ->
+          Node_heap.clear h;
+          Heap_oracle.clear o;
+          true
+        | Pop ->
+          incr pops;
+          let want =
+            match Heap_oracle.pop_min o with Some (v, _) -> v | None -> -1
+          in
+          let got = Node_heap.pop h in
+          if got <> want then
+            QCheck2.Test.fail_reportf "pop %d: heap %d, oracle %d" !pops got
+              want;
+          true
+      in
+      List.for_all step ops
+      (* drain: what is still queued must leave in the same order too *)
+      && List.for_all step (List.init n (fun _ -> Pop)))
 
 (* ------------------------------------------------------------------ Mcmf *)
 
@@ -161,6 +240,44 @@ let test_mcmf_invalid () =
   Alcotest.check_raises "source=sink"
     (Invalid_argument "Mcmf.run: source = sink") (fun () ->
       ignore (Mcmf.run g ~source:0 ~sink:0))
+
+(* The solver's work counters, pinned on a fixed graph: three unit paths
+   0 -> k -> 4 of costs -1.0, -0.9 and -0.8.  Traced by hand, the four
+   passes (three augmenting, one that finds the sink unreachable) scan
+   9 + 7 + 5 + 3 arcs out of settled nodes and lower 5 + 4 + 2 + 0
+   labels; the first pass's 5 depends on the heap popping node 1 before
+   node 2 at their tied key 0.0. *)
+let test_mcmf_work_counters () =
+  let module M = Ltc_util.Metrics in
+  let counter name = M.counter ~labels:[ ("solver", "sspa") ] name in
+  let names =
+    [
+      "ltc_flow_mcmf_arcs_scanned_total";
+      "ltc_flow_mcmf_relaxations_total";
+      "ltc_flow_mcmf_dijkstra_passes_total";
+      "ltc_flow_mcmf_rounds_total";
+    ]
+  in
+  let g = Graph.create ~n:5 in
+  for i = 0 to 2 do
+    ignore
+      (Graph.add_arc g ~src:0 ~dst:(1 + i) ~cap:1
+         ~cost:(-1.0 +. (0.1 *. float_of_int i)));
+    ignore (Graph.add_arc g ~src:(1 + i) ~dst:4 ~cap:1 ~cost:0.0)
+  done;
+  M.set_enabled true;
+  let before = List.map (fun n -> M.Counter.value (counter n)) names in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> M.set_enabled false)
+      (fun () -> Mcmf.run g ~source:0 ~sink:4)
+  in
+  let delta =
+    List.map2 (fun n b -> M.Counter.value (counter n) - b) names before
+  in
+  Alcotest.(check int) "three units" 3 r.Mcmf.flow;
+  Alcotest.(check (list int)) "arcs scanned, relaxations, passes, rounds"
+    [ 24; 11; 4; 3 ] delta
 
 (* Brute-force reference: minimum-cost assignment on small bipartite
    instances, compared against the SSPA result. *)
@@ -412,15 +529,13 @@ let test_graph_clear_reuse () =
       Graph.clear g ~n:0)
 
 let test_node_heap_grow () =
-  let h = Node_heap.create ~n:2 in
-  Node_heap.push_or_decrease h 1 3.0;
+  let h = Node_heap.create ~n:2 and keys = Array.make 10 infinity in
+  push_key h keys 1 3.0;
   Node_heap.ensure_capacity h ~n:10;
   Alcotest.(check bool) "capacity grew" true (Node_heap.capacity h >= 10);
-  Node_heap.push_or_decrease h 7 1.0;
-  Alcotest.(check bool) "new node usable" true
-    (Node_heap.pop_min h = Some (7, 1.0));
-  Alcotest.(check bool) "old entry intact" true
-    (Node_heap.pop_min h = Some (1, 3.0))
+  push_key h keys 7 1.0;
+  Alcotest.(check int) "new node usable" 7 (Node_heap.pop h);
+  Alcotest.(check int) "old entry intact" 1 (Node_heap.pop h)
 
 let test_workspace_growth () =
   let ws = Mcmf.create_workspace ~hint:2 () in
@@ -439,6 +554,29 @@ let test_workspace_growth () =
   let r2 = Mcmf.run g2 ~workspace:ws ~source ~sink in
   Alcotest.(check int) "flow stable across reuse" r1.Mcmf.flow r2.Mcmf.flow;
   check_float "cost stable across reuse" r1.Mcmf.cost r2.Mcmf.cost
+
+(* The Dijkstra passes of a warm solve allocate nothing: the heap is keyed
+   on the label array, so no pop or push boxes a float.  What a round
+   still allocates is its bottleneck and augment closures (16 words a
+   round when measured); the float-argument heap this replaced allocated
+   several words per pop and per push. *)
+let test_warm_solve_allocation () =
+  let rng = Ltc_util.Rng.create ~seed:5 in
+  let costs =
+    Array.init 40 (fun _ ->
+        Array.init 60 (fun _ -> -.Ltc_util.Rng.float rng 1.0))
+  in
+  let input = (40, 60, 2, 2, costs) in
+  let ws = Mcmf.create_workspace () in
+  let g, source, sink = build_bipartite input in
+  ignore (Mcmf.run g ~workspace:ws ~source ~sink);
+  let g, _, _ = build_bipartite input in
+  let before = Gc.minor_words () in
+  let r = Mcmf.run g ~workspace:ws ~source ~sink in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every unit routed" 80 r.Mcmf.flow;
+  if words > 32.0 *. float_of_int r.Mcmf.rounds then
+    Alcotest.failf "%.0f minor words over %d rounds" words r.Mcmf.rounds
 
 (* One workspace shared across every generated case: reuse itself is under
    test.  Exact (=) float comparisons are deliberate — stale labels and
@@ -537,6 +675,7 @@ let suite =
         Alcotest.test_case "decrease-key" `Quick test_node_heap_decrease;
         Alcotest.test_case "clear and reuse" `Quick test_node_heap_clear_reuse;
         qcheck prop_node_heap_sorts;
+        qcheck prop_node_heap_matches_oracle;
       ] );
     ( "flow.mcmf",
       [
@@ -548,6 +687,7 @@ let suite =
         Alcotest.test_case "max_flow cap" `Quick test_mcmf_max_flow_cap;
         Alcotest.test_case "disconnected" `Quick test_mcmf_disconnected;
         Alcotest.test_case "invalid args" `Quick test_mcmf_invalid;
+        Alcotest.test_case "work counters" `Quick test_mcmf_work_counters;
         qcheck prop_mcmf_matches_brute;
         qcheck prop_mcmf_flow_conservation;
       ] );
@@ -569,6 +709,8 @@ let suite =
         Alcotest.test_case "graph clear" `Quick test_graph_clear_reuse;
         Alcotest.test_case "node heap growth" `Quick test_node_heap_grow;
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
+        Alcotest.test_case "warm solve allocates per round only" `Quick
+          test_warm_solve_allocation;
         qcheck prop_workspace_reuse_exact;
       ] );
     ( "flow.anytime",

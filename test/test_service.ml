@@ -2322,32 +2322,55 @@ let prop_sharded_chaos_identical =
           (Option.value r.Chaos.divergence ~default:"?");
       true)
 
-(* Overload shedding: pin shard 0's domain with a scoped decide delay
-   behind a 1-slot mailbox; arrivals that find the mailbox full are shed
-   as immediate unassigned degraded acks, counted, and nothing is lost
-   or duplicated. *)
+(* Overload shedding: stall shard 0's domain in its first decision behind
+   a 1-slot mailbox until the router has offered every arrival; arrivals
+   that find the mailbox full are shed as immediate unassigned degraded
+   acks, counted, and nothing is lost or duplicated.  The stall is real
+   (a [Delay] fault would only advance the virtual clock, and this server
+   runs on real time), and it lasts until the gate opens, not for a fixed
+   time the router might outrun; a timeout keeps a broken server from
+   hanging the suite. *)
 let test_shard_shed () =
   let instance = clustered_instance ~seed:31 () in
   let n = Array.length instance.Ltc_core.Instance.workers in
+  let gate = Atomic.make false and stalls = Atomic.make 0 in
+  let stall () =
+    Atomic.incr stalls;
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while (not (Atomic.get gate)) && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.001
+    done
+  in
+  let laf = Ltc_algo.Algorithm.laf in
+  let stalling =
+    {
+      laf with
+      Ltc_algo.Algorithm.policy =
+        Some
+          (fun rng instance tracker progress ->
+            let decide = (Option.get laf.policy) rng instance tracker progress in
+            fun w ->
+              if
+                Ltc_util.Fault.current_scope ()
+                = Some (Supervisor.scope ~shard:0)
+              then stall ();
+              decide w);
+    }
+  in
   let srv =
     Shard_server.create ~mode:Shard_server.Domains ~mailbox:1
       ~supervise:
         { Supervisor.max_restarts = 0; overload = Supervisor.Shed }
-      ~shards:2 ~algorithm:Ltc_algo.Algorithm.laf ~seed:99 instance
-  in
-  let site =
-    Ltc_util.Fault.scope_site ~scope:(Supervisor.scope ~shard:0)
-      "session.decide"
+      ~shards:2 ~algorithm:stalling ~seed:99 instance
   in
   let got = ref [] in
-  with_faults
-    [ { Ltc_util.Fault.site; hit = 1; action = Ltc_util.Fault.Delay 0.3 } ]
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
       List.iter
         (fun w -> got := List.rev_append (Shard_server.feed srv w) !got)
-        (arrivals instance);
-      got := List.rev_append (Shard_server.flush srv) !got);
+        (arrivals instance));
+  got := List.rev_append (Shard_server.flush srv) !got;
   let got = List.rev !got in
+  Alcotest.(check bool) "shard 0 stalled" true (Atomic.get stalls >= 1);
   Alcotest.(check int) "one ack per arrival" n (List.length got);
   let dead =
     List.length
@@ -2359,7 +2382,7 @@ let test_shard_shed () =
   Alcotest.(check int) "shed counter matches dead acks" dead
     (Shard_server.shed srv);
   if Shard_server.shed srv < 1 then
-    Alcotest.fail "a 300ms decide stall behind a 1-slot mailbox must shed";
+    Alcotest.fail "a decide stall behind a 1-slot mailbox must shed";
   Alcotest.(check int) "no restarts" 0 (Shard_server.restarts srv);
   Shard_server.close srv
 
