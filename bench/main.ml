@@ -442,6 +442,24 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (aam_decide worker)));
     Test.make ~name:"random-arrival"
       (Staged.stage (fun () -> ignore (random_decide worker)));
+    Test.make ~name:"aam-stream"
+      (Staged.stage (fun () ->
+           (* aam-arrival and laf-arrival decide against a progress that
+              never changes; a stream also pays for what a decision
+              changes: records, completions and the open-task heap. *)
+           let st =
+             Ltc_algo.Engine.start ~name:"AAM" Ltc_algo.Aam.policy instance
+           in
+           let progress = Ltc_algo.Engine.progress st in
+           let workers = instance.Ltc_core.Instance.workers in
+           let i = ref 0 in
+           while
+             !i < min 1024 (Array.length workers)
+             && not (Ltc_core.Progress.all_complete progress)
+           do
+             ignore (Ltc_algo.Engine.step st workers.(!i));
+             incr i
+           done));
     Test.make ~name:"grid-candidates"
       (Staged.stage (fun () ->
            (* Grid order, as the flow network build reads it. *)

@@ -42,9 +42,10 @@ let future_words future =
 let policy instance tracker progress =
   let future = build_future instance in
   Ltc_util.Mem.Tracker.add_words tracker (future_words future);
+  let heap = Ltc_util.Bounded_heap.create () in
   fun (w : Worker.t) ->
     (* Scarcest-first: fewer future helpers = higher priority. *)
-    Engine.top_open instance progress w ~score:(fun task ->
+    Engine.top_open heap instance progress w ~score:(fun task ->
         -.float_of_int (remaining_nearby future ~task ~arrived_index:w.index))
 
 let run instance = Engine.run ~name policy instance

@@ -17,29 +17,41 @@ exception Invalid_decision of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid_decision s)) fmt
 
+(* Per-domain stamps for the repeat test: a task is already among this
+   call's decisions iff its stamp is the call's epoch. *)
+type seen = { mutable stamps : int array; mutable epoch : int }
+
+let seen_key = Domain.DLS.new_key (fun () -> { stamps = [||]; epoch = 0 })
+
+let rec check_each instance (w : Worker.t) n_tasks seen = function
+  | [] -> ()
+  | task :: rest ->
+    if task < 0 || task >= n_tasks then
+      invalid "worker %d given out-of-range task %d" w.index task;
+    if seen.stamps.(task) = seen.epoch then
+      invalid "worker %d given task %d twice" w.index task;
+    seen.stamps.(task) <- seen.epoch;
+    (match instance.Instance.candidate_radius with
+    | None -> ()
+    | Some radius ->
+      let d =
+        Ltc_geo.Point.distance w.loc instance.Instance.tasks.(task).Task.loc
+      in
+      if d > radius +. 1e-9 then
+        invalid "worker %d given non-candidate task %d (distance %.3f > %g)"
+          w.index task d radius);
+    check_each instance w n_tasks seen rest
+
 let check_decisions instance (w : Worker.t) tasks =
   let n_tasks = Instance.task_count instance in
   if List.length tasks > w.capacity then
     invalid "worker %d given %d tasks, capacity %d" w.index
       (List.length tasks) w.capacity;
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun task ->
-      if task < 0 || task >= n_tasks then
-        invalid "worker %d given out-of-range task %d" w.index task;
-      if Hashtbl.mem seen task then
-        invalid "worker %d given task %d twice" w.index task;
-      Hashtbl.add seen task ();
-      match instance.Instance.candidate_radius with
-      | None -> ()
-      | Some radius ->
-        let d =
-          Ltc_geo.Point.distance w.loc instance.Instance.tasks.(task).Task.loc
-        in
-        if d > radius +. 1e-9 then
-          invalid "worker %d given non-candidate task %d (distance %.3f > %g)"
-            w.index task d radius)
-    tasks
+  let seen = Domain.DLS.get seen_key in
+  if Array.length seen.stamps < n_tasks then
+    seen.stamps <- Array.make n_tasks 0;
+  seen.epoch <- seen.epoch + 1;
+  check_each instance w n_tasks seen tasks
 
 (* Per-algorithm engine metrics; registration is a hashtable lookup, done
    once per run, and every mutation below is a no-op while disabled. *)
@@ -234,13 +246,13 @@ let step ?forced st (w : Worker.t) =
     degraded;
   }
 
-let top_open ~score instance progress (w : Worker.t) =
-  let heap = Ltc_util.Bounded_heap.create ~k:w.capacity () in
+let top_open heap ~score instance progress (w : Worker.t) =
+  Ltc_util.Bounded_heap.start heap ~k:w.capacity;
   (* Ascending candidates and the heap's stable ties: the lower id wins. *)
   Instance.iter_candidates_sorted instance w (fun task ->
       if Progress.is_open progress task then
         Ltc_util.Bounded_heap.push heap ~score:(score task) task);
-  List.map snd (Ltc_util.Bounded_heap.pop_all heap)
+  Ltc_util.Bounded_heap.pop_all heap
 
 let progress st = st.progress
 let arrangement st = st.arrangement

@@ -41,10 +41,17 @@ type policy =
     policy: the engine performs all {!Progress.record} calls. *)
 
 val top_open :
-  score:(int -> float) -> Instance.t -> Progress.t -> Worker.t -> int list
+  Ltc_util.Bounded_heap.t ->
+  score:(int -> float) ->
+  Instance.t ->
+  Progress.t ->
+  Worker.t ->
+  int list
 (** The worker's capacity-many open candidates with the largest [score],
     best first, ties to the lower task id: the skeleton every greedy
-    policy shares. *)
+    policy shares.  The heap is the policy's own scratch, made once when
+    the policy is applied to its run, so an arrival allocates only the
+    returned list. *)
 
 exception Invalid_decision of string
 (** Raised when a policy over-assigns, repeats a task or picks a

@@ -47,6 +47,7 @@ type scratch = {
   mutable wt_task : int array;
   mutable wt_score : float array;
   mutable wt_len : int;
+  topk : Ltc_util.Bounded_heap.t;  (* the leftover pass's top-K *)
   mutable epoch : int;             (* stamp source for node_stamp / mark *)
   mutable accounted : int;         (* arena words currently charged *)
   (* Anytime accounting: batches whose solver budget fired. *)
@@ -68,6 +69,7 @@ let create_scratch ~name ~n_tasks =
     wt_task = Array.make 16 0;
     wt_score = Array.make 16 0.0;
     wt_len = 0;
+    topk = Ltc_util.Bounded_heap.create ();
     epoch = 0;
     accounted = 0;
     m_degraded = Engine.degraded_counter name "solver-anytime";
@@ -217,7 +219,8 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         scratch.epoch <- scratch.epoch + 1;
         let ep = scratch.epoch in
         List.iter (fun (task, _) -> scratch.mark.(task) <- ep) per_worker.(bi);
-        let heap = Ltc_util.Bounded_heap.create ~k:leftover () in
+        let heap = scratch.topk in
+        Ltc_util.Bounded_heap.start heap ~k:leftover;
         Instance.iter_candidates_sorted instance w (fun task ->
             if
               (not (Progress.is_complete progress task))
@@ -227,8 +230,9 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
                 ~score:(Instance.score instance w task)
                 task);
         List.iter
-          (fun (score, task) ->
-            Progress.record progress ~task ~score;
+          (fun task ->
+            Progress.record progress ~task
+              ~score:(Instance.score instance w task);
             arrangement := Arrangement.add !arrangement ~worker:w.index ~task)
           (Ltc_util.Bounded_heap.pop_all heap)
       end)

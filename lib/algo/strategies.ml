@@ -1,14 +1,19 @@
 open Ltc_core
 
-let lgf_policy instance _tracker progress (w : Worker.t) =
-  Engine.top_open instance progress w ~score:(fun task ->
+(* Each policy applied to a run owns one reusable top-K heap. *)
+let greedy score instance _tracker progress =
+  let heap = Ltc_util.Bounded_heap.create () in
+  fun w ->
+    Engine.top_open heap instance progress w ~score:(score instance progress w)
+
+let lgf_policy =
+  greedy (fun instance progress w task ->
       Float.min (Instance.score instance w task) (Progress.remaining progress task))
 
-let lrf_policy instance _tracker progress w =
-  Engine.top_open instance progress w ~score:(fun task ->
-      Progress.remaining progress task)
+let lrf_policy =
+  greedy (fun _ progress _ task -> Progress.remaining progress task)
 
-let nearest_policy (instance : Instance.t) _tracker progress (w : Worker.t) =
-  (* The heap keeps the largest scores; negate so nearest wins. *)
-  Engine.top_open instance progress w ~score:(fun task ->
+(* The heap keeps the largest scores; negate so nearest wins. *)
+let nearest_policy =
+  greedy (fun (instance : Instance.t) _ (w : Worker.t) task ->
       -.Ltc_geo.Point.distance w.loc instance.Instance.tasks.(task).Task.loc)

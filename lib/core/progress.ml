@@ -1,50 +1,79 @@
+(* The open tasks sit in one indexed max-heap keyed on [threshold - S]:
+   [heap.(0 .. size - 1)] holds task ids, [pos.(task)] a task's slot, -1
+   once complete or while held.  A record only lowers a key, so it sifts
+   down or removes; a release inserts; [max_remaining] reads the root. *)
 type t = {
   thresholds : float array;
   s : float array;
-  version : int array;  (* bumped on every record; invalidates heap entries *)
-  (* Order-preserving set of open task ids: the live prefix is kept
-     sorted ascending (removal shifts the tail left, release shifts it
-     right), which is the ordering guarantee [iter_incomplete] documents —
-     MCF-LTC builds its batch node numbering straight off this
-     iteration. *)
-  incomplete : int array;      (* first [n_incomplete] entries are live *)
-  position : int array;
-      (* position.(task) in [incomplete]; -1 once complete or while held *)
-  mutable n_incomplete : int;
+  heap : int array;
+  pos : int array;
+  mutable size : int;
   mutable n_held : int;
   mutable sum_remaining : float;  (* over open tasks *)
-  (* Lazy max-heap over (remaining, task, version) of open tasks. *)
-  heap : (float * int * int) Ltc_util.Heap.t;
 }
-
-(* Max-heap order on the [remaining] field of a heap entry. *)
-let heap_leq (a, _, _) (b, _, _) = (a : float) >= b
 
 let threshold_of t task = t.thresholds.(task)
 let n_tasks t = Array.length t.s
 let accumulated t task = t.s.(task)
 let remaining t task = Float.max 0.0 (t.thresholds.(task) -. t.s.(task))
 let is_complete t task = t.s.(task) >= t.thresholds.(task)
-let is_open t task = t.position.(task) >= 0
-let all_complete t = t.n_incomplete = 0 && t.n_held = 0
-let incomplete_count t = t.n_incomplete
+let is_open t task = t.pos.(task) >= 0
+let all_complete t = t.size = 0 && t.n_held = 0
+let incomplete_count t = t.size
 let sum_remaining t = Float.max 0.0 t.sum_remaining
 
+(* [let[@inline]] keeps the key unboxed at every comparison. *)
+let[@inline] key t task = t.thresholds.(task) -. t.s.(task)
+
+let place t task i =
+  t.heap.(i) <- task;
+  t.pos.(task) <- i
+
+(* Move [task] from hole [i] towards the root past smaller keys. *)
+let sift_up t task i =
+  let k = key t task in
+  let i = ref i in
+  while !i > 0 && key t t.heap.((!i - 1) / 2) < k do
+    let parent = (!i - 1) / 2 in
+    place t t.heap.(parent) !i;
+    i := parent
+  done;
+  place t task !i
+
+(* Move [task] from hole [i] towards the leaves past larger keys. *)
+let sift_down t task i =
+  let k = key t task in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < t.size && key t t.heap.(l) < key t t.heap.(l + 1) then l + 1
+      else l
+    in
+    if c < t.size && k < key t t.heap.(c) then begin
+      place t t.heap.(c) !i;
+      i := c
+    end
+    else moving := false
+  done;
+  place t task !i
+
+let remove t task =
+  let i = t.pos.(task) in
+  t.pos.(task) <- -1;
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    let last = t.heap.(t.size) in
+    if i > 0 && key t t.heap.((i - 1) / 2) < key t last then sift_up t last i
+    else sift_down t last i
+  end
+
 let release t task =
-  if t.position.(task) < 0 && not (is_complete t task) then begin
-    (* Insert into the open prefix at its ascending place. *)
-    let pos = ref t.n_incomplete in
-    while !pos > 0 && t.incomplete.(!pos - 1) > task do
-      t.incomplete.(!pos) <- t.incomplete.(!pos - 1);
-      t.position.(t.incomplete.(!pos)) <- !pos;
-      decr pos
-    done;
-    t.incomplete.(!pos) <- task;
-    t.position.(task) <- !pos;
-    t.n_incomplete <- t.n_incomplete + 1;
+  if t.pos.(task) < 0 && not (is_complete t task) then begin
+    t.size <- t.size + 1;
+    sift_up t task (t.size - 1);
     t.n_held <- t.n_held - 1;
-    t.sum_remaining <- t.sum_remaining +. remaining t task;
-    Ltc_util.Heap.push t.heap (remaining t task, task, t.version.(task))
+    t.sum_remaining <- t.sum_remaining +. remaining t task
   end
 
 let create_per_task ?(held = fun _ -> false) ~thresholds () =
@@ -57,14 +86,12 @@ let create_per_task ?(held = fun _ -> false) ~thresholds () =
   let t =
     {
       thresholds = Array.copy thresholds;
-      s = Array.make (max n_tasks 1) 0.0;
-      version = Array.make (max n_tasks 1) 0;
-      incomplete = Array.make (max n_tasks 1) 0;
-      position = Array.make (max n_tasks 1) (-1);
-      n_incomplete = 0;
+      s = Array.make n_tasks 0.0;
+      heap = Array.make n_tasks 0;
+      pos = Array.make n_tasks (-1);
+      size = 0;
       n_held = n_tasks;
       sum_remaining = 0.0;
-      heap = Ltc_util.Heap.create ~capacity:(2 * max n_tasks 1) ~leq:heap_leq ();
     }
   in
   (* Every task starts held; releasing the rest in ascending id order adds
@@ -79,51 +106,34 @@ let create ~threshold ~n_tasks =
   if n_tasks < 0 then invalid_arg "Progress.create: negative n_tasks";
   create_per_task ~thresholds:(Array.make n_tasks threshold) ()
 
-let remove_incomplete t task =
-  let pos = t.position.(task) in
-  if pos >= 0 then begin
-    let last = t.n_incomplete - 1 in
-    Array.blit t.incomplete (pos + 1) t.incomplete pos (last - pos);
-    for i = pos to last - 1 do
-      t.position.(t.incomplete.(i)) <- i
-    done;
-    t.position.(task) <- -1;
-    t.n_incomplete <- last
-  end
-
+(* The reasons in [check_snapshot]'s order: every comparison with NaN is
+   false, so the finiteness test catches what [score < 0.0] lets through,
+   and a NaN key would silently break the heap's order. *)
 let record t ~task ~score =
   if score < 0.0 then invalid_arg "Progress.record: negative score";
+  if not (Float.is_finite score) then
+    invalid_arg "Progress.record: non-finite score";
   if is_open t task then begin
     let before = remaining t task in
     t.s.(task) <- t.s.(task) +. score;
     let after = remaining t task in
     t.sum_remaining <- t.sum_remaining -. (before -. after);
-    t.version.(task) <- t.version.(task) + 1;
-    if after <= 0.0 then remove_incomplete t task
-    else Ltc_util.Heap.push t.heap (after, task, t.version.(task))
+    if after <= 0.0 then remove t task else sift_down t task t.pos.(task)
   end
   else if is_complete t task then t.s.(task) <- t.s.(task) +. score
   else invalid_arg "Progress.record: task is held"
 
-let rec max_remaining t =
-  match Ltc_util.Heap.peek t.heap with
-  | None -> 0.0
-  | Some (r, task, version) ->
-    if t.version.(task) = version && is_open t task then r
-    else begin
-      ignore (Ltc_util.Heap.pop t.heap);
-      max_remaining t
-    end
+let max_remaining t = if t.size = 0 then 0.0 else key t t.heap.(0)
 
 let iter_incomplete t f =
-  for i = 0 to t.n_incomplete - 1 do
-    f t.incomplete.(i)
+  for task = 0 to Array.length t.pos - 1 do
+    if t.pos.(task) >= 0 then f task
   done
 
-let memory_words t =
-  (* thresholds + s (floats) + version + incomplete + position + heap
-     triples (~6 words each including the tuple block). *)
-  (5 * Array.length t.s) + (6 * Ltc_util.Heap.length t.heap)
+(* Charged as the lazily pruned heap this replaced was at creation (five
+   words a task, six an open task), so the memory panels stay comparable
+   across versions; it is read only when a run starts. *)
+let memory_words t = (5 * Array.length t.s) + (6 * t.size)
 
 type snapshot = {
   thresholds : float array;
@@ -133,12 +143,9 @@ type snapshot = {
 
 let snapshot (t : t) =
   if t.n_held > 0 then invalid_arg "Progress.snapshot: tasks are held";
-  (* [t.s] is padded to [max n 1]; the thresholds array carries the true
-     task count. *)
-  let n = Array.length t.thresholds in
   {
     thresholds = Array.copy t.thresholds;
-    scores = Array.sub t.s 0 n;
+    scores = Array.copy t.s;
     sum_remaining = t.sum_remaining;
   }
 
@@ -169,47 +176,37 @@ let check_snapshot ~n ~threshold ~score ~sum_remaining =
 
 (* The state [create_per_task] then one [record] per task reaches (a
    qcheck property compares the two), built in one ascending pass and a
-   linear heapify of the live entries. *)
+   bottom-up heapify of the open tasks. *)
 let of_snapshot (snap : snapshot) =
   let n = Array.length snap.thresholds in
   if Array.length snap.scores <> n then
     invalid_arg "Progress.of_snapshot: scores/thresholds length mismatch";
   check_snapshot ~n ~threshold:(Array.get snap.thresholds)
     ~score:(Array.get snap.scores) ~sum_remaining:snap.sum_remaining;
-  let size = max n 1 in
-  (* [0.0 +. score] is the bit pattern [record] leaves on a zero
-     accumulator (it turns -0.0 into 0.0). *)
-  let s =
-    Array.init size (fun task ->
-        if task < n then 0.0 +. snap.scores.(task) else 0.0)
+  let t =
+    {
+      thresholds = Array.copy snap.thresholds;
+      (* [0.0 +. score] is the bit pattern [record] leaves on a zero
+         accumulator (it turns -0.0 into 0.0). *)
+      s = Array.map (fun score -> 0.0 +. score) snap.scores;
+      heap = Array.make n 0;
+      pos = Array.make n (-1);
+      size = 0;
+      n_held = 0;
+      (* The captured running total, not one re-derived here: the live run
+         accumulated it one arrival at a time, and AAM's average is
+         sensitive to that float summation order. *)
+      sum_remaining = snap.sum_remaining;
+    }
   in
-  let incomplete = Array.make size 0 in
-  let position = Array.make size (-1) in
-  let live = ref 0 in
   for task = 0 to n - 1 do
     (* [record]'s test: complete once the remainder is no longer positive. *)
-    if snap.thresholds.(task) -. s.(task) > 0.0 then begin
-      incomplete.(!live) <- task;
-      position.(task) <- !live;
-      incr live
+    if key t task > 0.0 then begin
+      place t task t.size;
+      t.size <- t.size + 1
     end
   done;
-  let entries =
-    Array.init !live (fun i ->
-        let task = incomplete.(i) in
-        (snap.thresholds.(task) -. s.(task), task, 0))
-  in
-  {
-    thresholds = Array.copy snap.thresholds;
-    s;
-    version = Array.make size 0;
-    incomplete;
-    position;
-    n_incomplete = !live;
-    n_held = 0;
-    (* The captured running total, not one re-derived here: the live run
-       accumulated it one arrival at a time, and AAM's average is
-       sensitive to that float summation order. *)
-    sum_remaining = snap.sum_remaining;
-    heap = Ltc_util.Heap.of_array ~leq:heap_leq entries;
-  }
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t t.heap.(i) i
+  done;
+  t

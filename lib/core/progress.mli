@@ -6,8 +6,13 @@
     arrival (Algorithm 3 lines 4-5):
 
     - [sum_remaining = sum over incomplete t of (threshold - S\[t\])], and
-    - [max_remaining], served by a lazily-pruned max-heap so a query costs
-      amortised O(log |T|) instead of the paper's O(|T|) rescan. *)
+    - [max_remaining], the root of an indexed max-heap over the open tasks
+      keyed on [threshold - S\[t\]], so a query costs O(1) instead of the
+      paper's O(|T|) rescan.
+
+    The heap holds each open task once: a {!record} sifts the task down or
+    removes it on completion, and a {!release} inserts it, each in
+    O(log |T|). *)
 
 type t
 
@@ -51,8 +56,10 @@ val incomplete_count : t -> int
 (** Number of open tasks. *)
 
 val record : t -> task:int -> score:float -> unit
-(** Accumulate [score] onto task [task].  [score] must be [>= 0].
-    @raise Invalid_argument on a held task. *)
+(** Accumulate [score] onto task [task].  [score] must be finite and
+    [>= 0].  @raise Invalid_argument ["Progress.record: negative score"],
+    then ["Progress.record: non-finite score"] (NaN or infinity), or on a
+    held task. *)
 
 val sum_remaining : t -> float
 (** Total outstanding score over open tasks. *)
@@ -65,7 +72,7 @@ val iter_incomplete : t -> (int -> unit) -> unit
     an accident: MCF-LTC numbers its batch network's task nodes straight
     off this iteration, so the ordering pins down the arc layout (and with
     it the solver's tie-breaking) deterministically.  The callback must not
-    call {!record}. *)
+    call {!record}.  Linear in the task count. *)
 
 val memory_words : t -> int
 

@@ -11,11 +11,22 @@ type t = {
   entries : int array;
 }
 
-let cell_of t (p : Point.t) =
-  let clampi v lo hi = max lo (min hi v) in
-  let cx = clampi (int_of_float ((p.x -. t.world.Bbox.min_x) /. t.cell)) 0 (t.cols - 1) in
-  let cy = clampi (int_of_float ((p.y -. t.world.Bbox.min_y) /. t.cell)) 0 (t.rows - 1) in
-  (cx, cy)
+(* The column and row a point falls in, clamped onto the grid.  They take
+   the point, not a coordinate: a float argument would be boxed. *)
+let col_of t (p : Point.t) =
+  let c = int_of_float ((p.x -. t.world.Bbox.min_x) /. t.cell) in
+  max 0 (min (t.cols - 1) c)
+
+let row_of t (p : Point.t) =
+  let r = int_of_float ((p.y -. t.world.Bbox.min_y) /. t.cell) in
+  max 0 (min (t.rows - 1) r)
+
+(* [Point.distance_sq p center <= r_sq], computed here: dune's dev
+   profile compiles with [-opaque], so a float returned across modules is
+   boxed, and the scan tests every point of up to nine cells. *)
+let[@inline] within (p : Point.t) (center : Point.t) r_sq =
+  let dx = p.x -. center.x and dy = p.y -. center.y in
+  (dx *. dx) +. (dy *. dy) <= r_sq
 
 (* Cells a build may allocate for [n] points.  Without a cap, a radius
    tiny against the task spread asks for one cell per radius-sized square
@@ -47,10 +58,7 @@ let build ~world ~cell points =
     }
   in
   let counts = Array.make (cols * rows) 0 in
-  let cell_id p =
-    let cx, cy = cell_of t p in
-    (cy * cols) + cx
-  in
+  let cell_id p = (row_of t p * cols) + col_of t p in
   Array.iter (fun p -> counts.(cell_id p) <- counts.(cell_id p) + 1) points;
   let acc = ref 0 in
   for c = 0 to (cols * rows) - 1 do
@@ -71,7 +79,7 @@ let length t = Array.length t.entries
 
 let iter_within t ~center ~radius f =
   let r_sq = radius *. radius in
-  let cx, cy = cell_of t center in
+  let cx = col_of t center and cy = row_of t center in
   let span = max 1 (int_of_float (Float.ceil (radius /. t.cell))) in
   let x0 = max 0 (cx - span) and x1 = min (t.cols - 1) (cx + span) in
   let y0 = max 0 (cy - span) and y1 = min (t.rows - 1) (cy + span) in
@@ -80,14 +88,14 @@ let iter_within t ~center ~radius f =
       let c = (gy * t.cols) + gx in
       for k = t.starts.(c) to t.starts.(c + 1) - 1 do
         let i = t.entries.(k) in
-        if Point.distance_sq t.points.(i) center <= r_sq then f i
+        if within t.points.(i) center r_sq then f i
       done
     done
   done
 
 let fill_within_sorted t ~center ~radius buf pos =
   let r_sq = radius *. radius in
-  let cx, cy = cell_of t center in
+  let cx = col_of t center and cy = row_of t center in
   let span = max 1 (int_of_float (Float.ceil (radius /. t.cell))) in
   let x0 = max 0 (cx - span) and x1 = min (t.cols - 1) (cx + span) in
   let y0 = max 0 (cy - span) and y1 = min (t.rows - 1) (cy + span) in
@@ -97,7 +105,7 @@ let fill_within_sorted t ~center ~radius buf pos =
       let c = (gy * t.cols) + gx in
       for k = t.starts.(c) to t.starts.(c + 1) - 1 do
         let i = t.entries.(k) in
-        if Point.distance_sq t.points.(i) center <= r_sq then begin
+        if within t.points.(i) center r_sq then begin
           (* Insertion into the ascending run: each cell is already
              ascending, so a hit moves past the few larger indices that
              earlier cells left. *)

@@ -2,7 +2,8 @@ type t = { x : float; y : float }
 
 let make ~x ~y = { x; y }
 
-let distance_sq a b =
+(* Inlined into [distance], whose only float to box is its result. *)
+let[@inline] distance_sq a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   (dx *. dx) +. (dy *. dy)
 

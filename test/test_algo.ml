@@ -217,6 +217,40 @@ let test_engine_incomplete_when_starved () =
   Alcotest.(check bool) "not completed" false o.Engine.completed;
   Alcotest.(check int) "consumed all" 1 o.Engine.workers_consumed
 
+(* A warm decision step allocates only what it returns and records: the
+   decision's lists, the arrangement's nodes and the boxed floats of
+   each score.  Measured over 512 arrivals of the decision pins' Table IV
+   instance after 64 warm-up arrivals: 223.3 words an arrival for AAM and
+   207.3 for LAF (dune's default dev profile).  The bounds leave about 5 %
+   of headroom, less than any of the costs this path shed would add back
+   under AAM: a [Hashtbl] per decision check (+43 words), the lazily
+   pruned max-heap in [Progress] (+20) or a boxed distance per point the
+   grid scan tests (+44). *)
+let test_engine_step_allocation () =
+  let instance =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      (Ltc_workload.Spec.scale_synthetic 0.1
+         Ltc_workload.Spec.default_synthetic)
+  in
+  let workers = instance.Instance.workers in
+  List.iter
+    (fun (name, policy, bound) ->
+      let st = Engine.start ~name policy instance in
+      for i = 0 to 63 do
+        ignore (Engine.step st workers.(i))
+      done;
+      let before = Gc.minor_words () in
+      for i = 64 to 64 + 511 do
+        ignore (Engine.step st workers.(i))
+      done;
+      let per_arrival = (Gc.minor_words () -. before) /. 512.0 in
+      Alcotest.(check bool) (name ^ ": still open") false
+        (Progress.all_complete (Engine.progress st));
+      if per_arrival > bound then
+        Alcotest.failf "%s: %.1f minor words an arrival (bound %.0f)" name
+          per_arrival bound)
+    [ ("AAM", Aam.policy, 235.0); ("LAF", Laf.policy, 220.0) ]
+
 (* -------------------------------------- validity across all algorithms *)
 
 let all_algorithms = Algorithm.paper
@@ -1213,6 +1247,8 @@ let suite =
           test_engine_deadline_budget;
         Alcotest.test_case "incomplete when starved" `Quick
           test_engine_incomplete_when_starved;
+        Alcotest.test_case "warm step allocation" `Quick
+          test_engine_step_allocation;
       ] );
     ( "algo.validity",
       [

@@ -534,6 +534,136 @@ let prop_progress_of_snapshot_matches_reference =
         records;
       agree_now && round_trips && observe reference = observe rebuilt)
 
+(* A NaN key would make every comparison of the open-task heap false and
+   silently break its order, so [record] refuses what [score < 0.0] lets
+   through, after the negative check, as [check_snapshot] orders them. *)
+let test_progress_record_non_finite () =
+  let p = Progress.create ~threshold:2.0 ~n_tasks:2 in
+  Progress.record p ~task:1 ~score:2.5;
+  let refused label message task score =
+    Alcotest.check_raises label (Invalid_argument message) (fun () ->
+        Progress.record p ~task ~score)
+  in
+  refused "negative" "Progress.record: negative score" 0 (-1.0);
+  refused "negative infinity" "Progress.record: negative score" 0
+    Float.neg_infinity;
+  refused "NaN" "Progress.record: non-finite score" 0 Float.nan;
+  refused "infinity" "Progress.record: non-finite score" 0 Float.infinity;
+  refused "NaN on a complete task" "Progress.record: non-finite score" 1
+    Float.nan;
+  check_float "nothing recorded" 0.0 (Progress.accumulated p 0);
+  check_float "max untouched" 2.0 (Progress.max_remaining p);
+  check_float "complete task untouched" 2.5 (Progress.accumulated p 1)
+
+(* Progress against plain arrays: per-task thresholds (distinct, so the
+   heap's order is exercised), records that complete a task at once, held
+   tasks released along the way, a snapshot round trip once the last one
+   is out, and a drain that completes the largest task until none is
+   open.  After every operation [max_remaining] equals the model's
+   largest [threshold - S] bit for bit, and the open set agrees through
+   [is_open], [incomplete_count], [all_complete] and the ascending
+   [iter_incomplete]. *)
+let prop_progress_array_model =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 64 in
+      let* thresholds = array_repeat n (float_range 0.25 4.0) in
+      let* held =
+        array_repeat n (frequency [ (3, pure false); (1, pure true) ])
+      in
+      let task = int_range 0 (n - 1) in
+      let op =
+        frequency
+          [
+            ( 5,
+              map2
+                (fun task score -> `Record (task, score))
+                task
+                (oneof [ pure 0.0; float_range 0.0 1.5 ]) );
+            (* Completes the task whatever its key, so tasks also leave
+               from the middle of the heap. *)
+            (2, map (fun task -> `Record (task, thresholds.(task))) task);
+            (1, map (fun task -> `Release task) task);
+          ]
+      in
+      let* before = list_size (int_range 0 120) op in
+      let* after = list_size (int_range 0 120) op in
+      return (thresholds, held, before, after))
+  in
+  QCheck2.Test.make ~name:"progress = an array model, bit for bit" ~count:300
+    gen (fun (thresholds, held0, before, after) ->
+      let n = Array.length thresholds in
+      let held = Array.copy held0 in
+      let s = Array.make n 0.0 in
+      let p =
+        ref (Progress.create_per_task ~held:(Array.get held0) ~thresholds ())
+      in
+      let ok = ref true in
+      let check () =
+        let is_open i = (not held.(i)) && thresholds.(i) -. s.(i) > 0.0 in
+        let open_tasks = List.filter is_open (List.init n Fun.id) in
+        let max_rem =
+          List.fold_left
+            (fun m i -> Float.max m (thresholds.(i) -. s.(i)))
+            0.0 open_tasks
+        in
+        let visited = ref [] in
+        Progress.iter_incomplete !p (fun i -> visited := i :: !visited);
+        ok :=
+          !ok
+          && Int64.equal
+               (Int64.bits_of_float (Progress.max_remaining !p))
+               (Int64.bits_of_float max_rem)
+          && List.for_all
+               (fun i -> Progress.is_open !p i = is_open i)
+               (List.init n Fun.id)
+          && Progress.incomplete_count !p = List.length open_tasks
+          && Progress.all_complete !p
+             = (open_tasks = [] && not (Array.exists Fun.id held))
+          && List.rev !visited = open_tasks
+      in
+      let apply op =
+        (match op with
+        | `Record (task, score) when held.(task) ->
+          ok :=
+            !ok
+            && (try
+                  Progress.record !p ~task ~score;
+                  false
+                with Invalid_argument _ -> true)
+        | `Record (task, score) ->
+          Progress.record !p ~task ~score;
+          s.(task) <- s.(task) +. score
+        | `Release task ->
+          Progress.release !p task;
+          held.(task) <- false);
+        check ()
+      in
+      check ();
+      List.iter apply before;
+      Array.iteri (fun task h -> if h then apply (`Release task)) held;
+      p := Progress.of_snapshot (Progress.snapshot !p);
+      check ();
+      List.iter apply after;
+      (* Then complete the model's largest task until none is open: every
+         task reaches the root in turn, so a misplaced one shows. *)
+      let rec drain () =
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          if
+            thresholds.(i) -. s.(i) > 0.0
+            && (!best < 0
+               || thresholds.(i) -. s.(i) > thresholds.(!best) -. s.(!best))
+          then best := i
+        done;
+        if !best >= 0 then begin
+          apply (`Record (!best, thresholds.(!best)));
+          drain ()
+        end
+      in
+      drain ();
+      !ok)
+
 let test_progress_snapshot_non_finite () =
   let snap ?(thresholds = [| 1.0; 2.0 |]) ?(scores = [| 0.5; 0.0 |])
       ?(sum_remaining = 2.5) () =
@@ -1546,10 +1676,12 @@ let prop_check_payload_agrees =
 (* NaN and infinities in a CRC-valid record are corruption: every rule
    that compares them would let them through. *)
 let test_binary_non_finite () =
-  let refused label affix record =
+  let payload_of record =
     let buf = Buffer.create 256 in
     B.emit_record buf record;
-    let payload = Buffer.contents buf in
+    Buffer.contents buf
+  in
+  let refused_payload label affix payload =
     let message f =
       match f payload with
       | _ -> Alcotest.failf "%s: decoded" label
@@ -1562,6 +1694,9 @@ let test_binary_non_finite () =
       (Astring.String.is_infix ~affix built);
     Alcotest.(check string) (label ^ ": checked alike") built
       (message (fun p -> ignore (B.check_payload p)))
+  in
+  let refused label affix record =
+    refused_payload label affix (payload_of record)
   in
   let event ?(x = 1.0) ?(y = 2.0) ?(accuracy = 0.9) () =
     B.Event
@@ -1579,21 +1714,37 @@ let test_binary_non_finite () =
   refused "NaN accuracy" "accuracy out of [0, 1]"
     (event ~accuracy:Float.nan ());
   let snapshot score =
-    (* [record] takes a NaN score: only its sign is checked. *)
+    (* [record] refuses a non-finite score, so the snapshot is encoded
+       with a marker score whose eight bytes are then overwritten. *)
+    let f64 x =
+      let b = Bytes.create 8 in
+      Bytes.set_int64_le b 0 (Int64.bits_of_float x);
+      Bytes.to_string b
+    in
+    let marker = 0.4375 in
     let p = Progress.create ~threshold:1.0 ~n_tasks:3 in
-    Progress.record p ~task:1 ~score;
-    B.Snapshot
-      {
-        B.s_consumed = 1;
-        s_policy = 0L;
-        s_noshow = 0L;
-        s_progress = p;
-        s_arrangement =
-          Some (Arrangement.add Arrangement.empty ~worker:1 ~task:1);
-      }
+    Progress.record p ~task:1 ~score:marker;
+    let payload =
+      payload_of
+        (B.Snapshot
+           {
+             B.s_consumed = 1;
+             s_policy = 0L;
+             s_noshow = 0L;
+             s_progress = p;
+             s_arrangement =
+               Some (Arrangement.add Arrangement.empty ~worker:1 ~task:1);
+           })
+    in
+    match Astring.String.find_sub ~sub:(f64 marker) payload with
+    | None -> Alcotest.fail "marker score not in the payload"
+    | Some i ->
+      String.sub payload 0 i ^ f64 score
+      ^ String.sub payload (i + 8) (String.length payload - i - 8)
   in
-  refused "NaN score" "non-finite score" (snapshot Float.nan);
-  refused "infinite score" "non-finite score" (snapshot Float.infinity)
+  refused_payload "NaN score" "non-finite score" (snapshot Float.nan);
+  refused_payload "infinite score" "non-finite score"
+    (snapshot Float.infinity)
 
 let test_frame_triage () =
   (* Two frames back to back: clean walk, then every damage class. *)
@@ -1679,6 +1830,9 @@ let suite =
         Alcotest.test_case "basics" `Quick test_progress_basic;
         Alcotest.test_case "overshoot" `Quick test_progress_overshoot;
         Alcotest.test_case "zero tasks" `Quick test_progress_zero_tasks;
+        Alcotest.test_case "record refuses non-finite scores" `Quick
+          test_progress_record_non_finite;
+        qcheck prop_progress_array_model;
         qcheck prop_progress_aggregates;
         qcheck prop_progress_iter_incomplete;
         qcheck prop_progress_held;

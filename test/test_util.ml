@@ -115,6 +115,11 @@ let test_dist_constant () =
 
 (* ------------------------------------------------------------------ Heap *)
 
+(* The polymorphic heap left the library with the bounded heap built on
+   it; both are the top-K oracle in the test tree now, so the heap's own
+   tests guard the oracle. *)
+module Heap = Topk_oracle.Heap
+
 let test_heap_sorts () =
   let h = Heap.create ~leq:(fun a b -> a <= b) () in
   List.iter (Heap.push h) [ 5; 1; 4; 1; 5; 9; 2; 6 ];
@@ -164,54 +169,82 @@ let prop_heap_sorts =
 
 (* ---------------------------------------------------------- Bounded_heap *)
 
+(* The indices of the [k] largest scores, best first; earlier elements win
+   ties. *)
 let top_k_reference k xs =
-  (* Stable: earlier elements win ties. *)
   let indexed = List.mapi (fun i x -> (x, i)) xs in
   let sorted =
     List.sort
       (fun (a, i) (b, j) -> if a = b then compare i j else compare b a)
       indexed
   in
-  List.filteri (fun i _ -> i < k) sorted |> List.map fst
+  List.filteri (fun i _ -> i < k) sorted |> List.map snd
+
+let stream bh ~k scores =
+  Bounded_heap.start bh ~k;
+  List.iteri (fun i score -> Bounded_heap.push bh ~score i) scores;
+  Bounded_heap.pop_all bh
 
 let test_bounded_heap_topk () =
-  let bh = Bounded_heap.create ~k:3 () in
-  List.iteri
-    (fun i score -> Bounded_heap.push bh ~score i)
-    [ 0.5; 0.9; 0.1; 0.9; 0.7 ];
-  let kept = Bounded_heap.pop_all bh in
+  let bh = Bounded_heap.create () in
   Alcotest.(check (list int)) "descending, stable ties" [ 1; 3; 4 ]
-    (List.map snd kept);
-  Alcotest.(check (list (float 1e-9))) "scores" [ 0.9; 0.9; 0.7 ]
-    (List.map fst kept)
+    (stream bh ~k:3 [ 0.5; 0.9; 0.1; 0.9; 0.7 ]);
+  (* The same heap serves the next stream from empty. *)
+  Alcotest.(check (list int)) "reused" [ 2; 0 ]
+    (stream bh ~k:2 [ 0.4; 0.1; 0.8 ]);
+  Bounded_heap.start bh ~k:4;
+  Alcotest.(check (list int)) "started empty" [] (Bounded_heap.pop_all bh)
 
 let test_bounded_heap_underfill () =
-  let bh = Bounded_heap.create ~k:5 () in
-  Bounded_heap.push bh ~score:1.0 "a";
-  Bounded_heap.push bh ~score:2.0 "b";
-  Alcotest.(check (list string)) "all kept" [ "b"; "a" ]
-    (List.map snd (Bounded_heap.pop_all bh));
-  (* A capacity far beyond any candidate set allocates only what it holds. *)
-  let huge = Bounded_heap.create ~k:(1 lsl 40) () in
-  List.iter (fun i -> Bounded_heap.push huge ~score:1.0 i) (List.init 40 Fun.id);
+  let bh = Bounded_heap.create () in
+  Alcotest.(check (list int)) "all kept" [ 1; 0 ] (stream bh ~k:5 [ 1.0; 2.0 ]);
+  (* A capacity far beyond any candidate set grows only with what it
+     holds. *)
   Alcotest.(check (list int)) "k = 2^40 keeps all, ties in push order"
     (List.init 40 Fun.id)
-    (List.map snd (Bounded_heap.pop_all huge))
+    (stream bh ~k:(1 lsl 40) (List.init 40 (fun _ -> 1.0)))
 
 let test_bounded_heap_invalid_k () =
   Alcotest.check_raises "k = 0 rejected"
-    (Invalid_argument "Bounded_heap.create: k must be positive") (fun () ->
-      ignore (Bounded_heap.create ~k:0 ()))
+    (Invalid_argument "Bounded_heap.start: k must be positive") (fun () ->
+      Bounded_heap.start (Bounded_heap.create ()) ~k:0)
 
 let prop_bounded_heap_matches_sort =
   QCheck2.Test.make ~name:"bounded heap keeps the k largest (stable)"
     ~count:300
     QCheck2.Gen.(pair (int_range 1 40) (list (float_range 0.0 1.0)))
     (fun (k, scores) ->
-      let bh = Bounded_heap.create ~k () in
-      List.iteri (fun i s -> Bounded_heap.push bh ~score:s i) scores;
-      let kept = List.map fst (Bounded_heap.pop_all bh) in
-      kept = top_k_reference k scores)
+      stream (Bounded_heap.create ()) ~k scores = top_k_reference k scores)
+
+(* Scripts of several streams through one reused heap, their scores drawn
+   from a few values (AAM's [min score remaining] ties often, and -0.0
+   ties 0.0), [k] from 1 to past the stream's length: every stream keeps
+   the oracle's elements in the oracle's order. *)
+let prop_bounded_heap_matches_oracle =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 4)
+        (let* scores =
+           list_size (int_range 0 40)
+             (oneofl [ -0.0; 0.0; 0.25; 0.5; 0.5; 1.0; -1.0 ])
+         in
+         let* k = int_range 1 (List.length scores + 3) in
+         return (k, scores)))
+  in
+  QCheck2.Test.make ~name:"array top-K = the oracle, ties included"
+    ~count:500 gen (fun streams ->
+      let bh = Bounded_heap.create () in
+      List.for_all
+        (fun (k, scores) ->
+          let oracle = Topk_oracle.create ~k () in
+          Bounded_heap.start bh ~k;
+          List.iteri
+            (fun i score ->
+              Topk_oracle.push oracle ~score (100 + i);
+              Bounded_heap.push bh ~score (100 + i))
+            scores;
+          Bounded_heap.pop_all bh = List.map snd (Topk_oracle.pop_all oracle))
+        streams)
 
 (* ----------------------------------------------------------------- Stats *)
 
@@ -371,6 +404,7 @@ let suite =
         Alcotest.test_case "underfill" `Quick test_bounded_heap_underfill;
         Alcotest.test_case "invalid k" `Quick test_bounded_heap_invalid_k;
         qcheck prop_bounded_heap_matches_sort;
+        qcheck prop_bounded_heap_matches_oracle;
       ] );
     ( "util.stats",
       [
