@@ -1,10 +1,5 @@
 open Ltc_core
 
-type strategy =
-  | Laf_d
-  | Aam_d
-  | Random_d of int
-
 type outcome = {
   engine : Engine.outcome;
   mean_response : float;
@@ -21,18 +16,18 @@ let uniform_releases rng ~n_tasks ~horizon ~upfront_fraction =
   Array.init n_tasks (fun task ->
       if task < upfront then 0 else 1 + Ltc_util.Rng.int rng (max 1 horizon))
 
-let strategy_name = function
-  | Laf_d -> "LAF-dyn"
-  | Aam_d -> "AAM-dyn"
-  | Random_d _ -> "Random-dyn"
-
-let policy = function
-  | Laf_d -> Laf.policy
-  | Aam_d -> Aam.policy
-  | Random_d seed -> Random_assign.policy ~seed
-
-let run ~strategy ~release:releases (instance : Instance.t) =
-  Ltc_util.Trace.with_span ("dynamic:" ^ strategy_name strategy) @@ fun () ->
+let run ~(algorithm : Algorithm.t) ~seed ~release:releases
+    (instance : Instance.t) =
+  let name = algorithm.Algorithm.name ^ "-dyn" in
+  let policy =
+    match algorithm.Algorithm.policy with
+    | Some policy -> policy (Ltc_util.Rng.create ~seed)
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Dynamic.run: %s cannot run online (offline algorithm)"
+           algorithm.Algorithm.name)
+  in
+  Ltc_util.Trace.with_span ("dynamic:" ^ name) @@ fun () ->
   let n_tasks = Instance.task_count instance in
   if Array.length releases <> n_tasks then
     invalid_arg "Dynamic.run: release array must have one entry per task";
@@ -44,10 +39,7 @@ let run ~strategy ~release:releases (instance : Instance.t) =
       ~held:(fun task -> releases.(task) > 0)
       ~thresholds:(Instance.thresholds instance) ()
   in
-  let st =
-    Engine.start ~progress ~name:(strategy_name strategy) (policy strategy)
-      instance
-  in
+  let st = Engine.start ~progress ~name policy instance in
   (* Held tasks in release order, ties by id. *)
   let pending =
     Array.of_list

@@ -12,16 +12,11 @@
     reported, which is the latency a late-posted question actually
     experiences.
 
-    The strategies are the registry's LAF, AAM and Random policies, folded
-    through {!Engine.step} over a {!Ltc_core.Progress.t} that holds each
-    task until its release (so AAM's [avg]/[maxRemain] aggregates range
-    over released, unfinished tasks only).  With every release at 0 a run
-    is the static algorithm's, by construction. *)
-
-type strategy =
-  | Laf_d
-  | Aam_d
-  | Random_d of int  (** seed *)
+    Any online entry of the {!Algorithm} registry runs here: its policy is
+    folded through {!Engine.step} over a {!Ltc_core.Progress.t} that holds
+    each task until its release (so AAM's [avg]/[maxRemain] aggregates
+    range over released, unfinished tasks only).  With every release at 0
+    a run is the static algorithm's, by construction. *)
 
 type outcome = {
   engine : Engine.outcome;
@@ -32,9 +27,17 @@ type outcome = {
 }
 
 val run :
-  strategy:strategy -> release:int array -> Ltc_core.Instance.t -> outcome
-(** [release] must have one entry per task, each [>= 0].
-    @raise Invalid_argument on shape mismatch or negative releases. *)
+  algorithm:Algorithm.t ->
+  seed:int ->
+  release:int array ->
+  Ltc_core.Instance.t ->
+  outcome
+(** [run ~algorithm ~seed ~release instance] runs [algorithm]'s policy
+    over a generator created from [seed] (the stream its registry [run]
+    draws from; only Random draws), under the name ["<algorithm>-dyn"].
+    [release] must have one entry per task, each [>= 0].
+    @raise Invalid_argument on an offline algorithm, a shape mismatch or
+    negative releases. *)
 
 val uniform_releases :
   Ltc_util.Rng.t ->

@@ -98,12 +98,10 @@ let degraded_counter name fallback_name =
 type config = {
   accept_rate : float option;
   rng : Ltc_util.Rng.t option;
-  tracker : Ltc_util.Mem.Tracker.t option;
   degrade : degrade option;
 }
 
-let default_config =
-  { accept_rate = None; rng = None; tracker = None; degrade = None }
+let default_config = { accept_rate = None; rng = None; degrade = None }
 
 type decision = {
   worker : int;
@@ -147,11 +145,7 @@ let start ?(config = default_config) ?site ?progress
     | None ->
       Progress.create_per_task ~thresholds:(Instance.thresholds instance) ()
   in
-  let tracker =
-    match config.tracker with
-    | Some tracker -> tracker
-    | None -> Ltc_util.Mem.Tracker.create ()
-  in
+  let tracker = Ltc_util.Mem.Tracker.create () in
   Ltc_util.Mem.Tracker.set_baseline_words tracker (Progress.memory_words progress);
   let decide = policy instance tracker progress in
   (* The fallback shares the engine-owned progress/tracker, so a degraded

@@ -114,17 +114,14 @@ type config = {
   rng : Ltc_util.Rng.t option;
       (** Source for the no-show draws (one bernoulli per assigned task, in
           assignment order).  Advanced in place. *)
-  tracker : Ltc_util.Mem.Tracker.t option;
-      (** Memory tracker to charge; the engine creates a private one when
-          absent.  Either way its baseline is (re)set to the progress
-          array's footprint at run start. *)
   degrade : degrade option;
       (** Per-arrival deadline with fallback; [None] (the default) never
           degrades. *)
 }
 (** Execution options for {!run}.  {!default_config} is the paper's model:
-    every assignment answered, no injected RNG, private tracker, no
-    deadline. *)
+    every assignment answered, no injected RNG, no deadline.  Each run
+    charges a memory tracker of its own, whose baseline is set to the
+    {!Progress.t}'s footprint at run start. *)
 
 val default_config : config
 

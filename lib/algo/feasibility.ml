@@ -7,133 +7,92 @@ type verdict = {
   starved_tasks : int list;
 }
 
-let screen instance =
+(* The relaxation both entry points read: per task, the demand
+   [d_t = ceil (threshold_t / s_t)] for the best candidate score [s_t]
+   ([max_int] when no candidate scores), and the supply of candidate
+   workers. *)
+let relaxation instance =
   let n_tasks = Instance.task_count instance in
-  let workers = instance.Instance.workers in
-  let n_workers = Array.length workers in
   let thresholds = Instance.thresholds instance in
-  (* One pass over all candidate pairs: per-task best score and supply. *)
-  let best_score = Array.make (max n_tasks 1) 0.0 in
-  let supply = Array.make (max n_tasks 1) 0 in
+  let best_score = Array.make n_tasks 0.0 in
+  let supply = Array.make n_tasks 0 in
   Array.iter
     (fun (w : Worker.t) ->
       Instance.iter_candidates instance w (fun task ->
           supply.(task) <- supply.(task) + 1;
           let s = Instance.score instance w task in
           if s > best_score.(task) then best_score.(task) <- s))
-    workers;
+    instance.Instance.workers;
   let demand =
     Array.init n_tasks (fun task ->
         if best_score.(task) <= 0.0 then max_int
         else int_of_float (Float.ceil (thresholds.(task) /. best_score.(task))))
   in
-  let starved_tasks =
-    List.filter
-      (fun task -> demand.(task) = max_int || supply.(task) < demand.(task))
-      (List.init n_tasks (fun task -> task))
-  in
-  if starved_tasks <> [] then
-    {
-      feasible_maybe = false;
-      required_units =
-        Array.fold_left
-          (fun acc d -> if d = max_int then acc else acc + d)
-          0 demand;
-      routable_units = 0;
-      starved_tasks;
-    }
-  else begin
-    let required_units = Array.fold_left ( + ) 0 demand in
-    let source = 0 and sink = 1 + n_workers + n_tasks in
-    let g = Ltc_flow.Graph.create ~n:(sink + 1) in
-    Array.iteri
-      (fun i (w : Worker.t) ->
-        ignore
-          (Ltc_flow.Graph.add_arc g ~src:source ~dst:(1 + i) ~cap:w.capacity
-             ~cost:0.0))
-      workers;
-    Array.iteri
-      (fun i (w : Worker.t) ->
-        Instance.iter_candidates instance w (fun task ->
-            ignore
-              (Ltc_flow.Graph.add_arc g ~src:(1 + i)
-                 ~dst:(1 + n_workers + task) ~cap:1 ~cost:0.0)))
-      workers;
-    Array.iteri
-      (fun task d ->
-        ignore
-          (Ltc_flow.Graph.add_arc g ~src:(1 + n_workers + task) ~dst:sink
-             ~cap:d ~cost:0.0))
-      demand;
-    let routable_units = Ltc_flow.Dinic.max_flow g ~source ~sink in
-    {
-      feasible_maybe = routable_units >= required_units;
-      required_units;
-      routable_units;
-      starved_tasks = [];
-    }
-  end
+  (demand, supply)
 
-(* Shared with [screen]: can the worker prefix [1..l] route every task's
-   relaxed demand?  [demand] must already be starvation-free. *)
-let prefix_routes_demand instance demand required_units l =
+let total_demand demand =
+  Array.fold_left (fun acc d -> if d = max_int then acc else acc + d) 0 demand
+
+(* Maximum flow of [source -(K)-> workers 1..l -(1)-> tasks -(d_t)-> sink]
+   over candidate pairs.  [demand] must be free of [max_int]. *)
+let routable instance demand l =
   let workers = instance.Instance.workers in
-  let n_workers = l in
   let n_tasks = Array.length demand in
-  let source = 0 and sink = 1 + n_workers + n_tasks in
+  let source = 0 and sink = 1 + l + n_tasks in
   let g = Ltc_flow.Graph.create ~n:(sink + 1) in
-  for i = 0 to n_workers - 1 do
+  for i = 0 to l - 1 do
     ignore
       (Ltc_flow.Graph.add_arc g ~src:source ~dst:(1 + i)
          ~cap:workers.(i).Worker.capacity ~cost:0.0);
     Instance.iter_candidates instance workers.(i) (fun task ->
         ignore
-          (Ltc_flow.Graph.add_arc g ~src:(1 + i) ~dst:(1 + n_workers + task)
-             ~cap:1 ~cost:0.0))
+          (Ltc_flow.Graph.add_arc g ~src:(1 + i) ~dst:(1 + l + task) ~cap:1
+             ~cost:0.0))
   done;
   Array.iteri
     (fun task d ->
       ignore
-        (Ltc_flow.Graph.add_arc g ~src:(1 + n_workers + task) ~dst:sink ~cap:d
+        (Ltc_flow.Graph.add_arc g ~src:(1 + l + task) ~dst:sink ~cap:d
            ~cost:0.0))
     demand;
-  Ltc_flow.Dinic.max_flow g ~source ~sink >= required_units
+  Ltc_flow.Dinic.max_flow g ~source ~sink
+
+let screen instance =
+  let demand, supply = relaxation instance in
+  let starved_tasks =
+    List.filter
+      (fun task -> supply.(task) < demand.(task))
+      (List.init (Array.length demand) Fun.id)
+  in
+  let required_units = total_demand demand in
+  let routable_units =
+    if starved_tasks <> [] then 0
+    else routable instance demand (Instance.worker_count instance)
+  in
+  {
+    feasible_maybe = starved_tasks = [] && routable_units >= required_units;
+    required_units;
+    routable_units;
+    starved_tasks;
+  }
 
 let latency_lower_bound instance =
-  let n_tasks = Instance.task_count instance in
   let n_workers = Instance.worker_count instance in
-  if n_tasks = 0 then Some 0
-  else
-  let thresholds = Instance.thresholds instance in
-  let best_score = Array.make (max n_tasks 1) 0.0 in
-  Array.iter
-    (fun (w : Worker.t) ->
-      Instance.iter_candidates instance w (fun task ->
-          let s = Instance.score instance w task in
-          if s > best_score.(task) then best_score.(task) <- s))
-    instance.Instance.workers;
-  if Array.exists (fun s -> s <= 0.0) best_score then None
+  let demand, _ = relaxation instance in
+  let required_units = total_demand demand in
+  let routes l = routable instance demand l >= required_units in
+  if Array.length demand = 0 then Some 0
+  else if Array.mem max_int demand || not (routes n_workers) then None
   else begin
-    let demand =
-      Array.init n_tasks (fun task ->
-          int_of_float (Float.ceil (thresholds.(task) /. best_score.(task))))
+    (* Binary search the smallest routable prefix (monotone in l). *)
+    let rec search lo hi =
+      if lo >= hi then hi
+      else begin
+        let mid = (lo + hi) / 2 in
+        if routes mid then search lo mid else search (mid + 1) hi
+      end
     in
-    let required_units = Array.fold_left ( + ) 0 demand in
-    if not (prefix_routes_demand instance demand required_units n_workers)
-    then None
-    else begin
-      (* Binary search the smallest routable prefix (monotone in l). *)
-      let rec search lo hi =
-        if lo >= hi then hi
-        else begin
-          let mid = (lo + hi) / 2 in
-          if prefix_routes_demand instance demand required_units mid then
-            search lo mid
-          else search (mid + 1) hi
-        end
-      in
-      Some (search 1 n_workers)
-    end
+    Some (search 1 n_workers)
   end
 
 let pp_verdict fmt v =

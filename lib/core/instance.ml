@@ -114,12 +114,6 @@ let iter_candidates_sorted t (w : Worker.t) f =
       raise e)
   | None, _ | _, None -> iter_candidates t w f
 
-let count_candidates t (w : Worker.t) =
-  match (t.candidate_radius, t.task_index) with
-  | Some radius, Some index ->
-    Ltc_geo.Grid_index.count_within index ~center:w.loc ~radius
-  | None, _ | _, None -> Array.length t.tasks
-
 let memory_words t =
   let index_words =
     match t.task_index with

@@ -75,8 +75,6 @@ val iter_candidates_sorted : t -> Worker.t -> (int -> unit) -> unit
     documented prefer-the-lower-task-index tie-break falls out of the
     iteration order.  The callback may query again. *)
 
-val count_candidates : t -> Worker.t -> int
-
 val memory_words : t -> int
 (** Approximate footprint of the instance data (tasks, workers, index); the
     workload-side baseline shared by every algorithm. *)

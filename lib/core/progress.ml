@@ -76,13 +76,14 @@ let release t task =
     t.sum_remaining <- t.sum_remaining +. remaining t task
   end
 
+(* The threshold checks in [check_snapshot]'s order: NaN passes
+   [threshold <= 0.0], so the finiteness test follows it. *)
 let create_per_task ?(held = fun _ -> false) ~thresholds () =
   let n_tasks = Array.length thresholds in
-  Array.iter
-    (fun threshold ->
-      if threshold <= 0.0 then
-        invalid_arg "Progress.create_per_task: thresholds must be positive")
-    thresholds;
+  if Array.exists (fun threshold -> threshold <= 0.0) thresholds then
+    invalid_arg "Progress.create_per_task: thresholds must be positive";
+  if not (Array.for_all Float.is_finite thresholds) then
+    invalid_arg "Progress.create_per_task: non-finite threshold";
   let t =
     {
       thresholds = Array.copy thresholds;
@@ -103,6 +104,8 @@ let create_per_task ?(held = fun _ -> false) ~thresholds () =
 
 let create ~threshold ~n_tasks =
   if threshold <= 0.0 then invalid_arg "Progress.create: threshold <= 0";
+  if not (Float.is_finite threshold) then
+    invalid_arg "Progress.create: non-finite threshold";
   if n_tasks < 0 then invalid_arg "Progress.create: negative n_tasks";
   create_per_task ~thresholds:(Array.make n_tasks threshold) ()
 

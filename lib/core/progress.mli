@@ -19,14 +19,15 @@ type t
 val create : threshold:float -> n_tasks:int -> t
 (** All accumulators at 0, every task sharing one threshold (the paper's
     constant-epsilon platform).  @raise Invalid_argument when
-    [threshold <= 0] or [n_tasks < 0]. *)
+    [threshold <= 0], when it is NaN or infinite, or when [n_tasks < 0]. *)
 
 val create_per_task : ?held:(int -> bool) -> thresholds:float array -> unit -> t
 (** Per-task thresholds (Definition 1's general [t = <l_t, epsilon>] form);
     the array is copied.  Tasks for which [held] (default: none) holds
     start held: outside the open set, [sum_remaining] and [max_remaining]
     until {!release}, yet incomplete, so [all_complete] stays false while
-    any is held.  @raise Invalid_argument on a non-positive threshold. *)
+    any is held.  @raise Invalid_argument on a non-positive threshold,
+    then on a NaN or infinite one (the order of {!of_snapshot}'s checks). *)
 
 val release : t -> int -> unit
 (** Open a held task, as if it had been open from the start with no

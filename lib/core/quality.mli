@@ -28,7 +28,8 @@ val score : scoring -> Accuracy.t -> Worker.t -> Task.t -> float
 val majority :
   (float * Task.answer) list -> Task.answer option
 (** [majority votes] is the weighted majority decision over
-    [(weight, answer)] pairs; [None] on an empty list or an exact tie. *)
+    [(weight, answer)] pairs; [None] on an empty list or an exact tie.
+    {!Truth_sim.run} decides every simulated trial with it. *)
 
 val hoeffding_error_bound : acc_star_sum:float -> float
 (** The Hoeffding bound [exp(-acc_star_sum / 2)] on the voting error

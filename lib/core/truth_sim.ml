@@ -34,22 +34,15 @@ let run ?(trials = 1000) ?actual_accuracy rng (instance : Instance.t)
       voters.(a.task) <- (weight, correctness) :: voters.(a.task))
     (Arrangement.to_list arrangement);
   let errors = Array.make (max n_tasks 1) 0 in
+  (* By symmetry of the binary answer, fix the truth to Yes: a trial errs
+     unless Definition 4's vote decides Yes (a tie or no vote errs). *)
+  let answer (weight, acc) =
+    (weight, if Ltc_util.Rng.bernoulli rng acc then Task.Yes else Task.No)
+  in
   for _ = 1 to trials do
     for task = 0 to n_tasks - 1 do
-      match voters.(task) with
-      | [] -> errors.(task) <- errors.(task) + 1
-      | vs ->
-        (* By symmetry of the binary answer, fix the truth to Yes. *)
-        let total =
-          List.fold_left
-            (fun sum (weight, acc) ->
-              let answer =
-                if Ltc_util.Rng.bernoulli rng acc then Task.Yes else Task.No
-              in
-              sum +. (weight *. Task.answer_sign answer))
-            0.0 vs
-        in
-        if total <= 0.0 then errors.(task) <- errors.(task) + 1
+      if Quality.majority (List.map answer voters.(task)) <> Some Task.Yes
+      then errors.(task) <- errors.(task) + 1
     done
   done;
   let model = instance.Instance.accuracy in

@@ -4,8 +4,9 @@
     [Acc* = (2 Acc - 1)^2] of a task reaches [delta = 2 ln(1/epsilon)],
     weighted majority voting errs with probability at most [epsilon]
     (Hoeffding).  This simulator draws a ground truth per task, samples each
-    assigned worker's answer (correct with probability [Acc(w,t)]), applies
-    the weighted vote of Definition 4 and reports empirical error rates —
+    assigned worker's answer (correct with probability [Acc(w,t)]), decides
+    with Definition 4's weighted vote ({!Quality.majority}) and reports
+    empirical error rates —
     used by the [hoeffding] bench and the property tests to check that the
     engine's completion rule really delivers the promised accuracy. *)
 

@@ -15,10 +15,6 @@ let make ~index ~loc ~accuracy ~capacity =
     invalid_arg "Worker.make: location must be finite";
   { index; loc; accuracy; capacity }
 
-let min_trusted_accuracy = 0.66
-
-let is_trusted w = w.accuracy >= min_trusted_accuracy
-
 let pp fmt w =
   Format.fprintf fmt "w%d@%a(p=%.2f, K=%d)" w.index Ltc_geo.Point.pp w.loc
     w.accuracy w.capacity

@@ -17,8 +17,4 @@ val make :
     is outside [\[0, 1\]] (NaN included) or a coordinate of [loc] is not
     finite. *)
 
-val is_trusted : t -> bool
-(** [p_w >= 0.66]: the paper's spam threshold, below which the platform
-    ignores a worker. *)
-
 val pp : Format.formatter -> t -> unit

@@ -498,15 +498,13 @@ let ext_dynamic =
       (fun ~jobs ~scale ~reps ~seed ->
         let spec = Spec.scale_synthetic scale Spec.default_synthetic in
         let fractions = [ 1.0; 0.75; 0.5; 0.25; 0.0 ] in
-        let strategies =
-          [ Ltc_algo.Dynamic.Laf_d; Ltc_algo.Dynamic.Aam_d ]
-        in
+        let algorithms = Ltc_algo.Algorithm.[ laf; aam ] in
         (* Each fraction row replays the same per-rep seeds, so rows are
            independent cells: fan them over the pool. *)
         let rows =
           pmap ~jobs fractions
             (fun fraction ->
-              let make_cells strategy =
+              let make_cells algorithm =
                 let makespans = ref 0.0 and responses = ref 0.0 in
                 let all_completed = ref true in
                 for rep = 0 to reps - 1 do
@@ -522,7 +520,10 @@ let ext_dynamic =
                       ~n_tasks:(Ltc_core.Instance.task_count instance)
                       ~horizon ~upfront_fraction:fraction
                   in
-                  let o = Ltc_algo.Dynamic.run ~strategy ~release instance in
+                  let o =
+                    Ltc_algo.Dynamic.run ~algorithm ~seed:rseed ~release
+                      instance
+                  in
                   makespans :=
                     !makespans
                     +. float_of_int o.Ltc_algo.Dynamic.engine.Ltc_algo.Engine.latency;
@@ -538,8 +539,8 @@ let ext_dynamic =
               in
               let cells =
                 List.concat_map
-                  (fun strategy ->
-                    let makespan, response, ok = make_cells strategy in
+                  (fun algorithm ->
+                    let makespan, response, ok = make_cells algorithm in
                     [
                       (if ok then Ltc_util.Table.Float makespan
                        else
@@ -547,7 +548,7 @@ let ext_dynamic =
                            (Printf.sprintf "%.1f*" makespan));
                       Ltc_util.Table.Float response;
                     ])
-                  strategies
+                  algorithms
               in
               Ltc_util.Table.Str (Printf.sprintf "%.2f" fraction) :: cells)
         in

@@ -5,9 +5,7 @@ type result = {
   exhausted : bool;
 }
 
-type budget =
-  | Rounds of int
-  | Deadline_s of float
+type budget = Rounds of int
 
 (* Tolerance for reduced-cost non-negativity under float arithmetic. *)
 let epsilon = 1e-9
@@ -238,22 +236,16 @@ let run ?(max_flow = max_int) ?workspace ?budget g ~source ~sink =
      run always returns a flow that is a valid prefix of the exact run's
      augmentation sequence (SSPA's prefix-optimality: the first k routed
      units form a min-cost k-flow). *)
-  let round_budget, deadline =
+  let round_budget =
     match budget with
-    | None -> (max_int, infinity)
+    | None -> max_int
     | Some (Rounds r) ->
       if r < 0 then invalid_arg "Mcmf.run: negative round budget";
-      (r, infinity)
-    | Some (Deadline_s d) ->
-      if not (d >= 0.0) then invalid_arg "Mcmf.run: negative deadline budget";
-      (max_int, Ltc_util.Fault.Clock.now_s () +. d)
+      r
   in
   let exhausted = ref false in
   let within_budget () =
-    if
-      !rounds >= round_budget
-      || (deadline < infinity && Ltc_util.Fault.Clock.now_s () > deadline)
-    then begin
+    if !rounds >= round_budget then begin
       exhausted := true;
       false
     end

@@ -40,10 +40,6 @@ type result = {
 type budget =
   | Rounds of int
       (** stop after at most this many augmenting rounds (>= 0) *)
-  | Deadline_s of float
-      (** stop starting new rounds once this much wall time elapsed since
-          the call, measured with {!Ltc_util.Fault.Clock} so tests and the
-          chaos harness can virtualise it (>= 0) *)
 (** Anytime cutoff for {!run}.  The budget is checked {e between}
     shortest-path passes, so the routed units always form a minimum-cost
     [k]-flow for the [k] actually routed (SSPA routes cheapest paths in

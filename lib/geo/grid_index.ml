@@ -122,10 +122,5 @@ let fill_within_sorted t ~center ~radius buf pos =
   done;
   !stop - pos
 
-let count_within t ~center ~radius =
-  let n = ref 0 in
-  iter_within t ~center ~radius (fun _ -> incr n);
-  !n
-
 let memory_words t =
   Array.length t.starts + Array.length t.entries + (3 * Array.length t.points)

@@ -35,7 +35,5 @@ val fill_within_sorted :
     and returns how many it wrote.  [buf] needs room for {!length}[ t]
     entries from [pos]. *)
 
-val count_within : t -> center:Point.t -> radius:float -> int
-
 val memory_words : t -> int
 (** Approximate heap footprint of the index, for the memory panels. *)

@@ -517,7 +517,6 @@ let make_session ~header ~on_decision ~policy_rng ~noshow_rng ~progress
         {
           Ltc_algo.Engine.accept_rate;
           rng = Some noshow_rng;
-          tracker = None;
           degrade;
         }
       ~site:"session.decide" ~progress ~arrangement ~consumed

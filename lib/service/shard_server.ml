@@ -9,11 +9,11 @@ type mode = Inline | Domains
 (* ------------------------------------------------------------- partition *)
 
 (* The task plane is cut into grid cells with Grid_index's clamped-floor
-   cell formula (cell side = candidate radius), and
-   each cell picks its shard by rendezvous hashing: the shard whose mixed
-   (cell, shard) hash is largest wins.  Deterministic, stateless, and
-   stable under restore — the partition is a pure function of the
-   instance's tasks and the shard count. *)
+   cell formula (cell side = candidate radius), and each cell picks its
+   shard by rendezvous hashing: the shard whose (cell, shard) hash under
+   [Rng.mix], the splitmix64 finalizer, is largest wins.  Deterministic,
+   stateless, and stable under restore — the partition is a pure function
+   of the instance's tasks and the shard count. *)
 type partition = {
   p_shards : int;
   p_min_x : float;
@@ -22,20 +22,6 @@ type partition = {
   p_cols : int;
   p_rows : int;
 }
-
-(* splitmix64 finalizer — the standard 64-bit avalanche mixer. *)
-let mix64 z =
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* One degenerate cell: every arrival routes to shard 0. *)
 let degenerate ~shards =
@@ -95,8 +81,9 @@ let cell_of part (p : Ltc_geo.Point.t) =
   (cx, cy)
 
 let shard_of_cell part (cx, cy) =
+  let mix = Ltc_util.Rng.mix in
   let base =
-    mix64
+    mix
       (Int64.add
          (Int64.mul (Int64.of_int cx) 0x9e3779b97f4a7c15L)
          (Int64.of_int cy))
@@ -104,7 +91,7 @@ let shard_of_cell part (cx, cy) =
   let best = ref 0 in
   let best_h = ref Int64.min_int in
   for k = 0 to part.p_shards - 1 do
-    let h = mix64 (Int64.logxor base (Int64.of_int ((k + 1) * 0x632be5ab))) in
+    let h = mix (Int64.logxor base (Int64.of_int ((k + 1) * 0x632be5ab))) in
     if Int64.compare h !best_h > 0 then begin
       best_h := h;
       best := k
@@ -400,29 +387,42 @@ let add_entry t sh ~local g entry =
   if local > sh.sh_decided then sh.sh_decided <- local;
   Mutex.unlock t.t_cmutex
 
+let scoped k f = Ltc_util.Fault.with_scope (Supervisor.scope ~shard:k) f
+
+(* The message for [sh]'s routed local arrival [local]: the original
+   arrival [w] renumbered to the shard's own index. *)
+let message sh ~local ~quiet (w : Worker.t) =
+  {
+    mg = sh.sh_globals.(local - 1);
+    mq = quiet;
+    mw =
+      Worker.make ~index:local ~loc:w.Worker.loc ~accuracy:w.Worker.accuracy
+        ~capacity:w.Worker.capacity;
+  }
+
+(* Feed one message to shard [k]'s session and merge its decision unless
+   it is quiet.  Whatever thread runs it — the caller inline or in
+   recovery, or the shard's lane — a supervised server probes under the
+   shard's fault scope: that thread is then the single writer of the
+   ["shard<k>/..."] fault counters, so scripted per-shard hits are
+   deterministic even with sibling lanes running. *)
+let deliver t k msg =
+  let sh = t.t_shards.(k) in
+  let d =
+    if supervised t then scoped k (fun () -> Session.feed sh.sh_session msg.mw)
+    else Session.feed sh.sh_session msg.mw
+  in
+  if not msg.mq then
+    add_entry t sh ~local:msg.mw.Worker.index msg.mg (P_dec (k, d))
+
 let attach_pool t ~mailbox =
   match t.t_mode with
   | Inline -> ()
   | Domains ->
-    let handler ~lane msg =
-      let sh = t.t_shards.(lane) in
-      let decide () = Session.feed sh.sh_session msg.mw in
-      let d =
-        match t.t_super with
-        | None -> decide ()
-        | Some _ ->
-          (* Scoped probing: the lane is the single writer of its
-             ["shard<k>/..."] fault counters, so scripted per-shard hits
-             are deterministic even with sibling lanes running. *)
-          Ltc_util.Fault.with_scope (Supervisor.scope ~shard:lane) decide
-      in
-      if not msg.mq then
-        add_entry t sh ~local:msg.mw.Worker.index msg.mg (P_dec (lane, d))
-    in
     t.t_pool <-
       Some
         (Ltc_util.Pool.Workers.create ~lanes:(Array.length t.t_shards)
-           ~capacity:mailbox ~handler)
+           ~capacity:mailbox ~handler:(fun ~lane msg -> deliver t lane msg))
 
 (* Shedding refuses arrivals at a full mailbox; an inline server (one
    shard always is) has none, so it would never shed. *)
@@ -742,8 +742,6 @@ let route t sh g (w : Worker.t) =
   if supervised t then sh.sh_arrivals.(local - 1) <- Some w;
   local
 
-let scoped k f = Ltc_util.Fault.with_scope (Supervisor.scope ~shard:k) f
-
 (* Quarantine shard [k]: clear its lane's standing failure (so quiesce,
    shutdown and the siblings are unaffected) and give every routed-but-
    unmerged arrival an explicit unassigned-decision ack — the merge layer
@@ -822,19 +820,10 @@ and revive t k =
       | None ->
         invalid_arg "Shard_server: supervised re-feed lost an arrival"
     in
-    let lw =
-      Worker.make ~index:local ~loc:w.Worker.loc ~accuracy:w.Worker.accuracy
-        ~capacity:w.Worker.capacity
-    in
-    let quiet = local <= sh.sh_decided in
+    let msg = message sh ~local ~quiet:(local <= sh.sh_decided) w in
     match t.t_pool with
-    | Some pool ->
-      Ltc_util.Pool.Workers.push pool ~lane:k
-        { mg = sh.sh_globals.(local - 1); mq = quiet; mw = lw }
-    | None ->
-      let d = scoped k (fun () -> Session.feed sh.sh_session lw) in
-      if not quiet then
-        add_entry t sh ~local sh.sh_globals.(local - 1) (P_dec (k, d))
+    | Some pool -> Ltc_util.Pool.Workers.push pool ~lane:k msg
+    | None -> deliver t k msg
   done
 
 (* ----------------------------------------------------------------- feed *)
@@ -865,42 +854,19 @@ let feed_routed t (w : Worker.t) =
       add_pending t g (P_dead k)
     else begin
       let local = route t sh g w in
-      let local_worker =
-        Worker.make ~index:local ~loc:w.Worker.loc
-          ~accuracy:w.Worker.accuracy ~capacity:w.Worker.capacity
+      let msg = message sh ~local ~quiet:false w in
+      let overload =
+        match t.t_super with
+        | None -> Supervisor.Block
+        | Some s -> (Supervisor.config s).Supervisor.overload
       in
-      match t.t_pool with
-      | None -> (
-        match
-          if supervised t then
-            scoped k (fun () -> Session.feed sh.sh_session local_worker)
-          else Session.feed sh.sh_session local_worker
-        with
-        | d -> add_entry t sh ~local g (P_dec (k, d))
-        | exception e when supervised t ->
-          ignore e;
-          (* this arrival is already routed, so recovery re-feeds it *)
-          handle_crash t k)
-      | Some pool -> (
-        let msg = { mg = g; mq = false; mw = local_worker } in
-        let overload =
-          match t.t_super with
-          | None -> Supervisor.Block
-          | Some s -> (Supervisor.config s).Supervisor.overload
-        in
-        match overload with
-        | Supervisor.Block -> (
-          match Ltc_util.Pool.Workers.push pool ~lane:k msg with
-          | () -> ()
-          | exception e when supervised t ->
-            ignore e;
-            (* the lane failed before accepting this arrival; it is
-               already routed, so recovery re-feeds it *)
-            handle_crash t k)
-        | Supervisor.Shed -> (
-          match Ltc_util.Pool.Workers.try_push pool ~lane:k msg with
-          | true -> ()
-          | false ->
+      match
+        match (t.t_pool, overload) with
+        | None, _ -> deliver t k msg
+        | Some pool, Supervisor.Block ->
+          Ltc_util.Pool.Workers.push pool ~lane:k msg
+        | Some pool, Supervisor.Shed ->
+          if not (Ltc_util.Pool.Workers.try_push pool ~lane:k msg) then begin
             (* Mailbox full: shed instead of blocking.  Un-route the
                arrival (its local index was never seen by the session)
                and ack it explicitly. *)
@@ -908,9 +874,13 @@ let feed_routed t (w : Worker.t) =
             sh.sh_arrivals.(local - 1) <- None;
             Supervisor.note_shed (Option.get t.t_super);
             add_pending t g (P_dead k)
-          | exception e when supervised t ->
-            ignore e;
-            handle_crash t k))
+          end
+      with
+      | () -> ()
+      | exception _ when supervised t ->
+        (* The shard's session or lane failed on this arrival.  It is
+           already routed, so recovery re-feeds it. *)
+        handle_crash t k
     end;
     locked_release t
   end

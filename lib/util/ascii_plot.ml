@@ -7,7 +7,7 @@ let markers = [| '*'; '+'; 'o'; 'x'; '#'; '@'; '%'; '&' |]
 
 let finite (x, y) = Float.is_finite x && Float.is_finite y
 
-let render ?(width = 64) ?(height = 16) ?title ?(connect = true) series =
+let render ?(width = 64) ?(height = 16) ?title series =
   let series =
     List.filter_map
       (fun s ->
@@ -59,18 +59,16 @@ let render ?(width = 64) ?(height = 16) ?title ?(connect = true) series =
     List.iteri
       (fun i s ->
         let marker = markers.(i mod Array.length markers) in
-        (if connect then
-           match s.points with
-           | [] -> ()
-           | first :: rest ->
-             ignore
-               (List.fold_left
-                  (fun prev next ->
-                    draw_segment prev next;
-                    next)
-                  first rest));
-        List.iter (fun (x, y) -> grid.(row y).(col x) <- marker) s.points;
-        ignore marker)
+        (match s.points with
+        | [] -> ()
+        | first :: rest ->
+          ignore
+            (List.fold_left
+               (fun prev next ->
+                 draw_segment prev next;
+                 next)
+               first rest));
+        List.iter (fun (x, y) -> grid.(row y).(col x) <- marker) s.points)
       series;
     let buf = Buffer.create ((width + 16) * (height + 4)) in
     (match title with

@@ -18,12 +18,11 @@ val render :
   ?width:int ->
   ?height:int ->
   ?title:string ->
-  ?connect:bool ->
   series list ->
   string
 (** [render series] draws all series over a shared frame ([width] x
     [height] interior cells, defaults 64 x 16), with y-axis bounds printed
-    on the left, x-axis bounds below, and a marker legend.  [connect]
-    (default [true]) links consecutive points (sorted by x) with line
-    segments.  Series with fewer than one point, NaN or infinite values are
-    skipped.  Returns [""] when nothing is drawable. *)
+    on the left, x-axis bounds below, and a marker legend.  Consecutive
+    points (sorted by x) are linked with line segments.  Series with fewer
+    than one point, NaN or infinite values are skipped.  Returns [""] when
+    nothing is drawable. *)

@@ -9,7 +9,6 @@ let copy t = { state = t.state }
 let state t = t.state
 let of_state state = { state }
 
-(* Finalizer of splitmix64: two xor-shift-multiply rounds. *)
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
@@ -46,11 +45,3 @@ let float t x =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -39,7 +39,14 @@ val split_seed : t -> int
     seed alone, independent of parallel scheduling. *)
 
 val bits64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output: [mix] of the state after adding the golden
+    gamma. *)
+
+val mix : int64 -> int64
+(** The splitmix64 finalizer: two xor-shift-multiply rounds and a final
+    xor-shift, a bijection that avalanches every input bit.  Also the
+    hash {!Ltc_service.Shard_server} partitions grid cells with, so its
+    constants fix where saved shard manifests route each arrival. *)
 
 val int : t -> int -> int
 (** [int rng n] is uniform over [\[0, n-1\]].  Raises [Invalid_argument] when
@@ -52,6 +59,3 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli rng p] is [true] with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -1,5 +1,3 @@
-type align = Left | Right
-
 type cell =
   | Str of string
   | Int of int
@@ -15,15 +13,15 @@ let cell_to_string ~float_digits = function
 
 let is_numeric = function Str _ -> false | Int _ | Float _ -> true
 
-let pad align width s =
+let pad ~right width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if right then fill ^ s else s ^ fill
   end
 
-let render ?(float_digits = 2) ~header ?align rows =
+let render ?(float_digits = 2) ~header rows =
   let ncols = List.length header in
   List.iteri
     (fun i row ->
@@ -35,37 +33,30 @@ let render ?(float_digits = 2) ~header ?align rows =
   let string_rows =
     List.map (List.map (cell_to_string ~float_digits)) rows
   in
-  let aligns =
-    match align with
-    | Some a when List.length a = ncols -> Array.of_list a
-    | Some _ -> invalid_arg "Table.render: align length mismatch"
-    | None ->
-      (* Default: a column is right-aligned when every cell in it is numeric. *)
-      Array.init ncols (fun c ->
-          let numeric =
-            rows <> []
-            && List.for_all (fun row -> is_numeric (List.nth row c)) rows
-          in
-          if numeric then Right else Left)
+  (* A column is right-aligned when every cell in it is numeric. *)
+  let right =
+    Array.init ncols (fun c ->
+        rows <> []
+        && List.for_all (fun row -> is_numeric (List.nth row c)) rows)
   in
   let widths = Array.of_list (List.map String.length header) in
   List.iter
     (List.iteri (fun c s -> widths.(c) <- max widths.(c) (String.length s)))
     string_rows;
   let buf = Buffer.create 1024 in
-  let emit_row cells align_of =
+  let emit_row cells right_of =
     List.iteri
       (fun c s ->
         if c > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf (pad (align_of c) widths.(c) s))
+        Buffer.add_string buf (pad ~right:(right_of c) widths.(c) s))
       cells;
     Buffer.add_char buf '\n'
   in
-  emit_row header (fun _ -> Left);
+  emit_row header (fun _ -> false);
   let rule = List.init ncols (fun c -> String.make widths.(c) '-') in
-  emit_row rule (fun _ -> Left);
-  List.iter (fun row -> emit_row row (fun c -> aligns.(c))) string_rows;
+  emit_row rule (fun _ -> false);
+  List.iter (fun row -> emit_row row (Array.get right)) string_rows;
   Buffer.contents buf
 
-let print ?float_digits ~header ?align rows =
-  print_string (render ?float_digits ~header ?align rows)
+let print ?float_digits ~header rows =
+  print_string (render ?float_digits ~header rows)

@@ -4,27 +4,15 @@
     swept parameter; we print them as aligned text tables so the harness
     output reads like the paper's plots transposed to rows. *)
 
-type align = Left | Right
-
 type cell =
   | Str of string
   | Int of int
   | Float of float  (** rendered with {!render}'s [float_digits] *)
 
-val render :
-  ?float_digits:int ->
-  header:string list ->
-  ?align:align list ->
-  cell list list ->
-  string
+val render : ?float_digits:int -> header:string list -> cell list list -> string
 (** [render ~header rows] produces a table with a separator line under the
-    header.  Missing [align] entries default to [Right] for numeric-looking
-    columns and [Left] otherwise.
+    header.  A column whose every cell is an [Int] or [Float] is
+    right-aligned; the others, and the header, are left-aligned.
     @raise Invalid_argument if a row's width differs from the header's. *)
 
-val print :
-  ?float_digits:int ->
-  header:string list ->
-  ?align:align list ->
-  cell list list ->
-  unit
+val print : ?float_digits:int -> header:string list -> cell list list -> unit

@@ -454,15 +454,17 @@ let test_decision_pins () =
     ]
   in
   let registry name i = (Algorithm.find name).Algorithm.run ~seed:5 i in
-  let dynamic strategy ~release i =
-    let o = Dynamic.run ~strategy ~release i in
+  let dynamic algorithm ~release i =
+    let o = Dynamic.run ~algorithm ~seed:5 ~release i in
     decision_digest o.Dynamic.engine
       ~extra:
         (Printf.sprintf " resp=%h/%d/%d" o.Dynamic.mean_response
            o.Dynamic.max_response o.Dynamic.completed_tasks)
   in
-  let upfront strategy i =
-    Dynamic.run ~strategy ~release:(Array.make (Instance.task_count i) 0) i
+  let upfront algorithm i =
+    Dynamic.run ~algorithm ~seed:5
+      ~release:(Array.make (Instance.task_count i) 0)
+      i
   in
   let noshow policy i =
     Engine.run ~name:"noshow"
@@ -483,12 +485,11 @@ let test_decision_pins () =
             "Base-off" ]
         @ [
             ( label ^ " LAF-dyn",
-              decision_digest (upfront Dynamic.Laf_d i).Dynamic.engine );
+              decision_digest (upfront Algorithm.laf i).Dynamic.engine );
             ( label ^ " AAM-dyn",
-              decision_digest (upfront Dynamic.Aam_d i).Dynamic.engine );
+              decision_digest (upfront Algorithm.aam i).Dynamic.engine );
             ( label ^ " Random-dyn",
-              decision_digest (upfront (Dynamic.Random_d 5) i).Dynamic.engine
-            );
+              decision_digest (upfront Algorithm.random i).Dynamic.engine );
             (label ^ " LAF q=0.7", decision_digest (noshow Laf.policy i));
             (label ^ " AAM q=0.7", decision_digest (noshow Aam.policy i));
           ])
@@ -502,11 +503,11 @@ let test_decision_pins () =
               ~upfront_fraction:fraction
           in
           List.map
-            (fun (name, strategy) ->
-              ( Printf.sprintf "table IV %s released %.1f" name fraction,
-                dynamic strategy ~release table_iv ))
-            [ ("LAF", Dynamic.Laf_d); ("AAM", Dynamic.Aam_d);
-              ("Random", Dynamic.Random_d 5) ])
+            (fun (algorithm : Algorithm.t) ->
+              ( Printf.sprintf "table IV %s released %.1f"
+                  algorithm.Algorithm.name fraction,
+                dynamic algorithm ~release table_iv ))
+            Algorithm.[ laf; aam; random ])
         [ 0.5; 0.0 ]
   in
   let want =
@@ -772,13 +773,63 @@ let test_flow_lower_bound_empty () =
   Alcotest.(check bool) "zero tasks" true
     (Feasibility.latency_lower_bound i = Some 0)
 
+(* Verdicts and bounds recorded before the screen and the bound shared
+   one relaxation and one network builder: a dense and a sparse routable
+   instance, a sparse one with starved tasks, and two side-by-side tasks
+   that each need three of three unit workers (no task is starved, yet
+   six units cannot route through three), once more with a third task
+   out of every worker's reach (no candidate, so no demand to count). *)
+let test_feasibility_pins () =
+  let crowded ~far =
+    let at x = Ltc_geo.Point.make ~x ~y:0.0 in
+    let tasks =
+      Array.of_list
+        ([ Task.make ~id:0 ~loc:(at 0.0) (); Task.make ~id:1 ~loc:(at 1.0) () ]
+        @ if far then [ Task.make ~id:2 ~loc:(at 200.0) () ] else [])
+    in
+    let workers =
+      Array.init 3 (fun k ->
+          Worker.make ~index:(k + 1) ~loc:(at 0.5) ~accuracy:0.9 ~capacity:1)
+    in
+    Instance.create ~tasks ~workers ~epsilon:0.4 ()
+  in
+  List.iter
+    (fun (label, i, want_screen, want_bound) ->
+      let v = Feasibility.screen i in
+      Alcotest.(check (pair (pair bool (pair int int)) (list int)))
+        (label ^ " screen") want_screen
+        ( ( v.Feasibility.feasible_maybe,
+            (v.Feasibility.required_units, v.Feasibility.routable_units) ),
+          v.Feasibility.starved_tasks );
+      Alcotest.(check (option int))
+        (label ^ " bound") want_bound
+        (Feasibility.latency_lower_bound i))
+    [
+      ( "dense",
+        Fixtures.small_random ~seed:61 (),
+        ((true, (60, 60)), []),
+        Some 43 );
+      ( "sparse",
+        Fixtures.small_random ~seed:63 ~n_workers:60 (),
+        ((true, (64, 64)), []),
+        Some 38 );
+      ( "starved",
+        Fixtures.small_random ~seed:65 ~n_workers:25 (),
+        ((false, (68, 0)), [ 1; 9; 10 ]),
+        None );
+      ("crowded", crowded ~far:false, ((false, (6, 3)), []), None);
+      ( "crowded, far task",
+        crowded ~far:true,
+        ((false, (6, 0)), [ 2 ]),
+        None );
+    ]
+
 (* ---------------------------------------------------------------- noshow *)
 
 let noshow_config ~accept_rate ~seed =
   {
     Engine.accept_rate = Some accept_rate;
     rng = Some (Ltc_util.Rng.create ~seed);
-    tracker = None;
     degrade = None;
   }
 
@@ -840,7 +891,6 @@ let test_noshow_invalid_rate () =
              {
                Engine.accept_rate = Some 0.5;
                rng = None;
-               tracker = None;
                degrade = None;
              }
            ~name:"x" Laf.policy i))
@@ -946,8 +996,8 @@ let test_dynamic_upfront_equals_static () =
      static online algorithms exactly. *)
   let i = Fixtures.small_random ~seed:96 () in
   let release = Array.make (Instance.task_count i) 0 in
-  let dyn_laf = Dynamic.run ~strategy:Dynamic.Laf_d ~release i in
-  let dyn_aam = Dynamic.run ~strategy:Dynamic.Aam_d ~release i in
+  let dyn_laf = Dynamic.run ~algorithm:Algorithm.laf ~seed:0 ~release i in
+  let dyn_aam = Dynamic.run ~algorithm:Algorithm.aam ~seed:0 ~release i in
   Alcotest.(check int) "LAF-dyn = LAF" (Laf.run i).Engine.latency
     dyn_laf.Dynamic.engine.Engine.latency;
   Alcotest.(check int) "AAM-dyn = AAM" (Aam.run i).Engine.latency
@@ -961,7 +1011,7 @@ let test_dynamic_respects_releases () =
   let n_tasks = Instance.task_count i in
   (* Every task held back until worker 40. *)
   let release = Array.make n_tasks 40 in
-  let o = Dynamic.run ~strategy:Dynamic.Aam_d ~release i in
+  let o = Dynamic.run ~algorithm:Algorithm.aam ~seed:0 ~release i in
   Alcotest.(check bool) "completed" true o.Dynamic.engine.Engine.completed;
   List.iter
     (fun (a : Arrangement.assignment) ->
@@ -981,7 +1031,7 @@ let test_dynamic_never_completes_unreleased () =
   let release = Array.make n_tasks 0 in
   (* One task released far beyond the stream. *)
   release.(0) <- Instance.worker_count i + 100;
-  let o = Dynamic.run ~strategy:Dynamic.Laf_d ~release i in
+  let o = Dynamic.run ~algorithm:Algorithm.laf ~seed:0 ~release i in
   Alcotest.(check bool) "not completed" false o.Dynamic.engine.Engine.completed;
   Alcotest.(check int) "all others done" (n_tasks - 1) o.Dynamic.completed_tasks;
   Alcotest.(check (list int)) "task 0 untouched" []
@@ -992,7 +1042,16 @@ let test_dynamic_validation () =
   Alcotest.check_raises "shape mismatch"
     (Invalid_argument "Dynamic.run: release array must have one entry per task")
     (fun () ->
-      ignore (Dynamic.run ~strategy:Dynamic.Laf_d ~release:[| 0 |] i));
+      ignore
+        (Dynamic.run ~algorithm:Algorithm.laf ~seed:0 ~release:[| 0 |] i));
+  Alcotest.check_raises "offline algorithm"
+    (Invalid_argument
+       "Dynamic.run: MCF-LTC cannot run online (offline algorithm)")
+    (fun () ->
+      ignore
+        (Dynamic.run ~algorithm:Algorithm.mcf_ltc ~seed:0
+           ~release:(Array.make (Instance.task_count i) 0)
+           i));
   Alcotest.check_raises "fraction out of range"
     (Invalid_argument "Dynamic.uniform_releases: fraction out of [0, 1]")
     (fun () ->
@@ -1013,100 +1072,6 @@ let test_dynamic_uniform_releases_shape () =
   Array.iter
     (fun x -> Alcotest.(check bool) "within horizon" true (x >= 0 && x <= 50))
     r
-
-(* ------------------------------------------------------------- transforms *)
-
-let heterogeneous_instance () =
-  let tasks =
-    [| Task.make ~id:0 ~loc:(Ltc_geo.Point.make ~x:0.0 ~y:0.0) () |]
-  in
-  let workers =
-    [|
-      Worker.make ~index:1 ~loc:(Ltc_geo.Point.make ~x:1.0 ~y:0.0)
-        ~accuracy:0.9 ~capacity:5;
-      Worker.make ~index:2 ~loc:(Ltc_geo.Point.make ~x:2.0 ~y:0.0)
-        ~accuracy:0.8 ~capacity:2;
-      Worker.make ~index:3 ~loc:(Ltc_geo.Point.make ~x:3.0 ~y:0.0)
-        ~accuracy:0.7 ~capacity:7;
-    |]
-  in
-  Instance.create ~tasks ~workers ~epsilon:0.2 ()
-
-let test_uniform_capacity_split () =
-  let i = heterogeneous_instance () in
-  let j = Ltc_workload.Transform.uniform_capacity ~k:3 i in
-  (* 5 -> 3+2 (2 clones), 2 -> 2 (1), 7 -> 3+3+1 (3 clones): 6 workers. *)
-  Alcotest.(check int) "clone count" 6 (Instance.worker_count j);
-  let total_capacity inst =
-    Array.fold_left
-      (fun acc (w : Worker.t) -> acc + w.capacity)
-      0 inst.Instance.workers
-  in
-  Alcotest.(check int) "capacity preserved" (total_capacity i) (total_capacity j);
-  Array.iteri
-    (fun idx (w : Worker.t) ->
-      Alcotest.(check int) "contiguous indexes" (idx + 1) w.index;
-      Alcotest.(check bool) "capacity bounded" true (w.capacity <= 3))
-    j.Instance.workers;
-  (* Clones keep their originator's location and accuracy. *)
-  let w1 = j.Instance.workers.(0) and w2 = j.Instance.workers.(1) in
-  Alcotest.(check bool) "clones colocated" true
-    (Ltc_geo.Point.equal w1.Worker.loc w2.Worker.loc
-    && w1.Worker.accuracy = w2.Worker.accuracy)
-
-let test_uniform_capacity_noop () =
-  let i = Fixtures.small_random ~seed:87 () in
-  let j = Ltc_workload.Transform.uniform_capacity ~k:10 i in
-  Alcotest.(check int) "unchanged worker count" (Instance.worker_count i)
-    (Instance.worker_count j)
-
-let test_restrict_workers () =
-  let i = Fixtures.small_random ~seed:88 () in
-  let o = Ltc_algo.Aam.run i in
-  let j = Ltc_workload.Transform.restrict_workers i ~prefix:o.Engine.latency in
-  Alcotest.(check int) "prefix length" o.Engine.latency
-    (Instance.worker_count j);
-  (* Replaying AAM on exactly the consumed prefix reproduces the result. *)
-  let o2 = Ltc_algo.Aam.run j in
-  Alcotest.(check int) "same latency on replay" o.Engine.latency
-    o2.Engine.latency
-
-let prop_uniform_capacity_laws =
-  QCheck2.Test.make ~name:"uniform_capacity preserves totals and bounds caps"
-    ~count:100
-    QCheck2.Gen.(
-      pair (int_range 1 6)
-        (list_size (int_range 1 12) (int_range 1 9)))
-    (fun (k, capacities) ->
-      let tasks =
-        [| Task.make ~id:0 ~loc:(Ltc_geo.Point.make ~x:0.0 ~y:0.0) () |]
-      in
-      let workers =
-        Array.of_list
-          (List.mapi
-             (fun idx capacity ->
-               Worker.make ~index:(idx + 1)
-                 ~loc:(Ltc_geo.Point.make ~x:(float_of_int idx) ~y:0.0)
-                 ~accuracy:0.8 ~capacity)
-             capacities)
-      in
-      let i = Instance.create ~tasks ~workers ~epsilon:0.2 ~candidate_radius:None () in
-      let j = Ltc_workload.Transform.uniform_capacity ~k i in
-      let total inst =
-        Array.fold_left
-          (fun acc (w : Worker.t) -> acc + w.capacity)
-          0 inst.Instance.workers
-      in
-      let expected_clones =
-        List.fold_left (fun acc c -> acc + ((c + k - 1) / k)) 0 capacities
-      in
-      total i = total j
-      && Instance.worker_count j = expected_clones
-      && Array.for_all (fun (w : Worker.t) -> w.capacity <= k && w.capacity >= 1)
-           j.Instance.workers
-      && Array.for_all
-           (fun idx -> j.Instance.workers.(idx).Worker.index = idx + 1)
-           (Array.init (Instance.worker_count j) Fun.id))
 
 (* --------------------------------------------------- per-task error rates *)
 
@@ -1304,6 +1269,8 @@ let suite =
           test_flow_lower_bound_tighter_than_theorem2;
         Alcotest.test_case "flow bound on empty task set" `Quick
           test_flow_lower_bound_empty;
+        Alcotest.test_case "screen and bound pins" `Quick
+          test_feasibility_pins;
       ] );
     ( "algo.noshow",
       [
@@ -1333,16 +1300,6 @@ let suite =
         Alcotest.test_case "argument validation" `Quick test_dynamic_validation;
         Alcotest.test_case "uniform_releases shape" `Quick
           test_dynamic_uniform_releases_shape;
-      ] );
-    ( "algo.transform",
-      [
-        Alcotest.test_case "uniform capacity split" `Quick
-          test_uniform_capacity_split;
-        Alcotest.test_case "uniform capacity no-op" `Quick
-          test_uniform_capacity_noop;
-        Alcotest.test_case "restrict workers replay" `Quick
-          test_restrict_workers;
-        QCheck_alcotest.to_alcotest prop_uniform_capacity_laws;
       ] );
     ( "algo.per_task_epsilon",
       [

@@ -118,10 +118,10 @@ let test_worker_validation () =
       (Float.infinity, 0.0);
       (0.0, Float.neg_infinity);
     ];
-  Alcotest.(check bool) "trusted" true
-    (Worker.is_trusted (worker_at ~x:0.0 ~y:0.0 ~p:0.7));
-  Alcotest.(check bool) "spam" false
-    (Worker.is_trusted (worker_at ~x:0.0 ~y:0.0 ~p:0.5))
+  (* The paper's spam rule (p_w >= 0.66) is the accuracy generators'
+     truncation, not a precondition of a worker. *)
+  Alcotest.(check (float 0.0)) "spam-level worker is valid" 0.5
+    (worker_at ~x:0.0 ~y:0.0 ~p:0.5).Worker.accuracy
 
 (* -------------------------------------------------------------- Instance *)
 
@@ -188,9 +188,7 @@ let test_instance_candidates_radius () =
 let test_instance_candidates_unrestricted () =
   let i = tiny_instance ~candidate_radius:None () in
   Alcotest.(check (list int)) "all tasks" [ 0; 1 ]
-    (sorted_candidates i i.Instance.workers.(0));
-  Alcotest.(check int) "count" 2
-    (Instance.count_candidates i i.Instance.workers.(0))
+    (sorted_candidates i i.Instance.workers.(0))
 
 let test_instance_score_matches_quality () =
   let i = tiny_instance () in
@@ -554,6 +552,33 @@ let test_progress_record_non_finite () =
   check_float "nothing recorded" 0.0 (Progress.accumulated p 0);
   check_float "max untouched" 2.0 (Progress.max_remaining p);
   check_float "complete task untouched" 2.5 (Progress.accumulated p 1)
+
+(* A NaN threshold passes [threshold <= 0.0] and would poison the
+   open-task heap's keys; both constructors refuse it, and infinity, after
+   the positive check, in [of_snapshot]'s order. *)
+let test_progress_create_non_finite () =
+  let refused label message f =
+    Alcotest.check_raises label (Invalid_argument message) (fun () ->
+        ignore (f ()))
+  in
+  let per_task thresholds () = Progress.create_per_task ~thresholds () in
+  let shared threshold () = Progress.create ~threshold ~n_tasks:2 in
+  refused "per-task NaN" "Progress.create_per_task: non-finite threshold"
+    (per_task [| 1.0; Float.nan; 2.0 |]);
+  refused "per-task infinity" "Progress.create_per_task: non-finite threshold"
+    (per_task [| Float.infinity |]);
+  refused "per-task non-positive before NaN"
+    "Progress.create_per_task: thresholds must be positive"
+    (per_task [| Float.nan; -1.0 |]);
+  refused "per-task negative infinity"
+    "Progress.create_per_task: thresholds must be positive"
+    (per_task [| Float.neg_infinity |]);
+  refused "shared NaN" "Progress.create: non-finite threshold"
+    (shared Float.nan);
+  refused "shared infinity" "Progress.create: non-finite threshold"
+    (shared Float.infinity);
+  refused "shared negative infinity" "Progress.create: threshold <= 0"
+    (shared Float.neg_infinity)
 
 (* Progress against plain arrays: per-task thresholds (distinct, so the
    heap's order is exercised), records that complete a task at once, held
@@ -929,6 +954,51 @@ let test_truth_sim_unassigned_task_errs () =
     Truth_sim.run ~trials:50 (Ltc_util.Rng.create ~seed:1) i Arrangement.empty
   in
   check_float "error rate 1" 1.0 report.Truth_sim.tasks.(0).Truth_sim.error_rate
+
+(* Error rates recorded before the simulation decided with
+   [Quality.majority]: each of the first 60 arrivals of a seeded instance
+   votes on up to its capacity of candidate tasks in ascending id order,
+   and two equal voters tie on one task whenever they disagree.  A change
+   to the vote, its tie rule or the order of the draws moves them. *)
+let test_truth_sim_pins () =
+  let i = Fixtures.small_random ~seed:8 ~n_workers:60 () in
+  let arrangement = ref Arrangement.empty in
+  Array.iter
+    (fun (w : Worker.t) ->
+      let n = ref 0 in
+      Instance.iter_candidates_sorted i w (fun task ->
+          if !n < w.Worker.capacity then begin
+            incr n;
+            arrangement :=
+              Arrangement.add !arrangement ~worker:w.Worker.index ~task
+          end))
+    i.Instance.workers;
+  let r =
+    Truth_sim.run ~trials:200 (Ltc_util.Rng.create ~seed:17) i !arrangement
+  in
+  let field f = Array.to_list (Array.map f r.Truth_sim.tasks) in
+  Alcotest.(check (list int)) "votes"
+    [ 25; 37; 26; 8; 3; 16; 2; 9; 1; 6; 2; 8 ]
+    (field (fun t -> t.Truth_sim.votes));
+  Alcotest.(check (list (float 0.0))) "error rates"
+    [ 0.0; 0.0; 0.0; 0.01; 0.035; 0.0; 0.08; 0.015; 0.22; 0.025; 0.155; 0.0 ]
+    (field (fun t -> t.Truth_sim.error_rate));
+  Alcotest.(check (float 0.0))
+    "mean" 0x1.70a3d70a3d70bp-5 r.Truth_sim.mean_error;
+  Alcotest.(check (float 0.0)) "max" 0x1.c28f5c28f5c29p-3 r.Truth_sim.max_error;
+  let tasks = [| Task.make ~id:0 ~loc:(point ~x:0.0 ~y:0.0) () |] in
+  let workers =
+    Array.init 2 (fun k ->
+        Worker.make ~index:(k + 1) ~loc:(point ~x:0.5 ~y:0.0) ~accuracy:0.8
+          ~capacity:1)
+  in
+  let i = Instance.create ~tasks ~workers ~epsilon:0.2 () in
+  let pair =
+    Arrangement.(empty |> add ~worker:1 ~task:0 |> add ~worker:2 ~task:0)
+  in
+  let r = Truth_sim.run ~trials:200 (Ltc_util.Rng.create ~seed:17) i pair in
+  Alcotest.(check (float 0.0)) "ties err" 0.34
+    r.Truth_sim.tasks.(0).Truth_sim.error_rate
 
 (* -------------------------------------------------------------- Analysis *)
 
@@ -1434,8 +1504,7 @@ let prop_sorted_candidates =
           let unsorted = ref [] in
           Instance.iter_candidates i w (fun task -> unsorted := task :: !unsorted);
           List.rev !outer = want && !nested_ok
-          && List.sort compare !unsorted = want
-          && Instance.count_candidates i w = List.length want)
+          && List.sort compare !unsorted = want)
         workers)
 
 let prop_progress_threshold_per_task =
@@ -1832,6 +1901,8 @@ let suite =
         Alcotest.test_case "zero tasks" `Quick test_progress_zero_tasks;
         Alcotest.test_case "record refuses non-finite scores" `Quick
           test_progress_record_non_finite;
+        Alcotest.test_case "create refuses non-finite thresholds" `Quick
+          test_progress_create_non_finite;
         qcheck prop_progress_array_model;
         qcheck prop_progress_aggregates;
         qcheck prop_progress_iter_incomplete;
@@ -1919,5 +1990,6 @@ let suite =
           test_truth_sim_respects_bound;
         Alcotest.test_case "unassigned task errs" `Quick
           test_truth_sim_unassigned_task_errs;
+        Alcotest.test_case "error rate pins" `Quick test_truth_sim_pins;
       ] );
   ]

@@ -602,10 +602,7 @@ let test_budget_validation () =
   ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0);
   Alcotest.check_raises "negative rounds"
     (Invalid_argument "Mcmf.run: negative round budget") (fun () ->
-      ignore (Mcmf.run g ~budget:(Mcmf.Rounds (-1)) ~source:0 ~sink:1));
-  Alcotest.check_raises "negative deadline"
-    (Invalid_argument "Mcmf.run: negative deadline budget") (fun () ->
-      ignore (Mcmf.run g ~budget:(Mcmf.Deadline_s (-1.0)) ~source:0 ~sink:1))
+      ignore (Mcmf.run g ~budget:(Mcmf.Rounds (-1)) ~source:0 ~sink:1))
 
 let test_budget_rounds () =
   (* Three parallel unit paths: each augmenting round routes one. *)
@@ -633,12 +630,7 @@ let test_budget_rounds () =
   Alcotest.(check int) "lavish budget = exact flow" exact.Mcmf.flow
     lavish.Mcmf.flow;
   check_float "lavish budget = exact cost" exact.Mcmf.cost lavish.Mcmf.cost;
-  Alcotest.(check bool) "lavish budget never fires" false lavish.Mcmf.exhausted;
-  let slow =
-    Mcmf.run (build ()) ~budget:(Mcmf.Deadline_s 3600.0) ~source:0 ~sink:4
-  in
-  Alcotest.(check int) "distant deadline = exact" exact.Mcmf.flow
-    slow.Mcmf.flow
+  Alcotest.(check bool) "lavish budget never fires" false lavish.Mcmf.exhausted
 
 (* Budgeted runs return a prefix of the exact augmentation sequence: the k
    units a budget managed to route cost exactly what an exact [max_flow:k]

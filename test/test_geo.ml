@@ -110,15 +110,6 @@ let prop_grid_matches_brute =
       grid_within g ~center ~radius
       = brute_within points ~center ~radius)
 
-let prop_grid_count =
-  QCheck2.Test.make ~name:"grid count = query length" ~count:100
-    QCheck2.Gen.(pair (points_gen ~side:50.0) (point_gen ~side:50.0))
-    (fun (points, center) ->
-      let arr = Array.of_list points in
-      let g = Grid_index.build ~world:(Bbox.square ~side:50.0) ~cell:5.0 arr in
-      Grid_index.count_within g ~center ~radius:8.0
-      = List.length (grid_within g ~center ~radius:8.0))
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -141,6 +132,5 @@ let suite =
         Alcotest.test_case "out-of-world points" `Quick
           test_grid_out_of_world_points;
         qcheck prop_grid_matches_brute;
-        qcheck prop_grid_count;
       ] );
   ]

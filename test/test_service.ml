@@ -59,7 +59,6 @@ let check_engine_parity ~accept_rate (algo : Ltc_algo.Algorithm.t) =
         {
           Ltc_algo.Engine.accept_rate;
           rng = (if accept_rate = None then None else Some noshow_rng);
-          tracker = None;
           degrade = None;
         }
       ~name:algo.Ltc_algo.Algorithm.name
@@ -1478,6 +1477,52 @@ let check_shard_parity ~mode ~shards algo =
     (Array.fold_left ( + ) 0 (Shard_server.shard_task_counts srv));
   Shard_server.close srv
 
+(* Shard of each point of a 24 x 24 lattice under a 15 x 15 cell
+   partition, recorded before the cell hash became [Rng.mix]: saved
+   manifests route by this partition, so it must not move.  The lattice
+   overhangs the tasks' extent by more than a cell on every side, so the
+   clamp to the edge cells is pinned too. *)
+let test_partition_pins () =
+  let at x y = Ltc_geo.Point.make ~x ~y in
+  let tasks =
+    Array.init 40 (fun id ->
+        let coord k = float_of_int (id * k mod 100) in
+        Ltc_core.Task.make ~id ~loc:(at (coord 37) (coord 61)) ())
+  in
+  let instance =
+    Ltc_core.Instance.create ~candidate_radius:(Some 7.0) ~tasks ~workers:[||]
+      ~epsilon:0.2 ()
+  in
+  List.iter
+    (fun (shards, want_counts, want_digest) ->
+      let srv =
+        Shard_server.create ~mode:Shard_server.Inline ~shards
+          ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance
+      in
+      let counts = Array.make shards 0 in
+      let map =
+        String.init (24 * 24) (fun n ->
+            let p =
+              at
+                ((5.4 *. float_of_int (n / 24)) -. 12.0)
+                ((5.4 *. float_of_int (n mod 24)) -. 12.0)
+            in
+            let k = Shard_server.shard_of_point srv p in
+            counts.(k) <- counts.(k) + 1;
+            Char.chr (Char.code '0' + k))
+      in
+      Shard_server.close srv;
+      let label = Printf.sprintf "K=%d" shards in
+      Alcotest.(check (list int)) (label ^ " points per shard") want_counts
+        (Array.to_list counts);
+      Alcotest.(check string) (label ^ " map") want_digest
+        (Digest.to_hex (Digest.string map)))
+    [
+      (2, [ 308; 268 ], "666475e14fed5b113862e9e2feb540e0");
+      (3, [ 244; 207; 125 ], "a9c0c61cd0a85cbb24ecd8ae036de6db");
+      (5, [ 162; 137; 73; 94; 110 ], "afd20a0e829052992c902d4ba2a48d90");
+    ]
+
 let test_shard_parity_inline () =
   List.iter
     (fun algo ->
@@ -2489,6 +2534,7 @@ let suite =
           test_shard_parity_inline;
         Alcotest.test_case "domain-per-shard parity" `Quick
           test_shard_parity_domains;
+        Alcotest.test_case "partition pins" `Quick test_partition_pins;
         Alcotest.test_case "sharded kill/restore at every append" `Slow
           test_sharded_kill_restore_everywhere;
         qcheck prop_sharded_kill_restore;

@@ -58,14 +58,6 @@ let test_rng_split_independent () =
   let ys = List.init 8 (fun _ -> Rng.bits64 b) in
   Alcotest.(check bool) "streams differ" false (xs = ys)
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create ~seed:77 in
-  let a = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
-
 let test_rng_copy () =
   let a = Rng.create ~seed:11 in
   ignore (Rng.bits64 a);
@@ -353,7 +345,7 @@ let test_plot_marker_positions () =
   (* An increasing series must put the first point in the bottom-left
      region and the last in the top-right region of the canvas. *)
   let out =
-    Ascii_plot.render ~width:20 ~height:5 ~connect:false
+    Ascii_plot.render ~width:20 ~height:5
       [ { Ascii_plot.name = "s"; points = [ (0.0, 0.0); (1.0, 1.0) ] } ]
   in
   let lines = String.split_on_char '\n' out in
@@ -376,8 +368,6 @@ let suite =
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
         Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-        Alcotest.test_case "shuffle is a permutation" `Quick
-          test_rng_shuffle_permutation;
         Alcotest.test_case "copy" `Quick test_rng_copy;
       ] );
     ( "util.distribution",
