@@ -435,6 +435,37 @@ let micro_tests () =
   in
   let reuse_g = Ltc_flow.Graph.create ~n:1 in
   let reuse_ws = Ltc_flow.Mcmf.create_workspace () in
+  (* What journal-append frames: one arrival's event (LAF's decision on
+     [worker]) and one periodic checkpoint, a partial snapshot of Table
+     IV's 3 000 tasks. *)
+  let module B = Ltc_core.Serialize.Binary in
+  let frames = B.buffer () in
+  let event =
+    let assigned = laf_decide worker in
+    B.Event
+      {
+        B.e_worker = worker;
+        e_degraded = false;
+        e_assigned = assigned;
+        e_answered = assigned;
+      }
+  in
+  let partial =
+    let table_iv =
+      Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:1)
+        { Ltc_workload.Spec.default_synthetic with n_workers = 1 }
+    in
+    B.Snapshot
+      {
+        B.s_consumed = 256;
+        s_policy = 1L;
+        s_noshow = 2L;
+        s_progress =
+          Ltc_core.Progress.create_per_task
+            ~thresholds:(Ltc_core.Instance.thresholds table_iv) ();
+        s_arrangement = None;
+      }
+  in
   [
     Test.make ~name:"laf-arrival"
       (Staged.stage (fun () -> ignore (laf_decide worker)));
@@ -469,6 +500,11 @@ let micro_tests () =
            (* Ascending order, as the online policies read it. *)
            Ltc_core.Instance.iter_candidates_sorted instance worker (fun _ ->
                ())));
+    Test.make ~name:"journal-frame"
+      (Staged.stage (fun () ->
+           B.clear frames;
+           B.add_record frames event;
+           B.add_record frames partial));
     Test.make ~name:"progress-aggregates"
       (Staged.stage (fun () ->
            ignore (Ltc_core.Progress.max_remaining progress);

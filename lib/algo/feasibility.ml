@@ -8,9 +8,10 @@ type verdict = {
 }
 
 (* The relaxation both entry points read: per task, the demand
-   [d_t = ceil (threshold_t / s_t)] for the best candidate score [s_t]
-   ([max_int] when no candidate scores), and the supply of candidate
-   workers. *)
+   [d_t = ceil (threshold_t / s_t)] for the best candidate score [s_t],
+   and the supply of candidate workers.  A demand is [max_int] (the task
+   is starved) when no candidate scores, or when the quotient reaches
+   the int range, where [int_of_float] is unspecified (it can give 0). *)
 let relaxation instance =
   let n_tasks = Instance.task_count instance in
   let thresholds = Instance.thresholds instance in
@@ -25,13 +26,22 @@ let relaxation instance =
     instance.Instance.workers;
   let demand =
     Array.init n_tasks (fun task ->
-        if best_score.(task) <= 0.0 then max_int
-        else int_of_float (Float.ceil (thresholds.(task) /. best_score.(task))))
+        let quotient = thresholds.(task) /. best_score.(task) in
+        if best_score.(task) <= 0.0 || quotient >= float_of_int max_int then
+          max_int
+        else int_of_float (Float.ceil quotient))
   in
   (demand, supply)
 
+(* The demand of the tasks that are not starved, saturating at
+   [max_int] rather than wrapping. *)
 let total_demand demand =
-  Array.fold_left (fun acc d -> if d = max_int then acc else acc + d) 0 demand
+  Array.fold_left
+    (fun acc d ->
+      if d = max_int then acc
+      else if acc > max_int - d then max_int
+      else acc + d)
+    0 demand
 
 (* Maximum flow of [source -(K)-> workers 1..l -(1)-> tasks -(d_t)-> sink]
    over candidate pairs.  [demand] must be free of [max_int]. *)

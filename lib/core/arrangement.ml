@@ -18,6 +18,7 @@ let add t ~worker ~task =
 let size t = t.size
 let latency t = t.latency
 let to_list t = List.rev t.rev_assignments
+let to_rev_list t = t.rev_assignments
 
 let tasks_of_worker t worker =
   List.sort compare

@@ -24,6 +24,9 @@ val latency : t -> int
 val to_list : t -> assignment list
 (** Assignments in insertion order. *)
 
+val to_rev_list : t -> assignment list
+(** Assignments newest first: the arrangement's own list, in O(1). *)
+
 val tasks_of_worker : t -> int -> int list
 (** Ascending task ids assigned to a worker. O(size). *)
 

@@ -144,13 +144,13 @@ type snapshot = {
   sum_remaining : float;
 }
 
-let snapshot (t : t) =
+let borrow_snapshot (t : t) =
   if t.n_held > 0 then invalid_arg "Progress.snapshot: tasks are held";
-  {
-    thresholds = Array.copy t.thresholds;
-    scores = Array.copy t.s;
-    sum_remaining = t.sum_remaining;
-  }
+  { thresholds = t.thresholds; scores = t.s; sum_remaining = t.sum_remaining }
+
+let snapshot t =
+  let b = borrow_snapshot t in
+  { b with thresholds = Array.copy b.thresholds; scores = Array.copy b.scores }
 
 (* One pass over every entry, then the reasons in a fixed priority, so a
    payload with several faults names the same one whichever reader checks

@@ -95,6 +95,12 @@ val snapshot : t -> snapshot
 (** Immutable copy of the observable state (arrays are fresh).
     @raise Invalid_argument while a task is held. *)
 
+val borrow_snapshot : t -> snapshot
+(** {!snapshot} without the copies: the arrays are the tracker's own, so
+    the caller only reads them, and only until the next {!record} or
+    {!release} (the journal encoder writes them out this way).
+    @raise Invalid_argument while a task is held. *)
+
 val of_snapshot : snapshot -> t
 (** Rebuild a progress tracker equivalent to the one {!snapshot} captured:
     same accumulators, same incomplete set in ascending-id order, same

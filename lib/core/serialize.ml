@@ -325,15 +325,20 @@ module Binary = struct
     done;
     t
 
-  let crc32 s =
+  (* The one CRC loop: bytes [pos, pos + len) of [s], as an unsigned
+     32-bit [int].  The frame buffer passes its bytes here unconverted
+     ([Bytes.unsafe_to_string]: nothing writes them during the call). *)
+  let crc32_range s pos len =
     let t = crc_tables in
     let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3)
     and t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
     let byte k = Char.code (String.unsafe_get s k) in
-    let len = String.length s in
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Serialize.Binary.crc32_range";
+    let stop = pos + len in
     let c = ref 0xFFFFFFFF in
-    let i = ref 0 in
-    while !i + 8 <= len do
+    let i = ref pos in
+    while !i + 8 <= stop do
       let k = !i in
       let lo =
         !c
@@ -359,11 +364,49 @@ module Binary = struct
         lxor Array.unsafe_get t0 ((hi lsr 24) land 0xff);
       i := k + 8
     done;
-    while !i < len do
+    while !i < stop do
       c := Array.unsafe_get t0 ((!c lxor byte !i) land 0xff) lxor (!c lsr 8);
       incr i
     done;
-    Int32.of_int (lnot !c land 0xFFFFFFFF)
+    lnot !c land 0xFFFFFFFF
+
+  let crc32 s = Int32.of_int (crc32_range s 0 (String.length s))
+
+  (* ---------------------------------------------------- frame buffer *)
+
+  (* Bytes plus a length.  Records are encoded straight into it, each
+     behind the header of its frame, and the whole buffer goes to one
+     [output]; a journal keeps one for its life, so once it has grown to
+     the largest group or compaction it allocates nothing more. *)
+  type buffer = { mutable bytes : Bytes.t; mutable len : int }
+
+  let buffer () = { bytes = Bytes.create 4096; len = 0 }
+  let length b = b.len
+  let clear b = b.len <- 0
+  let contents b = Bytes.sub_string b.bytes 0 b.len
+
+  let output oc b n =
+    if n < 0 || n > b.len then invalid_arg "Serialize.Binary.output";
+    Stdlib.output oc b.bytes 0 n
+
+  (* Room for [n] more bytes, doubling. *)
+  let reserve b n =
+    let need = b.len + n in
+    if need > Bytes.length b.bytes then begin
+      let cap = ref (2 * Bytes.length b.bytes) in
+      while !cap < need do
+        cap := 2 * !cap
+      done;
+      let bytes = Bytes.create !cap in
+      Bytes.blit b.bytes 0 bytes 0 b.len;
+      b.bytes <- bytes
+    end
+
+  let add_string b s =
+    let n = String.length s in
+    reserve b n;
+    Bytes.blit_string s 0 b.bytes b.len n;
+    b.len <- b.len + n
 
   (* ------------------------------------------------------- primitives *)
 
@@ -372,28 +415,58 @@ module Binary = struct
      no information here. *)
   let bin_error fmt = parse_error ~line:0 fmt
 
-  let add_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
+  let add_u8 b n =
+    reserve b 1;
+    Bytes.unsafe_set b.bytes b.len (Char.unsafe_chr (n land 0xff));
+    b.len <- b.len + 1
 
   (* Unsigned LEB128; every integer in a journal record (indices, counts,
-     capacities, task ids) is non-negative. *)
-  let add_varint buf n =
-    if n < 0 then invalid_arg "Serialize.Binary.add_varint: negative";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char buf (Char.chr n)
-      else begin
-        Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+     capacities, task ids) is non-negative.  [put_varint] writes at [pos]
+     and returns the position after; a non-negative [int] takes at most 9
+     bytes. *)
+  let rec put_varint bytes pos n =
+    if n < 0x80 then begin
+      Bytes.unsafe_set bytes pos (Char.unsafe_chr n);
+      pos + 1
+    end
+    else begin
+      Bytes.unsafe_set bytes pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      put_varint bytes (pos + 1) (n lsr 7)
+    end
 
-  let add_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-  let add_i64 buf n = Buffer.add_int64_le buf n
+  let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
-  type cursor = { data : string; mutable pos : int }
+  let negative_varint () = invalid_arg "Serialize.Binary.add_varint: negative"
 
-  let cursor data = { data; pos = 0 }
-  let at_end c = c.pos >= String.length c.data
+  let add_varint b n =
+    if n < 0 then negative_varint ();
+    reserve b 9;
+    b.len <- put_varint b.bytes b.len n
+
+  (* Inlined, so that a float read out of a float record (a worker's
+     location) is written without first being boxed. *)
+  let[@inline] add_i64 b n =
+    reserve b 8;
+    Bytes.set_int64_le b.bytes b.len n;
+    b.len <- b.len + 8
+
+  let[@inline] add_f64 b f =
+    reserve b 8;
+    Bytes.set_int64_le b.bytes b.len (Int64.bits_of_float f);
+    b.len <- b.len + 8
+
+  (* A read window [first, limit) over a string: a whole payload, or one
+     frame's payload inside a journal body read in one piece. *)
+  type cursor = { data : string; first : int; limit : int; mutable pos : int }
+
+  let window data ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length data - len then
+      invalid_arg "Serialize.Binary: payload window out of bounds";
+    { data; first = pos; limit = pos + len; pos }
+
+  let cursor data = window data ~pos:0 ~len:(String.length data)
+  let at_end c = c.pos >= c.limit
+  let payload_length c = c.limit - c.first
 
   let u8 c =
     if at_end c then bin_error "unexpected end of binary payload";
@@ -413,8 +486,7 @@ module Binary = struct
   let varint c = varint_from c 0 0
 
   let i64 c =
-    if c.pos + 8 > String.length c.data then
-      bin_error "unexpected end of binary payload";
+    if c.pos + 8 > c.limit then bin_error "unexpected end of binary payload";
     let v = String.get_int64_le c.data c.pos in
     c.pos <- c.pos + 8;
     v
@@ -444,13 +516,127 @@ module Binary = struct
   let tag_snapshot = Char.code 'S'
   let tag_partial = Char.code 'P'
 
-  let add_int_list buf l =
-    add_varint buf (List.length l);
-    List.iter (add_varint buf) l
+  let rec add_varints b = function
+    | [] -> ()
+    | n :: rest ->
+      add_varint b n;
+      add_varints b rest
 
+  let add_int_list b l =
+    add_varint b (List.length l);
+    add_varints b l
+
+  (* The (threshold, score) pairs, 16 bytes a task, written in place from
+     the progress tracker's own arrays. *)
+  let add_progress b progress =
+    let p = Progress.borrow_snapshot progress in
+    let thresholds = p.Progress.thresholds and scores = p.Progress.scores in
+    let n = Array.length thresholds in
+    add_varint b n;
+    add_f64 b p.Progress.sum_remaining;
+    reserve b (16 * n);
+    let bytes = b.bytes and base = b.len in
+    for task = 0 to n - 1 do
+      let at = base + (16 * task) in
+      Bytes.set_int64_le bytes at (Int64.bits_of_float thresholds.(task));
+      Bytes.set_int64_le bytes (at + 8) (Int64.bits_of_float scores.(task))
+    done;
+    b.len <- base + (16 * n)
+
+  (* The arrangement section: the count, then (worker, task) varint pairs
+     oldest first.  The arrangement keeps its assignments newest first, so
+     the pairs are sized in one walk and written back to front in a
+     second, with no reversed copy. *)
+  let rec assignments_size acc = function
+    | [] -> acc
+    | (a : Arrangement.assignment) :: rest ->
+      if a.worker < 0 || a.task < 0 then negative_varint ();
+      assignments_size (acc + varint_size a.worker + varint_size a.task) rest
+
+  let rec put_assignments_back bytes stop = function
+    | [] -> ()
+    | (a : Arrangement.assignment) :: rest ->
+      let task_at = stop - varint_size a.task in
+      ignore (put_varint bytes task_at a.task);
+      let worker_at = task_at - varint_size a.worker in
+      ignore (put_varint bytes worker_at a.worker);
+      put_assignments_back bytes worker_at rest
+
+  let add_arrangement b arrangement =
+    add_varint b (Arrangement.size arrangement);
+    let newest_first = Arrangement.to_rev_list arrangement in
+    let size = assignments_size 0 newest_first in
+    reserve b size;
+    put_assignments_back b.bytes (b.len + size) newest_first;
+    b.len <- b.len + size
+
+  let add_payload b = function
+    | Event e ->
+      let w = e.e_worker in
+      add_u8 b tag_event;
+      add_varint b w.Worker.index;
+      add_f64 b w.Worker.loc.Ltc_geo.Point.x;
+      add_f64 b w.Worker.loc.Ltc_geo.Point.y;
+      add_f64 b w.Worker.accuracy;
+      add_varint b w.Worker.capacity;
+      add_u8 b (if e.e_degraded then 1 else 0);
+      add_int_list b e.e_assigned;
+      add_int_list b e.e_answered
+    | Snapshot s ->
+      add_u8 b
+        (match s.s_arrangement with
+        | Some _ -> tag_snapshot
+        | None -> tag_partial);
+      add_varint b s.s_consumed;
+      add_i64 b s.s_policy;
+      add_i64 b s.s_noshow;
+      add_progress b s.s_progress;
+      Option.iter (add_arrangement b) s.s_arrangement
+
+  (* ---------------------------------------------------------- framing *)
+
+  (* Frame layout: [u32le payload length][u32le crc32(payload)][payload].
+     The length prefix makes replay a streaming read with no line
+     splitting; the CRC separates interior corruption (a complete frame
+     whose bytes are wrong) from a torn tail (a frame the crash cut
+     short, necessarily at end of file). *)
+
+  let max_frame_bytes = 1 lsl 26 (* 64 MiB — far beyond any real record *)
+
+  (* The one framer: reserve the header, encode the payload behind it,
+     then patch in its length and CRC.  A record that fails to encode
+     leaves the buffer as it was. *)
+  let add_record b record =
+    let start = b.len in
+    reserve b 8;
+    b.len <- start + 8;
+    (match add_payload b record with
+    | () -> ()
+    | exception e ->
+      b.len <- start;
+      raise e);
+    let len = b.len - start - 8 in
+    if len > max_frame_bytes then begin
+      b.len <- start;
+      invalid_arg "Serialize.Binary.add_record: payload too large"
+    end;
+    let crc = crc32_range (Bytes.unsafe_to_string b.bytes) (start + 8) len in
+    Bytes.set_int32_le b.bytes start (Int32.of_int len);
+    Bytes.set_int32_le b.bytes (start + 4) (Int32.of_int crc)
+
+  (* ---------------------------------------------------------- decoding *)
+
+  (* The one record grammar.  A partial snapshot ('P') is a full one
+     ('S') without the arrangement section.  [~build:false] walks the
+     same bytes under the same rules (tag, varints, list bounds,
+     [Worker.make]'s rules, [Progress.check_snapshot], trailing bytes)
+     and fails with the same message at the same byte, but builds no
+     list, [Progress.t] or [Arrangement.t]; it returns [None].  Restore
+     checks the records a later snapshot supersedes this way.  Every
+     bound is the payload's window, not the string's. *)
   let read_int_list ~build c =
     let n = varint c in
-    if n > String.length c.data then
+    if n > payload_length c then
       bin_error "list length %d exceeds the payload" n;
     if build then List.init n (fun _ -> varint c)
     else begin
@@ -461,57 +647,12 @@ module Binary = struct
     end
 
   let skip c len =
-    if c.pos + len > String.length c.data then
-      bin_error "unexpected end of binary payload";
+    if c.pos + len > c.limit then bin_error "unexpected end of binary payload";
     c.pos <- c.pos + len
 
   let f64_at data pos = Int64.float_of_bits (String.get_int64_le data pos)
 
-  let emit_record buf = function
-    | Event e ->
-      let w = e.e_worker in
-      add_u8 buf tag_event;
-      add_varint buf w.Worker.index;
-      add_f64 buf w.Worker.loc.Ltc_geo.Point.x;
-      add_f64 buf w.Worker.loc.Ltc_geo.Point.y;
-      add_f64 buf w.Worker.accuracy;
-      add_varint buf w.Worker.capacity;
-      add_u8 buf (if e.e_degraded then 1 else 0);
-      add_int_list buf e.e_assigned;
-      add_int_list buf e.e_answered
-    | Snapshot s ->
-      add_u8 buf
-        (if Option.is_some s.s_arrangement then tag_snapshot else tag_partial);
-      add_varint buf s.s_consumed;
-      add_i64 buf s.s_policy;
-      add_i64 buf s.s_noshow;
-      let snap = Progress.snapshot s.s_progress in
-      let n = Array.length snap.Progress.thresholds in
-      add_varint buf n;
-      add_f64 buf snap.Progress.sum_remaining;
-      for task = 0 to n - 1 do
-        add_f64 buf snap.Progress.thresholds.(task);
-        add_f64 buf snap.Progress.scores.(task)
-      done;
-      Option.iter
-        (fun arrangement ->
-          add_varint buf (Arrangement.size arrangement);
-          List.iter
-            (fun (a : Arrangement.assignment) ->
-              add_varint buf a.Arrangement.worker;
-              add_varint buf a.Arrangement.task)
-            (Arrangement.to_list arrangement))
-        s.s_arrangement
-
-  (* The one record grammar.  A partial snapshot ('P') is a full one
-     ('S') without the arrangement section.  [~build:false] walks the
-     same bytes under the same rules (tag, varints, list bounds,
-     [Worker.make]'s rules, [Progress.check_snapshot], trailing bytes)
-     and fails with the same message at the same byte, but builds no
-     list, [Progress.t] or [Arrangement.t]; it returns [None].  Restore
-     checks the records a later snapshot supersedes this way. *)
-  let decode ~build payload =
-    let c = cursor payload in
+  let decode ~build c =
     let record =
       match u8 c with
       | tag when tag = tag_event ->
@@ -543,15 +684,16 @@ module Binary = struct
         let s_policy = i64 c in
         let s_noshow = i64 c in
         let n = varint c in
-        if n > String.length payload then
+        if n > payload_length c then
           bin_error "snapshot task count %d exceeds the payload" n;
         let sum_remaining = f64 c in
         (* The (threshold, score) pairs, read in place: pair [task] sits
            at [base + 16 task]. *)
         let base = c.pos in
         skip c (16 * n);
-        let threshold task = f64_at payload (base + (16 * task)) in
-        let score task = f64_at payload (base + (16 * task) + 8) in
+        let data = c.data in
+        let threshold task = f64_at data (base + (16 * task)) in
+        let score task = f64_at data (base + (16 * task) + 8) in
         let s_progress =
           match
             if build then
@@ -575,7 +717,7 @@ module Binary = struct
           if tag = tag_partial then None
           else begin
             let n_assignments = varint c in
-            if n_assignments > String.length payload then
+            if n_assignments > payload_length c then
               bin_error "assignment count %d exceeds the payload"
                 n_assignments;
             let arrangement = ref Arrangement.empty in
@@ -596,92 +738,34 @@ module Binary = struct
       | tag -> bin_error "unknown record tag 0x%02x" tag
     in
     if not (at_end c) then
-      bin_error "%d trailing bytes after the record"
-        (String.length payload - c.pos);
+      bin_error "%d trailing bytes after the record" (c.limit - c.pos);
     record
 
-  let record_of_payload payload = Option.get (decode ~build:true payload)
+  let record_of_payload data ~pos ~len =
+    Option.get (decode ~build:true (window data ~pos ~len))
 
   type kind = Event_record | Snapshot_record | Partial_record
 
-  let check_payload payload =
-    ignore (decode ~build:false payload);
+  let check_payload data ~pos ~len =
+    ignore (decode ~build:false (window data ~pos ~len));
     (* [decode] accepted the tag byte, so it is one of the three. *)
-    match Char.code payload.[0] with
+    match Char.code data.[pos] with
     | tag when tag = tag_event -> Event_record
     | tag when tag = tag_snapshot -> Snapshot_record
     | _ -> Partial_record
 
-  let scan_payload payload =
-    if String.length payload > 0 && Char.code payload.[0] = tag_event then
-      (Event_record, Some (record_of_payload payload))
-    else (check_payload payload, None)
-
-  (* ---------------------------------------------------------- framing *)
-
-  (* Frame layout: [u32le payload length][u32le crc32(payload)][payload].
-     The length prefix makes replay a streaming read with no line
-     splitting; the CRC separates interior corruption (a complete frame
-     whose bytes are wrong) from a torn tail (a frame the crash cut
-     short, necessarily at end of file). *)
-
-  let max_frame_bytes = 1 lsl 26 (* 64 MiB — far beyond any real record *)
-
-  let add_frame buf payload =
-    if String.length payload > max_frame_bytes then
-      invalid_arg "Serialize.Binary.add_frame: payload too large";
-    Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-    Buffer.add_int32_le buf (crc32 payload);
-    Buffer.add_string buf payload
-
-  let add_record_frame buf record =
-    let scratch = Buffer.create 256 in
-    emit_record scratch record;
-    add_frame buf (Buffer.contents scratch)
+  let scan_payload data ~pos ~len =
+    if len > 0 && Char.code data.[pos] = tag_event then
+      (Event_record, Some (record_of_payload data ~pos ~len))
+    else (check_payload data ~pos ~len, None)
 
   type frame =
-    | Frame of string  (** complete, CRC-verified payload *)
-    | Eof  (** clean end of input, on a frame boundary *)
-    | Torn  (** incomplete frame at end of input — crash damage *)
-    | Invalid of string  (** complete frame with wrong bytes — corruption *)
+    | Frame of int
+    | Eof
+    | Torn
+    | Invalid of string
 
-  (* [input ic] returns 0 only at end of file, so a short read below
-     really is a torn tail, not a transient condition. *)
-  let read_exact ic buf len =
-    let rec go off =
-      if off >= len then off
-      else
-        match input ic buf off (len - off) with
-        | 0 -> off
-        | n -> go (off + n)
-    in
-    go 0
-
-  let input_frame ic =
-    let header = Bytes.create 8 in
-    match read_exact ic header 8 with
-    | 0 -> Eof
-    | n when n < 8 -> Torn
-    | _ ->
-      let len = Int32.to_int (Bytes.get_int32_le header 0) in
-      let expected = Bytes.get_int32_le header 4 in
-      if len < 0 || len > max_frame_bytes then
-        Invalid (Printf.sprintf "implausible frame length %d" len)
-      else begin
-        let payload = Bytes.create len in
-        if read_exact ic payload len < len then Torn
-        else begin
-          let payload = Bytes.unsafe_to_string payload in
-          let actual = crc32 payload in
-          if actual <> expected then
-            Invalid
-              (Printf.sprintf "CRC mismatch: stored %08lx, computed %08lx"
-                 expected actual)
-          else Frame payload
-        end
-      end
-
-  let frame_of_string s pos =
+  let frame_at s pos =
     if pos >= String.length s then Eof
     else if pos + 8 > String.length s then Torn
     else
@@ -691,11 +775,10 @@ module Binary = struct
         Invalid (Printf.sprintf "implausible frame length %d" len)
       else if pos + 8 + len > String.length s then Torn
       else
-        let payload = String.sub s (pos + 8) len in
-        let actual = crc32 payload in
-        if actual <> expected then
+        let actual = crc32_range s (pos + 8) len in
+        if actual <> Int32.to_int expected land 0xFFFFFFFF then
           Invalid
             (Printf.sprintf "CRC mismatch: stored %08lx, computed %08lx"
-               expected actual)
-        else Frame payload
+               expected (Int32.of_int actual))
+        else Frame len
 end

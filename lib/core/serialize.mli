@@ -108,22 +108,50 @@ val parse_progress : source -> Progress.t
     wrong: {!Binary.Invalid}) from a {e torn tail} (a frame the crash cut
     short, necessarily at end of file: {!Binary.Torn}).  Floats are
     stored as IEEE-754 bit patterns, so every value round-trips exactly;
-    non-negative integers use unsigned LEB128 varints. *)
+    non-negative integers use unsigned LEB128 varints.
+
+    Records are encoded in place into a {!Binary.buffer} and read in
+    place out of the string that holds them: neither side copies a
+    record. *)
 
 module Binary : sig
   val crc32 : string -> int32
   (** IEEE 802.3 CRC32 (the gzip/PNG polynomial). *)
 
-  (** {3 Primitives} *)
+  (** {3 Frame buffer} *)
 
-  val add_u8 : Buffer.t -> int -> unit
-  val add_varint : Buffer.t -> int -> unit
+  type buffer
+  (** Growable bytes that records are framed into in place.  Not safe to
+      share between domains. *)
+
+  val buffer : unit -> buffer
+  (** An empty buffer. *)
+
+  val length : buffer -> int
+  val clear : buffer -> unit
+
+  val contents : buffer -> string
+  (** A copy of the bytes written so far. *)
+
+  val output : out_channel -> buffer -> int -> unit
+  (** [output oc b n] writes the first [n] bytes of [b].
+      @raise Invalid_argument unless [0 <= n <= length b]. *)
+
+  val add_string : buffer -> string -> unit
+  (** Append bytes as they are, unframed (a journal's text header). *)
+
+  (** {3 Primitives}
+
+      Unframed; {!add_record} frames what it writes. *)
+
+  val add_u8 : buffer -> int -> unit
+  val add_varint : buffer -> int -> unit
   (** Unsigned LEB128.  @raise Invalid_argument on a negative value. *)
 
-  val add_f64 : Buffer.t -> float -> unit
+  val add_f64 : buffer -> float -> unit
   (** IEEE-754 bit pattern, little-endian — exact round-trip. *)
 
-  val add_i64 : Buffer.t -> int64 -> unit
+  val add_i64 : buffer -> int64 -> unit
 
   type cursor
   (** Read position over a decoded payload. *)
@@ -164,26 +192,34 @@ module Binary : sig
 
   type record = Event of event | Snapshot of snapshot
 
-  val emit_record : Buffer.t -> record -> unit
-  (** Append the (unframed) record payload. *)
+  val add_record : buffer -> record -> unit
+  (** Append one framed record: the frame header, then the payload
+      encoded in place, then the header patched with the payload's length
+      and CRC.  The progress arrays and the arrangement are read where
+      they are, not copied.  A record that fails to encode leaves the
+      buffer as it was.
+      @raise Invalid_argument on a negative integer, or a payload over
+      64 MiB. *)
 
-  val record_of_payload : string -> record
-  (** Decode one record payload (as carried by a frame).
+  val record_of_payload : string -> pos:int -> len:int -> record
+  (** Decode the record payload in bytes [\[pos, pos + len)] of a string
+      (as {!frame_at} locates one).
       @raise Parse_error on an unknown tag, short payload, implausible
       count, a value {!Worker.make} or {!Progress.check_snapshot} refuses,
       or trailing bytes — on a CRC-verified frame any of these means
-      corruption, not a tear. *)
+      corruption, not a tear.
+      @raise Invalid_argument if the window is not inside the string. *)
 
   type kind = Event_record | Snapshot_record | Partial_record
   (** A record's tag: ['E'], ['S'] or ['P']. *)
 
-  val check_payload : string -> kind
+  val check_payload : string -> pos:int -> len:int -> kind
   (** The same grammar and rules as {!record_of_payload}, raising the same
       [Parse_error] on the same payloads, without building the record:
       no lists, no [Progress.t], no [Arrangement.t].  For records whose
       content will be thrown away. *)
 
-  val scan_payload : string -> kind * record option
+  val scan_payload : string -> pos:int -> len:int -> kind * record option
   (** Restore's one decode per record: an event payload is built into its
       record straight away, a snapshot's is only checked, as by
       {!check_payload}, and left for {!record_of_payload} ([None]).
@@ -191,21 +227,15 @@ module Binary : sig
 
   (** {3 Framing} *)
 
-  val add_frame : Buffer.t -> string -> unit
-  (** Append one framed payload (length prefix + CRC + bytes). *)
-
-  val add_record_frame : Buffer.t -> record -> unit
-  (** [emit_record] + [add_frame] in one step. *)
-
   type frame =
-    | Frame of string  (** complete, CRC-verified payload *)
+    | Frame of int
+        (** a complete, CRC-verified frame whose payload, of this many
+            bytes, follows its 8-byte header *)
     | Eof  (** clean end of input, on a frame boundary *)
     | Torn  (** incomplete frame at end of input — crash damage *)
     | Invalid of string  (** complete frame with wrong bytes — corruption *)
 
-  val input_frame : in_channel -> frame
-  (** Read the next frame from the channel's current position. *)
-
-  val frame_of_string : string -> int -> frame
-  (** Same, over a string starting at a byte offset. *)
+  val frame_at : string -> int -> frame
+  (** The frame starting at a byte offset of a string, checked in place:
+      nothing is copied. *)
 end

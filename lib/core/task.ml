@@ -9,6 +9,8 @@ let make ?epsilon ~id ~loc () =
   | Some e when not (e > 0.0 && e < 1.0) ->
     invalid_arg "Task.make: epsilon must lie in (0, 1)"
   | Some _ | None -> ());
+  if not Ltc_geo.Point.(Float.is_finite loc.x && Float.is_finite loc.y) then
+    invalid_arg "Task.make: location must be finite";
   { id; loc; epsilon }
 
 let pp fmt t =

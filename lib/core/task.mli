@@ -15,7 +15,8 @@ type t = {
 }
 
 val make : ?epsilon:float -> id:int -> loc:Ltc_geo.Point.t -> unit -> t
-(** @raise Invalid_argument when [epsilon] is outside (0, 1). *)
+(** @raise Invalid_argument when [epsilon] is outside (0, 1), then when a
+    coordinate of [loc] is NaN or infinite. *)
 
 val pp : Format.formatter -> t -> unit
 

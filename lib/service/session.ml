@@ -41,10 +41,10 @@ type journal = {
   checkpoint_every : int;
   fsync_on_commit : bool;
   group_commit : int;  (* records coalesced per write(2)/fsync *)
-  group : Buffer.t;  (* encoded but not yet written records *)
-  scratch : Buffer.t;
-      (* per-record staging for framing, reused across records so the hot
-         append path allocates no fresh buffer per event *)
+  group : B.buffer;
+      (* records framed in place and not yet written; compaction renders
+         its image here too, so framing allocates nothing once the buffer
+         has grown to the largest group or image *)
   mutable pending : int;  (* record count sitting in [group] *)
   mutable disk_bytes : int;
       (* exact on-disk size, tracked incrementally: every byte reaches
@@ -120,22 +120,23 @@ let derive_rngs ~seed =
 
 (* ----------------------------------------------------- crash-safe I/O *)
 
-(* All journal writes funnel through here: a named fault site (so the
-   chaos harness can tear or fail the write), wrapped in bounded-backoff
-   retries for transient errors.  A retried attempt re-probes the site —
-   consecutive scripted [Io_error]s therefore exercise multi-retry — and
-   is assumed to have written nothing (true for injected faults; the
-   torn-suffix/diagnostic paths of [restore] cover real partial
-   writes). *)
-let guarded_write ~site ~retries oc payload =
+(* All journal writes funnel through here: the whole of [buf] as one
+   [output], at a named fault site (so the chaos harness can tear or fail
+   the write), wrapped in bounded-backoff retries for transient errors.
+   A retried attempt re-probes the site — consecutive scripted
+   [Io_error]s therefore exercise multi-retry — and is assumed to have
+   written nothing (true for injected faults; the torn-suffix/diagnostic
+   paths of [restore] cover real partial writes). *)
+let guarded_write ~site ~retries oc buf =
   Fault.Retry.with_backoff
     ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr retries)
     (fun () ->
-      match Fault.check_write site ~len:(String.length payload) with
-      | None -> output_string oc payload
+      let len = B.length buf in
+      match Fault.check_write site ~len with
+      | None -> B.output oc buf len
       | Some n ->
         (* A torn write: persist a strict prefix, make it visible, die. *)
-        output_substring oc payload 0 n;
+        B.output oc buf n;
         flush oc;
         Fault.crash site)
 
@@ -346,9 +347,9 @@ let snapshot_of ~full t =
    per-event protocol. *)
 let commit_group t j =
   if j.pending > 0 then begin
-    let payload = Buffer.contents j.group in
-    guarded_write ~site:"journal.append" ~retries:t.m_retries j.oc payload;
-    Buffer.clear j.group;
+    let bytes = B.length j.group in
+    guarded_write ~site:"journal.append" ~retries:t.m_retries j.oc j.group;
+    B.clear j.group;
     j.pending <- 0;
     flush j.oc;
     if j.fsync_on_commit then begin
@@ -358,7 +359,7 @@ let commit_group t j =
           Ltc_util.Metrics.Counter.incr t.m_retries)
         (fun () -> fsync_channel j.oc)
     end;
-    j.disk_bytes <- j.disk_bytes + String.length payload;
+    j.disk_bytes <- j.disk_bytes + bytes;
     Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int j.disk_bytes)
   end
 
@@ -372,43 +373,49 @@ let commit_group t j =
    any fault site leaves exactly one journal visible — the old one
    (before the rename) or the compacted one (after) — never both, and a
    torn temp file is invisible to [restore] (it opens [path], and stale
-   [.tmp] debris is deleted on the next restore).  Returns the append
-   channel and the new file size. *)
-let compact t ~path ~fsync ~header_bytes =
+   [.tmp] debris is deleted on the next restore).
+
+   The image is rendered into [buf], the journal's group buffer, which
+   is empty here (the group was committed first): the header bytes and
+   one framed full snapshot, written as one payload.  [buf] is empty
+   again when this returns or raises.  Returns the append channel and
+   the new file size. *)
+let compact t ~path ~fsync ~header_bytes buf =
   let tmp = path ^ ".tmp" in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header_bytes;
-  B.add_record_frame buf (B.Snapshot (snapshot_of ~full:true t));
-  let payload = Buffer.contents buf in
-  Fault.Retry.with_backoff
-    ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
-    (fun () ->
-      (* Each attempt rewrites the temp file from scratch ([open_out_bin]
-         truncates), so a failed try never leaves half an attempt in
-         front of a fresh one. *)
-      let oc = open_out_bin tmp in
-      try
-        guarded_write ~site:"journal.checkpoint.write" ~retries:t.m_retries
-          oc payload;
-        Fault.check "journal.checkpoint.fsync";
-        (* The rename below is atomic whether or not the temp file ever
-           hits the platters, so process-crash safety never needs the
-           fsync — it buys power-loss durability, which is exactly what
-           [fsync] opts in to.  The fault sites stay probed either way so
-           chaos plans keep their meaning. *)
-        if fsync then fsync_channel oc else flush oc;
-        close_out oc
-      with e ->
-        close_out_noerr oc;
-        raise e);
+  let bytes =
+    Fun.protect ~finally:(fun () -> B.clear buf) @@ fun () ->
+    B.add_string buf header_bytes;
+    B.add_record buf (B.Snapshot (snapshot_of ~full:true t));
+    Fault.Retry.with_backoff
+      ~on_retry:(fun ~attempt:_ _ -> Ltc_util.Metrics.Counter.incr t.m_retries)
+      (fun () ->
+        (* Each attempt rewrites the temp file from scratch ([open_out_bin]
+           truncates), so a failed try never leaves half an attempt in
+           front of a fresh one. *)
+        let oc = open_out_bin tmp in
+        try
+          guarded_write ~site:"journal.checkpoint.write" ~retries:t.m_retries
+            oc buf;
+          Fault.check "journal.checkpoint.fsync";
+          (* The rename below is atomic whether or not the temp file ever
+             hits the platters, so process-crash safety never needs the
+             fsync — it buys power-loss durability, which is exactly what
+             [fsync] opts in to.  The fault sites stay probed either way so
+             chaos plans keep their meaning. *)
+          if fsync then fsync_channel oc else flush oc;
+          close_out oc
+        with e ->
+          close_out_noerr oc;
+          raise e);
+    B.length buf
+  in
   Fault.check "journal.checkpoint.rename";
   Sys.rename tmp path;
   Fault.check "journal.checkpoint.dir";
   if fsync then fsync_dir path;
   Ltc_util.Metrics.Counter.incr t.m_snapshots;
-  Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int (String.length payload));
-  ( open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path,
-    String.length payload )
+  Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int bytes);
+  (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path, bytes)
 
 let checkpoint t =
   if t.closed then invalid_arg "Session.checkpoint: session is closed";
@@ -422,20 +429,12 @@ let checkpoint t =
     close_out j.oc;
     let oc, bytes =
       compact t ~path:j.path ~fsync:j.fsync_on_commit
-        ~header_bytes:j.header_bytes
+        ~header_bytes:j.header_bytes j.group
     in
     j.oc <- oc;
     j.events_since_snapshot <- 0;
     j.snapshots_since_compact <- 0;
     j.disk_bytes <- bytes
-
-(* Frame [record] into the group buffer via the journal's reusable
-   scratch (the hot path appends thousands of records; a fresh staging
-   buffer per record is measurable allocator traffic). *)
-let add_framed j record =
-  Buffer.clear j.scratch;
-  B.emit_record j.scratch record;
-  B.add_frame j.group (Buffer.contents j.scratch)
 
 (* The fast path for a periodic checkpoint: a partial snapshot (progress,
    RNG states, arrivals consumed — no arrangement) is just another framed
@@ -450,7 +449,7 @@ let add_framed j record =
    {!restore}) sweeps out. *)
 let append_snapshot t j =
   Ltc_util.Trace.with_span "service:checkpoint" @@ fun () ->
-  add_framed j (B.Snapshot (snapshot_of ~full:false t));
+  B.add_record j.group (B.Snapshot (snapshot_of ~full:false t));
   j.pending <- j.pending + 1;
   j.events_since_snapshot <- 0;
   j.snapshots_since_compact <- j.snapshots_since_compact + 1;
@@ -463,7 +462,7 @@ let journal_event t (w : Worker.t) d =
   match t.journal with
   | None -> ()
   | Some j ->
-    add_framed j
+    B.add_record j.group
       (B.Event
          {
            B.e_worker = w;
@@ -473,7 +472,7 @@ let journal_event t (w : Worker.t) d =
          });
     j.pending <- j.pending + 1;
     j.events_since_snapshot <- j.events_since_snapshot + 1;
-    if j.pending >= j.group_commit || Buffer.length j.group >= max_group_bytes
+    if j.pending >= j.group_commit || B.length j.group >= max_group_bytes
     then commit_group t j;
     if j.events_since_snapshot >= j.checkpoint_every then
       if j.snapshots_since_compact >= compact_after_snapshots - 1 then
@@ -554,9 +553,9 @@ let check_options ?accept_rate ?deadline ~checkpoint_every ~group_commit
     deadline
 
 (* A journal appending through [oc] to a file of [disk_bytes] bytes that
-   starts with [header_bytes]. *)
+   starts with [header_bytes], framing into the (empty) buffer [group]. *)
 let open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
-    ~header_bytes ~disk_bytes =
+    ~header_bytes ~disk_bytes group =
   {
     path;
     oc;
@@ -564,8 +563,7 @@ let open_journal ~path ~oc ~checkpoint_every ~fsync ~group_commit
     checkpoint_every;
     fsync_on_commit = fsync;
     group_commit;
-    group = Buffer.create 4096;
-    scratch = Buffer.create 256;
+    group;
     pending = 0;
     disk_bytes;
     snapshots_since_compact = 0;
@@ -589,7 +587,7 @@ let attach_journal t ~path ~fsync ~group_commit =
   t.journal <-
     Some
       (open_journal ~path ~oc ~checkpoint_every:t.header.checkpoint_every
-         ~fsync ~group_commit ~header_bytes ~disk_bytes);
+         ~fsync ~group_commit ~header_bytes ~disk_bytes (B.buffer ()));
   Ltc_util.Metrics.Gauge.set t.m_bytes (float_of_int disk_bytes)
 
 let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
@@ -881,8 +879,9 @@ let scan_text ~path src =
    with Torn_tail -> ());
   (List.rev !items, !torn_at)
 
-(* Same pass over a binary journal body: framed records streamed straight
-   off the channel, no line splitting.  The CRC does the triage work the
+(* Same pass over a binary journal body, read in one piece and framed in
+   place: each frame's payload is decoded where it sits in the body, so
+   no record is copied out.  The CRC does the triage work the
    text scanner gets from its record grammar — an incomplete frame can
    only sit at end of file ([B.Torn]: expected crash damage, dropped),
    while a complete frame with wrong bytes, or a CRC-valid frame that
@@ -900,6 +899,9 @@ let scan_text ~path src =
    record before it, a partial one only the partial before it; each
    record is dropped as soon as it is superseded. *)
 let scan_binary ~path ~version ic =
+  (* Byte [pos] of [body] is byte [base + pos] of the file. *)
+  let base = pos_in ic in
+  let body = really_input_string ic (in_channel_length ic - base) in
   (* (kind, index, offset, record) of every record, newest first; the
      record cell is emptied once the record is superseded. *)
   let scanned = ref [] in
@@ -907,10 +909,11 @@ let scan_binary ~path ~version ic =
   let partial = ref None in  (* the latest partial's cell since then *)
   let records = ref 0 in
   let torn_at = ref None in
+  let pos = ref 0 in
   let continue = ref true in
   while !continue do
-    let offset = pos_in ic in
-    match B.input_frame ic with
+    let offset = base + !pos in
+    match B.frame_at body !pos with
     | B.Eof -> continue := false
     | B.Torn ->
       torn_at := Some offset;
@@ -920,9 +923,11 @@ let scan_binary ~path ~version ic =
         "corrupted record %d at byte %d: %s — refusing to drop acknowledged \
          state"
         (!records + 1) offset reason
-    | B.Frame payload -> (
+    | B.Frame len -> (
+      let payload = !pos + 8 in
+      pos := payload + len;
       incr records;
-      match B.scan_payload payload with
+      match B.scan_payload body ~pos:payload ~len with
       | kind, built ->
         if kind = B.Partial_record && version < 4 then
           corrupt ~path
@@ -934,7 +939,7 @@ let scan_binary ~path ~version ic =
             (Some
                (match built with
                | Some record -> Lazy.from_val record
-               | None -> lazy (B.record_of_payload payload)))
+               | None -> lazy (B.record_of_payload body ~pos:payload ~len)))
         in
         (match kind with
         | B.Snapshot_record ->
@@ -1166,15 +1171,16 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
   (* Re-attach the journal (same file unless redirected) by compacting
      into it immediately: torn tail bytes vanish, recovery stays bounded,
      and a text or v3 source comes out as v4 binary. *)
+  let group = B.buffer () in
   let oc, disk_bytes =
     Ltc_util.Trace.with_span "service:checkpoint" @@ fun () ->
-    compact t ~path:journal_path ~fsync ~header_bytes
+    compact t ~path:journal_path ~fsync ~header_bytes group
   in
   t.journal <-
     Some
       (open_journal ~path:journal_path ~oc
          ~checkpoint_every:(max 1 header.checkpoint_every)
-         ~fsync ~group_commit ~header_bytes ~disk_bytes);
+         ~fsync ~group_commit ~header_bytes ~disk_bytes group);
   t
 
 (* ------------------------------------------------ offline journal tools *)

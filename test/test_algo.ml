@@ -251,6 +251,103 @@ let test_engine_step_allocation () =
           per_arrival bound)
     [ ("AAM", Aam.policy, 235.0); ("LAF", Laf.policy, 220.0) ]
 
+(* Words [f] allocates.  [Gc.allocated_bytes], unlike [Gc.minor_words],
+   also counts what goes straight to the major heap, such as a copy of a
+   3 000-float array.  It subtracts promoted words, which a minor
+   collection counts for what the window allocated before it, so one is
+   forced at each end. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let with_journal_file f =
+  let path = Filename.temp_file "ltc_algo_test" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* A journal adds little to a warm arrival: LAF fed through a binary
+   journal (group commit 64, no checkpoint in the window) against the
+   same feed without one, over the arrivals of the step allocation test
+   above.  Measured: 11.3 words an arrival more, 7 of them the event
+   record the session builds.  The
+   Buffer-based encoder the frame buffer replaced took 90.8: it staged
+   each record in a scratch [Buffer], copied it out, framed it into the
+   group [Buffer] and copied the group out again. *)
+let test_journal_feed_allocation () =
+  let instance =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      (Ltc_workload.Spec.scale_synthetic 0.1
+         Ltc_workload.Spec.default_synthetic)
+  in
+  let workers = instance.Instance.workers in
+  with_journal_file @@ fun path ->
+  let per_arrival s =
+    for i = 0 to 63 do
+      ignore (Ltc_service.Session.feed s workers.(i))
+    done;
+    let words =
+      allocated_words (fun () ->
+          for i = 64 to 64 + 511 do
+            ignore (Ltc_service.Session.feed s workers.(i))
+          done)
+    in
+    Alcotest.(check bool) "still open" false (Ltc_service.Session.completed s);
+    Ltc_service.Session.close s;
+    words /. 512.0
+  in
+  let plain () =
+    per_arrival
+      (Ltc_service.Session.create ~algorithm:Algorithm.laf ~seed:1 instance)
+  in
+  (* The first pass sizes the candidate query's scratch. *)
+  ignore (plain ());
+  let plain = plain () in
+  let journaled =
+    per_arrival
+      (Ltc_service.Session.create ~journal:path ~checkpoint_every:100_000
+         ~group_commit:64 ~algorithm:Algorithm.laf ~seed:1 instance)
+  in
+  if journaled -. plain > 20.0 then
+    Alcotest.failf "a journaled arrival allocates %.1f words more (bound 20)"
+      (journaled -. plain)
+
+(* An appended (partial) checkpoint costs a constant, not O(|T|): on a
+   3 000-task session the arrival that appends one allocates 91 words
+   more than the arrivals before it (the snapshot record, the span and
+   the commit), with the progress arrays encoded where they are.  The
+   Buffer-based encoder took 30 178: it copied both progress arrays,
+   staged the 48 KiB payload, framed it and copied the group out. *)
+let test_partial_checkpoint_allocation () =
+  let instance =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      { Ltc_workload.Spec.default_synthetic with n_workers = 200 }
+  in
+  let workers = instance.Instance.workers in
+  with_journal_file @@ fun path ->
+  let s =
+    Ltc_service.Session.create ~journal:path ~checkpoint_every:8
+      ~group_commit:64 ~algorithm:Algorithm.laf ~seed:1 instance
+  in
+  let feed i = ignore (Ltc_service.Session.feed s workers.(i)) in
+  (* Arrival 8 appends the first checkpoint, which sizes the buffers. *)
+  for i = 0 to 7 do
+    feed i
+  done;
+  let plain = allocated_words (fun () -> for i = 8 to 14 do feed i done) in
+  let checkpointed = allocated_words (fun () -> feed 15) in
+  let info = Ltc_service.Session.Journal.inspect ~path in
+  Alcotest.(check int) "two partial snapshots" 2
+    info.Ltc_service.Session.Journal.partial_snapshots;
+  Ltc_service.Session.close s;
+  let extra = checkpointed -. (plain /. 7.0) in
+  if extra > 300.0 then
+    Alcotest.failf "a partial checkpoint allocates %.1f words (bound 300)"
+      extra
+
 (* -------------------------------------- validity across all algorithms *)
 
 let all_algorithms = Algorithm.paper
@@ -780,6 +877,21 @@ let test_flow_lower_bound_empty () =
    six units cannot route through three), once more with a third task
    out of every worker's reach (no candidate, so no demand to count). *)
 let test_feasibility_pins () =
+  (* One task, and three workers at its location who answer at random
+     (p = 0.5): their best score is 8.7e-27, so the demand quotient is
+     far past [max_int] and the task is starved.  When that quotient
+     wrapped to a demand of 0 the screen read "may be feasible (routed 0
+     of 0 demand units)" and the bound [Some 1]. *)
+  let coin_flip () =
+    let at_origin = Ltc_geo.Point.make ~x:0.0 ~y:0.0 in
+    Instance.create
+      ~tasks:[| Task.make ~id:0 ~loc:at_origin () |]
+      ~workers:
+        (Array.init 3 (fun k ->
+             Worker.make ~index:(k + 1) ~loc:at_origin ~accuracy:0.5
+               ~capacity:1))
+      ~epsilon:0.2 ()
+  in
   let crowded ~far =
     let at x = Ltc_geo.Point.make ~x ~y:0.0 in
     let tasks =
@@ -822,7 +934,11 @@ let test_feasibility_pins () =
         crowded ~far:true,
         ((false, (6, 0)), [ 2 ]),
         None );
-    ]
+      ("coin-flip workers", coin_flip (), ((false, (0, 0)), [ 0 ]), None);
+    ];
+  (* LAF never completes the task the screen certifies infeasible. *)
+  Alcotest.(check bool) "coin-flip workers: LAF incomplete" false
+    (Laf.run (coin_flip ())).Engine.completed
 
 (* ---------------------------------------------------------------- noshow *)
 
@@ -1214,6 +1330,10 @@ let suite =
           test_engine_incomplete_when_starved;
         Alcotest.test_case "warm step allocation" `Quick
           test_engine_step_allocation;
+        Alcotest.test_case "warm journaled feed allocation" `Quick
+          test_journal_feed_allocation;
+        Alcotest.test_case "partial checkpoint allocation" `Quick
+          test_partial_checkpoint_allocation;
       ] );
     ( "algo.validity",
       [

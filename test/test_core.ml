@@ -86,6 +86,23 @@ let test_custom_clamped () =
   let w = worker_at ~x:0.0 ~y:0.0 ~p:0.9 in
   check_float "clamped to 1" 1.0 (Accuracy.acc model w (task_at ~x:0.0 ~y:0.0))
 
+(* ------------------------------------------------------------------ Task *)
+
+(* A task off the finite plane is refused where it is made; an instance
+   over one used to fail inside the grid build, with "index out of
+   bounds". *)
+let test_task_validation () =
+  List.iter
+    (fun (x, y) ->
+      Alcotest.check_raises
+        (Printf.sprintf "location (%g, %g)" x y)
+        (Invalid_argument "Task.make: location must be finite") (fun () ->
+          ignore (Task.make ~id:0 ~loc:(point ~x ~y) ())))
+    [ (Float.nan, 0.0); (Float.infinity, 0.0); (0.0, Float.neg_infinity) ];
+  Alcotest.check_raises "epsilon first"
+    (Invalid_argument "Task.make: epsilon must lie in (0, 1)") (fun () ->
+      ignore (Task.make ~epsilon:2.0 ~id:0 ~loc:(point ~x:Float.nan ~y:0.0) ()))
+
 (* ---------------------------------------------------------------- Worker *)
 
 let test_worker_validation () =
@@ -1525,6 +1542,7 @@ let prop_progress_threshold_per_task =
 (* --------------------------------------------- qcheck: binary codec *)
 
 module B = Serialize.Binary
+module Oracle = Journal_oracle
 
 (* Arbitrary byte strings (the stock string gen skews printable). *)
 let bytes_gen =
@@ -1535,6 +1553,20 @@ let bytes_gen =
         String.init (Array.length a) (fun i -> Char.chr a.(i)))
       (list_size (int_range 0 400) (int_range 0 255)))
 
+(* Whole-string decoders. *)
+let record_of payload =
+  B.record_of_payload payload ~pos:0 ~len:(String.length payload)
+
+let check_of payload =
+  B.check_payload payload ~pos:0 ~len:(String.length payload)
+
+(* The payload of the one record framed into [buf]. *)
+let framed_payload buf =
+  let s = B.contents buf in
+  match B.frame_at s 0 with
+  | B.Frame len when 8 + len = String.length s -> Some (String.sub s 8 len)
+  | B.Frame _ | B.Eof | B.Torn | B.Invalid _ -> None
+
 let test_crc32_vectors () =
   (* The IEEE 802.3 check value, plus the empty-string fixed point. *)
   Alcotest.(check int32) "check value" 0xCBF43926l (B.crc32 "123456789");
@@ -1544,20 +1576,9 @@ let prop_crc32_matches_bitwise_reference =
   (* The sliced-by-8 table implementation against the from-the-definition
      bitwise fold, over arbitrary bytes and lengths (covering every
      remainder-loop tail length). *)
-  let reference s =
-    let c = ref 0xFFFFFFFF in
-    String.iter
-      (fun ch ->
-        c := !c lxor Char.code ch;
-        for _ = 0 to 7 do
-          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done)
-      s;
-    Int32.of_int (lnot !c land 0xFFFFFFFF)
-  in
   QCheck2.Test.make ~name:"crc32 matches the bitwise definition" ~count:300
     bytes_gen
-    (fun s -> B.crc32 s = reference s)
+    (fun s -> B.crc32 s = Oracle.crc32 s)
 
 let prop_varint_roundtrip =
   QCheck2.Test.make ~name:"varint round-trips any non-negative int"
@@ -1566,19 +1587,19 @@ let prop_varint_roundtrip =
       oneof
         [ int_range 0 300; map (fun n -> n land max_int) int ])
     (fun n ->
-      let buf = Buffer.create 10 in
+      let buf = B.buffer () in
       B.add_varint buf n;
-      let c = B.cursor (Buffer.contents buf) in
+      let c = B.cursor (B.contents buf) in
       B.varint c = n && B.at_end c)
 
 let prop_scalar_roundtrip =
   QCheck2.Test.make ~name:"f64/i64 round-trip bit-exactly" ~count:300
     QCheck2.Gen.(pair float int)
     (fun (f, n) ->
-      let buf = Buffer.create 16 in
+      let buf = B.buffer () in
       B.add_f64 buf f;
       B.add_i64 buf (Int64.of_int n);
-      let c = B.cursor (Buffer.contents buf) in
+      let c = B.cursor (B.contents buf) in
       let f' = B.f64 c in
       let n' = B.i64 c in
       (* NaN-proof: compare the payload bits, not the floats. *)
@@ -1611,18 +1632,15 @@ let prop_event_record_roundtrip =
   QCheck2.Test.make ~name:"event record round-trips through the frame"
     ~count:300 event_gen
     (fun e ->
-      let buf = Buffer.create 64 in
-      B.add_record_frame buf (B.Event e);
-      match B.frame_of_string (Buffer.contents buf) 0 with
-      | B.Frame payload -> (
-        match B.record_of_payload payload with
-        | B.Event e' ->
-          e'.B.e_worker = e.B.e_worker
-          && e'.B.e_degraded = e.B.e_degraded
-          && e'.B.e_assigned = e.B.e_assigned
-          && e'.B.e_answered = e.B.e_answered
-        | B.Snapshot _ -> false)
-      | B.Eof | B.Torn | B.Invalid _ -> false)
+      let buf = B.buffer () in
+      B.add_record buf (B.Event e);
+      match Option.map record_of (framed_payload buf) with
+      | Some (B.Event e') ->
+        e'.B.e_worker = e.B.e_worker
+        && e'.B.e_degraded = e.B.e_degraded
+        && e'.B.e_assigned = e.B.e_assigned
+        && e'.B.e_answered = e.B.e_answered
+      | Some (B.Snapshot _) | None -> false)
 
 let snapshot_gen =
   QCheck2.Gen.(
@@ -1644,45 +1662,140 @@ let arrangement_of =
        (fun a (worker, task) -> Arrangement.add a ~worker ~task)
        Arrangement.empty)
 
+let snapshot_of_gen (spec, consumed, policy, noshow, assignments) =
+  let thresholds = Array.of_list (List.map fst spec) in
+  let p = Progress.create_per_task ~thresholds () in
+  List.iteri (fun task (_, score) -> Progress.record p ~task ~score) spec;
+  {
+    B.s_consumed = consumed;
+    s_policy = policy;
+    s_noshow = noshow;
+    s_progress = p;
+    s_arrangement = arrangement_of assignments;
+  }
+
 let prop_snapshot_record_roundtrip =
   QCheck2.Test.make ~name:"snapshot record round-trips through the frame"
     ~count:200 snapshot_gen
-    (fun (spec, consumed, policy, noshow, assignments) ->
-      let thresholds = Array.of_list (List.map fst spec) in
-      let p = Progress.create_per_task ~thresholds () in
-      List.iteri (fun task (_, score) -> Progress.record p ~task ~score) spec;
-      let arrangement = arrangement_of assignments in
-      let s =
-        {
-          B.s_consumed = consumed;
-          s_policy = policy;
-          s_noshow = noshow;
-          s_progress = p;
-          s_arrangement = arrangement;
-        }
-      in
-      let buf = Buffer.create 256 in
-      B.add_record_frame buf (B.Snapshot s);
-      match B.frame_of_string (Buffer.contents buf) 0 with
-      | B.Frame payload -> (
-        match B.record_of_payload payload with
+    (fun gen ->
+      let s = snapshot_of_gen gen in
+      let buf = B.buffer () in
+      B.add_record buf (B.Snapshot s);
+      match framed_payload buf with
+      | None -> false
+      | Some payload -> (
+        match record_of payload with
         | B.Snapshot s' ->
-          s'.B.s_consumed = consumed
-          && s'.B.s_policy = policy
-          && s'.B.s_noshow = noshow
-          && Progress.snapshot s'.B.s_progress = Progress.snapshot p
+          s'.B.s_consumed = s.B.s_consumed
+          && s'.B.s_policy = s.B.s_policy
+          && s'.B.s_noshow = s.B.s_noshow
+          && Progress.snapshot s'.B.s_progress
+             = Progress.snapshot s.B.s_progress
           && Option.map Arrangement.to_list s'.B.s_arrangement
-             = Option.map Arrangement.to_list arrangement
-          && (payload.[0] = 'S') = Option.is_some arrangement
-        | B.Event _ -> false)
-      | B.Eof | B.Torn | B.Invalid _ -> false)
+             = Option.map Arrangement.to_list s.B.s_arrangement
+          && (payload.[0] = 'S') = Option.is_some s.B.s_arrangement
+        | B.Event _ -> false))
+
+(* Integers on each side of every 7-bit varint boundary, up to the
+   largest, with small ones mixed in. *)
+let varint_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 300;
+        oneofl
+          (max_int
+          :: List.concat_map
+               (fun k -> [ (1 lsl (7 * k)) - 1; 1 lsl (7 * k) ])
+               [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+      ])
+
+(* Records the encoder never sees from a session: varints at every
+   boundary, empty and long lists, any float bits (a literal worker:
+   [Worker.make] would refuse most of them). *)
+let wide_event_gen =
+  QCheck2.Gen.(
+    let positive = map (fun n -> max 1 n) varint_gen in
+    let length = oneof [ return 0; int_range 1 4; int_range 120 300 ] in
+    let list = list_size length varint_gen in
+    let* index = positive in
+    let* capacity = positive in
+    let* x = float and* y = float and* accuracy = float in
+    let* degraded = bool in
+    let* assigned = list and* answered = list in
+    return
+      (B.Event
+         {
+           B.e_worker = { Worker.index; loc = point ~x ~y; accuracy; capacity };
+           e_degraded = degraded;
+           e_assigned = assigned;
+           e_answered = answered;
+         }))
+
+let wide_snapshot_gen =
+  QCheck2.Gen.(
+    let* base = snapshot_gen in
+    let* wide = opt (list_size (int_range 0 60) (pair varint_gen varint_gen)) in
+    let s = snapshot_of_gen base in
+    (* A full snapshot's arrangement, widened; a partial one stays. *)
+    return
+      (B.Snapshot
+         (match (wide, s.B.s_arrangement) with
+         | Some pairs, Some _ ->
+           { s with B.s_arrangement = arrangement_of (Some pairs) }
+         | _ -> s)))
+
+(* One frame buffer, reused and cleared between cases as a journal
+   reuses its group buffer, so growth and reuse are both exercised. *)
+let shared_buffer = B.buffer ()
+
+let prop_frame_buffer_matches_oracle =
+  QCheck2.Test.make ~name:"frame buffer writes the oracle's bytes" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 6) (oneof [ wide_event_gen; wide_snapshot_gen ]))
+    (fun records ->
+      B.clear shared_buffer;
+      let oracle = Buffer.create 1024 in
+      List.iter
+        (fun r ->
+          B.add_record shared_buffer r;
+          Oracle.add_record_frame oracle r)
+        records;
+      B.contents shared_buffer = Buffer.contents oracle)
+
+(* A record that fails to encode leaves the buffer as it was. *)
+let test_failed_record_leaves_buffer () =
+  let buf = B.buffer () in
+  let ok =
+    B.Event
+      {
+        B.e_worker =
+          Worker.make ~index:1 ~loc:(point ~x:1.0 ~y:2.0) ~accuracy:0.9
+            ~capacity:2;
+        e_degraded = false;
+        e_assigned = [ 3 ];
+        e_answered = [ 3 ];
+      }
+  in
+  B.add_record buf ok;
+  let before = B.contents buf in
+  (match ok with
+  | B.Event e ->
+    Alcotest.check_raises "negative task"
+      (Invalid_argument "Serialize.Binary.add_varint: negative") (fun () ->
+        B.add_record buf (B.Event { e with B.e_answered = [ 3; -1 ] }))
+  | B.Snapshot _ -> assert false);
+  Alcotest.(check string) "buffer unchanged" before (B.contents buf)
 
 (* The decoder's two modes are one grammar: on any payload, intact or
    damaged, [check_payload] refuses exactly when [record_of_payload] does,
-   with the same message, and otherwise names the record's kind. *)
+   with the same message, and otherwise names the record's kind.  The
+   payload is also decoded as a window inside other bytes, as restore
+   reads it inside a journal body: the window's bounds, not the string's,
+   decide every length check and the trailing-byte count. *)
 let prop_check_payload_agrees =
-  let outcome f payload =
-    match f payload with
+  let outcome f =
+    match f () with
     | v -> Ok v
     | exception Serialize.Parse_error { message; _ } -> Error message
   in
@@ -1698,32 +1811,16 @@ let prop_check_payload_agrees =
         oneof
           [
             map (fun e -> B.Event e) event_gen;
-            map
-              (fun (spec, consumed, policy, noshow, assignments) ->
-                let thresholds = Array.of_list (List.map fst spec) in
-                let p = Progress.create_per_task ~thresholds () in
-                List.iteri
-                  (fun task (_, score) -> Progress.record p ~task ~score)
-                  spec;
-                B.Snapshot
-                  {
-                    B.s_consumed = consumed;
-                    s_policy = policy;
-                    s_noshow = noshow;
-                    s_progress = p;
-                    s_arrangement = arrangement_of assignments;
-                  })
-              snapshot_gen;
+            map (fun g -> B.Snapshot (snapshot_of_gen g)) snapshot_gen;
           ]
       in
       let* damage = int_range 0 3 in
       let* at = nat in
       let* byte = int_range 0 255 in
-      return (record, damage, at, byte))
-    (fun (record, damage, at, byte) ->
-      let buf = Buffer.create 256 in
-      B.emit_record buf record;
-      let payload = Buffer.contents buf in
+      let* before = bytes_gen and* after = bytes_gen in
+      return (record, damage, at, byte, before, after))
+    (fun (record, damage, at, byte, before, after) ->
+      let payload = Oracle.payload record in
       let len = String.length payload in
       let payload =
         match damage with
@@ -1735,9 +1832,19 @@ let prop_check_payload_agrees =
         | 2 -> String.sub payload 0 (at mod len)
         | _ -> payload ^ String.make 1 (Char.chr byte)
       in
-      match
-        (outcome B.record_of_payload payload, outcome B.check_payload payload)
-      with
+      let padded = before ^ payload ^ after in
+      let pos = String.length before and len = String.length payload in
+      let built = outcome (fun () -> record_of payload) in
+      let in_window =
+        outcome (fun () -> B.record_of_payload padded ~pos ~len)
+      in
+      let checked = outcome (fun () -> B.check_payload padded ~pos ~len) in
+      (match (built, in_window) with
+      | Ok r, Ok r' -> Oracle.payload r = Oracle.payload r'
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+      &&
+      match (built, checked) with
       | Ok r, Ok kind -> kind_of r = kind
       | Error a, Error b -> a = b
       | Ok _, Error _ | Error _, Ok _ -> false)
@@ -1745,27 +1852,22 @@ let prop_check_payload_agrees =
 (* NaN and infinities in a CRC-valid record are corruption: every rule
    that compares them would let them through. *)
 let test_binary_non_finite () =
-  let payload_of record =
-    let buf = Buffer.create 256 in
-    B.emit_record buf record;
-    Buffer.contents buf
-  in
   let refused_payload label affix payload =
     let message f =
       match f payload with
       | _ -> Alcotest.failf "%s: decoded" label
       | exception Serialize.Parse_error { message; _ } -> message
     in
-    let built = message (fun p -> ignore (B.record_of_payload p)) in
+    let built = message (fun p -> ignore (record_of p)) in
     Alcotest.(check bool)
       (Printf.sprintf "%s: %S names %S" label built affix)
       true
       (Astring.String.is_infix ~affix built);
     Alcotest.(check string) (label ^ ": checked alike") built
-      (message (fun p -> ignore (B.check_payload p)))
+      (message (fun p -> ignore (check_of p)))
   in
   let refused label affix record =
-    refused_payload label affix (payload_of record)
+    refused_payload label affix (Oracle.payload record)
   in
   let event ?(x = 1.0) ?(y = 2.0) ?(accuracy = 0.9) () =
     B.Event
@@ -1794,7 +1896,7 @@ let test_binary_non_finite () =
     let p = Progress.create ~threshold:1.0 ~n_tasks:3 in
     Progress.record p ~task:1 ~score:marker;
     let payload =
-      payload_of
+      Oracle.payload
         (B.Snapshot
            {
              B.s_consumed = 1;
@@ -1818,23 +1920,25 @@ let test_binary_non_finite () =
 let test_frame_triage () =
   (* Two frames back to back: clean walk, then every damage class. *)
   let buf = Buffer.create 64 in
-  B.add_frame buf "first payload";
-  B.add_frame buf "second";
+  Oracle.add_frame buf "first payload";
+  Oracle.add_frame buf "second";
   let s = Buffer.contents buf in
   let first_len = 8 + String.length "first payload" in
-  (match B.frame_of_string s 0 with
-  | B.Frame p -> Alcotest.(check string) "frame 1" "first payload" p
-  | _ -> Alcotest.fail "expected first frame");
-  (match B.frame_of_string s first_len with
-  | B.Frame p -> Alcotest.(check string) "frame 2" "second" p
-  | _ -> Alcotest.fail "expected second frame");
-  (match B.frame_of_string s (String.length s) with
+  let payload_at s pos =
+    match B.frame_at s pos with
+    | B.Frame len -> Some (String.sub s (pos + 8) len)
+    | B.Eof | B.Torn | B.Invalid _ -> None
+  in
+  Alcotest.(check (option string)) "frame 1" (Some "first payload")
+    (payload_at s 0);
+  Alcotest.(check (option string)) "frame 2" (Some "second")
+    (payload_at s first_len);
+  (match B.frame_at s (String.length s) with
   | B.Eof -> ()
   | _ -> Alcotest.fail "expected Eof on the end boundary");
   (* Truncation anywhere inside a frame is a torn tail... *)
   for cut = 1 to String.length s - first_len - 1 do
-    match B.frame_of_string (String.sub s 0 (String.length s - cut)) first_len
-    with
+    match B.frame_at (String.sub s 0 (String.length s - cut)) first_len with
     | B.Torn -> ()
     | _ -> Alcotest.failf "expected Torn at cut=%d" cut
   done;
@@ -1844,12 +1948,12 @@ let test_frame_triage () =
       (fun j ch -> if i = j then Char.chr (Char.code ch lxor 0x40) else ch)
       s
   in
-  (match B.frame_of_string (flip (first_len + 9) s) first_len with
+  (match B.frame_at (flip (first_len + 9) s) first_len with
   | B.Invalid reason ->
     Alcotest.(check bool) "CRC named" true
       (Astring.String.is_infix ~affix:"CRC" reason)
   | _ -> Alcotest.fail "expected Invalid on a flipped payload byte");
-  (match B.frame_of_string (flip 3 s) 0 with
+  (match B.frame_at (flip 3 s) 0 with
   | B.Invalid _ | B.Torn -> ()
   | _ -> Alcotest.fail "expected Invalid/Torn on a mangled length")
 
@@ -1873,6 +1977,11 @@ let suite =
           test_sigmoid_monotone_in_distance;
         Alcotest.test_case "acc_star" `Quick test_acc_star;
         Alcotest.test_case "custom clamped" `Quick test_custom_clamped;
+      ] );
+    ( "core.task",
+      [
+        Alcotest.test_case "non-finite location refused" `Quick
+          test_task_validation;
       ] );
     ( "core.worker",
       [ Alcotest.test_case "validation and trust" `Quick test_worker_validation ] );
@@ -1953,6 +2062,9 @@ let suite =
         qcheck prop_check_payload_agrees;
         Alcotest.test_case "non-finite values refused" `Quick
           test_binary_non_finite;
+        qcheck prop_frame_buffer_matches_oracle;
+        Alcotest.test_case "a failed record leaves the buffer" `Quick
+          test_failed_record_leaves_buffer;
       ] );
     ( "core.svg",
       [

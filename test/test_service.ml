@@ -509,6 +509,86 @@ let test_compaction_bounds_journal () =
     (1, 0) (counts ());
   Session.close s
 
+(* ---------------------------------------------------- journal byte pins *)
+
+(* What the journal writer puts on disk, pinned by MD5 digest.  The
+   digests were recorded with the Buffer-based encoder the frame buffer
+   replaced (test/journal_oracle.ml keeps it), so each file below is
+   byte for byte what that encoder wrote.  LAF on a 300-task synthetic
+   instance, a checkpoint every 16 arrivals and group commit 8: 600
+   arrivals hold 37 periodic checkpoints, of which the 16th and 32nd
+   compact, and end in a tail of 5 partial snapshots and 88 events. *)
+let pin_instance () =
+  Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:5)
+    (Ltc_workload.Spec.scale_synthetic 0.1
+       Ltc_workload.Spec.default_synthetic)
+
+let pin_digest label want path =
+  Alcotest.(check string) label want (Digest.to_hex (Digest.file path))
+
+let pin_session instance path =
+  Session.create ~journal:path ~checkpoint_every:16 ~group_commit:8
+    ~algorithm:Ltc_algo.Algorithm.laf ~seed:3 instance
+
+let test_journal_bytes_pinned () =
+  let instance = pin_instance () in
+  let ws = instance.Ltc_core.Instance.workers in
+  let feed_prefix s n =
+    for i = 0 to n - 1 do
+      ignore (Session.feed s ws.(i))
+    done
+  in
+  (* A closed journal. *)
+  (with_tmp_journal @@ fun path ->
+   let s = pin_session instance path in
+   feed_prefix s 600;
+   Alcotest.(check bool) "still open after 600 arrivals" false
+     (Session.completed s);
+   Session.close s;
+   let info = Session.Journal.inspect ~path in
+   Alcotest.(check (pair int int)) "full and partial snapshots" (6, 5)
+     (info.Session.Journal.snapshots, info.Session.Journal.partial_snapshots);
+   pin_digest "closed journal" "9a5e76b765a640d834703aaecd51ec7b" path);
+  (* The file a restore of a crash fixture compacts into: the session is
+     abandoned 5 arrivals into a commit group, so the restore drops them. *)
+  with_tmp_journal @@ fun source ->
+  with_tmp_journal @@ fun target ->
+  feed_prefix (pin_session instance source) 597;
+  let s = Session.restore ~journal:target ~path:source () in
+  Alcotest.(check int) "restored at the last commit" 592 (Session.consumed s);
+  Session.close s;
+  pin_digest "restore compaction" "d4da589841b3566da70dde1ce9e828cb" target
+
+(* A 2-shard server's manifest and shard journals. *)
+let test_shard_journal_bytes_pinned () =
+  let instance = pin_instance () in
+  let base = Filename.temp_file "ltc_service_test" ".manifest" in
+  let files =
+    base
+    :: List.init 2 (fun shard -> Shard_server.shard_journal_path ~base ~shard)
+  in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files)
+  @@ fun () ->
+  let srv =
+    Shard_server.create ~mode:Shard_server.Inline ~journal:base
+      ~checkpoint_every:16 ~group_commit:8 ~shards:2
+      ~algorithm:Ltc_algo.Algorithm.laf ~seed:3 instance
+  in
+  Array.iteri
+    (fun i w -> if i < 600 then ignore (Shard_server.feed srv w))
+    instance.Ltc_core.Instance.workers;
+  ignore (Shard_server.flush srv);
+  Shard_server.close srv;
+  List.iter2
+    (fun (label, want) path -> pin_digest label want path)
+    [
+      ("manifest", "5f7c707ee4d5bd2110fda0040f432c10");
+      ("shard 0 journal", "f1ba97e18608285821c27d10119b1b9b");
+      ("shard 1 journal", "77d4d870eddfb697ea5c6098ff5b468c");
+    ]
+    files
+
 (* ------------------------------------------------------------ contracts *)
 
 let test_create_validation () =
@@ -692,6 +772,9 @@ let test_interior_corruption_diagnosed () =
 
 module B = Ltc_core.Serialize.Binary
 
+let record_of payload =
+  B.record_of_payload payload ~pos:0 ~len:(String.length payload)
+
 (* A closed binary journal holding several appended (partial) snapshots
    ([close] does not compact), as its header bytes plus its frames:
    (offset, payload) in file order.  With a checkpoint every 8 arrivals,
@@ -726,9 +809,9 @@ let superseded_fixture () =
   Alcotest.(check string) "journal starts with its header" header
     (String.sub bytes 0 (String.length header));
   let rec frames pos acc =
-    match B.frame_of_string bytes pos with
-    | B.Frame payload ->
-      frames (pos + 8 + String.length payload) ((pos, payload) :: acc)
+    match B.frame_at bytes pos with
+    | B.Frame len ->
+      frames (pos + 8 + len) ((pos, String.sub bytes (pos + 8) len) :: acc)
     | B.Eof -> List.rev acc
     | B.Torn | B.Invalid _ -> Alcotest.fail "fixture frames must be intact"
   in
@@ -740,12 +823,12 @@ let is_partial payload = payload.[0] = 'P'
    on each score, so a test can write a CRC-valid partial snapshot holding
    a value the encoder would never produce. *)
 let reencode_partial ~score payload =
-  match B.record_of_payload payload with
+  match record_of payload with
   | B.Event _ | B.Snapshot { B.s_arrangement = Some _; _ } ->
     Alcotest.fail "expected a partial snapshot record"
   | B.Snapshot s ->
     let p = Ltc_core.Progress.snapshot s.B.s_progress in
-    let buf = Buffer.create (String.length payload) in
+    let buf = B.buffer () in
     B.add_u8 buf (Char.code 'P');
     B.add_varint buf s.B.s_consumed;
     B.add_i64 buf s.B.s_policy;
@@ -757,12 +840,12 @@ let reencode_partial ~score payload =
         B.add_f64 buf threshold;
         B.add_f64 buf (score task p.Ltc_core.Progress.scores.(task)))
       p.Ltc_core.Progress.thresholds;
-    Buffer.contents buf
+    B.contents buf
 
 let frame_bytes header frames =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf header;
-  Array.iter (fun (_, payload) -> B.add_frame buf payload) frames;
+  Array.iter (fun (_, payload) -> Journal_oracle.add_frame buf payload) frames;
   Buffer.contents buf
 
 (* [bytes] written to a fresh journal must be refused by restore and by
@@ -836,7 +919,7 @@ let test_superseded_records_checked () =
   (* (b) A CRC-valid partial snapshot with one (positive) score
      negated. *)
   let scored =
-    match B.record_of_payload snap_payload with
+    match record_of snap_payload with
     | B.Snapshot s ->
       let scores = (Ltc_core.Progress.snapshot s.B.s_progress).scores in
       let rec first_positive t =
@@ -887,9 +970,8 @@ let test_partial_rebuild_checked () =
   Alcotest.(check bool) "the last partial snapshot is frame 45" true
     (last_partial = 44 && is_partial (snd frames.(last_partial)));
   let reencode k f =
-    let buf = Buffer.create 256 in
-    B.emit_record buf (f (B.record_of_payload (snd frames.(k))));
-    frame_bytes header (with_payload frames k (Buffer.contents buf))
+    let payload = Journal_oracle.payload (f (record_of (snd frames.(k)))) in
+    frame_bytes header (with_payload frames k payload)
   in
   let event f = function
     | B.Event e -> B.Event (f e)
@@ -915,7 +997,7 @@ let test_partial_rebuild_checked () =
      or its answer is moved past the instance's 30 tasks. *)
   let k, w =
     let rec go k =
-      match B.record_of_payload (snd frames.(k)) with
+      match record_of (snd frames.(k)) with
       | B.Event { B.e_answered = _ :: _; e_worker; _ } ->
         (k, e_worker.Ltc_core.Worker.index)
       | _ -> go (k + 1)
@@ -1238,14 +1320,14 @@ let test_degraded_counter_matches_journal () =
   let degraded_records () =
     let bytes = read_file path in
     let rec go pos n =
-      match B.frame_of_string bytes pos with
-      | B.Frame payload ->
+      match B.frame_at bytes pos with
+      | B.Frame len ->
         let n =
-          match B.record_of_payload payload with
+          match B.record_of_payload bytes ~pos:(pos + 8) ~len with
           | B.Event e when e.B.e_degraded -> n + 1
           | B.Event _ | B.Snapshot _ -> n
         in
-        go (pos + 8 + String.length payload) n
+        go (pos + 8 + len) n
       | B.Eof -> n
       | B.Torn | B.Invalid _ -> Alcotest.fail "journal frames must be intact"
     in
@@ -2507,6 +2589,10 @@ let suite =
           `Quick test_text_upgrade_crash_safe;
         Alcotest.test_case "compaction bounds the journal" `Quick
           test_compaction_bounds_journal;
+        Alcotest.test_case "journal bytes pinned" `Quick
+          test_journal_bytes_pinned;
+        Alcotest.test_case "sharded journal bytes pinned" `Quick
+          test_shard_journal_bytes_pinned;
       ] );
     ( "service.deadline",
       [
