@@ -13,7 +13,9 @@
 # go to .bench_build/ab/base.jsonl and .bench_build/ab/work.jsonl (their
 # printed reports to runs.log beside them), and the script ends with the
 # suite's --compare of the two (A = BASE, B = working tree), whose exit
-# status it returns.
+# status it returns, and one line per end-to-end metric counting the
+# pairs (base and work runs of one seed) in which the working tree was
+# ahead, e.g. "decide_p50_us: ahead in 10 of 10 pairs".
 set -eu
 
 workload=${1:?usage: bench/ab.sh WORKLOAD [PAIRS] [BASE]}
@@ -68,5 +70,54 @@ while [ "$i" -le "$pairs" ]; do
   i=$((i + 1))
 done
 
-$cmd --compare "$out/base.jsonl" "$out/work.jsonl"
+status=0
+$cmd --compare "$out/base.jsonl" "$out/work.jsonl" || status=$?
+
+# Pairs won, per end-to-end metric: the metric names and directions come
+# from BENCHMARK.json's "end_to_end" list (one entry a line), the values
+# from the two result files, matched by seed.
+awk '
+  FNR == 1 { file++ }
+  file == 1 {
+    if ($0 ~ /"end_to_end"/) section = 1
+    else if (section && $0 ~ /^[ \t]*\]/) section = 0
+    if (section && match($0, /"name": *"[^"]*"/)) {
+      name = substr($0, RSTART, RLENGTH)
+      sub(/^"name": *"/, "", name); sub(/"$/, "", name)
+      match($0, /"better": *"[^"]*"/)
+      dir = substr($0, RSTART, RLENGTH)
+      sub(/^"better": *"/, "", dir); sub(/"$/, "", dir)
+      n++; names[n] = name; better[name] = dir
+    }
+    next
+  }
+  $0 !~ /"trace": *0[,}]/ { next }
+  match($0, /"seed": *[0-9]+/) {
+    seed = substr($0, RSTART, RLENGTH); sub(/^"seed": */, "", seed)
+    seen[file, seed] = 1
+    for (i = 1; i <= n; i++) {
+      m = names[i]
+      if (match($0, "\"" m "\": *[{]\"value\": *[-+0-9.eE]+")) {
+        v = substr($0, RSTART, RLENGTH); sub(/.*: */, "", v)
+        value[file, seed, m] = v + 0
+      }
+    }
+  }
+  END {
+    for (i = 1; i <= n; i++) {
+      m = names[i]; pairs = 0; ahead = 0
+      for (key in seen) {
+        split(key, k, SUBSEP)
+        if (k[1] != 2 || !((3, k[2], m) in value) || !((2, k[2], m) in value))
+          continue
+        b = value[2, k[2], m]; w = value[3, k[2], m]; pairs++
+        if ((better[m] == "lower" && w < b) || (better[m] == "higher" && w > b))
+          ahead++
+      }
+      printf "%s: ahead in %d of %d pairs\n", m, ahead, pairs
+    }
+  }
+' BENCHMARK.json "$out/base.jsonl" "$out/work.jsonl"
+
+[ "$status" -eq 0 ] || exit "$status"
 exit "$failed"

@@ -157,12 +157,17 @@ let snapshot t =
    it.  Negative scores and non-positive thresholds come first, so a
    payload refused for them keeps that reason; the non-finite checks
    catch what those comparisons let through, since every comparison with
-   NaN is false. *)
-let check_snapshot ~n ~threshold ~score ~sum_remaining =
+   NaN is false.  The entries are read straight out of the float arrays,
+   so none is boxed. *)
+let check_snapshot (snap : snapshot) =
+  let n = Array.length snap.thresholds in
+  if Array.length snap.scores <> n then
+    invalid_arg "Progress.of_snapshot: scores/thresholds length mismatch";
+  let thresholds = snap.thresholds and scores = snap.scores in
   let negative = ref false and non_positive = ref false in
   let bad_score = ref false and bad_threshold = ref false in
   for task = 0 to n - 1 do
-    let th = threshold task and s = score task in
+    let th = thresholds.(task) and s = scores.(task) in
     if s < 0.0 then negative := true;
     if th <= 0.0 then non_positive := true;
     if not (Float.is_finite s) then bad_score := true;
@@ -174,24 +179,25 @@ let check_snapshot ~n ~threshold ~score ~sum_remaining =
   if !bad_score then invalid_arg "Progress.of_snapshot: non-finite score";
   if !bad_threshold then
     invalid_arg "Progress.of_snapshot: non-finite threshold";
-  if not (Float.is_finite sum_remaining) then
+  if not (Float.is_finite snap.sum_remaining) then
     invalid_arg "Progress.of_snapshot: non-finite sum_remaining"
 
 (* The state [create_per_task] then one [record] per task reaches (a
    qcheck property compares the two), built in one ascending pass and a
    bottom-up heapify of the open tasks. *)
 let of_snapshot (snap : snapshot) =
+  check_snapshot snap;
   let n = Array.length snap.thresholds in
-  if Array.length snap.scores <> n then
-    invalid_arg "Progress.of_snapshot: scores/thresholds length mismatch";
-  check_snapshot ~n ~threshold:(Array.get snap.thresholds)
-    ~score:(Array.get snap.scores) ~sum_remaining:snap.sum_remaining;
+  (* [0.0 +. score] is the bit pattern [record] leaves on a zero
+     accumulator (it turns -0.0 into 0.0). *)
+  let s = Array.create_float n in
+  for task = 0 to n - 1 do
+    s.(task) <- 0.0 +. snap.scores.(task)
+  done;
   let t =
     {
       thresholds = Array.copy snap.thresholds;
-      (* [0.0 +. score] is the bit pattern [record] leaves on a zero
-         accumulator (it turns -0.0 into 0.0). *)
-      s = Array.map (fun score -> 0.0 +. score) snap.scores;
+      s;
       heap = Array.make n 0;
       pos = Array.make n (-1);
       size = 0;

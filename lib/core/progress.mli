@@ -105,18 +105,15 @@ val of_snapshot : snapshot -> t
 (** Rebuild a progress tracker equivalent to the one {!snapshot} captured:
     same accumulators, same incomplete set in ascending-id order, same
     [sum_remaining] and [max_remaining] answers.  Linear in the task count.
-    @raise Invalid_argument on length mismatch or any value
-    {!check_snapshot} refuses. *)
+    The arrays are copied, so the caller may reuse them.
+    @raise Invalid_argument on anything {!check_snapshot} refuses. *)
 
-val check_snapshot :
-  n:int ->
-  threshold:(int -> float) ->
-  score:(int -> float) ->
-  sum_remaining:float ->
-  unit
-(** The value rules {!of_snapshot} applies, over [n] entries read through
-    accessors, without building anything — so a decoder can check a
-    snapshot it will not keep.  Refuses, in this priority: a negative
-    score, a non-positive threshold, a non-finite score, threshold or
-    [sum_remaining].  @raise Invalid_argument naming the first of those
-    that any entry breaks. *)
+val check_snapshot : snapshot -> unit
+(** The rules {!of_snapshot} applies, without building anything — so a
+    decoder can check a snapshot it will not keep.  The entries are read
+    out of the two float arrays, so checking boxes no float: a decoder
+    reads a payload's pairs into arrays it reuses from one snapshot to
+    the next.  Refuses, in this priority: arrays of different lengths,
+    then a negative score, a non-positive threshold, a non-finite score,
+    threshold or [sum_remaining].  @raise Invalid_argument naming the
+    first of those that any entry breaks. *)

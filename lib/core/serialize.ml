@@ -326,33 +326,24 @@ module Binary = struct
     t
 
   (* The one CRC loop: bytes [pos, pos + len) of [s], as an unsigned
-     32-bit [int].  The frame buffer passes its bytes here unconverted
-     ([Bytes.unsafe_to_string]: nothing writes them during the call). *)
+     32-bit [int].  Each step loads its eight bytes as one little-endian
+     [int64] (unboxed: the load is a compiler primitive) and splits it
+     into the two 32-bit halves the tables fold.  The frame buffer passes
+     its bytes here unconverted ([Bytes.unsafe_to_string]: nothing writes
+     them during the call). *)
   let crc32_range s pos len =
     let t = crc_tables in
     let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3)
     and t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
-    let byte k = Char.code (String.unsafe_get s k) in
     if pos < 0 || len < 0 || pos > String.length s - len then
       invalid_arg "Serialize.Binary.crc32_range";
     let stop = pos + len in
     let c = ref 0xFFFFFFFF in
     let i = ref pos in
     while !i + 8 <= stop do
-      let k = !i in
-      let lo =
-        !c
-        lxor (byte k
-              lor (byte (k + 1) lsl 8)
-              lor (byte (k + 2) lsl 16)
-              lor (byte (k + 3) lsl 24))
-      in
-      let hi =
-        byte (k + 4)
-        lor (byte (k + 5) lsl 8)
-        lor (byte (k + 6) lsl 16)
-        lor (byte (k + 7) lsl 24)
-      in
+      let v = String.get_int64_le s !i in
+      let lo = !c lxor (Int64.to_int v land 0xFFFFFFFF) in
+      let hi = Int64.to_int (Int64.shift_right_logical v 32) in
       c :=
         Array.unsafe_get t7 (lo land 0xff)
         lxor Array.unsafe_get t6 ((lo lsr 8) land 0xff)
@@ -362,10 +353,11 @@ module Binary = struct
         lxor Array.unsafe_get t2 ((hi lsr 8) land 0xff)
         lxor Array.unsafe_get t1 ((hi lsr 16) land 0xff)
         lxor Array.unsafe_get t0 ((hi lsr 24) land 0xff);
-      i := k + 8
+      i := !i + 8
     done;
     while !i < stop do
-      c := Array.unsafe_get t0 ((!c lxor byte !i) land 0xff) lxor (!c lsr 8);
+      let byte = Char.code (String.unsafe_get s !i) in
+      c := Array.unsafe_get t0 ((!c lxor byte) land 0xff) lxor (!c lsr 8);
       incr i
     done;
     lnot !c land 0xFFFFFFFF
@@ -650,9 +642,36 @@ module Binary = struct
     if c.pos + len > c.limit then bin_error "unexpected end of binary payload";
     c.pos <- c.pos + len
 
-  let f64_at data pos = Int64.float_of_bits (String.get_int64_le data pos)
+  let[@inline] f64_at data pos =
+    Int64.float_of_bits (String.get_int64_le data pos)
 
-  let decode ~build c =
+  (* The float arrays a snapshot's (threshold, score) pairs are copied
+     into, so that [Progress.check_snapshot] and [Progress.of_snapshot]
+     read them as plain float arrays and no value is boxed on the way.  A
+     scan reuses one for every snapshot it meets: the arrays are
+     reallocated only when the task count changes. *)
+  type scratch = {
+    mutable thresholds : float array;
+    mutable scores : float array;
+  }
+
+  let scratch () = { thresholds = [||]; scores = [||] }
+
+  (* The pairs at [base], 16 bytes a task, read into [scratch]. *)
+  let progress_pairs scratch data base n ~sum_remaining =
+    if Array.length scratch.thresholds <> n then begin
+      scratch.thresholds <- Array.create_float n;
+      scratch.scores <- Array.create_float n
+    end;
+    let thresholds = scratch.thresholds and scores = scratch.scores in
+    for task = 0 to n - 1 do
+      let at = base + (16 * task) in
+      Array.unsafe_set thresholds task (f64_at data at);
+      Array.unsafe_set scores task (f64_at data (at + 8))
+    done;
+    { Progress.thresholds; scores; sum_remaining }
+
+  let decode ~scratch ~build c =
     let record =
       match u8 c with
       | tag when tag = tag_event ->
@@ -687,25 +706,14 @@ module Binary = struct
         if n > payload_length c then
           bin_error "snapshot task count %d exceeds the payload" n;
         let sum_remaining = f64 c in
-        (* The (threshold, score) pairs, read in place: pair [task] sits
-           at [base + 16 task]. *)
         let base = c.pos in
         skip c (16 * n);
-        let data = c.data in
-        let threshold task = f64_at data (base + (16 * task)) in
-        let score task = f64_at data (base + (16 * task) + 8) in
+        let pairs = progress_pairs scratch c.data base n ~sum_remaining in
         let s_progress =
           match
-            if build then
-              Some
-                (Progress.of_snapshot
-                   {
-                     Progress.thresholds = Array.init n threshold;
-                     scores = Array.init n score;
-                     sum_remaining;
-                   })
+            if build then Some (Progress.of_snapshot pairs)
             else begin
-              Progress.check_snapshot ~n ~threshold ~score ~sum_remaining;
+              Progress.check_snapshot pairs;
               None
             end
           with
@@ -742,22 +750,33 @@ module Binary = struct
     record
 
   let record_of_payload data ~pos ~len =
-    Option.get (decode ~build:true (window data ~pos ~len))
+    let c = window data ~pos ~len in
+    Option.get (decode ~scratch:(scratch ()) ~build:true c)
 
   type kind = Event_record | Snapshot_record | Partial_record
 
-  let check_payload data ~pos ~len =
-    ignore (decode ~build:false (window data ~pos ~len));
-    (* [decode] accepted the tag byte, so it is one of the three. *)
+  (* [decode] accepted the tag byte, so it is one of the three. *)
+  let kind_at data pos =
     match Char.code data.[pos] with
     | tag when tag = tag_event -> Event_record
     | tag when tag = tag_snapshot -> Snapshot_record
     | _ -> Partial_record
 
-  let scan_payload data ~pos ~len =
-    if len > 0 && Char.code data.[pos] = tag_event then
-      (Event_record, Some (record_of_payload data ~pos ~len))
-    else (check_payload data ~pos ~len, None)
+  let check_payload data ~pos ~len =
+    ignore (decode ~scratch:(scratch ()) ~build:false (window data ~pos ~len));
+    kind_at data pos
+
+  type scanned = Built of event | Checked of { kind : kind; consumed : int }
+
+  let scan_payload scratch data ~pos ~len =
+    let c = window data ~pos ~len in
+    let event = len > 0 && Char.code data.[pos] = tag_event in
+    match decode ~scratch ~build:event c with
+    | Some (Event e) -> Built e
+    | Some (Snapshot _) | None ->
+      (* A checked snapshot: its count is the varint behind the tag. *)
+      let consumed = varint { c with pos = pos + 1 } in
+      Checked { kind = kind_at data pos; consumed }
 
   type frame =
     | Frame of int

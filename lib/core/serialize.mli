@@ -216,14 +216,30 @@ module Binary : sig
   val check_payload : string -> pos:int -> len:int -> kind
   (** The same grammar and rules as {!record_of_payload}, raising the same
       [Parse_error] on the same payloads, without building the record:
-      no lists, no [Progress.t], no [Arrangement.t].  For records whose
-      content will be thrown away. *)
+      no lists, no [Progress.t], no [Arrangement.t] (a snapshot's pairs
+      go through a fresh {!scratch}; {!scan_payload} reuses one).  For
+      records whose content will be thrown away. *)
 
-  val scan_payload : string -> pos:int -> len:int -> kind * record option
-  (** Restore's one decode per record: an event payload is built into its
-      record straight away, a snapshot's is only checked, as by
-      {!check_payload}, and left for {!record_of_payload} ([None]).
-      Raises what {!record_of_payload} raises on the same payload. *)
+  type scratch
+  (** The float arrays the decoder reads a snapshot's (threshold, score)
+      pairs into before {!Progress.check_snapshot} checks them, reused
+      from one snapshot to the next.  Not safe to share between
+      domains. *)
+
+  val scratch : unit -> scratch
+
+  type scanned =
+    | Built of event  (** an event record, built *)
+    | Checked of { kind : kind; consumed : int }
+        (** a snapshot record ([Snapshot_record] or [Partial_record]),
+            checked as by {!check_payload} and not built, with the
+            arrivals it says were consumed *)
+
+  val scan_payload : scratch -> string -> pos:int -> len:int -> scanned
+  (** Restore's one decode per record: an event payload is built straight
+      away, a snapshot's is only checked and left for
+      {!record_of_payload}.  Raises what {!record_of_payload} raises on
+      the same payload. *)
 
   (** {3 Framing} *)
 

@@ -788,36 +788,220 @@ let excerpt_at ~path ~offset =
         | None -> s)
   with Sys_error _ -> "<unreadable>"
 
-(* A complete record the scan found: its number in the file (from 1) and
-   the byte offset of its start.  [record] is [None] for a binary record a
-   later snapshot supersedes: dropped, and never built if a snapshot. *)
-type item = {
-  kind : B.kind;
-  index : int;
-  offset : int;
-  record : B.record option;
+(* ------------------------------------------------------ the one pass *)
+
+(* Restore and inspect read the journal body in one pass, in file order:
+   the scanner for the body's codec hands each complete record to [hold]
+   (an event) or [snapshot] (either kind) as soon as it has read it, and
+   [finish] raises what the records fail to add up to.
+
+   A restore resumes from the session state at the latest checkpoint and
+   replays the events after it.  A full snapshot (the base) is that
+   state.  A partial one lacks the arrangement, which is the base's (or
+   empty) plus, in file order, every answer of the events between them.
+   Those events are not replayed, so what they build is checked: their
+   arrivals run on from the base's count, each answer is one of its
+   event's assigned tasks and a task of the instance, and the latest
+   partial snapshot's count is where they end.
+
+   So the pass holds only the events since the latest snapshot: a
+   partial snapshot folds them into the running (arrivals, assignments)
+   state under those checks and drops them; a full one drops them, the
+   running state and any failed check.  The events held at the end are
+   the tail.  Snapshots are only checked during the pass; [resume_from]
+   builds the latest base and the latest partial snapshot after it.
+
+   A failed check is kept, not raised, until every later frame has
+   passed its CRC and grammar checks (which the scanners raise where
+   they meet them), so damage anywhere outranks an inconsistency before
+   it; the first failed check in file order is reported, and the count
+   check comes after every other. *)
+type partial = {
+  p_index : int;
+  p_offset : int;
+  p_consumed : int;  (* the arrivals it says were consumed *)
+  p_build : unit -> B.snapshot;
 }
 
-(* A text journal holds full snapshots only. *)
-let built record ~index ~offset =
-  let kind =
-    match record with
-    | B.Event _ -> B.Event_record
-    | B.Snapshot _ -> B.Snapshot_record
+type pass = {
+  path : string;
+  n_tasks : int;
+  mutable events : int;
+  mutable snapshots : int;  (* full and partial *)
+  mutable partials : int;
+  mutable offsets : int list;  (* of the snapshots, newest first *)
+  mutable torn_at : int option;
+  mutable base : (unit -> B.snapshot) option;  (* the latest full one *)
+  mutable partial : partial option;  (* the latest partial one after it *)
+  (* The events since the latest snapshot, in file order: [held.(i)]
+     starts at byte [held_at.(i)]; both arrays are reused, grown by
+     doubling. *)
+  mutable held : B.event array;
+  mutable held_at : int array;
+  mutable n_held : int;
+  (* The fold since the base: the last arrival folded (the base's count
+     before any), the assignments folded in, oldest first on an empty
+     arrangement, and the first check they failed. *)
+  mutable consumed : int;
+  mutable added : Arrangement.t;
+  mutable refused : string option;
+}
+
+let start_pass ~path ~n_tasks =
+  {
+    path;
+    n_tasks;
+    events = 0;
+    snapshots = 0;
+    partials = 0;
+    offsets = [];
+    torn_at = None;
+    base = None;
+    partial = None;
+    held = [||];
+    held_at = [||];
+    n_held = 0;
+    consumed = 0;
+    added = Arrangement.empty;
+    refused = None;
+  }
+
+let hold p ~offset e =
+  if p.n_held = Array.length p.held then begin
+    let cap = max 64 (2 * p.n_held) in
+    let held = Array.make cap e and held_at = Array.make cap 0 in
+    Array.blit p.held 0 held 0 p.n_held;
+    Array.blit p.held_at 0 held_at 0 p.n_held;
+    p.held <- held;
+    p.held_at <- held_at
+  end;
+  p.held.(p.n_held) <- e;
+  p.held_at.(p.n_held) <- offset;
+  p.n_held <- p.n_held + 1;
+  p.events <- p.events + 1
+
+exception Refused of string
+
+let refuse ~index ~offset fmt =
+  Format.kasprintf
+    (fun message -> raise (Refused message))
+    ("corrupted record %d at byte %d: " ^^ fmt)
+    index offset
+
+(* [List.mem] on task ids, without a polymorphic compare per element. *)
+let rec assigned (task : int) = function
+  | [] -> false
+  | t :: rest -> t = task || assigned task rest
+
+let rec add_answers p (e : B.event) ~index ~offset = function
+  | [] -> ()
+  | task :: rest ->
+    let worker = e.B.e_worker.Worker.index in
+    if not (assigned task e.B.e_assigned) then
+      refuse ~index ~offset
+        "arrival %d answered task %d, which it was not assigned" worker task;
+    if task >= p.n_tasks then
+      refuse ~index ~offset
+        "arrival %d answered task %d of an instance with %d tasks" worker
+        task p.n_tasks;
+    p.added <- Arrangement.add p.added ~worker ~task;
+    add_answers p e ~index ~offset rest
+
+(* Fold the held events, records [index - n_held .. index - 1] of a
+   partial snapshot at record [index], unless a check already failed. *)
+let fold p ~index =
+  if p.refused = None then begin
+    let first = index - p.n_held in
+    try
+      for i = 0 to p.n_held - 1 do
+        let e = p.held.(i) and index = first + i and offset = p.held_at.(i) in
+        let worker = e.B.e_worker.Worker.index in
+        if worker <> p.consumed + 1 then
+          refuse ~index ~offset "arrival %d follows arrival %d" worker
+            p.consumed;
+        add_answers p e ~index ~offset e.B.e_answered;
+        p.consumed <- worker
+      done
+    with Refused message -> p.refused <- Some message
+  end;
+  p.n_held <- 0
+
+(* Snapshot record [index] at byte [offset], which says [consumed]
+   arrivals were consumed; [build] decodes it. *)
+let snapshot p ~full ~index ~offset ~consumed build =
+  p.snapshots <- p.snapshots + 1;
+  p.offsets <- offset :: p.offsets;
+  if full then begin
+    p.base <- Some build;
+    p.partial <- None;
+    p.n_held <- 0;
+    p.consumed <- consumed;
+    p.added <- Arrangement.empty;
+    p.refused <- None
+  end
+  else begin
+    p.partials <- p.partials + 1;
+    fold p ~index;
+    p.partial <-
+      Some
+        {
+          p_index = index;
+          p_offset = offset;
+          p_consumed = consumed;
+          p_build = build;
+        }
+  end
+
+(* The end of the body: raise the first failed check, then the latest
+   partial snapshot's count check.  Past it, [p.consumed] is the count a
+   restore resumes from and [p.n_held] the length of its tail. *)
+let finish p =
+  Option.iter
+    (fun message -> raise (Corrupt_journal { path = p.path; message }))
+    p.refused;
+  match p.partial with
+  | Some q when q.p_consumed <> p.consumed ->
+    corrupt ~path:p.path
+      "corrupted record %d at byte %d: a partial snapshot at arrival %d \
+       where the events before it end at arrival %d"
+      q.p_index q.p_offset q.p_consumed p.consumed
+  | Some _ | None -> ()
+
+(* The checkpoint a finished pass resumes from, built: the base, whose
+   snapshot holds its arrangement, or the latest partial snapshot with
+   the base's arrangement (or none) plus the assignments folded since. *)
+let resume_from p =
+  let base =
+    Option.map
+      (fun build ->
+        let s = build () in
+        (s, Option.value s.B.s_arrangement ~default:Arrangement.empty))
+      p.base
   in
-  { kind; index; offset; record = Some record }
+  match p.partial with
+  | None -> base
+  | Some q ->
+    let arrangement =
+      match base with
+      | None -> p.added
+      | Some (_, a) ->
+        List.fold_left
+          (fun a (x : Arrangement.assignment) ->
+            Arrangement.add a ~worker:x.worker ~task:x.task)
+          a
+          (Arrangement.to_list p.added)
+    in
+    Some (q.p_build (), arrangement)
 
 (* One pass over a text journal body (the import path: nothing writes
    text any more): every complete record in order, tagged with the byte
    offset of its first line.  Stops silently at a torn suffix; raises
-   {!Corrupt_journal} on interior damage.  Every record is built: a text
-   session compacted at every checkpoint, so its journal holds at most
-   one snapshot (only a conversion from binary wrote text journals with
-   more). *)
-let scan_text ~path src =
-  let items = ref [] in
+   {!Corrupt_journal} on interior damage.  A text journal holds full
+   snapshots only, each built as it is parsed: a text session compacted
+   at every checkpoint, so its journal holds at most one (only a
+   conversion from binary wrote text journals with more). *)
+let scan_text p src =
   let records = ref 0 in
-  let torn_at = ref None in
   (try
      let continue = ref true in
      while !continue do
@@ -830,8 +1014,8 @@ let scan_text ~path src =
            match Serialize.fields line with
            | [ "snapshot" ] ->
              let s = parse_snapshot src in
-             items :=
-               built (B.Snapshot s) ~index:!records ~offset :: !items
+             snapshot p ~full:true ~index:!records ~offset
+               ~consumed:s.B.s_consumed (fun () -> s)
            | "w" :: rest -> (
              let w = parse_arrival_fields src rest in
              match Serialize.next_line_opt src with
@@ -840,17 +1024,13 @@ let scan_text ~path src =
                | ("d" | "D") :: drest ->
                  let degraded = String.length dline > 0 && dline.[0] = 'D' in
                  let assigned, answered = parse_decision_fields w drest in
-                 items :=
-                   built
-                     (B.Event
-                        {
-                          B.e_worker = w;
-                          e_degraded = degraded;
-                          e_assigned = assigned;
-                          e_answered = answered;
-                        })
-                     ~index:!records ~offset
-                   :: !items
+                 hold p ~offset
+                   {
+                     B.e_worker = w;
+                     e_degraded = degraded;
+                     e_assigned = assigned;
+                     e_answered = answered;
+                   }
                | _ -> raise Torn_tail)
              | None ->
                (* Arrival journaled, decision lost: the arrival was never
@@ -866,18 +1046,17 @@ let scan_text ~path src =
            let fail_offset = Serialize.line_offset src in
            (match Serialize.next_line_opt src with
            | None ->
-             torn_at := Some offset;
+             p.torn_at <- Some offset;
              raise Torn_tail
            | Some _ ->
-             corrupt ~path
+             corrupt ~path:p.path
                "corrupted record %d at byte %d (line %d): unparseable %S \
                 followed by intact records — refusing to drop acknowledged \
                 state"
                !records fail_offset fail_line
-               (excerpt_at ~path ~offset:fail_offset)))
+               (excerpt_at ~path:p.path ~offset:fail_offset)))
      done
-   with Torn_tail -> ());
-  (List.rev !items, !torn_at)
+   with Torn_tail -> ())
 
 (* Same pass over a binary journal body, read in one piece and framed in
    place: each frame's payload is decoded where it sits in the body, so
@@ -887,28 +1066,15 @@ let scan_text ~path src =
    while a complete frame with wrong bytes, or a CRC-valid frame that
    fails to decode, is interior corruption wherever it sits.  So is a
    partial snapshot in a journal older than v4, which never wrote one.
-
-   Every frame is CRC-checked and decoded once, in file order, so damage
-   anywhere is reported where it is met.  An event is built as it is
-   decoded: a restore keeps every event after the latest full snapshot —
-   those before the latest partial one rebuild the arrangement, the rest
-   replay — and in a v4 journal, whose only full snapshot compaction
-   writes first, no event comes before it.  A snapshot is only checked,
-   and built at the end if a restore needs it: the latest full snapshot
-   and the latest partial one after it.  A full snapshot supersedes every
-   record before it, a partial one only the partial before it; each
-   record is dropped as soon as it is superseded. *)
-let scan_binary ~path ~version ic =
+   An event is built as it is decoded; a snapshot is only checked, its
+   pairs read into one scratch the whole body shares, and left for
+   [resume_from] to build if nothing supersedes it. *)
+let scan_binary p ~version ic =
   (* Byte [pos] of [body] is byte [base + pos] of the file. *)
   let base = pos_in ic in
   let body = really_input_string ic (in_channel_length ic - base) in
-  (* (kind, index, offset, record) of every record, newest first; the
-     record cell is emptied once the record is superseded. *)
-  let scanned = ref [] in
-  let since_base = ref [] in  (* record cells since the latest full one *)
-  let partial = ref None in  (* the latest partial's cell since then *)
+  let scratch = B.scratch () in
   let records = ref 0 in
-  let torn_at = ref None in
   let pos = ref 0 in
   let continue = ref true in
   while !continue do
@@ -916,10 +1082,10 @@ let scan_binary ~path ~version ic =
     match B.frame_at body !pos with
     | B.Eof -> continue := false
     | B.Torn ->
-      torn_at := Some offset;
+      p.torn_at <- Some offset;
       continue := false
     | B.Invalid reason ->
-      corrupt ~path
+      corrupt ~path:p.path
         "corrupted record %d at byte %d: %s — refusing to drop acknowledged \
          state"
         (!records + 1) offset reason
@@ -927,117 +1093,39 @@ let scan_binary ~path ~version ic =
       let payload = !pos + 8 in
       pos := payload + len;
       incr records;
-      match B.scan_payload body ~pos:payload ~len with
-      | kind, built ->
-        if kind = B.Partial_record && version < 4 then
-          corrupt ~path
+      match B.scan_payload scratch body ~pos:payload ~len with
+      | B.Built e -> hold p ~offset e
+      | B.Checked { kind; consumed } ->
+        let full = kind = B.Snapshot_record in
+        if (not full) && version < 4 then
+          corrupt ~path:p.path
             "corrupted record %d at byte %d: a partial snapshot in a v%d \
              journal"
             !records offset version;
-        let cell =
-          ref
-            (Some
-               (match built with
-               | Some record -> Lazy.from_val record
-               | None -> lazy (B.record_of_payload body ~pos:payload ~len)))
-        in
-        (match kind with
-        | B.Snapshot_record ->
-          List.iter (fun c -> c := None) !since_base;
-          since_base := [];
-          partial := None
-        | B.Partial_record ->
-          Option.iter (fun c -> c := None) !partial;
-          partial := Some cell
-        | B.Event_record -> ());
-        since_base := cell :: !since_base;
-        scanned := (kind, !records, offset, cell) :: !scanned
+        snapshot p ~full ~index:!records ~offset ~consumed (fun () ->
+            match B.record_of_payload body ~pos:payload ~len with
+            | B.Snapshot s -> s
+            | B.Event _ -> assert false)
       | exception Serialize.Parse_error { message; _ } ->
-        corrupt ~path
+        corrupt ~path:p.path
           "corrupted record %d at byte %d: CRC-valid frame fails to decode \
            (%s)"
           !records offset message)
-  done;
-  let items =
-    List.rev_map
-      (fun (kind, index, offset, cell) ->
-        { kind; index; offset; record = Option.map Lazy.force !cell })
-      !scanned
-  in
-  (items, !torn_at)
+  done
 
-(* [src] must wrap [ic]: the text scanner consumes lines through it, the
-   binary scanner picks up the raw channel exactly where the (always
-   line-oriented) header parse left it. *)
-let scan_items ~path ~version ~codec ic src =
-  match codec with
-  | Text -> scan_text ~path src
-  | Binary -> scan_binary ~path ~version ic
-
-(* What a restore resumes from: the session state at the latest
-   checkpoint — progress, RNG states, arrivals consumed and the
-   arrangement — and the events after it, to replay.
-
-   A full snapshot is that state by itself.  A partial one has all of it
-   but the arrangement, which is the one before it (the latest full
-   snapshot's, or empty) plus, in file order, every answer of the events
-   between them.  Those events are not replayed, so what they build is
-   checked first: their arrivals run on from the count before them, the
-   partial's count is where they end, and each answer is one of its
-   event's assigned tasks and a task of the instance.  A failed check
-   names the record. *)
-type resume = {
-  checkpoint : (B.snapshot * Arrangement.t) option;
-  tail : B.event list;
-}
-
-let collapse ~path ~n_tasks items =
-  let refuse item fmt =
-    corrupt ~path
-      ("corrupted record %d at byte %d: " ^^ fmt)
-      item.index item.offset
+(* The finished pass over the body of the journal [ic] holds, after its
+   header.  [src] must wrap [ic]: the text scanner consumes lines through
+   it, the binary scanner picks up the raw channel exactly where the
+   (always line-oriented) header parse left it. *)
+let scan ~path ~version ~codec ic src header =
+  let p =
+    start_pass ~path ~n_tasks:(Instance.task_count header.instance)
   in
-  let rebuild (consumed, arrangement) (item, (e : B.event)) =
-    let worker = e.B.e_worker.Worker.index in
-    if worker <> consumed + 1 then
-      refuse item "arrival %d follows arrival %d" worker consumed;
-    let add arrangement task =
-      if not (List.mem task e.B.e_assigned) then
-        refuse item "arrival %d answered task %d, which it was not assigned"
-          worker task;
-      if task >= n_tasks then
-        refuse item "arrival %d answered task %d of an instance with %d tasks"
-          worker task n_tasks;
-      Arrangement.add arrangement ~worker ~task
-    in
-    (worker, List.fold_left add arrangement e.B.e_answered)
-  in
-  let checkpoint, events_rev =
-    List.fold_left
-      (fun (checkpoint, events) item ->
-        match item.record with
-        | Some (B.Snapshot ({ B.s_arrangement = Some a; _ } as s)) ->
-          (Some (s, a), [])
-        | Some (B.Snapshot s) ->
-          let before =
-            match checkpoint with
-            | Some ((b : B.snapshot), a) -> (b.B.s_consumed, a)
-            | None -> (0, Arrangement.empty)
-          in
-          let consumed, a =
-            List.fold_left rebuild before (List.rev events)
-          in
-          if s.B.s_consumed <> consumed then
-            refuse item
-              "a partial snapshot at arrival %d where the events before it \
-               end at arrival %d"
-              s.B.s_consumed consumed;
-          (Some (s, a), [])
-        | Some (B.Event e) -> (checkpoint, (item, e) :: events)
-        | None -> (checkpoint, events))
-      (None, []) items
-  in
-  { checkpoint; tail = List.rev_map snd events_rev }
+  (match codec with
+  | Text -> scan_text p src
+  | Binary -> scan_binary p ~version ic);
+  finish p;
+  p
 
 let is_empty_journal path =
   match open_in_bin path with
@@ -1107,17 +1195,16 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      step can confuse the two. *)
   (let tmp = journal_path ^ ".tmp" in
    if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
-  let header, header_bytes, { checkpoint; tail } =
+  let header, header_bytes, pass =
     with_journal ~path @@ fun ic src ~version ~codec header ->
     let header_end = pos_in ic in
-    let items, _torn_at = scan_items ~path ~version ~codec ic src in
-    let n_tasks = Instance.task_count header.instance in
-    ( header,
-      compacted_header ic ~header_end ~codec header,
-      collapse ~path ~n_tasks items )
+    let pass = scan ~path ~version ~codec ic src header in
+    (header, compacted_header ic ~header_end ~codec header, pass)
   in
+  let checkpoint = resume_from pass in
+  let tail = Array.sub pass.held 0 pass.n_held in
   (if header.deadline = None then
-     match List.find_opt (fun (e : B.event) -> e.B.e_degraded) tail with
+     match Array.find_opt (fun (e : B.event) -> e.B.e_degraded) tail with
      | Some e ->
        let w : Worker.t = e.B.e_worker in
        corrupt ~path
@@ -1154,7 +1241,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
      continuing would corrupt the run.  Degraded events force the
      fallback (the journal, not the clock, is the record of what
      happened). *)
-  List.iter
+  Array.iter
     (fun (e : B.event) ->
       let w : Worker.t = e.B.e_worker in
       let d =
@@ -1201,34 +1288,17 @@ module Journal = struct
 
   let header ~path = with_journal ~path (fun _ _ ~version:_ ~codec:_ h -> h)
 
-  (* Every complete record in file order (offsets attached), built only
-     where a restore would build it, through the restore scanners: torn
-     tails are dropped and interior corruption raises {!Corrupt_journal}
-     with the same diagnostics. *)
+  (* The counts restore's pass keeps, from the same pass: torn tails are
+     dropped, and interior corruption and events that do not add up
+     raise {!Corrupt_journal} with the same diagnostics.  Nothing is
+     built but the events. *)
   let inspect ~path =
-    let version, codec, header, items, torn_at =
+    let version, codec, header, p =
       with_journal ~path @@ fun ic src ~version ~codec header ->
-      let items, torn_at = scan_items ~path ~version ~codec ic src in
-      (version, codec, header, items, torn_at)
+      (version, codec, header, scan ~path ~version ~codec ic src header)
     in
     let file_bytes =
       In_channel.with_open_bin path (fun ic -> in_channel_length ic)
-    in
-    let snapshots, partial_snapshots, events, offsets_rev =
-      List.fold_left
-        (fun (s, p, e, offs) item ->
-          match item.kind with
-          | B.Snapshot_record -> (s + 1, p, e, item.offset :: offs)
-          | B.Partial_record -> (s + 1, p + 1, e, item.offset :: offs)
-          | B.Event_record -> (s, p, e + 1, offs))
-        (0, 0, 0, []) items
-    in
-    let { checkpoint; tail } =
-      collapse ~path ~n_tasks:(Instance.task_count header.instance) items
-    in
-    let consumed =
-      (match checkpoint with Some (s, _) -> s.B.s_consumed | None -> 0)
-      + List.length tail
     in
     {
       version;
@@ -1236,11 +1306,11 @@ module Journal = struct
       header;
       file_bytes;
       torn_bytes =
-        (match torn_at with None -> 0 | Some off -> file_bytes - off);
-      snapshots;
-      partial_snapshots;
-      events;
-      consumed;
-      snapshot_offsets = List.rev offsets_rev;
+        (match p.torn_at with None -> 0 | Some off -> file_bytes - off);
+      snapshots = p.snapshots;
+      partial_snapshots = p.partials;
+      events = p.events;
+      consumed = p.consumed + p.n_held;
+      snapshot_offsets = List.rev p.offsets;
     }
 end

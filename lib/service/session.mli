@@ -23,11 +23,14 @@
     the events between the two; it then replays the event tail by
     re-running the policy (verifying the recomputed decisions against the
     journaled ones), drops any torn record at the end of the file, and
-    compacts.  Every record in the file is still read and checked, in
-    file order, but only those two snapshots and the events after the
-    base are built: the records they supersede are checked without being
-    decoded into session state.  Recovery replays at most
-    [checkpoint_every] arrivals no matter how long the session has run.
+    compacts.  The journal is read in one pass, in file order: every
+    record is read and checked, each event built once, and each partial
+    snapshot folds the events before it into the arrangement as the pass
+    reaches it, so the pass holds only the events since the latest
+    snapshot.  Only those two snapshots are built; the records they
+    supersede are checked without being decoded into session state.
+    Recovery replays at most [checkpoint_every] arrivals no matter how
+    long the session has run.
 
     {2 Crash safety}
 
@@ -174,7 +177,10 @@ exception Corrupt_journal of { path : string; message : string }
     is reported with the byte offset, line and record index of the broken
     record plus an excerpt of the offending bytes.  (A torn {e suffix} —
     an interrupted append — is expected crash damage and is silently
-    dropped instead.) *)
+    dropped instead.)  Damage to a record outranks events that do not
+    add up, wherever in the file each sits; otherwise the first problem
+    in file order is reported, and a partial snapshot's count after every
+    other check. *)
 
 val create :
   ?accept_rate:float ->
@@ -261,6 +267,11 @@ val restore :
     now on, and replayed decisions are verified against the journal
     instead.
 
+    The read is one pass that holds the events since the latest
+    snapshot and the running arrangement, not every record since the
+    latest full snapshot; nothing but the events and the checkpoint it
+    resumes from is built.
+
     @raise Corrupt_journal as documented above.
     @raise Sys_error if [path] cannot be read. *)
 
@@ -312,7 +323,7 @@ val peak_memory_mb : t -> float
 (** {1 Offline journal tools}
 
     Read-only inspection of journal files without building a session
-    (the [ltc journal] subcommand), through {!restore}'s scanners: a torn
+    (the [ltc journal] subcommand), through {!restore}'s one pass: a torn
     tail is silently dropped, interior corruption raises
     {!Corrupt_journal} with the same diagnostics. *)
 
@@ -340,7 +351,10 @@ module Journal : sig
       @raise Sys_error if [path] cannot be read. *)
 
   val inspect : path:string -> info
-  (** @raise Corrupt_journal on a header {!header} refuses (naming its
+  (** The counts, snapshot offsets, recoverable arrivals and torn bytes of
+      the journal at [path], read by the pass {!restore} makes, with the
+      same checks; no snapshot is built.
+      @raise Corrupt_journal on a header {!header} refuses (naming its
       line), on interior damage, or on events that do not add up to the
       latest partial snapshot, as {!restore} does.
       @raise Sys_error if [path] cannot be read. *)

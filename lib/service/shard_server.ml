@@ -325,25 +325,30 @@ let read_manifest ~path =
 
 let shard_journal_path ~base ~shard = Printf.sprintf "%s.shard%d" base shard
 
-(* Tasks of shard [k], in ascending global id order, renumbered to local
-   ids 0.. — order-preserving, so ascending-id tie-breaks inside the
-   shard session match the un-sharded session's. *)
-let shard_tasks part (instance : Instance.t) k =
-  let globals = ref [] in
-  Array.iter
-    (fun (task : Task.t) ->
-      if shard_of part task.Task.loc = k then
-        globals := task.Task.id :: !globals)
-    instance.Instance.tasks;
-  let globals = Array.of_list (List.rev !globals) in
-  let tasks =
-    Array.mapi
-      (fun local g ->
-        let task = instance.Instance.tasks.(g) in
-        Task.make ?epsilon:task.Task.epsilon ~id:local ~loc:task.Task.loc ())
-      globals
-  in
-  (globals, tasks)
+(* Every shard's tasks in one pass over the instance, each task hashed
+   once: entry [k] is shard [k]'s global task ids in ascending order (its
+   local id -> global id map) and those tasks renumbered to local ids
+   0.. — order-preserving, so ascending-id tie-breaks inside the shard
+   session match the un-sharded session's. *)
+let split_tasks part (instance : Instance.t) =
+  let tasks = instance.Instance.tasks in
+  let globals = Array.make part.p_shards [] in
+  for i = Array.length tasks - 1 downto 0 do
+    let task = tasks.(i) in
+    let k = shard_of part task.Task.loc in
+    globals.(k) <- task.Task.id :: globals.(k)
+  done;
+  Array.map
+    (fun ids ->
+      let globals = Array.of_list ids in
+      ( globals,
+        Array.mapi
+          (fun local g ->
+            let task = tasks.(g) in
+            Task.make ?epsilon:task.Task.epsilon ~id:local ~loc:task.Task.loc
+              ())
+          globals ))
+    globals
 
 let sub_instance (instance : Instance.t) tasks =
   Instance.create ~accuracy:instance.Instance.accuracy
@@ -459,10 +464,10 @@ let start ~mode ~supervise ?resume ~seeds ~journal_of m =
   let super = Option.map (fun c -> Supervisor.create ~shards c) supervise in
   let captured, hook = capture_hooks super shards in
   let part = make_partition ~shards instance in
+  let split = split_tasks part instance in
   let fresh k =
     let shard_instance =
-      if shards = 1 then instance
-      else sub_instance instance (snd (shard_tasks part instance k))
+      if shards = 1 then instance else sub_instance instance (snd split.(k))
     in
     Session.create ?accept_rate:h.Session.accept_rate
       ?deadline:h.Session.deadline ?on_decision:(hook k)
@@ -484,7 +489,7 @@ let start ~mode ~supervise ?resume ~seeds ~journal_of m =
           | None -> fresh k
         in
         make_shard ~session ~journal:(journal_of k)
-          ~tasks_globals:(fst (shard_tasks part instance k))
+          ~tasks_globals:(fst split.(k))
           ~restored:(source <> None) ~supervised:(super <> None)
           ~captured:captured.(k))
   in

@@ -348,6 +348,49 @@ let test_partial_checkpoint_allocation () =
     Alcotest.failf "a partial checkpoint allocates %.1f words (bound 300)"
       extra
 
+(* A restore allocates little beyond what it builds: on a journal shaped
+   like the repository benchmark's journal-restore fixture (3 000 tasks,
+   LAF, a partial snapshot every 16 arrivals, abandoned one arrival
+   before the 16th would compact the file), the restore allocates 1 862
+   words per recovered arrival, header parse and closing compaction
+   included.  The two-pass read it replaced took 2 752: it boxed each
+   float of every superseded snapshot as it checked it and kept an item,
+   a lazy cell and a tuple for each record until the body was
+   scanned. *)
+let test_restore_allocation () =
+  let instance =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+      { Ltc_workload.Spec.default_synthetic with n_workers = 400 }
+  in
+  let workers = instance.Instance.workers in
+  with_journal_file @@ fun path ->
+  with_journal_file @@ fun redirect ->
+  let s =
+    Ltc_service.Session.create ~journal:path ~checkpoint_every:16
+      ~group_commit:4 ~algorithm:Algorithm.laf ~seed:1 instance
+  in
+  for i = 0 to (16 * 16) - 2 do
+    ignore (Ltc_service.Session.feed s workers.(i))
+  done;
+  let restore () =
+    Ltc_service.Session.restore ~journal:redirect ~group_commit:4 ~path ()
+  in
+  (* The first restore sizes the replay's candidate scratch. *)
+  Ltc_service.Session.close (restore ());
+  let restored = ref None in
+  let words = allocated_words (fun () -> restored := Some (restore ())) in
+  let s' = Option.get !restored in
+  let consumed = Ltc_service.Session.consumed s' in
+  Ltc_service.Session.close s';
+  (* The group of 4 the kill cut short is lost: 15 events after the last
+     snapshot, 3 of them still buffered. *)
+  Alcotest.(check int) "recovered arrivals" 252 consumed;
+  let per_arrival = words /. float_of_int consumed in
+  if per_arrival > 2300.0 then
+    Alcotest.failf "a restore allocates %.0f words a recovered arrival \
+                    (bound 2300)"
+      per_arrival
+
 (* -------------------------------------- validity across all algorithms *)
 
 let all_algorithms = Algorithm.paper
@@ -1332,6 +1375,8 @@ let suite =
           test_engine_step_allocation;
         Alcotest.test_case "warm journaled feed allocation" `Quick
           test_journal_feed_allocation;
+        Alcotest.test_case "restore allocation" `Quick
+          test_restore_allocation;
         Alcotest.test_case "partial checkpoint allocation" `Quick
           test_partial_checkpoint_allocation;
       ] );

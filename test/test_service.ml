@@ -1027,6 +1027,282 @@ let test_partial_rebuild_checked () =
     ~reason:"a partial snapshot in a v3 journal"
     (v3 ^ String.sub bytes magic (String.length bytes - magic))
 
+(* Restore and inspect read a journal in one pass; [Restore_oracle] keeps
+   the two-pass read they replaced.  On journals from random runs,
+   intact or damaged, both must agree with it: the same Corrupt_journal
+   message, or the same inspect record and a restored session with the
+   fingerprint of the state the oracle resumes from.  That state is
+   written out as a plain journal (its header, one full snapshot, the
+   tail) and restored, so the replay and its own checks run the same
+   code on both sides. *)
+
+let v4_keys =
+  [ "codec"; "algorithm"; "seed"; "accept_rate"; "checkpoint_every";
+    "deadline" ]
+
+let write_resume path (header : Session.header)
+    { Restore_oracle.checkpoint; tail } =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "ltc-journal v4\n";
+  Session.emit_header (Buffer.add_string buf) ~keys:v4_keys
+    ~extra:[ ("codec", "binary") ]
+    header;
+  Option.iter
+    (fun ((s : B.snapshot), a) ->
+      Journal_oracle.add_record_frame buf
+        (B.Snapshot { s with B.s_arrangement = Some a }))
+    checkpoint;
+  List.iter (fun e -> Journal_oracle.add_record_frame buf (B.Event e)) tail;
+  write_file path (Buffer.contents buf)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Session.Corrupt_journal { message; _ } -> Error message
+
+let info_view (i : Session.Journal.info) =
+  ( (i.version, Session.codec_name i.codec, i.file_bytes, i.torn_bytes),
+    (i.snapshots, i.partial_snapshots, i.events, i.consumed),
+    i.snapshot_offsets )
+
+let agrees_with_oracle ~what path =
+  let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) what in
+  let show = function Ok _ -> "a journal it reads" | Error m -> m in
+  let inspected = outcome (fun () -> Session.Journal.inspect ~path) in
+  let expected = outcome (fun () -> Restore_oracle.inspect ~path) in
+  (match (inspected, expected) with
+  | Ok a, Ok b when info_view a = info_view b -> ()
+  | Error a, Error b when a = b -> ()
+  | Ok _, Ok _ -> fail "inspect counts differ from the oracle's"
+  | _ -> fail "inspect: %s; oracle: %s" (show inspected) (show expected));
+  let expected =
+    match Restore_oracle.resume ~path with
+    | exception Session.Corrupt_journal { message; _ } -> Error message
+    | header, resume ->
+      with_tmp_journal @@ fun plain ->
+      write_resume plain header resume;
+      outcome (fun () -> restored_fp plain)
+  in
+  let restored = outcome (fun () -> restored_fp path) in
+  (match (restored, expected) with
+  | Ok a, Ok b when a = b -> ()
+  | Error a, Error b when a = b -> ()
+  | Ok _, Ok _ -> fail "restored state differs from the oracle's"
+  | _ -> fail "restore: %s; oracle: %s" (show restored) (show expected));
+  true
+
+(* One damage to a binary journal.  [at] picks the offset, or the event
+   or partial snapshot to re-encode; an event fault is one of
+   [event_faults] below. *)
+type damage =
+  | Intact
+  | Flip of int * int  (* xor a byte with a non-zero value *)
+  | Truncate of int
+  | Event_fault of int * int
+  | Count of int  (* a partial snapshot claims another count *)
+  | Fold_then_crc of int * int * int
+      (* an event fault, then a flipped byte in a later frame *)
+
+let gen_damage =
+  QCheck2.Gen.(
+    let* at = int_bound 1_000_000 and* by = int_range 1 255 in
+    let* later = int_bound 1_000_000 in
+    let* fault = int_range 0 2 in
+    oneofl
+      [
+        Intact;
+        Flip (at, by);
+        Truncate at;
+        Event_fault (fault, at);
+        Count at;
+        Fold_then_crc (fault, at, later);
+      ])
+
+(* An arrival index moved forward, an answer that was not assigned, an
+   answer (and assignment) past the last of [n_tasks] tasks. *)
+let event_faults ~n_tasks =
+  [|
+    (fun e ->
+      let w = e.B.e_worker in
+      { e with B.e_worker = { w with Ltc_core.Worker.index = w.index + 1 } });
+    (fun e ->
+      let free =
+        List.filter
+          (fun t -> not (List.mem t e.B.e_assigned))
+          (List.init n_tasks Fun.id)
+      in
+      let t = match free with t :: _ -> t | [] -> n_tasks in
+      { e with B.e_answered = e.B.e_answered @ [ t ] });
+    (fun e ->
+      {
+        e with
+        B.e_assigned = e.B.e_assigned @ [ n_tasks ];
+        e_answered = e.B.e_answered @ [ n_tasks ];
+      });
+  |]
+
+let split_frames bytes ~body_start =
+  let rec go pos acc =
+    match B.frame_at bytes pos with
+    | B.Frame len ->
+      go (pos + 8 + len) ((pos, String.sub bytes (pos + 8) len) :: acc)
+    | B.Eof | B.Torn | B.Invalid _ -> Array.of_list (List.rev acc)
+  in
+  go body_start []
+
+let flip bytes at by =
+  String.mapi
+    (fun i c -> if i = at then Char.chr (Char.code c lxor by) else c)
+    bytes
+
+(* [bytes], a binary journal over [n_tasks] tasks whose records start at
+   [body_start], with [damage] done to it (left as it is when there is no
+   record of the kind to damage). *)
+let damaged bytes ~body_start ~n_tasks damage =
+  let frames = split_frames bytes ~body_start in
+  let reframed frames = frame_bytes (String.sub bytes 0 body_start) frames in
+  (* The [at]th frame (wrapping) whose payload starts with [tag]. *)
+  let pick tag at =
+    let ks =
+      List.filter
+        (fun k -> (snd frames.(k)).[0] = tag)
+        (List.init (Array.length frames) Fun.id)
+    in
+    if ks = [] then None else Some (List.nth ks (at mod List.length ks))
+  in
+  let reencoded k f =
+    with_payload frames k
+      (Journal_oracle.payload (f (record_of (snd frames.(k)))))
+  in
+  let event_fault fault at =
+    Option.map
+      (fun k ->
+        let f = (event_faults ~n_tasks).(fault) in
+        ( k,
+          reencoded k (function
+            | B.Event e -> B.Event (f e)
+            | B.Snapshot _ -> assert false) ))
+      (pick 'E' at)
+  in
+  (* Flips and cuts land in the body: the header has its own tests. *)
+  let len = String.length bytes in
+  let in_body at = body_start + (at mod max 1 (len - body_start)) in
+  match damage with
+  | Intact -> bytes
+  | Flip (at, by) -> flip bytes (min (len - 1) (in_body at)) by
+  | Truncate at -> String.sub bytes 0 (min len (in_body at))
+  | Event_fault (fault, at) -> (
+    match event_fault fault at with
+    | Some (_, f) -> reframed f
+    | None -> bytes)
+  | Count at -> (
+    match pick 'P' at with
+    | None -> bytes
+    | Some k ->
+      reframed
+        (reencoded k (function
+          | B.Snapshot s ->
+            B.Snapshot { s with B.s_consumed = s.B.s_consumed + 1 + (at mod 3) }
+          | B.Event _ -> assert false)))
+  | Fold_then_crc (fault, at, later) -> (
+    match event_fault fault at with
+    | None -> bytes
+    | Some (k, f) ->
+      let out = reframed f in
+      if k + 1 >= Array.length f then out
+      else
+        (* A byte inside a later frame's payload: its CRC fails. *)
+        let k' = k + 1 + (later mod (Array.length f - k - 1)) in
+        let offset, payload = f.(k') in
+        flip out (offset + 8 + (later mod String.length payload)) 0x10)
+
+let restore_algorithms =
+  [ Ltc_algo.Algorithm.laf; Ltc_algo.Algorithm.aam; Ltc_algo.Algorithm.random ]
+
+(* How the journal was left: abandoned after [kill] arrivals, after an
+   explicit compaction at arrival [at], or restored at arrival [at] and
+   fed on to [kill]. *)
+type history = Plain | Compacted of int | Resumed of int
+
+let prop_restore_oracle =
+  QCheck2.Test.make ~name:"one-pass restore agrees with the two-pass oracle"
+    ~count:150
+    QCheck2.Gen.(
+      let* iseed = int_range 0 10_000 and* seed = int_range 0 10_000 in
+      let* algo = int_range 0 2 and* noshow = bool in
+      let* checkpoint_every = int_range 1 32
+      and* group_commit = int_range 1 8 in
+      let* kill = int_range 0 70 in
+      let* at = int_range 0 70 in
+      let* history = oneofl [ Plain; Plain; Compacted at; Resumed at ] in
+      let* damage = gen_damage in
+      return
+        ( (iseed, seed, algo, noshow),
+          (checkpoint_every, group_commit, kill, history),
+          damage ))
+    (fun ( (iseed, seed, algo, noshow),
+           (checkpoint_every, group_commit, kill, history),
+           damage ) ->
+      let algorithm = List.nth restore_algorithms algo in
+      let accept_rate = if noshow then Some 0.7 else None in
+      let n_tasks = 10 in
+      let instance =
+        small_instance ~n_tasks ~n_workers:70 ~capacity:2 ~seed:iseed ()
+      in
+      let ws = Array.of_list (arrivals instance) in
+      with_tmp_journal @@ fun path ->
+      let feed s ~upto =
+        for j = Session.consumed s to upto - 1 do
+          ignore (Session.feed s ws.(j))
+        done
+      in
+      let s =
+        Session.create ?accept_rate ~journal:path ~checkpoint_every
+          ~group_commit ~algorithm ~seed instance
+      in
+      let abandoned =
+        match history with
+        | Plain ->
+          feed s ~upto:kill;
+          [ s ]
+        | Compacted at ->
+          feed s ~upto:(min at kill);
+          Session.checkpoint s;
+          feed s ~upto:kill;
+          [ s ]
+        | Resumed at ->
+          feed s ~upto:(min at kill);
+          let s' = Session.restore ~group_commit ~path () in
+          feed s' ~upto:kill;
+          [ s; s' ]
+      in
+      let bytes = read_file path in
+      (* The journal is read as the kill left it; closing the sessions now
+         only frees their files (the damaged copy below replaces it). *)
+      List.iter Session.close abandoned;
+      let body_start = Restore_oracle.body_start ~path in
+      write_file path (damaged bytes ~body_start ~n_tasks damage);
+      agrees_with_oracle ~what:"binary journal" path)
+
+(* The same agreement on the old text journals, flipped or cut anywhere
+   past the magic line. *)
+let prop_text_restore_oracle =
+  QCheck2.Test.make ~name:"one-pass text restore agrees with the oracle"
+    ~count:40
+    QCheck2.Gen.(
+      let* fx = oneofl (loadgen_fixture :: refeedable_fixtures) in
+      let* cut = bool and* at = int_bound 1_000_000 in
+      let* by = int_range 1 255 in
+      return (fx, cut, at, by))
+    (fun (fx, cut, at, by) ->
+      let text = read_file (fixture_path fx.file) in
+      let len = String.length text in
+      with_tmp_journal @@ fun path ->
+      write_file path
+        (if cut then String.sub text 0 (at mod (len + 1))
+         else flip text (at mod len) by);
+      agrees_with_oracle ~what:fx.file path)
+
 (* A text journal event with a non-finite coordinate is a damaged record,
    not an arrival the policy can place. *)
 let test_text_event_nan_refused () =
@@ -2576,6 +2852,8 @@ let suite =
           `Quick test_superseded_nan_refused;
         Alcotest.test_case "partial snapshot rebuild checks refuse" `Quick
           test_partial_rebuild_checked;
+        qcheck prop_restore_oracle;
+        qcheck prop_text_restore_oracle;
         Alcotest.test_case "text event with a NaN coordinate refused" `Quick
           test_text_event_nan_refused;
         Alcotest.test_case "header bytes round-trip (both codecs)" `Quick
