@@ -95,7 +95,8 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
 
    Two shapes: a trickle (8 workers/batch, where per-batch setup dominates
    the tiny flow) and a ~100x batch (800 workers/batch, where the solve
-   dominates).  Both variants solve identical networks; the checksum
+   dominates), timed 15 and 3 times per variant, alternating between the
+   variants.  Both variants solve identical networks; the checksum
    asserts they agree exactly, since a reused workspace changes no
    arithmetic. *)
 let flow_batch_id = "flow-batch-reuse"
@@ -163,20 +164,32 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     done;
     (!flow, !cost)
   in
-  let time_variant f =
-    ignore (f ());
-    (* warmup: page faults, arena growth *)
-    let result = ref (0, 0.0) in
-    let (), dt =
-      Ltc_util.Timer.time (fun () ->
-          for _ = 1 to reps do
-            result := f ()
-          done)
-    in
-    (!result, dt /. float_of_int reps)
+  (* One warm-up run each (page faults, arena growth), then [reps] timed
+     runs each in alternation — cold, reuse, reuse, cold, ... — so a drift
+     in host speed over the bench favours neither variant; each reports
+     its median. *)
+  ignore (cold ());
+  ignore (reuse ());
+  let cold_t = Array.make reps 0.0 and reuse_t = Array.make reps 0.0 in
+  let cold_r = ref (0, 0.0) and reuse_r = ref (0, 0.0) in
+  let timed f result times i =
+    let r, dt = Ltc_util.Timer.time f in
+    result := r;
+    times.(i) <- dt
   in
-  let (cold_flow, cold_cost), cold_s = time_variant cold in
-  let (reuse_flow, reuse_cost), reuse_s = time_variant reuse in
+  for i = 0 to reps - 1 do
+    if i mod 2 = 0 then begin
+      timed cold cold_r cold_t i;
+      timed reuse reuse_r reuse_t i
+    end
+    else begin
+      timed reuse reuse_r reuse_t i;
+      timed cold cold_r cold_t i
+    end
+  done;
+  let cold_flow, cold_cost = !cold_r and reuse_flow, reuse_cost = !reuse_r in
+  let cold_s = Ltc_util.Stats.percentile cold_t 50.0
+  and reuse_s = Ltc_util.Stats.percentile reuse_t 50.0 in
   let checksum_ok = reuse_flow = cold_flow && reuse_cost = cold_cost in
   let speedup t = if t > 0.0 then cold_s /. t else 0.0 in
   let row name t =
@@ -193,7 +206,7 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
   Printf.printf "checksum: %s\n\n"
     (if checksum_ok then "variants agree" else "VARIANTS DISAGREE");
   Ltc_util.Table.print ~float_digits:2
-    ~header:[ "variant"; "time/pass (ms)"; "speedup vs cold" ]
+    ~header:[ "variant"; "median time/pass (ms)"; "speedup vs cold" ]
     [ row "cold (fresh + Bellman-Ford)" cold_s;
       row "reused arena + workspace" reuse_s ];
   print_newline ();
@@ -215,13 +228,13 @@ let run_flow_batch ~scale () =
   let degree = min 64 n_tasks in
   let small =
     flow_batch_shape ~label:"trickle" ~n_tasks ~batch_workers:8 ~degree
-      ~batches:48 ~reps:3
+      ~batches:48 ~reps:15
   in
   (* ~100x the trickle's batch width: the solve dominates, so the skipped
      rebuild is noise. *)
   let big =
     flow_batch_shape ~label:"100x" ~n_tasks ~batch_workers:(sc 800) ~degree
-      ~batches:6 ~reps:1
+      ~batches:6 ~reps:3
   in
   let speedup cold t = if t > 0.0 then cold /. t else 0.0 in
   ( "BENCH_flow_batch",

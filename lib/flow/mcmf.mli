@@ -14,16 +14,23 @@
     non-negativity.  A small epsilon absorbs floating-point drift in the
     reduced costs.
 
-    {b Hot path.}  All per-solve scratch (potential, distance, predecessor
-    and settled labels, the Dijkstra heap) lives in a {!workspace} that can
-    be reused across solves, and distance labels are validated by an epoch
-    stamp rather than O(V) fills per shortest-path pass — a caller that
-    solves one batch after another (MCF-LTC's [run_batches]) allocates
-    nothing after the first batch.  The heap is keyed on the distance
-    labels themselves ({!Node_heap}), so a shortest-path pass allocates
-    nothing either, and its pops follow the tie order the arrangement
-    digests pin.  Each run adds the arcs its passes scanned and the
-    labels they lowered to [ltc_flow_mcmf_arcs_scanned_total] and
+    {b Hot path.}  All per-solve scratch (potential, distance and
+    predecessor labels, one int array of labelled/settled marks, the
+    Dijkstra heap, the residual lists) lives in a {!workspace} that can be
+    reused across solves, and labels are validated by an epoch mark rather
+    than O(V) fills per shortest-path pass — a caller that solves one
+    batch after another (MCF-LTC's [run_batches]) allocates nothing after
+    the first batch, and a round allocates nothing.  A pass visits, out of
+    each node it settles, only the arcs that can still carry flow, in
+    adjacency order: a node's residual list is built from its adjacency
+    the first time a run expands it and is kept in step with the
+    capacities as each path is augmented, so the relaxations come in
+    exactly the order a walk of the whole adjacency would give.  The heap
+    is keyed on the distance labels themselves ({!Node_heap}), so a
+    shortest-path pass allocates nothing either, and its pops follow the
+    tie order the arrangement digests pin.  Each run adds the arcs in the
+    adjacency of the nodes its passes settled (saturated ones included)
+    and the labels they lowered to [ltc_flow_mcmf_arcs_scanned_total] and
     [ltc_flow_mcmf_relaxations_total].  See DESIGN.md §9. *)
 
 type result = {
@@ -51,9 +58,12 @@ type budget =
 (** {2 Reusable workspace} *)
 
 type workspace
-(** Solver scratch: potentials, labels and heap.  One workspace serves any
-    sequence of solves (its arrays grow on demand and never shrink); it
-    must not be shared between concurrently running solves. *)
+(** Solver scratch: potentials, labels, heap and residual lists.  One
+    workspace serves any sequence of solves, on graphs of any size (its
+    arrays grow on demand and never shrink); nothing in it carries from
+    one run to the next, so the graph may be cleared, refilled or pushed
+    between runs.  It must not be shared between concurrently running
+    solves. *)
 
 val create_workspace : ?hint:int -> unit -> workspace
 (** An empty workspace, pre-sized for graphs of [hint] nodes (default 16;

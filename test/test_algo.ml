@@ -525,11 +525,13 @@ let test_mcf_batch_config () =
 
 (* Exact arrangements, not only their latency: an MD5 of every
    (worker, task) pair in [Arrangement.to_list] order, on two fixtures and
-   batch-mcf's first seed-1 instance (300 tasks, 4000 workers), for
-   Theorem-2 batches and for buffered runs.  The Theorem-2 digests were
-   recorded before the flow layer lost SPFA, its single-sweep DAG
-   initialiser and the string solver registry; the buffered ones before it
-   lost the incremental session.  Neither change moved a decision. *)
+   the four instances batch-mcf times at [--seed 1] (300 tasks, 4000
+   workers, generated from seeds 4-7), for Theorem-2 batches and for
+   buffered runs.  The Theorem-2 digests were recorded before the flow
+   layer lost SPFA, its single-sweep DAG initialiser and the string solver
+   registry (seeds 5-7 before its Dijkstra passes moved to residual
+   lists); the buffered ones before it lost the incremental session.
+   None of these changes moved a decision. *)
 let test_mcf_arrangement_pins () =
   let digest (o : Engine.outcome) =
     let b = Buffer.create 4096 in
@@ -539,11 +541,12 @@ let test_mcf_arrangement_pins () =
       (Arrangement.to_list o.Engine.arrangement);
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  let batch_mcf =
-    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
+  let batch_mcf_seed seed =
+    Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed)
       (Ltc_workload.Spec.scale_synthetic 0.1
          Ltc_workload.Spec.default_synthetic)
   in
+  let batch_mcf = batch_mcf_seed 4 in
   let seed_95 = Fixtures.small_random ~seed:95 () in
   let buffered buffer i = Mcf_ltc.run_buffered ~buffer i in
   List.iter
@@ -554,6 +557,12 @@ let test_mcf_arrangement_pins () =
       ( "seed 21", Mcf_ltc.run (Fixtures.small_random ~seed:21 ()),
         "dc965cf88bcd88072e2c53c99b5f6291" );
       ("batch-mcf", Mcf_ltc.run batch_mcf, "391e76267ab8d24339628d5cfd4e39b5");
+      ( "batch-mcf seed 5", Mcf_ltc.run (batch_mcf_seed 5),
+        "e7d045f892d2c6e809323bc7076f360f" );
+      ( "batch-mcf seed 6", Mcf_ltc.run (batch_mcf_seed 6),
+        "06a0d8b7cb086c8617070ab2a2b36a68" );
+      ( "batch-mcf seed 7", Mcf_ltc.run (batch_mcf_seed 7),
+        "cd84d2cbe217830ac0fec8a6310e82f7" );
       ( "seed 95 buffer 1", buffered 1 seed_95,
         "b7bdf00a2f56424be78d8fd265fc3cdc" );
       ( "seed 95 buffer 7", buffered 7 seed_95,

@@ -279,6 +279,196 @@ let test_mcmf_work_counters () =
   Alcotest.(check (list int)) "arcs scanned, relaxations, passes, rounds"
     [ 24; 11; 4; 3 ] delta
 
+(* Residual lists against the full-adjacency solver they replaced
+   (test/mcmf_oracle.ml): both solve one random script of networks, each
+   on its own arena and its own workspace, reused across every case, and
+   must agree on the result, the bits of its cost, the residual of every
+   arc and the deltas of the four work counters.  Two kinds of network:
+   random graphs with non-negative costs from a handful of values, some
+   within the solver's epsilon of each other, so that labels tie; and
+   batch-shaped layers (source -> workers -> tasks -> sink) with negative
+   worker -> task costs.  Capacities are 0-3.  A step may cap the flow or
+   the rounds, push one unit by hand afterwards, and solve the same graph
+   again, so lists built by an earlier run are stale. *)
+type rerun = Resolve | Push_then_resolve of int  (* which residual arc *)
+
+type oracle_step = {
+  nodes : int;
+  arcs : (int * int * int * float) list;  (* src, dst, cap, cost *)
+  max_flow : int option;
+  rounds : int option;
+  again : rerun option;  (* a second, unbudgeted solve of the same graph *)
+}
+
+let tie_costs = [ 0.0; 0.5; 0.5 +. 4e-10; 0.5 -. 7e-10; 1.0; 1.0 +. 1e-9; 2.0 ]
+
+let random_network =
+  QCheck2.Gen.(
+    let* nodes = int_range 2 8 in
+    let* arcs =
+      list_size (int_range 1 20)
+        (let* src = int_range 0 (nodes - 1) in
+         let* dst = int_range 0 (nodes - 1) in
+         let* cap = int_range 0 3 in
+         let* cost = oneofl tie_costs in
+         return (src, dst, cap, cost))
+    in
+    return (nodes, List.filter (fun (s, d, _, _) -> s <> d) arcs))
+
+let batch_network =
+  QCheck2.Gen.(
+    let* workers = int_range 1 5 in
+    let* tasks = int_range 1 5 in
+    let nodes = workers + tasks + 2 in
+    let sink = nodes - 1 in
+    let* feed = list_repeat workers (int_range 0 3) in
+    let* drain = list_repeat tasks (int_range 0 3) in
+    let* links =
+      list_repeat (workers * tasks)
+        (opt ~ratio:0.6
+           (pair (int_range 0 3)
+              (oneofl [ -1.0; -1.0 +. 1e-9; -0.5; -0.5 -. 5e-10; -0.25 ])))
+    in
+    let source_arcs = List.mapi (fun w cap -> (0, 1 + w, cap, 0.0)) feed in
+    let link_arcs =
+      List.concat
+        (List.mapi
+           (fun k l ->
+             match l with
+             | None -> []
+             | Some (cap, cost) ->
+               [ (1 + (k / tasks), 1 + workers + (k mod tasks), cap, cost) ])
+           links)
+    in
+    let sink_arcs =
+      List.mapi (fun t cap -> (1 + workers + t, sink, cap, 0.0)) drain
+    in
+    return (nodes, source_arcs @ link_arcs @ sink_arcs))
+
+let oracle_script_gen =
+  QCheck2.Gen.(
+    let step =
+      let* nodes, arcs = frequency [ (1, random_network); (1, batch_network) ] in
+      let* max_flow = opt ~ratio:0.25 (int_range 0 4) in
+      let* rounds = opt ~ratio:0.25 (int_range 0 3) in
+      let* again =
+        opt ~ratio:0.4
+          (oneof
+             [
+               return Resolve;
+               map (fun k -> Push_then_resolve k) (int_range 0 1000);
+             ])
+      in
+      return { nodes; arcs; max_flow; rounds; again }
+    in
+    list_size (int_range 1 4) step)
+
+let prop_mcmf_matches_oracle =
+  let module M = Ltc_util.Metrics in
+  let counters =
+    List.map
+      (fun name -> M.counter ~labels:[ ("solver", "sspa") ] name)
+      [
+        "ltc_flow_mcmf_arcs_scanned_total";
+        "ltc_flow_mcmf_relaxations_total";
+        "ltc_flow_mcmf_dijkstra_passes_total";
+        "ltc_flow_mcmf_rounds_total";
+      ]
+  in
+  let g = Graph.create ~n:1 and og = Graph.create ~n:1 in
+  let ws = Mcmf.create_workspace ~hint:1 ()
+  and ows = Mcmf_oracle.create_workspace ~hint:1 () in
+  (* A solve's outcome and what it did: result (cost as bits) or the
+     refusal, every residual, and the counter deltas. *)
+  let observe graph solve =
+    let before = List.map M.Counter.value counters in
+    let outcome =
+      match solve () with
+      | (r : Mcmf.result) ->
+        Ok (r.flow, Int64.bits_of_float r.cost, r.rounds, r.exhausted)
+      | exception Invalid_argument msg -> Error msg
+    in
+    let deltas =
+      List.map2 (fun c b -> M.Counter.value c - b) counters before
+    in
+    let residuals =
+      List.init (2 * Graph.arc_count graph) (Graph.residual graph)
+    in
+    (outcome, residuals, deltas)
+  in
+  let step_agrees i st =
+    let source = 0 and sink = st.nodes - 1 in
+    List.iter
+      (fun graph ->
+        Graph.clear graph ~n:st.nodes;
+        List.iter
+          (fun (src, dst, cap, cost) ->
+            ignore (Graph.add_arc graph ~src ~dst ~cap ~cost))
+          st.arcs)
+      [ g; og ];
+    let budget = Option.map (fun r -> Mcmf.Rounds r) st.rounds in
+    let solves =
+      [
+        ( (fun () ->
+            Mcmf.run ?max_flow:st.max_flow ~workspace:ws ?budget g ~source
+              ~sink),
+          fun () ->
+            Mcmf_oracle.run ?max_flow:st.max_flow ~workspace:ows ?budget og
+              ~source ~sink );
+      ]
+      @
+      match st.again with
+      | None -> []
+      | Some rerun ->
+        (* A caller may route a unit by hand between runs. *)
+        let hand graph =
+          match rerun with
+          | Resolve -> ()
+          | Push_then_resolve pick ->
+            let live =
+              List.filter
+                (fun a -> Graph.residual graph a > 0)
+                (List.init (2 * Graph.arc_count graph) Fun.id)
+            in
+            if live <> [] then
+              Graph.push graph (List.nth live (pick mod List.length live)) 1
+        in
+        [
+          ( (fun () ->
+              hand g;
+              Mcmf.run ~workspace:ws g ~source ~sink),
+            fun () ->
+              hand og;
+              Mcmf_oracle.run ~workspace:ows og ~source ~sink );
+        ]
+    in
+    List.iteri
+      (fun j (solve, oracle) ->
+        let got = observe g solve and want = observe og oracle in
+        if got <> want then begin
+          let show (outcome, residuals, deltas) =
+            Printf.sprintf "%s residuals [%s] counters [%s]"
+              (match outcome with
+              | Ok (f, c, r, e) ->
+                Printf.sprintf "flow %d cost %h rounds %d exhausted %b" f
+                  (Int64.float_of_bits c) r e
+              | Error m -> m)
+              (String.concat ";" (List.map string_of_int residuals))
+              (String.concat ";" (List.map string_of_int deltas))
+          in
+          QCheck2.Test.fail_reportf "step %d solve %d:\n lists  %s\n oracle %s"
+            i j (show got) (show want)
+        end)
+      solves
+  in
+  QCheck2.Test.make ~name:"residual-list solver = full-adjacency oracle"
+    ~count:300 oracle_script_gen (fun script ->
+      M.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> M.set_enabled false)
+        (fun () -> List.iteri step_agrees script);
+      true)
+
 (* Brute-force reference: minimum-cost assignment on small bipartite
    instances, compared against the SSPA result. *)
 let brute_min_cost_assignment ~n_left ~n_right ~cap_left ~cap_right ~costs =
@@ -578,6 +768,36 @@ let test_warm_solve_allocation () =
   if words > 32.0 *. float_of_int r.Mcmf.rounds then
     Alcotest.failf "%.0f minor words over %d rounds" words r.Mcmf.rounds
 
+(* A round of a warm solve allocates nothing: bottleneck and augment are
+   loops, and keeping the residual lists in step writes only the
+   workspace.  Two warm solves of the same network, one capped at 10
+   units and one routing all 80, differ only in their rounds, so they
+   must allocate the same minor words (what a run allocates once: its
+   result and the pass's closure). *)
+let test_warm_solve_round_allocation () =
+  let rng = Ltc_util.Rng.create ~seed:5 in
+  let costs =
+    Array.init 40 (fun _ ->
+        Array.init 60 (fun _ -> -.Ltc_util.Rng.float rng 1.0))
+  in
+  let input = (40, 60, 2, 2, costs) in
+  let ws = Mcmf.create_workspace () in
+  let g, source, sink = build_bipartite input in
+  ignore (Mcmf.run g ~workspace:ws ~source ~sink);
+  let words ?max_flow () =
+    let g, _, _ = build_bipartite input in
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    let r = Mcmf.run ?max_flow g ~workspace:ws ~source ~sink in
+    Gc.minor ();
+    (r.Mcmf.rounds, Gc.minor_words () -. before)
+  in
+  let few_rounds, few = words ~max_flow:10 () in
+  let all_rounds, all = words () in
+  Alcotest.(check int) "capped solve" 10 few_rounds;
+  Alcotest.(check int) "full solve" 80 all_rounds;
+  Alcotest.(check (float 0.0)) "same words whatever the rounds" few all
+
 (* One workspace shared across every generated case: reuse itself is under
    test.  Exact (=) float comparisons are deliberate — stale labels and
    potentials in a reused workspace must not change a single operation of
@@ -682,6 +902,7 @@ let suite =
         Alcotest.test_case "work counters" `Quick test_mcmf_work_counters;
         qcheck prop_mcmf_matches_brute;
         qcheck prop_mcmf_flow_conservation;
+        qcheck prop_mcmf_matches_oracle;
       ] );
     ( "flow.mcmf_spfa",
       [
@@ -703,6 +924,8 @@ let suite =
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
         Alcotest.test_case "warm solve allocates per round only" `Quick
           test_warm_solve_allocation;
+        Alcotest.test_case "warm solve allocates nothing per round" `Quick
+          test_warm_solve_round_allocation;
         qcheck prop_workspace_reuse_exact;
       ] );
     ( "flow.anytime",
