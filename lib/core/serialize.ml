@@ -135,6 +135,27 @@ let int_field src s =
   | Some i -> i
   | None -> parse_error ~line:src.line_no "expected an integer, got %S" s
 
+let count_field src s =
+  match int_field src s with
+  | n when n >= 0 -> n
+  | n -> parse_error ~line:src.line_no "expected a count >= 0, got %d" n
+
+(* [count] records, read in order by [read] into an array that grows as
+   they arrive (exactly sized when there are at most 4096): no array is
+   sized by a count the file might not back. *)
+let records ~count read =
+  let a = ref [||] in
+  for i = 0 to count - 1 do
+    let r = read () in
+    if i = Array.length !a then begin
+      let b = Array.make (min count (max 4096 (2 * i))) r in
+      Array.blit !a 0 b 0 i;
+      a := b
+    end;
+    !a.(i) <- r
+  done;
+  !a
+
 let parse_instance src =
   (match next_line src with
   | "ltc-instance v1" -> ()
@@ -166,11 +187,11 @@ let parse_instance src =
   in
   let n_tasks =
     match fields (next_line src) with
-    | [ "tasks"; n ] -> int_field src n
+    | [ "tasks"; n ] -> count_field src n
     | _ -> parse_error ~line:src.line_no "expected 'tasks <count>'"
   in
   let tasks =
-    Array.init n_tasks (fun _ ->
+    records ~count:n_tasks (fun () ->
         match fields (next_line src) with
         | [ "t"; id; x; y ] ->
           Task.make ~id:(int_field src id)
@@ -186,11 +207,11 @@ let parse_instance src =
   in
   let n_workers =
     match fields (next_line src) with
-    | [ "workers"; n ] -> int_field src n
+    | [ "workers"; n ] -> count_field src n
     | _ -> parse_error ~line:src.line_no "expected 'workers <count>'"
   in
   let workers =
-    Array.init n_workers (fun _ ->
+    records ~count:n_workers (fun () ->
         match fields (next_line src) with
         | [ "w"; index; x; y; accuracy; capacity ] ->
           Worker.make ~index:(int_field src index)
@@ -208,7 +229,7 @@ let parse_arrangement src =
   | other -> parse_error ~line:src.line_no "bad header %S" other);
   let n =
     match fields (next_line src) with
-    | [ "assignments"; n ] -> int_field src n
+    | [ "assignments"; n ] -> count_field src n
     | _ -> parse_error ~line:src.line_no "expected 'assignments <count>'"
   in
   let arrangement = ref Arrangement.empty in
@@ -268,7 +289,7 @@ let parse_progress src =
   | other -> parse_error ~line:src.line_no "bad header %S" other);
   let n =
     match fields (next_line src) with
-    | [ "tasks"; n ] -> int_field src n
+    | [ "tasks"; n ] -> count_field src n
     | _ -> parse_error ~line:src.line_no "expected 'tasks <count>'"
   in
   let sum_remaining =
@@ -276,15 +297,15 @@ let parse_progress src =
     | [ "sum_remaining"; x ] -> float_field src x
     | _ -> parse_error ~line:src.line_no "expected 'sum_remaining <float>'"
   in
-  let thresholds = Array.make n 0.0 in
-  let scores = Array.make n 0.0 in
-  for task = 0 to n - 1 do
-    match fields (next_line src) with
-    | [ "p"; threshold; score ] ->
-      thresholds.(task) <- float_field src threshold;
-      scores.(task) <- float_field src score
-    | _ -> parse_error ~line:src.line_no "expected a progress line"
-  done;
+  let rows =
+    records ~count:n (fun () ->
+        match fields (next_line src) with
+        | [ "p"; threshold; score ] ->
+          let threshold = float_field src threshold in
+          (threshold, float_field src score)
+        | _ -> parse_error ~line:src.line_no "expected a progress line")
+  in
+  let thresholds = Array.map fst rows and scores = Array.map snd rows in
   match Progress.of_snapshot { Progress.thresholds; scores; sum_remaining } with
   | progress -> progress
   | exception Invalid_argument message ->

@@ -94,6 +94,10 @@ val parse_instance : source -> Instance.t
 val emit_arrangement : sink -> Arrangement.t -> unit
 val parse_arrangement : source -> Arrangement.t
 val parse_progress : source -> Progress.t
+(** The parsers refuse a negative record count (the [tasks], [workers]
+    and [assignments] lines) as a {!Parse_error} naming its line, and
+    size nothing by a count: a count larger than the records that follow
+    fails at the first line that is not one. *)
 
 (** {2 Binary record codec}
 

@@ -4,7 +4,6 @@ type t = {
   mutable n : int;
   mutable len : int;  (* number of arc slots in use (2 per forward arc) *)
   mutable heads : int array;  (* heads.(a): node arc [a] points to *)
-  mutable tails : int array;
   mutable caps : int array;   (* caps.(a): residual capacity of [a] *)
   mutable costs : float array;
   mutable next : int array;   (* intrusive adjacency list: next arc at tail *)
@@ -17,7 +16,6 @@ let create ~n =
     n;
     len = 0;
     heads = Array.make 16 0;
-    tails = Array.make 16 0;
     caps = Array.make 16 0;
     costs = Array.make 16 0.0;
     next = Array.make 16 (-1);
@@ -36,7 +34,6 @@ let grow t =
     b
   in
   t.heads <- extend t.heads 0;
-  t.tails <- extend t.tails 0;
   t.caps <- extend t.caps 0;
   t.next <- extend t.next (-1);
   let costs = Array.make cap 0.0 in
@@ -56,7 +53,6 @@ let append t ~src ~dst ~cap ~cost =
   let a = t.len in
   t.len <- a + 1;
   t.heads.(a) <- dst;
-  t.tails.(a) <- src;
   t.caps.(a) <- cap;
   t.costs.(a) <- cost;
   t.next.(a) <- t.first.(src);
@@ -76,9 +72,10 @@ let add_arc t ~src ~dst ~cap ~cost =
 let check_arc t a =
   if a < 0 || a >= t.len then invalid_arg "Graph: arc out of range"
 
+(* An arc's tail is the head of its reverse. *)
 let src t a =
   check_arc t a;
-  t.tails.(a)
+  t.heads.(a lxor 1)
 
 let dst t a =
   check_arc t a;
@@ -123,9 +120,10 @@ let iter_forward_arcs t f =
   go 0
 
 let memory_words t =
-  (* Five int arrays + one float array sized by the reserved arc capacity,
-     plus the reserved node array — [clear] keeps the arena, so the reserved
-     sizes (not the live prefix) are what the process actually holds. *)
+  (* Six words a reserved arc slot plus the reserved node array ([clear]
+     keeps the arena): six is what the figures' memory panels were
+     recorded with.  A slot holds four (head, capacity, cost, next); the
+     other two match the solver's residual lists, charged nowhere else. *)
   (6 * Array.length t.heads) + Array.length t.first
 
 type raw = {

@@ -77,6 +77,8 @@ let check_config ~mode ~supervised config =
     invalid_arg "Loadgen.run: slo_s must be finite and > 0"
   | _ -> ());
   if config.arrivals < 1 then invalid_arg "Loadgen.run: arrivals must be >= 1";
+  if config.recorder_capacity < 1 then
+    invalid_arg "Loadgen.run: recorder_capacity must be >= 1";
   (* The virtual clock and the Delay plan are process-global and single
      domain; shard domains probing them concurrently would race.  A
      supervised server probes under each shard's fault scope, where the

@@ -90,9 +90,10 @@ val check_config :
   mode:Shard_server.mode -> supervised:bool -> config -> unit
 (** The checks {!run} makes of [config] that need no server: a finite,
     non-negative fixed service time (a positive exponential mean), a
-    finite positive SLO, [arrivals >= 1], and [Virtual] timing only over
-    an unsupervised [Inline] server of the given [mode].  Call it before
-    creating the server, so that a refused run leaves no journal behind.
+    finite positive SLO, [arrivals >= 1], [recorder_capacity >= 1], and
+    [Virtual] timing only over an unsupervised [Inline] server of the
+    given [mode].  Call it before creating the server, so that a refused
+    run leaves no journal behind.
     @raise Invalid_argument with the message {!run} would raise. *)
 
 val run :

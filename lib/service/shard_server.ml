@@ -104,6 +104,16 @@ let shard_of part p =
 
 (* --------------------------------------------------------- shard state *)
 
+(* Where one global arrival went.  The merge keeps these in a route log
+   in global arrival order, so a route's position is its global index. *)
+type route =
+  | Shard of int  (* routed to shard k: its decision comes back on k's queue *)
+  | Skip of int * int  (* shard, local arrival consumed before a restore *)
+  | Ack  (* fed after global completion: acknowledge only *)
+  | Dead
+      (* shed, or refused at a quarantined shard's door — released as an
+         explicit unassigned degraded ack *)
+
 type shard = {
   mutable sh_session : Session.t;  (* replaced online by the supervisor *)
   sh_journal : string option;  (* the session's live journal path *)
@@ -125,25 +135,20 @@ type shard = {
   sh_captured : Session.decision option ref;
       (* last decision the session made, written pre-append via the
          [on_decision] hook: covers the one arrival whose append became
-         durable but whose merge insert a crash interrupted *)
-  mutable sh_decided : int;
-      (* highest local index with a merge-layer entry (under [t_cmutex]) *)
-  mutable sh_quarantined : bool;
+         durable but whose hand-back a crash interrupted *)
+  sh_route : route;  (* [Shard k], allocated once *)
+  (* --- hand-back: [sh_lock] guards the two fields below, between the
+     thread feeding the session (the shard's lane, or the caller inline)
+     and the caller, which releases --- *)
+  sh_lock : Mutex.t;
+  sh_decisions : Session.decision Queue.t;  (* decided, not yet released *)
+  mutable sh_decided : int;  (* highest local index decided or skipped *)
 }
 
-type entry =
-  | P_dec of int * Session.decision  (* shard, shard-local decision *)
-  | P_skip of int * int  (* shard, local arrival index *)
-  | P_ack  (* arrival fed after global completion: acknowledge only *)
-  | P_dead of int
-      (* shard; arrival shed or owned by a quarantined shard — released
-         as an explicit unassigned degraded ack so the merge layer never
-         hangs on a dead shard *)
-
-type msg = { mg : int; mq : bool; mw : Worker.t }
+type msg = { mq : bool; mw : Worker.t }
 (* [mq] — quiet: a supervised re-feed of an arrival whose decision is
-   already merged; the session must re-consume it (to advance its state
-   deterministically) but no merge entry is inserted. *)
+   already handed back; the session must re-consume it (to advance its
+   state deterministically) but its decision is dropped. *)
 
 (* What every shard runs, and how its journal is written: a manifest's
    content (a plain journal's header stands in for one). *)
@@ -164,12 +169,11 @@ type t = {
          no routing, re-indexing or merge layer in between *)
   t_config : manifest;  (* as restore re-attached it *)
   t_resumed_at : int;
-  (* Merge layer.  [t_cmutex] guards [t_pending] (shard domains insert,
-     the caller releases); every other mutable field is owned by the
-     calling thread. *)
-  t_cmutex : Mutex.t;
-  t_pending : (int, entry) Hashtbl.t;
-  mutable t_next_emit : int;  (* next global index to release *)
+  (* Merge layer, owned by the calling thread like every mutable field
+     here: the routes not yet released, and the global index of the
+     first. *)
+  t_routes : route Queue.t;
+  mutable t_next_emit : int;
   mutable t_fed : int;  (* global arrivals accepted by [feed] *)
   mutable t_consumed : int;
   mutable t_replayed : int;
@@ -210,6 +214,11 @@ let stalls t =
 
 let supervised t = t.t_super <> None
 let restarts t = match t.t_super with None -> 0 | Some s -> Supervisor.restarts s
+
+let is_quarantined t k =
+  match t.t_super with
+  | None -> false
+  | Some s -> Supervisor.is_quarantined s ~shard:k
 
 let shard_restarts t =
   match t.t_super with
@@ -360,7 +369,7 @@ let shard_seeds ~seed n =
   let rng = Ltc_util.Rng.create ~seed in
   Array.init n (fun _ -> Ltc_util.Rng.split_seed rng)
 
-let make_shard ~session ~journal ~tasks_globals ~restored ~supervised
+let make_shard k ~session ~journal ~tasks_globals ~restored ~supervised
     ~captured =
   let recruited = Hashtbl.create 16 in
   let skip = if restored then Session.consumed session else 0 in
@@ -380,33 +389,34 @@ let make_shard ~session ~journal ~tasks_globals ~restored ~supervised
     sh_complete = Session.completed session;
     sh_arrivals = (if supervised then Array.make (max 16 skip) None else [||]);
     sh_captured = captured;
+    sh_route = Shard k;
+    sh_lock = Mutex.create ();
+    sh_decisions = Queue.create ();
     sh_decided = 0;
-    sh_quarantined = false;
   }
 
-(* Insert a merge entry for a shard-local arrival and advance the shard's
-   decided watermark, atomically w.r.t. the merge layer. *)
-let add_entry t sh ~local g entry =
-  Mutex.lock t.t_cmutex;
-  Hashtbl.replace t.t_pending g entry;
-  if local > sh.sh_decided then sh.sh_decided <- local;
-  Mutex.unlock t.t_cmutex
+(* Hand decision [d] back to the merge on [sh]'s queue.  A shard decides
+   its arrivals in local order, so its decided watermark only rises. *)
+let hand_back sh (d : Session.decision) =
+  Mutex.lock sh.sh_lock;
+  Queue.push d sh.sh_decisions;
+  sh.sh_decided <- d.Session.worker;
+  Mutex.unlock sh.sh_lock
 
 let scoped k f = Ltc_util.Fault.with_scope (Supervisor.scope ~shard:k) f
 
-(* The message for [sh]'s routed local arrival [local]: the original
-   arrival [w] renumbered to the shard's own index. *)
-let message sh ~local ~quiet (w : Worker.t) =
+(* The message for a routed local arrival [local]: the original arrival
+   [w] renumbered to the shard's own index. *)
+let message ~local ~quiet (w : Worker.t) =
   {
-    mg = sh.sh_globals.(local - 1);
     mq = quiet;
     mw =
       Worker.make ~index:local ~loc:w.Worker.loc ~accuracy:w.Worker.accuracy
         ~capacity:w.Worker.capacity;
   }
 
-(* Feed one message to shard [k]'s session and merge its decision unless
-   it is quiet.  Whatever thread runs it — the caller inline or in
+(* Feed one message to shard [k]'s session and hand its decision back
+   unless it is quiet.  Whatever thread runs it — the caller inline or in
    recovery, or the shard's lane — a supervised server probes under the
    shard's fault scope: that thread is then the single writer of the
    ["shard<k>/..."] fault counters, so scripted per-shard hits are
@@ -417,8 +427,7 @@ let deliver t k msg =
     if supervised t then scoped k (fun () -> Session.feed sh.sh_session msg.mw)
     else Session.feed sh.sh_session msg.mw
   in
-  if not msg.mq then
-    add_entry t sh ~local:msg.mw.Worker.index msg.mg (P_dec (k, d))
+  if not msg.mq then hand_back sh d
 
 let attach_pool t ~mailbox =
   match t.t_mode with
@@ -488,7 +497,7 @@ let start ~mode ~supervise ?resume ~seeds ~journal_of m =
               ~fsync:m.fsync ~group_commit:m.group_commit ~path ()
           | None -> fresh k
         in
-        make_shard ~session ~journal:(journal_of k)
+        make_shard k ~session ~journal:(journal_of k)
           ~tasks_globals:(fst split.(k))
           ~restored:(source <> None) ~supervised:(super <> None)
           ~captured:captured.(k))
@@ -505,8 +514,7 @@ let start ~mode ~supervise ?resume ~seeds ~journal_of m =
       t_config = m;
       t_resumed_at =
         Array.fold_left (fun acc sh -> acc + sh.sh_skip) 0 shards_arr;
-      t_cmutex = Mutex.create ();
-      t_pending = Hashtbl.create 64;
+      t_routes = Queue.create ();
       t_next_emit = 1;
       t_fed = 0;
       t_consumed = 0;
@@ -643,87 +651,79 @@ let restore ?journal ?mailbox ?(mode = Domains) ?fsync ?group_commit
 
 let map_tasks sh ids = List.map (fun local -> sh.sh_tasks.(local)) ids
 
-(* Release the contiguous prefix of pending entries starting at
-   [t_next_emit], folding each into the global merge state.  Called with
-   [t_cmutex] held; only the feeding thread releases, so the global
-   bookkeeping updates in strict arrival order. *)
-let release t =
-  let out = ref [] in
-  let rec loop () =
-    match Hashtbl.find_opt t.t_pending t.t_next_emit with
-    | None -> ()
-    | Some entry ->
-      let g = t.t_next_emit in
-      Hashtbl.remove t.t_pending g;
-      t.t_next_emit <- g + 1;
-      (match entry with
-      | P_ack ->
-        out :=
-          {
-            Session.worker = g;
-            assigned = [];
-            answered = [];
-            completed = true;
-            latency = t.t_latency;
-            degraded = false;
-          }
-          :: !out
-      | P_skip (k, local) ->
-        (* Consumed (and journaled) by its shard in a previous
-           incarnation: rebuild the merge bookkeeping, emit nothing. *)
-        let sh = t.t_shards.(k) in
-        t.t_consumed <- t.t_consumed + 1;
-        t.t_replayed <- t.t_replayed + 1;
-        if Hashtbl.mem sh.sh_recruited local then
-          t.t_latency <- max t.t_latency g
-      | P_dead _ ->
-        (* Shed, or owned by a quarantined shard: an explicit unassigned
-           degraded ack.  Nothing was consumed and the shard's tasks stay
-           incomplete — the merge layer just refuses to hang on it. *)
-        out :=
-          {
-            Session.worker = g;
-            assigned = [];
-            answered = [];
-            completed = t.t_incomplete = 0;
-            latency = t.t_latency;
-            degraded = true;
-          }
-          :: !out
-      | P_dec (k, d) ->
-        let sh = t.t_shards.(k) in
-        let was_complete = t.t_incomplete = 0 in
-        if not was_complete then t.t_consumed <- t.t_consumed + 1;
+(* The merged decision for global arrival [g], under the global
+   completion flag and latency watermark as they stand. *)
+let merged t g ~assigned ~answered ~degraded =
+  {
+    Session.worker = g;
+    assigned;
+    answered;
+    completed = t.t_incomplete = 0;
+    latency = t.t_latency;
+    degraded;
+  }
+
+(* Pop the route at the front of the log and return its global index. *)
+let pop_route t =
+  ignore (Queue.take t.t_routes);
+  let g = t.t_next_emit in
+  t.t_next_emit <- g + 1;
+  g
+
+(* Release routes from the front of the log while each is ready, folding
+   each into the global merge state; [acc] holds the decisions released
+   so far, latest first.  Only the calling thread releases, so the global
+   bookkeeping updates in strict arrival order.  A shard hands its
+   decisions back in its local order and its routes were logged in that
+   order too, so a [Shard k] route takes k's next decision.  Finding none,
+   it waits — unless the shard is quarantined and never will decide it. *)
+let rec release t acc =
+  if Queue.is_empty t.t_routes then List.rev acc
+  else
+    match Queue.peek t.t_routes with
+    | Shard k ->
+      let sh = t.t_shards.(k) in
+      Mutex.lock sh.sh_lock;
+      if Queue.is_empty sh.sh_decisions then begin
+        Mutex.unlock sh.sh_lock;
+        if is_quarantined t k then dead_ack t acc else List.rev acc
+      end
+      else begin
+        let d = Queue.take sh.sh_decisions in
+        Mutex.unlock sh.sh_lock;
+        let g = pop_route t in
+        if t.t_incomplete > 0 then t.t_consumed <- t.t_consumed + 1;
         if d.Session.completed && not sh.sh_complete then begin
           sh.sh_complete <- true;
           t.t_incomplete <- t.t_incomplete - 1
         end;
         if d.Session.answered <> [] then t.t_latency <- max t.t_latency g;
-        out :=
-          {
-            Session.worker = g;
-            assigned = map_tasks sh d.Session.assigned;
-            answered = map_tasks sh d.Session.answered;
-            completed = t.t_incomplete = 0;
-            latency = t.t_latency;
-            degraded = d.Session.degraded;
-          }
-          :: !out);
-      loop ()
-  in
-  loop ();
-  List.rev !out
+        release t
+          (merged t g
+             ~assigned:(map_tasks sh d.Session.assigned)
+             ~answered:(map_tasks sh d.Session.answered)
+             ~degraded:d.Session.degraded
+          :: acc)
+      end
+    | Skip (k, local) ->
+      (* Consumed (and journaled) by its shard in a previous incarnation:
+         rebuild the merge bookkeeping, emit nothing. *)
+      let g = pop_route t in
+      t.t_consumed <- t.t_consumed + 1;
+      t.t_replayed <- t.t_replayed + 1;
+      if Hashtbl.mem t.t_shards.(k).sh_recruited local then
+        t.t_latency <- max t.t_latency g;
+      release t acc
+    | Ack ->
+      let g = pop_route t in
+      release t (merged t g ~assigned:[] ~answered:[] ~degraded:false :: acc)
+    | Dead -> dead_ack t acc
 
-let locked_release t =
-  Mutex.lock t.t_cmutex;
-  let out = release t in
-  Mutex.unlock t.t_cmutex;
-  out
-
-let add_pending t g entry =
-  Mutex.lock t.t_cmutex;
-  Hashtbl.replace t.t_pending g entry;
-  Mutex.unlock t.t_cmutex
+(* An explicit unassigned degraded ack: nothing was consumed and the
+   shard's tasks stay incomplete — the merge just refuses to hang. *)
+and dead_ack t acc =
+  let g = pop_route t in
+  release t (merged t g ~assigned:[] ~answered:[] ~degraded:true :: acc)
 
 (* ---------------------------------------------------------- supervision *)
 
@@ -747,35 +747,24 @@ let route t sh g (w : Worker.t) =
   if supervised t then sh.sh_arrivals.(local - 1) <- Some w;
   local
 
-(* Quarantine shard [k]: clear its lane's standing failure (so quiesce,
-   shutdown and the siblings are unaffected) and give every routed-but-
-   unmerged arrival an explicit unassigned-decision ack — the merge layer
-   keeps releasing instead of waiting forever on a dead shard.  Arrivals
-   routed to [k] from now on are acked the same way at the door. *)
-let quarantine_now t k =
-  let sh = t.t_shards.(k) in
-  if not sh.sh_quarantined then begin
-    sh.sh_quarantined <- true;
-    (match t.t_pool with
-    | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
-    | None -> ());
-    Mutex.lock t.t_cmutex;
-    for local = sh.sh_decided + 1 to sh.sh_local_fed do
-      Hashtbl.replace t.t_pending sh.sh_globals.(local - 1) (P_dead k)
-    done;
-    if sh.sh_local_fed > sh.sh_decided then sh.sh_decided <- sh.sh_local_fed;
-    Mutex.unlock t.t_cmutex
-  end
+(* Clear lane [k]'s standing failure, so the same domain consumes again
+   (and quiesce, shutdown and the siblings are unaffected). *)
+let restart_lane t k =
+  match t.t_pool with
+  | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
+  | None -> ()
 
 (* Restore shard [k]'s session from its journal and re-feed what the
    crash lost.  Runs on the calling domain under the shard's fault scope
    (recovery probes the same per-shard sites, so scripted restore-time
    faults stay deterministic); any exception here counts as another
-   crash of the same shard. *)
+   crash of the same shard.  A quarantined shard only gets its lane back:
+   release turns its undecided routes into dead acks, and the door
+   refuses its later arrivals. *)
 let rec handle_crash t k =
   let super = Option.get t.t_super in
   match Supervisor.on_crash super ~shard:k with
-  | `Quarantine -> quarantine_now t k
+  | `Quarantine -> restart_lane t k
   | `Restart backoff_s -> (
     Ltc_util.Fault.sleep backoff_s;
     match revive t k with () -> () | exception _ -> handle_crash t k)
@@ -798,26 +787,22 @@ and revive t k =
   in
   sh.sh_session <- session;
   let m = Session.consumed session in
-  (* The one arrival whose append became durable but whose merge insert
-     the crash interrupted: its pre-append capture stands in (the
-     restored session cannot re-decide an index it already consumed). *)
+  (* The one arrival whose append became durable but whose hand-back the
+     crash interrupted: its pre-append capture stands in (the restored
+     session cannot re-decide an index it already consumed). *)
   (match !(sh.sh_captured) with
   | Some d when d.Session.worker = sh.sh_decided + 1 && d.Session.worker <= m
     ->
-    add_entry t sh ~local:d.Session.worker
-      sh.sh_globals.(d.Session.worker - 1)
-      (P_dec (k, d))
+    hand_back sh d
   | _ -> ());
-  (* The lane parked on its failure; clearing it lets the same domain
-     consume again.  What the crash took from its mailbox is among the
-     retained arrivals the re-feed below sends again. *)
-  (match t.t_pool with
-  | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
-  | None -> ());
+  let decided = sh.sh_decided in
+  (* What the crash took from the lane's mailbox is among the retained
+     arrivals the re-feed below sends again. *)
+  restart_lane t k;
   (* Re-feed, in order, everything routed past the durable prefix: quiet
-     for arrivals whose decision is already merged (the session must
-     re-consume them to reach the same state, but no entry is inserted),
-     live for the rest. *)
+     for arrivals whose decision is already handed back (the session must
+     re-consume them to reach the same state, but nothing is queued), live
+     for the rest. *)
   for local = m + 1 to sh.sh_local_fed do
     let w =
       match sh.sh_arrivals.(local - 1) with
@@ -825,7 +810,7 @@ and revive t k =
       | None ->
         invalid_arg "Shard_server: supervised re-feed lost an arrival"
     in
-    let msg = message sh ~local ~quiet:(local <= sh.sh_decided) w in
+    let msg = message ~local ~quiet:(local <= decided) w in
     match t.t_pool with
     | Some pool -> Ltc_util.Pool.Workers.push pool ~lane:k msg
     | None -> deliver t k msg
@@ -840,26 +825,27 @@ let feed_routed t (w : Worker.t) =
          (t.t_fed + 1) w.Worker.index);
   let g = t.t_fed + 1 in
   t.t_fed <- g;
-  if completed t && Hashtbl.length t.t_pending = 0 then begin
+  if completed t && Queue.is_empty t.t_routes then
     (* Globally complete and fully released: acknowledge without routing,
        consuming capacity or touching any shard — Session.feed parity. *)
-    add_pending t g P_ack;
-    locked_release t
-  end
+    Queue.push Ack t.t_routes
   else begin
     let k = shard_of_point t w.Worker.loc in
     let sh = t.t_shards.(k) in
     if sh.sh_skip > 0 then begin
       let local = route t sh g w in
       sh.sh_skip <- sh.sh_skip - 1;
-      add_entry t sh ~local g (P_skip (k, local))
+      Mutex.lock sh.sh_lock;
+      sh.sh_decided <- local;
+      Mutex.unlock sh.sh_lock;
+      Queue.push (Skip (k, local)) t.t_routes
     end
-    else if sh.sh_quarantined then
+    else if is_quarantined t k then
       (* Quarantined shard: ack at the door, never route. *)
-      add_pending t g (P_dead k)
+      Queue.push Dead t.t_routes
     else begin
       let local = route t sh g w in
-      let msg = message sh ~local ~quiet:false w in
+      let msg = message ~local ~quiet:false w in
       let overload =
         match t.t_super with
         | None -> Supervisor.Block
@@ -867,28 +853,32 @@ let feed_routed t (w : Worker.t) =
       in
       match
         match (t.t_pool, overload) with
-        | None, _ -> deliver t k msg
+        | None, _ ->
+          deliver t k msg;
+          true
         | Some pool, Supervisor.Block ->
-          Ltc_util.Pool.Workers.push pool ~lane:k msg
+          Ltc_util.Pool.Workers.push pool ~lane:k msg;
+          true
         | Some pool, Supervisor.Shed ->
-          if not (Ltc_util.Pool.Workers.try_push pool ~lane:k msg) then begin
-            (* Mailbox full: shed instead of blocking.  Un-route the
-               arrival (its local index was never seen by the session)
-               and ack it explicitly. *)
-            sh.sh_local_fed <- local - 1;
-            sh.sh_arrivals.(local - 1) <- None;
-            Supervisor.note_shed (Option.get t.t_super);
-            add_pending t g (P_dead k)
-          end
+          Ltc_util.Pool.Workers.try_push pool ~lane:k msg
       with
-      | () -> ()
+      | true -> Queue.push sh.sh_route t.t_routes
+      | false ->
+        (* Mailbox full: shed instead of blocking.  Un-route the arrival
+           (its local index was never seen by the session) and ack it
+           explicitly. *)
+        sh.sh_local_fed <- local - 1;
+        sh.sh_arrivals.(local - 1) <- None;
+        Supervisor.note_shed (Option.get t.t_super);
+        Queue.push Dead t.t_routes
       | exception _ when supervised t ->
         (* The shard's session or lane failed on this arrival.  It is
            already routed, so recovery re-feeds it. *)
+        Queue.push sh.sh_route t.t_routes;
         handle_crash t k
-    end;
-    locked_release t
-  end
+    end
+  end;
+  release t []
 
 let feed t (w : Worker.t) =
   if t.t_closed then invalid_arg "Shard_server.feed: server is closed";
@@ -927,7 +917,7 @@ let flush t =
   if t.t_closed then []
   else begin
     Option.iter (drain t) t.t_pool;
-    locked_release t
+    release t []
   end
 
 let close t =
@@ -940,11 +930,11 @@ let close t =
       else Ltc_util.Pool.Workers.quiesce pool;
       Ltc_util.Pool.Workers.shutdown pool);
     t.t_closed <- true;
-    Array.iter
-      (fun sh ->
+    Array.iteri
+      (fun k sh ->
         (* A quarantined shard's session died mid-write; its journal tail
            is whatever was durable, and closing the dead handle could
            raise — abandon it like the chaos harness does. *)
-        if not sh.sh_quarantined then Session.close sh.sh_session)
+        if not (is_quarantined t k) then Session.close sh.sh_session)
       t.t_shards
   end

@@ -11,7 +11,11 @@
     location's cell and fed to that shard's session with a shard-local
     arrival index; a merge layer re-emits the per-shard decisions in
     global arrival order with global task ids, a global latency watermark
-    and a global completion flag.
+    and a global completion flag.  The merge is a route log: the caller
+    logs where each arrival went, each shard hands its decisions back in
+    its own order through its own queue, and the caller releases routes
+    from the front of the log while the shard each names has its next
+    decision ready.  No merge state is shared between shard domains.
 
     {2 Execution modes}
 
@@ -97,8 +101,9 @@ val create :
     siblings, restored online from its own journal with
     {!Ltc_util.Fault.Retry.backoff_s} between attempts, and re-fed the
     arrivals its mailbox lost; a shard that exhausts
-    [config.max_restarts] is quarantined — its arrivals (pending and
-    future) are released as explicit unassigned degraded acks.  With
+    [config.max_restarts] is quarantined — its arrivals it left
+    undecided, and all later ones, are released as explicit unassigned
+    degraded acks (what it decided before is released as decided).  With
     [overload = Shed], an arrival routed to a full mailbox is shed the
     same way instead of blocking.  Supervised shard domains probe
     {!Ltc_util.Fault} sites under the ["shard<k>"] scope, which is what

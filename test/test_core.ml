@@ -1228,6 +1228,46 @@ let test_serialize_non_finite () =
       ("t 1 ", 3, "-inf");
     ]
 
+(* A record count is checked before it is trusted: a negative one is a
+   parse error naming its line, and one the records do not back fails at
+   the first line that is not a record, having allocated for the records
+   read rather than for the count. *)
+let test_serialize_counts () =
+  let head = "ltc-instance v1\nepsilon 0.1\naccuracy historical\n\
+              scoring hoeffding\nradius none\n"
+  in
+  let refused what parse text ~line ~message =
+    match parse text with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Serialize.Parse_error { line = l; message = m } ->
+      Alcotest.(check (pair int string)) what (line, message) (l, m)
+  in
+  let instance s = ignore (Serialize.instance_of_string s) in
+  refused "negative task count" instance (head ^ "tasks -1\n") ~line:6
+    ~message:"expected a count >= 0, got -1";
+  refused "negative worker count" instance
+    (head ^ "tasks 1\nt 0 1 2\nworkers -2\n")
+    ~line:8 ~message:"expected a count >= 0, got -2";
+  refused "negative assignment count"
+    (fun s -> ignore (Serialize.arrangement_of_string s))
+    "ltc-arrangement v1\nassignments -5\n" ~line:2
+    ~message:"expected a count >= 0, got -5";
+  refused "negative progress count"
+    (fun s -> ignore (Serialize.progress_of_string s))
+    "ltc-progress v1\ntasks -3\nsum_remaining 0\n" ~line:2
+    ~message:"expected a count >= 0, got -3";
+  let inflated =
+    head ^ "tasks 10000000\nt 0 1 1\nt 1 2 2\nt 2 3 3\nworkers 0\n"
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  refused "inflated task count" instance inflated ~line:10
+    ~message:"expected a task line";
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= 1e6 then
+    Alcotest.failf "an inflated count allocated %.0f bytes" allocated
+
 let test_serialize_comments_and_blanks () =
   let i = analysis_fixture () in
   let s = Serialize.instance_to_string i in
@@ -2043,6 +2083,8 @@ let suite =
         Alcotest.test_case "parse errors" `Quick test_serialize_parse_errors;
         Alcotest.test_case "non-finite floats refused" `Quick
           test_serialize_non_finite;
+        Alcotest.test_case "record counts checked" `Quick
+          test_serialize_counts;
         Alcotest.test_case "comments and blanks" `Quick
           test_serialize_comments_and_blanks;
         qcheck prop_serialize_roundtrip;

@@ -1723,7 +1723,14 @@ let test_loadgen_deterministic () =
   ignore (Shard_server.feed srv workers.(0));
   Alcotest.check_raises "non-fresh server rejected"
     (Invalid_argument "Loadgen.run: server must be fresh (consumed = 0)")
-    (fun () -> ignore (Loadgen.run ~server:srv ~workers config))
+    (fun () -> ignore (Loadgen.run ~server:srv ~workers config));
+  (* A recorder with no slot is refused by the check that runs before any
+     server (and its journal) exists. *)
+  Alcotest.check_raises "zero recorder capacity rejected"
+    (Invalid_argument "Loadgen.run: recorder_capacity must be >= 1")
+    (fun () ->
+      Loadgen.check_config ~mode:Shard_server.Inline ~supervised:false
+        { config with Loadgen.recorder_capacity = 0 })
 
 (* A supervised server probes each shard's faults under its scope, where
    the virtual run's unscoped service-time delays would never fire: the
@@ -2461,11 +2468,15 @@ let with_faults faults f =
       f ())
 
 (* Crash isolation under quarantine: kill shard [kill_shard] at its
-   [hit]-th scoped journal append with a zero restart budget.  The shard
-   is quarantined, its pending and future arrivals come back as explicit
-   unassigned degraded acks (the merge layer never hangs), and every
-   {e other} shard's decision substream is byte-identical to the
-   unsupervised baseline.  Returns whether the fault actually fired. *)
+   [hit]-th scoped journal append with a zero restart budget.  With group
+   commit 1 and no checkpoint before it, that append is the shard's
+   [hit]-th arrival's, so the shard is quarantined and splits exactly:
+   its first [hit - 1] arrivals are its baseline decisions (decided before
+   the crash, whether or not the merge had released them yet), and every
+   later one is an explicit unassigned degraded ack (the merge layer
+   never hangs).  Every {e other} shard's decision substream is
+   byte-identical to the unsupervised baseline.  Returns whether the
+   fault actually fired. *)
 let shard_crash_isolation ~mode ~shards ~kill_shard ~hit instance =
   let algo = Ltc_algo.Algorithm.laf in
   let n = Array.length instance.Ltc_core.Instance.workers in
@@ -2510,6 +2521,7 @@ let shard_crash_isolation ~mode ~shards ~kill_shard ~hit instance =
     (d.Session.worker, d.Session.assigned, d.Session.answered,
      d.Session.degraded)
   in
+  let killed_seen = ref 0 in
   Array.iteri
     (fun i d ->
       let w = instance.Ltc_core.Instance.workers.(i) in
@@ -2526,10 +2538,16 @@ let shard_crash_isolation ~mode ~shards ~kill_shard ~hit instance =
           if substream d <> substream b then
             Alcotest.fail (label "sibling substream diverged")
         end
-        else if substream d <> substream b then
-          if not (d.Session.assigned = [] && d.Session.degraded) then
+        else begin
+          incr killed_seen;
+          if crashed && !killed_seen >= hit then begin
+            if not (d.Session.assigned = [] && d.Session.degraded) then
+              Alcotest.fail (label "killed shard's arrival is not a dead ack")
+          end
+          else if substream d <> substream b then
             Alcotest.fail
-              (label "killed shard's arrival is neither baseline nor dead ack"))
+              (label "killed shard's arrival before the crash diverged")
+        end)
     got;
   Shard_server.close srv;
   crashed
@@ -2725,18 +2743,13 @@ let prop_sharded_chaos_identical =
           (Option.value r.Chaos.divergence ~default:"?");
       true)
 
-(* Overload shedding: stall shard 0's domain in its first decision behind
-   a 1-slot mailbox until the router has offered every arrival; arrivals
-   that find the mailbox full are shed as immediate unassigned degraded
-   acks, counted, and nothing is lost or duplicated.  The stall is real
-   (a [Delay] fault would only advance the virtual clock, and this server
-   runs on real time), and it lasts until the gate opens, not for a fixed
-   time the router might outrun; a timeout keeps a broken server from
-   hanging the suite. *)
-let test_shard_shed () =
-  let instance = clustered_instance ~seed:31 () in
-  let n = Array.length instance.Ltc_core.Instance.workers in
-  let gate = Atomic.make false and stalls = Atomic.make 0 in
+(* LAF whose decisions on shard [shard]'s domain (a supervised server
+   decides under the shard's fault scope) wait until [gate] opens,
+   counted in [stalls].  The stall is real (a [Delay] fault would only
+   advance the virtual clock, and these servers run on real time), and it
+   lasts until the gate opens, not for a fixed time the router might
+   outrun; a timeout keeps a broken server from hanging the suite. *)
+let gated_laf ~shard ~gate ~stalls =
   let stall () =
     Atomic.incr stalls;
     let give_up = Unix.gettimeofday () +. 10.0 in
@@ -2745,26 +2758,33 @@ let test_shard_shed () =
     done
   in
   let laf = Ltc_algo.Algorithm.laf in
-  let stalling =
-    {
-      laf with
-      Ltc_algo.Algorithm.policy =
-        Some
-          (fun rng instance tracker progress ->
-            let decide = (Option.get laf.policy) rng instance tracker progress in
-            fun w ->
-              if
-                Ltc_util.Fault.current_scope ()
-                = Some (Supervisor.scope ~shard:0)
-              then stall ();
-              decide w);
-    }
-  in
+  {
+    laf with
+    Ltc_algo.Algorithm.policy =
+      Some
+        (fun rng instance tracker progress ->
+          let decide = (Option.get laf.policy) rng instance tracker progress in
+          fun w ->
+            if Ltc_util.Fault.current_scope () = Some (Supervisor.scope ~shard)
+            then stall ();
+            decide w);
+  }
+
+(* Overload shedding: stall shard 0's domain in its first decision behind
+   a 1-slot mailbox until the router has offered every arrival; arrivals
+   that find the mailbox full are shed as immediate unassigned degraded
+   acks, counted, and nothing is lost or duplicated. *)
+let test_shard_shed () =
+  let instance = clustered_instance ~seed:31 () in
+  let n = Array.length instance.Ltc_core.Instance.workers in
+  let gate = Atomic.make false and stalls = Atomic.make 0 in
   let srv =
     Shard_server.create ~mode:Shard_server.Domains ~mailbox:1
       ~supervise:
         { Supervisor.max_restarts = 0; overload = Supervisor.Shed }
-      ~shards:2 ~algorithm:stalling ~seed:99 instance
+      ~shards:2
+      ~algorithm:(gated_laf ~shard:0 ~gate ~stalls)
+      ~seed:99 instance
   in
   let got = ref [] in
   Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
@@ -2787,6 +2807,63 @@ let test_shard_shed () =
   if Shard_server.shed srv < 1 then
     Alcotest.fail "a decide stall behind a 1-slot mailbox must shed";
   Alcotest.(check int) "no restarts" 0 (Shard_server.restarts srv);
+  Shard_server.close srv
+
+(* The merge releases in global arrival order whatever order the shard
+   domains decide in.  Shard 0's first decision waits behind the gate,
+   with a mailbox that holds the whole stream so the router never blocks.
+   Before the last arrival is fed, shard 1 has decided all of its own:
+   that feed releases exactly the arrivals before shard 0's first, and
+   nothing at or after it.  Once the gate opens, [flush] returns the
+   rest, and the whole stream is the inline baseline's. *)
+let test_shard_release_order () =
+  (* Seed 31 routes arrival 1 to shard 1, so the held prefix is not empty. *)
+  let instance = clustered_instance ~seed:31 () in
+  let workers = arrivals instance in
+  let n = List.length workers in
+  let base =
+    Shard_server.create ~mode:Shard_server.Inline ~shards:2
+      ~algorithm:Ltc_algo.Algorithm.laf ~seed:99 instance
+  in
+  let baseline = List.concat_map (Shard_server.feed base) workers in
+  let owner (w : Ltc_core.Worker.t) =
+    Shard_server.shard_of_point base w.Ltc_core.Worker.loc
+  in
+  Shard_server.close base;
+  let first =
+    (List.find (fun w -> owner w = 0) workers).Ltc_core.Worker.index
+  in
+  Alcotest.(check bool) "shard 0 does not own arrival 1" true (first > 1);
+  let head = List.filteri (fun i _ -> i < n - 1) workers in
+  let own1 = List.length (List.filter (fun w -> owner w = 1) head) in
+  let gate = Atomic.make false and stalls = Atomic.make 0 in
+  let srv =
+    Shard_server.create ~mode:Shard_server.Domains ~mailbox:n
+      ~supervise:
+        { Supervisor.max_restarts = 0; overload = Supervisor.Block }
+      ~shards:2
+      ~algorithm:(gated_laf ~shard:0 ~gate ~stalls)
+      ~seed:99 instance
+  in
+  let held =
+    Fun.protect ~finally:(fun () -> Atomic.set gate true) @@ fun () ->
+    let early = List.concat_map (Shard_server.feed srv) head in
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while
+      (Atomic.get stalls = 0 || (Shard_server.shard_consumed srv).(1) < own1)
+      && Unix.gettimeofday () < give_up
+    do
+      Unix.sleepf 0.001
+    done;
+    early @ Shard_server.feed srv (List.nth workers (n - 1))
+  in
+  let rest = Shard_server.flush srv in
+  Alcotest.(check (list int))
+    "gate closed: exactly the arrivals before shard 0's first"
+    (List.init (first - 1) (fun i -> i + 1))
+    (List.map (fun (d : Session.decision) -> d.Session.worker) held);
+  if held @ rest <> baseline then
+    Alcotest.fail "merged stream differs from the inline baseline";
   Shard_server.close srv
 
 (* Supervision options are validated up front. *)
@@ -2920,6 +2997,8 @@ let suite =
           test_sharded_chaos_acceptance;
         qcheck prop_sharded_chaos_identical;
         Alcotest.test_case "overload shedding" `Quick test_shard_shed;
+        Alcotest.test_case "release waits for a stalled shard" `Quick
+          test_shard_release_order;
         Alcotest.test_case "supervise validation" `Quick
           test_supervise_validation;
       ] );
