@@ -265,26 +265,20 @@ let run_flow_batch ~scale () =
    a 0 here is a correctness regression.  Speedup expectations are
    scaled by the core count so a single-core container records an
    honest baseline instead of a vacuous failure. *)
-let serve_shard_id = "serve-shard"
-
-let run_serve_shard () =
-  print_endline
-    "### serve-shard — spatially sharded serving vs a single session\n";
-  let clusters = 32 and tasks_per = 48 and n_arrivals = 8000 in
-  let capacity = 2 in
-  (* Shard-local clustered workload (the parity regime of DESIGN.md
-     S14): cluster [i] centred at x = 90i + 15, tasks within +-10 of
-     the centre, workers jittered +-8, all at y = 10 with candidate
-     radius 30 — every candidate lies in its worker's own grid cell, so
-     the sharded decision stream must match the single session's. *)
+(* Shard-local clustered workload (the parity regime of DESIGN.md S14):
+   cluster [i] centred at x = 90i + 15 holds 48 tasks within +-10 of the
+   centre; workers arrive round-robin across clusters, jittered +-8, all
+   at y = 10 with candidate radius 30, so every worker sees its cluster's
+   48 tasks and every candidate lies in its worker's own grid cell. *)
+let clustered_instance ~clusters ~n_arrivals =
+  let tasks_per = 48 in
   let rng = Ltc_util.Rng.create ~seed:11 in
   let center i = (90.0 *. float_of_int i) +. 15.0 in
   let tasks =
     Array.init (clusters * tasks_per) (fun id ->
         let c = id / tasks_per and j = id mod tasks_per in
         let dx =
-          -10.0
-          +. (20.0 *. float_of_int j /. float_of_int (max 1 (tasks_per - 1)))
+          -10.0 +. (20.0 *. float_of_int j /. float_of_int (tasks_per - 1))
         in
         Ltc_core.Task.make ~id
           ~loc:(Ltc_geo.Point.make ~x:(center c +. dx) ~y:10.0)
@@ -297,10 +291,19 @@ let run_serve_shard () =
         Ltc_core.Worker.make ~index:(i + 1)
           ~loc:(Ltc_geo.Point.make ~x:(center c +. dx) ~y:10.0)
           ~accuracy:(0.7 +. Ltc_util.Rng.float rng 0.25)
-          ~capacity)
+          ~capacity:2)
   in
-  let instance = Ltc_core.Instance.create ~tasks ~workers ~epsilon:0.25 () in
-  let n_tasks = Array.length tasks in
+  Ltc_core.Instance.create ~tasks ~workers ~epsilon:0.25 ()
+
+let serve_shard_id = "serve-shard"
+
+let run_serve_shard () =
+  print_endline
+    "### serve-shard — spatially sharded serving vs a single session\n";
+  let clusters = 32 and n_arrivals = 8000 in
+  let instance = clustered_instance ~clusters ~n_arrivals in
+  let workers = instance.Ltc_core.Instance.workers in
+  let n_tasks = Ltc_core.Instance.task_count instance in
   let algorithm = Ltc_algo.Algorithm.laf in
   let seed = 42 in
   (* Best-of-N: each pass is deterministic, so inter-pass spread is
@@ -425,6 +428,14 @@ let micro_tests () =
   let random_decide =
     Ltc_algo.Random_assign.policy ~seed:7 instance tracker progress
   in
+  let dense = clustered_instance ~clusters:8 ~n_arrivals:64 in
+  let dense_decide =
+    Ltc_algo.Laf.policy dense tracker
+      (Ltc_core.Progress.create_per_task
+         ~thresholds:(Ltc_core.Instance.thresholds dense) ())
+  in
+  let dense_worker = dense.Ltc_core.Instance.workers.(17) in
+  let candidates = Ltc_core.Instance.candidates () in
   (* A representative single-batch LTC network: 60 workers x 40 tasks. *)
   let fill_mcmf_input g =
     let rng = Ltc_util.Rng.create ~seed:3 in
@@ -486,6 +497,11 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (aam_decide worker)));
     Test.make ~name:"random-arrival"
       (Staged.stage (fun () -> ignore (random_decide worker)));
+    Test.make ~name:"laf-dense"
+      (Staged.stage (fun () ->
+           (* One LAF arrival among 48 open candidates (shard-local's
+              shape), against about 8 for laf-arrival. *)
+           ignore (dense_decide dense_worker)));
     Test.make ~name:"aam-stream"
       (Staged.stage (fun () ->
            (* aam-arrival and laf-arrival decide against a progress that
@@ -510,9 +526,13 @@ let micro_tests () =
            Ltc_core.Instance.iter_candidates instance worker (fun _ -> ())));
     Test.make ~name:"grid-candidates-sorted"
       (Staged.stage (fun () ->
-           (* Ascending order, as the online policies read it. *)
-           Ltc_core.Instance.iter_candidates_sorted instance worker (fun _ ->
-               ())));
+           (* The candidate kernel as LAF runs it: the sorted scan with
+              squared distances, the open filter and the scores. *)
+           let base =
+             Ltc_core.Instance.push_open instance candidates progress worker
+               ~scores:true
+           in
+           Ltc_core.Instance.pop_candidates candidates base));
     Test.make ~name:"journal-frame"
       (Staged.stage (fun () ->
            B.clear frames;

@@ -11,14 +11,8 @@ let policy instance tracker progress =
     let use_lgf = avg >= Progress.max_remaining progress in
     let heap_words = 4 * w.capacity in
     Ltc_util.Mem.Tracker.add_words tracker heap_words;
-    let chosen =
-      Engine.top_open heap instance progress w ~score:(fun task ->
-          if use_lgf then
-            Float.min
-              (Instance.score instance w task)
-              (Progress.remaining progress task)
-          else Progress.remaining progress task)
-    in
+    let key = if use_lgf then Engine.Gain else Engine.Remaining in
+    let chosen = Engine.top_open heap ~key instance progress w in
     Ltc_util.Mem.Tracker.remove_words tracker heap_words;
     chosen
 

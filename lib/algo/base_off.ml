@@ -45,7 +45,9 @@ let policy instance tracker progress =
   let heap = Ltc_util.Bounded_heap.create () in
   fun (w : Worker.t) ->
     (* Scarcest-first: fewer future helpers = higher priority. *)
-    Engine.top_open heap instance progress w ~score:(fun task ->
-        -.float_of_int (remaining_nearby future ~task ~arrived_index:w.index))
+    Engine.top_open heap instance progress w
+      ~key:
+        (Engine.Fewest
+           (fun task -> remaining_nearby future ~task ~arrived_index:w.index))
 
 let run instance = Engine.run ~name policy instance

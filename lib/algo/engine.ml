@@ -240,13 +240,44 @@ let step ?forced st (w : Worker.t) =
     degraded;
   }
 
-let top_open heap ~score instance progress (w : Worker.t) =
+type key = Score | Gain | Remaining | Nearest | Fewest of (int -> int)
+
+let top_open heap ~key instance progress (w : Worker.t) =
   Ltc_util.Bounded_heap.start heap ~k:w.capacity;
-  (* Ascending candidates and the heap's stable ties: the lower id wins. *)
-  Instance.iter_candidates_sorted instance w (fun task ->
-      if Progress.is_open progress task then
-        Ltc_util.Bounded_heap.push heap ~score:(score task) task);
-  Ltc_util.Bounded_heap.pop_all heap
+  let c = Instance.candidates () in
+  let base = c.top in
+  match
+    let scores =
+      match key with
+      | Score | Gain -> true
+      | Remaining | Nearest | Fewest _ -> false
+    in
+    ignore (Instance.push_open instance c progress w ~scores : int);
+    let top = c.top in
+    (* Each key overwrites its candidate's score slot. *)
+    (match key with
+    | Score -> ()
+    | Gain ->
+      Progress.remaining_keys progress ~gain:true c.ids c.scores base top
+    | Remaining ->
+      Progress.remaining_keys progress ~gain:false c.ids c.scores base top
+    | Nearest ->
+      for k = base to top - 1 do
+        c.scores.(k) <- -.sqrt c.d2.(k)
+      done
+    | Fewest f ->
+      for k = base to top - 1 do
+        c.scores.(k) <- -.float_of_int (f c.ids.(k))
+      done);
+    (* Ascending candidates and the heap's stable ties: the lower id wins. *)
+    Ltc_util.Bounded_heap.push heap c.scores c.ids base top
+  with
+  | () ->
+    Instance.pop_candidates c base;
+    Ltc_util.Bounded_heap.pop_all heap
+  | exception e ->
+    Instance.pop_candidates c base;
+    raise e
 
 let progress st = st.progress
 let arrangement st = st.arrangement

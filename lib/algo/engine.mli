@@ -40,14 +40,28 @@ type policy =
     only — see {!Progress.is_open}).  [progress] is read-only for the
     policy: the engine performs all {!Progress.record} calls. *)
 
+type key =
+  | Score  (** the assignment's score (LAF) *)
+  | Gain
+      (** [min score (Progress.remaining t)]: LGF, and AAM while
+          [avg >= maxRemain] *)
+  | Remaining  (** [Progress.remaining t]: LRF, and AAM otherwise *)
+  | Nearest  (** minus the distance to the worker *)
+  | Fewest of (int -> int)
+      (** minus [f t], a count the policy keeps (Base-off's future nearby
+          workers): fewest first *)
+(** What a greedy policy ranks its open candidates by.  Each is computed
+    from the candidate buffers of {!Ltc_core.Instance.push_open}, so only
+    [Score] and [Gain] pay for scores, and none boxes a float. *)
+
 val top_open :
   Ltc_util.Bounded_heap.t ->
-  score:(int -> float) ->
+  key:key ->
   Instance.t ->
   Progress.t ->
   Worker.t ->
   int list
-(** The worker's capacity-many open candidates with the largest [score],
+(** The worker's capacity-many open candidates with the largest [key],
     best first, ties to the lower task id: the skeleton every greedy
     policy shares.  The heap is the policy's own scratch, made once when
     the policy is applied to its run, so an arrival allocates only the

@@ -8,10 +8,7 @@ let policy instance tracker progress =
   fun (w : Worker.t) ->
     let heap_words = 4 * w.capacity in
     Ltc_util.Mem.Tracker.add_words tracker heap_words;
-    let chosen =
-      Engine.top_open heap instance progress w ~score:(fun task ->
-          Instance.score instance w task)
-    in
+    let chosen = Engine.top_open heap ~key:Engine.Score instance progress w in
     Ltc_util.Mem.Tracker.remove_words tracker heap_words;
     chosen
 

@@ -221,14 +221,20 @@ let solve_batch instance tracker progress arrangement ~budget scratch batch =
         List.iter (fun (task, _) -> scratch.mark.(task) <- ep) per_worker.(bi);
         let heap = scratch.topk in
         Ltc_util.Bounded_heap.start heap ~k:leftover;
-        Instance.iter_candidates_sorted instance w (fun task ->
-            if
-              (not (Progress.is_complete progress task))
-              && scratch.mark.(task) <> ep
-            then
-              Ltc_util.Bounded_heap.push heap
-                ~score:(Instance.score instance w task)
-                task);
+        (* No task is held here, so the open candidates are the
+           incomplete ones. *)
+        let c = Instance.candidates () in
+        let base = Instance.push_open instance c progress w ~scores:true in
+        let n = ref base in
+        for k = base to c.top - 1 do
+          if scratch.mark.(c.ids.(k)) <> ep then begin
+            c.ids.(!n) <- c.ids.(k);
+            c.scores.(!n) <- c.scores.(k);
+            incr n
+          end
+        done;
+        Ltc_util.Bounded_heap.push heap c.scores c.ids base !n;
+        Instance.pop_candidates c base;
         List.iter
           (fun task ->
             Progress.record progress ~task

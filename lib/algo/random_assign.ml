@@ -2,26 +2,22 @@ open Ltc_core
 
 let name = "Random"
 
-let policy_with_rng rng instance _tracker progress =
-  (* Refilled per arrival with the open candidates in ascending id order. *)
-  let pool = Array.make (max 1 (Instance.task_count instance)) 0 in
-  fun (w : Worker.t) ->
-    let n = ref 0 in
-    Instance.iter_candidates_sorted instance w (fun task ->
-        if Progress.is_open progress task then begin
-          pool.(!n) <- task;
-          incr n
-        end);
-    let n = !n in
-    let k = min w.capacity n in
-    (* Partial Fisher-Yates: the first [k] slots become the sample. *)
-    for i = 0 to k - 1 do
-      let j = i + Ltc_util.Rng.int rng (n - i) in
-      let tmp = pool.(i) in
-      pool.(i) <- pool.(j);
-      pool.(j) <- tmp
-    done;
-    List.init k (fun i -> pool.(i))
+let policy_with_rng rng instance _tracker progress (w : Worker.t) =
+  (* The open candidates, ascending, shuffled where the kernel left them. *)
+  let c = Instance.candidates () in
+  let base = Instance.push_open instance c progress w ~scores:false in
+  let n = c.top - base in
+  let k = min w.capacity n in
+  (* Partial Fisher-Yates: the first [k] slots become the sample. *)
+  for i = base to base + k - 1 do
+    let j = i + Ltc_util.Rng.int rng (base + n - i) in
+    let tmp = c.ids.(i) in
+    c.ids.(i) <- c.ids.(j);
+    c.ids.(j) <- tmp
+  done;
+  let sample = List.init k (fun i -> c.ids.(base + i)) in
+  Instance.pop_candidates c base;
+  sample
 
 (* The generator is created at full application, once per run, so a
    partially-applied [policy ~seed] yields identical runs every time. *)

@@ -25,6 +25,24 @@ val acc_star : t -> Worker.t -> Task.t -> float
 (** The Hoeffding weight [Acc* = (2 Acc - 1)^2] used by every algorithm in
     the paper. *)
 
+val fill_weights :
+  t ->
+  star:bool ->
+  Worker.t ->
+  Task.t array ->
+  ids:int array ->
+  d2:float array ->
+  float array ->
+  int ->
+  int ->
+  unit
+(** [fill_weights t ~star w tasks ~ids ~d2 weights lo hi] sets each
+    [weights.(k)], [lo <= k < hi], to [acc_star] (under [star]) or [acc]
+    of [w] on [tasks.(ids.(k))], read from the squared distance [d2.(k)]
+    instead of computing it: bit for bit the scalar result when [d2.(k)]
+    is [Ltc_geo.Point.distance_sq w.loc task.loc].  It boxes no float but
+    a [Custom] model's result. *)
+
 val default_dmax : float
 (** 30 grid units (300 m), the evaluation's setting. *)
 

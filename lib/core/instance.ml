@@ -69,50 +69,78 @@ let score t w task_id = Quality.score t.scoring t.accuracy w t.tasks.(task_id)
 
 let acc t w task_id = Accuracy.acc t.accuracy w t.tasks.(task_id)
 
-let iter_candidates t (w : Worker.t) f =
-  match (t.candidate_radius, t.task_index) with
-  | Some radius, Some index ->
-    Ltc_geo.Grid_index.iter_within index ~center:w.loc ~radius f
-  | None, _ | _, None ->
-    for i = 0 to Array.length t.tasks - 1 do
-      f i
-    done
+(* Per-domain candidate buffers, used as a stack: a query fills the slots
+   from [top] up and raises [top] past them while its reader runs — so a
+   reader that queries again fills above them, and may grow the arrays —
+   and the reader lowers it on the way out. *)
+type candidates = {
+  mutable ids : int array;
+  mutable d2 : float array;
+  mutable scores : float array;
+  mutable top : int;
+}
 
-(* Per-domain scratch for the sorted query, used as a stack: a query fills
-   the slots from [top] up, raises [top] past them while its callback
-   runs — so a callback that queries again fills above them — and lowers
-   it on the way out. *)
-type scratch = { mutable buf : int array; mutable top : int }
+let stack =
+  Domain.DLS.new_key (fun () ->
+      { ids = [||]; d2 = [||]; scores = [||]; top = 0 })
 
-let scratch = Domain.DLS.new_key (fun () -> { buf = [||]; top = 0 })
+let candidates () = Domain.DLS.get stack
 
-let iter_candidates_sorted t (w : Worker.t) f =
-  match (t.candidate_radius, t.task_index) with
-  | Some radius, Some index ->
-    let s = Domain.DLS.get scratch in
-    let base = s.top in
-    let need = base + Ltc_geo.Grid_index.length index in
-    if Array.length s.buf < need then begin
-      let buf = Array.make (max need (2 * Array.length s.buf)) 0 in
-      Array.blit s.buf 0 buf 0 base;
-      s.buf <- buf
-    end;
-    let n =
-      Ltc_geo.Grid_index.fill_within_sorted index ~center:w.loc ~radius s.buf
-        base
+(* The one candidate scan: [w]'s candidates with their squared distances,
+   pushed above [c.top]; returns where they start. *)
+let push t c (w : Worker.t) ~sorted =
+  let base = c.top in
+  let room = base + Array.length t.tasks in
+  if Array.length c.ids < room then begin
+    let grow a fill =
+      let b = Array.make (max room (2 * Array.length a)) fill in
+      Array.blit a 0 b 0 base;
+      b
     in
-    s.top <- base + n;
-    (* [s.buf] is re-read on every step: a nested query may have grown it. *)
-    (match
-       for k = base to base + n - 1 do
-         f s.buf.(k)
-       done
-     with
-    | () -> s.top <- base
-    | exception e ->
-      s.top <- base;
-      raise e)
-  | None, _ | _, None -> iter_candidates t w f
+    c.ids <- grow c.ids 0;
+    c.d2 <- grow c.d2 0.0;
+    c.scores <- grow c.scores 0.0
+  end;
+  (match (t.candidate_radius, t.task_index) with
+  | Some radius, Some index ->
+    c.top <-
+      base
+      + Ltc_geo.Grid_index.query index ~center:w.loc ~radius ~sorted c.ids
+          c.d2 base
+  | None, _ | _, None ->
+    Array.iteri
+      (fun i (task : Task.t) ->
+        c.ids.(base + i) <- i;
+        c.d2.(base + i) <- Ltc_geo.Point.distance_sq w.loc task.loc)
+      t.tasks;
+    c.top <- room);
+  base
+
+let push_open t c progress w ~scores =
+  let base = push t c w ~sorted:true in
+  c.top <- Progress.keep_open progress c.ids c.d2 base c.top;
+  if scores then
+    Accuracy.fill_weights t.accuracy ~star:(Quality.star t.scoring) w t.tasks
+      ~ids:c.ids ~d2:c.d2 c.scores base c.top;
+  base
+
+let pop_candidates c base = c.top <- base
+
+let iter t w ~sorted f =
+  let c = candidates () in
+  let base = push t c w ~sorted in
+  match
+    for k = base to c.top - 1 do
+      f c.ids.(k)
+    done
+  with
+  | () -> c.top <- base
+  | exception e ->
+    c.top <- base;
+    raise e
+
+let iter_candidates t w f = iter t w ~sorted:false f
+let iter_candidates_sorted t w f = iter t w ~sorted:true f
 
 let memory_words t =
   let index_words =

@@ -64,16 +64,43 @@ val acc : t -> Worker.t -> int -> float
 (** Predicted accuracy [Acc(w, task_id)]. *)
 
 val iter_candidates : t -> Worker.t -> (int -> unit) -> unit
-(** The task ids assignable to [w] (all tasks when no radius); ascending
-    order is NOT guaranteed here (grid cells are visited row-major).  The
-    flow network numbers its arcs in this order. *)
+(** The task ids assignable to [w] (all tasks when no radius), in the grid
+    scan's order: ascending within each cell, cells row-major.  The flow
+    network numbers its arcs in this order.  The callback may query
+    again. *)
 
 val iter_candidates_sorted : t -> Worker.t -> (int -> unit) -> unit
-(** The same ids in {e ascending} order: the grid scan inserts each hit
-    into place in a per-domain scratch buffer, then the callback runs over
-    it.  This is the per-arrival path of the online policies — their
-    documented prefer-the-lower-task-index tie-break falls out of the
-    iteration order.  The callback may query again. *)
+(** The same ids in {e ascending} order, as {!push_open} fills them:
+    Random, Optimal and MCF-LTC's leftover pass read them this way. *)
+
+(** {2 The candidate kernel}
+
+    Each domain keeps one set of candidate buffers, used as a stack: a
+    query fills them from [top] up; a nested query fills above it. *)
+
+type candidates = private {
+  mutable ids : int array;
+  mutable d2 : float array;
+      (** squared distances, equal to [Ltc_geo.Point.distance_sq w.loc
+          task.loc] bit for bit *)
+  mutable scores : float array;  (** {!score}s, bit for bit *)
+  mutable top : int;
+}
+
+val candidates : unit -> candidates
+(** This domain's buffers.  A nested query may replace the arrays: read
+    them from the record. *)
+
+val push_open :
+  t -> candidates -> Progress.t -> Worker.t -> scores:bool -> int
+(** [push_open t c progress w ~scores] fills the slots from [c.top] (the
+    returned base) to the new [c.top] with [w]'s {!Progress.is_open}
+    candidates in ascending id order, their squared distances and, under
+    [scores], their scores, computed in one loop from those distances
+    ({!Accuracy.fill_weights}). *)
+
+val pop_candidates : candidates -> int -> unit
+(** [pop_candidates c base] frees the slots from [base] up. *)
 
 val memory_words : t -> int
 (** Approximate footprint of the instance data (tasks, workers, index); the

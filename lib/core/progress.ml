@@ -15,7 +15,8 @@ type t = {
 let threshold_of t task = t.thresholds.(task)
 let n_tasks t = Array.length t.s
 let accumulated t task = t.s.(task)
-let remaining t task = Float.max 0.0 (t.thresholds.(task) -. t.s.(task))
+let[@inline] remaining t task =
+  Float.max 0.0 (t.thresholds.(task) -. t.s.(task))
 let is_complete t task = t.s.(task) >= t.thresholds.(task)
 let is_open t task = t.pos.(task) >= 0
 let all_complete t = t.size = 0 && t.n_held = 0
@@ -127,6 +128,26 @@ let record t ~task ~score =
   else invalid_arg "Progress.record: task is held"
 
 let max_remaining t = if t.size = 0 then 0.0 else key t t.heap.(0)
+
+(* Passes over the candidate kernel's ids, here so that no float crosses
+   a module boundary: a call returning one boxes it. *)
+let keep_open t ids (d2 : float array) lo hi =
+  let n = ref lo in
+  for k = lo to hi - 1 do
+    let task = ids.(k) in
+    if t.pos.(task) >= 0 then begin
+      ids.(!n) <- task;
+      d2.(!n) <- d2.(k);
+      incr n
+    end
+  done;
+  !n
+
+let remaining_keys t ~gain ids keys lo hi =
+  for k = lo to hi - 1 do
+    let r = remaining t ids.(k) in
+    keys.(k) <- (if gain then Float.min keys.(k) r else r)
+  done
 
 let iter_incomplete t f =
   for task = 0 to Array.length t.pos - 1 do

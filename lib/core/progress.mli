@@ -68,6 +68,17 @@ val sum_remaining : t -> float
 val max_remaining : t -> float
 (** Largest outstanding score over open tasks; [0] when none is open. *)
 
+val keep_open : t -> int array -> float array -> int -> int -> int
+(** [keep_open t ids d2 lo hi] moves the {!is_open} ids among
+    [ids.(lo .. hi - 1)], each with its [d2] slot, to the front of that
+    range in their order, and returns where they end. *)
+
+val remaining_keys :
+  t -> gain:bool -> int array -> float array -> int -> int -> unit
+(** [remaining_keys t ~gain ids keys lo hi] sets each [keys.(k)] of the
+    range to [remaining t ids.(k)] or, under [gain], to [Float.min
+    keys.(k) (remaining t ids.(k))]: LGF's gain from a score. *)
+
 val iter_incomplete : t -> (int -> unit) -> unit
 (** Every open task id, in {b ascending id order} — a guarantee, not
     an accident: MCF-LTC numbers its batch network's task nodes straight

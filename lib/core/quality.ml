@@ -12,10 +12,10 @@ let threshold scoring ~epsilon =
   | Hoeffding -> delta ~epsilon
   | Sum_accuracy { threshold } -> threshold
 
+let star = function Hoeffding -> true | Sum_accuracy _ -> false
+
 let score scoring model w t =
-  match scoring with
-  | Hoeffding -> Accuracy.acc_star model w t
-  | Sum_accuracy _ -> Accuracy.acc model w t
+  if star scoring then Accuracy.acc_star model w t else Accuracy.acc model w t
 
 let majority votes =
   match votes with

@@ -22,6 +22,9 @@ val delta : epsilon:float -> float
 val threshold : scoring -> epsilon:float -> float
 (** Accumulated score a task must reach to count as completed. *)
 
+val star : scoring -> bool
+(** Whether an assignment scores its [Acc*] ([Hoeffding]) or its [Acc]. *)
+
 val score : scoring -> Accuracy.t -> Worker.t -> Task.t -> float
 (** Contribution of one assignment towards the task's threshold. *)
 

@@ -1,12 +1,15 @@
 (* CSR-style layout: points are bucketed by cell, bucket contents stored
    contiguously in [entries], with [starts.(c) .. starts.(c+1)-1] delimiting
-   cell [c].  Two integer arrays; no per-cell allocation. *)
+   cell [c].  The coordinates sit in [xs]/[ys] in the same entry order, so
+   a scan reads them where it reads the ids, and the cells of one grid row
+   are one contiguous entry range.  No per-cell or per-point allocation. *)
 type t = {
   world : Bbox.t;
   cell : float;
   cols : int;
   rows : int;
-  points : Point.t array;
+  xs : float array;
+  ys : float array;
   starts : int array;
   entries : int array;
 }
@@ -21,13 +24,6 @@ let row_of t (p : Point.t) =
   let r = int_of_float ((p.y -. t.world.Bbox.min_y) /. t.cell) in
   max 0 (min (t.rows - 1) r)
 
-(* [Point.distance_sq p center <= r_sq], computed here: dune's dev
-   profile compiles with [-opaque], so a float returned across modules is
-   boxed, and the scan tests every point of up to nine cells. *)
-let[@inline] within (p : Point.t) (center : Point.t) r_sq =
-  let dx = p.x -. center.x and dy = p.y -. center.y in
-  (dx *. dx) +. (dy *. dy) <= r_sq
-
 (* Cells a build may allocate for [n] points.  Without a cap, a radius
    tiny against the task spread asks for one cell per radius-sized square
    (10^12 of them for radius 1e-4 over a 100-wide world).  The floor is
@@ -39,7 +35,8 @@ let build ~world ~cell points =
   if cell <= 0.0 then invalid_arg "Grid_index.build: cell must be positive";
   let side extent cell = Float.max 1.0 (Float.ceil (extent /. cell)) in
   let width = Bbox.width world and height = Bbox.height world in
-  let budget = float_of_int (cell_budget (Array.length points)) in
+  let n = Array.length points in
+  let budget = float_of_int (cell_budget n) in
   let cell =
     if side width cell *. side height cell <= budget then cell
     else Float.max cell (Float.max width height /. (Float.sqrt budget -. 1.0))
@@ -52,9 +49,10 @@ let build ~world ~cell points =
       cell;
       cols;
       rows;
-      points;
+      xs = Array.make n 0.0;
+      ys = Array.make n 0.0;
       starts = Array.make ((cols * rows) + 1) 0;
-      entries = Array.make (Array.length points) 0;
+      entries = Array.make n 0;
     }
   in
   let counts = Array.make (cols * rows) 0 in
@@ -68,59 +66,58 @@ let build ~world ~cell points =
   t.starts.(cols * rows) <- !acc;
   let cursor = Array.copy t.starts in
   Array.iteri
-    (fun i p ->
+    (fun i (p : Point.t) ->
       let c = cell_id p in
-      t.entries.(cursor.(c)) <- i;
-      cursor.(c) <- cursor.(c) + 1)
+      let k = cursor.(c) in
+      t.entries.(k) <- i;
+      t.xs.(k) <- p.x;
+      t.ys.(k) <- p.y;
+      cursor.(c) <- k + 1)
     points;
   t
 
 let length t = Array.length t.entries
 
-let iter_within t ~center ~radius f =
+(* The one scan: the block of [2 span + 1] rows and columns around the
+   centre's cell, a row at a time — in row [gy], columns [x0 .. x1] are
+   the entries [starts.(gy cols + x0) .. starts.(gy cols + x1 + 1) - 1].
+   The squared distance is computed here, not through
+   [Point.distance_sq]: dune's dev profile compiles with [-opaque], so a
+   float returned across modules is boxed, and the scan tests every point
+   of the block. *)
+let query t ~(center : Point.t) ~radius ~sorted ids d2 pos =
   let r_sq = radius *. radius in
   let cx = col_of t center and cy = row_of t center in
   let span = max 1 (int_of_float (Float.ceil (radius /. t.cell))) in
   let x0 = max 0 (cx - span) and x1 = min (t.cols - 1) (cx + span) in
-  let y0 = max 0 (cy - span) and y1 = min (t.rows - 1) (cy + span) in
-  for gy = y0 to y1 do
-    for gx = x0 to x1 do
-      let c = (gy * t.cols) + gx in
-      for k = t.starts.(c) to t.starts.(c + 1) - 1 do
-        let i = t.entries.(k) in
-        if within t.points.(i) center r_sq then f i
-      done
-    done
-  done
-
-let fill_within_sorted t ~center ~radius buf pos =
-  let r_sq = radius *. radius in
-  let cx = col_of t center and cy = row_of t center in
-  let span = max 1 (int_of_float (Float.ceil (radius /. t.cell))) in
-  let x0 = max 0 (cx - span) and x1 = min (t.cols - 1) (cx + span) in
-  let y0 = max 0 (cy - span) and y1 = min (t.rows - 1) (cy + span) in
+  let px = center.x and py = center.y in
+  let xs = t.xs and ys = t.ys and entries = t.entries in
   let stop = ref pos in
-  for gy = y0 to y1 do
-    for gx = x0 to x1 do
-      let c = (gy * t.cols) + gx in
-      for k = t.starts.(c) to t.starts.(c + 1) - 1 do
-        let i = t.entries.(k) in
-        if within t.points.(i) center r_sq then begin
-          (* Insertion into the ascending run: each cell is already
-             ascending, so a hit moves past the few larger indices that
-             earlier cells left. *)
-          let j = ref !stop in
-          while !j > pos && buf.(!j - 1) > i do
-            buf.(!j) <- buf.(!j - 1);
-            decr j
-          done;
-          buf.(!j) <- i;
-          incr stop
-        end
-      done
+  for gy = max 0 (cy - span) to min (t.rows - 1) (cy + span) do
+    let row = gy * t.cols in
+    for k = t.starts.(row + x0) to t.starts.(row + x1 + 1) - 1 do
+      let dx = xs.(k) -. px and dy = ys.(k) -. py in
+      let dd = (dx *. dx) +. (dy *. dy) in
+      if dd <= r_sq then begin
+        (* Sorted, a hit is inserted into the ascending run: each cell is
+           already ascending, so it moves past the few larger indices
+           that earlier cells left. *)
+        let i = entries.(k) in
+        let j = ref !stop in
+        while sorted && !j > pos && ids.(!j - 1) > i do
+          ids.(!j) <- ids.(!j - 1);
+          d2.(!j) <- d2.(!j - 1);
+          decr j
+        done;
+        ids.(!j) <- i;
+        d2.(!j) <- dd;
+        incr stop
+      end
     done
   done;
   !stop - pos
 
+(* Charged as the boxed layout was, three words a point, so the memory
+   panels do not move with the layout. *)
 let memory_words t =
-  Array.length t.starts + Array.length t.entries + (3 * Array.length t.points)
+  Array.length t.starts + Array.length t.entries + (3 * Array.length t.xs)

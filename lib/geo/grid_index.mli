@@ -21,19 +21,26 @@ val build : world:Bbox.t -> cell:float -> Point.t array -> t
 val length : t -> int
 (** Number of indexed points. *)
 
-val iter_within : t -> center:Point.t -> radius:float -> (int -> unit) -> unit
-(** [iter_within t ~center ~radius f] calls [f i] for every indexed point [i]
-    at Euclidean distance [<= radius] from [center], in ascending index
-    order within each visited cell (cells are visited row-major).  [radius]
-    may exceed the build-time cell size; the scan widens accordingly. *)
-
-val fill_within_sorted :
-  t -> center:Point.t -> radius:float -> int array -> int -> int
-(** [fill_within_sorted t ~center ~radius buf pos] writes the
-    {!iter_within} hits into [buf] from [pos] on, in globally ascending
-    point-index order (each hit is inserted into place during the scan),
-    and returns how many it wrote.  [buf] needs room for {!length}[ t]
-    entries from [pos]. *)
+val query :
+  t ->
+  center:Point.t ->
+  radius:float ->
+  sorted:bool ->
+  int array ->
+  float array ->
+  int ->
+  int
+(** [query t ~center ~radius ~sorted ids d2 pos] writes every indexed
+    point [i] at Euclidean distance [<= radius] from [center] into [ids]
+    from [pos] on, and its squared distance [(x_i - x_c)^2 + (y_i -
+    y_c)^2] into [d2] at the same slot; it returns how many it wrote.
+    Under [sorted] the ids are in ascending order (each hit is inserted
+    into place during the scan); otherwise they are in scan order:
+    ascending within each visited cell, cells row-major.  The distance
+    equals [Point.distance_sq center p_i] bit for bit (IEEE subtraction
+    is exactly antisymmetric).  [radius] may exceed the build-time cell
+    size; the scan widens accordingly.  [ids] and [d2] need room for
+    {!length}[ t] entries from [pos]. *)
 
 val memory_words : t -> int
 (** Approximate heap footprint of the index, for the memory panels. *)

@@ -9,8 +9,13 @@ type record = {
   journal_bytes : int;
 }
 
+(* The ring grows by doubling as records arrive and wraps only once it
+   holds [capacity]: until then the records sit in [ring.(0 ..
+   appended - 1)], so [appended mod] its length is the next slot either
+   way. *)
 type t = {
-  ring : record array;
+  capacity : int;
+  mutable ring : record array;
   mutable appended : int;  (* total records ever appended *)
 }
 
@@ -29,16 +34,22 @@ let dummy =
 let create ~capacity =
   if capacity < 1 then
     invalid_arg "Flight_recorder.create: capacity must be >= 1";
-  { ring = Array.make capacity dummy; appended = 0 }
+  { capacity; ring = [||]; appended = 0 }
 
 let record t r =
+  let len = Array.length t.ring in
+  if t.appended = len && len < t.capacity then begin
+    let ring = Array.make (min t.capacity (max 16 (2 * len))) dummy in
+    Array.blit t.ring 0 ring 0 len;
+    t.ring <- ring
+  end;
   t.ring.(t.appended mod Array.length t.ring) <- r;
   t.appended <- t.appended + 1
 
-let capacity t = Array.length t.ring
-let length t = min t.appended (Array.length t.ring)
+let capacity t = t.capacity
+let length t = min t.appended t.capacity
 let total t = t.appended
-let dropped t = max 0 (t.appended - Array.length t.ring)
+let dropped t = max 0 (t.appended - t.capacity)
 
 let iter f t =
   let cap = Array.length t.ring in

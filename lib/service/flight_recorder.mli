@@ -23,10 +23,13 @@ type record = {
 type t
 
 val create : capacity:int -> t
-(** @raise Invalid_argument when [capacity < 1]. *)
+(** A recorder that keeps the [capacity] most recent records.  Its ring
+    grows by doubling with what is recorded, so a large capacity costs
+    nothing until it fills.  @raise Invalid_argument when
+    [capacity < 1]. *)
 
 val record : t -> record -> unit
-(** Append, overwriting the oldest record when full. *)
+(** Append, overwriting the oldest record once [capacity] are held. *)
 
 val capacity : t -> int
 

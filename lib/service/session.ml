@@ -1136,24 +1136,29 @@ let is_empty_journal path =
       (fun () -> in_channel_length ic = 0)
 
 (* The header the compacted journal starts with.  A v3 or v4 binary
-   header is kept as the file has it (its first [header_end] bytes), with
-   the magic line rewritten to v4 (same length): %.17g round-trips, so
-   these are the bytes [write_header] would render, without rendering
-   thousands of floats again.  Any other header is rendered as v4 binary:
-   a text journal's (which the compaction thereby upgrades), a
-   [checkpoint_every] below 1, or one torn inside its last line, which
-   still parses. *)
+   header is kept as the file has it (its first [header_end] bytes, read
+   once), with the magic line overwritten in place by v4's (same length):
+   %.17g round-trips, so these are the bytes [write_header] would render,
+   without rendering thousands of floats again.  Any other header is
+   rendered as v4 binary: a text journal's (which the compaction thereby
+   upgrades), a [checkpoint_every] below 1, or one torn inside its last
+   line, which still parses. *)
 let compacted_header ic ~header_end ~codec h =
   let kept =
     if codec = Binary && h.checkpoint_every >= 1 then begin
       seek_in ic 0;
-      let bytes = really_input_string ic header_end in
+      let bytes = Bytes.create header_end in
+      really_input ic bytes 0 header_end;
       let magic = String.length magic_v4 in
       if
-        String.ends_with ~suffix:"\n" bytes
-        && List.mem (String.sub bytes 0 (min magic header_end))
+        header_end >= magic
+        && Bytes.get bytes (header_end - 1) = '\n'
+        && List.mem (Bytes.sub_string bytes 0 magic)
              [ "ltc-journal v3\n"; magic_v4 ]
-      then Some (magic_v4 ^ String.sub bytes magic (header_end - magic))
+      then begin
+        Bytes.blit_string magic_v4 0 bytes 0 magic;
+        Some (Bytes.unsafe_to_string bytes)
+      end
       else None
     end
     else None

@@ -82,21 +82,24 @@ let[@inline] set t i ~score ~seq value =
   t.seqs.(i) <- seq;
   t.values.(i) <- value
 
-let push t ~score value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if t.size < t.k then begin
-    if t.size = Array.length t.values then grow t;
-    set t t.size ~score ~seq value;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-  end
-  else if score > t.scores.(0) then begin
-    (* A full heap keeps the newcomer only if it beats the root: on a tie
-       the newcomer is the later push, so it is the one evicted. *)
-    set t 0 ~score ~seq value;
-    sift_down t 0
-  end
+let push t scores values lo hi =
+  for i = lo to hi - 1 do
+    let score = scores.(i) in
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    if t.size < t.k then begin
+      if t.size = Array.length t.values then grow t;
+      set t t.size ~score ~seq values.(i);
+      t.size <- t.size + 1;
+      sift_up t (t.size - 1)
+    end
+    else if score > t.scores.(0) then begin
+      (* A full heap keeps the newcomer only if it beats the root: on a
+         tie the newcomer is the later push, so it is the one evicted. *)
+      set t 0 ~score ~seq values.(i);
+      sift_down t 0
+    end
+  done
 
 (* Each pop takes the lowest entry, so consing them leaves the highest at
    the head. *)

@@ -21,11 +21,15 @@ val start : t -> k:int -> unit
     @raise Invalid_argument ["Bounded_heap.start: k must be positive"]
     when [k <= 0]. *)
 
-val push : t -> score:float -> int -> unit
-(** Offer an element; evicts the current lowest-scored element when the heap
-    already holds [k].  Ties are broken towards the {e earlier-pushed}
-    element (stable), matching the paper's lowest-task-index tie-break when
-    tasks are pushed in index order. *)
+val push : t -> float array -> int array -> int -> int -> unit
+(** [push t scores values lo hi] offers [values.(i)] at score
+    [scores.(i)] for each [i] from [lo] to [hi - 1], in that order; each
+    offer evicts the current lowest-scored element when the heap already
+    holds [k].  Ties are broken towards the {e earlier-pushed} element
+    (stable), matching the paper's lowest-task-index tie-break when tasks
+    are pushed in index order.  Scores are read where they lie, so no
+    float is boxed, as a float argument would be under dune's [-opaque]
+    dev profile. *)
 
 val pop_all : t -> int list
 (** Remove and return the retained elements sorted by {e descending} score

@@ -219,13 +219,15 @@ let test_engine_incomplete_when_starved () =
 
 (* A warm decision step allocates only what it returns and records: the
    decision's lists, the arrangement's nodes and the boxed floats of
-   each score.  Measured over 512 arrivals of the decision pins' Table IV
-   instance after 64 warm-up arrivals: 223.3 words an arrival for AAM and
-   207.3 for LAF (dune's default dev profile).  The bounds leave about 5 %
-   of headroom, less than any of the costs this path shed would add back
-   under AAM: a [Hashtbl] per decision check (+43 words), the lazily
-   pruned max-heap in [Progress] (+20) or a boxed distance per point the
-   grid scan tests (+44). *)
+   each recorded score; the candidate kernel scores and ranks in place.
+   Measured over 512 arrivals of the decision pins' Table IV instance
+   after 64 warm-up arrivals: 143.1 words an arrival for AAM and 140.4
+   for LAF (dune's default dev profile; 223.3 and 207.3 when each score
+   went through a closure and boxed its floats).  The bounds leave about
+   5 % of headroom, less than any of the costs this path shed would add
+   back: a boxed score per candidate (+2 words each), a [Hashtbl] per
+   decision check (+43 words), the lazily pruned max-heap in [Progress]
+   (+20) or a boxed distance per point the grid scan tests (+44). *)
 let test_engine_step_allocation () =
   let instance =
     Ltc_workload.Synthetic.generate (Ltc_util.Rng.create ~seed:4)
@@ -249,7 +251,7 @@ let test_engine_step_allocation () =
       if per_arrival > bound then
         Alcotest.failf "%s: %.1f minor words an arrival (bound %.0f)" name
           per_arrival bound)
-    [ ("AAM", Aam.policy, 235.0); ("LAF", Laf.policy, 220.0) ]
+    [ ("AAM", Aam.policy, 150.0); ("LAF", Laf.policy, 147.0) ]
 
 (* Words [f] allocates.  [Gc.allocated_bytes], unlike [Gc.minor_words],
    also counts what goes straight to the major heap, such as a copy of a
@@ -268,6 +270,40 @@ let with_journal_file f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+(* Where the kernel saves most: LAF on the serve-shard bench's clustered
+   shape, where every worker sees 48 candidates.  A warm [Session.feed]
+   allocates 83.0 words an arrival; it took 386 when each candidate's
+   score went through a closure, [Instance.score], [Quality.score],
+   [Accuracy.acc_star] and [Point.distance], boxing a float at each. *)
+let test_dense_feed_allocation () =
+  let instance =
+    Fixtures.clustered_instance ~clusters:8 ~tasks_per:48 ~n_arrivals:1024
+      ~seed:5 ()
+  in
+  let workers = instance.Instance.workers in
+  let per_arrival () =
+    let s =
+      Ltc_service.Session.create ~algorithm:Algorithm.laf ~seed:1 instance
+    in
+    for i = 0 to 63 do
+      ignore (Ltc_service.Session.feed s workers.(i))
+    done;
+    let words =
+      allocated_words (fun () ->
+          for i = 64 to 64 + 511 do
+            ignore (Ltc_service.Session.feed s workers.(i))
+          done)
+    in
+    Alcotest.(check bool) "still open" false (Ltc_service.Session.completed s);
+    Ltc_service.Session.close s;
+    words /. 512.0
+  in
+  (* The first pass sizes the candidate buffers. *)
+  ignore (per_arrival ());
+  let words = per_arrival () in
+  if words > 90.0 then
+    Alcotest.failf "a dense LAF arrival allocates %.1f words (bound 90)" words
 
 (* A journal adds little to a warm arrival: LAF fed through a binary
    journal (group commit 64, no checkpoint in the window) against the
@@ -1095,6 +1131,73 @@ let algo_instance_gen =
     let* seed = int_range 0 10_000 in
     return (n_tasks, capacity, float_of_int epsilon_centi /. 100.0, seed))
 
+(* Each greedy policy against its closure-based oracle
+   ([Topk_oracle.top_open], the skeleton before the candidate kernel):
+   the same score, gain, remaining, distance or scarcity key per
+   candidate, computed through the scalar path.  From a random progress
+   state (held tasks among them) both decide every arrival of a random
+   instance, each recording its own decisions, and must pick the same
+   list each time; Base-off's whole run must match its oracle's. *)
+let oracle_policies =
+  let open Topk_oracle in
+  let gain instance progress w task =
+    Float.min
+      (Instance.score instance w task)
+      (Progress.remaining progress task)
+  in
+  let greedy score instance _ progress w =
+    top_open ~score:(score instance progress w) instance progress w
+  in
+  [
+    ("LAF", Laf.policy, greedy (fun i _ w -> Instance.score i w));
+    ( "AAM",
+      Aam.policy,
+      greedy (fun i p (w : Worker.t) ->
+          let avg = Progress.sum_remaining p /. float_of_int w.capacity in
+          if avg >= Progress.max_remaining p then gain i p w
+          else Progress.remaining p) );
+    ("LGF", Strategies.lgf_policy, greedy gain);
+    ("LRF", Strategies.lrf_policy, greedy (fun _ p _ -> Progress.remaining p));
+    ( "Nearest",
+      Strategies.nearest_policy,
+      greedy (fun (i : Instance.t) _ (w : Worker.t) task ->
+          -.Ltc_geo.Point.distance w.loc i.tasks.(task).Task.loc) );
+  ]
+
+(* Base-off keeps its own future, so it is checked from a fresh start: the
+   oracle counts each candidate's later nearby workers afresh. *)
+let base_off_oracle (i : Instance.t) _ progress (w : Worker.t) =
+  Topk_oracle.top_open i progress w ~score:(fun task ->
+      let later (w' : Worker.t) =
+        w'.index > w.index && Topk_oracle.near i w' task
+      in
+      -.float_of_int
+          (Array.fold_left (fun n w' -> if later w' then n + 1 else n) 0
+             i.workers))
+
+let prop_greedy_matches_oracle =
+  QCheck2.Test.make ~name:"greedy policies = closure-based top-K oracle"
+    ~count:150
+    QCheck2.Gen.(pair Fixtures.kernel_instance_gen (int_bound 1_000_000))
+    (fun (i, pseed) ->
+      List.for_all
+        (fun (name, policy, oracle) ->
+          let start policy =
+            Engine.start ~progress:(Fixtures.random_progress ~seed:pseed i)
+              ~name policy i
+          in
+          let a = start policy and b = start oracle in
+          Array.for_all
+            (fun w ->
+              Progress.all_complete (Engine.progress a)
+              || (Engine.step a w).Engine.assigned
+                 = (Engine.step b w).Engine.assigned)
+            i.Instance.workers)
+        oracle_policies
+      && Arrangement.to_list (Base_off.run i).Engine.arrangement
+         = Arrangement.to_list
+             (Engine.run ~name:"Base-off" base_off_oracle i).Engine.arrangement)
+
 let prop_algorithms_sound =
   QCheck2.Test.make ~name:"any algorithm, any instance: valid and bounded"
     ~count:60 algo_instance_gen
@@ -1382,6 +1485,8 @@ let suite =
           test_engine_incomplete_when_starved;
         Alcotest.test_case "warm step allocation" `Quick
           test_engine_step_allocation;
+        Alcotest.test_case "warm dense feed allocation" `Quick
+          test_dense_feed_allocation;
         Alcotest.test_case "warm journaled feed allocation" `Quick
           test_journal_feed_allocation;
         Alcotest.test_case "restore allocation" `Quick
@@ -1457,7 +1562,10 @@ let suite =
         Alcotest.test_case "invalid rate" `Quick test_noshow_invalid_rate;
       ] );
     ( "algo.properties",
-      [ QCheck_alcotest.to_alcotest prop_algorithms_sound ] );
+      [
+        QCheck_alcotest.to_alcotest prop_algorithms_sound;
+        QCheck_alcotest.to_alcotest prop_greedy_matches_oracle;
+      ] );
     ( "algo.buffered",
       [
         Alcotest.test_case "validates and brackets" `Quick

@@ -1564,6 +1564,57 @@ let prop_sorted_candidates =
           && List.sort compare !unsorted = want)
         workers)
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The candidate kernel against the scalar path: for every worker of a
+   random instance and progress state, [push_open]'s ids are the open
+   tasks a brute-force radius filter keeps, ascending, each with the
+   squared distance [Point.distance_sq] computes and the score
+   [Instance.score] computes, bit for bit.  A second query nested on top
+   of it fills above it and leaves it intact. *)
+let prop_candidate_kernel =
+  QCheck2.Test.make ~name:"candidate kernel = brute force and scalar scores"
+    ~count:300
+    QCheck2.Gen.(pair Fixtures.kernel_instance_gen (int_bound 1_000_000))
+    (fun (i, pseed) ->
+      let progress = Fixtures.random_progress ~seed:pseed i in
+      let tasks = i.Instance.tasks in
+      let brute w =
+        List.filter
+          (fun task ->
+            Progress.is_open progress task && Topk_oracle.near i w task)
+          (List.init (Array.length tasks) Fun.id)
+      in
+      let c = Instance.candidates () in
+      let holds (w : Worker.t) base =
+        let slots = List.init (c.top - base) (fun k -> base + k) in
+        List.map (fun k -> c.ids.(k)) slots = brute w
+        && List.for_all
+             (fun k ->
+               let task = c.ids.(k) in
+               bits_equal c.d2.(k)
+                 (Ltc_geo.Point.distance_sq w.loc tasks.(task).Task.loc)
+               && bits_equal c.scores.(k) (Instance.score i w task))
+             slots
+      in
+      let start = c.top in
+      let workers = i.Instance.workers in
+      let ok =
+        Array.for_all
+          (fun (w : Worker.t) ->
+            let base = Instance.push_open i c progress w ~scores:true in
+            let top = c.top in
+            let w' = workers.(w.index mod Array.length workers) in
+            let nested = Instance.push_open i c progress w' ~scores:true in
+            let nested_ok = nested = top && holds w' nested in
+            Instance.pop_candidates c nested;
+            let ok = nested_ok && c.top = top && holds w base in
+            Instance.pop_candidates c base;
+            ok)
+          workers
+      in
+      ok && c.top = start)
+
 let prop_progress_threshold_per_task =
   QCheck2.Test.make ~name:"per-task thresholds drive completion" ~count:100
     QCheck2.Gen.(
@@ -2121,6 +2172,7 @@ let suite =
         qcheck prop_analysis_invariants;
         qcheck prop_progress_threshold_per_task;
         qcheck prop_sorted_candidates;
+        qcheck prop_candidate_kernel;
       ] );
     ( "core.truth_infer",
       [

@@ -51,7 +51,8 @@ let test_bbox_of_points () =
 (* The sorted fill, read back as a list. *)
 let grid_within g ~center ~radius =
   let buf = Array.make (Grid_index.length g) 0 in
-  let n = Grid_index.fill_within_sorted g ~center ~radius buf 0 in
+  let d2 = Array.make (Grid_index.length g) 0.0 in
+  let n = Grid_index.query g ~center ~radius ~sorted:true buf d2 0 in
   Array.to_list (Array.sub buf 0 n)
 
 let test_grid_basic () =
@@ -99,16 +100,54 @@ let test_grid_out_of_world_points () =
   Alcotest.(check (list int)) "found" [ 0 ]
     (grid_within g ~center:(Point.make ~x:15.0 ~y:15.0) ~radius:0.5)
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The one scan against a brute-force filter, written from slot [pos] on:
+   sorted, the ids ascend; unsorted, they are the same set; either way
+   each id's squared distance equals [Point.distance_sq] bit for bit, in
+   both argument orders.  Centres fall inside the world, outside it and
+   on cell edges; [cell] 1e-3 asks for far more cells than the budget, so
+   the build widens them. *)
 let prop_grid_matches_brute =
-  QCheck2.Test.make ~name:"grid query = brute force" ~count:200
+  let centre =
     QCheck2.Gen.(
-      triple (points_gen ~side:100.0) (point_gen ~side:100.0)
-        (float_range 0.1 40.0))
-    (fun (points, center, radius) ->
+      oneof
+        [
+          point_gen ~side:100.0;
+          map2
+            (fun x y -> Point.make ~x ~y)
+            (float_range (-30.0) 130.0) (float_range (-30.0) 130.0);
+          map2
+            (fun i j ->
+              let edge k = 10.0 *. float_of_int k in
+              Point.make ~x:(edge i) ~y:(edge j))
+            (int_range (-1) 11) (int_range (-1) 11);
+        ])
+  in
+  QCheck2.Test.make ~name:"grid query = brute force" ~count:300
+    QCheck2.Gen.(
+      quad (points_gen ~side:100.0) centre (float_range 0.01 40.0)
+        (pair (oneofl [ 10.0; 1e-3 ]) (int_range 0 3)))
+    (fun (points, center, radius, (cell, pos)) ->
       let arr = Array.of_list points in
-      let g = Grid_index.build ~world:(Bbox.square ~side:100.0) ~cell:10.0 arr in
-      grid_within g ~center ~radius
-      = brute_within points ~center ~radius)
+      let g = Grid_index.build ~world:(Bbox.square ~side:100.0) ~cell arr in
+      let want = brute_within points ~center ~radius in
+      let run sorted =
+        let ids = Array.make (pos + Array.length arr) (-1) in
+        let d2 = Array.make (pos + Array.length arr) nan in
+        let n = Grid_index.query g ~center ~radius ~sorted ids d2 pos in
+        let exact k =
+          let d = d2.(pos + k) and p = arr.(ids.(pos + k)) in
+          bits_equal d (Point.distance_sq center p)
+          && bits_equal d (Point.distance_sq p center)
+        in
+        ( Array.for_all (( = ) (-1)) (Array.sub ids 0 pos)
+          && List.for_all exact (List.init n Fun.id),
+          Array.to_list (Array.sub ids pos n) )
+      in
+      let sorted_ok, sorted = run true and unsorted_ok, unsorted = run false in
+      sorted_ok && unsorted_ok && sorted = want
+      && List.sort compare unsorted = want)
 
 let qcheck = QCheck_alcotest.to_alcotest
 

@@ -1668,6 +1668,49 @@ let test_flight_recorder_ring () =
     (Invalid_argument "Flight_recorder.create: capacity must be >= 1")
     (fun () -> ignore (Flight_recorder.create ~capacity:0))
 
+(* The ring grows with what it records: a capacity of ten million costs
+   nothing up front ([ltc loadgen --flight-capacity] takes any value),
+   and 30 records read back as they do from a ring of capacity 30. *)
+let test_flight_recorder_grows () =
+  let bytes f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    Gc.minor ();
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let fill capacity =
+    let r = Flight_recorder.create ~capacity in
+    for i = 1 to 30 do
+      Flight_recorder.record r (fr_record i)
+    done;
+    r
+  in
+  let big, allocated = bytes (fun () -> fill 10_000_000) in
+  if allocated >= 100_000.0 then
+    Alcotest.failf "30 records at capacity 10^7 allocated %.0f bytes" allocated;
+  let small = fill 30 in
+  let seqs r =
+    let acc = ref [] in
+    Flight_recorder.iter (fun x -> acc := x.Flight_recorder.seq :: !acc) r;
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "same records" (seqs small) (seqs big);
+  Alcotest.(check int) "same length" (Flight_recorder.length small)
+    (Flight_recorder.length big);
+  Alcotest.(check int) "nothing dropped" (Flight_recorder.dropped small)
+    (Flight_recorder.dropped big);
+  Alcotest.(check int) "capacity kept" 10_000_000
+    (Flight_recorder.capacity big);
+  (* Past its capacity a grown ring wraps as a full one does. *)
+  let r = Flight_recorder.create ~capacity:20 in
+  for i = 1 to 50 do
+    Flight_recorder.record r (fr_record i)
+  done;
+  Alcotest.(check (list int)) "the 20 most recent" (List.init 20 (( + ) 31))
+    (seqs r);
+  Alcotest.(check int) "dropped" 30 (Flight_recorder.dropped r)
+
 (* --------------------------------------------------------- loadgen runs *)
 
 (* Virtual-timing loadgen is a pure function of its config: two passes on
@@ -1755,37 +1798,6 @@ let test_loadgen_virtual_refuses_supervised () =
 
 (* ------------------------------------------------------ sharded serving *)
 
-(* Shard-local clustered workload: task clusters sit at x = 90i + 15
-   (tasks within +-10, all in one 30-unit grid cell), workers arrive
-   round-robin across clusters jittered +-8 around the centre, so every
-   candidate set stays inside the worker's own cell — the regime where
-   the sharded server must be byte-identical to one merged session. *)
-let clustered_instance ?(clusters = 4) ?(tasks_per = 3) ?(n_arrivals = 48)
-    ?(capacity = 2) ~seed () =
-  let rng = Ltc_util.Rng.create ~seed in
-  let center i = (90.0 *. float_of_int i) +. 15.0 in
-  let tasks =
-    Array.init (clusters * tasks_per) (fun id ->
-        let c = id / tasks_per and j = id mod tasks_per in
-        let dx =
-          -10.0
-          +. (20.0 *. float_of_int j /. float_of_int (max 1 (tasks_per - 1)))
-        in
-        Ltc_core.Task.make ~id
-          ~loc:(Ltc_geo.Point.make ~x:(center c +. dx) ~y:10.0)
-          ())
-  in
-  let workers =
-    Array.init n_arrivals (fun i ->
-        let c = i mod clusters in
-        let dx = Ltc_util.Rng.float rng 16.0 -. 8.0 in
-        Ltc_core.Worker.make ~index:(i + 1)
-          ~loc:(Ltc_geo.Point.make ~x:(center c +. dx) ~y:10.0)
-          ~accuracy:(0.7 +. Ltc_util.Rng.float rng 0.25)
-          ~capacity)
-  in
-  Ltc_core.Instance.create ~tasks ~workers ~epsilon:0.25 ()
-
 let session_fp s =
   ( Ltc_core.Arrangement.to_list (Session.arrangement s),
     Session.latency s,
@@ -1816,7 +1828,7 @@ let single_baseline algo instance =
   (Array.of_list ds, fp)
 
 let check_shard_parity ~mode ~shards algo =
-  let instance = clustered_instance ~seed:3 () in
+  let instance = Fixtures.clustered_instance ~seed:3 () in
   let baseline, base_fp = single_baseline algo instance in
   let srv = Shard_server.create ~mode ~shards ~algorithm:algo ~seed:99 instance in
   let streamed =
@@ -1975,7 +1987,7 @@ let sharded_kill_restore ~shards ~group_commit ~hit algo instance
 
 let test_sharded_kill_restore_everywhere () =
   let algo = Ltc_algo.Algorithm.laf in
-  let instance = clustered_instance ~seed:7 () in
+  let instance = Fixtures.clustered_instance ~seed:7 () in
   let baseline = single_baseline algo instance in
   List.iter
     (fun shards ->
@@ -2006,7 +2018,7 @@ let prop_sharded_kill_restore =
       return (iseed, shards, group_commit, hit))
     (fun (iseed, shards, group_commit, hit) ->
       let algo = Ltc_algo.Algorithm.laf in
-      let instance = clustered_instance ~seed:iseed () in
+      let instance = Fixtures.clustered_instance ~seed:iseed () in
       let baseline = single_baseline algo instance in
       ignore
         (sharded_kill_restore ~shards ~group_commit ~hit algo instance
@@ -2017,7 +2029,7 @@ let prop_sharded_kill_restore =
    arrivals fed behaves like a fresh server with the same options. *)
 let test_shard_manifest_roundtrip () =
   let algo = Ltc_algo.Algorithm.lgf in
-  let instance = clustered_instance ~seed:5 () in
+  let instance = Fixtures.clustered_instance ~seed:5 () in
   with_tmp_shard_base @@ fun base ->
   let srv =
     Shard_server.create ~mode:Shard_server.Inline ~journal:base ~group_commit:4
@@ -2071,7 +2083,7 @@ let write_lines path lines =
    instance's are refused when not finite, and its counts below the bounds
    [create] enforces, naming the line. *)
 let test_shard_manifest_non_finite () =
-  let instance = clustered_instance ~seed:5 () in
+  let instance = Fixtures.clustered_instance ~seed:5 () in
   with_tmp_shard_base @@ fun base ->
   Shard_server.close
     (Shard_server.create ~mode:Shard_server.Inline ~journal:base
@@ -2553,7 +2565,7 @@ let shard_crash_isolation ~mode ~shards ~kill_shard ~hit instance =
   crashed
 
 let test_shard_quarantine_isolation () =
-  let instance = clustered_instance ~seed:13 () in
+  let instance = Fixtures.clustered_instance ~seed:13 () in
   let fired = ref 0 in
   for kill_shard = 0 to 2 do
     if
@@ -2574,7 +2586,7 @@ let prop_shard_crash_isolation =
       let* hit = int_range 1 15 in
       return (iseed, shards, kill_shard, hit))
     (fun (iseed, shards, kill_shard, hit) ->
-      let instance = clustered_instance ~seed:iseed () in
+      let instance = Fixtures.clustered_instance ~seed:iseed () in
       ignore
         (shard_crash_isolation ~mode:Shard_server.Inline ~shards ~kill_shard
            ~hit instance);
@@ -2651,7 +2663,7 @@ let prop_inline_recovery =
          partial snapshot per arrival at checkpoint_every 1) and its first
          compaction (the 16th checkpoint). *)
       let instance =
-        clustered_instance ~tasks_per:8 ~n_arrivals:320 ~capacity:1
+        Fixtures.clustered_instance ~tasks_per:8 ~n_arrivals:320 ~capacity:1
           ~seed:iseed ()
       in
       match inline_recovery ~shards ~kill_shard ~site ~hit instance with
@@ -2666,7 +2678,7 @@ let prop_inline_recovery =
    unsupervised baseline — zero lost, zero duplicated, zero quarantined. *)
 let test_sharded_chaos_acceptance () =
   let shards = 3 in
-  let instance = clustered_instance ~seed:21 () in
+  let instance = Fixtures.clustered_instance ~seed:21 () in
   let plan =
     List.concat
       (List.init shards (fun k ->
@@ -2728,7 +2740,7 @@ let prop_sharded_chaos_identical =
     (fun
       (iseed, fault_seed, shards, crashes, io_errors, torn_writes, accept_rate)
     ->
-      let instance = clustered_instance ~seed:iseed () in
+      let instance = Fixtures.clustered_instance ~seed:iseed () in
       let plan =
         Chaos.sharded_plan ~crashes ~io_errors ~torn_writes ~horizon:10
           ~seed:fault_seed ~shards ()
@@ -2775,7 +2787,7 @@ let gated_laf ~shard ~gate ~stalls =
    that find the mailbox full are shed as immediate unassigned degraded
    acks, counted, and nothing is lost or duplicated. *)
 let test_shard_shed () =
-  let instance = clustered_instance ~seed:31 () in
+  let instance = Fixtures.clustered_instance ~seed:31 () in
   let n = Array.length instance.Ltc_core.Instance.workers in
   let gate = Atomic.make false and stalls = Atomic.make 0 in
   let srv =
@@ -2818,7 +2830,7 @@ let test_shard_shed () =
    rest, and the whole stream is the inline baseline's. *)
 let test_shard_release_order () =
   (* Seed 31 routes arrival 1 to shard 1, so the held prefix is not empty. *)
-  let instance = clustered_instance ~seed:31 () in
+  let instance = Fixtures.clustered_instance ~seed:31 () in
   let workers = arrivals instance in
   let n = List.length workers in
   let base =
@@ -2868,7 +2880,7 @@ let test_shard_release_order () =
 
 (* Supervision options are validated up front. *)
 let test_supervise_validation () =
-  let instance = clustered_instance ~seed:3 () in
+  let instance = Fixtures.clustered_instance ~seed:3 () in
   Alcotest.check_raises "restart budget without a journal"
     (Invalid_argument
        "Shard_server.create: supervision with restarts requires ~journal \
@@ -2962,6 +2974,8 @@ let suite =
       [
         Alcotest.test_case "flight recorder ring" `Quick
           test_flight_recorder_ring;
+        Alcotest.test_case "flight recorder grows on demand" `Quick
+          test_flight_recorder_grows;
         Alcotest.test_case "virtual loadgen is deterministic" `Quick
           test_loadgen_deterministic;
         Alcotest.test_case "virtual timing refuses a supervised server"

@@ -174,7 +174,9 @@ let top_k_reference k xs =
 
 let stream bh ~k scores =
   Bounded_heap.start bh ~k;
-  List.iteri (fun i score -> Bounded_heap.push bh ~score i) scores;
+  let scores = Array.of_list scores in
+  let n = Array.length scores in
+  Bounded_heap.push bh scores (Array.init n Fun.id) 0 n;
   Bounded_heap.pop_all bh
 
 let test_bounded_heap_topk () =
@@ -231,10 +233,12 @@ let prop_bounded_heap_matches_oracle =
           let oracle = Topk_oracle.create ~k () in
           Bounded_heap.start bh ~k;
           List.iteri
-            (fun i score ->
-              Topk_oracle.push oracle ~score (100 + i);
-              Bounded_heap.push bh ~score (100 + i))
+            (fun i score -> Topk_oracle.push oracle ~score (100 + i))
             scores;
+          let n = List.length scores in
+          Bounded_heap.push bh (Array.of_list scores)
+            (Array.init n (( + ) 100))
+            0 n;
           Bounded_heap.pop_all bh = List.map snd (Topk_oracle.pop_all oracle))
         streams)
 

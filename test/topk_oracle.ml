@@ -146,3 +146,24 @@ let pop_all t =
       else compare b.score a.score)
     (drain [])
   |> List.map (fun e -> (e.score, e.value))
+
+(* The candidate rule as a brute-force filter: [task] lies within the
+   instance's radius of [w]. *)
+let near (instance : Ltc_core.Instance.t) (w : Ltc_core.Worker.t) task =
+  match instance.candidate_radius with
+  | None -> true
+  | Some r ->
+    Ltc_geo.Point.distance_sq w.loc instance.tasks.(task).Ltc_core.Task.loc
+    <= r *. r
+
+(* The closure-based skeleton the greedy policies shared before the
+   candidate kernel, over this reference heap: every task in ascending id
+   order, kept when it is [near] and open, and offered at [score task]. *)
+let top_open ~score (instance : Ltc_core.Instance.t) progress
+    (w : Ltc_core.Worker.t) =
+  let t = create ~k:w.capacity () in
+  for task = 0 to Array.length instance.tasks - 1 do
+    if near instance w task && Ltc_core.Progress.is_open progress task then
+      push t ~score:(score task) task
+  done;
+  List.map snd (pop_all t)
