@@ -114,6 +114,11 @@ type route =
       (* shed, or refused at a quarantined shard's door — released as an
          explicit unassigned degraded ack *)
 
+type msg = { mq : bool; mw : Worker.t }
+(* [mq] — quiet: a supervised re-feed of an arrival whose decision is
+   already handed back; the session must re-consume it (to advance its
+   state deterministically) but its decision is dropped. *)
+
 type shard = {
   mutable sh_session : Session.t;  (* replaced online by the supervisor *)
   sh_journal : string option;  (* the session's live journal path *)
@@ -137,18 +142,24 @@ type shard = {
          [on_decision] hook: covers the one arrival whose append became
          durable but whose hand-back a crash interrupted *)
   sh_route : route;  (* [Shard k], allocated once *)
-  (* --- hand-back: [sh_lock] guards the two fields below, between the
-     thread feeding the session (the shard's lane, or the caller inline)
-     and the caller, which releases --- *)
+  (* --- the lane: [sh_lock] guards the fields below, between the thread
+     feeding the session (the shard's domain, or the caller inline) and the
+     caller, which posts and releases.  The hand-back pair comes first, next
+     to the lock: it is what an inline server touches on every arrival. --- *)
   sh_lock : Mutex.t;
   sh_decisions : Session.decision Queue.t;  (* decided, not yet released *)
   mutable sh_decided : int;  (* highest local index decided or skipped *)
+  sh_mailbox : msg Queue.t;  (* posted, not yet taken: at most [mailbox] *)
+  mutable sh_busy : bool;  (* the domain is feeding what it took *)
+  mutable sh_failure : (exn * Printexc.raw_backtrace) option;
+      (* the feed that raised; the mailbox is empty while it stands *)
+  mutable sh_stop : bool;
+  mutable sh_domain : unit Domain.t option;
+      (* [Domains] mode only; the caller's alone, so unguarded *)
+  sh_wake : Condition.t;  (* the domain waits: an arrival or stop *)
+  sh_room : Condition.t;
+      (* the caller waits: room, idle or failure — the only waiter *)
 }
-
-type msg = { mq : bool; mw : Worker.t }
-(* [mq] — quiet: a supervised re-feed of an arrival whose decision is
-   already handed back; the session must re-consume it (to advance its
-   state deterministically) but its decision is dropped. *)
 
 (* What every shard runs, and how its journal is written: a manifest's
    content (a plain journal's header stands in for one). *)
@@ -179,7 +190,7 @@ type t = {
   mutable t_replayed : int;
   mutable t_latency : int;
   mutable t_incomplete : int;  (* shards not yet complete *)
-  mutable t_pool : msg Ltc_util.Pool.Workers.t option;
+  t_stalls : int Atomic.t;  (* posts that found their mailbox full *)
   mutable t_closed : bool;
   (* --- supervision --- *)
   t_super : Supervisor.t option;
@@ -207,10 +218,7 @@ let latency t =
   match t.t_direct with Some s -> Session.latency s | None -> t.t_latency
 let shard_of_point t loc = shard_of t.t_part loc
 
-let stalls t =
-  match t.t_pool with
-  | None -> 0
-  | Some pool -> Ltc_util.Pool.Workers.stalls pool
+let stalls t = Atomic.get t.t_stalls
 
 let supervised t = t.t_super <> None
 let restarts t = match t.t_super with None -> 0 | Some s -> Supervisor.restarts s
@@ -393,6 +401,13 @@ let make_shard k ~session ~journal ~tasks_globals ~restored ~supervised
     sh_lock = Mutex.create ();
     sh_decisions = Queue.create ();
     sh_decided = 0;
+    sh_mailbox = Queue.create ();
+    sh_busy = false;
+    sh_failure = None;
+    sh_stop = false;
+    sh_domain = None;
+    sh_wake = Condition.create ();
+    sh_room = Condition.create ();
   }
 
 (* Hand decision [d] back to the merge on [sh]'s queue.  A shard decides
@@ -429,14 +444,120 @@ let deliver t k msg =
   in
   if not msg.mq then hand_back sh d
 
-let attach_pool t ~mailbox =
+(* ----------------------------------------------------------------- lanes *)
+
+(* Shard [k]'s domain in [Domains] mode.  It takes the next posted message
+   and feeds it with the lock released.  It signals the caller only when
+   the caller may be waiting: at a take from a full mailbox (room), and
+   at the end of a feed that leaves the mailbox empty (idle, or failure)
+   — a signal per message would wake a settling caller twice per arrival.
+   A feed that raised leaves its exception standing and drops what was
+   still queued: a supervisor re-feeds those arrivals from the shard's
+   retained ones.  The domain then parks until the next arrival, which
+   only [restart_lane] admits.  On stop it returns once the mailbox is
+   empty. *)
+let run_lane t k =
+  let sh = t.t_shards.(k) in
+  Mutex.lock sh.sh_lock;
+  let rec loop () =
+    match Queue.take_opt sh.sh_mailbox with
+    | Some msg ->
+      sh.sh_busy <- true;
+      if Queue.length sh.sh_mailbox = t.t_config.mailbox - 1 then
+        Condition.signal sh.sh_room;
+      Mutex.unlock sh.sh_lock;
+      (match deliver t k msg with
+      | () -> Mutex.lock sh.sh_lock
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Mutex.lock sh.sh_lock;
+        sh.sh_failure <- Some (e, bt);
+        Queue.clear sh.sh_mailbox);
+      sh.sh_busy <- false;
+      if Queue.is_empty sh.sh_mailbox then Condition.signal sh.sh_room;
+      loop ()
+    | None when sh.sh_stop -> Mutex.unlock sh.sh_lock
+    | None ->
+      Condition.wait sh.sh_wake sh.sh_lock;
+      loop ()
+  in
+  loop ()
+
+let spawn_lanes t =
+  if t.t_mode = Domains then
+    Array.iteri
+      (fun k sh -> sh.sh_domain <- Some (Domain.spawn (fun () -> run_lane t k)))
+      t.t_shards
+
+let full t sh = Queue.length sh.sh_mailbox >= t.t_config.mailbox
+
+(* Post [msg] to [sh]'s lane.  A standing failure is raised here, on the
+   caller.  A full mailbox makes the caller wait for room, counting one
+   stall, or with [~shed] refuses the message: [false].  A lane that fails
+   meanwhile empties its mailbox, so the wait ends and raises. *)
+let post t sh msg ~shed =
+  Mutex.lock sh.sh_lock;
+  if full t sh && not shed then begin
+    Atomic.incr t.t_stalls;
+    while full t sh do
+      Condition.wait sh.sh_room sh.sh_lock
+    done
+  end;
+  match sh.sh_failure with
+  | Some (e, bt) ->
+    Mutex.unlock sh.sh_lock;
+    Printexc.raise_with_backtrace e bt
+  | None when full t sh ->
+    Mutex.unlock sh.sh_lock;
+    false
+  | None ->
+    Queue.push msg sh.sh_mailbox;
+    Condition.signal sh.sh_wake;
+    Mutex.unlock sh.sh_lock;
+    true
+
+(* Feed [msg] to shard [k]: on the caller inline, through its lane
+   otherwise. *)
+let send t k msg ~shed =
   match t.t_mode with
-  | Inline -> ()
-  | Domains ->
-    t.t_pool <-
-      Some
-        (Ltc_util.Pool.Workers.create ~lanes:(Array.length t.t_shards)
-           ~capacity:mailbox ~handler:(fun ~lane msg -> deliver t lane msg))
+  | Inline ->
+    deliver t k msg;
+    true
+  | Domains -> post t t.t_shards.(k) msg ~shed
+
+(* Wait until [sh]'s lane has fed everything posted to it or failed, and
+   return the standing failure (an inline shard is always settled). *)
+let settle sh =
+  Mutex.lock sh.sh_lock;
+  while sh.sh_busy || not (Queue.is_empty sh.sh_mailbox) do
+    Condition.wait sh.sh_room sh.sh_lock
+  done;
+  let failure = sh.sh_failure in
+  Mutex.unlock sh.sh_lock;
+  failure
+
+(* Settle every lane; the lowest failing shard, with its failure. *)
+let settle_all t =
+  let failed = ref None in
+  for k = Array.length t.t_shards - 1 downto 0 do
+    Option.iter (fun f -> failed := Some (k, f)) (settle t.t_shards.(k))
+  done;
+  !failed
+
+(* Clear [sh]'s standing failure, so its domain feeds what is posted
+   next. *)
+let restart_lane sh =
+  Mutex.lock sh.sh_lock;
+  sh.sh_failure <- None;
+  Mutex.unlock sh.sh_lock
+
+let stop_lane sh =
+  Mutex.lock sh.sh_lock;
+  sh.sh_stop <- true;
+  Condition.signal sh.sh_wake;
+  Mutex.unlock sh.sh_lock;
+  Option.iter Domain.join sh.sh_domain;
+  sh.sh_domain <- None
 
 (* Shedding refuses arrivals at a full mailbox; an inline server (one
    shard always is) has none, so it would never shed. *)
@@ -524,13 +645,13 @@ let start ~mode ~supervise ?resume ~seeds ~journal_of m =
         Array.fold_left
           (fun acc sh -> acc + if sh.sh_complete then 0 else 1)
           0 shards_arr;
-      t_pool = None;
+      t_stalls = Atomic.make 0;
       t_closed = false;
       t_super = super;
       t_fresh = fresh;
     }
   in
-  attach_pool t ~mailbox:m.mailbox;
+  spawn_lanes t;
   t
 
 let create ?accept_rate ?deadline ?journal ?(checkpoint_every = 256)
@@ -747,13 +868,6 @@ let route t sh g (w : Worker.t) =
   if supervised t then sh.sh_arrivals.(local - 1) <- Some w;
   local
 
-(* Clear lane [k]'s standing failure, so the same domain consumes again
-   (and quiesce, shutdown and the siblings are unaffected). *)
-let restart_lane t k =
-  match t.t_pool with
-  | Some pool -> Ltc_util.Pool.Workers.restart pool ~lane:k
-  | None -> ()
-
 (* Restore shard [k]'s session from its journal and re-feed what the
    crash lost.  Runs on the calling domain under the shard's fault scope
    (recovery probes the same per-shard sites, so scripted restore-time
@@ -764,7 +878,7 @@ let restart_lane t k =
 let rec handle_crash t k =
   let super = Option.get t.t_super in
   match Supervisor.on_crash super ~shard:k with
-  | `Quarantine -> restart_lane t k
+  | `Quarantine -> restart_lane t.t_shards.(k)
   | `Restart backoff_s -> (
     Ltc_util.Fault.sleep backoff_s;
     match revive t k with () -> () | exception _ -> handle_crash t k)
@@ -798,7 +912,7 @@ and revive t k =
   let decided = sh.sh_decided in
   (* What the crash took from the lane's mailbox is among the retained
      arrivals the re-feed below sends again. *)
-  restart_lane t k;
+  restart_lane sh;
   (* Re-feed, in order, everything routed past the durable prefix: quiet
      for arrivals whose decision is already handed back (the session must
      re-consume them to reach the same state, but nothing is queued), live
@@ -810,10 +924,7 @@ and revive t k =
       | None ->
         invalid_arg "Shard_server: supervised re-feed lost an arrival"
     in
-    let msg = message ~local ~quiet:(local <= decided) w in
-    match t.t_pool with
-    | Some pool -> Ltc_util.Pool.Workers.push pool ~lane:k msg
-    | None -> deliver t k msg
+    ignore (send t k (message ~local ~quiet:(local <= decided) w) ~shed:false)
   done
 
 (* ----------------------------------------------------------------- feed *)
@@ -846,22 +957,12 @@ let feed_routed t (w : Worker.t) =
     else begin
       let local = route t sh g w in
       let msg = message ~local ~quiet:false w in
-      let overload =
+      let shed =
         match t.t_super with
-        | None -> Supervisor.Block
-        | Some s -> (Supervisor.config s).Supervisor.overload
+        | None -> false
+        | Some s -> (Supervisor.config s).Supervisor.overload = Supervisor.Shed
       in
-      match
-        match (t.t_pool, overload) with
-        | None, _ ->
-          deliver t k msg;
-          true
-        | Some pool, Supervisor.Block ->
-          Ltc_util.Pool.Workers.push pool ~lane:k msg;
-          true
-        | Some pool, Supervisor.Shed ->
-          Ltc_util.Pool.Workers.try_push pool ~lane:k msg
-      with
+      match send t k msg ~shed with
       | true -> Queue.push sh.sh_route t.t_routes
       | false ->
         (* Mailbox full: shed instead of blocking.  Un-route the arrival
@@ -894,47 +995,38 @@ let feed t (w : Worker.t) =
   | None -> feed_routed t w
 
 (* Wait for the lanes to go idle; a supervised server recovers (or
-   quarantines) every lane that died with work in flight, an unsupervised
-   one re-raises the first failure. *)
-let rec drain t pool =
-  Ltc_util.Pool.Workers.quiesce pool;
-  let failed = ref None in
-  for k = Array.length t.t_shards - 1 downto 0 do
-    if Ltc_util.Pool.Workers.failure pool ~lane:k <> None then
-      failed := Some k
-  done;
-  match !failed with
+   quarantines) the lowest lane that died with work in flight and waits
+   again, an unsupervised one re-raises its failure. *)
+let rec drain t =
+  match settle_all t with
   | None -> ()
-  | Some k when supervised t ->
+  | Some (k, _) when supervised t ->
     handle_crash t k;
-    drain t pool
-  | Some _ ->
-    Option.iter
-      (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
-      (Ltc_util.Pool.Workers.first_failure pool)
+    drain t
+  | Some (_, (e, bt)) -> Printexc.raise_with_backtrace e bt
 
 let flush t =
   if t.t_closed then []
   else begin
-    Option.iter (drain t) t.t_pool;
+    drain t;
     release t []
   end
 
 let close t =
   if not t.t_closed then begin
-    (match t.t_pool with
-    | None -> ()
-    | Some pool ->
-      (* Supervised: recover dead lanes so shutdown joins clean domains. *)
-      if supervised t then drain t pool
-      else Ltc_util.Pool.Workers.quiesce pool;
-      Ltc_util.Pool.Workers.shutdown pool);
+    (* Supervised, dead lanes are recovered first.  Unsupervised, a failed
+       shard is abandoned like a quarantined one, and its failure raised
+       once every other shard's session is closed. *)
+    let failed = if supervised t then (drain t; None) else settle_all t in
+    Array.iter stop_lane t.t_shards;
     t.t_closed <- true;
     Array.iteri
       (fun k sh ->
         (* A quarantined shard's session died mid-write; its journal tail
            is whatever was durable, and closing the dead handle could
            raise — abandon it like the chaos harness does. *)
-        if not (is_quarantined t k) then Session.close sh.sh_session)
-      t.t_shards
+        if sh.sh_failure = None && not (is_quarantined t k) then
+          Session.close sh.sh_session)
+      t.t_shards;
+    Option.iter (fun (_, (e, bt)) -> Printexc.raise_with_backtrace e bt) failed
   end

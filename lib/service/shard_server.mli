@@ -20,12 +20,17 @@
     {2 Execution modes}
 
     - [`Domains] (the default): each shard's session lives on its own
-      OCaml 5 domain behind a bounded mailbox
-      ({!Ltc_util.Pool.Workers}).  A full mailbox blocks {!feed}
-      (backpressure, counted in {!stalls}) — arrivals are never silently
-      dropped.  Decisions become available as their global-order
-      predecessors complete; {!feed} returns whatever prefix is ready and
-      {!flush} blocks for the rest.
+      OCaml 5 domain behind a bounded mailbox.  The shard owns its whole
+      lane: the mailbox its arrivals go in by and the queue its decisions
+      come back by share the shard's one lock, and no lock is shared
+      between shards.  A full mailbox blocks {!feed} (backpressure,
+      counted in {!stalls}) — arrivals are never silently dropped.
+      Decisions become available as their global-order predecessors
+      complete; {!feed} returns whatever prefix is ready and {!flush}
+      blocks for the rest.  Unsupervised, a shard whose feed raised
+      drops what its mailbox held and raises that exception on the
+      caller: from the next {!feed} routed to it, from {!flush}, and once
+      from {!close}.
     - [`Inline] (always, at one shard): no domains; arrivals are decided
       synchronously on the calling domain and {!feed} returns each
       decision immediately.  The decision stream is identical to
@@ -140,7 +145,11 @@ val flush : t -> Session.decision list
 
 val close : t -> unit
 (** {!flush} whatever is in flight, stop the shard domains, and close
-    every shard session (journals flushed).  Idempotent. *)
+    every shard session (journals flushed).  Idempotent.  A shard that
+    failed and was not recovered (unsupervised) or was quarantined is
+    abandoned with whatever its journal made durable; every other session
+    is still closed, and then an unsupervised shard's failure (the lowest
+    shard's) is raised.  A second call is a no-op. *)
 
 val restore :
   ?journal:string -> ?mailbox:int -> ?mode:mode -> ?fsync:bool ->
@@ -220,8 +229,10 @@ val latency : t -> int
 (** Largest global arrival index that answered an assignment. *)
 
 val stalls : t -> int
-(** Mailbox-full backpressure stalls ({!Ltc_util.Pool.Workers.stalls};
-    [0] in [`Inline] mode). *)
+(** Arrivals that found their shard's mailbox full and made {!feed} (or
+    a supervised re-feed) wait: one per blocked arrival, whatever the
+    wait.  A shed arrival is not a stall.  [0] in [`Inline] mode.  Safe
+    to read from another domain. *)
 
 val degraded_total : t -> int
 (** Sum of the shard sessions' deadline-fallback decisions. *)

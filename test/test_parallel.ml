@@ -87,199 +87,6 @@ let test_pool_kill_worker_mid_batch () =
   let r = Pool.run ~jobs:4 32 Fun.id in
   Alcotest.(check int) "the next run answers" 31 r.(31)
 
-(* ------------------------------------------------------ persistent lanes *)
-
-let test_workers_fifo_per_lane () =
-  let logs = Array.make 4 [] in
-  let w =
-    Pool.Workers.create ~lanes:4 ~capacity:2 ~handler:(fun ~lane i ->
-        logs.(lane) <- i :: logs.(lane))
-  in
-  Alcotest.(check int) "lanes" 4 (Pool.Workers.lanes w);
-  for i = 0 to 39 do
-    Pool.Workers.push w ~lane:(i mod 4) i
-  done;
-  Pool.Workers.quiesce w;
-  for k = 0 to 3 do
-    Alcotest.(check (list int))
-      (Printf.sprintf "lane %d handled its items in push order" k)
-      (List.init 10 (fun j -> (4 * j) + k))
-      (List.rev logs.(k))
-  done;
-  Pool.Workers.shutdown w;
-  Alcotest.(check bool) "no failure" true
-    (Pool.Workers.first_failure w = None)
-
-(* Deterministic backpressure: a 1-slot mailbox whose handler blocks on a
-   gate forces the third push to stall; a helper domain opens the gate
-   only once the stall is counted, so nothing here depends on timing. *)
-let test_workers_backpressure_stalls () =
-  let gate = Atomic.make false in
-  let handled = Atomic.make 0 in
-  let w =
-    Pool.Workers.create ~lanes:1 ~capacity:1 ~handler:(fun ~lane:_ first ->
-        if first then
-          while not (Atomic.get gate) do
-            Domain.cpu_relax ()
-          done;
-        Atomic.incr handled)
-  in
-  Pool.Workers.push w ~lane:0 true;
-  Pool.Workers.push w ~lane:0 false;
-  let opener =
-    Domain.spawn (fun () ->
-        while Pool.Workers.stalls w < 1 do
-          Domain.cpu_relax ()
-        done;
-        Atomic.set gate true)
-  in
-  Pool.Workers.push w ~lane:0 false;
-  Domain.join opener;
-  Pool.Workers.quiesce w;
-  Alcotest.(check int) "every push handled despite the stall" 3
-    (Atomic.get handled);
-  Alcotest.(check bool) "stall counted" true (Pool.Workers.stalls w >= 1);
-  Pool.Workers.shutdown w
-
-exception Lane_down
-
-(* Kill one persistent worker mid-stream: its queue is discarded, the
-   other lanes drain fully, quiesce terminates, a later push to the dead
-   lane re-raises the handler's exception, and shutdown re-raises it for
-   callers that never pushed again. *)
-let test_workers_mid_batch_kill () =
-  let handled = Array.make 3 0 in
-  let m = Mutex.create () in
-  let w =
-    Pool.Workers.create ~lanes:3 ~capacity:4 ~handler:(fun ~lane i ->
-        if lane = 1 && i = 2 then raise Lane_down;
-        Mutex.lock m;
-        handled.(lane) <- handled.(lane) + 1;
-        Mutex.unlock m)
-  in
-  let lane1_push_failed = ref false in
-  for i = 1 to 30 do
-    Pool.Workers.push w ~lane:0 i;
-    (try Pool.Workers.push w ~lane:1 i
-     with Lane_down -> lane1_push_failed := true);
-    Pool.Workers.push w ~lane:2 i
-  done;
-  Pool.Workers.quiesce w;
-  Alcotest.(check int) "lane 0 drained fully" 30 handled.(0);
-  Alcotest.(check int) "lane 2 drained fully" 30 handled.(2);
-  Alcotest.(check int) "lane 1 stopped at the kill" 1 handled.(1);
-  Alcotest.(check bool) "push to the dead lane re-raised" true
-    !lane1_push_failed;
-  Alcotest.(check bool) "failure recorded" true
-    (match Pool.Workers.first_failure w with
-    | Some (Lane_down, _) -> true
-    | _ -> false);
-  (match Pool.Workers.shutdown w with
-  | () -> Alcotest.fail "shutdown must re-raise the lane failure"
-  | exception Lane_down -> ());
-  (* idempotent once the failure has been delivered *)
-  Pool.Workers.shutdown w
-
-(* [restart] clears a failed lane's failure and resumes it in place,
-   without the siblings ever noticing.  The pool keeps nothing of what the
-   failure discarded (the failing item, then the queue), so the producer
-   re-feeds those items itself. *)
-let test_workers_restart_recovers_lost () =
-  let handled = ref [] in
-  let m = Mutex.create () in
-  let gate = Atomic.make false in
-  let armed = Atomic.make true in
-  let w =
-    Pool.Workers.create ~lanes:2 ~capacity:8 ~handler:(fun ~lane i ->
-        if lane = 0 && i = 2 && Atomic.get armed then begin
-          while not (Atomic.get gate) do
-            Domain.cpu_relax ()
-          done;
-          raise Lane_down
-        end;
-        Mutex.lock m;
-        handled := (lane, i) :: !handled;
-        Mutex.unlock m)
-  in
-  (* lane 0 sticks at item 2 behind the gate; 3..6 pile up queued *)
-  for i = 1 to 6 do
-    Pool.Workers.push w ~lane:0 i;
-    Pool.Workers.push w ~lane:1 i
-  done;
-  Atomic.set gate true;
-  while Pool.Workers.failure w ~lane:0 = None do
-    Domain.cpu_relax ()
-  done;
-  Alcotest.(check bool) "failure observable" true
-    (match Pool.Workers.failure w ~lane:0 with
-    | Some (Lane_down, _) -> true
-    | _ -> false);
-  Atomic.set armed false;
-  Pool.Workers.restart w ~lane:0;
-  Alcotest.(check bool) "failure cleared" true
-    (Pool.Workers.failure w ~lane:0 = None);
-  (* the lane is live again: re-feed what it lost *)
-  List.iter (fun i -> Pool.Workers.push w ~lane:0 i) [ 2; 3; 4; 5; 6 ];
-  Pool.Workers.quiesce w;
-  let lane n =
-    List.rev (List.filter_map (fun (l, i) -> if l = n then Some i else None)
-                !handled)
-  in
-  Alcotest.(check (list int)) "lane 0 drained everything after restart"
-    [ 1; 2; 3; 4; 5; 6 ] (lane 0);
-  Alcotest.(check (list int)) "lane 1 untouched" [ 1; 2; 3; 4; 5; 6 ] (lane 1);
-  Pool.Workers.shutdown w
-
-(* [try_push] refuses a full mailbox instead of blocking, and admits
-   again once the lane drains. *)
-let test_workers_try_push () =
-  let gate = Atomic.make false in
-  let w =
-    Pool.Workers.create ~lanes:1 ~capacity:1 ~handler:(fun ~lane:_ _ ->
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
-  in
-  Pool.Workers.push w ~lane:0 1;
-  (* blocking push parks until the lane dequeues item 1 into the gated
-     handler, leaving the single slot free for item 2 *)
-  Pool.Workers.push w ~lane:0 2;
-  (* the blocking push may legitimately stall while item 1 is still
-     queued; only the try_push refusal must not add one *)
-  let stalls_before = Pool.Workers.stalls w in
-  Alcotest.(check bool) "full mailbox refused" false
-    (Pool.Workers.try_push w ~lane:0 3);
-  Alcotest.(check int) "refusal is not a stall" stalls_before
-    (Pool.Workers.stalls w);
-  Atomic.set gate true;
-  Pool.Workers.quiesce w;
-  Alcotest.(check bool) "admits again once drained" true
-    (Pool.Workers.try_push w ~lane:0 3);
-  Pool.Workers.quiesce w;
-  Pool.Workers.shutdown w
-
-let test_workers_contracts () =
-  Alcotest.check_raises "lanes 0"
-    (Invalid_argument "Pool.Workers.create: lanes must be >= 1") (fun () ->
-      ignore
-        (Pool.Workers.create ~lanes:0 ~capacity:1 ~handler:(fun ~lane:_ () ->
-             ())));
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Pool.Workers.create: capacity must be >= 1")
-    (fun () ->
-      ignore
-        (Pool.Workers.create ~lanes:1 ~capacity:0 ~handler:(fun ~lane:_ () ->
-             ())));
-  let w = Pool.Workers.create ~lanes:2 ~capacity:1 ~handler:(fun ~lane:_ () -> ()) in
-  Alcotest.check_raises "unknown lane"
-    (Invalid_argument "Pool.Workers.push: no such lane") (fun () ->
-      Pool.Workers.push w ~lane:5 ());
-  Pool.Workers.shutdown w;
-  Alcotest.check_raises "push after shutdown"
-    (Invalid_argument "Pool.Workers: used after shutdown") (fun () ->
-      Pool.Workers.push w ~lane:0 ());
-  Pool.Workers.shutdown w
-
 (* ------------------------------------------- observability under domains *)
 
 let with_observability f =
@@ -389,18 +196,17 @@ let suite =
         Alcotest.test_case "kill one worker mid-batch" `Quick
           test_pool_kill_worker_mid_batch;
       ] );
+    (* The persistent workers are the shard lanes of Shard_server; their
+       tests live with the shard fixtures in Test_service. *)
     ( "parallel.workers",
       [
-        Alcotest.test_case "per-lane FIFO" `Quick test_workers_fifo_per_lane;
         Alcotest.test_case "backpressure stalls counted" `Quick
-          test_workers_backpressure_stalls;
+          Test_service.test_lane_backpressure;
         Alcotest.test_case "kill one lane mid-stream" `Quick
-          test_workers_mid_batch_kill;
-        Alcotest.test_case "restart recovers the lost items" `Quick
-          test_workers_restart_recovers_lost;
+          Test_service.test_lane_failure;
         Alcotest.test_case "try_push admission control" `Quick
-          test_workers_try_push;
-        Alcotest.test_case "contracts" `Quick test_workers_contracts;
+          Test_service.test_lane_shed_refusal;
+        Alcotest.test_case "contracts" `Quick Test_service.test_lane_contracts;
       ] );
     ( "parallel.observability",
       [

@@ -2910,6 +2910,264 @@ let test_supervise_validation () =
         (Shard_server.restore ~mode:Shard_server.Inline ~supervise:shed ~path
            ()))
 
+(* ---------------------------------------------------------- shard lanes *)
+
+(* Each shard's lane (its mailbox, domain and stall count) is tested here,
+   beside the shard fixtures; Test_parallel runs the lane cases as its
+   [parallel.workers] group. *)
+
+(* The unsupervised inline server at K = [shards]: its merged stream, its
+   fingerprint, and the server itself (closed), whose partition and
+   per-shard counts the lane tests compare against. *)
+let inline_run ~shards algo instance =
+  let srv =
+    Shard_server.create ~mode:Shard_server.Inline ~shards ~algorithm:algo
+      ~seed:99 instance
+  in
+  let stream = List.concat_map (Shard_server.feed srv) (arrivals instance) in
+  let fp = sharded_fp srv in
+  Shard_server.close srv;
+  (stream, fp, srv)
+
+(* LAF whose decisions on shard [shard] each run [hook n] first, [n]
+   counting that shard's decisions.  The shard is told by its session's
+   sub-instance, whose first task [owner] places on it, so no fault scope
+   is needed and the server may run unsupervised. *)
+let laf_on_shard ~owner ~shard hook =
+  let laf = Ltc_algo.Algorithm.laf in
+  {
+    laf with
+    Ltc_algo.Algorithm.policy =
+      Some
+        (fun rng instance tracker progress ->
+          let decide = (Option.get laf.policy) rng instance tracker progress in
+          let tasks = instance.Ltc_core.Instance.tasks in
+          if Array.length tasks = 0 || owner tasks.(0).Ltc_core.Task.loc <> shard
+          then decide
+          else begin
+            let n = ref 0 in
+            fun w ->
+              incr n;
+              hook !n;
+              decide w
+          end);
+  }
+
+(* Backpressure: shard 0's decisions wait on a gate behind a 1-slot
+   mailbox, so the router's posts to shard 0 fill it and block.  A helper
+   domain opens the gate once a stall is counted (a timeout keeps a broken
+   server from hanging the suite).  Nothing is shed, and the merged stream
+   is the inline server's. *)
+let test_lane_backpressure () =
+  let instance = Fixtures.clustered_instance ~seed:31 () in
+  let laf = Ltc_algo.Algorithm.laf in
+  let baseline, base_fp, base = inline_run ~shards:2 laf instance in
+  let gate = Atomic.make false in
+  let wait_gate _ =
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while (not (Atomic.get gate)) && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.001
+    done
+  in
+  let algo =
+    laf_on_shard ~owner:(Shard_server.shard_of_point base) ~shard:0 wait_gate
+  in
+  let srv =
+    Shard_server.create ~mode:Shard_server.Domains ~mailbox:1 ~shards:2
+      ~algorithm:algo ~seed:99 instance
+  in
+  let opener =
+    Domain.spawn (fun () ->
+        let give_up = Unix.gettimeofday () +. 10.0 in
+        while Shard_server.stalls srv < 1 && Unix.gettimeofday () < give_up do
+          Unix.sleepf 0.001
+        done;
+        Atomic.set gate true)
+  in
+  let got =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set gate true;
+        Domain.join opener)
+      (fun () ->
+        let fed = List.concat_map (Shard_server.feed srv) (arrivals instance) in
+        fed @ Shard_server.flush srv)
+  in
+  Alcotest.(check bool) "a full mailbox stalled the router" true
+    (Shard_server.stalls srv >= 1);
+  Alcotest.(check int) "nothing shed" 0 (Shard_server.shed srv);
+  if got <> baseline then
+    Alcotest.fail "merged stream differs from the inline baseline";
+  Alcotest.(check bool) "fingerprint" true (sharded_fp srv = base_fp);
+  Shard_server.close srv
+
+(* Admission control: under [overload = Shed] the same gated shard behind
+   a 1-slot mailbox makes the router refuse the arrivals that find it
+   full, and a refusal is not a stall.  Once the lanes have drained, the
+   next arrival is admitted. *)
+let test_lane_shed_refusal () =
+  let instance = Fixtures.clustered_instance ~seed:31 () in
+  let gate = Atomic.make false and held = Atomic.make 0 in
+  let srv =
+    Shard_server.create ~mode:Shard_server.Domains ~mailbox:1
+      ~supervise:{ Supervisor.max_restarts = 0; overload = Supervisor.Shed }
+      ~shards:2
+      ~algorithm:(gated_laf ~shard:0 ~gate ~stalls:held)
+      ~seed:99 instance
+  in
+  let last, early =
+    match List.rev (arrivals instance) with
+    | last :: early -> (last, List.rev early)
+    | [] -> Alcotest.fail "empty stream"
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
+      List.iter (fun w -> ignore (Shard_server.feed srv w)) early);
+  ignore (Shard_server.flush srv);
+  let shed = Shard_server.shed srv in
+  Alcotest.(check bool) "a full mailbox shed" true (shed >= 1);
+  Alcotest.(check int) "a shed arrival is not a stall" 0
+    (Shard_server.stalls srv);
+  ignore (Shard_server.feed srv last);
+  ignore (Shard_server.flush srv);
+  Alcotest.(check int) "admits again once drained" shed (Shard_server.shed srv);
+  Shard_server.close srv
+
+(* An unsupervised [Domains] server feeds the same stream as an inline one
+   at any mailbox size: each shard's lane feeds its arrivals in order, and
+   the merge releases them in global order.  The feeds are bound before
+   [flush] runs: [feeds @ flush] would evaluate [flush] first. *)
+let prop_domains_match_inline =
+  QCheck2.Test.make ~name:"Domains = Inline at every mailbox size" ~count:40
+    ~print:(fun (iseed, shards, algo) ->
+      Printf.sprintf "seed=%d K=%d %s" iseed shards
+        algo.Ltc_algo.Algorithm.name)
+    QCheck2.Gen.(
+      triple (int_range 0 10_000) (int_range 2 4)
+        (oneofl Ltc_algo.Algorithm.[ laf; aam; random; nearest_first ]))
+    (fun (iseed, shards, algo) ->
+      let instance = Fixtures.clustered_instance ~seed:iseed () in
+      let baseline, base_fp, _ = inline_run ~shards algo instance in
+      List.for_all
+        (fun mailbox ->
+          let srv =
+            Shard_server.create ~mode:Shard_server.Domains ~mailbox ~shards
+              ~algorithm:algo ~seed:99 instance
+          in
+          let fed =
+            List.concat_map (Shard_server.feed srv) (arrivals instance)
+          in
+          let got = fed @ Shard_server.flush srv in
+          let fp = sharded_fp srv in
+          Shard_server.close srv;
+          got = baseline && fp = base_fp)
+        [ 1; 2; 3; 64 ])
+
+exception Shard_down
+
+(* With 30 tasks a cluster, shard 0 is far from complete when shard 1
+   fails below. *)
+let failing_instance =
+  Fixtures.clustered_instance ~tasks_per:30 ~n_arrivals:400 ~seed:3 ()
+
+(* An unsupervised [Domains] server at K = 2 over [failing_instance] whose
+   shard 1 raises [Shard_down] at its fifth decision, fed the whole stream
+   and flushed.  Returns the server (open), how many of those calls
+   raised, and the inline server at K = 2. *)
+let failing_shard_run ?journal ?group_commit () =
+  let instance = failing_instance in
+  let _, _, base = inline_run ~shards:2 Ltc_algo.Algorithm.laf instance in
+  let algo =
+    laf_on_shard ~owner:(Shard_server.shard_of_point base) ~shard:1 (fun n ->
+        if n = 5 then raise Shard_down)
+  in
+  let srv =
+    Shard_server.create ~mode:Shard_server.Domains ?journal ?group_commit
+      ~shards:2 ~algorithm:algo ~seed:99 instance
+  in
+  let raised = ref 0 in
+  let attempt f = try ignore (f ()) with Shard_down -> incr raised in
+  List.iter
+    (fun w -> attempt (fun () -> Shard_server.feed srv w))
+    (arrivals instance);
+  attempt (fun () -> Shard_server.flush srv);
+  (srv, !raised, base)
+
+(* The lane contracts: bad sizes are refused (restore's before any file
+   is read), any mailbox size is served, and a closed server refuses
+   arrivals. *)
+let test_lane_contracts () =
+  let instance = Fixtures.clustered_instance ~seed:3 () in
+  let laf = Ltc_algo.Algorithm.laf in
+  Alcotest.check_raises "no shards"
+    (Invalid_argument "Shard_server.create: shards must be >= 1") (fun () ->
+      ignore (Shard_server.create ~shards:0 ~algorithm:laf ~seed:1 instance));
+  Alcotest.check_raises "no mailbox"
+    (Invalid_argument "Shard_server.create: mailbox must be >= 1") (fun () ->
+      ignore
+        (Shard_server.create ~mailbox:0 ~shards:2 ~algorithm:laf ~seed:1
+           instance));
+  let missing = Filename.temp_file "ltc_shard_test" ".manifest" in
+  Sys.remove missing;
+  Alcotest.check_raises "restore with no mailbox, before reading"
+    (Invalid_argument "Shard_server.restore: mailbox must be >= 1") (fun () ->
+      ignore (Shard_server.restore ~mailbox:0 ~path:missing ()));
+  (* The mailbox is a bound, not an allocation made up front. *)
+  let srv =
+    Shard_server.create ~mailbox:max_int ~shards:2 ~algorithm:laf ~seed:1
+      instance
+  in
+  let fed = List.concat_map (Shard_server.feed srv) (arrivals instance) in
+  Alcotest.(check int) "a huge mailbox serves the stream"
+    (List.length (arrivals instance))
+    (List.length (fed @ Shard_server.flush srv));
+  Shard_server.close srv;
+  Alcotest.check_raises "feed after close"
+    (Invalid_argument "Shard_server.feed: server is closed") (fun () ->
+      ignore (Shard_server.feed srv instance.Ltc_core.Instance.workers.(0)))
+
+(* An unsupervised shard's failure mid-stream reaches the caller while
+   its sibling keeps deciding, and is raised by [close] exactly once. *)
+let test_lane_failure () =
+  let srv, raised, base = failing_shard_run () in
+  Alcotest.(check bool) "the failure reaches the caller" true (raised >= 1);
+  (* Shard 0's arrivals routed before shard 1's fifth, the one that
+     raised. *)
+  let owner (w : Ltc_core.Worker.t) =
+    Shard_server.shard_of_point base w.Ltc_core.Worker.loc
+  in
+  let rec before ones zeros = function
+    | [] -> zeros
+    | w :: rest when owner w = 0 -> before ones (zeros + 1) rest
+    | _ :: rest -> if ones = 4 then zeros else before (ones + 1) zeros rest
+  in
+  let expected = (Shard_server.shard_consumed base).(0) in
+  Alcotest.(check bool) "shard 0 has arrivals after the failure" true
+    (expected > before 0 0 (arrivals failing_instance));
+  Alcotest.(check int) "shard 0 keeps deciding" expected
+    (Shard_server.shard_consumed srv).(0);
+  Alcotest.check_raises "close raises the failure" Shard_down (fun () ->
+      Shard_server.close srv);
+  Shard_server.close srv
+
+(* [close] after an unsupervised shard failed still closes every other
+   shard's session, so their group-commit buffers reach the journal. *)
+let test_close_flushes_healthy_shards () =
+  with_tmp_shard_base @@ fun base ->
+  let srv, _, _ = failing_shard_run ~journal:base ~group_commit:64 () in
+  (match Shard_server.close srv with
+  | () -> Alcotest.fail "close must raise the shard's failure"
+  | exception Shard_down -> ());
+  let consumed = (Shard_server.shard_consumed srv).(0) in
+  Alcotest.(check bool) "a group-commit buffer was pending" true
+    (consumed mod 64 <> 0);
+  let journal = Shard_server.shard_journal_path ~base ~shard:0 in
+  Alcotest.(check int) "shard 0's journal holds every arrival it consumed"
+    consumed (Session.Journal.inspect ~path:journal).Session.Journal.consumed;
+  Alcotest.check_raises "the server is closed"
+    (Invalid_argument "Shard_server.feed: server is closed") (fun () ->
+      ignore
+        (Shard_server.feed srv failing_instance.Ltc_core.Instance.workers.(0)))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -2998,6 +3256,9 @@ let suite =
         Alcotest.test_case "manifest refuses non-finite floats" `Quick
           test_shard_manifest_non_finite;
         qcheck prop_one_shard_is_session;
+        qcheck prop_domains_match_inline;
+        Alcotest.test_case "close flushes healthy shards" `Quick
+          test_close_flushes_healthy_shards;
       ] );
     ( "service.supervision",
       [
